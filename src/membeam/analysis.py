@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,8 +20,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigvals as dense_eigvals
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .discretization import GeneratorAssembly
+from .discretization import DENSE_MAX_DIM, GeneratorAssembly
 from .errors import (
+    DimensionTooLarge,
     EigensolveFailed,
     EnergyUnderflow,
     InfeasibleMultipliers,
@@ -30,7 +32,6 @@ from .errors import (
 )
 from .model import CoefficientField, MemoryKernel, PhysicalParams, State, validate_kernel
 
-_DENSE_EIG_MAX_DIM = 2000
 _ENERGY_FLOOR = 1e-300
 _MIN_FIT_SAMPLES = 10
 _MIN_PEAKS = 5
@@ -59,13 +60,6 @@ def _grad_cols(arr: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _eta_grad_colnorms(state: State) -> np.ndarray:
-    """||D+ eta_k||^2 (unweighted by h) for every history column."""
-    h = state.assembly.grid.h
-    g = _grad_cols(state.eta, h)
-    return np.einsum("ij,ij->j", g, g)
-
-
 def poincare_constant(assembly_or_ops) -> float:
     """Sharp discrete Poincare constant 1/lambda_min(-LAP)."""
     ops = getattr(assembly_or_ops, "ops", assembly_or_ops)
@@ -81,66 +75,74 @@ def poincare_constant(assembly_or_ops) -> float:
 # core functionals
 
 
-def energy(state: State) -> float:
-    """E = 1/2 Phi^T H Phi with the assembled energy metric.
+def _functionals(state: State) -> SimpleNamespace:
+    """E, D, F1, F2, I and the inner products the lemma sides reuse.
 
-    Blockwise: (h/2)[u^T BIH u + kappa^2 ||D+ u||^2 + ||v||^2 + ||theta||^2
-    + sum_k w_k mu_k ||D+ eta_k||^2].
+    The one implementation of every functional: a single gradient pass
+    over the history columns and a single history moment
+    m(eta) = sum_k w_k mu_k eta_k.  theta_t inside I comes from the
+    generator row l LAP theta + LAP m(eta) - beta D1 v.
     """
     asm = state.assembly
     h = asm.grid.h
-    kap = asm.params.kappa
-    wmu = asm.memory_grid.weights * asm.memory_grid.mu
-    gu = _grad_vec(state.u, h)
-    hist = float(_eta_grad_colnorms(state) @ wmu)
-    return 0.5 * h * (float(state.u @ (asm.ops.bih @ state.u)) + kap**2 * float(gu @ gu)
-                      + float(state.v @ state.v) + float(state.theta @ state.theta) + hist)
+    mg = asm.memory_grid
+    wmu = mg.weights * mg.mu
+    wmup = mg.weights * mg.muprime
+    kap, beta, l = asm.params.kappa, asm.params.beta, asm.params.l
+    u, v, th, eta = state.u, state.v, state.theta, state.eta
+
+    geta = _grad_cols(eta, h)
+    colnorms = np.einsum("ij,ij->j", geta, geta)      # ||D+ eta_k||^2
+    hist_mu = float(colnorms @ wmu)
+    hist_mup = float(colnorms @ wmup)
+    gu = _grad_vec(u, h)
+    gth = _grad_vec(th, h)
+    uu = float(u @ (asm.ops.bih @ u))
+    vv = float(v @ v)
+    tt = float(th @ th)
+    gugu = float(gu @ gu)
+    gthgth = float(gth @ gth)
+    moment = eta @ wmu
+    th_moment = float(th @ moment)
+    thdot = l * (asm.ops.lap @ th) + asm.ops.lap @ moment
+    if beta != 0.0:
+        thdot = thdot - beta * (asm.ops.d1 @ v)
+
+    return SimpleNamespace(
+        E=0.5 * h * (uu + kap**2 * gugu + vv + tt + hist_mu),
+        D=-2.0 * h * float((asm.ops.g * v) @ v) - l * h * gthgth + 0.5 * h * hist_mup,
+        F1=h * (float(u @ v) + float(u @ (asm.ops.g * u))),
+        F2=-h * th_moment,
+        Ifun=-h * float(thdot @ moment),
+        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=hist_mup,
+        th_moment=th_moment)
+
+
+def energy(state: State) -> float:
+    """E = 1/2 Phi^T H Phi = (h/2)[u^T BIH u + kappa^2 ||D+ u||^2 + ||v||^2
+    + ||theta||^2 + sum_k w_k mu_k ||D+ eta_k||^2]."""
+    return _functionals(state).E
 
 
 def dissipation(state: State) -> float:
     """D = -2 h sum g_i v_i^2 - l h ||D+ theta||^2
     + (h/2) sum_k w_k mu'_k ||D+ eta_k||^2; nonpositive under H2 and g > 0."""
-    asm = state.assembly
-    h = asm.grid.h
-    gth = _grad_vec(state.theta, h)
-    wmup = asm.memory_grid.weights * asm.memory_grid.muprime
-    hist = float(_eta_grad_colnorms(state) @ wmup)
-    return (-2.0 * h * float((asm.ops.g * state.v) @ state.v)
-            - asm.params.l * h * float(gth @ gth) + 0.5 * h * hist)
-
-
-def _memory_moment(state: State) -> np.ndarray:
-    """m(eta) = sum_k w_k mu_k eta_k."""
-    mg = state.assembly.memory_grid
-    return state.eta @ (mg.weights * mg.mu)
-
-
-def theta_dot(state: State) -> np.ndarray:
-    """theta_t from the generator row: l LAP theta + LAP m(eta) - beta D1 v."""
-    asm = state.assembly
-    out = asm.params.l * (asm.ops.lap @ state.theta) + asm.ops.lap @ _memory_moment(state)
-    if asm.params.beta != 0.0:
-        out -= asm.params.beta * (asm.ops.d1 @ state.v)
-    return out
+    return _functionals(state).D
 
 
 def lyap_F1(state: State) -> float:
     """F1 = h (u . v + u . (g u))."""
-    h = state.assembly.grid.h
-    g = state.assembly.ops.g
-    return h * (float(state.u @ state.v) + float(state.u @ (g * state.u)))
+    return _functionals(state).F1
 
 
 def lyap_F2(state: State) -> float:
     """F2 = -h sum_k w_k mu_k (theta . eta_k)."""
-    h = state.assembly.grid.h
-    return -h * float(state.theta @ _memory_moment(state))
+    return _functionals(state).F2
 
 
 def lyap_I(state: State) -> float:
     """I = -h sum_k w_k mu_k (theta_t . eta_k), theta_t from the generator row."""
-    h = state.assembly.grid.h
-    return -h * float(theta_dot(state) @ _memory_moment(state))
+    return _functionals(state).Ifun
 
 
 @dataclass(frozen=True)
@@ -235,68 +237,7 @@ def choose_multipliers_for(assembly: GeneratorAssembly, **kw) -> MultiplierConfi
 
 def lyapunov_total(state: State, mcfg: MultiplierConfig) -> float:
     """L = N E + N1 F1 + N2 F2."""
-    return mcfg.N * energy(state) + mcfg.N1 * lyap_F1(state) + mcfg.N2 * lyap_F2(state)
-
-
-# ---------------------------------------------------------------------------
-# lemma inequality checks (lhs <= rhs expected)
-
-
-def lemma_F1_derivative_check(state: State, mcfg: MultiplierConfig) -> tuple[float, float]:
-    """dF1/dt from generator rows vs the multiplier bound
-    -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2 + beta^2/(2 kappa^2) ||theta||^2."""
-    asm = state.assembly
-    h, kap, beta = asm.grid.h, asm.params.kappa, asm.params.beta
-    u, v, th = state.u, state.v, state.theta
-    bih_u = asm.ops.bih @ u
-    gu = _grad_vec(u, h)
-    lhs = h * (float(v @ v) - float(u @ bih_u) - kap**2 * float(gu @ gu)
-               - 2.0 * kap * float(u @ (asm.ops.d1 @ v))
-               - beta * float(u @ (asm.ops.d1 @ th)))
-    rhs = h * (-float(u @ bih_u) - 0.25 * kap**2 * float(gu @ gu)
-               + mcfg.Ckappa * float(v @ v)
-               + beta**2 / (2.0 * kap**2) * float(th @ th))
-    return lhs, rhs
-
-
-def lemma_I_bound_check(state: State, mcfg: MultiplierConfig) -> tuple[float, float]:
-    """I(state) vs C1 ||v||^2 + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2."""
-    asm = state.assembly
-    h = asm.grid.h
-    gth = _grad_vec(state.theta, h)
-    wmup = asm.memory_grid.weights * asm.memory_grid.muprime
-    hist = float(_eta_grad_colnorms(state) @ wmup)
-    lhs = lyap_I(state)
-    rhs = h * (mcfg.C1 * float(state.v @ state.v) + mcfg.C2 * float(gth @ gth)
-               - mcfg.C3 * hist)
-    return lhs, rhs
-
-
-def lemma_F2_derivative_check(state: State, mcfg: MultiplierConfig) -> tuple[float, float]:
-    """dF2/dt from generator rows vs the Lemma bound with the sigma3 split."""
-    asm = state.assembly
-    h, ds = asm.grid.h, asm.memory_grid.ds
-    mg = asm.memory_grid
-    wmu = mg.weights * mg.mu
-    th = state.theta
-    # d/dt F2 = I - sum w mu <theta, theta> + sum w mu <theta, ds_upwind eta>
-    eta = state.eta
-    upwind_term = (float(th @ (eta @ wmu)) - float(th @ (eta[:, :-1] @ wmu[1:]))) / ds
-    lhs = lyap_I(state) - float(np.sum(wmu)) * h * float(th @ th) + h * upwind_term
-    gth = _grad_vec(th, h)
-    wmup = mg.weights * mg.muprime
-    hist = float(_eta_grad_colnorms(state) @ wmup)
-    rhs = h * (mcfg.C1 * float(state.v @ state.v) + mcfg.C2 * float(gth @ gth)
-               + (mcfg.sigma3 / 2.0 - mcfg.mu0) * float(th @ th)
-               - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * hist)
-    return lhs, rhs
-
-
-def sandwich_check(state: State, mcfg: MultiplierConfig) -> tuple[float, float, float]:
-    """(E, gamma1 E - L, L - gamma2 E); the last two should be <= 0."""
-    E = energy(state)
-    L = lyapunov_total(state, mcfg)
-    return E, mcfg.gamma1 * E - L, L - mcfg.gamma2 * E
+    return diagnostics_record(state, mcfg).Ltotal
 
 
 # ---------------------------------------------------------------------------
@@ -328,56 +269,42 @@ class DiagnosticsRecord:
 
 
 def diagnostics_record(state: State, mcfg: MultiplierConfig) -> DiagnosticsRecord:
-    """Evaluate every tracked functional and inequality side at one state."""
+    """Evaluate every tracked functional and inequality side at one state.
+
+    Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
+    against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2
+    + beta^2/(2 kappa^2) ||theta||^2; 4.3 is I against C1 ||v||^2
+    + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is dF2/dt
+    against the same bound with the sigma3 split.
+    """
     asm = state.assembly
     h = asm.grid.h
     mg = asm.memory_grid
     wmu = mg.weights * mg.mu
-    wmup = mg.weights * mg.muprime
-    kap, beta, l = asm.params.kappa, asm.params.beta, asm.params.l
+    kap, beta = asm.params.kappa, asm.params.beta
     u, v, th, eta = state.u, state.v, state.theta, state.eta
+    f = _functionals(state)
+    L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
 
-    colnorms = _eta_grad_colnorms(state)
-    hist_mu = float(colnorms @ wmu)
-    hist_mup = float(colnorms @ wmup)
-    gu = _grad_vec(u, h)
-    gth = _grad_vec(th, h)
-    bih_u = asm.ops.bih @ u
-    uu = float(u @ bih_u)
-    vv = float(v @ v)
-    tt = float(th @ th)
-    gugu = float(gu @ gu)
-    gthgth = float(gth @ gth)
-
-    E = 0.5 * h * (uu + kap**2 * gugu + vv + tt + hist_mu)
-    D = -2.0 * h * float((asm.ops.g * v) @ v) - l * h * gthgth + 0.5 * h * hist_mup
-    moment = eta @ wmu
-    thdot = l * (asm.ops.lap @ th) + asm.ops.lap @ moment
-    if beta != 0.0:
-        thdot = thdot - beta * (asm.ops.d1 @ v)
-    F1 = h * (float(u @ v) + float(u @ (asm.ops.g * u)))
-    F2 = -h * float(th @ moment)
-    Ifun = -h * float(thdot @ moment)
-    L = mcfg.N * E + mcfg.N1 * F1 + mcfg.N2 * F2
-
-    l42_lhs = h * (vv - uu - kap**2 * gugu - 2.0 * kap * float(u @ (asm.ops.d1 @ v))
+    l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * float(u @ (asm.ops.d1 @ v))
                    - beta * float(u @ (asm.ops.d1 @ th)))
-    l42_rhs = h * (-uu - 0.25 * kap**2 * gugu + mcfg.Ckappa * vv
-                   + beta**2 / (2.0 * kap**2) * tt)
-    l43_rhs = h * (mcfg.C1 * vv + mcfg.C2 * gthgth - mcfg.C3 * hist_mup)
-    # sum_k w_k mu_k <theta, (eta_k - eta_{k-1})/ds> without copying eta
-    upwind_term = (float(th @ moment) - float(th @ (eta[:, :-1] @ wmu[1:]))) / mg.ds
-    l44_lhs = Ifun - float(np.sum(wmu)) * h * tt + h * upwind_term
-    l44_rhs = h * (mcfg.C1 * vv + mcfg.C2 * gthgth
-                   + (mcfg.sigma3 / 2.0 - mcfg.mu0) * tt
-                   - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * hist_mup)
+    l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
+                   + beta**2 / (2.0 * kap**2) * f.tt)
+    l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
+    # dF2/dt = I - sum w mu <theta, theta> + sum_k w_k mu_k <theta, (eta_k - eta_{k-1})/ds>,
+    # the last sum taken without copying eta
+    upwind_term = (f.th_moment - float(th @ (eta[:, :-1] @ wmu[1:]))) / mg.ds
+    l44_lhs = f.Ifun - float(np.sum(wmu)) * h * f.tt + h * upwind_term
+    l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
+                   + (mcfg.sigma3 / 2.0 - mcfg.mu0) * f.tt
+                   - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * f.hist_mup)
 
     return DiagnosticsRecord(
-        t=state.t, E=E, D=D, F1=F1, F2=F2, Ifun=Ifun, Ltotal=L,
+        t=state.t, E=f.E, D=f.D, F1=f.F1, F2=f.F2, Ifun=f.Ifun, Ltotal=L,
         lemma42_lhs=l42_lhs, lemma42_rhs=l42_rhs,
-        lemma43_lhs=Ifun, lemma43_rhs=l43_rhs,
+        lemma43_lhs=f.Ifun, lemma43_rhs=l43_rhs,
         lemma44_lhs=l44_lhs, lemma44_rhs=l44_rhs,
-        sandwich_low=mcfg.gamma1 * E - L, sandwich_high=L - mcfg.gamma2 * E)
+        sandwich_low=mcfg.gamma1 * f.E - L, sandwich_high=L - mcfg.gamma2 * f.E)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +335,9 @@ def check_dissipativity(assembly: GeneratorAssembly, n_samples: int = 1000,
 
 def eigenvalues(assembly: GeneratorAssembly) -> np.ndarray:
     """Dense spectrum, sorted by descending real part (dim <= 2000)."""
-    if assembly.dim > _DENSE_EIG_MAX_DIM:
-        from .errors import DimensionTooLarge
+    if assembly.dim > DENSE_MAX_DIM:
         raise DimensionTooLarge(
-            f"dense spectrum limited to dimension {_DENSE_EIG_MAX_DIM}, got {assembly.dim}")
+            f"dense spectrum limited to dimension {DENSE_MAX_DIM}, got {assembly.dim}")
     try:
         w = dense_eigvals(assembly.generator_matrix.toarray())
     except Exception as exc:
@@ -422,7 +348,7 @@ def eigenvalues(assembly: GeneratorAssembly) -> np.ndarray:
 
 def spectral_abscissa(assembly: GeneratorAssembly) -> float:
     """max Re(lambda); dense below the dimension cap, ARPACK estimate above."""
-    if assembly.dim <= _DENSE_EIG_MAX_DIM:
+    if assembly.dim <= DENSE_MAX_DIM:
         return float(eigenvalues(assembly)[0].real)
     try:
         w = spla.eigs(assembly.generator_matrix, k=24, which="LR",

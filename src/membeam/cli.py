@@ -26,6 +26,7 @@ import numpy as np
 
 from . import analysis, model, stepper
 from .config import ProblemSetup, build_setup, parse_config, with_parameter
+from .discretization import DENSE_MAX_DIM
 from .errors import (
     ConfigError,
     DimensionTooLarge,
@@ -33,11 +34,7 @@ from .errors import (
     SimulationAborted,
 )
 
-log = logging.getLogger("membeam")
-
 CSV_HEADER = "t,E,D,dE_numeric,identity_residual,F1,F2,I,L"
-
-_DENSE_CAP = 2000
 
 
 def default_config_path(name: str = "default") -> Path:
@@ -171,11 +168,11 @@ def cmd_simulate(args) -> int:
             checks.append(analysis.CheckResult("decay_rate_positive", fit.gamma_fit, 0.0, False))
     except MembeamError as exc:
         lines.append(f"decay fit: unavailable ({exc})")
-    if setup.assembly.dim <= _DENSE_CAP:
+    if setup.assembly.dim <= DENSE_MAX_DIM:
         absc = analysis.spectral_abscissa(setup.assembly)
         lines.append(f"spectral abscissa: {absc:.6g} (dim={setup.assembly.dim})")
     else:
-        lines.append(f"spectral abscissa: skipped (dim={setup.assembly.dim} > {_DENSE_CAP})")
+        lines.append(f"spectral abscissa: skipped (dim={setup.assembly.dim} > {DENSE_MAX_DIM})")
     lines.append(f"certified decay rate (Lyapunov): {setup.mcfg.gamma_certified:.6g}")
 
     text = "\n".join(lines)
@@ -211,8 +208,8 @@ def cmd_spectrum(args) -> int:
 def cmd_oracle_check(args) -> int:
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
-    if setup.assembly.dim > _DENSE_CAP:
-        print(f"oracle-check unavailable: dimension {setup.assembly.dim} > {_DENSE_CAP}")
+    if setup.assembly.dim > DENSE_MAX_DIM:
+        print(f"oracle-check unavailable: dimension {setup.assembly.dim} > {DENSE_MAX_DIM}")
         return 1
 
     from .discretization import assemble_generator, memory_grid_from_counts
@@ -271,7 +268,7 @@ def _sweep_worker(payload):
     result = _run_simulation(setup)
     fit = analysis.fit_decay(result.records, (0.2 * swept.T, swept.T), "peak_envelope")
     absc = (analysis.spectral_abscissa(setup.assembly)
-            if setup.assembly.dim <= _DENSE_CAP else float("nan"))
+            if setup.assembly.dim <= DENSE_MAX_DIM else float("nan"))
     cond = analysis.resolvent_check(setup.assembly)
     return {"value": value, "gamma_fit": fit.gamma_fit, "K_fit": fit.K_fit,
             "r2": fit.r2, "abscissa": absc, "resolvent_cond": cond}

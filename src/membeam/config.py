@@ -350,21 +350,13 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
                         assembly=assembly, initial_state=state, mcfg=mcfg)
 
 
-_SWEEPABLE = {
-    "beta": "beta", "kappa": "kappa", "lambda1": "lambda1", "lambda2": "lambda2",
-    "dt": "dt", "T": "T", "trunc_tol": "trunc_tol", "L": "L", "Nx": "Nx",
-    "params.beta": "beta", "params.kappa": "kappa",
-    "params.lambda1": "lambda1", "params.lambda2": "lambda2",
-    "time.dt": "dt", "time.T": "T", "memory.trunc_tol": "trunc_tol",
-    "domain.L": "L", "domain.Nx": "Nx",
-}
+_SWEEPABLE = ("beta", "kappa", "lambda1", "lambda2", "dt", "T", "trunc_tol", "L", "Nx")
 
 
 def with_parameter(cfg: RunConfig, name: str, value: float) -> RunConfig:
     """Copy of cfg with one sweepable scalar replaced."""
     if name not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {name!r}; "
-                          f"choose from {sorted(set(_SWEEPABLE.values()))}")
-    attr = _SWEEPABLE[name]
-    caster = int if attr == "Nx" else float
-    return replace(cfg, **{attr: caster(value)})
+                          f"choose from {sorted(_SWEEPABLE)}")
+    caster = int if name == "Nx" else float
+    return replace(cfg, **{name: caster(value)})

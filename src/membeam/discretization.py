@@ -27,6 +27,10 @@ from .errors import (
 )
 from .model import CoefficientField, MemoryKernel, PhysicalParams
 
+# Largest system dimension for which dense computations (spectrum,
+# matrix-exponential oracle) are attempted.
+DENSE_MAX_DIM = 2000
+
 
 @dataclass(frozen=True)
 class SpatialGrid:
@@ -284,13 +288,24 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField,
 class GeneratorAssembly:
     """Discrete generator A_h and energy metric H for Phi = (u, v, theta, eta).
 
-    Flattened block order: u, v, theta, then eta blocks by ascending s.
-    The metric blocks are
-        H_u     = h (bih - kappa^2 lap)
-        H_v     = H_theta = h I
-        H_eta_k = w_k mu_k h (-lap)
-    so ||Phi||_H^2 = 2 E(Phi) and the symmetric part of H A_h reduces
-    exactly to damping + thermal gradient + upwind history dissipation.
+    Flattened block order: u, v, theta, then eta_1..eta_Ns by ascending s.
+    With I the Nx identity, wmu = (w_k mu_k) the history weights, 1 the
+    Ns-vector of ones and T the Ns x Ns upwind matrix (-1/ds on the
+    diagonal, 1/ds below it), the blocks are
+
+        B   = [[0,                    I,                        0       ],
+               [-bih + kappa^2 lap,   -2 diag(g) - 2 kappa d1,  -beta d1],
+               [0,                    -beta d1,                 l lap   ]]
+
+        A_h = [[B,                  F       ],
+               [1 kron [0, 0, I],   T kron I]],   F = [0; 0; wmu^T kron lap]
+
+        H   = blockdiag(h (bih - kappa^2 lap), h I, h I, diag(wmu h) kron (-lap))
+
+    F is the memory flux LAP m(eta) in the theta row, and 1 kron [0, 0, I]
+    feeds the source theta into every eta_k row.  Hence ||Phi||_H^2 =
+    2 E(Phi) and the symmetric part of H A_h reduces exactly
+    to damping + thermal gradient + upwind history dissipation.
     """
 
     params: PhysicalParams
@@ -328,6 +343,20 @@ class GeneratorAssembly:
         return slice(start, start + nx)
 
     @property
+    def mechanical_block(self) -> sp.csr_matrix:
+        """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h (built lazily and cached)."""
+        if "B" not in self._cache:
+            ops, par = self.ops, self.params
+            # beta = 0 keeps the (u, v) rows structurally free of theta
+            coupling = -par.beta * ops.d1 if par.beta != 0.0 else None
+            self._cache["B"] = sp.bmat(
+                [[None, sp.identity(self.Nx), None],
+                 [-ops.bih + par.kappa**2 * ops.lap,
+                  -2.0 * sp.diags(ops.g) - 2.0 * par.kappa * ops.d1, coupling],
+                 [None, coupling, par.l * ops.lap]], format="csr")
+        return self._cache["B"]
+
+    @property
     def generator_matrix(self) -> sp.csr_matrix:
         """Sparse A_h (built lazily and cached)."""
         if "A" not in self._cache:
@@ -342,68 +371,24 @@ class GeneratorAssembly:
         return self._cache["H"]
 
     def _build_generator(self) -> sp.csr_matrix:
-        nx, ns = self.Nx, self.Ns
-        ops, par, mg = self.ops, self.params, self.memory_grid
-        ds = mg.ds
-        wmu = mg.weights * mg.mu
-
-        blocks = []  # (row_offset, col_offset, sparse block)
+        nx, ns, mg = self.Nx, self.Ns, self.memory_grid
         eye = sp.identity(nx, format="csr")
-
-        blocks.append((0, nx, eye))                                     # u' = v
-        v_u = (-ops.bih + par.kappa**2 * ops.lap).tocsr()
-        v_v = (-2.0 * sp.diags(ops.g) - 2.0 * par.kappa * ops.d1).tocsr()
-        blocks.append((nx, 0, v_u))
-        blocks.append((nx, nx, v_v))
-        if par.beta != 0.0:
-            blocks.append((nx, 2 * nx, (-par.beta * ops.d1).tocsr()))
-            blocks.append((2 * nx, nx, (-par.beta * ops.d1).tocsr()))
-        blocks.append((2 * nx, 2 * nx, (par.l * ops.lap).tocsr()))
-        for k in range(ns):                                             # memory flux
-            if wmu[k] != 0.0:
-                blocks.append((2 * nx, (3 + k) * nx, (wmu[k] * ops.lap).tocsr()))
-        for k in range(ns):                                             # eta_k' rows
-            r = (3 + k) * nx
-            blocks.append((r, 2 * nx, eye))                             # theta source
-            blocks.append((r, r, (-1.0 / ds) * eye))
-            if k > 0:
-                blocks.append((r, r - nx, (1.0 / ds) * eye))
-
-        rows, cols, data = [], [], []
-        for r0, c0, block in blocks:
-            coo = block.tocoo()
-            rows.append(coo.row + r0)
-            cols.append(coo.col + c0)
-            data.append(coo.data)
-        n = self.dim
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
+        wmu = sp.csr_matrix((mg.weights * mg.mu)[None, :])      # stores no zero weight
+        upwind = sp.diags([np.full(ns, -1.0 / mg.ds), np.full(ns - 1, 1.0 / mg.ds)], [0, -1])
+        # format="csr" keeps kron from storing the zeros of a nearly dense lap
+        flux = sp.vstack([sp.csr_matrix((2 * nx, nx * ns)),
+                          sp.kron(wmu, self.ops.lap, format="csr")])
+        source = sp.kron(np.ones((ns, 1)), sp.hstack([sp.csr_matrix((nx, 2 * nx)), eye]),
+                         format="csr")
+        return sp.bmat([[self.mechanical_block, flux],
+                        [source, sp.kron(upwind, eye, format="csr")]], format="csr")
 
     def _build_metric(self) -> sp.csr_matrix:
-        nx, ns = self.Nx, self.Ns
-        h = self.grid.h
-        wmu = self.memory_grid.weights * self.memory_grid.mu
-        hu = (h * (self.ops.bih - self.params.kappa**2 * self.ops.lap)).tocoo()
-        rows = [hu.row, ]
-        cols = [hu.col, ]
-        data = [hu.data, ]
-        idx = np.arange(nx)
-        ones = np.full(nx, h)
-        for off in (nx, 2 * nx):
-            rows.append(idx + off)
-            cols.append(idx + off)
-            data.append(ones)
-        neglap = (-self.ops.lap).tocoo()
-        for k in range(ns):
-            off = (3 + k) * nx
-            rows.append(neglap.row + off)
-            cols.append(neglap.col + off)
-            data.append(wmu[k] * h * neglap.data)
-        n = self.dim
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n))
+        h, ops, mg = self.grid.h, self.ops, self.memory_grid
+        return sp.block_diag(
+            [h * (ops.bih - self.params.kappa**2 * ops.lap),
+             h * sp.identity(2 * self.Nx),
+             sp.kron(sp.diags(mg.weights * mg.mu * h), -ops.lap, format="csr")], format="csr")
 
     def export_coo(self, path, matrix: str = "generator"):
         """Write the generator or metric as 'row col value' text, one entry

@@ -81,10 +81,6 @@ class DimensionTooLarge(MembeamError):
     """Dense reference computation requested beyond the supported dimension."""
 
 
-class DefectiveSpectrum(MembeamError):
-    """Eigenvector matrix too ill-conditioned for spectral evolution."""
-
-
 class SimulationAborted(MembeamError):
     """A step failed mid-run; carries the partial trajectory."""
 

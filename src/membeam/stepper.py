@@ -33,7 +33,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .discretization import GeneratorAssembly
+from .discretization import DENSE_MAX_DIM, GeneratorAssembly
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .model import State
 
-_ORACLE_MAX_DIM = 2000
 _EIGVEC_COND_LIMIT = 1e8
 
 SCHEMES = ("full_implicit_midpoint", "split_semilagrangian")
@@ -54,15 +53,12 @@ SCHEMES = ("full_implicit_midpoint", "split_semilagrangian")
 class SchemeConfig:
     """Time-stepping configuration.
 
-    linear_solver_tol bounds the relative residual of every linear solve
-    (direct factorizations are used, so max_linear_iters is a contract
-    field kept for interface stability).
+    linear_solver_tol bounds the relative residual of every linear solve.
     """
 
     dt: float
     scheme: str = "split_semilagrangian"
     linear_solver_tol: float = 1e-9
-    max_linear_iters: int = 100
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -82,7 +78,6 @@ class _MidpointRunner:
     """Monolithic Cayley stepper with a cached LU factorization."""
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
-        self.assembly = assembly
         self.cfg = cfg
         A = assembly.generator_matrix
         n = A.shape[0]
@@ -104,6 +99,7 @@ class _MidpointRunner:
 class _MidpointRun:
     def __init__(self, runner: _MidpointRunner, state: State):
         self.runner = runner
+        self.assembly = state.assembly
         self.t = state.t
         self.phi = state.flatten()
 
@@ -112,7 +108,7 @@ class _MidpointRun:
         self.t += self.runner.cfg.dt
 
     def to_state(self) -> State:
-        return State.unflatten(self.phi, self.runner.assembly, t=self.t)
+        return State.unflatten(self.phi, self.assembly, t=self.t)
 
 
 class _SplitRunner:
@@ -123,36 +119,26 @@ class _SplitRunner:
         if abs(mg.ds - cfg.dt) > 1e-12 * max(mg.ds, cfg.dt):
             raise InconsistentGrid(
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
-        self.assembly = assembly
+        self.memory_grid = mg
         self.cfg = cfg
-        ops, par = assembly.ops, assembly.params
         nx = assembly.Nx
         dt = cfg.dt
         self.wmu = mg.weights * mg.mu
         self.mu0w = float(np.sum(self.wmu))
 
-        eye = sp.identity(nx, format="csr")
-        zero = sp.csr_matrix((nx, nx))
-        v_u = (-ops.bih + par.kappa**2 * ops.lap).tocsr()
-        v_v = (-2.0 * sp.diags(ops.g) - 2.0 * par.kappa * ops.d1).tocsr()
-        bd1 = (par.beta * ops.d1).tocsr()
-        th_th = (par.l * ops.lap).tocsr()
-        B = sp.bmat([[zero, eye, zero],
-                     [v_u, v_v, -bd1],
-                     [zero, -bd1, th_th]], format="csr")
-        self.B = B
+        B = assembly.mechanical_block
+        self.lap = assembly.ops.lap
+        self.nx = nx
         n3 = 3 * nx
         eye3 = sp.identity(n3, format="csc")
         M = (eye3 - (dt / 2.0) * B).tolil()
         # implicit part of the memory flux through the characteristic source:
         # flux uses the history average, whose new-time part carries
         # (mu0w dt / 4) theta^{n+1} into every column.
-        corr = (dt * dt * self.mu0w / 4.0) * ops.lap
+        corr = (dt * dt * self.mu0w / 4.0) * self.lap
         M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - corr
         self.M = M.tocsc()
         self.P = (eye3 + (dt / 2.0) * B).tocsr()
-        self.lap = ops.lap
-        self.nx = nx
 
     def run(self, state: State) -> "_SplitRun":
         return _SplitRun(self, state)
@@ -168,11 +154,12 @@ class _SplitRun:
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
-        asm = runner.assembly
+        asm = state.assembly
         if state.eta.shape != (asm.Nx, asm.Ns):
             raise DimensionMismatch(
                 f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
         self.runner = runner
+        self.assembly = asm
         self.lu = splu(runner.M)
         self.t = state.t
         self.u = state.u.copy()
@@ -203,7 +190,7 @@ class _SplitRun:
 
     def _refresh_sigma(self):
         """Recompute the weighted history sums from the ring (kills drift)."""
-        mg = self.runner.assembly.memory_grid
+        mg = self.runner.memory_grid
         ns = mg.Ns
         order = (self.head + np.arange(ns)) % ns
         if self.prony:
@@ -217,7 +204,7 @@ class _SplitRun:
 
     def _shifted_sigma_modes(self) -> np.ndarray:
         """Per-mode sums of the shifted zeta: sum_{k>=2} w_k mu_k zeta_{k-1}."""
-        mg = self.runner.assembly.memory_grid
+        mg = self.runner.memory_grid
         ns, ds = mg.Ns, mg.ds
         z_last = self._col(ns)
         z_prev = self._col(ns - 1) if ns > 1 else np.zeros_like(z_last)
@@ -228,8 +215,8 @@ class _SplitRun:
 
     def _shift_history(self, q: np.ndarray, sig_shift_modes=None):
         """Ring shift plus weighted-sum update."""
-        ns = self.runner.assembly.memory_grid.Ns
-        mg = self.runner.assembly.memory_grid
+        mg = self.runner.memory_grid
+        ns = mg.Ns
         if self.prony:
             if sig_shift_modes is None:
                 sig_shift_modes = self._shifted_sigma_modes()
@@ -246,7 +233,7 @@ class _SplitRun:
     def advance(self):
         run = self.runner
         nx, dt = run.nx, run.cfg.dt
-        mg = run.assembly.memory_grid
+        mg = run.memory_grid
         ns = mg.Ns
         w1mu1 = mg.weights[0] * mg.mu[0]
 
@@ -283,11 +270,16 @@ class _SplitRun:
 
     def to_state(self) -> State:
         return State(t=self.t, u=self.u.copy(), v=self.v.copy(), theta=self.theta.copy(),
-                     eta=self._logical_eta(), assembly=self.runner.assembly)
+                     eta=self._logical_eta(), assembly=self.assembly)
 
 
 def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig):
-    """Runner cache: factorizations are rebuilt only when (scheme, dt) change."""
+    """Runner cache: factorizations are rebuilt only when (scheme, dt) change.
+
+    A runner keeps no reference to its assembly (runs take it from their
+    state), so the cache makes no cycle and an assembly's matrices and
+    factorizations are freed as soon as the last reference to it goes.
+    """
     key = ("runner", cfg.scheme, cfg.dt, cfg.linear_solver_tol)
     if key not in assembly._cache:
         cls = _MidpointRunner if cfg.scheme == "full_implicit_midpoint" else _SplitRunner
@@ -386,7 +378,6 @@ def expm_multiply_dense(A: np.ndarray, phi0: np.ndarray, t: float,
     scaling-and-squaring when the eigenvector matrix is too ill-conditioned."""
     w, V = sla.eig(A)
     if np.linalg.cond(V) > cond_limit:
-        # DefectiveSpectrum path: robust but slower
         return sla.expm(t * A) @ phi0
     resid = np.linalg.norm(A @ V - V * w[None, :]) / max(np.linalg.norm(A), 1e-300)
     if resid > 1e-8:
@@ -403,9 +394,9 @@ def oracle_evolve(assembly: GeneratorAssembly, phi0: np.ndarray, t: float) -> np
     eigenvector matrix exceeds the conditioning threshold use the
     scaling-and-squaring fallback.  Only intended for tests.
     """
-    if assembly.dim > _ORACLE_MAX_DIM:
+    if assembly.dim > DENSE_MAX_DIM:
         raise DimensionTooLarge(
-            f"oracle limited to dimension {_ORACLE_MAX_DIM}, got {assembly.dim}")
+            f"oracle limited to dimension {DENSE_MAX_DIM}, got {assembly.dim}")
     if t < 0:
         raise ParamOutOfRange("t", "oracle time must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)

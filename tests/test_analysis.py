@@ -145,18 +145,6 @@ class TestLemmaChecksAlongTrajectory:
             assert rec.sandwich_low <= 1e-8
             assert rec.sandwich_high <= 1e-8
 
-    def test_lemma_check_functions_match_record(self):
-        asm = make_assembly(Nx=8, ds=0.05, Ns=16)
-        st = default_initial_state(asm)
-        mcfg = mb.choose_multipliers_for(asm)
-        rec = an.diagnostics_record(st, mcfg)
-        lhs, rhs = an.lemma_F1_derivative_check(st, mcfg)
-        assert (lhs, rhs) == pytest.approx((rec.lemma42_lhs, rec.lemma42_rhs), rel=1e-12)
-        lhs, rhs = an.lemma_I_bound_check(st, mcfg)
-        assert (lhs, rhs) == pytest.approx((rec.lemma43_lhs, rec.lemma43_rhs), rel=1e-12)
-        lhs, rhs = an.lemma_F2_derivative_check(st, mcfg)
-        assert (lhs, rhs) == pytest.approx((rec.lemma44_lhs, rec.lemma44_rhs), rel=1e-12)
-
 
 class TestSpectral:
     def test_damped_oscillator_modal_formula(self, exp_kernel):

@@ -83,8 +83,9 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, TINY_CFG))
         swept = with_parameter(cfg, "beta", 0.25)
         assert swept.beta == 0.25 and cfg.beta == 1.0
-        with pytest.raises(ConfigError):
-            with_parameter(cfg, "nonsense", 1.0)
+        for name in ("nonsense", "params.beta"):
+            with pytest.raises(ConfigError):
+                with_parameter(cfg, name, 1.0)
 
     def test_boundary_incompatible_profiles(self, tmp_path):
         from membeam.config import build_setup

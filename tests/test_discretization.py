@@ -143,6 +143,34 @@ class TestGeneratorAssembly:
         ]).tocsr()
         assert (theta_row - expected).nnz == 0
 
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_blocks_match_dense_formulas(self, beta):
+        """A_h and H entry by entry against the block formulas of the
+        GeneratorAssembly docstring; mu(s) = 1 - s makes w_4 mu_4 = 0."""
+        nx, ns, ds = 5, 4, 0.25
+        params = mb.derive_params(0.5, 1.0, 0.5, beta)
+        kernel = mb.MemoryKernel.tabulated([0.0, 1.0], [1.0, 0.0])
+        x = np.linspace(0.0, 1.0, nx)
+        asm = make_assembly(Nx=nx, ds=ds, Ns=ns, params=params, kernel=kernel,
+                            p=1.0 + x, g=0.5 + x**2)
+        ops, mg, h = asm.ops, asm.memory_grid, asm.grid.h
+        wmu = mg.weights * mg.mu
+        assert wmu[-1] == 0.0 and np.all(wmu[:-1] > 0.0)
+        kap, l = params.kappa, params.l
+        bih, lap, d1 = ops.bih.toarray(), ops.lap.toarray(), ops.d1.toarray()
+        I, Z = np.eye(nx), np.zeros((nx, nx))
+        B = np.block([[Z, I, Z],
+                      [-bih + kap**2 * lap, -2.0 * np.diag(ops.g) - 2.0 * kap * d1, -beta * d1],
+                      [Z, -beta * d1, l * lap]])
+        F = np.vstack([np.zeros((2 * nx, nx * ns)), np.kron(wmu[None, :], lap)])
+        T = (np.eye(ns, k=-1) - np.eye(ns)) / ds
+        A = np.block([[B, F], [np.kron(np.ones((ns, 1)), np.hstack([Z, Z, I])), np.kron(T, I)]])
+        H = sla.block_diag(h * (bih - kap**2 * lap), h * I, h * I,
+                           np.kron(np.diag(wmu * h), -lap))
+        np.testing.assert_array_equal(asm.mechanical_block.toarray(), B)
+        np.testing.assert_array_equal(asm.generator_matrix.toarray(), A)
+        np.testing.assert_array_equal(asm.metric_matrix.toarray(), H)
+
     def test_metric_positive_definite(self):
         asm = make_assembly(Nx=6, Ns=8)
         H = asm.metric_matrix.toarray()

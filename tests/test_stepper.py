@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -146,6 +148,27 @@ class TestSimulate:
         assert len(res.records) == 2
         assert res.records[0].t == 0.0
         assert res.records[-1].t == pytest.approx(0.5)
+
+    def test_split_never_assembles_generator(self):
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5)
+        assert "B" in asm._cache
+        assert "A" not in asm._cache
+
+    @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
+    def test_assembly_freed_without_cycle_collector(self, scheme):
+        # The cached runner must not point back at its assembly: a cycle
+        # would keep A_h and its LU alive until the collector happens to run.
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme),
+                          0.2)
+        ref = weakref.ref(asm)
+        gc.disable()
+        try:
+            del asm, res
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_energy_strictly_decreasing_between_samples(self):
         asm = make_assembly(Nx=8, ds=0.02, Ns=40)
