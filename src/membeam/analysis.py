@@ -50,14 +50,21 @@ def _grad_vec(w: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _grad_cols(arr: np.ndarray, h: float) -> np.ndarray:
+def grad_cols(arr: np.ndarray, h: float) -> np.ndarray:
     """Forward-difference gradient of every column of an (Nx, m) array."""
     nx, m = arr.shape
     out = np.empty((nx + 1, m))
-    out[0] = arr[0] / h
-    out[1:-1] = np.diff(arr, axis=0) / h
-    out[-1] = -arr[-1] / h
+    out[:-1] = arr
+    out[-1] = 0.0
+    out[1:] -= arr
+    out /= h
     return out
+
+
+def grad_sq_norms(arr: np.ndarray, h: float) -> np.ndarray:
+    """||D+ a_k||^2 for every column a_k of an (Nx, m) array."""
+    g = grad_cols(arr, h)
+    return np.einsum("ij,ij->j", g, g)
 
 
 def poincare_constant(assembly_or_ops) -> float:
@@ -75,26 +82,51 @@ def poincare_constant(assembly_or_ops) -> float:
 # core functionals
 
 
-def _functionals(state: State) -> SimpleNamespace:
+@dataclass(frozen=True)
+class HistorySums:
+    """The history quadratures every functional is built from.
+
+    hist_mu         sum_k w_k mu_k ||D+ eta_k||^2
+    hist_mup        sum_k w_k mu'_k ||D+ eta_k||^2
+    moment          m(eta) = sum_k w_k mu_k eta_k
+    shifted_moment  sum_{k>=2} w_k mu_k eta_{k-1}, the upwind part of dF2/dt
+
+    history_sums evaluates them by full quadrature for any eta; a Prony
+    split run keeps them per kernel mode as it steps.
+    """
+
+    hist_mu: float
+    hist_mup: float
+    moment: np.ndarray
+    shifted_moment: np.ndarray
+
+
+def history_sums(eta: np.ndarray, assembly: GeneratorAssembly) -> HistorySums:
+    """Full quadrature of the history sums: one gradient pass over the
+    columns of eta and two weighted column sums, O(Nx Ns)."""
+    mg = assembly.memory_grid
+    wmu = mg.weights * mg.mu
+    colnorms = grad_sq_norms(eta, assembly.grid.h)
+    return HistorySums(hist_mu=float(colnorms @ wmu),
+                       hist_mup=float(colnorms @ (mg.weights * mg.muprime)),
+                       moment=eta @ wmu, shifted_moment=eta[:, :-1] @ wmu[1:])
+
+
+def _functionals(src) -> SimpleNamespace:
     """E, D, F1, F2, I and the inner products the lemma sides reuse.
 
-    The one implementation of every functional: a single gradient pass
-    over the history columns and a single history moment
-    m(eta) = sum_k w_k mu_k eta_k.  theta_t inside I comes from the
-    generator row l LAP theta + LAP m(eta) - beta D1 v.
+    The one implementation of every functional.  src is a State, whose
+    history sums come from full quadrature, or a running trajectory that
+    keeps its own (stepper._SplitRun with a Prony kernel); either way the
+    formulas below read the history only through those sums.  theta_t
+    inside I comes from the generator row l LAP theta + LAP m(eta) - beta D1 v.
     """
-    asm = state.assembly
+    sums = history_sums(src.eta, src.assembly) if isinstance(src, State) else src.history_sums()
+    asm = src.assembly
     h = asm.grid.h
-    mg = asm.memory_grid
-    wmu = mg.weights * mg.mu
-    wmup = mg.weights * mg.muprime
     kap, beta, l = asm.params.kappa, asm.params.beta, asm.params.l
-    u, v, th, eta = state.u, state.v, state.theta, state.eta
+    u, v, th = src.u, src.v, src.theta
 
-    geta = _grad_cols(eta, h)
-    colnorms = np.einsum("ij,ij->j", geta, geta)      # ||D+ eta_k||^2
-    hist_mu = float(colnorms @ wmu)
-    hist_mup = float(colnorms @ wmup)
     gu = _grad_vec(u, h)
     gth = _grad_vec(th, h)
     uu = float(u @ (asm.ops.bih @ u))
@@ -102,20 +134,20 @@ def _functionals(state: State) -> SimpleNamespace:
     tt = float(th @ th)
     gugu = float(gu @ gu)
     gthgth = float(gth @ gth)
-    moment = eta @ wmu
+    moment = sums.moment
     th_moment = float(th @ moment)
     thdot = l * (asm.ops.lap @ th) + asm.ops.lap @ moment
     if beta != 0.0:
         thdot = thdot - beta * (asm.ops.d1 @ v)
 
     return SimpleNamespace(
-        E=0.5 * h * (uu + kap**2 * gugu + vv + tt + hist_mu),
-        D=-2.0 * h * float((asm.ops.g * v) @ v) - l * h * gthgth + 0.5 * h * hist_mup,
+        E=0.5 * h * (uu + kap**2 * gugu + vv + tt + sums.hist_mu),
+        D=-2.0 * h * float((asm.ops.g * v) @ v) - l * h * gthgth + 0.5 * h * sums.hist_mup,
         F1=h * (float(u @ v) + float(u @ (asm.ops.g * u))),
         F2=-h * th_moment,
         Ifun=-h * float(thdot @ moment),
-        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=hist_mup,
-        th_moment=th_moment)
+        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=sums.hist_mup,
+        th_moment=th_moment, th_shifted=float(th @ sums.shifted_moment))
 
 
 def energy(state: State) -> float:
@@ -268,8 +300,12 @@ class DiagnosticsRecord:
     sandwich_high: float = math.nan
 
 
-def diagnostics_record(state: State, mcfg: MultiplierConfig) -> DiagnosticsRecord:
+def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
     """Evaluate every tracked functional and inequality side at one state.
+
+    src is a State or a Prony split run (stepper._SplitRun), which supplies
+    its running history sums so that a sample costs O(Nx * modes), not
+    O(Nx * Ns), and needs no materialized history.
 
     Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
     against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2
@@ -277,13 +313,12 @@ def diagnostics_record(state: State, mcfg: MultiplierConfig) -> DiagnosticsRecor
     + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is dF2/dt
     against the same bound with the sigma3 split.
     """
-    asm = state.assembly
+    asm = src.assembly
     h = asm.grid.h
     mg = asm.memory_grid
-    wmu = mg.weights * mg.mu
     kap, beta = asm.params.kappa, asm.params.beta
-    u, v, th, eta = state.u, state.v, state.theta, state.eta
-    f = _functionals(state)
+    u, v, th = src.u, src.v, src.theta
+    f = _functionals(src)
     L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
 
     l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * float(u @ (asm.ops.d1 @ v))
@@ -291,16 +326,15 @@ def diagnostics_record(state: State, mcfg: MultiplierConfig) -> DiagnosticsRecor
     l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
                    + beta**2 / (2.0 * kap**2) * f.tt)
     l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
-    # dF2/dt = I - sum w mu <theta, theta> + sum_k w_k mu_k <theta, (eta_k - eta_{k-1})/ds>,
-    # the last sum taken without copying eta
-    upwind_term = (f.th_moment - float(th @ (eta[:, :-1] @ wmu[1:]))) / mg.ds
-    l44_lhs = f.Ifun - float(np.sum(wmu)) * h * f.tt + h * upwind_term
+    # dF2/dt = I - sum w mu <theta, theta> + sum_k w_k mu_k <theta, (eta_k - eta_{k-1})/ds>
+    upwind_term = (f.th_moment - f.th_shifted) / mg.ds
+    l44_lhs = f.Ifun - float(np.sum(mg.weights * mg.mu)) * h * f.tt + h * upwind_term
     l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
                    + (mcfg.sigma3 / 2.0 - mcfg.mu0) * f.tt
                    - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * f.hist_mup)
 
     return DiagnosticsRecord(
-        t=state.t, E=f.E, D=f.D, F1=f.F1, F2=f.F2, Ifun=f.Ifun, Ltotal=L,
+        t=src.t, E=f.E, D=f.D, F1=f.F1, F2=f.F2, Ifun=f.Ifun, Ltotal=L,
         lemma42_lhs=l42_lhs, lemma42_rhs=l42_rhs,
         lemma43_lhs=f.Ifun, lemma43_rhs=l43_rhs,
         lemma44_lhs=l44_lhs, lemma44_rhs=l44_rhs,

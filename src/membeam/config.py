@@ -40,6 +40,7 @@ Violations raise IncompatibleBoundary at build time.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -157,6 +158,8 @@ def parse_config(path) -> RunConfig:
             values[(section, key)] = caster(val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if caster is float and not math.isfinite(values[(section, key)]):
+            raise ConfigError(f"{path}:{lineno}: {key} must be a finite number, got {val!r}")
 
     for section, keys in _REQUIRED.items():
         for key in keys:
@@ -203,9 +206,12 @@ def _floats(text: str) -> np.ndarray:
     if not parts:
         raise ConfigError("expected a numeric list")
     try:
-        return np.array([float(p) for p in parts])
+        out = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ConfigError(f"bad numeric list {text!r}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"numeric list {text!r} holds a non-finite value")
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,8 +267,14 @@ def parse_profile(spec: str, L: float, base_dir: Path) -> Profile:
     if kind == "sine":
         if len(parts) not in (2, 3):
             raise ConfigError(f"sine profile takes amplitude [mode]: {spec!r}")
-        return Profile(kind="sine", L=L, amplitude=float(parts[1]),
-                       mode=int(parts[2]) if len(parts) == 3 else 1)
+        try:
+            amplitude = float(parts[1])
+            mode = int(parts[2]) if len(parts) == 3 else 1
+        except ValueError as exc:
+            raise ConfigError(f"sine profile takes a number and an integer: {spec!r}") from exc
+        if not math.isfinite(amplitude):
+            raise ConfigError(f"sine amplitude must be finite: {spec!r}")
+        return Profile(kind="sine", L=L, amplitude=amplitude, mode=mode)
     if kind == "table":
         if len(parts) != 2:
             raise ConfigError(f"table profile takes a path: {spec!r}")
@@ -358,5 +370,7 @@ def with_parameter(cfg: RunConfig, name: str, value: float) -> RunConfig:
     if name not in _SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {name!r}; "
                           f"choose from {sorted(_SWEEPABLE)}")
+    if not math.isfinite(value):
+        raise ConfigError(f"sweep value for {name} must be finite, got {value}")
     caster = int if name == "Nx" else float
     return replace(cfg, **{name: caster(value)})

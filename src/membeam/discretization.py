@@ -12,7 +12,9 @@ numerical dissipation is sign-safe for any admissible kernel.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
@@ -20,6 +22,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     GridTooCoarse,
     ParamOutOfRange,
     StructureViolation,
@@ -30,6 +33,21 @@ from .model import CoefficientField, MemoryKernel, PhysicalParams
 # Largest system dimension for which dense computations (spectrum,
 # matrix-exponential oracle) are attempted.
 DENSE_MAX_DIM = 2000
+
+# A run holds a few (Nx, Ns) arrays at once: the state's history, the
+# stepper's ring, gradient and sample temporaries.
+_HISTORY_COPIES = 8
+
+
+def check_history_fits(nx: float, ns: float):
+    """Raise DimensionTooLarge, before anything is allocated, when
+    _HISTORY_COPIES float64 arrays of shape (nx, ns) exceed physical memory."""
+    need = _HISTORY_COPIES * 8.0 * float(nx) * float(ns)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not need <= have:
+        raise DimensionTooLarge(
+            f"a history of {float(nx):.6g} x {float(ns):.6g} nodes needs about "
+            f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory")
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,7 @@ def build_spatial_grid(L: float, Nx: int) -> SpatialGrid:
         raise ParamOutOfRange("L", "beam length must be > 0")
     if Nx < 4:
         raise GridTooCoarse(f"Nx = {Nx} < 4 interior nodes")
+    check_history_fits(Nx, 1)
     h = L / (Nx + 1)
     nodes = h * np.arange(1, Nx + 1)
     nodes.flags.writeable = False
@@ -122,6 +141,7 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) 
                 f"table ends at s = {kernel.s_max_table:g} with mu > {bound:.3e}")
         s_req = float(kernel.s_table[idx[0]])
 
+    check_history_fits(1, s_req / ds)
     Ns = max(1, int(np.ceil(s_req / ds)))
     if Ns * ds > kernel.s_max_table:
         raise TruncationUnreachable(
@@ -133,6 +153,7 @@ def memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryG
     """Direct construction with prescribed (ds, Ns), for reduced assemblies."""
     if not (ds > 0) or Ns < 1:
         raise ParamOutOfRange("ds/Ns", "need ds > 0 and Ns >= 1")
+    check_history_fits(1, Ns)
     if Ns * ds > kernel.s_max_table:
         raise TruncationUnreachable(
             f"s_max = {Ns * ds:g} beyond the table end {kernel.s_max_table:g}")
@@ -410,5 +431,6 @@ def assemble_generator(operators: DiscreteOperators, memory_grid: MemoryGrid,
         raise DimensionMismatch("operators and coefficient field disagree on Nx")
     if memory_grid.Ns < 1:
         raise DimensionMismatch("memory grid has no nodes")
+    check_history_fits(operators.grid.Nx, memory_grid.Ns)
     return GeneratorAssembly(params=params, grid=operators.grid,
                              memory_grid=memory_grid, ops=operators)

@@ -78,7 +78,7 @@ class InconsistentGrid(MembeamError):
 
 
 class DimensionTooLarge(MembeamError):
-    """Dense reference computation requested beyond the supported dimension."""
+    """A computation exceeds its supported dimension or the physical memory."""
 
 
 class SimulationAborted(MembeamError):

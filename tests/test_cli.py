@@ -272,3 +272,32 @@ class TestSweepCommand:
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("old,new", [
+        ("T = 2.0", "T = nan"),
+        ("T = 2.0", "T = inf"),
+        ("dt = 0.1", "dt = -inf"),
+        ("kappa = 0.5", "kappa = nan"),
+        ("rates = 1.0", "rates = 1.0 nan"),
+        ("theta0 = sine 1.0 1", "theta0 = sine nan 1"),
+        ("theta0 = sine 1.0 1", "theta0 = sine 1.0 x"),
+        # an s-grid (1e301 nodes) or a beam grid (1e15 nodes) that cannot be
+        # allocated: refused from the sizes alone, before any allocation
+        ("dt = 0.1", "dt = 1e-300"),
+        ("Nx = 6", "Nx = 1000000000000000"),
+    ])
+    def test_unrunnable_input_fails_in_one_line(self, tmp_path, monkeypatch, capsys, old, new):
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG.replace(old, new))
+        code = main(["simulate", str(path)])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_non_finite_sweep_value_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["sweep", str(path), "--param", "Nx", "--values", "nan",
+                     "--serial"]) == 2
+        assert "Traceback" not in capsys.readouterr().err

@@ -1,22 +1,30 @@
+import dataclasses
 import gc
+import logging
 import math
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import membeam as mb
+import membeam.analysis as an
+from membeam import stepper
 from membeam.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     InconsistentGrid,
     ParamOutOfRange,
 )
+from membeam.model import State
 from membeam.stepper import expm_multiply_dense
 
 from conftest import default_initial_state, make_assembly
+from test_acceptance import build_default_assembly
 
 
 def hnorm(assembly, vec):
@@ -149,6 +157,38 @@ class TestSimulate:
         assert res.records[0].t == 0.0
         assert res.records[-1].t == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+    def test_final_time_must_be_finite(self, T):
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        with pytest.raises(ParamOutOfRange):
+            mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), T)
+
+    def test_prony_split_materializes_history_once(self, monkeypatch):
+        # sampling reads the running sums; only final_state rolls the ring
+        calls = []
+        real = stepper._SplitRun._logical_eta
+
+        def counting(run):
+            calls.append(run.t)
+            return real(run)
+
+        monkeypatch.setattr(stepper._SplitRun, "_logical_eta", counting)
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 1.0)
+        assert len(res.records) == 21
+        assert len(calls) == 1
+
+    def test_logs_one_info_line(self, caplog):
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        with caplog.at_level(logging.INFO, logger="membeam.stepper"):
+            mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5,
+                        sample_every=2)
+        lines = [r.getMessage() for r in caplog.records if r.name == "membeam.stepper"]
+        assert len(lines) == 1
+        assert "10 steps, 6 records" in lines[0]
+        assert "stepping" in lines[0] and "sampling" in lines[0]
+        assert "refresh drift" in lines[0]
+
     def test_split_never_assembles_generator(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5)
@@ -188,6 +228,118 @@ class TestSimulate:
         ref = mb.oracle_evolve(asm, state.flatten(), 0.5)
         err = hnorm(asm, res.final_state.flatten() - ref) / hnorm(asm, ref)
         assert err < (1e-3 if scheme == "full_implicit_midpoint" else 0.2)
+
+
+def _assert_records_close(rec, full, tol):
+    """Every field within tol * max(|full|, E) of the full-quadrature record."""
+    for f in dataclasses.fields(full):
+        ref = getattr(full, f.name)
+        if math.isnan(ref):
+            continue
+        assert abs(getattr(rec, f.name) - ref) <= tol * max(abs(ref), full.E), f.name
+
+
+class TestRunningHistorySums:
+    """A Prony split run samples from per-mode running sums; every record
+    must match the full quadrature on the materialized state."""
+
+    TOL = 1e-11
+
+    def test_default_run_records_and_refresh_drift(self, monkeypatch):
+        real = an.diagnostics_record
+        checked = []
+
+        def checking(src, mcfg):
+            rec = real(src, mcfg)
+            if not isinstance(src, State):
+                _assert_records_close(rec, real(src.to_state(), mcfg), self.TOL)
+                checked.append(rec.t)
+            return rec
+
+        monkeypatch.setattr(an, "diagnostics_record", checking)
+        asm = build_default_assembly()
+        res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=1e-3), 10.0,
+                          sample_every=10)
+        assert len(checked) == 1000
+        assert 0.0 < res.refresh_drift <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 3), st.integers(4, 8), st.integers(1, 20),
+           st.floats(0.01, 0.2), st.integers(0, 2**31 - 1))
+    def test_prony_kernels_small_grids(self, modes, nx, ns, dt, seed):
+        rng = np.random.default_rng(seed)
+        kernel = mb.MemoryKernel.prony(rng.uniform(0.1, 2.0, modes),
+                                       rng.uniform(0.2, 5.0, modes))
+        asm = make_assembly(Nx=nx, ds=dt, Ns=ns, kernel=kernel)
+        mcfg = mb.choose_multipliers_for(asm)
+        cfg = mb.SchemeConfig(dt=dt)
+        run = stepper._get_runner(asm, cfg).run(
+            State.unflatten(rng.standard_normal(asm.dim), asm))
+        for _ in range(40):
+            run.advance()
+            _assert_records_close(an.diagnostics_record(run, mcfg),
+                                  an.diagnostics_record(run.to_state(), mcfg), self.TOL)
+
+    def test_refresh_replaces_running_sums(self):
+        asm = make_assembly(Nx=6, ds=0.05, Ns=12,
+                            kernel=mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0]))
+        run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05)).run(
+            default_initial_state(asm))
+        for _ in range(7):
+            run.advance()
+        run.quad_modes = run.quad_modes * (1.0 + 1e-6)
+        run.refresh_mode_sums()
+        assert run.max_drift == pytest.approx(1e-6, rel=1e-3)
+        full = an.history_sums(run.to_state().eta, asm)
+        assert run.history_sums().hist_mu == pytest.approx(full.hist_mu, rel=1e-13)
+
+
+def _parent_table_trajectory(state, cfg, n_steps):
+    """Reference table-kernel split step: gather the ring into s order for
+    the shifted sum, and recompute sigma from the whole ring every step."""
+    asm = state.assembly
+    runner = stepper._get_runner(asm, cfg)
+    mg = asm.memory_grid
+    nx, ns, dt = asm.Nx, asm.Ns, cfg.dt
+    wmu = mg.weights * mg.mu
+    mu0w = float(np.sum(wmu))
+    lu = splu(runner.M)
+    u, v, th = state.u.copy(), state.v.copy(), state.theta.copy()
+    zeta, head, C = state.eta.copy(), 0, np.zeros(nx)
+    sigma = zeta @ wmu
+    for k in range(1, n_steps + 1):
+        m_n = sigma + mu0w * C
+        order = (head + np.arange(ns - 1)) % ns
+        m_shift = zeta[:, order] @ wmu[1:] + (mu0w - wmu[0]) * C
+        rhs = runner.P @ np.concatenate([u, v, th])
+        rhs[2 * nx:] += dt * (runner.lap @ (0.5 * (m_n + m_shift) + (mu0w * dt / 4.0) * th))
+        w_new = lu.solve(rhs)
+        q = 0.5 * dt * (th + w_new[2 * nx:])
+        u, v, th = w_new[:nx], w_new[nx:2 * nx], w_new[2 * nx:]
+        C = C + q
+        head = (head - 1) % ns
+        zeta[:, head] = -(C - q)
+        sigma = zeta[:, (head + np.arange(ns)) % ns] @ wmu
+        yield State(t=k * dt, u=u, v=v, theta=th,
+                    eta=np.roll(zeta, -head, axis=1) + C[:, None], assembly=asm)
+
+
+def test_table_kernel_step_matches_gather_reference():
+    s = np.linspace(0.0, 5.0, 501)
+    kernel = mb.MemoryKernel.tabulated(s, np.exp(-s) / (1 + s),
+                                       -np.exp(-s) * (2 + s) / (1 + s) ** 2)
+    dt = 0.05
+    asm = make_assembly(Nx=6, ds=dt, Ns=40, kernel=kernel)
+    state = default_initial_state(asm)
+    cfg = mb.SchemeConfig(dt=dt)
+    run = stepper._get_runner(asm, cfg).run(state)
+    ref = None
+    for ref in _parent_table_trajectory(state, cfg, 500):
+        run.advance()
+        new = run.to_state()
+        assert mb.energy(new) == pytest.approx(mb.energy(ref), rel=1e-10, abs=0)
+    diff = new.flatten() - ref.flatten()
+    assert hnorm(asm, diff) <= 1e-10 * hnorm(asm, ref.flatten())
 
 
 class TestOracle:
@@ -267,13 +419,21 @@ class TestCheckpoint:
         np.testing.assert_array_equal(back.eta, state.eta)
         np.testing.assert_array_equal(back.u, state.u)
 
+    def test_spacing_mismatch_rejected(self, tmp_path):
+        # same (Nx, Ns), different ds: the stored history means other s nodes
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        other = make_assembly(Nx=5, ds=0.1, Ns=6)
+        path = tmp_path / "state.npz"
+        mb.write_checkpoint(path, default_initial_state(asm))
+        with pytest.raises(DimensionMismatch):
+            mb.read_checkpoint(path, other)
+
     def test_grid_mismatch_rejected(self, tmp_path):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         other = make_assembly(Nx=6, ds=0.05, Ns=6)
         state = default_initial_state(asm)
         path = tmp_path / "state.npz"
         mb.write_checkpoint(path, state)
-        from membeam.errors import DimensionMismatch
         with pytest.raises(DimensionMismatch):
             mb.read_checkpoint(path, other)
 
