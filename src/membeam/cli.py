@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-    validate <cfg>                  check every model hypothesis; exit 0 iff all pass
+    validate <cfg>                  simulate's setup: its certificates or first failure
     simulate <cfg>                  run the configured simulation; write CSV + report
     spectrum <cfg>                  eigenvalues (re, im) sorted by real part + abscissa
     oracle-check <cfg>              dt-halving error table against exp(t A_h)
@@ -30,6 +30,7 @@ from .discretization import DENSE_MAX_DIM
 from .errors import (
     ConfigError,
     DimensionTooLarge,
+    KernelHypothesisError,
     MembeamError,
     SimulationAborted,
 )
@@ -61,74 +62,41 @@ def _write_csv(path, records, truncated_at: int | None = None):
 # validate
 
 
+def _kernel_lines(report: model.KernelReport) -> list[str]:
+    lines = [f"kernel {name}: {'PASS' if ok else 'FAIL'}" for name, ok in
+             (("H1", report.h1), ("H2", report.h2), ("H3", report.h3), ("H4", report.h4))]
+    lines.append(f"kernel certificate: mu0={report.mu0:.12g} delta1={report.delta1:.12g}")
+    return lines
+
+
 def cmd_validate(args) -> int:
+    """Run simulate's setup and report its certificates, or the first
+    stage that fails; run-file errors propagate (exit 2)."""
     cfg = parse_config(args.config)
-    lines = []
-    failures = []
-
     try:
-        params = model.derive_params(cfg.lambda1, cfg.lambda2, cfg.kappa, cfg.beta)
-        lines.append(f"params: kappa={params.kappa:g} beta={params.beta:g} "
-                     f"lambda1={params.lambda1:g} lambda2={params.lambda2:g} "
-                     f"l={params.l:.12g} PASS")
+        setup = build_setup(cfg)
+    except ConfigError:
+        raise
     except MembeamError as exc:
-        field = getattr(exc, "field", "params")
-        lines.append(f"params: FAIL ({field}: {exc})")
-        failures.append(field)
-        params = None
-
-    report = None
-    try:
-        from .config import build_kernel
-        kernel = build_kernel(cfg)
-        report = model.validate_kernel(kernel, strict=False)
-        for name, ok in (("H1", report.h1), ("H2", report.h2),
-                         ("H3", report.h3), ("H4", report.h4)):
-            lines.append(f"kernel {name}: {'PASS' if ok else 'FAIL'}")
-            if not ok:
-                failures.append(name)
-        lines.append(f"kernel certificate: mu0={report.mu0:.12g} delta1={report.delta1:.12g}")
-    except MembeamError as exc:
-        lines.append(f"kernel: FAIL ({exc})")
-        failures.append("kernel")
-        kernel = None
-
-    coeffs = None
-    try:
-        from .config import parse_profile
-        from .discretization import build_spatial_grid
-        grid = build_spatial_grid(cfg.L, cfg.Nx)
-        p = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)(grid.nodes)
-        g = parse_profile(cfg.g_spec, cfg.L, cfg.base_dir)(grid.nodes)
-        coeffs = model.certify_coefficients(p, g, grid)
-        lines.append(f"coefficients: alpha1={coeffs.alpha1:.12g} alpha2={coeffs.alpha2:.12g} "
-                     f"alpha3={coeffs.alpha3:.12g} alpha4={coeffs.alpha4:.12g} PASS")
-    except MembeamError as exc:
-        lines.append(f"coefficients: FAIL ({exc})")
-        failures.append("coefficients")
-
-    if params is not None and kernel is not None and coeffs is not None \
-            and report is not None and report.passed:
-        try:
-            from .discretization import build_operators
-            ops = build_operators(grid, coeffs, params)
-            mcfg = analysis.choose_multipliers(params, kernel, coeffs,
-                                               analysis.poincare_constant(ops))
-            lines.append(f"multipliers: N={mcfg.N:.6g} N1={mcfg.N1:g} N2={mcfg.N2:.6g} "
-                         f"gamma1={mcfg.gamma1:.6g} gamma2={mcfg.gamma2:.6g} PASS")
-        except MembeamError as exc:
-            lines.append(f"multipliers: FAIL ({exc})")
-            failures.append("multipliers")
-
+        lines = _kernel_lines(exc.report) if isinstance(exc, KernelHypothesisError) else []
+        lines.append(f"validation FAILED: {exc}")
+        code = 1
+    else:
+        par, coeffs, mcfg = setup.params, setup.coefficients, setup.mcfg
+        lines = [f"params: kappa={par.kappa:g} beta={par.beta:g} lambda1={par.lambda1:g} "
+                 f"lambda2={par.lambda2:g} l={par.l:.12g} PASS",
+                 *_kernel_lines(setup.kernel_report),
+                 f"coefficients: alpha1={coeffs.alpha1:.12g} alpha2={coeffs.alpha2:.12g} "
+                 f"alpha3={coeffs.alpha3:.12g} alpha4={coeffs.alpha4:.12g} PASS",
+                 f"multipliers: N={mcfg.N:.6g} N1={mcfg.N1:g} N2={mcfg.N2:.6g} "
+                 f"gamma1={mcfg.gamma1:.6g} gamma2={mcfg.gamma2:.6g} PASS",
+                 "validation PASSED"]
+        code = 0
     text = "\n".join(lines)
     print(text)
     if args.report:
         Path(args.report).write_text(text + "\n")
-    if failures:
-        print(f"validation FAILED: {', '.join(failures)}")
-        return 1
-    print("validation PASSED")
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +289,10 @@ def make_parser() -> argparse.ArgumentParser:
     add("spectrum", cmd_spectrum)
     add("oracle-check", cmd_oracle_check,
         **{"--levels": dict(type=int, default=3, help="number of dt halvings")})
-    sweep = add("sweep", cmd_sweep,
-                **{"--param": dict(required=True, help="parameter to sweep, e.g. beta"),
-                   "--values": dict(required=True, help="comma/space separated values"),
-                   "--serial": dict(action="store_true", help="disable concurrency")})
-    _ = sweep
+    add("sweep", cmd_sweep,
+        **{"--param": dict(required=True, help="parameter to sweep, e.g. beta"),
+           "--values": dict(required=True, help="comma/space separated values"),
+           "--serial": dict(action="store_true", help="disable concurrency")})
     return parser
 
 

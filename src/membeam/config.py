@@ -46,15 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, model
+from . import analysis, model, stepper
 from .discretization import (
     GeneratorAssembly,
     MemoryGrid,
-    SpatialGrid,
     assemble_generator,
     build_memory_grid,
     build_operators,
     build_spatial_grid,
+    check_history_fits,
 )
 from .errors import ConfigError, IncompatibleBoundary
 from .model import InitialData, MemoryKernel, State
@@ -181,6 +181,9 @@ def parse_config(path) -> RunConfig:
         values.setdefault(("kernel", "rates"), "")
     else:
         raise ConfigError(f"{path}: kernel type must be prony or table, got {ktype!r}")
+    scheme = values[("time", "scheme")]
+    if scheme not in stepper.SCHEMES:
+        raise ConfigError(f"{path}: scheme must be one of {stepper.SCHEMES}, got {scheme!r}")
 
     return RunConfig(
         L=values[("domain", "L")], Nx=values[("domain", "Nx")],
@@ -191,7 +194,7 @@ def parse_config(path) -> RunConfig:
         kernel_rates=values[("kernel", "rates")], kernel_path=values[("kernel", "path")],
         trunc_tol=values[("memory", "trunc_tol")],
         dt=values[("time", "dt")], T=values[("time", "T")],
-        sample_every=values[("time", "sample_every")], scheme=values[("time", "scheme")],
+        sample_every=values[("time", "sample_every")], scheme=scheme,
         u0_spec=values[("initial", "u0")], v0_spec=values[("initial", "v0")],
         theta0_spec=values[("initial", "theta0")],
         history_mode=values[("initial", "history_mode")],
@@ -323,7 +326,6 @@ class ProblemSetup:
     kernel: MemoryKernel
     kernel_report: model.KernelReport
     coefficients: model.CoefficientField
-    grid: SpatialGrid
     memory_grid: MemoryGrid
     assembly: GeneratorAssembly
     initial_state: State
@@ -331,17 +333,20 @@ class ProblemSetup:
 
 
 def build_setup(cfg: RunConfig) -> ProblemSetup:
-    """Validate every model object and assemble the discrete system."""
+    """Validate every model object and assemble the discrete system; the
+    first stage that fails raises.  The (Nx, Ns) history size is checked
+    before anything of size Nx is allocated."""
     params = model.derive_params(cfg.lambda1, cfg.lambda2, cfg.kappa, cfg.beta)
     kernel = build_kernel(cfg)
     report = model.validate_kernel(kernel)
+    memory_grid = build_memory_grid(kernel, cfg.dt, cfg.trunc_tol)
+    check_history_fits(cfg.Nx, memory_grid.Ns)
 
     grid = build_spatial_grid(cfg.L, cfg.Nx)
     p_prof = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)
     g_prof = parse_profile(cfg.g_spec, cfg.L, cfg.base_dir)
     coeffs = model.certify_coefficients(p_prof(grid.nodes), g_prof(grid.nodes), grid)
     ops = build_operators(grid, coeffs, params)
-    memory_grid = build_memory_grid(kernel, cfg.dt, cfg.trunc_tol)
     assembly = assemble_generator(ops, memory_grid, params)
 
     u0_prof = parse_profile(cfg.u0_spec, cfg.L, cfg.base_dir)
@@ -358,7 +363,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     mcfg = analysis.choose_multipliers(params, kernel, coeffs,
                                        analysis.poincare_constant(assembly))
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
-                        coefficients=coeffs, grid=grid, memory_grid=memory_grid,
+                        coefficients=coeffs, memory_grid=memory_grid,
                         assembly=assembly, initial_state=state, mcfg=mcfg)
 
 
@@ -372,5 +377,6 @@ def with_parameter(cfg: RunConfig, name: str, value: float) -> RunConfig:
                           f"choose from {sorted(_SWEEPABLE)}")
     if not math.isfinite(value):
         raise ConfigError(f"sweep value for {name} must be finite, got {value}")
-    caster = int if name == "Nx" else float
-    return replace(cfg, **{name: caster(value)})
+    if name == "Nx" and value != int(value):
+        raise ConfigError(f"sweep value for Nx must be an integer, got {value}")
+    return replace(cfg, **{name: int(value) if name == "Nx" else float(value)})

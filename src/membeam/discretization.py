@@ -81,7 +81,7 @@ class MemoryGrid:
     w_k = ds for k < Ns and w_Ns = ds/2; the half cell at s = 0 contributes
     nothing to history quadratures since eta(0) = 0.  mu0_quadrature = sum
     w_k mu_k therefore underestimates mu0 by about ds*mu(0)/2 plus the
-    truncated tail; both are reported for the validation report.
+    truncated tail.
     """
 
     Ns: int
@@ -92,12 +92,10 @@ class MemoryGrid:
     mu: np.ndarray
     muprime: np.ndarray
     mu0_quadrature: float
-    trunc_tol: float
     kernel: MemoryKernel
 
 
-def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int,
-                             trunc_tol: float = np.nan) -> MemoryGrid:
+def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryGrid:
     s_nodes = ds * np.arange(1, Ns + 1)
     weights = np.full(Ns, ds)
     weights[-1] = 0.5 * ds
@@ -107,8 +105,7 @@ def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int,
         arr.flags.writeable = False
     return MemoryGrid(Ns=Ns, ds=ds, s_max=Ns * ds, s_nodes=s_nodes, weights=weights,
                       mu=mu, muprime=muprime,
-                      mu0_quadrature=float(weights @ mu),
-                      trunc_tol=trunc_tol, kernel=kernel)
+                      mu0_quadrature=float(weights @ mu), kernel=kernel)
 
 
 def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) -> MemoryGrid:
@@ -146,7 +143,7 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) 
     if Ns * ds > kernel.s_max_table:
         raise TruncationUnreachable(
             f"need s_max = {Ns * ds:g} beyond the table end {kernel.s_max_table:g}")
-    return _memory_grid_from_counts(kernel, ds, Ns, trunc_tol)
+    return _memory_grid_from_counts(kernel, ds, Ns)
 
 
 def memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryGrid:
@@ -242,9 +239,10 @@ class DiscreteOperators:
     d1     centered first derivative, exactly skew-adjoint
     dplus  forward-difference gradient; dplus^T dplus = -lap exactly
     lap    three-point Dirichlet Laplacian (symmetric negative definite)
-    d2     clamped second-difference map onto all Nx+2 nodes
     bih    D2^T diag(c * p) D2: variable-coefficient clamped biharmonic,
-           c the trapezoid end-weights making the quadratic form the
+           D2 the clamped second-difference map onto all Nx+2 nodes, p
+           extended to the two end nodes by its nearest interior value, c
+           the trapezoid end-weights making the quadratic form the
            trapezoid rule of p u_xx^2 (up to the uniform factor h)
     """
 
@@ -253,10 +251,8 @@ class DiscreteOperators:
     d1: sp.csr_matrix
     dplus: sp.csr_matrix
     lap: sp.csr_matrix
-    d2: sp.csr_matrix
     bih: sp.csr_matrix
     g: np.ndarray
-    p_extended: np.ndarray
 
 
 def build_operators(grid: SpatialGrid, coefficients: CoefficientField,
@@ -298,7 +294,7 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField,
         raise StructureViolation("bih scale", scale)
 
     return DiscreteOperators(grid=grid, coefficients=coefficients, d1=d1, dplus=dplus,
-                             lap=lap, d2=d2, bih=bih, g=g, p_extended=p_ext)
+                             lap=lap, bih=bih, g=g)
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,27 @@ class ParamOutOfRange(MembeamError):
 
 # --- kernel hypothesis failures (H1..H4) ---
 
-class NonPositiveKernel(MembeamError):
+class KernelHypothesisError(MembeamError):
+    """A kernel hypothesis fails; report is the full KernelReport (H1..H4)."""
+
+    def __init__(self, message: str, report):
+        self.report = report
+        super().__init__(message)
+
+
+class NonPositiveKernel(KernelHypothesisError):
     """H1 fails: the memory kernel takes a negative value."""
 
 
-class IncreasingKernel(MembeamError):
+class IncreasingKernel(KernelHypothesisError):
     """H2 fails: the memory kernel increases somewhere."""
 
 
-class InfiniteMass(MembeamError):
+class InfiniteMass(KernelHypothesisError):
     """H3 fails: the kernel mass is not positive and finite."""
 
 
-class NoExponentialDomination(MembeamError):
+class NoExponentialDomination(KernelHypothesisError):
     """H4 fails: no delta1 > 0 with mu' + delta1*mu <= 0 can be certified."""
 
 

@@ -32,6 +32,8 @@ _MU_GUARD = 1e-14
 # this bound.  Scale-free, so it rejects (1+s)^-2 for any table length while
 # accepting resolved Prony tails.
 _TAIL_DECLINE_TOL = 0.05
+# Number of points at which H1 and H2 are probed.
+_PROBE_COUNT = 200
 
 
 def _readonly(a) -> np.ndarray:
@@ -58,30 +60,23 @@ class PhysicalParams:
     l: float
 
     def __post_init__(self):
-        if not (self.kappa > 0):
-            raise ParamOutOfRange("kappa", "kappa must be > 0")
-        if not (self.beta >= 0):
-            raise ParamOutOfRange("beta", "beta must be >= 0")
-        if not (0 < self.lambda1 < 1):
-            raise ParamOutOfRange("lambda1", "lambda1 must lie in (0, 1)")
-        if not (self.lambda2 > 0):
-            raise ParamOutOfRange("lambda2", "lambda2 must be > 0")
+        # every range excludes nan and inf
+        if not 0 < self.lambda1 < 1:
+            raise ParamOutOfRange("lambda1", f"lambda1 = {self.lambda1} not in (0, 1)")
+        if not 0 < self.lambda2 < np.inf:
+            raise ParamOutOfRange("lambda2", f"lambda2 = {self.lambda2} not > 0")
+        if not 0 < self.kappa < np.inf:
+            raise ParamOutOfRange("kappa", f"kappa = {self.kappa} not > 0")
+        if not 0 <= self.beta < np.inf:
+            raise ParamOutOfRange("beta", f"beta = {self.beta} negative")
         expected = (1.0 - self.lambda1) / self.lambda2
         if not (self.l > 0) or abs(self.l - expected) > 1e-12 * max(1.0, expected):
             raise ParamOutOfRange("l", "l must equal (1 - lambda1)/lambda2 > 0")
 
 
 def derive_params(lambda1: float, lambda2: float, kappa: float, beta: float) -> PhysicalParams:
-    """Validate the raw constants and derive l = (1 - lambda1)/lambda2."""
-    if not np.isfinite(lambda1) or not (0 < lambda1 < 1):
-        raise ParamOutOfRange("lambda1", f"lambda1 = {lambda1} not in (0, 1)")
-    if not np.isfinite(lambda2) or not (lambda2 > 0):
-        raise ParamOutOfRange("lambda2", f"lambda2 = {lambda2} not > 0")
-    if not np.isfinite(kappa) or not (kappa > 0):
-        raise ParamOutOfRange("kappa", f"kappa = {kappa} not > 0")
-    if not np.isfinite(beta) or beta < 0:
-        raise ParamOutOfRange("beta", f"beta = {beta} negative")
-    l = (1.0 - lambda1) / lambda2
+    """Derive l = (1 - lambda1)/lambda2; PhysicalParams validates the constants."""
+    l = (1.0 - lambda1) / lambda2 if lambda2 > 0 else np.nan
     return PhysicalParams(kappa=kappa, beta=beta, lambda1=lambda1, lambda2=lambda2, l=l)
 
 
@@ -171,25 +166,20 @@ class KernelReport:
     def passed(self) -> bool:
         return self.h1 and self.h2 and self.h3 and self.h4
 
-    def failed_hypotheses(self) -> list[str]:
-        return [name for name, ok in
-                (("H1", self.h1), ("H2", self.h2), ("H3", self.h3), ("H4", self.h4)) if not ok]
 
-
-def _probe_points(kernel: MemoryKernel, count: int) -> np.ndarray:
+def _probe_points(kernel: MemoryKernel) -> np.ndarray:
     if kernel.form == "prony":
         # cover several decades of the slowest mode
         span = 20.0 / float(np.min(kernel.rates))
-        return np.linspace(0.0, span, count)
+        return np.linspace(0.0, span, _PROBE_COUNT)
     s = kernel.s_table
-    if count <= s.size:
+    if _PROBE_COUNT <= s.size:
         return s
-    extra = np.linspace(s[0], s[-1], count - s.size)
+    extra = np.linspace(s[0], s[-1], _PROBE_COUNT - s.size)
     return np.unique(np.concatenate([s, extra]))
 
 
-def validate_kernel(kernel: MemoryKernel, s_probe_count: int = 200,
-                    strict: bool = True) -> KernelReport:
+def validate_kernel(kernel: MemoryKernel) -> KernelReport:
     """Certify hypotheses H1-H4 and return (mu0, delta1).
 
     For Prony kernels mu0 = sum(a_j/delta_j) and delta1 = min_j delta_j are
@@ -197,12 +187,10 @@ def validate_kernel(kernel: MemoryKernel, s_probe_count: int = 200,
     over the table, and H4 additionally requires that ratio to have
     stabilized near the table end (certification demands a resolved tail).
 
-    With strict=True (default) the first violated hypothesis raises its
-    dedicated error; strict=False returns the full report for CLI display.
+    The first violated hypothesis raises its KernelHypothesisError, which
+    carries the full report.
     """
-    if s_probe_count < 2:
-        raise ParamOutOfRange("s_probe_count", "need at least 2 probe points")
-    probes = _probe_points(kernel, s_probe_count)
+    probes = _probe_points(kernel)
     mu = kernel.mu(probes)
     mup = kernel.muprime(probes)
 
@@ -210,14 +198,12 @@ def validate_kernel(kernel: MemoryKernel, s_probe_count: int = 200,
     h1 = bool(np.all(mu >= -1e-12 * scale))
     h2 = bool(np.all(mup <= 1e-12 * scale))
 
+    mu0 = kernel.mu0()
+    h3 = np.isfinite(mu0) and mu0 > 0
     if kernel.form == "prony":
-        mu0 = kernel.mu0()
-        h3 = np.isfinite(mu0) and mu0 > 0
         delta1 = float(np.min(kernel.rates))
         h4 = h1 and h2 and delta1 > 0
     else:
-        mu0 = kernel.mu0()
-        h3 = np.isfinite(mu0) and mu0 > 0
         mask = mu > _MU_GUARD
         if not np.any(mask):
             delta1, h4 = 0.0, False
@@ -230,16 +216,15 @@ def validate_kernel(kernel: MemoryKernel, s_probe_count: int = 200,
             h4 = delta1 > 0 and decline <= _TAIL_DECLINE_TOL
 
     report = KernelReport(mu0=float(mu0), delta1=float(delta1), h1=h1, h2=h2, h3=h3, h4=h4)
-    if strict:
-        if not h1:
-            raise NonPositiveKernel("H1 fails: mu(s) < 0 at a probe point")
-        if not h2:
-            raise IncreasingKernel("H2 fails: mu'(s) > 0 at a probe point")
-        if not h3:
-            raise InfiniteMass("H3 fails: mu0 is not positive and finite")
-        if not h4:
-            raise NoExponentialDomination(
-                "H4 fails: cannot certify delta1 > 0 with mu' + delta1*mu <= 0")
+    if not h1:
+        raise NonPositiveKernel("H1 fails: mu(s) < 0 at a probe point", report)
+    if not h2:
+        raise IncreasingKernel("H2 fails: mu'(s) > 0 at a probe point", report)
+    if not h3:
+        raise InfiniteMass("H3 fails: mu0 is not positive and finite", report)
+    if not h4:
+        raise NoExponentialDomination(
+            "H4 fails: cannot certify delta1 > 0 with mu' + delta1*mu <= 0", report)
     return report
 
 
@@ -326,10 +311,6 @@ class State:
     theta: np.ndarray
     eta: np.ndarray
     assembly: Any = None
-
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.v.copy(), self.theta.copy(),
-                     self.eta.copy(), self.assembly)
 
     def flatten(self) -> np.ndarray:
         """Vector in block order (u, v, theta, eta_1, ..., eta_Ns)."""

@@ -61,6 +61,8 @@ from .errors import (
 from .model import State
 
 _EIGVEC_COND_LIMIT = 1e8
+# Largest relative residual accepted from any linear solve of a step.
+_LINEAR_SOLVER_TOL = 1e-9
 
 # Steps between two recomputations of a Prony split run's per-mode sums
 # from the ring.  One recomputation costs about one O(Nx Ns) pass, so at
@@ -74,14 +76,10 @@ SCHEMES = ("full_implicit_midpoint", "split_semilagrangian")
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time-stepping configuration.
-
-    linear_solver_tol bounds the relative residual of every linear solve.
-    """
+    """Time-stepping configuration."""
 
     dt: float
     scheme: str = "split_semilagrangian"
-    linear_solver_tol: float = 1e-9
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -90,11 +88,12 @@ class SchemeConfig:
             raise ParamOutOfRange("scheme", f"scheme must be one of {SCHEMES}")
 
 
-def _check_residual(M: sp.spmatrix, x: np.ndarray, rhs: np.ndarray, tol: float):
+def _check_residual(M: sp.spmatrix, x: np.ndarray, rhs: np.ndarray):
     num = np.linalg.norm(M @ x - rhs)
     den = np.linalg.norm(rhs)
-    if den > 0 and num > tol * den:
-        raise LinearSolveFailure(f"relative residual {num / den:.3e} exceeds {tol:.1e}")
+    if den > 0 and num > _LINEAR_SOLVER_TOL * den:
+        raise LinearSolveFailure(
+            f"relative residual {num / den:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e}")
 
 
 class _MidpointRunner:
@@ -112,7 +111,7 @@ class _MidpointRunner:
     def step_vector(self, phi: np.ndarray) -> np.ndarray:
         rhs = self.P @ phi
         out = self.lu.solve(rhs)
-        _check_residual(self.M, out, rhs, self.cfg.linear_solver_tol)
+        _check_residual(self.M, out, rhs)
         return out
 
     def run(self, state: State) -> "_MidpointRun":
@@ -135,7 +134,8 @@ class _MidpointRun:
 
 
 class _SplitRunner:
-    """Semi-Lagrangian history shift + implicit midpoint mechanical block."""
+    """Semi-Lagrangian history shift + implicit midpoint mechanical block,
+    with a cached LU factorization of the block's implicit matrix."""
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
         mg = assembly.memory_grid
@@ -162,6 +162,7 @@ class _SplitRunner:
         M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - corr
         self.M = M.tocsc()
         self.P = (eye3 + (dt / 2.0) * B).tocsr()
+        self.lu = splu(self.M)
 
     def run(self, state: State) -> "_SplitRun":
         return _SplitRun(self, state)
@@ -197,7 +198,6 @@ class _SplitRun:
                 f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
         self.runner = runner
         self.assembly = asm
-        self.lu = splu(runner.M)
         self.t = state.t
         self.u = state.u.copy()
         self.v = state.v.copy()
@@ -321,8 +321,8 @@ class _SplitRun:
         w_old = np.concatenate([self.u, self.v, self.theta])
         rhs = run.P @ w_old
         rhs[2 * nx:] += dt * (run.lap @ m_mid_known)
-        w_new = self.lu.solve(rhs)
-        _check_residual(run.M, w_new, rhs, run.cfg.linear_solver_tol)
+        w_new = run.lu.solve(rhs)
+        _check_residual(run.M, w_new, rhs)
 
         theta_new = w_new[2 * nx:]
         q = 0.5 * dt * (self.theta + theta_new)
@@ -355,7 +355,7 @@ def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig):
     state), so the cache makes no cycle and an assembly's matrices and
     factorizations are freed as soon as the last reference to it goes.
     """
-    key = ("runner", cfg.scheme, cfg.dt, cfg.linear_solver_tol)
+    key = ("runner", cfg.scheme, cfg.dt)
     if key not in assembly._cache:
         cls = _MidpointRunner if cfg.scheme == "full_implicit_midpoint" else _SplitRunner
         assembly._cache[key] = cls(assembly, cfg)
@@ -453,12 +453,11 @@ def _fill_numeric_derivatives(records):
 # matrix-exponential oracle
 
 
-def expm_multiply_dense(A: np.ndarray, phi0: np.ndarray, t: float,
-                        cond_limit: float = _EIGVEC_COND_LIMIT) -> np.ndarray:
+def expm_multiply_dense(A: np.ndarray, phi0: np.ndarray, t: float) -> np.ndarray:
     """exp(t A) phi0 by eigen-decomposition, falling back to
     scaling-and-squaring when the eigenvector matrix is too ill-conditioned."""
     w, V = sla.eig(A)
-    if np.linalg.cond(V) > cond_limit:
+    if np.linalg.cond(V) > _EIGVEC_COND_LIMIT:
         return sla.expm(t * A) @ phi0
     resid = np.linalg.norm(A @ V - V * w[None, :]) / max(np.linalg.norm(A), 1e-300)
     if resid > 1e-8:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from membeam import config, discretization
 from membeam.cli import CSV_HEADER, default_config_path, main
 from membeam.config import parse_config, with_parameter
 from membeam.errors import ConfigError, IncompatibleBoundary
@@ -83,6 +84,8 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, TINY_CFG))
         swept = with_parameter(cfg, "beta", 0.25)
         assert swept.beta == 0.25 and cfg.beta == 1.0
+        swept = with_parameter(cfg, "Nx", 16.0)
+        assert swept.Nx == 16 and isinstance(swept.Nx, int)
         for name in ("nonsense", "params.beta"):
             with pytest.raises(ConfigError):
                 with_parameter(cfg, name, 1.0)
@@ -121,6 +124,27 @@ class TestValidateCommand:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "H4: FAIL" in out
+
+    @pytest.mark.parametrize("old,new,code", [
+        ("u0 = poly 0 0 1 -2 1", "u0 = sine 1.0 1", 1),
+        ("history_mode = constant_past", "history_mode = explicit", 2),
+        ("scheme = split_semilagrangian", "scheme = leapfrog", 2),
+    ])
+    def test_fails_where_simulate_fails(self, tmp_path, monkeypatch, capsys, old, new, code):
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG.replace(old, new))
+        assert main(["validate", str(path)]) == code
+        assert main(["simulate", str(path)]) == code
+        out, err = capsys.readouterr()
+        assert "PASSED" not in out and "Traceback" not in err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_stops_at_first_failing_stage(self, tmp_path, capsys):
+        bad = TINY_CFG.replace("lambda1 = 0.5", "lambda1 = 1.5")
+        bad = bad.replace("g = constant 1.0", "g = constant -1")
+        assert main(["validate", str(write_cfg(tmp_path, bad))]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines() == ["validation FAILED: lambda1 = 1.5 not in (0, 1)"]
 
     def test_parse_error_exit_2(self, tmp_path):
         path = write_cfg(tmp_path, TINY_CFG + "\ngarbage line\n")
@@ -295,6 +319,28 @@ class TestExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_oversized_history_refused_before_beam_grid(self, tmp_path, monkeypatch, capsys,
+                                                        command):
+        # Nx = 1e9 with Ns = 93 needs terabytes: the (Nx, Ns) history check
+        # must refuse it before anything of size Nx is built
+        def unreachable(*args):
+            raise AssertionError("beam grid built before the history size was checked")
+
+        monkeypatch.setattr(config, "build_spatial_grid", unreachable)
+        monkeypatch.setattr(discretization, "build_spatial_grid", unreachable)
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG.replace("Nx = 6", "Nx = 1000000000"))
+        assert main([command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert "needs about" in out + err and "Traceback" not in err
+
+    def test_non_integer_sweep_nx_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["sweep", str(path), "--param", "Nx", "--values", "16.7",
+                     "--serial"]) == 2
+        assert "integer" in capsys.readouterr().err
 
     def test_non_finite_sweep_value_is_config_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TINY_CFG)

@@ -130,7 +130,7 @@ class TestGeneratorAssembly:
         dead = mb.MemoryGrid(Ns=mg.Ns, ds=mg.ds, s_max=mg.s_max, s_nodes=mg.s_nodes,
                              weights=mg.weights, mu=np.zeros(mg.Ns),
                              muprime=np.zeros(mg.Ns), mu0_quadrature=0.0,
-                             trunc_tol=mg.trunc_tol, kernel=mg.kernel)
+                             kernel=mg.kernel)
         asm0 = mb.assemble_generator(asm.ops, dead, default_params)
         A = asm0.generator_matrix.tocsr()
         nx = asm.Nx

@@ -9,6 +9,7 @@ from membeam.errors import (
     IncompatibleBoundary,
     IncreasingKernel,
     InfiniteMass,
+    KernelHypothesisError,
     NoExponentialDomination,
     NonPositiveCoefficient,
     NonPositiveKernel,
@@ -61,9 +62,10 @@ class TestValidateKernel:
     def test_power_law_fails_h4(self):
         s = np.linspace(0.0, 50.0, 4001)
         kern = mb.MemoryKernel.tabulated(s, (1 + s) ** -2.0, -2.0 * (1 + s) ** -3.0)
-        with pytest.raises(NoExponentialDomination):
+        with pytest.raises(NoExponentialDomination) as exc:
             mb.validate_kernel(kern)
-        report = mb.validate_kernel(kern, strict=False)
+        assert isinstance(exc.value, KernelHypothesisError)
+        report = exc.value.report
         assert report.h1 and report.h2 and report.h3 and not report.h4
 
     def test_power_law_fails_for_short_table_too(self):
@@ -97,10 +99,6 @@ class TestValidateKernel:
         assert report.passed
         assert report.delta1 == pytest.approx(1.0, rel=1e-9)
         assert report.mu0 == pytest.approx(1.0, rel=1e-4)
-
-    def test_probe_count_validated(self):
-        with pytest.raises(ParamOutOfRange):
-            mb.validate_kernel(mb.MemoryKernel.prony([1.0], [1.0]), s_probe_count=1)
 
     def test_prony_requires_positive_parameters(self):
         with pytest.raises(ParamOutOfRange):

@@ -189,6 +189,22 @@ class TestSimulate:
         assert "stepping" in lines[0] and "sampling" in lines[0]
         assert "refresh drift" in lines[0]
 
+    def test_split_factorizes_once_across_steps(self, monkeypatch):
+        # the LU of the mechanical block lives in the cached runner
+        calls = []
+        real = stepper.splu
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(stepper, "splu", counting)
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        state = default_initial_state(asm)
+        for _ in range(20):
+            state = mb.step(state, mb.SchemeConfig(dt=0.05))
+        assert calls == [(15, 15)]
+
     def test_split_never_assembles_generator(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5)
