@@ -393,20 +393,34 @@ def spectral_abscissa(assembly: GeneratorAssembly) -> float:
 
 
 def resolvent_check(assembly: GeneratorAssembly) -> float:
-    """1-norm condition estimate of (I - A_h); finite iff nonsingular."""
-    A = assembly.generator_matrix
-    M = (sp.identity(assembly.dim, format="csc") - A).tocsc()
+    """1-norm condition estimate of (I - A_h); finite iff nonsingular.
+
+    The inverse is applied through stepper.SchurSolver with tau = 1, which
+    factorizes only the 3Nx Schur complement; ||I - A_h||_1 is read off
+    the assembled matrix.
+    """
+    from .stepper import SchurSolver   # stepper imports this module
+
     try:
-        lu = spla.splu(M)
+        solver = SchurSolver(assembly, 1.0)
     except RuntimeError as exc:
         raise SingularResolvent(str(exc)) from exc
-    inv_op = spla.LinearOperator(M.shape, matvec=lu.solve,
-                                 rmatvec=lambda x: lu.solve(x, trans="T"))
+    n3, ns, dim = 3 * assembly.Nx, assembly.Ns, assembly.dim
+
+    def blockwise(solve):
+        def apply(x):
+            x = np.ravel(x)
+            w, eta = solve(x[:n3], x[n3:].reshape(ns, -1).T)
+            return np.concatenate([w, eta.T.ravel()])
+        return apply
+
+    inv_op = spla.LinearOperator((dim, dim), matvec=blockwise(solver.solve),
+                                 rmatvec=blockwise(solver.solve_transposed), dtype=float)
     try:
         inv_norm = spla.onenormest(inv_op)
     except Exception as exc:
         raise SingularResolvent(f"condition estimate failed: {exc}") from exc
-    norm1 = spla.norm(M, 1)
+    norm1 = spla.norm(sp.identity(dim, format="csc") - assembly.generator_matrix, 1)
     cond = float(norm1 * inv_norm)
     if not np.isfinite(cond):
         raise SingularResolvent("condition estimate is not finite")
@@ -502,6 +516,8 @@ def certify_trajectory(records, tol: float = 1e-8,
     Each line of the certification report maps to one invariant: energy
     nonnegativity, dissipation sign, monotone energy decay between
     samples, the three lemma inequalities, and the Lyapunov sandwich.
+    Fewer than two records certify nothing: a failing
+    trajectory_recorded check (worst = the record count) is added.
     """
     E = np.array([r.E for r in records])
     D = np.array([r.D for r in records])
@@ -509,7 +525,9 @@ def certify_trajectory(records, tol: float = 1e-8,
         CheckResult("energy_nonnegative", float(-E.min()), tol, bool(E.min() >= -tol)),
         CheckResult("dissipation_nonpositive", float(D.max()), tol, bool(D.max() <= tol)),
     ]
-    if E.size >= 2:
+    if E.size < 2:
+        results.append(CheckResult("trajectory_recorded", float(E.size), 2.0, False))
+    else:
         rel_inc = np.diff(E) / np.maximum(E[:-1], _ENERGY_FLOOR)
         worst = float(rel_inc.max())
         results.append(CheckResult("energy_monotone_decay", worst, monotone_tol,

@@ -345,7 +345,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     grid = build_spatial_grid(cfg.L, cfg.Nx)
     p_prof = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)
     g_prof = parse_profile(cfg.g_spec, cfg.L, cfg.base_dir)
-    coeffs = model.certify_coefficients(p_prof(grid.nodes), g_prof(grid.nodes), grid)
+    coeffs = model.certify_coefficients(p_prof(grid.nodes), g_prof(grid.nodes))
     ops = build_operators(grid, coeffs, params)
     assembly = assemble_generator(ops, memory_grid, params)
 

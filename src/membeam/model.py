@@ -238,14 +238,13 @@ class CoefficientField:
     alpha2: float
     alpha3: float
     alpha4: float
-    grid: Any = None
 
     def __post_init__(self):
         object.__setattr__(self, "p_values", _readonly(self.p_values))
         object.__setattr__(self, "g_values", _readonly(self.g_values))
 
 
-def certify_coefficients(p_values, g_values, grid=None) -> CoefficientField:
+def certify_coefficients(p_values, g_values) -> CoefficientField:
     """Set alpha1..alpha4 to the exact sample extrema; reject nonpositive samples.
 
     Idempotent: re-certifying a certified field reproduces identical bounds.
@@ -262,7 +261,6 @@ def certify_coefficients(p_values, g_values, grid=None) -> CoefficientField:
         p_values=p, g_values=g,
         alpha1=float(p.min()), alpha2=float(p.max()),
         alpha3=float(g.min()), alpha4=float(g.max()),
-        grid=grid,
     )
 
 

@@ -5,8 +5,9 @@ Two schemes advance the discrete state:
 full_implicit_midpoint
     Cayley step (I - dt/2 A_h) Phi^{n+1} = (I + dt/2 A_h) Phi^n on the
     monolithic generator.  An exact H-contraction for the dissipative
-    assembly at any dt; intended for desk-scale verification since the
-    sparse factorization couples the whole history block.
+    assembly at any dt.  The upwind history block of I - dt/2 A_h is a
+    first-order recurrence in s, which SchurSolver eliminates exactly, so
+    only a 3Nx matrix is factorized.
 
 split_semilagrangian
     Requires ds == dt.  The history transport eta_t + eta_s = theta is
@@ -25,8 +26,9 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
                            ~0.13-0.23 ms, Ns = 18422    sums, ~0.2 ms
     split, table           one O(Nx Ns) pass,           O(Nx Ns), materializes
                            ~0.45 ms, Ns = 15612         the history, ~16 ms
-    midpoint               sparse LU solve of           O(Nx Ns)
-                           dimension Nx (3 + Ns)
+    midpoint               3Nx LU solve, one history    O(Nx Ns)
+                           recurrence pass and the
+                           residual, ~29 ms, Ns = 18422
 
 A Prony split run refreshes its running sums from the ring every
 _REFRESH_STEPS steps (one O(Nx Ns) pass) and reports the drift.
@@ -39,6 +41,7 @@ where eta is the (Nx, Ns) history ordered by ascending s.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -64,6 +67,10 @@ _EIGVEC_COND_LIMIT = 1e8
 # Largest relative residual accepted from any linear solve of a step.
 _LINEAR_SOLVER_TOL = 1e-9
 
+# Most steps one simulate call takes; a longer run is refused before the
+# first step (100 times the 10,000 steps of the shipped default run).
+MAX_STEPS = 1_000_000
+
 # Steps between two recomputations of a Prony split run's per-mode sums
 # from the ring.  One recomputation costs about one O(Nx Ns) pass, so at
 # this interval they take a few percent of the run.
@@ -88,49 +95,147 @@ class SchemeConfig:
             raise ParamOutOfRange("scheme", f"scheme must be one of {SCHEMES}")
 
 
-def _check_residual(M: sp.spmatrix, x: np.ndarray, rhs: np.ndarray):
-    num = np.linalg.norm(M @ x - rhs)
-    den = np.linalg.norm(rhs)
-    if den > 0 and num > _LINEAR_SOLVER_TOL * den:
+def _check_residual(residual, rhs):
+    """Raise LinearSolveFailure unless ||residual|| <= tol ||rhs||, both
+    taken over all their blocks; a non-finite value never passes."""
+    num = math.hypot(*(np.linalg.norm(r) for r in residual))
+    den = math.hypot(*(np.linalg.norm(r) for r in rhs))
+    if not num <= _LINEAR_SOLVER_TOL * den:
         raise LinearSolveFailure(
-            f"relative residual {num / den:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e}")
+            f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
+
+
+def _check_history_shape(state: State):
+    asm = state.assembly
+    if state.eta.shape != (asm.Nx, asm.Ns):
+        raise DimensionMismatch(
+            f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
+
+
+def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
+    """M = I - tau B - tau^2 gain [theta theta] lap and its LU: the 3Nx
+    block left of an implicit step once the history is eliminated."""
+    nx = lap.shape[0]
+    M = (sp.identity(3 * nx, format="csc") - tau * B).tolil()
+    M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - (tau * tau * gain) * lap
+    M = M.tocsc()
+    return M, splu(M)
+
+
+class SchurSolver:
+    """Solves (I - tau A_h) x = r and its transpose by eliminating the
+    history block exactly; only a 3Nx matrix is factorized.
+
+    A vector is split as (w, eta): w = (u, v, theta) of length 3Nx and the
+    history eta of shape (Nx, Ns).  With q = tau/ds and S the one-node
+    shift in s (eta_0 = 0), the history rows of I - tau A_h read
+
+        L eta_i = r_eta,i + tau theta_i 1,   L = (1 + q) I - q S,
+
+    at every x node i: a first-order recurrence, solved by one
+    scipy.signal.lfilter pass along s.  With g = L^{-T} wmu the theta row
+    sees the history only through wmu . L^{-1} r_eta = g . r_eta and
+    tau (g . 1) theta, which leaves the Schur complement
+
+        I - tau B - tau^2 (g . 1) [theta theta] lap,
+
+    nonsingular exactly when I - tau A_h is.  Once w is known, the history
+    is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
+    the same LU and L^T, a recurrence run from s_Ns down.  The solver keeps
+    no reference to its assembly.
+    """
+
+    def __init__(self, assembly: GeneratorAssembly, tau: float):
+        from scipy.signal import lfilter   # slow import; the split scheme never needs it
+
+        mg = assembly.memory_grid
+        self.nx = assembly.Nx
+        self.tau = tau
+        self.q = tau / mg.ds
+        self.wmu = mg.weights * mg.mu
+        self.B = assembly.mechanical_block
+        self.lap = assembly.ops.lap
+        self._lfilter = lfilter
+        self._filter = ([1.0 / (1.0 + self.q)], [1.0, -self.q / (1.0 + self.q)])
+        self.g = self._sweep(self.wmu[None, :], transposed=True)[0]
+        _, self.lu = _mechanical_lu(self.B, self.lap, tau, float(np.sum(self.g)))
+
+    def _sweep(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """L^{-1} z along s, or L^{-T} z."""
+        if transposed:
+            return self._lfilter(*self._filter, z[:, ::-1], axis=1)[:, ::-1]
+        return self._lfilter(*self._filter, z, axis=1)
+
+    def apply(self, w: np.ndarray, eta: np.ndarray):
+        """(I - tau A_h)(w, eta), blockwise."""
+        th, tau, q = slice(2 * self.nx, None), self.tau, self.q
+        out_w = w - tau * (self.B @ w)
+        out_w[th] -= tau * (self.lap @ (eta @ self.wmu))
+        out_eta = (1.0 + q) * eta
+        out_eta[:, 1:] -= q * eta[:, :-1]
+        out_eta -= tau * w[th, None]
+        return out_w, out_eta
+
+    def solve(self, r_w: np.ndarray, r_eta: np.ndarray):
+        th = slice(2 * self.nx, None)
+        rhs = r_w.copy()
+        rhs[th] += self.tau * (self.lap @ (r_eta @ self.g))
+        w = self.lu.solve(rhs)
+        return w, self._sweep(r_eta + self.tau * w[th, None])
+
+    def solve_transposed(self, r_w: np.ndarray, r_eta: np.ndarray):
+        th = slice(2 * self.nx, None)
+        eta = self._sweep(r_eta, transposed=True)
+        rhs = r_w.copy()
+        rhs[th] += self.tau * eta.sum(axis=1)
+        w = self.lu.solve(rhs, trans="T")
+        eta += self.tau * np.outer(self.lap.T @ w[th], self.g)
+        return w, eta
 
 
 class _MidpointRunner:
-    """Monolithic Cayley stepper with a cached LU factorization."""
+    """Cayley stepper: the history-eliminating solver with tau = dt/2."""
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
         self.cfg = cfg
-        A = assembly.generator_matrix
-        n = A.shape[0]
-        eye = sp.identity(n, format="csc")
-        self.M = (eye - (cfg.dt / 2.0) * A).tocsc()
-        self.P = (eye + (cfg.dt / 2.0) * A).tocsr()
-        self.lu = splu(self.M)
-
-    def step_vector(self, phi: np.ndarray) -> np.ndarray:
-        rhs = self.P @ phi
-        out = self.lu.solve(rhs)
-        _check_residual(self.M, out, rhs)
-        return out
+        self.solver = SchurSolver(assembly, cfg.dt / 2.0)
 
     def run(self, state: State) -> "_MidpointRun":
         return _MidpointRun(self, state)
 
 
 class _MidpointRun:
+    """(u, v, theta) as one 3Nx vector w, the history as an (Nx, Ns) array.
+
+    A step solves M Phi^{n+1} = P Phi^n with M = I - tau A_h and
+    P = I + tau A_h = 2I - M: one 3Nx LU solve and one pass of the history
+    recurrence.  The full-system residual M Phi^{n+1} - P Phi^n is checked
+    blockwise; M Phi^{n+1} is kept to give the next step's P Phi^{n+1}.
+    """
+
     def __init__(self, runner: _MidpointRunner, state: State):
+        _check_history_shape(state)
         self.runner = runner
         self.assembly = state.assembly
         self.t = state.t
-        self.phi = state.flatten()
+        self.w = np.concatenate([state.u, state.v, state.theta])
+        self.eta = state.eta.copy()
+        self._m_phi = runner.solver.apply(self.w, self.eta)
 
     def advance(self):
-        self.phi = self.runner.step_vector(self.phi)
+        solver = self.runner.solver
+        m_w, m_eta = self._m_phi
+        rhs = (2.0 * self.w - m_w, 2.0 * self.eta - m_eta)
+        w, eta = solver.solve(*rhs)
+        m_phi = solver.apply(w, eta)
+        _check_residual((m_phi[0] - rhs[0], m_phi[1] - rhs[1]), rhs)
+        self.w, self.eta, self._m_phi = w, eta, m_phi
         self.t += self.runner.cfg.dt
 
     def to_state(self) -> State:
-        return State.unflatten(self.phi, self.assembly, t=self.t)
+        nx = self.assembly.Nx
+        return State(t=self.t, u=self.w[:nx].copy(), v=self.w[nx:2 * nx].copy(),
+                     theta=self.w[2 * nx:].copy(), eta=self.eta.copy(), assembly=self.assembly)
 
 
 class _SplitRunner:
@@ -144,25 +249,16 @@ class _SplitRunner:
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
         self.memory_grid = mg
         self.cfg = cfg
-        nx = assembly.Nx
-        dt = cfg.dt
+        self.nx = assembly.Nx
         self.wmu = mg.weights * mg.mu
         self.mu0w = float(np.sum(self.wmu))
-
         B = assembly.mechanical_block
         self.lap = assembly.ops.lap
-        self.nx = nx
-        n3 = 3 * nx
-        eye3 = sp.identity(n3, format="csc")
-        M = (eye3 - (dt / 2.0) * B).tolil()
         # implicit part of the memory flux through the characteristic source:
         # flux uses the history average, whose new-time part carries
         # (mu0w dt / 4) theta^{n+1} into every column.
-        corr = (dt * dt * self.mu0w / 4.0) * self.lap
-        M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - corr
-        self.M = M.tocsc()
-        self.P = (eye3 + (dt / 2.0) * B).tocsr()
-        self.lu = splu(self.M)
+        self.M, self.lu = _mechanical_lu(B, self.lap, cfg.dt / 2.0, self.mu0w)
+        self.P = (sp.identity(3 * self.nx, format="csc") + (cfg.dt / 2.0) * B).tocsr()
 
     def run(self, state: State) -> "_SplitRun":
         return _SplitRun(self, state)
@@ -192,10 +288,8 @@ class _SplitRun:
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
+        _check_history_shape(state)
         asm = state.assembly
-        if state.eta.shape != (asm.Nx, asm.Ns):
-            raise DimensionMismatch(
-                f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
         self.runner = runner
         self.assembly = asm
         self.t = state.t
@@ -322,7 +416,7 @@ class _SplitRun:
         rhs = run.P @ w_old
         rhs[2 * nx:] += dt * (run.lap @ m_mid_known)
         w_new = run.lu.solve(rhs)
-        _check_residual(run.M, w_new, rhs)
+        _check_residual((run.M @ w_new - rhs,), (rhs,))
 
         theta_new = w_new[2 * nx:]
         q = 0.5 * dt * (self.theta + theta_new)
@@ -387,7 +481,8 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
              mcfg=None) -> SimulationResult:
     """Advance to t = T recording diagnostics every sample_every steps.
 
-    Records are always taken at t = 0 and t = T.  A Prony split run is
+    Records are always taken at t = 0 and t = T.  More than MAX_STEPS
+    steps raise ParamOutOfRange before the first one.  A Prony split run is
     sampled from its running history sums, so sampling builds no State;
     other runs are sampled from their materialized state.  dE_numeric
     (centered difference of E across samples) and the identity residual
@@ -400,6 +495,9 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
     if sample_every < 1:
         raise ParamOutOfRange("sample_every", "sample_every must be >= 1")
+    if not T / cfg.dt <= MAX_STEPS:
+        raise ParamOutOfRange(
+            "T", f"T / dt = {T / cfg.dt:.3g} steps exceeds the limit of {MAX_STEPS}")
     n_steps = int(round(T / cfg.dt)) if T > 0 else 0
     if T > 0 and abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
         n_steps = int(np.ceil(T / cfg.dt))

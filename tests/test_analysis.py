@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import membeam as mb
 import membeam.analysis as an
+from membeam import stepper
 from membeam.errors import (
     EnergyUnderflow,
     InfeasibleMultipliers,
+    SingularResolvent,
     WindowTooSmall,
 )
 
@@ -176,6 +180,44 @@ class TestSpectral:
     def test_resolvent_condition_finite(self, small_assembly):
         cond = mb.resolvent_check(small_assembly)
         assert np.isfinite(cond) and cond > 1.0
+
+    def test_resolvent_matches_assembled_estimate(self, monkeypatch):
+        # onenormest draws from the global numpy generator: the same draws
+        # on the assembled sparse LU give the reference estimate
+        asm = make_assembly(Nx=6, ds=0.1, Ns=20, p=np.linspace(0.5, 2.0, 6))
+        M = (sp.identity(asm.dim, format="csc") - asm.generator_matrix).tocsc()
+        lu = spla.splu(M)
+        saved = np.random.get_state()
+        try:
+            np.random.seed(0)
+            ref = spla.norm(M, 1) * spla.onenormest(spla.LinearOperator(
+                M.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T")))
+            shapes = []
+            real = stepper.splu
+
+            def counting(matrix):
+                shapes.append(matrix.shape)
+                return real(matrix)
+
+            monkeypatch.setattr(stepper, "splu", counting)
+            np.random.seed(0)
+            cond = mb.resolvent_check(asm)
+        finally:
+            np.random.set_state(saved)
+        exact = np.abs(M.toarray()).sum(axis=0).max() * np.abs(
+            np.linalg.inv(M.toarray())).sum(axis=0).max()
+        assert shapes == [(18, 18)]
+        assert cond == pytest.approx(ref, rel=1e-10)
+        assert cond <= exact * (1.0 + 1e-10)
+
+    def test_singular_schur_complement_is_singular_resolvent(self, small_assembly,
+                                                             monkeypatch):
+        def singular(matrix):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(stepper, "splu", singular)
+        with pytest.raises(SingularResolvent):
+            mb.resolvent_check(small_assembly)
 
 
 class TestFitDecay:

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from membeam import config, discretization
+import membeam
+from membeam import config, discretization, stepper
 from membeam.cli import CSV_HEADER, default_config_path, main
 from membeam.config import parse_config, with_parameter
 from membeam.errors import ConfigError, IncompatibleBoundary
@@ -347,3 +354,51 @@ class TestExitCodes:
         assert main(["sweep", str(path), "--param", "Nx", "--values", "nan",
                      "--serial"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _small_cfg(tmp_path, old=None, new=None):
+    text = default_config_path("small").read_text()
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new)
+    return write_cfg(tmp_path, text)
+
+
+def _python(tmp_path, *argv, timeout):
+    """Run the interpreter on argv in tmp_path, with this membeam importable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(membeam.__file__).parents[1])] + sys.path))
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestRunLength:
+    def test_zero_final_time_does_not_certify(self, tmp_path, monkeypatch, capsys):
+        # no step taken: the report must not pass
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG.replace("T = 2.0", "T = 0.0"))
+        assert main(["simulate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "check trajectory_recorded: worst=1.000000e+00 tol=2.0e+00 FAIL" in out
+
+    def test_step_count_bounded_before_first_step(self, tmp_path):
+        # T = 1e300 is 1e301 steps; refused from the step count, in seconds
+        path = _small_cfg(tmp_path, "T = 8.0", "T = 1e300")
+        start = time.perf_counter()
+        proc = _python(tmp_path, "-m", "membeam", "simulate", str(path), timeout=60)
+        assert time.perf_counter() - start < 60
+        assert proc.returncode in (1, 2)
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert str(stepper.MAX_STEPS) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "membeam_small.csv").exists()
+
+    def test_split_run_never_imports_scipy_signal(self, tmp_path):
+        # scipy.signal (a slow import) serves the midpoint solver only
+        path = _small_cfg(tmp_path)
+        code = ("import runpy, sys; sys.argv = ['membeam', 'simulate', sys.argv[1]];\n"
+                "try:\n    runpy.run_module('membeam', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+                "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n")
+        proc = _python(tmp_path, "-c", code, str(path), timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -65,14 +65,14 @@ class TestOperators:
     def test_d1_exactly_skew(self, default_params):
         for nx in (4, 9, 32):
             grid = mb.build_spatial_grid(1.0, nx)
-            coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx), grid)
+            coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx))
             ops = mb.build_operators(grid, coeff, default_params)
             asym = sp.linalg.norm(ops.d1 + ops.d1.T, np.inf)
             assert asym == 0.0
 
     def test_dplus_gram_equals_neg_laplacian(self, default_params):
         grid = mb.build_spatial_grid(1.0, 12)
-        coeff = mb.certify_coefficients(np.ones(12), np.ones(12), grid)
+        coeff = mb.certify_coefficients(np.ones(12), np.ones(12))
         ops = mb.build_operators(grid, coeff, default_params)
         err = sp.linalg.norm(ops.dplus.T @ ops.dplus + ops.lap, np.inf)
         assert err <= 1e-12 * sp.linalg.norm(ops.lap, np.inf)
@@ -82,7 +82,7 @@ class TestOperators:
         nx = 24
         grid = mb.build_spatial_grid(1.0, nx)
         p = 1.0 + rng.random(nx)
-        coeff = mb.certify_coefficients(p, np.ones(nx), grid)
+        coeff = mb.certify_coefficients(p, np.ones(nx))
         ops = mb.build_operators(grid, coeff, default_params)
         bih = ops.bih.toarray()
         assert np.max(np.abs(bih - bih.T)) == 0.0
@@ -90,7 +90,7 @@ class TestOperators:
 
     def test_lap_negative_definite(self, default_params):
         grid = mb.build_spatial_grid(1.0, 16)
-        coeff = mb.certify_coefficients(np.ones(16), np.ones(16), grid)
+        coeff = mb.certify_coefficients(np.ones(16), np.ones(16))
         ops = mb.build_operators(grid, coeff, default_params)
         assert sla.eigvalsh(-ops.lap.toarray())[0] > 0.0
 
@@ -98,7 +98,7 @@ class TestOperators:
         lam = {}
         for nx in (64, 128):
             grid = mb.build_spatial_grid(1.0, nx)
-            coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx), grid)
+            coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx))
             ops = mb.build_operators(grid, coeff, default_params)
             lam[nx] = sla.eigvalsh(ops.bih.toarray())[0]
         richardson = lam[128] + (lam[128] - lam[64]) / 3.0

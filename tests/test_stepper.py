@@ -18,6 +18,7 @@ from membeam.errors import (
     DimensionMismatch,
     DimensionTooLarge,
     InconsistentGrid,
+    LinearSolveFailure,
     ParamOutOfRange,
 )
 from membeam.model import State
@@ -358,6 +359,102 @@ def test_table_kernel_step_matches_gather_reference():
     assert hnorm(asm, diff) <= 1e-10 * hnorm(asm, ref.flatten())
 
 
+def _identity_columns(solve, asm):
+    """The matrix of a blockwise solve, applied to each unit vector."""
+    n3, cols = 3 * asm.Nx, []
+    for e in np.eye(asm.dim):
+        w, eta = solve(e[:n3], e[n3:].reshape(asm.Ns, asm.Nx).T)
+        cols.append(np.concatenate([w, eta.T.ravel()]))
+    return np.array(cols).T
+
+
+class TestSchurSolver:
+    """The history-eliminating solver of (I - tau A_h) x = r."""
+
+    @pytest.mark.parametrize("q", [0.25, 0.5, 100.0])
+    @pytest.mark.parametrize("ns", [1, 2, 64])
+    @pytest.mark.parametrize("form", ["prony", "table"])
+    def test_solves_equal_dense_inverse(self, form, ns, q):
+        if form == "prony":
+            kernel, ds = mb.MemoryKernel.prony([1.0, 0.5], [1.0, 3.0]), 0.05
+        else:
+            # mu(s) = 1 - s/5 vanishes at the last node s = Ns ds = 5
+            s = np.linspace(0.0, 5.0, 501)
+            kernel, ds = mb.MemoryKernel.tabulated(s, 1.0 - s / 5.0, np.full(s.size, -0.2)), 5.0 / ns
+        asm = make_assembly(Nx=5, ds=ds, Ns=ns, kernel=kernel,
+                            p=[1.0, 1.2, 0.9, 1.1, 1.3], g=[0.5, 1.0, 1.5, 1.0, 0.7])
+        if form == "table":
+            assert asm.memory_grid.weights[-1] * asm.memory_grid.mu[-1] == 0.0
+        tau = q * ds
+        solver = stepper.SchurSolver(asm, tau)
+        inv = np.linalg.inv(np.eye(asm.dim) - tau * asm.generator_matrix.toarray())
+        scale = np.abs(inv).max()
+        assert np.abs(_identity_columns(solver.solve, asm) - inv).max() <= 1e-12 * scale
+        assert np.abs(_identity_columns(solver.solve_transposed, asm) - inv.T).max() \
+            <= 1e-12 * scale
+
+    def test_apply_is_the_assembled_matrix(self):
+        asm = make_assembly(Nx=5, ds=0.05, Ns=7)
+        solver = stepper.SchurSolver(asm, 0.3)
+        M = np.eye(asm.dim) - 0.3 * asm.generator_matrix.toarray()
+        assert np.abs(_identity_columns(solver.apply, asm) - M).max() <= 1e-13 * np.abs(M).max()
+
+
+def _assembled_cayley_trajectory(state, dt, n_steps):
+    """Reference midpoint step: sparse LU of the assembled I - dt/2 A_h."""
+    asm = state.assembly
+    eye = sp.identity(asm.dim, format="csc")
+    A = asm.generator_matrix
+    lu = splu((eye - (dt / 2.0) * A).tocsc())
+    P = (eye + (dt / 2.0) * A).tocsr()
+    phi = state.flatten()
+    for k in range(1, n_steps + 1):
+        phi = lu.solve(P @ phi)
+        yield k * dt, phi
+
+
+class TestMidpointStep:
+    def test_matches_assembled_cayley_loop(self):
+        # dt = 4 ds: q = tau/ds = 2 away from the split scheme's 1/2
+        kernel = mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0])
+        asm = make_assembly(Nx=8, ds=0.05, Ns=30, kernel=kernel,
+                            p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
+        state = default_initial_state(asm)
+        run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.2, scheme="full_implicit_midpoint")
+                                  ).run(state)
+        for t, ref in _assembled_cayley_trajectory(state, 0.2, 200):
+            run.advance()
+            assert run.t == pytest.approx(t, rel=1e-12)
+            assert hnorm(asm, run.to_state().flatten() - ref) <= 1e-10 * hnorm(asm, ref)
+
+    def test_factorizes_only_the_mechanical_block(self, monkeypatch):
+        calls = []
+        real = stepper.splu
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return real(matrix)
+
+        monkeypatch.setattr(stepper, "splu", counting)
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        mb.simulate(default_initial_state(asm),
+                    mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"), 0.5)
+        assert calls == [(15, 15)]
+        assert "A" not in asm._cache
+
+    @pytest.mark.parametrize("scheme,field", [
+        ("full_implicit_midpoint", "w"), ("full_implicit_midpoint", "eta"),
+        ("split_semilagrangian", "theta"), ("split_semilagrangian", "u")])
+    def test_non_finite_value_fails_the_residual_check(self, scheme, field):
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme=scheme)).run(
+            default_initial_state(asm))
+        run.advance()
+        getattr(run, field)[(2,) * getattr(run, field).ndim] = np.nan
+        with pytest.raises(LinearSolveFailure):
+            run.advance()
+
+
 class TestOracle:
     def test_identity_at_t_zero(self):
         asm = make_assembly(Nx=4, ds=0.125, Ns=8)
@@ -407,7 +504,7 @@ class TestConvergenceOrders:
 
     def test_split_at_least_first_order(self, default_params, exp_kernel):
         grid = mb.build_spatial_grid(1.0, 4)
-        coeff = mb.certify_coefficients(np.full(4, 0.01), np.ones(4), grid)
+        coeff = mb.certify_coefficients(np.full(4, 0.01), np.ones(4))
         ops = mb.build_operators(grid, coeff, default_params)
         T = 0.5
         errs = []
