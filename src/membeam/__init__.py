@@ -34,10 +34,8 @@ from .stepper import (
     SchemeConfig,
     SimulationResult,
     oracle_evolve,
-    read_checkpoint,
     simulate,
     step,
-    write_checkpoint,
 )
 from .analysis import (
     DecayFit,

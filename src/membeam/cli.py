@@ -7,7 +7,8 @@ Subcommands:
     oracle-check <cfg>              dt-halving error table against exp(t A_h)
     sweep <cfg> --param P --values  one simulate + fit per value, concurrent
 
-Exit codes: 0 pass, 1 validation/certification failure, 2 usage/parse error.
+Exit codes: 0 pass, 1 validation/certification failure or internal error,
+2 usage/parse error.
 The environment variable MEMBEAM_LOG sets the log level.  CSV and report
 paths come from the config's [output] section; --csv/--report override.
 """
@@ -36,6 +37,15 @@ from .errors import (
 )
 
 CSV_HEADER = "t,E,D,dE_numeric,identity_residual,F1,F2,I,L"
+
+log = logging.getLogger(__name__)
+
+# The exception classes Python, numpy and scipy raise: from a command they
+# mean a fault of membeam.  An exception class that a caller defines (to
+# stop a command it wraps early, say) is not among them and passes through.
+_INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, BufferError, EOFError,
+                    ImportError, LookupError, MemoryError, NameError, OSError, ReferenceError,
+                    RuntimeError, SystemError, TypeError, ValueError)
 
 
 def default_config_path(name: str = "default") -> Path:
@@ -126,16 +136,18 @@ def cmd_simulate(args) -> int:
     _write_csv(csv_path, result.records)
 
     checks = analysis.certify_trajectory(result.records)
-    lines = [c.format_line() for c in checks]
     try:
         fit = analysis.fit_decay(result.records, (0.2 * cfg.T, cfg.T), "peak_envelope")
-        lines.append(f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} "
-                     f"r2={fit.r2:.6g} window=[{fit.window[0]:g},{fit.window[1]:g}] "
-                     f"method={fit.method}")
+        fit_line = (f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} "
+                    f"r2={fit.r2:.6g} window=[{fit.window[0]:g},{fit.window[1]:g}] "
+                    f"method={fit.method}")
         if fit.gamma_fit <= 0:
             checks.append(analysis.CheckResult("decay_rate_positive", fit.gamma_fit, 0.0, False))
     except MembeamError as exc:
-        lines.append(f"decay fit: unavailable ({exc})")
+        fit_line = f"decay fit: unavailable ({exc})"
+        # worst = fits made, tol = fits needed
+        checks.append(analysis.CheckResult("decay_fit_available", 0.0, 1.0, False))
+    lines = [c.format_line() for c in checks] + [fit_line]
     if setup.assembly.dim <= DENSE_MAX_DIM:
         absc = analysis.spectral_abscissa(setup.assembly)
         lines.append(f"spectral abscissa: {absc:.6g} (dim={setup.assembly.dim})")
@@ -311,6 +323,11 @@ def main(argv=None) -> int:
         return 2
     except MembeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except _INTERNAL_ERRORS as exc:  # one line, no traceback
+        log.debug("internal error", exc_info=True)   # the traceback, at MEMBEAM_LOG=DEBUG
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

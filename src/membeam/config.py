@@ -39,7 +39,6 @@ Violations raise IncompatibleBoundary at build time.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -119,11 +118,6 @@ class RunConfig:
     csv_path: str
     report_path: str
     base_dir: Path = field(default_factory=Path)
-
-    def config_hash(self) -> str:
-        payload = "\n".join(f"{k}={getattr(self, k)}" for k in sorted(vars(self))
-                            if k != "base_dir")
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def parse_config(path) -> RunConfig:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
-from scipy.optimize import brentq
 
 from .errors import (
     DimensionMismatch,
@@ -33,6 +32,10 @@ from .model import CoefficientField, MemoryKernel, PhysicalParams
 # Largest system dimension for which dense computations (spectrum,
 # matrix-exponential oracle) are attempted.
 DENSE_MAX_DIM = 2000
+
+# Bracket width at which the bisection for a Prony kernel's truncation
+# point stops (the default xtol of scipy.optimize.brentq).
+_TRUNC_XTOL = 2e-12
 
 # A run holds a few (Nx, Ns) arrays at once: the state's history, the
 # stepper's ring, gradient and sample temporaries.
@@ -108,6 +111,23 @@ def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> Memory
                       mu0_quadrature=float(weights @ mu), kernel=kernel)
 
 
+def _prony_crossing(kernel: MemoryKernel, bound: float) -> float:
+    """The s > 0 where the decreasing Prony sum mu(s) falls to bound, by
+    bisection to _TRUNC_XTOL (mu(0) > bound)."""
+    lo, hi = 0.0, 1.0
+    while float(kernel.mu(hi)) > bound:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e9:
+            raise TruncationUnreachable("kernel decays too slowly for this tolerance")
+    while hi - lo > _TRUNC_XTOL:
+        mid = 0.5 * (lo + hi)
+        if float(kernel.mu(mid)) > bound:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) -> MemoryGrid:
     """Choose s_max so mu(s_max) <= trunc_tol * mu(ds/2), with ds = dt.
 
@@ -124,13 +144,7 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) 
         raise TruncationUnreachable("kernel vanishes at ds/2; no truncation point exists")
 
     if kernel.form == "prony":
-        f = lambda s: float(kernel.mu(s)) - bound
-        hi = 1.0
-        while f(hi) > 0:
-            hi *= 2.0
-            if hi > 1e9:
-                raise TruncationUnreachable("kernel decays too slowly for this tolerance")
-        s_req = brentq(f, 0.0, hi) if f(0.0) > 0 else ds
+        s_req = _prony_crossing(kernel, bound) if float(kernel.mu(0.0)) > bound else ds
     else:
         idx = np.flatnonzero(kernel.mu_table <= bound)
         if idx.size == 0:
@@ -406,18 +420,6 @@ class GeneratorAssembly:
             [h * (ops.bih - self.params.kappa**2 * ops.lap),
              h * sp.identity(2 * self.Nx),
              sp.kron(sp.diags(mg.weights * mg.mu * h), -ops.lap, format="csr")], format="csr")
-
-    def export_coo(self, path, matrix: str = "generator"):
-        """Write the generator or metric as 'row col value' text, one entry
-        per line, preceded by a header comment with the block ordering."""
-        mat = {"generator": self.generator_matrix, "metric": self.metric_matrix}[matrix].tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# membeam {matrix} matrix, coordinate format\n")
-            fh.write(f"# dim {mat.shape[0]} nnz {mat.nnz}\n")
-            fh.write("# block order: u, v, theta, eta_k by ascending s; "
-                     f"Nx = {self.Nx}, Ns = {self.Ns}\n")
-            for i, j, v in zip(mat.row, mat.col, mat.data):
-                fh.write(f"{i} {j} {v:.17g}\n")
 
 
 def assemble_generator(operators: DiscreteOperators, memory_grid: MemoryGrid,

@@ -22,8 +22,8 @@ Cost of one step and of one diagnostics sample (times measured at
 Nx = 64, dt = 1e-3 on a 2-core x86 machine):
 
     scheme / kernel        step                         sample
-    split, Prony (m modes) O(Nx m) + banded solve,      O(Nx m) from running
-                           ~0.13-0.23 ms, Ns = 18422    sums, ~0.2 ms
+    split, Prony (m modes) O(Nx m) + 3Nx LU solve,      O(Nx m) from running
+                           ~0.1 ms, Ns = 18422          sums, ~0.2 ms
     split, table           one O(Nx Ns) pass,           O(Nx Ns), materializes
                            ~0.45 ms, Ns = 15612         the history, ~16 ms
     midpoint               3Nx LU solve, one history    O(Nx Ns)
@@ -32,10 +32,6 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
 
 A Prony split run refreshes its running sums from the ring every
 _REFRESH_STEPS steps (one O(Nx Ns) pass) and reports the drift.
-
-Checkpoint format (version 1): an .npz archive with fields
-    version, t, u, v, theta, eta, Nx, Ns, ds, h, config_hash
-where eta is the (Nx, Ns) history ordered by ascending s.
 """
 
 from __future__ import annotations
@@ -51,7 +47,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import analysis
-from .analysis import HistorySums, grad_cols, grad_sq_norms
+from .analysis import HistorySums, grad_sq_norms
 from .discretization import DENSE_MAX_DIM, GeneratorAssembly
 from .errors import (
     DimensionMismatch,
@@ -95,11 +91,10 @@ class SchemeConfig:
             raise ParamOutOfRange("scheme", f"scheme must be one of {SCHEMES}")
 
 
-def _check_residual(residual, rhs):
-    """Raise LinearSolveFailure unless ||residual|| <= tol ||rhs||, both
-    taken over all their blocks; a non-finite value never passes."""
-    num = math.hypot(*(np.linalg.norm(r) for r in residual))
-    den = math.hypot(*(np.linalg.norm(r) for r in rhs))
+def _check_residual(residual_sq: float, rhs_sq: float):
+    """Raise LinearSolveFailure unless ||residual|| <= tol ||rhs||, given
+    the squared norms over all blocks; a non-finite value never passes."""
+    num, den = math.sqrt(residual_sq), math.sqrt(rhs_sq)
     if not num <= _LINEAR_SOLVER_TOL * den:
         raise LinearSolveFailure(
             f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
@@ -228,7 +223,9 @@ class _MidpointRun:
         rhs = (2.0 * self.w - m_w, 2.0 * self.eta - m_eta)
         w, eta = solver.solve(*rhs)
         m_phi = solver.apply(w, eta)
-        _check_residual((m_phi[0] - rhs[0], m_phi[1] - rhs[1]), rhs)
+        res_w, res_eta = m_phi[0] - rhs[0], m_phi[1] - rhs[1]
+        _check_residual(np.vdot(res_w, res_w) + np.vdot(res_eta, res_eta),
+                        np.vdot(rhs[0], rhs[0]) + np.vdot(rhs[1], rhs[1]))
         self.w, self.eta, self._m_phi = w, eta, m_phi
         self.t += self.runner.cfg.dt
 
@@ -239,8 +236,27 @@ class _MidpointRun:
 
 
 class _SplitRunner:
-    """Semi-Lagrangian history shift + implicit midpoint mechanical block,
-    with a cached LU factorization of the block's implicit matrix."""
+    """Semi-Lagrangian history shift + implicit midpoint mechanical block:
+    the cached LU factorization of the block's implicit matrix and every
+    fixed coefficient of a step.
+
+    The memory flux is evaluated at the average of the pre- and post-shift
+    histories, m_mid = y + (mu0w dt / 4) (theta^n + theta^{n+1}), with
+    y = (m(eta^n) + m_shift) / 2 known before the solve (see _SplitRun).
+    The theta^{n+1} share sits in M; the rest of the right-hand side
+    P w + dt [theta] lap m_mid is one operator R applied to [w; y],
+
+        R = [P + (mu0w dt^2 / 4) [theta theta] lap | dt [theta] lap],
+
+    with P = I + (dt/2) B.
+
+    A run's per-mode sums are linear in the rows of
+    x = [sigma_1 .. sigma_m, e_1, e_2, C] (see _SplitRun), so each is one
+    fixed row of coefficients: mode_map gives, in this order, y, a zero
+    row (q, filled after the solve), S_1 .. S_m, eta_Ns, eta_Ns-1 and
+    sigma_1 .. sigma_m after the step; moment and shifted_moment give
+    m(eta^n) and m_shift.
+    """
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
         mg = assembly.memory_grid
@@ -249,16 +265,61 @@ class _SplitRunner:
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
         self.memory_grid = mg
         self.cfg = cfg
-        self.nx = assembly.Nx
-        self.wmu = mg.weights * mg.mu
-        self.mu0w = float(np.sum(self.wmu))
-        B = assembly.mechanical_block
-        self.lap = assembly.ops.lap
-        # implicit part of the memory flux through the characteristic source:
-        # flux uses the history average, whose new-time part carries
-        # (mu0w dt / 4) theta^{n+1} into every column.
-        self.M, self.lu = _mechanical_lu(B, self.lap, cfg.dt / 2.0, self.mu0w)
-        self.P = (sp.identity(3 * self.nx, format="csc") + (cfg.dt / 2.0) * B).tocsr()
+        self.nx = nx = assembly.Nx
+        dt, B, lap = cfg.dt, assembly.mechanical_block, assembly.ops.lap
+        wmu = mg.weights * mg.mu
+        mu0w = float(np.sum(wmu))
+        self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
+        P = (sp.identity(3 * nx, format="csr") + (dt / 2.0) * B).tolil()
+        P[2 * nx:, 2 * nx:] = P[2 * nx:, 2 * nx:] + (mu0w * dt * dt / 4.0) * lap
+        flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), dt * lap])
+        # R reads [w; y] from rows that hold a zero (the Dirichlet value)
+        # at both ends, and skips those entries
+        inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
+        self.R = (sp.hstack([P.tocsr(), flux]) @ sp.kron(sp.identity(4), inner)).tocsr()
+
+        kern, ns = mg.kernel, mg.Ns
+        self.prony = kern.form == "prony"
+        if self.prony:
+            mode_mu = kern.amplitudes[None, :] * np.exp(
+                -np.multiply.outer(mg.s_nodes, kern.rates))      # (Ns, modes)
+        else:
+            mode_mu = mg.mu[:, None]
+            # weight of logical zeta_k in the shifted sum: w_{k+1} mu_{k+1},
+            # and 0 for k = Ns
+            self.wshift = np.append(wmu[1:], 0.0)
+        self.wmode = mg.weights[:, None] * mode_mu                # W, (Ns, modes)
+        self.modes = m = mode_mu.shape[1]
+
+        shift = np.zeros((m, m + 3))                              # shift @ x = sig'
+        if self.prony:
+            self.mode_decay = np.exp(-kern.rates * mg.ds)
+            shift[:, :m] = np.diag(self.mode_decay)
+            shift[:, m] = -0.5 * mg.ds * self.mode_decay * mode_mu[ns - 1]
+            if ns > 1:
+                shift[:, m + 1] = -0.5 * mg.ds * self.mode_decay * mode_mu[ns - 2]
+        else:
+            shift[0, m] = 1.0
+        e_c = np.zeros(m + 3)
+        e_c[m + 2] = 1.0
+        ends = np.zeros((2, m + 3))
+        ends[0, m] = ends[1, m + 1] = 1.0
+        self.moment = np.concatenate([np.ones(m), [0.0, 0.0, mu0w]])
+        self.shifted_moment = shift.sum(axis=0) + (mu0w - wmu[0]) * e_c
+        self.mode_map = np.vstack([0.5 * (self.moment + self.shifted_moment), np.zeros(m + 3),
+                                   shift + np.outer(self.wmode[1:].sum(axis=0), e_c),
+                                   ends + e_c,
+                                   shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
+        if self.prony:
+            # Q^{n+1} = exp(-r ds) Q^n + gram.ravel() @ gram_map, with gram
+            # the Gram matrix of the undivided D+ of the rows q, S_j, eta_Ns,
+            # eta_Ns-1: the ||D+ q||^2, <D+ S_j, D+ q> and end-node terms
+            gram_map = np.zeros((m + 3, m + 3, m))
+            gram_map[0, 0] = self.wmode.sum(axis=0)
+            gram_map[0, 1:m + 1] = 2.0 * np.eye(m)
+            gram_map[m + 1, m + 1] = shift[:, m]
+            gram_map[m + 2, m + 2] = shift[:, m + 1]
+            self.gram_map = gram_map.reshape(-1, m) / assembly.grid.h ** 2
 
     def run(self, state: State) -> "_SplitRun":
         return _SplitRun(self, state)
@@ -273,18 +334,33 @@ class _SplitRun:
     new inflow column zeta_1 = -C^n.
 
     The run keeps sigma_j = sum_k W_kj zeta_k per kernel mode j, with
-    W_kj = w_k mu_j(s_k); a tabulated kernel is one mode.  For a Prony
-    kernel, mu_j(s) = a_j exp(-r_j s), so W_{k+1,j} = exp(-r_j ds) W_kj
-    except at the half-weight end node, and the run also keeps
-    Q_j = sum_k W_kj ||D+ eta_k||^2.  Both follow the shift in O(Nx) per mode:
+    W_kj = w_k mu_j(s_k); a tabulated kernel is one mode.  With the
+    shifted sums sig'_j = sum_{k>=2} W_kj zeta_{k-1},
+
+        m(eta^n)      = sum_j sigma_j + mu0w C,
+        m_shift       = sum_j sig'_j + (mu0w - w_1 mu_1) C,
+        sigma_j^{n+1} = sig'_j - w_1 mu_j(s_1) C.
+
+    For a Prony kernel, mu_j(s) = a_j exp(-r_j s), so W_{k+1,j} =
+    exp(-r_j ds) W_kj except at the half-weight end node, and
+    sig'_j = exp(-r_j ds) (sigma_j - ds/2 (mu_j(s_Ns) zeta_Ns
+    + mu_j(s_Ns-1) zeta_Ns-1)).  A table kernel takes sig' from one pass
+    over the ring.  For a Prony kernel the run also keeps
+    Q_j = sum_k W_kj ||D+ eta_k||^2:
 
         Q_j^{n+1} = exp(-r_j ds) (Q_j - end-node terms)
                     + 2 <D+ S_j, D+ q> + (sum_k W_kj) ||D+ q||^2,
 
-    with S_j = sum_{k>=2} W_kj eta_{k-1}.  They give every history sum of a
-    diagnostics record in O(Nx * modes) (history_sums).  Every
-    _REFRESH_STEPS steps both are recomputed from the ring; max_drift keeps
-    the largest relative change a recomputation made.
+    with S_j = sig'_j + (sum_{k>=2} W_kj) C = sum_{k>=2} W_kj eta^n_{k-1}.
+
+    All of these are linear in the rows of x = [sigma_1 .. sigma_m, e_1,
+    e_2, C], where e_1, e_2 are zeta_Ns, zeta_Ns-1 (Prony) or e_1 = sig'
+    (table), so one product with the runner's mode_map gives them.  A step
+    is that product, R [w; y], the LU solve, the residual M w and O(Nx m)
+    updates in preallocated rows.  Every _REFRESH_STEPS steps sigma and Q
+    are recomputed from the ring; max_drift keeps the largest relative
+    change a recomputation made.  history_sums gives every history sum of
+    a diagnostics record in O(Nx m).
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
@@ -293,33 +369,30 @@ class _SplitRun:
         self.runner = runner
         self.assembly = asm
         self.t = state.t
-        self.u = state.u.copy()
-        self.v = state.v.copy()
-        self.theta = state.theta.copy()
-        self.C = np.zeros(asm.Nx)
+        self.prony = runner.prony
+        m = runner.modes
+        # Each row holds an x-profile with a zero at both ends, so D+ of a
+        # row is one difference of neighbours.  _rows: u, v, theta, then
+        # what mode_map makes; _x: the x of the class docstring.
+        self._rows = np.zeros((2 * m + 7, asm.Nx + 2))
+        self._rows[:3, 1:-1] = state.u, state.v, state.theta
+        self._wy = self._rows[:4].reshape(-1)          # [w; y], a view
+        self._x = np.zeros((m + 3, asm.Nx + 2))
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
-        mg = asm.memory_grid
-        kern = mg.kernel
-        self.prony = kern.form == "prony"
+        self._x[:m, 1:-1] = (self.zeta @ runner.wmode).T
+        self._load_ends()
         if self.prony:
-            self.mode_decay = np.exp(-kern.rates * mg.ds)
-            # per-mode kernel samples on the s-grid
-            self.mode_mu = kern.amplitudes[None, :] * np.exp(
-                -np.multiply.outer(mg.s_nodes, kern.rates))   # (Ns, modes)
-        else:
-            self.mode_mu = mg.mu[:, None]
-            # weight of logical zeta_k in the shifted sum: w_{k+1} mu_{k+1},
-            # and 0 for k = Ns
-            self.wshift = np.append(runner.wmu[1:], 0.0)[:, None]
-        self.wmode = mg.weights[:, None] * self.mode_mu       # W, (Ns, modes)
-        self.sigma_modes = self.zeta @ self.wmode
-        if self.prony:
-            self.wmode_sum = self.wmode.sum(axis=0)
-            self.wshift_sum = self.wmode[1:].sum(axis=0)
-            self.quad_modes = grad_sq_norms(self.zeta, asm.grid.h) @ self.wmode
+            self._diff = np.empty((m + 3, asm.Nx + 1))
+            self.quad_modes = grad_sq_norms(self.zeta, asm.grid.h) @ runner.wmode
             self._since_refresh = 0
             self.max_drift = 0.0
+
+    # the state: views of the step buffers
+    u = property(lambda self: self._rows[0, 1:-1])
+    v = property(lambda self: self._rows[1, 1:-1])
+    theta = property(lambda self: self._rows[2, 1:-1])
+    C = property(lambda self: self._x[-1, 1:-1])
 
     # -- history bookkeeping ------------------------------------------------
 
@@ -327,103 +400,64 @@ class _SplitRun:
         zeta = np.roll(self.zeta, -self.head, axis=1) if self.head else self.zeta.copy()
         return zeta + self.C[:, None]
 
-    def _col(self, k: int) -> np.ndarray:
-        """Storage view of logical zeta column k (1-based s index)."""
-        return self.zeta[:, (self.head + k - 1) % self.zeta.shape[1]]
-
-    def _shift_mode_sums(self, sums, last, prev):
-        """sum_{k>=2} W_kj x_{k-1} per Prony mode, from sums_j = sum_k W_kj x_k
-        and the end-node values last = x_Ns, prev = x_{Ns-1}."""
-        mg = self.runner.memory_grid
-        ns = mg.Ns
-        tail = np.multiply.outer(last, self.mode_mu[ns - 1])
-        if ns > 1:
-            tail = tail + np.multiply.outer(prev, self.mode_mu[ns - 2])
-        return (sums - 0.5 * mg.ds * tail) * self.mode_decay
-
-    def _shifted_sigma_modes(self) -> np.ndarray:
-        """Per-mode sums of the shifted zeta: sum_{k>=2} W_kj zeta_{k-1}."""
+    def _load_ends(self):
+        """e_1, e_2 of x for the current ring head."""
+        ns, m = self.zeta.shape[1], self.runner.modes
         if self.prony:
-            ns = self.runner.memory_grid.Ns
-            return self._shift_mode_sums(self.sigma_modes, self._col(ns), self._col(ns - 1))
-        # one pass over the ring against the weights rotated to storage order
-        return self.zeta @ np.roll(self.wshift, self.head, axis=0)
-
-    def _shift_history(self, q: np.ndarray, sig_shift_modes: np.ndarray):
-        """Ring shift plus per-mode sum update."""
-        mg = self.runner.memory_grid
-        ns = mg.Ns
-        if self.prony:
-            # S_j = sum_{k>=2} W_kj eta_{k-1}, the two end columns of eta^n
-            # and q, differenced in one pass
-            cols = np.column_stack([sig_shift_modes + np.multiply.outer(self.C, self.wshift_sum),
-                                    self._col(ns) + self.C, self._col(ns - 1) + self.C, q])
-            g = grad_cols(cols, self.assembly.grid.h)
-            n_last, n_prev, n_q = np.einsum("ij,ij->j", g[:, -3:], g[:, -3:])
-            self.quad_modes = (self._shift_mode_sums(self.quad_modes, n_last, n_prev)
-                               + 2.0 * (g[:, -1] @ g[:, :-3]) + self.wmode_sum * n_q)
-        self.sigma_modes = sig_shift_modes + mg.weights[0] * np.outer(
-            -self.C, self.mode_mu[0])                          # zeta_1 = -C^n
-        self.C = self.C + q
-        self.head = (self.head - 1) % ns
-        self.zeta[:, self.head] = -(self.C - q)               # zeta_1 = -C^n
+            self._x[m, 1:-1] = self.zeta[:, (self.head - 1) % ns]
+            self._x[m + 1, 1:-1] = self.zeta[:, (self.head - 2) % ns]
+        else:
+            # one pass over the ring against the weights rotated to storage order
+            np.matmul(self.zeta, np.roll(self.runner.wshift, self.head), out=self._x[m, 1:-1])
 
     def refresh_mode_sums(self):
         """Recompute the Prony per-mode sums from the ring and record how far
         the running ones had drifted; a no-op right after a recomputation."""
         if self._since_refresh == 0:
             return
-        w = np.roll(self.wmode, self.head, axis=0)           # storage order
-        sigma = self.zeta @ w
+        sigma = self._x[:self.runner.modes, 1:-1]
+        w = np.roll(self.runner.wmode, self.head, axis=0)    # storage order
+        fresh = self.zeta @ w
         quad = grad_sq_norms(self.zeta + self.C[:, None], self.assembly.grid.h) @ w
-        self.max_drift = max(self.max_drift, _rel_change(self.sigma_modes, sigma),
+        self.max_drift = max(self.max_drift, _rel_change(sigma.T, fresh),
                              _rel_change(self.quad_modes, quad))
-        self.sigma_modes, self.quad_modes = sigma, quad
+        sigma[...], self.quad_modes = fresh.T, quad
         self._since_refresh = 0
 
     def history_sums(self) -> HistorySums:
         """Every history sum of the current state from the per-mode sums,
         in O(Nx * modes).  Prony kernels only."""
         run = self.runner
-        mg = run.memory_grid
-        w1mu1 = mg.weights[0] * mg.mu[0]
         return HistorySums(
             hist_mu=float(np.sum(self.quad_modes)),
-            hist_mup=-float(self.quad_modes @ mg.kernel.rates),
-            moment=self.sigma_modes.sum(axis=1) + run.mu0w * self.C,
-            shifted_moment=(self._shifted_sigma_modes().sum(axis=1)
-                            + (run.mu0w - w1mu1) * self.C))
+            hist_mup=-float(self.quad_modes @ run.memory_grid.kernel.rates),
+            moment=(run.moment @ self._x)[1:-1],
+            shifted_moment=(run.shifted_moment @ self._x)[1:-1])
 
     # -- stepping -----------------------------------------------------------
 
     def advance(self):
-        run = self.runner
+        run, rows, x, m = self.runner, self._rows, self._x, self.runner.modes
         nx, dt = run.nx, run.cfg.dt
-        mg = run.memory_grid
-        w1mu1 = mg.weights[0] * mg.mu[0]
-
-        # m(eta) = sum_k w_k mu_k eta_k before and after the shift substep:
-        #   m(eta^n)     = sigma^n + mu0w C^n
-        #   m(eta^{n+1}) = sig_shift + (mu0w - w1 mu1) C^n + mu0w q
-        # with q = dt (theta^n + theta^{n+1})/2 entering the implicit matrix.
-        m_n = self.sigma_modes.sum(axis=1) + run.mu0w * self.C
-        sig_shift_modes = self._shifted_sigma_modes()
-        m_shift = sig_shift_modes.sum(axis=1) + (run.mu0w - w1mu1) * self.C
-
-        # flux at the averaged history; the theta^{n+1} share of q is in M
-        m_mid_known = 0.5 * (m_n + m_shift) + (run.mu0w * dt / 4.0) * self.theta
-        w_old = np.concatenate([self.u, self.v, self.theta])
-        rhs = run.P @ w_old
-        rhs[2 * nx:] += dt * (run.lap @ m_mid_known)
+        np.matmul(run.mode_map, x, out=rows[3:])
+        rhs = run.R @ self._wy
         w_new = run.lu.solve(rhs)
-        _check_residual((run.M @ w_new - rhs,), (rhs,))
+        res = run.M @ w_new
+        res -= rhs
+        _check_residual(res @ res, rhs @ rhs)
 
-        theta_new = w_new[2 * nx:]
-        q = 0.5 * dt * (self.theta + theta_new)
-        self.u = w_new[:nx]
-        self.v = w_new[nx:2 * nx]
-        self.theta = theta_new
-        self._shift_history(q, sig_shift_modes)
+        q = rows[4, 1:-1]
+        np.add(rows[2, 1:-1], w_new[2 * nx:], out=q)
+        q *= 0.5 * dt
+        rows[:3, 1:-1] = w_new.reshape(3, nx)
+        if self.prony:
+            d = np.subtract(rows[4:m + 7, 1:], rows[4:m + 7, :-1], out=self._diff)
+            self.quad_modes = self.quad_modes * run.mode_decay + (d @ d.T).ravel() @ run.gram_map
+        self.head = (self.head - 1) % self.zeta.shape[1]
+        self.zeta[:, self.head] = -x[m + 2, 1:-1]            # zeta_1 = -C^n
+        x[m + 2] += rows[4]
+        x[:m] = rows[m + 7:]
+        self._load_ends()
         self.t += dt
         if self.prony:
             self._since_refresh += 1
@@ -586,31 +620,3 @@ def oracle_evolve(assembly: GeneratorAssembly, phi0: np.ndarray, t: float) -> np
     if key not in assembly._cache:
         assembly._cache[key] = assembly.generator_matrix.toarray()
     return expm_multiply_dense(assembly._cache[key], phi0, t)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-CHECKPOINT_VERSION = 1
-
-
-def write_checkpoint(path, state: State, config_hash: str = ""):
-    asm = state.assembly
-    np.savez(path, version=CHECKPOINT_VERSION, t=state.t, u=state.u, v=state.v,
-             theta=state.theta, eta=state.eta, Nx=asm.Nx, Ns=asm.Ns,
-             ds=asm.memory_grid.ds, h=asm.grid.h, config_hash=config_hash)
-
-
-def read_checkpoint(path, assembly: GeneratorAssembly) -> State:
-    data = np.load(path, allow_pickle=False)
-    if int(data["version"]) != CHECKPOINT_VERSION:
-        raise DimensionMismatch(f"unsupported checkpoint version {data['version']}")
-    if int(data["Nx"]) != assembly.Nx or int(data["Ns"]) != assembly.Ns:
-        raise DimensionMismatch("checkpoint grid does not match the assembly")
-    for name, stored, own in (("ds", data["ds"], assembly.memory_grid.ds),
-                              ("h", data["h"], assembly.grid.h)):
-        if abs(float(stored) - own) > 1e-12 * own:
-            raise DimensionMismatch(
-                f"checkpoint {name} = {float(stored):.17g} does not match the assembly's {own:.17g}")
-    return State(t=float(data["t"]), u=data["u"], v=data["v"], theta=data["theta"],
-                 eta=data["eta"], assembly=assembly)

@@ -55,6 +55,11 @@ report_path = report.txt
 """
 
 
+# TINY_CFG sampled every step: its fit window [0.4, 2] holds enough
+# samples for a decay fit (TINY_CFG itself has 8, fewer than the 10 needed)
+FIT_CFG = TINY_CFG.replace("sample_every = 2", "sample_every = 1")
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -164,21 +169,36 @@ class TestValidateCommand:
 class TestSimulateCommand:
     def test_writes_csv_and_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_cfg(tmp_path, TINY_CFG)
+        path = write_cfg(tmp_path, FIT_CFG)
         assert main(["simulate", str(path)]) == 0
         csv = (tmp_path / "run.csv").read_text().splitlines()
         assert csv[0] == CSV_HEADER
-        assert len(csv) == 1 + 11  # t=0 plus 10 samples at sample_every=2
+        assert len(csv) == 1 + 21  # t=0 plus 20 samples at sample_every=1
         report = (tmp_path / "report.txt").read_text()
         assert "energy_monotone_decay" in report
+        assert "decay fit: gamma=" in report
         assert "spectral abscissa" in report
+
+    def test_too_few_fit_samples_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        # TINY_CFG has 8 samples in its fit window [0.4, 2], fewer than a fit needs
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["simulate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "decay fit: unavailable (only 8 samples in window" in out
+        assert "check decay_fit_available: worst=0.000000e+00 tol=1.0e+00 FAIL" in out
+        assert all(line.endswith("PASS") for line in out.splitlines()
+                   if line.startswith("check ") and "decay_fit_available" not in line)
+        assert len((tmp_path / "run.csv").read_text().splitlines()) == 1 + 11
 
     def test_zero_initial_data_all_zero_columns(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         text = TINY_CFG.replace("u0 = poly 0 0 1 -2 1", "u0 = constant 0.0")
         text = text.replace("theta0 = sine 1.0 1", "theta0 = constant 0.0")
         path = write_cfg(tmp_path, text)
-        assert main(["simulate", str(path)]) == 0
+        # zero energy has no decay rate to fit, so the run does not pass
+        assert main(["simulate", str(path)]) == 1
+        assert "check decay_fit_available" in (tmp_path / "report.txt").read_text()
         rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
         data = np.array([[float(v) for v in row.split(",")] for row in rows])
         np.testing.assert_array_equal(data[:, 1:], 0.0)
@@ -187,7 +207,9 @@ class TestSimulateCommand:
         monkeypatch.chdir(tmp_path)
         text = TINY_CFG.replace("sample_every = 2", "sample_every = 100000")
         path = write_cfg(tmp_path, text)
-        assert main(["simulate", str(path)]) == 0
+        # one sample in the fit window: no fit, so the run does not pass
+        assert main(["simulate", str(path)]) == 1
+        assert "check decay_fit_available" in (tmp_path / "report.txt").read_text()
         rows = (tmp_path / "run.csv").read_text().splitlines()
         assert len(rows) == 3
         assert float(rows[1].split(",")[0]) == 0.0
@@ -195,14 +217,14 @@ class TestSimulateCommand:
 
     def test_deterministic_bytes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_cfg(tmp_path, TINY_CFG)
+        path = write_cfg(tmp_path, FIT_CFG)
         assert main(["simulate", str(path), "--csv", "a.csv"]) == 0
         assert main(["simulate", str(path), "--csv", "b.csv"]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_monotone_energy_column(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        path = write_cfg(tmp_path, TINY_CFG)
+        path = write_cfg(tmp_path, FIT_CFG)
         assert main(["simulate", str(path)]) == 0
         rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
         E = np.array([float(r.split(",")[1]) for r in rows])
@@ -349,6 +371,30 @@ class TestExitCodes:
                      "--serial"]) == 2
         assert "integer" in capsys.readouterr().err
 
+    def test_unexpected_exception_exits_1_in_one_line(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage broke\nsecond line")
+
+        monkeypatch.setattr(stepper, "simulate", broken)
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["internal error: RuntimeError: stage broke second line"]
+        assert "Traceback" not in err
+
+    def test_caller_defined_exception_passes_through(self, tmp_path, monkeypatch):
+        # a caller that wraps a stage may stop the command with its own exception
+        class Stop(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Stop
+
+        monkeypatch.setattr(membeam.cli, "build_setup", stop)
+        with pytest.raises(Stop):
+            main(["simulate", str(write_cfg(tmp_path, TINY_CFG))])
+
     def test_non_finite_sweep_value_is_config_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TINY_CFG)
         assert main(["sweep", str(path), "--param", "Nx", "--values", "nan",
@@ -370,6 +416,15 @@ def _python(tmp_path, *argv, timeout):
         [str(Path(membeam.__file__).parents[1])] + sys.path))
     return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=timeout)
+
+
+def _simulate_then_check(module):
+    """Python source: `membeam simulate argv[1]` must exit 0 without
+    importing module."""
+    return ("import runpy, sys; sys.argv = ['membeam', 'simulate', sys.argv[1]];\n"
+            "try:\n    runpy.run_module('membeam', run_name='__main__')\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+            f"assert {module!r} not in sys.modules, '{module} imported'\n")
 
 
 class TestRunLength:
@@ -395,10 +450,22 @@ class TestRunLength:
 
     def test_split_run_never_imports_scipy_signal(self, tmp_path):
         # scipy.signal (a slow import) serves the midpoint solver only
-        path = _small_cfg(tmp_path)
-        code = ("import runpy, sys; sys.argv = ['membeam', 'simulate', sys.argv[1]];\n"
-                "try:\n    runpy.run_module('membeam', run_name='__main__')\n"
-                "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-                "assert 'scipy.signal' not in sys.modules, 'scipy.signal imported'\n")
-        proc = _python(tmp_path, "-c", code, str(path), timeout=120)
+        proc = _python(tmp_path, "-c", _simulate_then_check("scipy.signal"),
+                       str(_small_cfg(tmp_path)), timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_cli_never_imports_scipy_optimize(self, tmp_path):
+        # a bisection finds the memory truncation point; scipy.optimize
+        # would add about 0.3 s to every process
+        proc = _python(tmp_path, "-c", "import sys, membeam.cli\n"
+                       "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'",
+                       timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        proc = _python(tmp_path, "-c", _simulate_then_check("scipy.optimize"),
+                       str(_small_cfg(tmp_path)), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("name,ns", [("default", 18422), ("small", 93)])
+    def test_shipped_memory_grids(self, name, ns):
+        setup = config.build_setup(parse_config(default_config_path(name)))
+        assert setup.memory_grid.Ns == ns

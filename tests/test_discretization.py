@@ -197,20 +197,6 @@ class TestGeneratorAssembly:
             asm = make_assembly(Nx=6, Ns=10, params=params)
             assert np.isfinite(mb.resolvent_check(asm))
 
-    def test_export_coo_roundtrip(self, tmp_path):
-        asm = make_assembly(Nx=5, Ns=6)
-        path = tmp_path / "gen.txt"
-        asm.export_coo(path, "generator")
-        rows, cols, vals = [], [], []
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    continue
-                i, j, v = line.split()
-                rows.append(int(i)); cols.append(int(j)); vals.append(float(v))
-        rebuilt = sp.csr_matrix((vals, (rows, cols)), shape=(asm.dim, asm.dim))
-        assert (rebuilt - asm.generator_matrix).nnz == 0
-
     def test_block_slices(self):
         asm = make_assembly(Nx=5, Ns=6)
         assert asm.block_slice("u") == slice(0, 5)

@@ -15,7 +15,6 @@ import membeam as mb
 import membeam.analysis as an
 from membeam import stepper
 from membeam.errors import (
-    DimensionMismatch,
     DimensionTooLarge,
     InconsistentGrid,
     LinearSolveFailure,
@@ -311,6 +310,17 @@ class TestRunningHistorySums:
         assert run.history_sums().hist_mu == pytest.approx(full.hist_mu, rel=1e-13)
 
 
+def _reference_rhs(asm, dt, w, m_n, m_shift):
+    """The split step's right-hand side, unfused: P w plus the memory flux
+    dt lap m at the known part of the averaged history."""
+    nx = asm.Nx
+    mu0w = float(np.sum(asm.memory_grid.weights * asm.memory_grid.mu))
+    P = sp.identity(3 * nx, format="csr") + (dt / 2.0) * asm.mechanical_block
+    rhs = P @ w
+    rhs[2 * nx:] += dt * (asm.ops.lap @ (0.5 * (m_n + m_shift) + (mu0w * dt / 4.0) * w[2 * nx:]))
+    return rhs
+
+
 def _parent_table_trajectory(state, cfg, n_steps):
     """Reference table-kernel split step: gather the ring into s order for
     the shifted sum, and recompute sigma from the whole ring every step."""
@@ -328,8 +338,7 @@ def _parent_table_trajectory(state, cfg, n_steps):
         m_n = sigma + mu0w * C
         order = (head + np.arange(ns - 1)) % ns
         m_shift = zeta[:, order] @ wmu[1:] + (mu0w - wmu[0]) * C
-        rhs = runner.P @ np.concatenate([u, v, th])
-        rhs[2 * nx:] += dt * (runner.lap @ (0.5 * (m_n + m_shift) + (mu0w * dt / 4.0) * th))
+        rhs = _reference_rhs(asm, dt, np.concatenate([u, v, th]), m_n, m_shift)
         w_new = lu.solve(rhs)
         q = 0.5 * dt * (th + w_new[2 * nx:])
         u, v, th = w_new[:nx], w_new[nx:2 * nx], w_new[2 * nx:]
@@ -357,6 +366,66 @@ def test_table_kernel_step_matches_gather_reference():
         assert mb.energy(new) == pytest.approx(mb.energy(ref), rel=1e-10, abs=0)
     diff = new.flatten() - ref.flatten()
     assert hnorm(asm, diff) <= 1e-10 * hnorm(asm, ref.flatten())
+
+
+def _parent_prony_trajectory(state, cfg, n_steps):
+    """Reference Prony split step, unfused: per-mode sums sigma_j shifted
+    with exp(-r_j ds) and their end-node terms, m(eta^n) and m_shift
+    summed over the modes, and the right-hand side P w + dt lap m_mid."""
+    asm = state.assembly
+    mg, kern = asm.memory_grid, asm.memory_grid.kernel
+    nx, ns, dt = asm.Nx, asm.Ns, cfg.dt
+    wmu = mg.weights * mg.mu
+    mu0w = float(np.sum(wmu))
+    lu = splu(stepper._get_runner(asm, cfg).M)
+    decay = np.exp(-kern.rates * mg.ds)
+    mode_mu = kern.amplitudes[None, :] * np.exp(-np.multiply.outer(mg.s_nodes, kern.rates))
+    u, v, th = state.u.copy(), state.v.copy(), state.theta.copy()
+    zeta, head, C = state.eta.copy(), 0, np.zeros(nx)
+    sigma = zeta @ (mg.weights[:, None] * mode_mu)
+    for k in range(1, n_steps + 1):
+        tail = np.multiply.outer(zeta[:, (head - 1) % ns], mode_mu[ns - 1])
+        if ns > 1:
+            tail = tail + np.multiply.outer(zeta[:, (head - 2) % ns], mode_mu[ns - 2])
+        sig_shift = (sigma - 0.5 * mg.ds * tail) * decay
+        rhs = _reference_rhs(asm, dt, np.concatenate([u, v, th]), sigma.sum(axis=1) + mu0w * C,
+                             sig_shift.sum(axis=1) + (mu0w - wmu[0]) * C)
+        w_new = lu.solve(rhs)
+        q = 0.5 * dt * (th + w_new[2 * nx:])
+        u, v, th = w_new[:nx], w_new[nx:2 * nx], w_new[2 * nx:]
+        sigma = sig_shift + mg.weights[0] * np.outer(-C, mode_mu[0])
+        C = C + q
+        head = (head - 1) % ns
+        zeta[:, head] = -(C - q)
+        yield State(t=k * dt, u=u, v=v, theta=th,
+                    eta=np.roll(zeta, -head, axis=1) + C[:, None], assembly=asm)
+
+
+class TestFusedPronyStep:
+    """The fused split step against the unfused reference formula."""
+
+    KERNEL = mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0])
+
+    def test_one_step_from_random_states(self):
+        asm = make_assembly(Nx=8, ds=0.05, Ns=30, kernel=self.KERNEL,
+                            p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
+        cfg = mb.SchemeConfig(dt=0.05)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            state = State.unflatten(rng.standard_normal(asm.dim), asm)
+            ref = next(_parent_prony_trajectory(state, cfg, 1)).flatten()
+            diff = mb.step(state, cfg).flatten() - ref
+            assert hnorm(asm, diff) <= 1e-10 * hnorm(asm, ref)
+
+    def test_energy_of_every_step(self):
+        asm = make_assembly(Nx=6, ds=0.01, Ns=50, kernel=self.KERNEL)
+        state = default_initial_state(asm)
+        cfg = mb.SchemeConfig(dt=0.01)
+        run = stepper._get_runner(asm, cfg).run(state)
+        E0 = mb.energy(state)
+        for ref in _parent_prony_trajectory(state, cfg, 2000):
+            run.advance()
+            assert abs(mb.energy(run.to_state()) - mb.energy(ref)) <= 1e-12 * E0
 
 
 def _identity_columns(solve, asm):
@@ -518,37 +587,6 @@ class TestConvergenceOrders:
             errs.append(hnorm(asm, res.final_state.flatten() - ref) / hnorm(asm, ref))
         slopes = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(slopes) >= 0.9
-
-
-class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        state = default_initial_state(asm)
-        state = mb.step(state, mb.SchemeConfig(dt=0.05))
-        path = tmp_path / "state.npz"
-        mb.write_checkpoint(path, state, config_hash="abc123")
-        back = mb.read_checkpoint(path, asm)
-        assert back.t == state.t
-        np.testing.assert_array_equal(back.eta, state.eta)
-        np.testing.assert_array_equal(back.u, state.u)
-
-    def test_spacing_mismatch_rejected(self, tmp_path):
-        # same (Nx, Ns), different ds: the stored history means other s nodes
-        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        other = make_assembly(Nx=5, ds=0.1, Ns=6)
-        path = tmp_path / "state.npz"
-        mb.write_checkpoint(path, default_initial_state(asm))
-        with pytest.raises(DimensionMismatch):
-            mb.read_checkpoint(path, other)
-
-    def test_grid_mismatch_rejected(self, tmp_path):
-        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        other = make_assembly(Nx=6, ds=0.05, Ns=6)
-        state = default_initial_state(asm)
-        path = tmp_path / "state.npz"
-        mb.write_checkpoint(path, state)
-        with pytest.raises(DimensionMismatch):
-            mb.read_checkpoint(path, other)
 
 
 @settings(max_examples=20, deadline=None)
