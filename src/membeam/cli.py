@@ -7,8 +7,9 @@ Subcommands:
     oracle-check <cfg>              dt-halving error table against exp(t A_h)
     sweep <cfg> --param P --values  one simulate + fit per value, concurrent
 
-Exit codes: 0 pass, 1 validation/certification failure or internal error,
-2 usage/parse error.
+Exit codes: 0 pass, 1 validation/certification failure or internal error
+(a built-in, numpy or scipy exception; an exception class a caller defines
+passes through), 2 usage/parse error.
 The environment variable MEMBEAM_LOG sets the log level.  CSV and report
 paths come from the config's [output] section; --csv/--report override.
 """

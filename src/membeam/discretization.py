@@ -33,9 +33,12 @@ from .model import CoefficientField, MemoryKernel, PhysicalParams
 # matrix-exponential oracle) are attempted.
 DENSE_MAX_DIM = 2000
 
-# Bracket width at which the bisection for a Prony kernel's truncation
-# point stops (the default xtol of scipy.optimize.brentq).
+# The bisection for a Prony kernel's truncation point stops once its
+# bracket is narrower than _TRUNC_XTOL + _TRUNC_RTOL*s, the default
+# tolerances of scipy.optimize.brentq.  The relative part keeps the bracket
+# wider than a few float spacings, so the loop ends for any crossing.
 _TRUNC_XTOL = 2e-12
+_TRUNC_RTOL = 4 * np.finfo(float).eps
 
 # A run holds a few (Nx, Ns) arrays at once: the state's history, the
 # stepper's ring, gradient and sample temporaries.
@@ -113,13 +116,13 @@ def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> Memory
 
 def _prony_crossing(kernel: MemoryKernel, bound: float) -> float:
     """The s > 0 where the decreasing Prony sum mu(s) falls to bound, by
-    bisection to _TRUNC_XTOL (mu(0) > bound)."""
+    bisection to _TRUNC_XTOL + _TRUNC_RTOL*s (mu(0) > bound)."""
     lo, hi = 0.0, 1.0
     while float(kernel.mu(hi)) > bound:
         lo, hi = hi, 2.0 * hi
         if hi > 1e9:
             raise TruncationUnreachable("kernel decays too slowly for this tolerance")
-    while hi - lo > _TRUNC_XTOL:
+    while hi - lo > _TRUNC_XTOL + _TRUNC_RTOL * hi:
         mid = 0.5 * (lo + hi)
         if float(kernel.mu(mid)) > bound:
             lo = mid

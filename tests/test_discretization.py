@@ -49,6 +49,24 @@ class TestMemoryGrid:
         assert mg.s_max >= np.log(1e6) / 3.0
         assert mg.Ns == 47
 
+    @pytest.mark.parametrize("amps, rates, dt, tol, ns", [
+        ([1.0], [1e-4], 1.0, 1e-8, 184208),
+        ([0.7, 0.3], [2e-4, 3.0], 0.5, 1e-8, 182364),
+        ([1.0], [1e-5], 10.0, 1e-6, 138156),
+    ])
+    def test_slow_kernel_truncation_matches_brentq(self, amps, rates, dt, tol, ns):
+        # crossings beyond s = 16384, where float spacing exceeds the
+        # absolute bisection tolerance; Ns as brentq's root gave it
+        from scipy.optimize import brentq
+
+        from membeam.discretization import _prony_crossing
+
+        kern = mb.MemoryKernel.prony(amps, rates)
+        assert mb.build_memory_grid(kern, dt=dt, trunc_tol=tol).Ns == ns
+        bound = tol * float(kern.mu(0.5 * dt))
+        ref = brentq(lambda s: float(kern.mu(s)) - bound, 0.0, 2.0 ** 30)
+        assert _prony_crossing(kern, bound) == pytest.approx(ref, rel=1e-12)
+
     def test_short_table_unreachable(self):
         s = np.linspace(0.0, 1.0, 101)
         kern = mb.MemoryKernel.tabulated(s, np.exp(-s), -np.exp(-s))
