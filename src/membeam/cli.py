@@ -202,6 +202,8 @@ def cmd_oracle_check(args) -> int:
     def hnorm(vec):
         return float(np.sqrt(vec @ (H @ vec)))
 
+    if cfg.scheme == "full_implicit_midpoint":
+        ref = stepper.oracle_evolve(setup.assembly, setup.initial_state.flatten(), cfg.T)
     for dt in dts:
         if cfg.scheme == "split_semilagrangian":
             mg = memory_grid_from_counts(setup.kernel, ds=dt, Ns=setup.memory_grid.Ns)
@@ -216,7 +218,6 @@ def cmd_oracle_check(args) -> int:
                                    cfg.T, sample_every=10**9).final_state.flatten()
             err = float(np.sqrt((out - ref) @ (Hd @ (out - ref)) / (ref @ (Hd @ ref))))
         else:
-            ref = stepper.oracle_evolve(setup.assembly, setup.initial_state.flatten(), cfg.T)
             out = stepper.simulate(setup.initial_state,
                                    stepper.SchemeConfig(dt=dt, scheme=cfg.scheme),
                                    cfg.T, sample_every=10**9).final_state.flatten()

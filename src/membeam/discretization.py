@@ -214,32 +214,14 @@ def _clamped_second_difference(Nx: int, h: float) -> sp.csr_matrix:
     so u_xx(0) = 2 u_1 / h^2.  Combined with the trapezoid end-weights this
     yields second-order eigenvalue convergence for the clamped operator.
     """
-    rows, cols, data = [], [], []
-    rows += [0]
-    cols += [0]
-    data += [2.0 / h**2]
-    for i in range(1, Nx + 1):
-        j = i - 1
-        if j - 1 >= 0:
-            rows.append(i); cols.append(j - 1); data.append(1.0 / h**2)
-        rows.append(i); cols.append(j); data.append(-2.0 / h**2)
-        if j + 1 < Nx:
-            rows.append(i); cols.append(j + 1); data.append(1.0 / h**2)
-    rows += [Nx + 1]
-    cols += [Nx - 1]
-    data += [2.0 / h**2]
-    return sp.csr_matrix((data, (rows, cols)), shape=(Nx + 2, Nx))
+    end = (2.0 / h**2) * sp.identity(Nx, format="csr")
+    return sp.vstack([end[0], _dirichlet_laplacian(Nx, h), end[-1]], format="csr")
 
 
 def _banded_upper(matrix: sp.spmatrix, bandwidth: int) -> np.ndarray:
     """Upper-banded storage (scipy 'ab' layout) of a symmetric sparse matrix."""
-    n = matrix.shape[0]
-    dense_diags = np.zeros((bandwidth + 1, n))
-    coo = matrix.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if 0 <= j - i <= bandwidth:
-            dense_diags[bandwidth - (j - i), j] += v
-    return dense_diags
+    return np.vstack([np.concatenate([np.zeros(k), matrix.diagonal(k)])
+                      for k in range(bandwidth, -1, -1)])
 
 
 def _assert_positive_definite(matrix: sp.spmatrix, bandwidth: int, name: str):

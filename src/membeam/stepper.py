@@ -32,6 +32,9 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
 
 A Prony split run refreshes its running sums from the ring every
 _REFRESH_STEPS steps (one O(Nx Ns) pass) and reports the drift.
+
+oracle_evolve is the reference both schemes are tested against:
+exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .errors import (
 )
 from .model import State
 
-_EIGVEC_COND_LIMIT = 1e8
 # Largest relative residual accepted from any linear solve of a step.
 _LINEAR_SOLVER_TOL = 1e-9
 
@@ -585,26 +587,13 @@ def _fill_numeric_derivatives(records):
 # matrix-exponential oracle
 
 
-def expm_multiply_dense(A: np.ndarray, phi0: np.ndarray, t: float) -> np.ndarray:
-    """exp(t A) phi0 by eigen-decomposition, falling back to
-    scaling-and-squaring when the eigenvector matrix is too ill-conditioned."""
-    w, V = sla.eig(A)
-    if np.linalg.cond(V) > _EIGVEC_COND_LIMIT:
-        return sla.expm(t * A) @ phi0
-    resid = np.linalg.norm(A @ V - V * w[None, :]) / max(np.linalg.norm(A), 1e-300)
-    if resid > 1e-8:
-        return sla.expm(t * A) @ phi0
-    coef = sla.solve(V, phi0.astype(complex))
-    out = V @ (np.exp(w * t) * coef)
-    return out.real if np.isrealobj(phi0) else out
-
-
 def oracle_evolve(assembly: GeneratorAssembly, phi0: np.ndarray, t: float) -> np.ndarray:
     """Reference solution exp(t A_h) phi0 for desk-scale assemblies.
 
-    Dense eigen-decomposition with a residual check; systems whose
-    eigenvector matrix exceeds the conditioning threshold use the
-    scaling-and-squaring fallback.  Only intended for tests.
+    One dense scipy.linalg.expm (scaling and squaring with a Pade
+    approximant).  It needs no eigenbasis, which for A_h is badly
+    conditioned: the upwind history block is one Jordan block at -1/ds
+    per x node.  Only intended for tests and oracle-check.
     """
     if assembly.dim > DENSE_MAX_DIM:
         raise DimensionTooLarge(
@@ -616,7 +605,4 @@ def oracle_evolve(assembly: GeneratorAssembly, phi0: np.ndarray, t: float) -> np
         raise DimensionMismatch(f"phi0 has shape {phi0.shape}, expected ({assembly.dim},)")
     if t == 0:
         return phi0.copy()
-    key = ("oracle_eig",)
-    if key not in assembly._cache:
-        assembly._cache[key] = assembly.generator_matrix.toarray()
-    return expm_multiply_dense(assembly._cache[key], phi0, t)
+    return sla.expm(t * assembly.generator_matrix.toarray()) @ phi0

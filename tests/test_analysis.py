@@ -6,7 +6,9 @@ import scipy.sparse.linalg as spla
 import membeam as mb
 import membeam.analysis as an
 from membeam import stepper
+from membeam.discretization import DENSE_MAX_DIM
 from membeam.errors import (
+    DimensionTooLarge,
     EnergyUnderflow,
     InfeasibleMultipliers,
     SingularResolvent,
@@ -177,6 +179,12 @@ class TestSpectral:
             asm = make_assembly(Nx=nx, ds=ds, Ns=ns)
             assert mb.spectral_abscissa(asm) <= 1e-10
 
+    def test_abscissa_above_the_cap_refused(self):
+        asm = make_assembly(Nx=32, ds=0.05, Ns=80)
+        assert asm.dim > DENSE_MAX_DIM
+        with pytest.raises(DimensionTooLarge):
+            mb.spectral_abscissa(asm)
+
     def test_resolvent_condition_finite(self, small_assembly):
         cond = mb.resolvent_check(small_assembly)
         assert np.isfinite(cond) and cond > 1.0
@@ -209,6 +217,25 @@ class TestSpectral:
         assert shapes == [(18, 18)]
         assert cond == pytest.approx(ref, rel=1e-10)
         assert cond <= exact * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("ns", [1, 2, 20])
+    @pytest.mark.parametrize("form", ["prony", "tabulated"])
+    def test_block_norm_matches_assembled(self, form, ns, beta):
+        # the table ends in a zero at s = Ns ds, so the last history weight is 0
+        if form == "prony":
+            kernel, ds = mb.MemoryKernel.prony([0.7, 1.3], [0.5, 2.0]), 0.1
+        else:
+            s = np.linspace(0.0, 4.0, 81)
+            kernel, ds = mb.MemoryKernel.tabulated(s, np.where(s < 4.0, np.exp(-s), 0.0)), 4.0 / ns
+        rng = np.random.default_rng(ns)
+        asm = make_assembly(Nx=7, ds=ds, Ns=ns, kernel=kernel,
+                            params=mb.derive_params(0.5, 1.0, 0.5, beta),
+                            p=rng.uniform(0.5, 2.0, 7), g=rng.uniform(0.5, 2.0, 7))
+        assert np.isfinite(mb.resolvent_check(asm))
+        assert "A" not in asm._cache
+        assembled = spla.norm(sp.identity(asm.dim, format="csc") - asm.generator_matrix, 1)
+        assert an._resolvent_norm1(asm) == assembled
 
     def test_singular_schur_complement_is_singular_resolvent(self, small_assembly,
                                                              monkeypatch):
@@ -283,6 +310,15 @@ class TestCertifyTrajectory:
         names = {c.name for c in results}
         assert {"energy_monotone_decay", "lemma_F1_derivative",
                 "sandwich_lower", "sandwich_upper"} <= names
+
+    @pytest.mark.parametrize("attr", ["lemma42_lhs", "sandwich_high"])
+    def test_nan_side_fails(self, attr):
+        asm = make_assembly(Nx=8, ds=0.05, Ns=24)
+        res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5,
+                          sample_every=2)
+        setattr(res.records[2], attr, np.nan)
+        failed = {c.name for c in an.certify_trajectory(res.records) if not c.passed}
+        assert failed == {"lemma_F1_derivative" if attr == "lemma42_lhs" else "sandwich_upper"}
 
     def test_identity_residual_definition(self):
         asm = make_assembly(Nx=8, ds=0.05, Ns=24)

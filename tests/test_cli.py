@@ -1,11 +1,16 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import membeam
 from membeam import config, discretization, stepper
@@ -298,7 +303,12 @@ class TestSweepCommand:
         """With beta = 0 the fitted rate equals the decoupled damped-beam
         rate 2 g0 (every underdamped mode has real part -g0).  dt must
         resolve the fastest beam mode, else the midpoint block leaves it
-        underdamped and it pollutes the late fit window."""
+        underdamped and it pollutes the late fit window.  Above the dense
+        cap (dim 5544 here) the sweep never assembles A_h."""
+        def unreachable(self):
+            raise AssertionError("A_h assembled above the dense cap")
+
+        monkeypatch.setattr(discretization.GeneratorAssembly, "_build_generator", unreachable)
         monkeypatch.chdir(tmp_path)
         text = TINY_CFG.replace("T = 2.0", "T = 6.0")
         text = text.replace("dt = 0.1", "dt = 0.01")
@@ -400,6 +410,50 @@ class TestExitCodes:
         assert main(["sweep", str(path), "--param", "Nx", "--values", "nan",
                      "--serial"]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+# Each scalar line of TINY_CFG, with a finite range small enough that a run
+# stays well under a second (its dense abscissa is below dimension 800).
+# Every scalar also draws zero, negative, tiny, huge and non-finite values;
+# the huge Nx are refused from the history size before any allocation.
+_FLOAT_SPECIALS = ("nan", "inf", "-inf", "0.0", "-1.0", "-1e300", "1e-300", "5e-324", "1e300")
+_INT_SPECIALS = ("nan", "inf", "0", "-1", "2.5", str(10**9), str(10**15))
+_SCALARS = {
+    "dt = 0.1": st.floats(0.08, 1.0).map(repr),
+    "T = 2.0": st.floats(0.0, 4.0).map(repr),
+    "Nx = 6": st.integers(-2, 8).map(str),
+    "kappa = 0.5": st.floats(0.05, 5.0).map(repr),
+    "beta = 1.0": st.floats(0.0, 5.0).map(repr),
+    "lambda1 = 0.5": st.floats(0.01, 0.99).map(repr),
+    "lambda2 = 1.0": st.floats(0.1, 10.0).map(repr),
+    "trunc_tol = 1e-4": st.floats(1e-5, 0.99).map(repr),
+    "rates = 1.0": st.floats(0.8, 50.0).map(repr),
+    "sample_every = 2": st.integers(-2, 30).map(str),
+}
+
+
+def _scalar_case(line):
+    specials = _INT_SPECIALS if line.startswith(("Nx", "sample_every")) else _FLOAT_SPECIALS
+    return st.tuples(st.just(line), st.one_of(st.sampled_from(specials), _SCALARS[line]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_SCALARS)).flatmap(_scalar_case))
+def test_run_file_scalar_fuzz(case):
+    """simulate on TINY_CFG with one scalar replaced exits 0, 1 or 2 with
+    nothing escaping main, and a non-finite value never exits 0."""
+    line, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(TINY_CFG.replace(line, f"{line.split(' = ')[0]} = {value}"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", str(path), "--csv", str(Path(tmp) / "run.csv"),
+                         "--report", str(Path(tmp) / "report.txt")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if value.lstrip("-") in ("nan", "inf"):
+        assert code != 0
 
 
 def _small_cfg(tmp_path, old=None, new=None):

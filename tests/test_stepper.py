@@ -21,7 +21,6 @@ from membeam.errors import (
     ParamOutOfRange,
 )
 from membeam.model import State
-from membeam.stepper import expm_multiply_dense
 
 from conftest import default_initial_state, make_assembly
 from test_acceptance import build_default_assembly
@@ -54,10 +53,6 @@ class TestStep:
         # x^1 = x^0 (1 + a dt/2) / (1 - a dt/2) for a scalar generator
         a, dt, x0 = -2.0, 0.3, 1.7
         A = np.array([[a]])
-        out = expm_multiply_dense(A, np.array([x0]), dt)
-        exact = x0 * math.exp(a * dt)
-        assert out[0] == pytest.approx(exact, rel=1e-12)
-        # midpoint on the same scalar system
         M = sp.identity(1, format="csc") - (dt / 2) * sp.csc_matrix(A)
         P = sp.identity(1, format="csr") + (dt / 2) * sp.csr_matrix(A)
         from scipy.sparse.linalg import splu
@@ -530,9 +525,13 @@ class TestOracle:
         phi = np.random.default_rng(0).standard_normal(asm.dim)
         np.testing.assert_array_equal(mb.oracle_evolve(asm, phi, 0.0), phi)
 
-    def test_diagonal_decay(self):
-        out = expm_multiply_dense(np.diag([-1.0, -2.0]), np.array([1.0, 1.0]), 1.0)
-        np.testing.assert_allclose(out, [math.exp(-1), math.exp(-2)], rtol=1e-12)
+    def test_semigroup_property(self):
+        # exp(0.7 A) = exp(0.4 A) exp(0.3 A)
+        asm = make_assembly(Nx=4, ds=0.125, Ns=8)
+        phi0 = np.random.default_rng(1).standard_normal(asm.dim)
+        once = mb.oracle_evolve(asm, phi0, 0.7)
+        twice = mb.oracle_evolve(asm, mb.oracle_evolve(asm, phi0, 0.3), 0.4)
+        assert hnorm(asm, once - twice) <= 1e-12 * hnorm(asm, once)
 
     def test_h_norm_nonincreasing(self):
         asm = make_assembly(Nx=4, ds=0.125, Ns=8)
@@ -546,15 +545,6 @@ class TestOracle:
         assert asm.dim > 2000
         with pytest.raises(DimensionTooLarge):
             mb.oracle_evolve(asm, np.zeros(asm.dim), 1.0)
-
-    def test_defective_fallback_matches_expm(self):
-        # a Jordan block has a maximally ill-conditioned eigenbasis
-        n = 12
-        A = np.diag(-np.ones(n)) + np.diag(np.ones(n - 1), 1)
-        phi = np.ones(n)
-        out = expm_multiply_dense(A, phi, 0.7)
-        import scipy.linalg as sla
-        np.testing.assert_allclose(out, sla.expm(0.7 * A) @ phi, rtol=1e-12)
 
 
 class TestConvergenceOrders:
