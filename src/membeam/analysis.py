@@ -31,6 +31,7 @@ from .errors import (
     EigensolveFailed,
     EnergyUnderflow,
     InfeasibleMultipliers,
+    LinearSolveFailure,
     ParamOutOfRange,
     SingularResolvent,
     WindowTooSmall,
@@ -228,17 +229,23 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
     beta, kappa, l = params.beta, params.kappa, params.l
     a3, a4 = coefficients.alpha3, coefficients.alpha4
 
+    # squares as products: past the float range they give inf or 0, not an
+    # exception, and the range checks below name them
+    kappa2, beta2 = kappa * kappa, beta * beta
+    if not kappa2 > 0:
+        raise ParamOutOfRange("kappa", f"kappa^2 = {kappa:g}^2 underflows to 0")
+
     C1 = beta * mu0 * sigma2 / 2.0
     C2 = l * mu0 * sigma1 / 2.0
     C3 = l / (2.0 * sigma1 * delta1) + mu0 * beta / (2.0 * sigma2 * delta1) + l * mu0 / delta1
 
     N1 = 1.0
-    n2_floor = N1 * beta**2 / (2.0 * kappa**2 * (mu0 - sigma3 / 2.0))
+    n2_floor = N1 * beta2 / (2.0 * kappa2 * (mu0 - sigma3 / 2.0))
     N2 = slack * n2_floor if n2_floor > 0 else 1.0
     n_floor = max((Ckappa * N1 + C1 * N2) / (2.0 * a3),
                   N2 * C2 / l,
                   2.0 * N2 * (C3 + Cp / (2.0 * sigma3)))
-    zeta1 = max((sigma + 2.0 * a4) * Cp / kappa**2, 1.0 / sigma)
+    zeta1 = max((sigma + 2.0 * a4) * Cp / kappa2, 1.0 / sigma)
     zeta2 = max(mu0, Cp)
     gamma0 = N1 * zeta1 + N2 * zeta2
     N = slack * max(n_floor, gamma0)
@@ -247,7 +254,13 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
     gamma2 = N + gamma0
     ct1 = 2.0 * a3 * N - Ckappa * N1 - C1 * N2
     ct3 = N / 2.0 - N2 * (C3 + Cp / (2.0 * sigma3))
-    ct4 = N2 * (mu0 - sigma3 / 2.0) - N1 * beta**2 / (2.0 * kappa**2)
+    ct4 = N2 * (mu0 - sigma3 / 2.0) - N1 * beta2 / (2.0 * kappa2)
+    derived = {"kappa^2": kappa2, "beta^2": beta2, "C1": C1, "C3": C3, "N2": N2,
+               "zeta1": zeta1, "N": N, "gamma2": gamma2, "ct1": ct1, "ct3": ct3, "ct4": ct4}
+    overflowed = [name for name, value in derived.items() if not math.isfinite(value)]
+    if overflowed:
+        raise InfeasibleMultipliers(
+            f"derived constants out of floating-point range: {', '.join(overflowed)}")
     if min(ct1, ct3, ct4, gamma1) <= 0:
         raise InfeasibleMultipliers("derived Lyapunov coefficients are not all positive")
     lam = 2.0 * min(N1, N1 / 4.0, ct1, ct4, ct3 * delta1)
@@ -411,7 +424,7 @@ def resolvent_check(assembly: GeneratorAssembly) -> float:
 
     try:
         solver = SchurSolver(assembly, 1.0)
-    except RuntimeError as exc:
+    except LinearSolveFailure as exc:
         raise SingularResolvent(str(exc)) from exc
     n3, ns, dim = 3 * assembly.Nx, assembly.Ns, assembly.dim
 

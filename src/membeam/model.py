@@ -70,8 +70,9 @@ class PhysicalParams:
         if not 0 <= self.beta < np.inf:
             raise ParamOutOfRange("beta", f"beta = {self.beta} negative")
         expected = (1.0 - self.lambda1) / self.lambda2
-        if not (self.l > 0) or abs(self.l - expected) > 1e-12 * max(1.0, expected):
-            raise ParamOutOfRange("l", "l must equal (1 - lambda1)/lambda2 > 0")
+        if not 0 < self.l < np.inf or abs(self.l - expected) > 1e-12 * max(1.0, expected):
+            raise ParamOutOfRange("l", f"l = {self.l} must equal (1 - lambda1)/lambda2, "
+                                  "finite and > 0")
 
 
 def derive_params(lambda1: float, lambda2: float, kappa: float, beta: float) -> PhysicalParams:

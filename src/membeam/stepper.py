@@ -26,9 +26,10 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
                            ~0.1 ms, Ns = 18422          sums, ~0.2 ms
     split, table           one O(Nx Ns) pass,           O(Nx Ns), materializes
                            ~0.45 ms, Ns = 15612         the history, ~16 ms
-    midpoint               3Nx LU solve, one history    O(Nx Ns)
-                           recurrence pass and the
-                           residual, ~29 ms, Ns = 18422
+    midpoint               3Nx LU solve, one banded     O(Nx Ns)
+                           history solve (LAPACK) and
+                           the residual, in place,
+                           ~25 ms, Ns = 18422
 
 A Prony split run refreshes its running sums from the ring every
 _REFRESH_STEPS steps (one O(Nx Ns) pass) and reports the drift.
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtbtrs
 from scipy.sparse.linalg import splu
 
 from . import analysis
@@ -111,12 +113,16 @@ def _check_history_shape(state: State):
 
 def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
     """M = I - tau B - tau^2 gain [theta theta] lap and its LU: the 3Nx
-    block left of an implicit step once the history is eliminated."""
+    block left of an implicit step once the history is eliminated.  A
+    singular M raises LinearSolveFailure."""
     nx = lap.shape[0]
     M = (sp.identity(3 * nx, format="csc") - tau * B).tolil()
     M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - (tau * tau * gain) * lap
     M = M.tocsc()
-    return M, splu(M)
+    try:
+        return M, splu(M)
+    except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
+        raise LinearSolveFailure(f"mechanical block of the implicit step: {exc}") from exc
 
 
 class SchurSolver:
@@ -129,60 +135,96 @@ class SchurSolver:
 
         L eta_i = r_eta,i + tau theta_i 1,   L = (1 + q) I - q S,
 
-    at every x node i: a first-order recurrence, solved by one
-    scipy.signal.lfilter pass along s.  With g = L^{-T} wmu the theta row
-    sees the history only through wmu . L^{-1} r_eta = g . r_eta and
-    tau (g . 1) theta, which leaves the Schur complement
+    at every x node i: a first-order recurrence.  L / (1 + q) is unit lower
+    bidiagonal, so one LAPACK banded triangular solve (dtbtrs) of the
+    C-ordered (Nx, Ns) right-hand side z / (1 + q), read as Nx columns of
+    length Ns, gives L^{-1} z in place: y_k = z_k / (1 + q) + q / (1 + q)
+    y_{k-1}.  With g = L^{-T} wmu the theta row sees the history only
+    through wmu . L^{-1} r_eta = g . r_eta and tau (g . 1) theta, which
+    leaves the Schur complement
 
         I - tau B - tau^2 (g . 1) [theta theta] lap,
 
     nonsingular exactly when I - tau A_h is.  Once w is known, the history
     is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
-    the same LU and L^T, a recurrence run from s_Ns down.  The solver keeps
-    no reference to its assembly.
+    the same LU and L^T, a recurrence run from s_Ns down.  solve,
+    solve_transposed and apply take inputs of any layout, leave them
+    untouched and return new arrays; the midpoint run calls the blockwise
+    methods on its own buffers.  The solver keeps no reference to its
+    assembly.
     """
 
     def __init__(self, assembly: GeneratorAssembly, tau: float):
-        from scipy.signal import lfilter   # slow import; the split scheme never needs it
-
         mg = assembly.memory_grid
-        self.nx = assembly.Nx
+        self.nx, self.ns = assembly.Nx, assembly.Ns
         self.tau = tau
         self.q = tau / mg.ds
+        self.c = 1.0 / (1.0 + self.q)
         self.wmu = mg.weights * mg.mu
         self.B = assembly.mechanical_block
         self.lap = assembly.ops.lap
-        self._lfilter = lfilter
-        self._filter = ([1.0 / (1.0 + self.q)], [1.0, -self.q / (1.0 + self.q)])
-        self.g = self._sweep(self.wmu[None, :], transposed=True)[0]
+        # L / (1 + q) in LAPACK's lower band storage: the unit diagonal
+        # (not read with diag="U") over the subdiagonal
+        self._band = np.asfortranarray([np.ones(self.ns),
+                                        np.full(self.ns, -self.q / (1.0 + self.q))])
+        self.g = self._recurrence(self.c * self.wmu[None, :], transposed=True)[0]
         _, self.lu = _mechanical_lu(self.B, self.lap, tau, float(np.sum(self.g)))
 
-    def _sweep(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """L^{-1} z along s, or L^{-T} z."""
-        if transposed:
-            return self._lfilter(*self._filter, z[:, ::-1], axis=1)[:, ::-1]
-        return self._lfilter(*self._filter, z, axis=1)
+    def _recurrence(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """L^{-1} (1 + q) z along s, or L^{-T} (1 + q) z, written over the
+        (Nx, Ns) array z when it is C-ordered (LAPACK copies any other
+        layout, so callers use the returned array)."""
+        y, info = dtbtrs(self._band, z.T, uplo="L", trans="T" if transposed else "N",
+                         diag="U", overwrite_b=1)
+        if info != 0:
+            raise LinearSolveFailure(f"banded history solve: LAPACK dtbtrs info = {info}")
+        return y.T
+
+    def _apply_w(self, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """The (u, v, theta) rows of (I - tau A_h)(w, eta)."""
+        out = w - self.tau * (self.B @ w)
+        out[2 * self.nx:] -= self.tau * (self.lap @ (eta @ self.wmu))
+        return out
+
+    def _apply_eta(self, eta: np.ndarray, theta: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+        """The history rows (1 + q) eta - q S eta - tau theta 1^T, formed in
+        out; scratch is overwritten."""
+        q = self.q
+        np.multiply(eta, 1.0 + q, out=out)
+        out[:, 1:] -= np.multiply(eta[:, :-1], q, out=scratch[:, 1:])
+        out -= self.tau * theta[:, None]
+        return out
+
+    def _solve_w(self, r_w: np.ndarray, r_eta: np.ndarray) -> np.ndarray:
+        """The (u, v, theta) block of the solution: one 3Nx LU solve."""
+        rhs = r_w.copy()
+        rhs[2 * self.nx:] += self.tau * (self.lap @ (r_eta @ self.g))
+        return self.lu.solve(rhs)
+
+    def _solve_eta(self, r_eta: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The history block L^{-1} (r_eta + tau theta 1^T), from the scaled
+        source formed in the C-ordered (Nx, Ns) buffer out."""
+        np.add(r_eta, self.tau * theta[:, None], out=out)
+        out *= self.c
+        return self._recurrence(out)
+
+    def _history_buffer(self) -> np.ndarray:
+        return np.empty((self.nx, self.ns))
 
     def apply(self, w: np.ndarray, eta: np.ndarray):
         """(I - tau A_h)(w, eta), blockwise."""
-        th, tau, q = slice(2 * self.nx, None), self.tau, self.q
-        out_w = w - tau * (self.B @ w)
-        out_w[th] -= tau * (self.lap @ (eta @ self.wmu))
-        out_eta = (1.0 + q) * eta
-        out_eta[:, 1:] -= q * eta[:, :-1]
-        out_eta -= tau * w[th, None]
-        return out_w, out_eta
+        out, scratch = self._history_buffer(), self._history_buffer()
+        return self._apply_w(w, eta), self._apply_eta(eta, w[2 * self.nx:], out, scratch)
 
     def solve(self, r_w: np.ndarray, r_eta: np.ndarray):
-        th = slice(2 * self.nx, None)
-        rhs = r_w.copy()
-        rhs[th] += self.tau * (self.lap @ (r_eta @ self.g))
-        w = self.lu.solve(rhs)
-        return w, self._sweep(r_eta + self.tau * w[th, None])
+        w = self._solve_w(r_w, r_eta)
+        return w, self._solve_eta(r_eta, w[2 * self.nx:], self._history_buffer())
 
     def solve_transposed(self, r_w: np.ndarray, r_eta: np.ndarray):
         th = slice(2 * self.nx, None)
-        eta = self._sweep(r_eta, transposed=True)
+        eta = self._recurrence(np.multiply(r_eta, self.c, out=self._history_buffer()),
+                               transposed=True)
         rhs = r_w.copy()
         rhs[th] += self.tau * eta.sum(axis=1)
         w = self.lu.solve(rhs, trans="T")
@@ -205,9 +247,17 @@ class _MidpointRun:
     """(u, v, theta) as one 3Nx vector w, the history as an (Nx, Ns) array.
 
     A step solves M Phi^{n+1} = P Phi^n with M = I - tau A_h and
-    P = I + tau A_h = 2I - M: one 3Nx LU solve and one pass of the history
-    recurrence.  The full-system residual M Phi^{n+1} - P Phi^n is checked
-    blockwise; M Phi^{n+1} is kept to give the next step's P Phi^{n+1}.
+    P = I + tau A_h = 2I - M: one 3Nx LU solve and one banded solve of the
+    history recurrence.  The full-system residual M Phi^{n+1} - P Phi^n is
+    checked blockwise; M Phi^{n+1} is kept to give the next step's P Phi^{n+1}.
+
+    The history blocks live in five (Nx, Ns) buffers allocated once: eta,
+    _m_eta (its image under M) and three work arrays.  A step forms the
+    right-hand side 2 eta - _m_eta in the first (and later the residual),
+    the new history in the second (the recurrence overwrites its scaled
+    source) and its image under M in the third, with the spent _m_eta as
+    scratch; then the buffers trade places.  A step that fails its check
+    leaves t, w and eta as they were, but not _m_eta: the run is spent.
     """
 
     def __init__(self, runner: _MidpointRunner, state: State):
@@ -217,18 +267,25 @@ class _MidpointRun:
         self.t = state.t
         self.w = np.concatenate([state.u, state.v, state.theta])
         self.eta = state.eta.copy()
-        self._m_phi = runner.solver.apply(self.w, self.eta)
+        self._m_w, self._m_eta = runner.solver.apply(self.w, self.eta)
+        self._work = [np.empty_like(self.eta) for _ in range(3)]
 
     def advance(self):
-        solver = self.runner.solver
-        m_w, m_eta = self._m_phi
-        rhs = (2.0 * self.w - m_w, 2.0 * self.eta - m_eta)
-        w, eta = solver.solve(*rhs)
-        m_phi = solver.apply(w, eta)
-        res_w, res_eta = m_phi[0] - rhs[0], m_phi[1] - rhs[1]
-        _check_residual(np.vdot(res_w, res_w) + np.vdot(res_eta, res_eta),
-                        np.vdot(rhs[0], rhs[0]) + np.vdot(rhs[1], rhs[1]))
-        self.w, self.eta, self._m_phi = w, eta, m_phi
+        solver, th = self.runner.solver, slice(2 * self.assembly.Nx, None)
+        rhs_eta, new_eta, new_m_eta = self._work
+        rhs_w = 2.0 * self.w - self._m_w
+        np.multiply(self.eta, 2.0, out=rhs_eta)
+        rhs_eta -= self._m_eta
+        w = solver._solve_w(rhs_w, rhs_eta)
+        eta = solver._solve_eta(rhs_eta, w[th], new_eta)
+        m_w = solver._apply_w(w, eta)
+        m_eta = solver._apply_eta(eta, w[th], new_m_eta, scratch=self._m_eta)
+        rhs_sq = np.vdot(rhs_w, rhs_w) + np.vdot(rhs_eta, rhs_eta)
+        res_w = m_w - rhs_w
+        res_eta = np.subtract(m_eta, rhs_eta, out=rhs_eta)
+        _check_residual(np.vdot(res_w, res_w) + np.vdot(res_eta, res_eta), rhs_sq)
+        self._work = [rhs_eta, self.eta, self._m_eta]
+        self.w, self.eta, self._m_w, self._m_eta = w, eta, m_w, m_eta
         self.t += self.runner.cfg.dt
 
     def to_state(self) -> State:

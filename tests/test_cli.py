@@ -456,6 +456,21 @@ def test_run_file_scalar_fuzz(case):
         assert code != 0
 
 
+@pytest.mark.parametrize("name,value", [
+    ("kappa", "1e300"), ("beta", "1e300"), ("kappa", "1e-300"), ("lambda2", "5e-324")])
+def test_extreme_scalar_is_a_named_error(tmp_path, capsys, name, value):
+    # squares and quotients of these leave the float range: kappa^2, beta^2
+    # and l = (1 - lambda1)/lambda2 are range-checked and named
+    line = next(line for line in _SCALARS if line.split(" = ")[0] == name)
+    path = write_cfg(tmp_path, TINY_CFG.replace(line, f"{name} = {value}"))
+    code = main(["simulate", str(path), "--csv", str(tmp_path / "run.csv"),
+                 "--report", str(tmp_path / "report.txt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ") and "internal error" not in err
+
+
 def _small_cfg(tmp_path, old=None, new=None):
     text = default_config_path("small").read_text()
     if old is not None:
@@ -472,10 +487,10 @@ def _python(tmp_path, *argv, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def _simulate_then_check(module):
-    """Python source: `membeam simulate argv[1]` must exit 0 without
-    importing module."""
-    return ("import runpy, sys; sys.argv = ['membeam', 'simulate', sys.argv[1]];\n"
+def _run_then_check(module):
+    """Python source: `membeam argv[1:]` must exit 0 without importing
+    module."""
+    return ("import runpy, sys; sys.argv = ['membeam', *sys.argv[1:]];\n"
             "try:\n    runpy.run_module('membeam', run_name='__main__')\n"
             "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
             f"assert {module!r} not in sys.modules, '{module} imported'\n")
@@ -502,11 +517,15 @@ class TestRunLength:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "membeam_small.csv").exists()
 
-    def test_split_run_never_imports_scipy_signal(self, tmp_path):
-        # scipy.signal (a slow import) serves the midpoint solver only
-        proc = _python(tmp_path, "-c", _simulate_then_check("scipy.signal"),
-                       str(_small_cfg(tmp_path)), timeout=120)
-        assert proc.returncode == 0, proc.stderr
+    def test_cli_never_imports_scipy_signal(self, tmp_path):
+        # a LAPACK banded solve runs the midpoint history recurrence;
+        # scipy.signal (with scipy.stats) would add about 1 s to a process
+        path = str(_small_cfg(tmp_path, "scheme = split_semilagrangian",
+                              "scheme = full_implicit_midpoint"))
+        for argv in (["simulate", path],
+                     ["sweep", path, "--param", "beta", "--values", "1.0", "--serial"]):
+            proc = _python(tmp_path, "-c", _run_then_check("scipy.signal"), *argv, timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
 
     def test_cli_never_imports_scipy_optimize(self, tmp_path):
         # a bisection finds the memory truncation point; scipy.optimize
@@ -515,8 +534,8 @@ class TestRunLength:
                        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'",
                        timeout=120)
         assert proc.returncode == 0, proc.stderr
-        proc = _python(tmp_path, "-c", _simulate_then_check("scipy.optimize"),
-                       str(_small_cfg(tmp_path)), timeout=120)
+        proc = _python(tmp_path, "-c", _run_then_check("scipy.optimize"),
+                       "simulate", str(_small_cfg(tmp_path)), timeout=120)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("name,ns", [("default", 18422), ("small", 93)])

@@ -457,6 +457,32 @@ class TestSchurSolver:
         assert np.abs(_identity_columns(solver.solve_transposed, asm) - inv.T).max() \
             <= 1e-12 * scale
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_strided_transposed_views(self, transposed):
+        # resolvent_check passes transposed views of its vectors; these are
+        # strided too, and the solver must neither write to them nor
+        # depend on their layout
+        asm = make_assembly(Nx=5, ds=0.05, Ns=9)
+        solver = stepper.SchurSolver(asm, 0.1)
+        M = np.eye(asm.dim) - 0.1 * asm.generator_matrix.toarray()
+        rng = np.random.default_rng(3)
+        w_base = rng.standard_normal(6 * asm.Nx)
+        eta_base = rng.standard_normal((2 * asm.Ns, asm.Nx))
+        w_copy, eta_copy = w_base.copy(), eta_base.copy()
+        r_w, r_eta = w_base[::2], eta_base[::2].T
+        assert not (r_eta.flags.c_contiguous or r_eta.flags.f_contiguous)
+        solve = solver.solve_transposed if transposed else solver.solve
+        w, eta = solve(r_w, r_eta)
+        ref = np.linalg.solve(M.T if transposed else M, np.concatenate([r_w, r_eta.T.ravel()]))
+        got = np.concatenate([w, eta.T.ravel()])
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(w_base, w_copy) and np.array_equal(eta_base, eta_copy)
+
+    def test_singular_mechanical_block_is_a_linear_solve_failure(self):
+        # M = I - B = 0: SuperLU raises "Factor is exactly singular"
+        with pytest.raises(LinearSolveFailure, match="singular"):
+            stepper._mechanical_lu(sp.identity(3, format="csr"), sp.csr_matrix((1, 1)), 1.0, 0.0)
+
     def test_apply_is_the_assembled_matrix(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=7)
         solver = stepper.SchurSolver(asm, 0.3)
@@ -477,19 +503,48 @@ def _assembled_cayley_trajectory(state, dt, n_steps):
         yield k * dt, phi
 
 
+def _midpoint_run(asm, dt, state):
+    return stepper._get_runner(asm, mb.SchemeConfig(dt=dt, scheme="full_implicit_midpoint")
+                               ).run(state)
+
+
 class TestMidpointStep:
     def test_matches_assembled_cayley_loop(self):
         # dt = 4 ds: q = tau/ds = 2 away from the split scheme's 1/2
         kernel = mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0])
-        asm = make_assembly(Nx=8, ds=0.05, Ns=30, kernel=kernel,
-                            p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
-        state = default_initial_state(asm)
-        run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.2, scheme="full_implicit_midpoint")
-                                  ).run(state)
-        for t, ref in _assembled_cayley_trajectory(state, 0.2, 200):
+        for ns in (30, 1):
+            asm = make_assembly(Nx=8, ds=0.05, Ns=ns, kernel=kernel,
+                                p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
+            state = default_initial_state(asm)
+            run = _midpoint_run(asm, 0.2, state)
+            for t, ref in _assembled_cayley_trajectory(state, 0.2, 200):
+                run.advance()
+                assert run.t == pytest.approx(t, rel=1e-12)
+                assert hnorm(asm, run.to_state().flatten() - ref) <= 1e-10 * hnorm(asm, ref)
+
+    def test_state_is_not_a_view_of_the_run(self):
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        run = _midpoint_run(asm, 0.1, default_initial_state(asm))
+        run.advance()
+        state = run.to_state()
+        fields = [f.copy() for f in (state.u, state.v, state.theta, state.eta)]
+        for _ in range(5):
             run.advance()
-            assert run.t == pytest.approx(t, rel=1e-12)
-            assert hnorm(asm, run.to_state().flatten() - ref) <= 1e-10 * hnorm(asm, ref)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((state.u, state.v, state.theta, state.eta), fields))
+
+    def test_history_solved_in_the_run_buffers(self):
+        # the step allocates no (Nx, Ns) array: the recurrence overwrites
+        # one of the run's buffers, so a layout that made LAPACK copy fails
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        run = _midpoint_run(asm, 0.1, default_initial_state(asm))
+        buffers = [run.eta, run._m_eta, *run._work]
+        for _ in range(4):
+            previous = run.eta
+            run.advance()
+            for new in (run.eta, run._m_eta):
+                assert any(np.shares_memory(new, b) for b in buffers)
+            assert not np.shares_memory(run.eta, previous)
 
     def test_factorizes_only_the_mechanical_block(self, monkeypatch):
         calls = []
