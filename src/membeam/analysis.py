@@ -89,8 +89,10 @@ class HistorySums:
     moment          m(eta) = sum_k w_k mu_k eta_k
     shifted_moment  sum_{k>=2} w_k mu_k eta_{k-1}, the upwind part of dF2/dt
 
-    history_sums evaluates them by full quadrature for any eta; a Prony
-    split run keeps them per kernel mode as it steps.
+    history_sums evaluates them by full quadrature for any eta; a split
+    run of either kernel form supplies its own (stepper._SplitRun): a Prony
+    run keeps them per kernel mode as it steps, a table run takes them from
+    its ring of column norms.
     """
 
     hist_mu: float
@@ -114,9 +116,9 @@ def _functionals(src) -> SimpleNamespace:
     """E, D, F1, F2, I and the inner products the lemma sides reuse.
 
     The one implementation of every functional.  src is a State, whose
-    history sums come from full quadrature, or a running trajectory that
-    keeps its own (stepper._SplitRun with a Prony kernel); either way the
-    formulas below read the history only through those sums.  theta_t
+    history sums come from full quadrature, or a split run
+    (stepper._SplitRun, either kernel form) that supplies its own; either
+    way the formulas below read the history only through those sums.  theta_t
     inside I comes from the generator row l LAP theta + LAP m(eta) - beta D1 v.
     """
     sums = history_sums(src.eta, src.assembly) if isinstance(src, State) else src.history_sums()
@@ -313,9 +315,10 @@ class DiagnosticsRecord:
 def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
     """Evaluate every tracked functional and inequality side at one state.
 
-    src is a State or a Prony split run (stepper._SplitRun), which supplies
-    its running history sums so that a sample costs O(Nx * modes), not
-    O(Nx * Ns), and needs no materialized history.
+    src is a State or a split run (stepper._SplitRun) of either kernel
+    form, which supplies its own history sums, so that the sample needs no
+    materialized history: O(Nx * modes) for a Prony kernel, one O(Nx Ns)
+    product and two O(Ns) dot products for a table kernel.
 
     Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
     against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2

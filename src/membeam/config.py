@@ -327,8 +327,9 @@ class ProblemSetup:
 
 
 def build_setup(cfg: RunConfig) -> ProblemSetup:
-    """Validate every model object and assemble the discrete system; the
-    first stage that fails raises.  The (Nx, Ns) history size is checked
+    """Validate every model object and assemble the discrete system,
+    including the range check of the mechanical block; the first stage
+    that fails raises.  The (Nx, Ns) history size is checked
     before anything of size Nx is allocated."""
     params = model.derive_params(cfg.lambda1, cfg.lambda2, cfg.kappa, cfg.beta)
     kernel = build_kernel(cfg)
@@ -356,6 +357,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     state = model.build_initial_state(init, assembly)
     mcfg = analysis.choose_multipliers(params, kernel, coeffs,
                                        analysis.poincare_constant(assembly))
+    assembly.mechanical_block       # range-checked as it is built, before any evaluation
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
                         coefficients=coeffs, memory_grid=memory_grid,
                         assembly=assembly, initial_state=state, mcfg=mcfg)

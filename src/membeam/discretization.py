@@ -44,11 +44,21 @@ _TRUNC_RTOL = 4 * np.finfo(float).eps
 # stepper's ring, gradient and sample temporaries.
 _HISTORY_COPIES = 8
 
+# Columns of the (Ns, SHIFT_BLOCK) Hankel weight block with which a
+# table-kernel split run takes its shifted history sum for that many steps
+# at once (stepper._SplitRunner); the memory guard counts it.
+SHIFT_BLOCK = 16
+
+# Largest entry magnitude whose square is still a finite float: past it the
+# energy, the residual norms and the dense spectrum of a run overflow.
+_ENTRY_MAX = float(np.sqrt(np.finfo(float).max))
+
 
 def check_history_fits(nx: float, ns: float):
     """Raise DimensionTooLarge, before anything is allocated, when
-    _HISTORY_COPIES float64 arrays of shape (nx, ns) exceed physical memory."""
-    need = _HISTORY_COPIES * 8.0 * float(nx) * float(ns)
+    _HISTORY_COPIES float64 arrays of shape (nx, ns) and the (ns,
+    SHIFT_BLOCK) shift weights exceed physical memory."""
+    need = 8.0 * float(ns) * (_HISTORY_COPIES * float(nx) + SHIFT_BLOCK)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not need <= have:
         raise DimensionTooLarge(
@@ -360,16 +370,29 @@ class GeneratorAssembly:
 
     @property
     def mechanical_block(self) -> sp.csr_matrix:
-        """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h (built lazily and cached)."""
+        """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h (built lazily and cached).
+
+        ParamOutOfRange when an entry's square overflows (kappa^2 is a
+        product, so it gives inf there, not an exception): no norm of a
+        run on such a block is finite.  The theta rows carry l LAP, so an
+        entry there names l."""
         if "B" not in self._cache:
-            ops, par = self.ops, self.params
+            ops, par, nx = self.ops, self.params, self.Nx
             # beta = 0 keeps the (u, v) rows structurally free of theta
             coupling = -par.beta * ops.d1 if par.beta != 0.0 else None
-            self._cache["B"] = sp.bmat(
-                [[None, sp.identity(self.Nx), None],
-                 [-ops.bih + par.kappa**2 * ops.lap,
+            B = sp.bmat(
+                [[None, sp.identity(nx), None],
+                 [-ops.bih + (par.kappa * par.kappa) * ops.lap,
                   -2.0 * sp.diags(ops.g) - 2.0 * par.kappa * ops.d1, coupling],
                  [None, coupling, par.l * ops.lap]], format="csr")
+            for field, rows in (("l", B[2 * nx:]), ("mechanical_block", B[:2 * nx])):
+                big = float(np.max(np.abs(rows.data), initial=0.0))
+                if not big <= _ENTRY_MAX:
+                    raise ParamOutOfRange(
+                        field, f"an entry of size {big:.3g} in the "
+                        f"{'theta' if field == 'l' else '(u, v)'} rows of the mechanical block "
+                        f"(l = {par.l:.3g}) has a square beyond the float range")
+            self._cache["B"] = B
         return self._cache["B"]
 
     @property

@@ -148,7 +148,9 @@ class MemoryKernel:
     def mu0(self) -> float:
         """Total mass: closed form sum(a_j/delta_j) for Prony, trapezoid otherwise."""
         if self.form == "prony":
-            return float(np.sum(self.amplitudes / self.rates))
+            # a mass past the float range is inf, which H3 rejects
+            with np.errstate(over="ignore"):
+                return float(np.sum(self.amplitudes / self.rates))
         return float(np.trapezoid(self.mu_table, self.s_table))
 
 
@@ -170,8 +172,10 @@ class KernelReport:
 
 def _probe_points(kernel: MemoryKernel) -> np.ndarray:
     if kernel.form == "prony":
-        # cover several decades of the slowest mode
-        span = 20.0 / float(np.min(kernel.rates))
+        # cover several decades of the slowest mode; for a rate so small
+        # that the span leaves the float range (its mass is infinite, which
+        # H3 rejects) the probes stop at the largest float
+        span = min(20.0 / float(np.min(kernel.rates)), np.finfo(float).max)
         return np.linspace(0.0, span, _PROBE_COUNT)
     s = kernel.s_table
     if _PROBE_COUNT <= s.size:

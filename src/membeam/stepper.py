@@ -24,8 +24,9 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
     scheme / kernel        step                         sample
     split, Prony (m modes) O(Nx m) + 3Nx LU solve,      O(Nx m) from running
                            ~0.1 ms, Ns = 18422          sums, ~0.2 ms
-    split, table           one O(Nx Ns) pass,           O(Nx Ns), materializes
-                           ~0.45 ms, Ns = 15612         the history, ~16 ms
+    split, table           one O(Nx Ns B) GEMM every    one O(Nx Ns) product
+                           B = 16 steps + 3Nx LU        and two O(Ns) dots from
+                           solve, ~0.14 ms, Ns = 15612  the ring, ~0.55 ms
     midpoint               3Nx LU solve, one banded     O(Nx Ns)
                            history solve (LAPACK) and
                            the residual, in place,
@@ -53,7 +54,7 @@ from scipy.sparse.linalg import splu
 
 from . import analysis
 from .analysis import HistorySums, grad_sq_norms
-from .discretization import DENSE_MAX_DIM, GeneratorAssembly
+from .discretization import DENSE_MAX_DIM, SHIFT_BLOCK, GeneratorAssembly
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -75,6 +76,13 @@ MAX_STEPS = 1_000_000
 # from the ring.  One recomputation costs about one O(Nx Ns) pass, so at
 # this interval they take a few percent of the run.
 _REFRESH_STEPS = 2000
+
+# A table-kernel split run stores its history as zeta = eta - C and takes
+# sum_k w_k ||D+ eta_k||^2 from the ||D+ zeta_k||^2 and the C terms, which
+# cancel as the history decays against C.  Once those terms exceed the sum
+# by this factor the run stores eta itself (C = 0), so the sums keep about
+# 13 digits.  The check is made when the sums are read.
+_RECENTER_RATIO = 1e3
 
 log = logging.getLogger(__name__)
 
@@ -347,6 +355,13 @@ class _SplitRunner:
             # weight of logical zeta_k in the shifted sum: w_{k+1} mu_{k+1},
             # and 0 for k = Ns
             self.wshift = np.append(wmu[1:], 0.0)
+            # hankel[j, t] = wshift[j + t], 0 past Ns: the weight of the
+            # block-start column zeta_{j+1} in the shifted sum t steps later
+            block = min(SHIFT_BLOCK, ns)
+            self.hankel = np.lib.stride_tricks.sliding_window_view(
+                np.append(self.wshift, np.zeros(block - 1)), block).copy()
+            self.wmup = mg.weights * mg.muprime
+            self.mu0w, self.mup0w = mu0w, float(np.sum(self.wmup))
         self.wmode = mg.weights[:, None] * mode_mu                # W, (Ns, modes)
         self.modes = m = mode_mu.shape[1]
 
@@ -403,8 +418,12 @@ class _SplitRun:
     For a Prony kernel, mu_j(s) = a_j exp(-r_j s), so W_{k+1,j} =
     exp(-r_j ds) W_kj except at the half-weight end node, and
     sig'_j = exp(-r_j ds) (sigma_j - ds/2 (mu_j(s_Ns) zeta_Ns
-    + mu_j(s_Ns-1) zeta_Ns-1)).  A table kernel takes sig' from one pass
-    over the ring.  For a Prony kernel the run also keeps
+    + mu_j(s_Ns-1) zeta_Ns-1)).  A table kernel takes sig' = sum_k wshift_k
+    zeta_k (wshift_k = w_{k+1} mu_{k+1}) in blocks of B = min(SHIFT_BLOCK,
+    Ns) steps: t shifts into a block, zeta_k for k > t is the block-start
+    zeta_{k-t}, so the block start's share of all B sums is one product of
+    the ring with the runner's (Ns, B) Hankel weights, and each step adds
+    the t < B newest columns.  For a Prony kernel the run also keeps
     Q_j = sum_k W_kj ||D+ eta_k||^2:
 
         Q_j^{n+1} = exp(-r_j ds) (Q_j - end-node terms)
@@ -420,6 +439,15 @@ class _SplitRun:
     are recomputed from the ring; max_drift keeps the largest relative
     change a recomputation made.  history_sums gives every history sum of
     a diagnostics record in O(Nx m).
+
+    A table-kernel run keeps instead the ring of column norms
+    n_k = ||D+ zeta_k||^2, set once and then one O(Nx) entry per step.
+    Each entry is computed from its stored column, so nothing drifts.  Its
+    history_sums take sum_k W_k ||D+ eta_k||^2 from n, sigma and C, and
+    the wmu' sums from one product of the ring with the weights.  These
+    terms cancel as the history decays against C; when they exceed the sum
+    by _RECENTER_RATIO the run stores eta itself (zeta += C, C = 0) and
+    recomputes n.
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
@@ -440,12 +468,16 @@ class _SplitRun:
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
         self._x[:m, 1:-1] = (self.zeta @ runner.wmode).T
-        self._load_ends()
+        norms = grad_sq_norms(self.zeta, asm.grid.h)
         if self.prony:
             self._diff = np.empty((m + 3, asm.Nx + 1))
-            self.quad_modes = grad_sq_norms(self.zeta, asm.grid.h) @ runner.wmode
+            self.quad_modes = norms @ runner.wmode
             self._since_refresh = 0
             self.max_drift = 0.0
+        else:
+            self._norms = norms               # ||D+ zeta_k||^2, in ring storage
+            self._block_shifts = runner.hankel.shape[1]     # start a block now
+        self._load_ends()
 
     # the state: views of the step buffers
     u = property(lambda self: self._rows[0, 1:-1])
@@ -459,15 +491,35 @@ class _SplitRun:
         zeta = np.roll(self.zeta, -self.head, axis=1) if self.head else self.zeta.copy()
         return zeta + self.C[:, None]
 
+    def _ring_product(self, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """sum_k weights_k a_k over the first len(weights) logical columns of
+        a, an array kept in ring storage order along its last axis: at most
+        two products over contiguous storage pieces."""
+        n = len(weights)
+        n1 = min(n, a.shape[-1] - self.head)
+        out = a[..., self.head:self.head + n1] @ weights[:n1]
+        if n1 < n:
+            out += a[..., :n - n1] @ weights[n1:]
+        return out
+
     def _load_ends(self):
         """e_1, e_2 of x for the current ring head."""
         ns, m = self.zeta.shape[1], self.runner.modes
         if self.prony:
             self._x[m, 1:-1] = self.zeta[:, (self.head - 1) % ns]
             self._x[m + 1, 1:-1] = self.zeta[:, (self.head - 2) % ns]
-        else:
-            # one pass over the ring against the weights rotated to storage order
-            np.matmul(self.zeta, np.roll(self.runner.wshift, self.head), out=self._x[m, 1:-1])
+            return
+        # e_1 = sig' in blocks (class docstring): the block-start columns'
+        # share, taken for the whole block at its start, plus the t newest
+        hankel = self.runner.hankel
+        if self._block_shifts == hankel.shape[1]:
+            self._block = self._ring_product(self.zeta, hankel)
+            self._block_shifts = 0
+        t = self._block_shifts
+        e_1 = self._x[m, 1:-1]
+        e_1[...] = self._block[:, t]
+        if t:
+            e_1 += self._ring_product(self.zeta, self.runner.wshift[:t])
 
     def refresh_mode_sums(self):
         """Recompute the Prony per-mode sums from the ring and record how far
@@ -483,15 +535,51 @@ class _SplitRun:
         sigma[...], self.quad_modes = fresh.T, quad
         self._since_refresh = 0
 
+    def _table_sum(self, weights: np.ndarray, total: float, sigma: np.ndarray):
+        """sum_k weights_k ||D+ eta_k||^2 for a table kernel, from the ring of
+        column norms: eta_k = zeta_k + C, so ||D+ eta_k||^2 = n_k
+        + 2 <D+ zeta_k, D+ C> + ||D+ C||^2.  sigma is the row
+        sum_k weights_k zeta_k with a zero at both ends and total is
+        sum_k weights_k.  Returns the sum and the size of the norm terms it
+        was taken from."""
+        h2 = self.assembly.grid.h ** 2
+        d_c = np.diff(self._x[-1])
+        norm_part = float(self._ring_product(self._norms, weights))
+        c_part = total * float(d_c @ d_c) / h2
+        value = norm_part + 2.0 * float(d_c @ np.diff(sigma)) / h2 + c_part
+        return value, abs(norm_part) + abs(c_part)
+
+    def _recenter(self):
+        """Store eta itself in the ring (C = 0) and start a new shift block:
+        one O(Nx Ns) pass that leaves the history unchanged."""
+        self.zeta += self.C[:, None]
+        self._x[-1] = 0.0
+        self._x[0, 1:-1] = self._ring_product(self.zeta, self.runner.wmode[:, 0])
+        self._norms = grad_sq_norms(self.zeta, self.assembly.grid.h)
+        self._block_shifts = self.runner.hankel.shape[1]
+        self._load_ends()
+
     def history_sums(self) -> HistorySums:
-        """Every history sum of the current state from the per-mode sums,
-        in O(Nx * modes).  Prony kernels only."""
-        run = self.runner
-        return HistorySums(
-            hist_mu=float(np.sum(self.quad_modes)),
-            hist_mup=-float(self.quad_modes @ run.memory_grid.kernel.rates),
-            moment=(run.moment @ self._x)[1:-1],
-            shifted_moment=(run.shifted_moment @ self._x)[1:-1])
+        """Every history sum of the current state without a gradient pass
+        over the history: O(Nx * modes) from the per-mode sums of a Prony
+        kernel; for a table kernel, from the ring of column norms and one
+        product of the ring with the wmu' weights."""
+        run, x = self.runner, self._x
+        if self.prony:
+            hist_mu = float(np.sum(self.quad_modes))
+            hist_mup = -float(self.quad_modes @ run.memory_grid.kernel.rates)
+        else:
+            # sum_k w_k mu_k zeta_k is the sigma row of x
+            hist_mu, terms = self._table_sum(run.wmode[:, 0], run.mu0w, x[0])
+            if terms > _RECENTER_RATIO * abs(hist_mu):
+                self._recenter()
+                hist_mu = self._table_sum(run.wmode[:, 0], run.mu0w, x[0])[0]
+            sigma_p = np.zeros(run.nx + 2)
+            sigma_p[1:-1] = self._ring_product(self.zeta, run.wmup)
+            hist_mup = self._table_sum(run.wmup, run.mup0w, sigma_p)[0]
+        return HistorySums(hist_mu=hist_mu, hist_mup=hist_mup,
+                           moment=(run.moment @ x)[1:-1],
+                           shifted_moment=(run.shifted_moment @ x)[1:-1])
 
     # -- stepping -----------------------------------------------------------
 
@@ -514,6 +602,10 @@ class _SplitRun:
             self.quad_modes = self.quad_modes * run.mode_decay + (d @ d.T).ravel() @ run.gram_map
         self.head = (self.head - 1) % self.zeta.shape[1]
         self.zeta[:, self.head] = -x[m + 2, 1:-1]            # zeta_1 = -C^n
+        if not self.prony:
+            d_c = np.diff(x[m + 2])
+            self._norms[self.head] = float(d_c @ d_c) / self.assembly.grid.h ** 2
+            self._block_shifts += 1
         x[m + 2] += rows[4]
         x[:m] = rows[m + 7:]
         self._load_ends()
@@ -575,9 +667,9 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     """Advance to t = T recording diagnostics every sample_every steps.
 
     Records are always taken at t = 0 and t = T.  More than MAX_STEPS
-    steps raise ParamOutOfRange before the first one.  A Prony split run is
-    sampled from its running history sums, so sampling builds no State;
-    other runs are sampled from their materialized state.  dE_numeric
+    steps raise ParamOutOfRange before the first one.  A split run is
+    sampled from its own history sums, so sampling builds no State;
+    midpoint runs are sampled from their materialized state.  dE_numeric
     (centered difference of E across samples) and the identity residual
     are filled in after the run.  Step failures abort with the partial
     trajectory attached (SimulationAborted).  One INFO line on the
@@ -604,7 +696,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     final, drift = init, 0.0
     if n_steps > 0:
         run = _get_runner(init.assembly, cfg).run(init)
-        running = isinstance(run, _SplitRun) and run.prony
+        running = isinstance(run, _SplitRun)
         for k in range(1, n_steps + 1):
             try:
                 run.advance()
@@ -615,7 +707,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
                 records.append(analysis.diagnostics_record(run if running else run.to_state(),
                                                            mcfg))
                 sampling += time.perf_counter() - t0
-        if running:
+        if running and run.prony:
             run.refresh_mode_sums()
             drift = run.max_drift
         final = run.to_state()

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -150,6 +153,35 @@ class TestLemmaChecksAlongTrajectory:
             assert rec.lemma44_lhs <= rec.lemma44_rhs + 1e-8
             assert rec.sandwich_low <= 1e-8
             assert rec.sandwich_high <= 1e-8
+
+
+class TestSplitRunRecords:
+    """A split run of either kernel form supplies its own history sums; its
+    record must be the record of its materialized state."""
+
+    KERNELS = {
+        "prony": mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0]),
+        "table": mb.MemoryKernel.tabulated(
+            np.linspace(0.0, 5.0, 501), np.exp(-np.linspace(0.0, 5.0, 501))),
+    }
+
+    @pytest.mark.parametrize("form", sorted(KERNELS))
+    def test_record_of_run_equals_record_of_state(self, form):
+        dt = 0.02
+        asm = make_assembly(Nx=8, ds=dt, Ns=50, kernel=self.KERNELS[form])
+        mcfg = mb.choose_multipliers_for(asm)
+        run = stepper._get_runner(asm, mb.SchemeConfig(dt=dt)).run(default_initial_state(asm))
+        for step in range(1, 121):
+            run.advance()
+            if step % 7:
+                continue
+            full = an.diagnostics_record(run.to_state(), mcfg)
+            rec = an.diagnostics_record(run, mcfg)
+            for f in dataclasses.fields(full):
+                ref = getattr(full, f.name)
+                if math.isnan(ref):
+                    continue
+                assert abs(getattr(rec, f.name) - ref) <= 1e-11 * max(abs(ref), full.E), f.name
 
 
 class TestSpectral:

@@ -471,6 +471,17 @@ def test_extreme_scalar_is_a_named_error(tmp_path, capsys, name, value):
     assert err.startswith("error: ") and "internal error" not in err
 
 
+def test_overflowing_l_is_named_before_any_evaluation(tmp_path):
+    # l = 5e299 is finite, but l LAP has entries whose squares overflow: the
+    # run must stop at setup, before numpy warns about any overflow
+    path = write_cfg(tmp_path, TINY_CFG.replace("lambda2 = 1.0", "lambda2 = 1e-300"))
+    proc = _python(tmp_path, "-m", "membeam", "simulate", str(path), timeout=120)
+    assert proc.returncode == 1
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert proc.stderr.startswith("error: ") and "l = 5e+299" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 def _small_cfg(tmp_path, old=None, new=None):
     text = default_config_path("small").read_text()
     if old is not None:

@@ -224,6 +224,14 @@ class TestGeneratorAssembly:
         with pytest.raises(DimensionMismatch):
             asm.block_slice("eta", 7)
 
+    @pytest.mark.parametrize("kappa,lambda2,field", [
+        (0.5, 1e-300, "l"), (1e300, 1.0, "mechanical_block"), (1e150, 1.0, "mechanical_block")])
+    def test_entry_with_overflowing_square_is_refused(self, kappa, lambda2, field):
+        asm = make_assembly(params=mb.derive_params(0.5, lambda2, kappa, 1.0))
+        with pytest.raises(ParamOutOfRange) as info:
+            asm.mechanical_block
+        assert info.value.field == field
+
 
 class TestDissipativityStructure:
     """The symmetric part of H A_h must reduce exactly to damping, thermal

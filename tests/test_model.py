@@ -92,6 +92,11 @@ class TestValidateKernel:
         with pytest.raises(InfiniteMass):
             mb.validate_kernel(kern)
 
+    def test_vanishing_prony_rate_has_infinite_mass(self):
+        # 1 / 5e-324 overflows: H3 names it, with no numpy warning on the way
+        with pytest.raises(InfiniteMass):
+            mb.validate_kernel(mb.MemoryKernel.prony([1.0], [5e-324]))
+
     def test_tabulated_exponential_passes(self):
         s = np.linspace(0.0, 30.0, 3001)
         kern = mb.MemoryKernel.tabulated(s, np.exp(-s), -np.exp(-s))

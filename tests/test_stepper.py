@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import logging
 import math
+import os
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import membeam as mb
 import membeam.analysis as an
-from membeam import stepper
+from membeam import discretization, stepper
 from membeam.errors import (
     DimensionTooLarge,
     InconsistentGrid,
@@ -172,6 +173,23 @@ class TestSimulate:
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 1.0)
         assert len(res.records) == 21
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("form", ["prony", "table"])
+    def test_split_run_builds_only_the_final_state(self, monkeypatch, form):
+        # every record comes from the run's own history sums
+        calls = []
+        real = stepper._SplitRun.to_state
+
+        def counting(run):
+            calls.append(run.t)
+            return real(run)
+
+        monkeypatch.setattr(stepper._SplitRun, "to_state", counting)
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6,
+                            kernel=_table_kernel() if form == "table" else None)
+        res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 1.0)
+        assert len(res.records) == 21
+        assert calls == [pytest.approx(1.0)]
 
     def test_logs_one_info_line(self, caplog):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
@@ -343,6 +361,76 @@ def _parent_table_trajectory(state, cfg, n_steps):
         sigma = zeta[:, (head + np.arange(ns)) % ns] @ wmu
         yield State(t=k * dt, u=u, v=v, theta=th,
                     eta=np.roll(zeta, -head, axis=1) + C[:, None], assembly=asm)
+
+
+def _table_kernel():
+    """mu(s) = e^-s / (1 + s) tabulated on [0, 5]."""
+    s = np.linspace(0.0, 5.0, 501)
+    return mb.MemoryKernel.tabulated(s, np.exp(-s) / (1 + s),
+                                     -np.exp(-s) * (2 + s) / (1 + s) ** 2)
+
+
+class TestTableKernelRing:
+    """A table-kernel split run takes its shifted sum in Hankel blocks and
+    its history sums from a ring of column norms."""
+
+    @pytest.mark.parametrize("ns", [1, 2, 5, 15, 16, 17, 40])
+    def test_blocked_shifted_sum_matches_rolled_product(self, ns):
+        dt = 0.05
+        asm = make_assembly(Nx=6, ds=dt, Ns=ns, kernel=_table_kernel())
+        run = stepper._get_runner(asm, mb.SchemeConfig(dt=dt)).run(default_initial_state(asm))
+        for _ in range(3 * ns + 2 * discretization.SHIFT_BLOCK + 1):
+            weights = np.roll(run.runner.wshift, run.head)
+            e_1 = run._x[run.runner.modes, 1:-1]
+            terms = np.abs(run.zeta) @ np.abs(weights)
+            assert np.all(np.abs(e_1 - run.zeta @ weights) <= 1e-14 * terms)
+            run.advance()
+
+    def test_history_sums_match_full_quadrature(self, monkeypatch):
+        # 200 steps take the history sum from 9.9 to 6.5e-9, so the ring
+        # is re-centred on C along the way
+        recentred = []
+        real = stepper._SplitRun._recenter
+
+        def counting(run):
+            recentred.append(run.t)
+            real(run)
+
+        monkeypatch.setattr(stepper._SplitRun, "_recenter", counting)
+        dt = 0.05
+        asm = make_assembly(Nx=6, ds=dt, Ns=40, kernel=_table_kernel())
+        state = default_initial_state(asm)
+        cfg = mb.SchemeConfig(dt=dt)
+        run = stepper._get_runner(asm, cfg).run(state)
+        for _ in range(200):
+            run.advance()
+            full = an.history_sums(run.to_state().eta, asm)
+            sums = run.history_sums()
+            for name in ("hist_mu", "hist_mup"):
+                assert getattr(sums, name) == pytest.approx(getattr(full, name), rel=1e-12)
+            for name in ("moment", "shifted_moment"):
+                ref = getattr(full, name)
+                assert np.max(np.abs(getattr(sums, name) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert recentred
+        # re-centring leaves the trajectory as it was, up to rounding
+        unsampled = stepper._get_runner(asm, cfg).run(state)
+        for _ in range(200):
+            unsampled.advance()
+        ref = unsampled.to_state().flatten()
+        assert hnorm(asm, run.to_state().flatten() - ref) <= 1e-10 * hnorm(asm, ref)
+
+    def test_memory_guard_counts_the_hankel_block(self, monkeypatch):
+        nx, ns = 64, 15612
+        ring = 8 * discretization._HISTORY_COPIES * nx * ns
+        hankel = 8 * discretization.SHIFT_BLOCK * ns
+        for have, fits in ((ring + hankel - 8, False), (ring + hankel, True)):
+            monkeypatch.setattr(os, "sysconf",
+                                lambda name, have=have: 1 if name == "SC_PAGE_SIZE" else have)
+            if fits:
+                discretization.check_history_fits(nx, ns)
+            else:
+                with pytest.raises(DimensionTooLarge):
+                    discretization.check_history_fits(nx, ns)
 
 
 def test_table_kernel_step_matches_gather_reference():
