@@ -90,9 +90,8 @@ class HistorySums:
     shifted_moment  sum_{k>=2} w_k mu_k eta_{k-1}, the upwind part of dF2/dt
 
     history_sums evaluates them by full quadrature for any eta; a split
-    run of either kernel form supplies its own (stepper._SplitRun): a Prony
-    run keeps them per kernel mode as it steps, a table run takes them from
-    its ring of column norms.
+    run of either kernel form supplies its own (stepper._SplitRun), from
+    its running per-mode moments and its ring of column norms.
     """
 
     hist_mu: float
@@ -184,10 +183,7 @@ class MultiplierConfig:
     N: float
     N1: float
     N2: float
-    sigma1: float
-    sigma2: float
     sigma3: float
-    sigma: float
     Ckappa: float
     C1: float
     C2: float
@@ -195,9 +191,6 @@ class MultiplierConfig:
     Cp: float
     mu0: float
     delta1: float
-    zeta1: float
-    zeta2: float
-    gamma0: float
     gamma1: float
     gamma2: float
     lam: float
@@ -267,10 +260,9 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
         raise InfeasibleMultipliers("derived Lyapunov coefficients are not all positive")
     lam = 2.0 * min(N1, N1 / 4.0, ct1, ct4, ct3 * delta1)
     return MultiplierConfig(
-        N=N, N1=N1, N2=N2, sigma1=sigma1, sigma2=sigma2, sigma3=sigma3, sigma=sigma,
-        Ckappa=Ckappa, C1=C1, C2=C2, C3=C3, Cp=Cp, mu0=mu0, delta1=delta1,
-        zeta1=zeta1, zeta2=zeta2, gamma0=gamma0, gamma1=gamma1, gamma2=gamma2,
-        lam=lam, gamma_certified=lam / gamma2)
+        N=N, N1=N1, N2=N2, sigma3=sigma3, Ckappa=Ckappa, C1=C1, C2=C2, C3=C3, Cp=Cp,
+        mu0=mu0, delta1=delta1, gamma1=gamma1, gamma2=gamma2, lam=lam,
+        gamma_certified=lam / gamma2)
 
 
 def choose_multipliers_for(assembly: GeneratorAssembly, **kw) -> MultiplierConfig:
@@ -317,8 +309,9 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
 
     src is a State or a split run (stepper._SplitRun) of either kernel
     form, which supplies its own history sums, so that the sample needs no
-    materialized history: O(Nx * modes) for a Prony kernel, one O(Nx Ns)
-    product and two O(Ns) dot products for a table kernel.
+    materialized history: one O(Ns) pass over its ring of column norms and
+    O(Nx * modes) row work, and for a table kernel one O(Nx Ns) product
+    more.
 
     Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
     against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2

@@ -95,19 +95,17 @@ class MemoryGrid:
     Stored nodes are s_k = k*ds, k = 1..Ns (s = 0 carries the zero inflow
     value and is not stored).  Trapezoid weights on {0, ds, ..., Ns*ds}:
     w_k = ds for k < Ns and w_Ns = ds/2; the half cell at s = 0 contributes
-    nothing to history quadratures since eta(0) = 0.  mu0_quadrature = sum
-    w_k mu_k therefore underestimates mu0 by about ds*mu(0)/2 plus the
-    truncated tail.
+    nothing to history quadratures since eta(0) = 0.  sum w_k mu_k
+    therefore underestimates mu0 by about ds*mu(0)/2 plus the truncated
+    tail.
     """
 
     Ns: int
     ds: float
-    s_max: float
     s_nodes: np.ndarray
     weights: np.ndarray
     mu: np.ndarray
     muprime: np.ndarray
-    mu0_quadrature: float
     kernel: MemoryKernel
 
 
@@ -119,9 +117,8 @@ def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> Memory
     muprime = np.asarray(kernel.muprime(s_nodes), dtype=float)
     for arr in (s_nodes, weights, mu, muprime):
         arr.flags.writeable = False
-    return MemoryGrid(Ns=Ns, ds=ds, s_max=Ns * ds, s_nodes=s_nodes, weights=weights,
-                      mu=mu, muprime=muprime,
-                      mu0_quadrature=float(weights @ mu), kernel=kernel)
+    return MemoryGrid(Ns=Ns, ds=ds, s_nodes=s_nodes, weights=weights, mu=mu,
+                      muprime=muprime, kernel=kernel)
 
 
 def _prony_crossing(kernel: MemoryKernel, bound: float) -> float:

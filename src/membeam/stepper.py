@@ -22,18 +22,19 @@ Cost of one step and of one diagnostics sample (times measured at
 Nx = 64, dt = 1e-3 on a 2-core x86 machine):
 
     scheme / kernel        step                         sample
-    split, Prony (m modes) O(Nx m) + 3Nx LU solve,      O(Nx m) from running
-                           ~0.1 ms, Ns = 18422          sums, ~0.2 ms
+    split, Prony (m modes) O(Nx m) + 3Nx LU solve,      one O(Ns) pass over the
+                           ~0.1 ms, Ns = 18422          ring and O(Nx m), ~0.25 ms
     split, table           one O(Nx Ns B) GEMM every    one O(Nx Ns) product
-                           B = 16 steps + 3Nx LU        and two O(Ns) dots from
+                           B = 16 steps + 3Nx LU        and one O(Ns) pass over
                            solve, ~0.14 ms, Ns = 15612  the ring, ~0.55 ms
     midpoint               3Nx LU solve, one banded     O(Nx Ns)
                            history solve (LAPACK) and
                            the residual, in place,
                            ~25 ms, Ns = 18422
 
-A Prony split run refreshes its running sums from the ring every
-_REFRESH_STEPS steps (one O(Nx Ns) pass) and reports the drift.
+A split run takes its samples from a ring of history column norms and
+re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
+once after its last step, where it reports the drift of its running sums.
 
 oracle_evolve is the reference both schemes are tested against:
 exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM.
@@ -72,17 +73,16 @@ _LINEAR_SOLVER_TOL = 1e-9
 # first step (100 times the 10,000 steps of the shipped default run).
 MAX_STEPS = 1_000_000
 
-# Steps between two recomputations of a Prony split run's per-mode sums
-# from the ring.  One recomputation costs about one O(Nx Ns) pass, so at
-# this interval they take a few percent of the run.
-_REFRESH_STEPS = 2000
+# Most diagnostics records one simulate call keeps (about 0.6 KB each); a
+# run that would keep more is refused before the first step.
+MAX_RECORDS = MAX_STEPS // 10 + 1
 
-# A table-kernel split run stores its history as zeta = eta - C and takes
+# A split run stores its history as zeta = eta - C and takes
 # sum_k w_k ||D+ eta_k||^2 from the ||D+ zeta_k||^2 and the C terms, which
-# cancel as the history decays against C.  Once those terms exceed the sum
-# by this factor the run stores eta itself (C = 0), so the sums keep about
-# 13 digits.  The check is made when the sums are read.
-_RECENTER_RATIO = 1e3
+# cancel as the history decays against C.  Once those terms exceed the
+# wmu or the wmu' sum by this factor the run stores eta itself (C = 0), so
+# the sums keep about 15 digits.  The check is made when the sums are read.
+_RECENTER_RATIO = 10
 
 log = logging.getLogger(__name__)
 
@@ -319,10 +319,10 @@ class _SplitRunner:
 
     A run's per-mode sums are linear in the rows of
     x = [sigma_1 .. sigma_m, e_1, e_2, C] (see _SplitRun), so each is one
-    fixed row of coefficients: mode_map gives, in this order, y, a zero
-    row (q, filled after the solve), S_1 .. S_m, eta_Ns, eta_Ns-1 and
-    sigma_1 .. sigma_m after the step; moment and shifted_moment give
-    m(eta^n) and m_shift.
+    fixed row of coefficients: mode_map gives y and sigma_1 .. sigma_m
+    after the step; moment and shifted_moment give m(eta^n) and m_shift.
+    The rows of wmus, the wmu and wmu' weights, and their totals weigh the
+    history sums of a sample.
     """
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
@@ -336,6 +336,8 @@ class _SplitRunner:
         dt, B, lap = cfg.dt, assembly.mechanical_block, assembly.ops.lap
         wmu = mg.weights * mg.mu
         mu0w = float(np.sum(wmu))
+        self.wmus = np.stack([wmu, mg.weights * mg.muprime])
+        self.totals = self.wmus.sum(axis=1)
         self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
         P = (sp.identity(3 * nx, format="csr") + (dt / 2.0) * B).tolil()
         P[2 * nx:, 2 * nx:] = P[2 * nx:, 2 * nx:] + (mu0w * dt * dt / 4.0) * lap
@@ -348,6 +350,7 @@ class _SplitRunner:
         kern, ns = mg.kernel, mg.Ns
         self.prony = kern.form == "prony"
         if self.prony:
+            self.rates = kern.rates
             mode_mu = kern.amplitudes[None, :] * np.exp(
                 -np.multiply.outer(mg.s_nodes, kern.rates))      # (Ns, modes)
         else:
@@ -360,40 +363,24 @@ class _SplitRunner:
             block = min(SHIFT_BLOCK, ns)
             self.hankel = np.lib.stride_tricks.sliding_window_view(
                 np.append(self.wshift, np.zeros(block - 1)), block).copy()
-            self.wmup = mg.weights * mg.muprime
-            self.mu0w, self.mup0w = mu0w, float(np.sum(self.wmup))
         self.wmode = mg.weights[:, None] * mode_mu                # W, (Ns, modes)
         self.modes = m = mode_mu.shape[1]
 
         shift = np.zeros((m, m + 3))                              # shift @ x = sig'
         if self.prony:
-            self.mode_decay = np.exp(-kern.rates * mg.ds)
-            shift[:, :m] = np.diag(self.mode_decay)
-            shift[:, m] = -0.5 * mg.ds * self.mode_decay * mode_mu[ns - 1]
+            decay = np.exp(-kern.rates * mg.ds)
+            shift[:, :m] = np.diag(decay)
+            shift[:, m] = -0.5 * mg.ds * decay * mode_mu[ns - 1]
             if ns > 1:
-                shift[:, m + 1] = -0.5 * mg.ds * self.mode_decay * mode_mu[ns - 2]
+                shift[:, m + 1] = -0.5 * mg.ds * decay * mode_mu[ns - 2]
         else:
             shift[0, m] = 1.0
         e_c = np.zeros(m + 3)
         e_c[m + 2] = 1.0
-        ends = np.zeros((2, m + 3))
-        ends[0, m] = ends[1, m + 1] = 1.0
         self.moment = np.concatenate([np.ones(m), [0.0, 0.0, mu0w]])
         self.shifted_moment = shift.sum(axis=0) + (mu0w - wmu[0]) * e_c
-        self.mode_map = np.vstack([0.5 * (self.moment + self.shifted_moment), np.zeros(m + 3),
-                                   shift + np.outer(self.wmode[1:].sum(axis=0), e_c),
-                                   ends + e_c,
+        self.mode_map = np.vstack([0.5 * (self.moment + self.shifted_moment),
                                    shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
-        if self.prony:
-            # Q^{n+1} = exp(-r ds) Q^n + gram.ravel() @ gram_map, with gram
-            # the Gram matrix of the undivided D+ of the rows q, S_j, eta_Ns,
-            # eta_Ns-1: the ||D+ q||^2, <D+ S_j, D+ q> and end-node terms
-            gram_map = np.zeros((m + 3, m + 3, m))
-            gram_map[0, 0] = self.wmode.sum(axis=0)
-            gram_map[0, 1:m + 1] = 2.0 * np.eye(m)
-            gram_map[m + 1, m + 1] = shift[:, m]
-            gram_map[m + 2, m + 2] = shift[:, m + 1]
-            self.gram_map = gram_map.reshape(-1, m) / assembly.grid.h ** 2
 
     def run(self, state: State) -> "_SplitRun":
         return _SplitRun(self, state)
@@ -423,31 +410,25 @@ class _SplitRun:
     Ns) steps: t shifts into a block, zeta_k for k > t is the block-start
     zeta_{k-t}, so the block start's share of all B sums is one product of
     the ring with the runner's (Ns, B) Hankel weights, and each step adds
-    the t < B newest columns.  For a Prony kernel the run also keeps
-    Q_j = sum_k W_kj ||D+ eta_k||^2:
-
-        Q_j^{n+1} = exp(-r_j ds) (Q_j - end-node terms)
-                    + 2 <D+ S_j, D+ q> + (sum_k W_kj) ||D+ q||^2,
-
-    with S_j = sig'_j + (sum_{k>=2} W_kj) C = sum_{k>=2} W_kj eta^n_{k-1}.
+    the t < B newest columns.
 
     All of these are linear in the rows of x = [sigma_1 .. sigma_m, e_1,
     e_2, C], where e_1, e_2 are zeta_Ns, zeta_Ns-1 (Prony) or e_1 = sig'
     (table), so one product with the runner's mode_map gives them.  A step
     is that product, R [w; y], the LU solve, the residual M w and O(Nx m)
-    updates in preallocated rows.  Every _REFRESH_STEPS steps sigma and Q
-    are recomputed from the ring; max_drift keeps the largest relative
-    change a recomputation made.  history_sums gives every history sum of
-    a diagnostics record in O(Nx m).
+    updates in preallocated rows.
 
-    A table-kernel run keeps instead the ring of column norms
-    n_k = ||D+ zeta_k||^2, set once and then one O(Nx) entry per step.
-    Each entry is computed from its stored column, so nothing drifts.  Its
-    history_sums take sum_k W_k ||D+ eta_k||^2 from n, sigma and C, and
-    the wmu' sums from one product of the ring with the weights.  These
-    terms cancel as the history decays against C; when they exceed the sum
-    by _RECENTER_RATIO the run stores eta itself (zeta += C, C = 0) and
-    recomputes n.
+    The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
+    once and then one O(Nx) entry per step.  Each entry is computed from
+    its stored column, so nothing drifts.  history_sums take
+    sum_k w_k mu_k ||D+ eta_k||^2 from n, sum_j sigma_j and C, and the
+    wmu' sum the same way from the row sum_k w_k mu'_k zeta_k: that row is
+    -sum_j r_j sigma_j for a Prony kernel (w_k mu'_k = -sum_j r_j W_kj)
+    and one product of the ring with wmu' for a table kernel.  These
+    terms cancel as the history decays against C; when they exceed either
+    sum by _RECENTER_RATIO the run stores eta itself (_recenter).  Each
+    re-centring, and simulate once after the last step, compares sigma
+    with the ring and keeps in max_drift the largest relative difference.
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
@@ -456,28 +437,18 @@ class _SplitRun:
         self.runner = runner
         self.assembly = asm
         self.t = state.t
-        self.prony = runner.prony
         m = runner.modes
         # Each row holds an x-profile with a zero at both ends, so D+ of a
         # row is one difference of neighbours.  _rows: u, v, theta, then
         # what mode_map makes; _x: the x of the class docstring.
-        self._rows = np.zeros((2 * m + 7, asm.Nx + 2))
+        self._rows = np.zeros((m + 4, asm.Nx + 2))
         self._rows[:3, 1:-1] = state.u, state.v, state.theta
         self._wy = self._rows[:4].reshape(-1)          # [w; y], a view
         self._x = np.zeros((m + 3, asm.Nx + 2))
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
-        self._x[:m, 1:-1] = (self.zeta @ runner.wmode).T
-        norms = grad_sq_norms(self.zeta, asm.grid.h)
-        if self.prony:
-            self._diff = np.empty((m + 3, asm.Nx + 1))
-            self.quad_modes = norms @ runner.wmode
-            self._since_refresh = 0
-            self.max_drift = 0.0
-        else:
-            self._norms = norms               # ||D+ zeta_k||^2, in ring storage
-            self._block_shifts = runner.hankel.shape[1]     # start a block now
-        self._load_ends()
+        self.max_drift = 0.0
+        self._from_ring()
 
     # the state: views of the step buffers
     u = property(lambda self: self._rows[0, 1:-1])
@@ -505,14 +476,14 @@ class _SplitRun:
     def _load_ends(self):
         """e_1, e_2 of x for the current ring head."""
         ns, m = self.zeta.shape[1], self.runner.modes
-        if self.prony:
+        if self.runner.prony:
             self._x[m, 1:-1] = self.zeta[:, (self.head - 1) % ns]
             self._x[m + 1, 1:-1] = self.zeta[:, (self.head - 2) % ns]
             return
         # e_1 = sig' in blocks (class docstring): the block-start columns'
         # share, taken for the whole block at its start, plus the t newest
         hankel = self.runner.hankel
-        if self._block_shifts == hankel.shape[1]:
+        if self._block_shifts >= hankel.shape[1]:
             self._block = self._ring_product(self.zeta, hankel)
             self._block_shifts = 0
         t = self._block_shifts
@@ -521,63 +492,66 @@ class _SplitRun:
         if t:
             e_1 += self._ring_product(self.zeta, self.runner.wshift[:t])
 
-    def refresh_mode_sums(self):
-        """Recompute the Prony per-mode sums from the ring and record how far
-        the running ones had drifted; a no-op right after a recomputation."""
-        if self._since_refresh == 0:
-            return
-        sigma = self._x[:self.runner.modes, 1:-1]
-        w = np.roll(self.runner.wmode, self.head, axis=0)    # storage order
-        fresh = self.zeta @ w
-        quad = grad_sq_norms(self.zeta + self.C[:, None], self.assembly.grid.h) @ w
-        self.max_drift = max(self.max_drift, _rel_change(sigma.T, fresh),
-                             _rel_change(self.quad_modes, quad))
-        sigma[...], self.quad_modes = fresh.T, quad
-        self._since_refresh = 0
+    def _from_ring(self):
+        """sigma and the column norms from the stored history, a new shift
+        block and the end terms: one O(Nx Ns) pass."""
+        self._x[:self.runner.modes, 1:-1] = self._ring_product(self.zeta, self.runner.wmode).T
+        self._norms = grad_sq_norms(self.zeta, self.assembly.grid.h)
+        self._block_shifts = SHIFT_BLOCK
+        self._load_ends()
 
-    def _table_sum(self, weights: np.ndarray, total: float, sigma: np.ndarray):
-        """sum_k weights_k ||D+ eta_k||^2 for a table kernel, from the ring of
-        column norms: eta_k = zeta_k + C, so ||D+ eta_k||^2 = n_k
-        + 2 <D+ zeta_k, D+ C> + ||D+ C||^2.  sigma is the row
-        sum_k weights_k zeta_k with a zero at both ends and total is
-        sum_k weights_k.  Returns the sum and the size of the norm terms it
-        was taken from."""
-        h2 = self.assembly.grid.h ** 2
-        d_c = np.diff(self._x[-1])
-        norm_part = float(self._ring_product(self._norms, weights))
-        c_part = total * float(d_c @ d_c) / h2
-        value = norm_part + 2.0 * float(d_c @ np.diff(sigma)) / h2 + c_part
-        return value, abs(norm_part) + abs(c_part)
+    def _measure_drift(self):
+        """Record in max_drift how far the running sigma rows have drifted
+        from the ring: one O(Nx Ns) product, in the zeta frame."""
+        fresh = self._ring_product(self.zeta, self.runner.wmode)
+        scale = float(np.max(np.abs(fresh)))
+        diff = float(np.max(np.abs(self._x[:self.runner.modes, 1:-1].T - fresh)))
+        self.max_drift = max(self.max_drift, diff / scale if scale > 0 else diff)
 
     def _recenter(self):
-        """Store eta itself in the ring (C = 0) and start a new shift block:
-        one O(Nx Ns) pass that leaves the history unchanged."""
+        """Store eta itself in the ring (C = 0) and recompute from it; the
+        history is unchanged.  The drift of the running sums is measured
+        first."""
+        self._measure_drift()
         self.zeta += self.C[:, None]
         self._x[-1] = 0.0
-        self._x[0, 1:-1] = self._ring_product(self.zeta, self.runner.wmode[:, 0])
-        self._norms = grad_sq_norms(self.zeta, self.assembly.grid.h)
-        self._block_shifts = self.runner.hankel.shape[1]
-        self._load_ends()
+        self._from_ring()
+
+    def _mu_sums(self):
+        """sum_k w_k ||D+ eta_k||^2 for the wmu and the wmu' weights w, from
+        the ring of column norms: eta_k = zeta_k + C, so ||D+ eta_k||^2 =
+        n_k + 2 <D+ zeta_k, D+ C> + ||D+ C||^2.  Returns the two sums and
+        the size of the norm terms each was taken from."""
+        run, x, m = self.runner, self._x, self.runner.modes
+        sigma = np.zeros((2, run.nx + 2))          # rows sum_k w_k zeta_k
+        sigma[0] = x[:m].sum(axis=0)
+        if run.prony:
+            sigma[1] = -(run.rates @ x[:m])         # w_k mu'_k = -sum_j r_j W_kj
+        else:
+            sigma[1, 1:-1] = self._ring_product(self.zeta, run.wmus[1])
+        h2 = self.assembly.grid.h ** 2
+        d_c = np.diff(x[-1])
+        # numpy's own loop over the ring's two storage pieces, not a BLAS
+        # product: OpenBLAS threads one of this length, which then takes
+        # ms on a loaded machine
+        cut = self.zeta.shape[1] - self.head
+        norm_part = (np.einsum("ji,i->j", run.wmus[:, :cut], self._norms[self.head:])
+                     + np.einsum("ji,i->j", run.wmus[:, cut:], self._norms[:self.head]))
+        c_part = run.totals * float(d_c @ d_c) / h2
+        sums = norm_part + 2.0 * (np.diff(sigma) @ d_c) / h2 + c_part
+        return sums, np.abs(norm_part) + np.abs(c_part)
 
     def history_sums(self) -> HistorySums:
         """Every history sum of the current state without a gradient pass
-        over the history: O(Nx * modes) from the per-mode sums of a Prony
-        kernel; for a table kernel, from the ring of column norms and one
-        product of the ring with the wmu' weights."""
+        over the history: one O(Ns) pass of both weights over the ring of
+        column norms and O(Nx m) row work; a table kernel adds one product
+        of the ring with the wmu' weights."""
         run, x = self.runner, self._x
-        if self.prony:
-            hist_mu = float(np.sum(self.quad_modes))
-            hist_mup = -float(self.quad_modes @ run.memory_grid.kernel.rates)
-        else:
-            # sum_k w_k mu_k zeta_k is the sigma row of x
-            hist_mu, terms = self._table_sum(run.wmode[:, 0], run.mu0w, x[0])
-            if terms > _RECENTER_RATIO * abs(hist_mu):
-                self._recenter()
-                hist_mu = self._table_sum(run.wmode[:, 0], run.mu0w, x[0])[0]
-            sigma_p = np.zeros(run.nx + 2)
-            sigma_p[1:-1] = self._ring_product(self.zeta, run.wmup)
-            hist_mup = self._table_sum(run.wmup, run.mup0w, sigma_p)[0]
-        return HistorySums(hist_mu=hist_mu, hist_mup=hist_mup,
+        sums, terms = self._mu_sums()
+        if np.any(terms > _RECENTER_RATIO * np.abs(sums)):
+            self._recenter()
+            sums = self._mu_sums()[0]
+        return HistorySums(hist_mu=float(sums[0]), hist_mup=float(sums[1]),
                            moment=(run.moment @ x)[1:-1],
                            shifted_moment=(run.shifted_moment @ x)[1:-1])
 
@@ -593,38 +567,21 @@ class _SplitRun:
         res -= rhs
         _check_residual(res @ res, rhs @ rhs)
 
-        q = rows[4, 1:-1]
-        np.add(rows[2, 1:-1], w_new[2 * nx:], out=q)
-        q *= 0.5 * dt
-        rows[:3, 1:-1] = w_new.reshape(3, nx)
-        if self.prony:
-            d = np.subtract(rows[4:m + 7, 1:], rows[4:m + 7, :-1], out=self._diff)
-            self.quad_modes = self.quad_modes * run.mode_decay + (d @ d.T).ravel() @ run.gram_map
+        c = x[m + 2]
         self.head = (self.head - 1) % self.zeta.shape[1]
-        self.zeta[:, self.head] = -x[m + 2, 1:-1]            # zeta_1 = -C^n
-        if not self.prony:
-            d_c = np.diff(x[m + 2])
-            self._norms[self.head] = float(d_c @ d_c) / self.assembly.grid.h ** 2
-            self._block_shifts += 1
-        x[m + 2] += rows[4]
-        x[:m] = rows[m + 7:]
+        self.zeta[:, self.head] = -c[1:-1]                  # zeta_1 = -C^n
+        d_c = np.diff(c)
+        self._norms[self.head] = float(d_c @ d_c) / self.assembly.grid.h ** 2
+        self._block_shifts += 1
+        c[1:-1] += 0.5 * dt * (rows[2, 1:-1] + w_new[2 * nx:])     # C^n + q
+        rows[:3, 1:-1] = w_new.reshape(3, nx)
+        x[:m] = rows[4:]
         self._load_ends()
         self.t += dt
-        if self.prony:
-            self._since_refresh += 1
-            if self._since_refresh == _REFRESH_STEPS:
-                self.refresh_mode_sums()
 
     def to_state(self) -> State:
         return State(t=self.t, u=self.u.copy(), v=self.v.copy(), theta=self.theta.copy(),
                      eta=self._logical_eta(), assembly=self.assembly)
-
-
-def _rel_change(old: np.ndarray, new: np.ndarray) -> float:
-    """max |old - new| relative to max |new| (0 when both vanish)."""
-    scale = float(np.max(np.abs(new)))
-    diff = float(np.max(np.abs(old - new)))
-    return diff / scale if scale > 0 else diff
 
 
 def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig):
@@ -652,9 +609,9 @@ def step(state: State, cfg: SchemeConfig) -> State:
 class SimulationResult:
     """Trajectory of diagnostics records plus the final state.
 
-    refresh_drift is the largest relative change that recomputing a Prony
-    split run's running history sums from the ring made (0.0 for runs that
-    keep no running sums).
+    refresh_drift is the largest relative difference between a split run's
+    running per-mode sums and its ring, measured at every re-centring and
+    once after the last step (0.0 for runs that keep no running sums).
     """
 
     records: list
@@ -667,14 +624,15 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     """Advance to t = T recording diagnostics every sample_every steps.
 
     Records are always taken at t = 0 and t = T.  More than MAX_STEPS
-    steps raise ParamOutOfRange before the first one.  A split run is
-    sampled from its own history sums, so sampling builds no State;
-    midpoint runs are sampled from their materialized state.  dE_numeric
-    (centered difference of E across samples) and the identity residual
-    are filled in after the run.  Step failures abort with the partial
-    trajectory attached (SimulationAborted).  One INFO line on the
-    membeam.stepper logger reports steps, records, the time spent stepping
-    and sampling, and the refresh drift.
+    steps, or more than MAX_RECORDS records, raise ParamOutOfRange before
+    the first step.  A split run is sampled from its own history sums, so
+    sampling builds no State; midpoint runs are sampled from their
+    materialized state.  dE_numeric (centered difference of E across
+    samples) and the identity residual are filled in after the run.  Step
+    failures abort with the partial trajectory attached
+    (SimulationAborted).  One INFO line on the membeam.stepper logger
+    reports steps, records, the time spent stepping and sampling, and the
+    refresh drift.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
@@ -686,6 +644,11 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     n_steps = int(round(T / cfg.dt)) if T > 0 else 0
     if T > 0 and abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
         n_steps = int(np.ceil(T / cfg.dt))
+    n_records = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
+    if n_records > MAX_RECORDS:
+        raise ParamOutOfRange(
+            "sample_every", f"{n_steps} steps sampled every {sample_every} keep {n_records} "
+            f"records, above the limit of {MAX_RECORDS}")
 
     if mcfg is None:
         mcfg = analysis.choose_multipliers_for(init.assembly)
@@ -707,8 +670,8 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
                 records.append(analysis.diagnostics_record(run if running else run.to_state(),
                                                            mcfg))
                 sampling += time.perf_counter() - t0
-        if running and run.prony:
-            run.refresh_mode_sums()
+        if running:
+            run._measure_drift()
             drift = run.max_drift
         final = run.to_state()
     _fill_numeric_derivatives(records)

@@ -528,6 +528,22 @@ class TestRunLength:
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "membeam_small.csv").exists()
 
+    def test_record_count_bounded_before_first_step(self, tmp_path, monkeypatch, capsys):
+        # 200,000 steps sampled every step would keep 200,001 records
+        def no_step(run):
+            raise AssertionError("stepped")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(stepper._SplitRun, "advance", no_step)
+        text = default_config_path("small").read_text()
+        path = write_cfg(tmp_path, text.replace("T = 8.0", "T = 20000.0")
+                         .replace("sample_every = 2", "sample_every = 1"))
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "200001 records" in err[0] and str(stepper.MAX_RECORDS) in err[0]
+        assert not (tmp_path / "membeam_small.csv").exists()
+
     def test_cli_never_imports_scipy_signal(self, tmp_path):
         # a LAPACK banded solve runs the midpoint history recurrence;
         # scipy.signal (with scipy.stats) would add about 1 s to a process

@@ -37,16 +37,16 @@ class TestSpatialGrid:
 class TestMemoryGrid:
     def test_unit_exponential_truncation(self, exp_kernel):
         mg = mb.build_memory_grid(exp_kernel, dt=0.01, trunc_tol=1e-8)
-        assert mg.s_max >= np.log(1e8)
+        assert mg.Ns * mg.ds >= np.log(1e8)
         assert mg.Ns == 1843
         assert mg.ds == 0.01
         # trapezoid mass misses ~ds/2 mu(0) plus the truncated tail
-        assert mg.mu0_quadrature == pytest.approx(1.0, abs=1e-2)
+        assert mg.weights @ mg.mu == pytest.approx(1.0, abs=1e-2)
 
     def test_fast_kernel_truncation(self):
         kern = mb.MemoryKernel.prony([2.0], [3.0])
         mg = mb.build_memory_grid(kern, dt=0.1, trunc_tol=1e-6)
-        assert mg.s_max >= np.log(1e6) / 3.0
+        assert mg.Ns * mg.ds >= np.log(1e6) / 3.0
         assert mg.Ns == 47
 
     @pytest.mark.parametrize("amps, rates, dt, tol, ns", [
@@ -145,10 +145,9 @@ class TestGeneratorAssembly:
     def test_mu_zero_limit_reduces_to_fourier(self, default_params, exp_kernel):
         asm = make_assembly(Nx=6, Ns=8)
         mg = asm.memory_grid
-        dead = mb.MemoryGrid(Ns=mg.Ns, ds=mg.ds, s_max=mg.s_max, s_nodes=mg.s_nodes,
+        dead = mb.MemoryGrid(Ns=mg.Ns, ds=mg.ds, s_nodes=mg.s_nodes,
                              weights=mg.weights, mu=np.zeros(mg.Ns),
-                             muprime=np.zeros(mg.Ns), mu0_quadrature=0.0,
-                             kernel=mg.kernel)
+                             muprime=np.zeros(mg.Ns), kernel=mg.kernel)
         asm0 = mb.assemble_generator(asm.ops, dead, default_params)
         A = asm0.generator_matrix.tocsr()
         nx = asm.Nx

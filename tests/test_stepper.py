@@ -20,6 +20,7 @@ from membeam.errors import (
     InconsistentGrid,
     LinearSolveFailure,
     ParamOutOfRange,
+    SimulationAborted,
 )
 from membeam.model import State
 
@@ -159,6 +160,23 @@ class TestSimulate:
         with pytest.raises(ParamOutOfRange):
             mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), T)
 
+    def test_record_count_bounded_before_first_step(self, monkeypatch):
+        # 200,000 steps sampled every 2 keep 100,001 records, at the limit;
+        # every step keeps 200,001 and is refused before the first step
+        def no_step(run):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(stepper._SplitRun, "advance", no_step)
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        state, cfg = default_initial_state(asm), mb.SchemeConfig(dt=0.05)
+        with pytest.raises(ParamOutOfRange) as err:
+            mb.simulate(state, cfg, 200_000 * 0.05, sample_every=1)
+        assert err.value.field == "sample_every"
+        assert stepper.MAX_RECORDS == 100_001
+        with pytest.raises(SimulationAborted, match="stepped") as err:
+            mb.simulate(state, cfg, 200_000 * 0.05, sample_every=2)
+        assert err.value.step_index == 1
+
     def test_prony_split_materializes_history_once(self, monkeypatch):
         # sampling reads the running sums; only final_state rolls the ring
         calls = []
@@ -269,8 +287,9 @@ def _assert_records_close(rec, full, tol):
 
 
 class TestRunningHistorySums:
-    """A Prony split run samples from per-mode running sums; every record
-    must match the full quadrature on the materialized state."""
+    """A split run samples from its running per-mode sums and its ring of
+    column norms; every record must match the full quadrature on the
+    materialized state."""
 
     TOL = 1e-11
 
@@ -309,15 +328,15 @@ class TestRunningHistorySums:
             _assert_records_close(an.diagnostics_record(run, mcfg),
                                   an.diagnostics_record(run.to_state(), mcfg), self.TOL)
 
-    def test_refresh_replaces_running_sums(self):
+    def test_recenter_measures_and_replaces_running_sums(self):
         asm = make_assembly(Nx=6, ds=0.05, Ns=12,
                             kernel=mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0]))
         run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05)).run(
             default_initial_state(asm))
         for _ in range(7):
             run.advance()
-        run.quad_modes = run.quad_modes * (1.0 + 1e-6)
-        run.refresh_mode_sums()
+        run._x[:run.runner.modes] *= 1.0 + 1e-6
+        run._recenter()
         assert run.max_drift == pytest.approx(1e-6, rel=1e-3)
         full = an.history_sums(run.to_state().eta, asm)
         assert run.history_sums().hist_mu == pytest.approx(full.hist_mu, rel=1e-13)
@@ -371,8 +390,9 @@ def _table_kernel():
 
 
 class TestTableKernelRing:
-    """A table-kernel split run takes its shifted sum in Hankel blocks and
-    its history sums from a ring of column norms."""
+    """A table-kernel split run takes its shifted sum in Hankel blocks; a
+    split run of either kernel form takes its history sums from a ring of
+    column norms."""
 
     @pytest.mark.parametrize("ns", [1, 2, 5, 15, 16, 17, 40])
     def test_blocked_shifted_sum_matches_rolled_product(self, ns):
@@ -386,9 +406,15 @@ class TestTableKernelRing:
             assert np.all(np.abs(e_1 - run.zeta @ weights) <= 1e-14 * terms)
             run.advance()
 
-    def test_history_sums_match_full_quadrature(self, monkeypatch):
-        # 200 steps take the history sum from 9.9 to 6.5e-9, so the ring
-        # is re-centred on C along the way
+    @pytest.mark.parametrize("kernel", [_table_kernel(),
+                                        mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0]),
+                                        mb.MemoryKernel.prony([1.0, 0.5, 4.0], [1.0, 4.0, 60.0])],
+                             ids=["table", "prony", "prony_spread"])
+    def test_history_sums_match_full_quadrature(self, monkeypatch, kernel):
+        # 200 steps take the history sum down by orders of magnitude (9.9 to
+        # 6.5e-9 for the table kernel), so the ring is re-centred on C
+        # along the way; with a fast mode the wmu' terms cancel more than
+        # the wmu terms, and the check reads both
         recentred = []
         real = stepper._SplitRun._recenter
 
@@ -398,7 +424,7 @@ class TestTableKernelRing:
 
         monkeypatch.setattr(stepper._SplitRun, "_recenter", counting)
         dt = 0.05
-        asm = make_assembly(Nx=6, ds=dt, Ns=40, kernel=_table_kernel())
+        asm = make_assembly(Nx=6, ds=dt, Ns=40, kernel=kernel)
         state = default_initial_state(asm)
         cfg = mb.SchemeConfig(dt=dt)
         run = stepper._get_runner(asm, cfg).run(state)
