@@ -65,11 +65,9 @@ def grad_sq_norms(arr: np.ndarray, h: float) -> np.ndarray:
     return np.einsum("ij,ij->j", g, g)
 
 
-def poincare_constant(assembly_or_ops) -> float:
+def poincare_constant(assembly: GeneratorAssembly) -> float:
     """Sharp discrete Poincare constant 1/lambda_min(-LAP)."""
-    ops = getattr(assembly_or_ops, "ops", assembly_or_ops)
-    nx = ops.grid.Nx
-    h = ops.grid.h
+    nx, h = assembly.Nx, assembly.grid.h
     lam_min = eigvalsh_tridiagonal(
         np.full(nx, 2.0 / h**2), np.full(nx - 1, -1.0 / h**2),
         select="i", select_range=(0, 0))[0]

@@ -49,6 +49,14 @@ _INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, BufferError
                     RuntimeError, SystemError, TypeError, ValueError)
 
 
+# Largest relative drift accepted between a split run's running history sums
+# and its ring.  The drift is an error in the right-hand side of every step,
+# so it gets the bound of a step's linear-solve residual (1e-9 in stepper);
+# rounding that grows by one unit (1.1e-16) per step stays below it for
+# the 1e6 steps of stepper.MAX_STEPS.
+_DRIFT_TOL = 1e-9
+
+
 def default_config_path(name: str = "default") -> Path:
     """Path of a shipped run file ('default' or 'small')."""
     return Path(resources.files("membeam").joinpath(f"data/{name}.cfg"))
@@ -137,6 +145,9 @@ def cmd_simulate(args) -> int:
     _write_csv(csv_path, result.records)
 
     checks = analysis.certify_trajectory(result.records)
+    drift = result.refresh_drift
+    checks.append(analysis.CheckResult("running_sum_drift", drift, _DRIFT_TOL,
+                                       bool(drift <= _DRIFT_TOL)))
     try:
         fit = analysis.fit_decay(result.records, (0.2 * cfg.T, cfg.T), "peak_envelope")
         fit_line = (f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} "

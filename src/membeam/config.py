@@ -6,7 +6,9 @@ The run file is flat sectioned key-value text (no general-purpose markup):
     [section]
     key = value
 
-Sections and keys are fixed; unknown ones are rejected.  Value grammar:
+Each key is declared once, on its RunConfig field: its section, name,
+type and default (a key with no default is required).  Unknown sections
+and keys are rejected.  Value grammar:
 
     [domain]        L = <float>, Nx = <int>
     [params]        kappa, beta, lambda1, lambda2 = <float>
@@ -33,14 +35,15 @@ three numeric columns (s, mu, optional mu'), whitespace-separated, with
 strictly increasing s starting at 0.
 
 Clamped profiles (u0, v0) must vanish together with their slope at both
-endpoints; Dirichlet profiles (theta0) must vanish at both endpoints.
-Violations raise IncompatibleBoundary at build time.
+endpoints; Dirichlet profiles (theta0) must vanish at both endpoints.  The
+end slope of a table profile is not checked.  Violations raise
+IncompatibleBoundary at build time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,64 +63,49 @@ from .model import InitialData, MemoryKernel, State
 
 _BOUNDARY_TOL = 1e-12
 
-_SCHEMA = {
-    "domain": {"L": float, "Nx": int},
-    "params": {"kappa": float, "beta": float, "lambda1": float, "lambda2": float},
-    "coefficients": {"p": str, "g": str},
-    "kernel": {"type": str, "amplitudes": str, "rates": str, "path": str},
-    "memory": {"trunc_tol": float},
-    "time": {"dt": float, "T": float, "sample_every": int, "scheme": str},
-    "initial": {"u0": str, "v0": str, "theta0": str, "history_mode": str},
-    "output": {"csv_path": str, "report_path": str},
-}
 
-_REQUIRED = {
-    "domain": ("L", "Nx"),
-    "params": ("kappa", "beta", "lambda1", "lambda2"),
-    "coefficients": ("p", "g"),
-    "kernel": ("type",),
-    "time": ("dt", "T"),
-    "initial": ("u0", "v0", "theta0"),
-}
-
-_DEFAULTS = {
-    ("memory", "trunc_tol"): 1e-8,
-    ("time", "sample_every"): 10,
-    ("time", "scheme"): "split_semilagrangian",
-    ("initial", "history_mode"): "constant_past",
-    ("output", "csv_path"): "membeam_run.csv",
-    ("output", "report_path"): "membeam_report.txt",
-}
+def _key(section: str, key: str, cast=str, default=MISSING):
+    """A RunConfig field read from key in [section] with cast; a field
+    with no default is a required key."""
+    return field(default=default, metadata={"run_file": (section, key, cast)})
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Parsed, type-checked run file; raw profile/kernel specs kept as text."""
+    """Parsed, type-checked run file; raw profile/kernel specs kept as text.
 
-    L: float
-    Nx: int
-    kappa: float
-    beta: float
-    lambda1: float
-    lambda2: float
-    p_spec: str
-    g_spec: str
-    kernel_type: str
-    kernel_amplitudes: str
-    kernel_rates: str
-    kernel_path: str
-    trunc_tol: float
-    dt: float
-    T: float
-    sample_every: int
-    scheme: str
-    u0_spec: str
-    v0_spec: str
-    theta0_spec: str
-    history_mode: str
-    csv_path: str
-    report_path: str
+    Each field but base_dir is one run-file key, declared by _key.  The
+    kernel keys are required by kernel type, not by the declaration."""
+
+    L: float = _key("domain", "L", float)
+    Nx: int = _key("domain", "Nx", int)
+    kappa: float = _key("params", "kappa", float)
+    beta: float = _key("params", "beta", float)
+    lambda1: float = _key("params", "lambda1", float)
+    lambda2: float = _key("params", "lambda2", float)
+    p_spec: str = _key("coefficients", "p")
+    g_spec: str = _key("coefficients", "g")
+    kernel_type: str = _key("kernel", "type")
+    kernel_amplitudes: str = _key("kernel", "amplitudes", default="")
+    kernel_rates: str = _key("kernel", "rates", default="")
+    kernel_path: str = _key("kernel", "path", default="")
+    trunc_tol: float = _key("memory", "trunc_tol", float, default=1e-8)
+    dt: float = _key("time", "dt", float)
+    T: float = _key("time", "T", float)
+    sample_every: int = _key("time", "sample_every", int, default=10)
+    scheme: str = _key("time", "scheme", default="split_semilagrangian")
+    u0_spec: str = _key("initial", "u0")
+    v0_spec: str = _key("initial", "v0")
+    theta0_spec: str = _key("initial", "theta0")
+    history_mode: str = _key("initial", "history_mode", default="constant_past")
+    csv_path: str = _key("output", "csv_path", default="membeam_run.csv")
+    report_path: str = _key("output", "report_path", default="membeam_report.txt")
     base_dir: Path = field(default_factory=Path)
+
+
+# (section, key) -> its RunConfig field, in declaration order
+_KEYS = {f.metadata["run_file"][:2]: f for f in fields(RunConfig) if f.metadata}
+_KERNEL_KEYS = {"prony": ("amplitudes", "rates"), "table": ("path",)}
 
 
 def parse_config(path) -> RunConfig:
@@ -127,7 +115,7 @@ def parse_config(path) -> RunConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, object] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -135,7 +123,7 @@ def parse_config(path) -> RunConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in {s for s, _ in _KEYS}:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -143,59 +131,31 @@ def parse_config(path) -> RunConfig:
         if section is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, _, val = (s.strip() for s in line.partition("="))
-        if key not in _SCHEMA[section]:
+        decl = _KEYS.get((section, key))
+        if decl is None:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}' in [{section}]")
-        if (section, key) in values:
+        if decl.name in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-        caster = _SCHEMA[section][key]
+        cast = decl.metadata["run_file"][2]
         try:
-            values[(section, key)] = caster(val)
+            values[decl.name] = cast(val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        if caster is float and not math.isfinite(values[(section, key)]):
+        if cast is float and not math.isfinite(values[decl.name]):
             raise ConfigError(f"{path}:{lineno}: {key} must be a finite number, got {val!r}")
 
-    for section, keys in _REQUIRED.items():
-        for key in keys:
-            if (section, key) not in values:
-                raise ConfigError(f"{path}: missing required key [{section}] {key}")
-    for sk, default in _DEFAULTS.items():
-        values.setdefault(sk, default)
-
-    ktype = values[("kernel", "type")]
-    if ktype == "prony":
-        for key in ("amplitudes", "rates"):
-            if ("kernel", key) not in values:
-                raise ConfigError(f"{path}: prony kernel needs [kernel] {key}")
-        values.setdefault(("kernel", "path"), "")
-    elif ktype == "table":
-        if ("kernel", "path") not in values:
-            raise ConfigError(f"{path}: table kernel needs [kernel] path")
-        values.setdefault(("kernel", "amplitudes"), "")
-        values.setdefault(("kernel", "rates"), "")
-    else:
-        raise ConfigError(f"{path}: kernel type must be prony or table, got {ktype!r}")
-    scheme = values[("time", "scheme")]
-    if scheme not in stepper.SCHEMES:
-        raise ConfigError(f"{path}: scheme must be one of {stepper.SCHEMES}, got {scheme!r}")
-
-    return RunConfig(
-        L=values[("domain", "L")], Nx=values[("domain", "Nx")],
-        kappa=values[("params", "kappa")], beta=values[("params", "beta")],
-        lambda1=values[("params", "lambda1")], lambda2=values[("params", "lambda2")],
-        p_spec=values[("coefficients", "p")], g_spec=values[("coefficients", "g")],
-        kernel_type=ktype, kernel_amplitudes=values[("kernel", "amplitudes")],
-        kernel_rates=values[("kernel", "rates")], kernel_path=values[("kernel", "path")],
-        trunc_tol=values[("memory", "trunc_tol")],
-        dt=values[("time", "dt")], T=values[("time", "T")],
-        sample_every=values[("time", "sample_every")], scheme=scheme,
-        u0_spec=values[("initial", "u0")], v0_spec=values[("initial", "v0")],
-        theta0_spec=values[("initial", "theta0")],
-        history_mode=values[("initial", "history_mode")],
-        csv_path=values[("output", "csv_path")],
-        report_path=values[("output", "report_path")],
-        base_dir=path.parent,
-    )
+    for (section, key), decl in _KEYS.items():
+        if decl.default is MISSING and decl.name not in values:
+            raise ConfigError(f"{path}: missing required key [{section}] {key}")
+    cfg = RunConfig(**values, base_dir=path.parent)
+    if cfg.kernel_type not in _KERNEL_KEYS:
+        raise ConfigError(f"{path}: kernel type must be prony or table, got {cfg.kernel_type!r}")
+    for key in _KERNEL_KEYS[cfg.kernel_type]:
+        if _KEYS[("kernel", key)].name not in values:
+            raise ConfigError(f"{path}: {cfg.kernel_type} kernel needs [kernel] {key}")
+    if cfg.scheme not in stepper.SCHEMES:
+        raise ConfigError(f"{path}: scheme must be one of {stepper.SCHEMES}, got {cfg.scheme!r}")
+    return cfg
 
 
 def _floats(text: str) -> np.ndarray:
@@ -211,44 +171,10 @@ def _floats(text: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Parsed profile spec; evaluates on node arrays and at scalar points."""
-
-    kind: str
-    L: float
-    coeffs: np.ndarray | None = None
-    table_x: np.ndarray | None = None
-    table_y: np.ndarray | None = None
-    amplitude: float = 0.0
-    mode: int = 1
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.coeffs[0])
-        if self.kind == "poly":
-            return np.polyval(self.coeffs[::-1], x)
-        if self.kind == "sine":
-            return self.amplitude * np.sin(self.mode * np.pi * x / self.L)
-        return np.interp(x, self.table_x, self.table_y)
-
-    def derivative_at(self, x: float) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "poly":
-            der = np.polyder(np.poly1d(self.coeffs[::-1]))
-            return float(der(x))
-        if self.kind == "sine":
-            k = self.mode * np.pi / self.L
-            return float(self.amplitude * k * np.cos(k * x))
-        i = np.searchsorted(self.table_x, x)
-        i = min(max(i, 1), self.table_x.size - 1)
-        dx = self.table_x[i] - self.table_x[i - 1]
-        return float((self.table_y[i] - self.table_y[i - 1]) / dx)
-
-
-def parse_profile(spec: str, L: float, base_dir: Path) -> Profile:
+def parse_profile(spec: str, L: float, base_dir: Path):
+    """(profile, slope) of a profile spec: profile evaluates on node arrays,
+    slope at scalar points.  slope is None for a table, whose end slopes
+    are not checked."""
     parts = spec.split()
     if not parts:
         raise ConfigError("empty profile spec")
@@ -256,11 +182,14 @@ def parse_profile(spec: str, L: float, base_dir: Path) -> Profile:
     if kind == "constant":
         if len(parts) != 2:
             raise ConfigError(f"constant profile takes one value: {spec!r}")
-        return Profile(kind="constant", L=L, coeffs=_floats(parts[1]))
+        c = _floats(parts[1])[0]
+        return (lambda x: np.full_like(x, c)), (lambda x: 0.0)
     if kind == "poly":
         if len(parts) < 2:
             raise ConfigError(f"poly profile needs coefficients: {spec!r}")
-        return Profile(kind="poly", L=L, coeffs=_floats(" ".join(parts[1:])))
+        coeffs = _floats(" ".join(parts[1:]))[::-1]
+        der = np.polyder(np.poly1d(coeffs))
+        return (lambda x: np.polyval(coeffs, x)), (lambda x: float(der(x)))
     if kind == "sine":
         if len(parts) not in (2, 3):
             raise ConfigError(f"sine profile takes amplitude [mode]: {spec!r}")
@@ -271,12 +200,14 @@ def parse_profile(spec: str, L: float, base_dir: Path) -> Profile:
             raise ConfigError(f"sine profile takes a number and an integer: {spec!r}") from exc
         if not math.isfinite(amplitude):
             raise ConfigError(f"sine amplitude must be finite: {spec!r}")
-        return Profile(kind="sine", L=L, amplitude=amplitude, mode=mode)
+        k = mode * np.pi / L
+        return ((lambda x: amplitude * np.sin(mode * np.pi * x / L)),
+                (lambda x: float(amplitude * k * np.cos(k * x))))
     if kind == "table":
         if len(parts) != 2:
             raise ConfigError(f"table profile takes a path: {spec!r}")
         data = _load_table(base_dir / parts[1], 2)
-        return Profile(kind="table", L=L, table_x=data[:, 0], table_y=data[:, 1])
+        return (lambda x: np.interp(x, data[:, 0], data[:, 1])), None
     raise ConfigError(f"unknown profile kind {kind!r} (constant|poly|table|sine)")
 
 
@@ -292,15 +223,15 @@ def _load_table(path: Path, min_cols: int) -> np.ndarray:
     return data
 
 
-def _check_boundary(profile: Profile, name: str, L: float, clamped: bool):
+def _check_boundary(profile, slope, name: str, L: float):
+    """Reject a profile that does not vanish at both ends, or, given its
+    slope, whose slope does not vanish there."""
     vals = profile(np.array([0.0, L]))
     scale = max(float(np.max(np.abs(profile(np.linspace(0.0, L, 33))))), 1.0)
     if np.max(np.abs(vals)) > _BOUNDARY_TOL * scale:
         raise IncompatibleBoundary(f"{name} must vanish at x = 0 and x = L")
-    if clamped and profile.kind != "table":
-        der = max(abs(profile.derivative_at(0.0)), abs(profile.derivative_at(L)))
-        if der > _BOUNDARY_TOL * scale:
-            raise IncompatibleBoundary(f"{name} must have zero slope at x = 0 and x = L")
+    if slope is not None and max(abs(slope(0.0)), abs(slope(L))) > _BOUNDARY_TOL * scale:
+        raise IncompatibleBoundary(f"{name} must have zero slope at x = 0 and x = L")
 
 
 def build_kernel(cfg: RunConfig) -> MemoryKernel:
@@ -338,25 +269,23 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     check_history_fits(cfg.Nx, memory_grid.Ns)
 
     grid = build_spatial_grid(cfg.L, cfg.Nx)
-    p_prof = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)
-    g_prof = parse_profile(cfg.g_spec, cfg.L, cfg.base_dir)
+    p_prof, _ = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)
+    g_prof, _ = parse_profile(cfg.g_spec, cfg.L, cfg.base_dir)
     coeffs = model.certify_coefficients(p_prof(grid.nodes), g_prof(grid.nodes))
     ops = build_operators(grid, coeffs, params)
     assembly = assemble_generator(ops, memory_grid, params)
 
-    u0_prof = parse_profile(cfg.u0_spec, cfg.L, cfg.base_dir)
-    v0_prof = parse_profile(cfg.v0_spec, cfg.L, cfg.base_dir)
-    th_prof = parse_profile(cfg.theta0_spec, cfg.L, cfg.base_dir)
-    _check_boundary(u0_prof, "u0", cfg.L, clamped=True)
-    _check_boundary(v0_prof, "v0", cfg.L, clamped=True)
-    _check_boundary(th_prof, "theta0", cfg.L, clamped=False)
+    initial = {name: parse_profile(spec, cfg.L, cfg.base_dir) for name, spec in
+               (("u0", cfg.u0_spec), ("v0", cfg.v0_spec), ("theta0", cfg.theta0_spec))}
+    for name, (profile, slope) in initial.items():
+        # u0 and v0 are clamped; theta0 (Dirichlet) may have any end slope
+        _check_boundary(profile, None if name == "theta0" else slope, name, cfg.L)
     if cfg.history_mode not in ("zero", "constant_past"):
         raise ConfigError("history_mode must be zero or constant_past in run files")
-    init = InitialData(u0=u0_prof(grid.nodes), v0=v0_prof(grid.nodes),
-                       theta0=th_prof(grid.nodes), history_mode=cfg.history_mode)
+    init = InitialData(**{name: profile(grid.nodes) for name, (profile, _) in initial.items()},
+                       history_mode=cfg.history_mode)
     state = model.build_initial_state(init, assembly)
-    mcfg = analysis.choose_multipliers(params, kernel, coeffs,
-                                       analysis.poincare_constant(assembly))
+    mcfg = analysis.choose_multipliers_for(assembly)
     assembly.mechanical_block       # range-checked as it is built, before any evaluation
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
                         coefficients=coeffs, memory_grid=memory_grid,

@@ -330,7 +330,6 @@ class _SplitRunner:
         if abs(mg.ds - cfg.dt) > 1e-12 * max(mg.ds, cfg.dt):
             raise InconsistentGrid(
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
-        self.memory_grid = mg
         self.cfg = cfg
         self.nx = nx = assembly.Nx
         dt, B, lap = cfg.dt, assembly.mechanical_block, assembly.ops.lap

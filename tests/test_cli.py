@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import membeam
-from membeam import config, discretization, stepper
+from membeam import cli, config, discretization, stepper
 from membeam.cli import CSV_HEADER, default_config_path, main
 from membeam.config import parse_config, with_parameter
 from membeam.errors import ConfigError, IncompatibleBoundary
@@ -71,6 +72,56 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
+def edit_cfg(old, new, text=TINY_CFG):
+    """text with its one occurrence of old replaced by new."""
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
+def drop_key(key, text=TINY_CFG):
+    """text without its one 'key = ...' line."""
+    out, count = re.subn(rf"^{re.escape(key)} = .*\n", "", text, flags=re.M)
+    assert count == 1, key
+    return out
+
+
+# Every run-file error of parse_config as (id, run file, message), where
+# {path} is the run file and {at} is "{path}:<line of the first character
+# that differs from TINY_CFG>".
+PARSE_ERRORS = [
+    ("unknown_section", edit_cfg("[memory]", "[extras]"), "{at}: unknown section [extras]"),
+    ("key_outside_section", edit_cfg("\n[domain]", "\nL = 1.0\n[domain]"),
+     "{at}: key outside any [section]"),
+    ("missing_equals", edit_cfg("kappa = 0.5", "kappa 0.5"), "{at}: expected 'key = value'"),
+    ("unknown_key", edit_cfg("kappa = 0.5", "kappa = 0.5\nwobble = 3"),
+     "{at}: unknown key 'wobble' in [params]"),
+    ("duplicate_key", edit_cfg("beta = 1.0", "beta = 1.0\nbeta = 2.0"),
+     "{at}: duplicate key 'beta'"),
+    ("bad_int", edit_cfg("Nx = 6", "Nx = 6.5"),
+     "{at}: bad value for Nx: invalid literal for int() with base 10: '6.5'"),
+    ("bad_float", edit_cfg("kappa = 0.5", "kappa = half"),
+     "{at}: bad value for kappa: could not convert string to float: 'half'"),
+    ("infinite_float", edit_cfg("kappa = 0.5", "kappa = inf"),
+     "{at}: kappa must be a finite number, got 'inf'"),
+    ("nan_float", edit_cfg("dt = 0.1", "dt = nan"), "{at}: dt must be a finite number, got 'nan'"),
+    ("prony_without_amplitudes", drop_key("amplitudes"),
+     "{path}: prony kernel needs [kernel] amplitudes"),
+    ("prony_without_rates", drop_key("rates"), "{path}: prony kernel needs [kernel] rates"),
+    ("table_without_path", edit_cfg("type = prony", "type = table"),
+     "{path}: table kernel needs [kernel] path"),
+    ("unknown_kernel_type", edit_cfg("type = prony", "type = wavelet"),
+     "{path}: kernel type must be prony or table, got 'wavelet'"),
+    ("unknown_scheme", edit_cfg("scheme = split_semilagrangian", "scheme = leapfrog"),
+     "{path}: scheme must be one of ('full_implicit_midpoint', 'split_semilagrangian'), "
+     "got 'leapfrog'"),
+] + [(f"missing_{key}", drop_key(key), f"{{path}}: missing required key [{section}] {key}")
+     for section, key in (("domain", "L"), ("domain", "Nx"), ("params", "kappa"),
+                          ("params", "beta"), ("params", "lambda1"), ("params", "lambda2"),
+                          ("coefficients", "p"), ("coefficients", "g"), ("kernel", "type"),
+                          ("time", "dt"), ("time", "T"), ("initial", "u0"), ("initial", "v0"),
+                          ("initial", "theta0"))]
+
+
 class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, TINY_CFG))
@@ -92,6 +143,34 @@ class TestParseConfig:
         bad = TINY_CFG.replace("dt = 0.1", "")
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, bad))
+
+    @pytest.mark.parametrize("text,message", [case[1:] for case in PARSE_ERRORS],
+                             ids=[case[0] for case in PARSE_ERRORS])
+    def test_every_parse_error(self, tmp_path, capsys, text, message):
+        path = write_cfg(tmp_path, text)
+        line = os.path.commonprefix([TINY_CFG, text]).count("\n") + 1
+        message = message.format(at=f"{path}:{line}", path=path)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value) == message
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_defaults(self, tmp_path):
+        text = TINY_CFG
+        for key in ("trunc_tol", "sample_every", "scheme", "history_mode",
+                    "csv_path", "report_path"):
+            text = drop_key(key, text)
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert (cfg.trunc_tol, cfg.sample_every, cfg.scheme, cfg.history_mode,
+                cfg.csv_path, cfg.report_path, cfg.kernel_path, cfg.base_dir) == (
+            1e-8, 10, "split_semilagrangian", "constant_past",
+            "membeam_run.csv", "membeam_report.txt", "", tmp_path)
+        table = edit_cfg("type = prony\namplitudes = 1.0\nrates = 1.0",
+                         "type = table\npath = kern.txt", text)
+        cfg = parse_config(write_cfg(tmp_path, table))
+        assert (cfg.kernel_type, cfg.kernel_amplitudes, cfg.kernel_rates, cfg.kernel_path) == (
+            "table", "", "", "kern.txt")
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -118,6 +197,20 @@ class TestParseConfig:
         bad = TINY_CFG.replace("theta0 = sine 1.0 1", "theta0 = constant 0.5")
         with pytest.raises(IncompatibleBoundary):
             build_setup(parse_config(write_cfg(tmp_path, bad)))
+
+    def test_end_slope_checked_for_formulas_not_tables(self, tmp_path):
+        from membeam.config import build_setup
+        # x (1 - x) vanishes at both ends, with slope 1 and -1 there
+        x = np.linspace(0.0, 1.0, 11)
+        np.savetxt(tmp_path / "u0.txt", np.column_stack([x, x * (1.0 - x)]))
+        table = edit_cfg("u0 = poly 0 0 1 -2 1", "u0 = table u0.txt")
+        setup = build_setup(parse_config(write_cfg(tmp_path, table)))
+        nodes = setup.assembly.grid.nodes
+        np.testing.assert_array_equal(setup.initial_state.u, np.interp(nodes, x, x * (1.0 - x)))
+        poly = edit_cfg("u0 = poly 0 0 1 -2 1", "u0 = poly 0 1 -1")
+        with pytest.raises(IncompatibleBoundary,
+                           match="^u0 must have zero slope at x = 0 and x = L$"):
+            build_setup(parse_config(write_cfg(tmp_path, poly)))
 
 
 class TestValidateCommand:
@@ -183,6 +276,23 @@ class TestSimulateCommand:
         assert "energy_monotone_decay" in report
         assert "decay fit: gamma=" in report
         assert "spectral abscissa" in report
+        assert re.search(r"^check running_sum_drift: worst=\S+ tol=1\.0e-09 PASS$", report,
+                         flags=re.M)
+
+    @pytest.mark.parametrize("drift", [float("nan"), 2e-9])
+    def test_running_sum_drift_is_checked(self, tmp_path, monkeypatch, capsys, drift):
+        monkeypatch.chdir(tmp_path)
+        run = cli._run_simulation
+
+        def drifted(setup):
+            result = run(setup)
+            result.refresh_drift = drift
+            return result
+
+        monkeypatch.setattr(cli, "_run_simulation", drifted)
+        assert main(["simulate", str(write_cfg(tmp_path, FIT_CFG))]) == 1
+        assert f"check running_sum_drift: worst={drift:.6e} tol=1.0e-09 FAIL" in \
+            capsys.readouterr().out
 
     def test_too_few_fit_samples_fails_the_run(self, tmp_path, monkeypatch, capsys):
         # TINY_CFG has 8 samples in its fit window [0.4, 2], fewer than a fit needs
