@@ -49,11 +49,12 @@ _INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, BufferError
                     RuntimeError, SystemError, TypeError, ValueError)
 
 
-# Largest relative drift accepted between a split run's running history sums
-# and its ring.  The drift is an error in the right-hand side of every step,
-# so it gets the bound of a step's linear-solve residual (1e-9 in stepper);
-# rounding that grows by one unit (1.1e-16) per step stays below it for
-# the 1e6 steps of stepper.MAX_STEPS.
+# Largest relative drift accepted between a run's running history sums and
+# the history they sum (stepper.SimulationResult.refresh_drift).  The drift
+# is an error in the right-hand side of every step, so it gets the bound of
+# a step's linear-solve residual (1e-9 in stepper); rounding that grows by
+# one unit (1.1e-16) per step stays below it for the 1e6 steps of
+# stepper.MAX_STEPS.
 _DRIFT_TOL = 1e-9
 
 

@@ -180,9 +180,10 @@ def parse_profile(spec: str, L: float, base_dir: Path):
         raise ConfigError("empty profile spec")
     kind = parts[0]
     if kind == "constant":
-        if len(parts) != 2:
+        values = _floats(parts[1]) if len(parts) == 2 else []
+        if len(values) != 1:
             raise ConfigError(f"constant profile takes one value: {spec!r}")
-        c = _floats(parts[1])[0]
+        c = values[0]
         return (lambda x: np.full_like(x, c)), (lambda x: 0.0)
     if kind == "poly":
         if len(parts) < 2:

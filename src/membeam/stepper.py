@@ -7,7 +7,9 @@ full_implicit_midpoint
     monolithic generator.  An exact H-contraction for the dissipative
     assembly at any dt.  The upwind history block of I - dt/2 A_h is a
     first-order recurrence in s, which SchurSolver eliminates exactly, so
-    only a 3Nx matrix is factorized.
+    only a 3Nx matrix is factorized.  The run keeps the history as its
+    rfft on a zero-padded s-grid, where the history update of a step is
+    one product with a fixed symbol and a rank-1 update.
 
 split_semilagrangian
     Requires ds == dt.  The history transport eta_t + eta_s = theta is
@@ -27,14 +29,22 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
     split, table           one O(Nx Ns B) GEMM every    one O(Nx Ns) product
                            B = 16 steps + 3Nx LU        and one O(Ns) pass over
                            solve, ~0.14 ms, Ns = 15612  the ring, ~0.55 ms
-    midpoint               3Nx LU solve, one banded     O(Nx Ns)
-                           history solve (LAPACK) and
-                           the residual, in place,
-                           ~25 ms, Ns = 18422
+    midpoint               one product with the         one irfft of the
+                           history symbol, one          spectrum and
+                           Parseval product, the 3Nx    O(Nx Ns), ~6.4 ms
+                           LU solve and a rank-1        for the irfft
+                           update on the (Nx, P/2 + 1)
+                           spectrum; an irfft/rfft
+                           pair every K steps;
+                           ~2.3 ms, Ns = 18422
+                           (P = 19200, K = 523)
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
 once after its last step, where it reports the drift of its running sums.
+A midpoint run materializes its history every K steps and once after its
+last step, where it checks the history rows of the step and reports the
+drift of its carried wmu . eta.
 
 oracle_evolve is the reference both schemes are tested against:
 exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM.
@@ -55,7 +65,7 @@ from scipy.sparse.linalg import splu
 
 from . import analysis
 from .analysis import HistorySums, grad_sq_norms
-from .discretization import DENSE_MAX_DIM, SHIFT_BLOCK, GeneratorAssembly
+from .discretization import DENSE_MAX_DIM, SHIFT_BLOCK, GeneratorAssembly, check_history_fits
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -112,6 +122,16 @@ def _check_residual(residual_sq: float, rhs_sq: float):
             f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
 
 
+def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
+    """The larger of worst and the drift of running sums from fresh ones:
+    the largest difference over the largest fresh sum (the difference
+    itself when every fresh sum is 0).  A NaN is kept, so it fails the
+    drift check."""
+    scale = float(np.max(np.abs(fresh)))
+    diff = float(np.max(np.abs(running - fresh)))
+    return float(np.maximum(worst, diff / scale if scale > 0 else diff))
+
+
 def _check_history_shape(state: State):
     asm = state.assembly
     if state.eta.shape != (asm.Nx, asm.Ns):
@@ -148,18 +168,19 @@ class SchurSolver:
     C-ordered (Nx, Ns) right-hand side z / (1 + q), read as Nx columns of
     length Ns, gives L^{-1} z in place: y_k = z_k / (1 + q) + q / (1 + q)
     y_{k-1}.  With g = L^{-T} wmu the theta row sees the history only
-    through wmu . L^{-1} r_eta = g . r_eta and tau (g . 1) theta, which
-    leaves the Schur complement
+    through wmu . L^{-1} r_eta = g . r_eta and tau kappa theta with
+    kappa = g . 1, which leaves the Schur complement
 
-        I - tau B - tau^2 (g . 1) [theta theta] lap,
+        I - tau B - tau^2 kappa [theta theta] lap,
 
     nonsingular exactly when I - tau A_h is.  Once w is known, the history
     is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
     the same LU and L^T, a recurrence run from s_Ns down.  solve,
     solve_transposed and apply take inputs of any layout, leave them
-    untouched and return new arrays; the midpoint run calls the blockwise
-    methods on its own buffers.  The solver keeps no reference to its
-    assembly.
+    untouched and return new arrays.  resolvent_check solves through this
+    class; the midpoint run takes its LU, g and apply_w, and checks its
+    history step against the banded solve.  The solver keeps no reference
+    to its assembly.
     """
 
     def __init__(self, assembly: GeneratorAssembly, tau: float):
@@ -176,7 +197,8 @@ class SchurSolver:
         self._band = np.asfortranarray([np.ones(self.ns),
                                         np.full(self.ns, -self.q / (1.0 + self.q))])
         self.g = self._recurrence(self.c * self.wmu[None, :], transposed=True)[0]
-        _, self.lu = _mechanical_lu(self.B, self.lap, tau, float(np.sum(self.g)))
+        self.kappa = float(np.sum(self.g))
+        _, self.lu = _mechanical_lu(self.B, self.lap, tau, self.kappa)
 
     def _recurrence(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
         """L^{-1} (1 + q) z along s, or L^{-T} (1 + q) z, written over the
@@ -188,51 +210,29 @@ class SchurSolver:
             raise LinearSolveFailure(f"banded history solve: LAPACK dtbtrs info = {info}")
         return y.T
 
-    def _apply_w(self, w: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """The (u, v, theta) rows of (I - tau A_h)(w, eta)."""
-        out = w - self.tau * (self.B @ w)
-        out[2 * self.nx:] -= self.tau * (self.lap @ (eta @ self.wmu))
-        return out
-
-    def _apply_eta(self, eta: np.ndarray, theta: np.ndarray, out: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
-        """The history rows (1 + q) eta - q S eta - tau theta 1^T, formed in
-        out; scratch is overwritten."""
-        q = self.q
-        np.multiply(eta, 1.0 + q, out=out)
-        out[:, 1:] -= np.multiply(eta[:, :-1], q, out=scratch[:, 1:])
-        out -= self.tau * theta[:, None]
-        return out
-
-    def _solve_w(self, r_w: np.ndarray, r_eta: np.ndarray) -> np.ndarray:
-        """The (u, v, theta) block of the solution: one 3Nx LU solve."""
-        rhs = r_w.copy()
-        rhs[2 * self.nx:] += self.tau * (self.lap @ (r_eta @ self.g))
-        return self.lu.solve(rhs)
-
-    def _solve_eta(self, r_eta: np.ndarray, theta: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The history block L^{-1} (r_eta + tau theta 1^T), from the scaled
-        source formed in the C-ordered (Nx, Ns) buffer out."""
-        np.add(r_eta, self.tau * theta[:, None], out=out)
-        out *= self.c
-        return self._recurrence(out)
-
-    def _history_buffer(self) -> np.ndarray:
-        return np.empty((self.nx, self.ns))
-
     def apply(self, w: np.ndarray, eta: np.ndarray):
         """(I - tau A_h)(w, eta), blockwise."""
-        out, scratch = self._history_buffer(), self._history_buffer()
-        return self._apply_w(w, eta), self._apply_eta(eta, w[2 * self.nx:], out, scratch)
+        out_eta = (1.0 + self.q) * eta - self.tau * w[2 * self.nx:, None]
+        out_eta[:, 1:] -= self.q * eta[:, :-1]
+        return self.apply_w(w, eta @ self.wmu), out_eta
+
+    def apply_w(self, w: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The (u, v, theta) rows of (I - tau A_h)(w, eta), given the one
+        history sum they read, m = wmu . eta."""
+        out = w - self.tau * (self.B @ w)
+        out[2 * self.nx:] -= self.tau * (self.lap @ m)
+        return out
 
     def solve(self, r_w: np.ndarray, r_eta: np.ndarray):
-        w = self._solve_w(r_w, r_eta)
-        return w, self._solve_eta(r_eta, w[2 * self.nx:], self._history_buffer())
+        th = slice(2 * self.nx, None)
+        rhs = r_w.copy()
+        rhs[th] += self.tau * (self.lap @ (r_eta @ self.g))
+        w = self.lu.solve(rhs)
+        return w, self._recurrence(self.c * (r_eta + self.tau * w[th, None]))
 
     def solve_transposed(self, r_w: np.ndarray, r_eta: np.ndarray):
         th = slice(2 * self.nx, None)
-        eta = self._recurrence(np.multiply(r_eta, self.c, out=self._history_buffer()),
-                               transposed=True)
+        eta = self._recurrence(self.c * r_eta, transposed=True)
         rhs = r_w.copy()
         rhs[th] += self.tau * eta.sum(axis=1)
         w = self.lu.solve(rhs, trans="T")
@@ -240,32 +240,144 @@ class SchurSolver:
         return w, eta
 
 
+# Relative size below which the history a midpoint run moves into the pad
+# of its s-grid, and what the periodic grid carries round from the pad's
+# end to s_1, are held between re-projections: far below rounding.
+_PAD_TOL = 2.0 ** -60
+
+# A re-projection (an irfft/rfft pair and two checks over the padded
+# grid) costs about this many steps' passes times log2 of the grid length
+# (numpy's pocketfft against the elementwise step, on a 2-core x86).
+_REPROJECT_COST = 2.0 / 3.0
+
+
+def _fourier_grid(q: float, ns: int) -> tuple[int, int, int]:
+    """(P, K, R): the length of the zero-padded s-grid of a midpoint run,
+    the steps between its re-projections and the last nodes of the pad
+    that a re-projection checks, for q = tau/ds and Ns nodes.
+
+    A history step multiplies by G(z) = (1 - q + q z) / (1 + q - q z) (and
+    adds a source through 1 / (1 + q - q z)): causal, a shift of 2q nodes
+    that spreads.  By Cauchy's estimate on |z| = rho, 1 < rho < (1 + q)/q,
+    what K steps move from a node to d or more nodes beyond it is at most
+
+        M(rho)^K / ((1 + q - q rho) (1 - 1/rho)) rho^{-d},
+        M(rho) = (|1 - q| + q rho) / (1 + q - q rho),
+
+    which also bounds what the periodic grid carries round from its end.
+    The pad P - Ns is the least d that holds this below _PAD_TOL over the
+    rho tried, and R nodes more: the nodes from which one step carries
+    more than _LINEAR_SOLVER_TOL round to s_1 (G decays as r^n,
+    r = q/(1 + q)), whose content is then held below _PAD_TOL.  K
+    minimizes the cost per step, P (1 + _REPROJECT_COST log2 P / K); P is
+    then rounded up to an even 5-smooth length, and K raised to the most
+    steps that length holds.
+    """
+    reach = max(1, math.ceil(math.log(_LINEAR_SOLVER_TOL) / math.log(q / (1.0 + q))))
+    rho = ((1.0 + q) / q) ** np.linspace(0.01, 0.99, 99)
+    den = 1.0 + q - q * rho
+    steps = np.arange(1, 4097)
+    sizes = ns + reach + np.ceil(
+        np.min((steps[:, None] * np.log((abs(1.0 - q) + q * rho) / den)
+                - np.log(_PAD_TOL * den * (1.0 - 1.0 / rho))) / np.log(rho), axis=1))
+    best = np.argmin(sizes * (1.0 + _REPROJECT_COST * np.log2(sizes) / steps))
+    size = _fft_size(int(sizes[best]))
+    return size, int(steps[sizes <= size][-1]), reach
+
+
+def _fft_size(n: int) -> int:
+    """The least even 2^a 3^b 5^c >= n: a length pocketfft handles fast."""
+    size = n + n % 2
+    while True:
+        m = size
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return size
+        size += 2
+
+
 class _MidpointRunner:
-    """Cayley stepper: the history-eliminating solver with tau = dt/2."""
+    """Cayley stepper: the history-eliminating solver with tau = dt/2, and
+    the history step as one convolution along s.
+
+    Every x node's history rows of M = I - tau A_h and P = 2I - M are the
+    same lower-bidiagonal Toeplitz operators L and 2I - L (SchurSolver),
+    so the history update of a step is
+
+        eta' = G eta + tau (theta + theta') l,  G = L^{-1} (2I - L),
+        l = L^{-1} 1:
+
+    causal in s.  On a zero-padded grid of P nodes (_fourier_grid) it is
+    one product with the rfft symbol of G and a rank-1 update with that
+    of l.  wmu . eta, the only history sum the (u, v, theta) rows read, is
+    one Parseval product with the weights parseval: the (Re, Im) pairs of
+    rfft(wmu) times 2/P (1/P at the two real ends).  The solver's
+    kappa = sum g is wmu . l.  Both symbols are checked against the banded
+    solve when the runner is built.
+    """
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
         self.cfg = cfg
-        self.solver = SchurSolver(assembly, cfg.dt / 2.0)
+        self.solver = s = SchurSolver(assembly, cfg.dt / 2.0)
+        self.size, self.period, self.reach = _fourier_grid(s.q, s.ns)
+        check_history_fits(s.nx, self.size)
+        z = np.exp(-2j * np.pi * np.arange(self.size // 2 + 1) / self.size)
+        l_hat = (1.0 + s.q) - s.q * z
+        self.symbol = (2.0 - l_hat) / l_hat
+        self.ell_hat = np.fft.rfft(np.ones(s.ns), n=self.size) / l_hat
+        w_hat = np.fft.rfft(s.wmu, n=self.size) * (2.0 / self.size)
+        w_hat[[0, -1]] *= 0.5
+        self.parseval = w_hat.view(float)
+        self._check_symbols()
+
+    def _check_symbols(self):
+        """One history step of a random history and source, by the symbols
+        and by the banded solve; LinearSolveFailure unless they agree."""
+        s, size = self.solver, self.size
+        rng = np.random.default_rng(0)
+        eta, beta = rng.standard_normal((2, s.ns)), rng.standard_normal(2)
+        rhs = (1.0 - s.q) * eta + beta[:, None]
+        rhs[:, 1:] += s.q * eta[:, :-1]
+        ref = s._recurrence(s.c * rhs)
+        spectrum = np.fft.rfft(eta, n=size) * self.symbol + np.multiply.outer(beta, self.ell_hat)
+        diff = np.fft.irfft(spectrum, n=size)[:, :s.ns] - ref
+        _check_residual(np.vdot(diff, diff), np.vdot(ref, ref))
 
     def run(self, state: State) -> "_MidpointRun":
         return _MidpointRun(self, state)
 
 
 class _MidpointRun:
-    """(u, v, theta) as one 3Nx vector w, the history as an (Nx, Ns) array.
+    """(u, v, theta) as one 3Nx vector w, the history as its rfft eta_hat
+    on the runner's padded s-grid, (Nx, P/2 + 1).
 
     A step solves M Phi^{n+1} = P Phi^n with M = I - tau A_h and
-    P = I + tau A_h = 2I - M: one 3Nx LU solve and one banded solve of the
-    history recurrence.  The full-system residual M Phi^{n+1} - P Phi^n is
-    checked blockwise; M Phi^{n+1} is kept to give the next step's P Phi^{n+1}.
+    P = I + tau A_h = 2I - M.  It multiplies eta_hat by the symbol of G,
+    takes wmu . G eta by one Parseval product, solves the 3Nx Schur
+    complement of SchurSolver for w' and adds beta l with
+    beta = tau (theta + theta') to the spectrum.  m = wmu . eta' is
+    carried as wmu . G eta + kappa beta inside M w', the rows
+    (I - tau B) w' - tau [theta] lap m, which give the next step's
+    P w' = 2w' - M w'.  The (u, v, theta) rows of M Phi^{n+1} - P Phi^n are
+    checked every step.
 
-    The history blocks live in five (Nx, Ns) buffers allocated once: eta,
-    _m_eta (its image under M) and three work arrays.  A step forms the
-    right-hand side 2 eta - _m_eta in the first (and later the residual),
-    the new history in the second (the recurrence overwrites its scaled
-    source) and its image under M in the third, with the spent _m_eta as
-    scratch; then the buffers trade places.  A step that fails its check
-    leaves t, w and eta as they were, but not _m_eta: the run is spent.
+    G is causal, so what moves into the pad never reaches the first Ns
+    nodes, and zeroing the pad gives the truncated scheme again.  Every
+    K = runner.period steps, and once more after the last step, the run
+    re-projects (finish): it materializes the history and checks, each
+    against _LINEAR_SOLVER_TOL, the history rows of the last step's
+    residual in s-space and that the pad's last runner.reach nodes hold
+    nothing of the history (else it would wrap round); it records in
+    max_drift how far the next step's P w from the carried m is from P w
+    with m = wmu . eta of the materialized history, relative to its largest
+    entry as a residual is, and zeroes the pad.  (The Parseval product
+    rounds relative to the whole padded history, which outlasts wmu . eta:
+    at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 1e-8 of itself at t = 9,
+    by 1e-16 of the history and by 1e-12 of P w.)  A step that
+    fails its residual check leaves t, w and eta_hat as they were; after a
+    failed re-projection the run is spent.
     """
 
     def __init__(self, runner: _MidpointRunner, state: State):
@@ -274,32 +386,71 @@ class _MidpointRun:
         self.assembly = state.assembly
         self.t = state.t
         self.w = np.concatenate([state.u, state.v, state.theta])
-        self.eta = state.eta.copy()
-        self._m_w, self._m_eta = runner.solver.apply(self.w, self.eta)
-        self._work = [np.empty_like(self.eta) for _ in range(3)]
+        self.eta_hat = np.fft.rfft(state.eta, n=runner.size)
+        self._next = np.empty_like(self.eta_hat)       # the step's new spectrum
+        self._rank1 = np.empty_like(self.eta_hat)
+        self._m_w = runner.solver.apply_w(self.w, state.eta @ runner.solver.wmu)
+        self._theta_prev = None           # theta before the last step
+        self._steps = 0
+        self.max_drift = 0.0
 
     def advance(self):
-        solver, th = self.runner.solver, slice(2 * self.assembly.Nx, None)
-        rhs_eta, new_eta, new_m_eta = self._work
+        run, s, nxt = self.runner, self.runner.solver, self._next
+        th = slice(2 * s.nx, None)
+        np.multiply(self.eta_hat, run.symbol, out=nxt)
+        m_g = nxt.view(float) @ run.parseval                 # wmu . G eta
         rhs_w = 2.0 * self.w - self._m_w
-        np.multiply(self.eta, 2.0, out=rhs_eta)
-        rhs_eta -= self._m_eta
-        w = solver._solve_w(rhs_w, rhs_eta)
-        eta = solver._solve_eta(rhs_eta, w[th], new_eta)
-        m_w = solver._apply_w(w, eta)
-        m_eta = solver._apply_eta(eta, w[th], new_m_eta, scratch=self._m_eta)
-        rhs_sq = np.vdot(rhs_w, rhs_w) + np.vdot(rhs_eta, rhs_eta)
-        res_w = m_w - rhs_w
-        res_eta = np.subtract(m_eta, rhs_eta, out=rhs_eta)
-        _check_residual(np.vdot(res_w, res_w) + np.vdot(res_eta, res_eta), rhs_sq)
-        self._work = [rhs_eta, self.eta, self._m_eta]
-        self.w, self.eta, self._m_w, self._m_eta = w, eta, m_w, m_eta
-        self.t += self.runner.cfg.dt
+        rhs = rhs_w.copy()
+        rhs[th] += s.tau * (s.lap @ (m_g + s.tau * s.kappa * self.w[th]))
+        w = s.lu.solve(rhs)
+        beta = s.tau * (self.w[th] + w[th])
+        m_w = s.apply_w(w, m_g + s.kappa * beta)            # wmu . eta' carried
+        res = m_w - rhs_w
+        _check_residual(res @ res, rhs_w @ rhs_w)
+        np.multiply.outer(beta, run.ell_hat, out=self._rank1)
+        nxt += self._rank1
+        self._next, self.eta_hat = self.eta_hat, nxt
+        self._theta_prev = self.w[th]
+        self.w, self._m_w = w, m_w
+        self._steps += 1
+        self.t += run.cfg.dt
+        if self._steps % run.period == 0:
+            self.finish()
+
+    def finish(self):
+        """Re-project: check the last step taken in s-space, measure the
+        drift of the carried wmu . eta and zero the pad."""
+        if not self._steps:
+            return
+        run, s = self.runner, self.runner.solver
+        ns, q, tau = s.ns, s.q, s.tau
+        theta, theta_new = self._theta_prev, self.w[2 * s.nx:]
+        new = np.fft.irfft(self.eta_hat, n=run.size)
+        old = np.fft.irfft(self._next, n=run.size)[:, :ns]
+        tail, whole = np.linalg.norm(new[:, -run.reach:]), np.linalg.norm(new)
+        if not tail <= _LINEAR_SOLVER_TOL * whole:
+            raise LinearSolveFailure(
+                f"history at the end of the padded s-grid: {tail:.3e} exceeds "
+                f"{_LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
+        # history rows of M Phi' - P Phi:
+        # L (eta' + eta) - 2 eta - tau (theta + theta') 1
+        both = new[:, :ns] + old
+        res = (1.0 + q) * both - 2.0 * old - tau * (theta + theta_new)[:, None]
+        res[:, 1:] -= q * both[:, :-1]
+        rhs = (1.0 - q) * old + tau * theta[:, None]
+        rhs[:, 1:] += q * old[:, :-1]
+        _check_residual(np.vdot(res, res), np.vdot(rhs, rhs))
+        p_w = 2.0 * self.w           # the next step's P w, carried and fresh
+        self.max_drift = _worst_drift(self.max_drift, p_w - self._m_w,
+                                      p_w - s.apply_w(self.w, new[:, :ns] @ s.wmu))
+        new[:, ns:] = 0.0
+        self.eta_hat[...] = np.fft.rfft(new)
 
     def to_state(self) -> State:
-        nx = self.assembly.Nx
+        nx, ns = self.assembly.Nx, self.assembly.Ns
+        eta = np.fft.irfft(self.eta_hat, n=self.runner.size)[:, :ns].copy()
         return State(t=self.t, u=self.w[:nx].copy(), v=self.w[nx:2 * nx].copy(),
-                     theta=self.w[2 * nx:].copy(), eta=self.eta.copy(), assembly=self.assembly)
+                     theta=self.w[2 * nx:].copy(), eta=eta, assembly=self.assembly)
 
 
 class _SplitRunner:
@@ -503,9 +654,11 @@ class _SplitRun:
         """Record in max_drift how far the running sigma rows have drifted
         from the ring: one O(Nx Ns) product, in the zeta frame."""
         fresh = self._ring_product(self.zeta, self.runner.wmode)
-        scale = float(np.max(np.abs(fresh)))
-        diff = float(np.max(np.abs(self._x[:self.runner.modes, 1:-1].T - fresh)))
-        self.max_drift = max(self.max_drift, diff / scale if scale > 0 else diff)
+        self.max_drift = _worst_drift(self.max_drift, self._x[:self.runner.modes, 1:-1].T, fresh)
+
+    def finish(self):
+        """Measure the drift once more after the last step."""
+        self._measure_drift()
 
     def _recenter(self):
         """Store eta itself in the ring (C = 0) and recompute from it; the
@@ -608,9 +761,11 @@ def step(state: State, cfg: SchemeConfig) -> State:
 class SimulationResult:
     """Trajectory of diagnostics records plus the final state.
 
-    refresh_drift is the largest relative difference between a split run's
-    running per-mode sums and its ring, measured at every re-centring and
-    once after the last step (0.0 for runs that keep no running sums).
+    refresh_drift is the largest relative difference between a run's
+    running history sums and the history they sum, measured once after
+    the last step and, for a split run, at every re-centring (its per-mode
+    sums against its ring), for a midpoint run at every re-projection (its
+    carried wmu . eta against the materialized history).
     """
 
     records: list
@@ -658,7 +813,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     final, drift = init, 0.0
     if n_steps > 0:
         run = _get_runner(init.assembly, cfg).run(init)
-        running = isinstance(run, _SplitRun)
+        from_run = isinstance(run, _SplitRun)
         for k in range(1, n_steps + 1):
             try:
                 run.advance()
@@ -666,12 +821,14 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
                 raise SimulationAborted(k, exc, records) from exc
             if k % sample_every == 0 or k == n_steps:
                 t0 = time.perf_counter()
-                records.append(analysis.diagnostics_record(run if running else run.to_state(),
+                records.append(analysis.diagnostics_record(run if from_run else run.to_state(),
                                                            mcfg))
                 sampling += time.perf_counter() - t0
-        if running:
-            run._measure_drift()
-            drift = run.max_drift
+        try:
+            run.finish()
+        except Exception as exc:
+            raise SimulationAborted(n_steps, exc, records) from exc
+        drift = run.max_drift
         final = run.to_state()
     _fill_numeric_derivatives(records)
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "

@@ -212,6 +212,15 @@ class TestParseConfig:
                            match="^u0 must have zero slope at x = 0 and x = L$"):
             build_setup(parse_config(write_cfg(tmp_path, poly)))
 
+    @pytest.mark.parametrize("spec", ["constant 1,2", "constant 1, 2", "constant"])
+    def test_constant_profile_takes_one_value(self, spec):
+        with pytest.raises(ConfigError) as err:
+            config.parse_profile(spec, 1.0, Path())
+        assert str(err.value) == f"constant profile takes one value: {spec!r}"
+        profile, slope = config.parse_profile("constant 2.5", 1.0, Path())
+        np.testing.assert_array_equal(profile(np.linspace(0.0, 1.0, 4)), 2.5)
+        assert slope(0.5) == 0.0
+
 
 class TestValidateCommand:
     def test_default_config_passes(self):
@@ -293,6 +302,16 @@ class TestSimulateCommand:
         assert main(["simulate", str(write_cfg(tmp_path, FIT_CFG))]) == 1
         assert f"check running_sum_drift: worst={drift:.6e} tol=1.0e-09 FAIL" in \
             capsys.readouterr().out
+
+    def test_midpoint_run_checks_a_measured_drift(self, tmp_path, monkeypatch):
+        # the drift of the midpoint run's carried wmu . eta, not a fixed 0
+        monkeypatch.chdir(tmp_path)
+        text = edit_cfg("scheme = split_semilagrangian", "scheme = full_implicit_midpoint",
+                        FIT_CFG)
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 0
+        line = re.search(r"^check running_sum_drift: worst=(\S+) tol=1\.0e-09 PASS$",
+                         (tmp_path / "report.txt").read_text(), flags=re.M)
+        assert line and 0.0 < float(line.group(1)) <= 1e-11
 
     def test_too_few_fit_samples_fails_the_run(self, tmp_path, monkeypatch, capsys):
         # TINY_CFG has 8 samples in its fit window [0.4, 2], fewer than a fit needs
@@ -608,13 +627,14 @@ def _python(tmp_path, *argv, timeout):
                           capture_output=True, text=True, timeout=timeout)
 
 
-def _run_then_check(module):
+def _run_then_check(*modules):
     """Python source: `membeam argv[1:]` must exit 0 without importing
-    module."""
+    any of modules."""
     return ("import runpy, sys; sys.argv = ['membeam', *sys.argv[1:]];\n"
             "try:\n    runpy.run_module('membeam', run_name='__main__')\n"
             "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-            f"assert {module!r} not in sys.modules, '{module} imported'\n")
+            + "".join(f"assert {module!r} not in sys.modules, '{module} imported'\n"
+                      for module in modules))
 
 
 class TestRunLength:
@@ -655,13 +675,15 @@ class TestRunLength:
         assert not (tmp_path / "membeam_small.csv").exists()
 
     def test_cli_never_imports_scipy_signal(self, tmp_path):
-        # a LAPACK banded solve runs the midpoint history recurrence;
-        # scipy.signal (with scipy.stats) would add about 1 s to a process
+        # the midpoint history step is a convolution taken with numpy.fft;
+        # scipy.signal (with scipy.stats) would add about 1 s to a process,
+        # scipy.fft about 57 ms
         path = str(_small_cfg(tmp_path, "scheme = split_semilagrangian",
                               "scheme = full_implicit_midpoint"))
         for argv in (["simulate", path],
                      ["sweep", path, "--param", "beta", "--values", "1.0", "--serial"]):
-            proc = _python(tmp_path, "-c", _run_then_check("scipy.signal"), *argv, timeout=120)
+            proc = _python(tmp_path, "-c", _run_then_check("scipy.signal", "scipy.fft"), *argv,
+                           timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
 
     def test_cli_never_imports_scipy_optimize(self, tmp_path):

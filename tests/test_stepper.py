@@ -342,6 +342,19 @@ class TestRunningHistorySums:
         assert run.history_sums().hist_mu == pytest.approx(full.hist_mu, rel=1e-13)
 
 
+@pytest.mark.parametrize("scheme", ["split_semilagrangian", "full_implicit_midpoint"])
+def test_nan_running_sum_is_a_nan_drift(scheme):
+    # the drift check must fail on a NaN, so the drift may not drop it
+    asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+    run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme=scheme)).run(
+        default_initial_state(asm))
+    for _ in range(3):
+        run.advance()
+    (run._x[0] if scheme == "split_semilagrangian" else run._m_w)[2] = np.nan
+    run.finish()
+    assert math.isnan(run.max_drift)
+
+
 def _reference_rhs(asm, dt, w, m_n, m_shift):
     """The split step's right-hand side, unfused: P w plus the memory flux
     dt lap m at the known part of the averaged history."""
@@ -647,19 +660,6 @@ class TestMidpointStep:
         assert all(np.array_equal(a, b) for a, b in
                    zip((state.u, state.v, state.theta, state.eta), fields))
 
-    def test_history_solved_in_the_run_buffers(self):
-        # the step allocates no (Nx, Ns) array: the recurrence overwrites
-        # one of the run's buffers, so a layout that made LAPACK copy fails
-        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        run = _midpoint_run(asm, 0.1, default_initial_state(asm))
-        buffers = [run.eta, run._m_eta, *run._work]
-        for _ in range(4):
-            previous = run.eta
-            run.advance()
-            for new in (run.eta, run._m_eta):
-                assert any(np.shares_memory(new, b) for b in buffers)
-            assert not np.shares_memory(run.eta, previous)
-
     def test_factorizes_only_the_mechanical_block(self, monkeypatch):
         calls = []
         real = stepper.splu
@@ -676,7 +676,7 @@ class TestMidpointStep:
         assert "A" not in asm._cache
 
     @pytest.mark.parametrize("scheme,field", [
-        ("full_implicit_midpoint", "w"), ("full_implicit_midpoint", "eta"),
+        ("full_implicit_midpoint", "w"), ("full_implicit_midpoint", "eta_hat"),
         ("split_semilagrangian", "theta"), ("split_semilagrangian", "u")])
     def test_non_finite_value_fails_the_residual_check(self, scheme, field):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
@@ -686,6 +686,125 @@ class TestMidpointStep:
         getattr(run, field)[(2,) * getattr(run, field).ndim] = np.nan
         with pytest.raises(LinearSolveFailure):
             run.advance()
+
+
+def _banded_cayley_trajectory(state, dt, n_steps):
+    """Reference midpoint step on the history grid: SchurSolver's apply and
+    its banded (dtbtrs) solve, Phi' = M^{-1} (2 Phi - M Phi)."""
+    asm = state.assembly
+    solver = stepper.SchurSolver(asm, dt / 2.0)
+    n3 = 3 * asm.Nx
+    w, eta = state.flatten()[:n3], state.eta
+    for k in range(1, n_steps + 1):
+        m_w, m_eta = solver.apply(w, eta)
+        w, eta = solver.solve(2.0 * w - m_w, 2.0 * eta - m_eta)
+        yield k * dt, np.concatenate([w, eta.T.ravel()])
+
+
+class TestFourierMidpointRun:
+    """The midpoint run steps its history as the rfft of a padded s-grid
+    and re-projects it every runner.period steps."""
+
+    @pytest.mark.parametrize("ns", [1, 30])
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize("form", ["prony", "table"])
+    def test_matches_banded_and_assembled_references(self, monkeypatch, form, q, ns):
+        reprojected = []
+        real = stepper._MidpointRun.finish
+
+        def counting(run):
+            reprojected.append(run.t)
+            real(run)
+
+        monkeypatch.setattr(stepper._MidpointRun, "finish", counting)
+        ds = 0.05
+        kernel = _table_kernel() if form == "table" else mb.MemoryKernel.prony([1.0, 0.5],
+                                                                               [1.0, 4.0])
+        asm = make_assembly(Nx=8, ds=ds, Ns=ns, kernel=kernel,
+                            p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
+        state = default_initial_state(asm)
+        dt = 2.0 * q * ds
+        run = _midpoint_run(asm, dt, state)
+        n_steps = 2 * run.runner.period + 3
+        banded = _banded_cayley_trajectory(state, dt, n_steps)
+        for (t, ref), (_, ref_banded) in zip(_assembled_cayley_trajectory(state, dt, n_steps),
+                                             banded):
+            run.advance()
+            got = run.to_state().flatten()
+            assert run.t == pytest.approx(t, rel=1e-12)
+            # the two references differ by as much (rounding)
+            assert hnorm(asm, got - ref_banded) <= 1e-10 * hnorm(asm, ref_banded)
+            assert hnorm(asm, got - ref) <= 1e-10 * hnorm(asm, ref)
+        assert len(reprojected) == 2
+        run.finish()
+        assert len(reprojected) == 3
+        assert run.max_drift <= 1e-11
+
+    def test_grid_holds_the_history_between_reprojections(self):
+        # what K steps move into the pad stays below _PAD_TOL before its
+        # checked last R nodes: measured on a unit history at s_Ns
+        for q, ns in ((0.5, 1843), (0.5, 30), (2.0, 30), (2.0, 1), (0.04, 8)):
+            size, period, reach = stepper._fourier_grid(q, ns)
+            assert size % 2 == 0 and period >= 1 and size - ns > reach
+            z = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+            l_hat = (1.0 + q) - q * z
+            impulse = np.zeros(size)
+            impulse[ns - 1] = 1.0
+            moved = np.fft.irfft(np.fft.rfft(impulse) * ((2.0 - l_hat) / l_hat) ** period / l_hat
+                                 * (1.0 + q), n=size)
+            assert np.all(np.abs(moved[size - reach:]) <= 1e-15)
+            assert np.all(np.abs(moved[:ns - 1]) <= 1e-15)      # nothing carried round
+
+    @pytest.mark.parametrize("name,entries", [("symbol", 3), ("symbol", slice(None)),
+                                              ("ell_hat", slice(None))])
+    def test_corrupted_symbol_aborts_the_run(self, name, entries):
+        # one entry off spreads the history over the whole grid (the tail
+        # check fires first); a symbol scaled throughout keeps it in place,
+        # and only the history rows of the residual see it
+        asm = make_assembly(Nx=6, ds=0.05, Ns=30)
+        cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
+        runner = stepper._get_runner(asm, cfg)
+        getattr(runner, name)[entries] *= 1.0 + 1e-6
+        state = default_initial_state(asm)
+        # caught at the first re-projection, and by the check after the
+        # last step of a shorter run
+        for n_steps, index in ((runner.period + 5, runner.period), (3, 3)):
+            with pytest.raises(SimulationAborted) as err:
+                mb.simulate(state, cfg, n_steps * cfg.dt)
+            assert err.value.step_index == index
+            assert isinstance(err.value.__cause__, LinearSolveFailure)
+            if entries != 3:
+                assert str(err.value.__cause__).startswith("residual")
+
+    def test_symbols_checked_against_the_banded_solve(self, monkeypatch):
+        # a pad of two nodes carries the history round at once
+        monkeypatch.setattr(stepper, "_fourier_grid", lambda q, ns: (ns + 2, 10, 1))
+        asm = make_assembly(Nx=6, ds=0.05, Ns=30)
+        with pytest.raises(LinearSolveFailure, match="residual"):
+            stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
+
+    def test_short_pad_is_caught_by_the_tail_check(self, monkeypatch):
+        # 40 pad nodes hold one step (the symbols pass their check) but not
+        # 200: the history moves one node a step at q = 1/2
+        real = stepper._fourier_grid
+        monkeypatch.setattr(stepper, "_fourier_grid",
+                            lambda q, ns: (ns + 40, 200, real(q, ns)[2]))
+        asm = make_assembly(Nx=6, ds=0.05, Ns=30)
+        cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
+        state = default_initial_state(asm)
+        for n_steps, index in ((250, 200), (150, 150)):
+            with pytest.raises(SimulationAborted) as err:
+                mb.simulate(state, cfg, n_steps * cfg.dt, sample_every=50)
+            assert err.value.step_index == index
+            assert isinstance(err.value.__cause__, LinearSolveFailure)
+            assert "end of the padded s-grid" in str(err.value.__cause__)
+
+    def test_simulate_reports_the_drift_of_the_carried_sum(self):
+        asm = make_assembly(Nx=6, ds=0.05, Ns=30)
+        cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
+        period = stepper._get_runner(asm, cfg).period
+        res = mb.simulate(default_initial_state(asm), cfg, (2 * period + 1) * cfg.dt)
+        assert 0.0 < res.refresh_drift <= 1e-11
 
 
 class TestOracle:
