@@ -54,11 +54,12 @@ SHIFT_BLOCK = 16
 _ENTRY_MAX = float(np.sqrt(np.finfo(float).max))
 
 
-def check_history_fits(nx: float, ns: float):
+def check_history_fits(nx: float, ns: float, columns: float = SHIFT_BLOCK):
     """Raise DimensionTooLarge, before anything is allocated, when
-    _HISTORY_COPIES float64 arrays of shape (nx, ns) and the (ns,
-    SHIFT_BLOCK) shift weights exceed physical memory."""
-    need = 8.0 * float(ns) * (_HISTORY_COPIES * float(nx) + SHIFT_BLOCK)
+    _HISTORY_COPIES float64 arrays of shape (nx, ns) and columns more
+    float64 columns of length ns (by default the (ns, SHIFT_BLOCK) shift
+    weights) exceed physical memory."""
+    need = 8.0 * float(ns) * (_HISTORY_COPIES * float(nx) + float(columns))
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not need <= have:
         raise DimensionTooLarge(

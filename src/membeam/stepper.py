@@ -7,9 +7,11 @@ full_implicit_midpoint
     monolithic generator.  An exact H-contraction for the dissipative
     assembly at any dt.  The upwind history block of I - dt/2 A_h is a
     first-order recurrence in s, which SchurSolver eliminates exactly, so
-    only a 3Nx matrix is factorized.  The run keeps the history as its
-    rfft on a zero-padded s-grid, where the history update of a step is
-    one product with a fixed symbol and a rank-1 update.
+    only a 3Nx matrix is factorized.  The history update of a step is one
+    fixed causal convolution along s, so the run advances the history a
+    block of up to 32 steps at a time on the rfft of a zero-padded s-grid:
+    a step reads the one history sum it needs from O(Nx k) numbers, and
+    the spectrum is formed once a block.
 
 split_semilagrangian
     Requires ds == dt.  The history transport eta_t + eta_s = theta is
@@ -29,22 +31,23 @@ Nx = 64, dt = 1e-3 on a 2-core x86 machine):
     split, table           one O(Nx Ns B) GEMM every    one O(Nx Ns) product
                            B = 16 steps + 3Nx LU        and one O(Ns) pass over
                            solve, ~0.14 ms, Ns = 15612  the ring, ~0.55 ms
-    midpoint               one product with the         one irfft of the
-                           history symbol, one          spectrum and
-                           Parseval product, the 3Nx    O(Nx Ns), ~6.4 ms
-                           LU solve and a rank-1        for the irfft
-                           update on the (Nx, P/2 + 1)
+    midpoint               an O(Nx k) history sum and   the spectrum formed
+                           the 3Nx LU solve; once a     from the block, one
+                           block of k = 32 steps, one   irfft of it and
+                           elementwise product and two  O(Nx Ns), ~16 ms
+                           products with (k, P + 2)
+                           tables on the (Nx, P/2 + 1)
                            spectrum; an irfft/rfft
                            pair every K steps;
-                           ~2.3 ms, Ns = 18422
-                           (P = 19200, K = 523)
+                           ~0.33 ms, Ns = 18422
+                           (P = 20000, K = 1184)
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
 once after its last step, where it reports the drift of its running sums.
-A midpoint run materializes its history every K steps and once after its
-last step, where it checks the history rows of the step and reports the
-drift of its carried wmu . eta.
+A midpoint run materializes its history every K steps (a whole number of
+blocks) and once after its last step, where it checks the history rows of
+the step and reports the drift of its carried wmu . eta.
 
 oracle_evolve is the reference both schemes are tested against:
 exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM.
@@ -120,6 +123,14 @@ def _check_residual(residual_sq: float, rhs_sq: float):
     if not num <= _LINEAR_SOLVER_TOL * den:
         raise LinearSolveFailure(
             f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
+
+
+def _sq_norm(x: np.ndarray) -> float:
+    """The squared 2-norm of a 2-d array by numpy's own loop: OpenBLAS
+    threads a dot product of a padded history's length, and on a 2-core
+    x86 one in ten np.linalg.norm calls on a (32, 2250) history took 8 ms
+    against 30 us for this loop."""
+    return float(np.einsum("ij,ij->", x, x))
 
 
 def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
@@ -245,10 +256,28 @@ class SchurSolver:
 # end to s_1, are held between re-projections: far below rounding.
 _PAD_TOL = 2.0 ** -60
 
-# A re-projection (an irfft/rfft pair and two checks over the padded
-# grid) costs about this many steps' passes times log2 of the grid length
-# (numpy's pocketfft against the elementwise step, on a 2-core x86).
-_REPROJECT_COST = 2.0 / 3.0
+# A re-projection (two spectra of the block, an irfft/rfft pair and two
+# checks over the padded grid) costs about this many times log2 of the
+# grid length the work a step does on the grid, counting a step's share of
+# its block and of a sample every 10 steps (the rate of the shipped run
+# files; the samples are most of it).  Measured with numpy's pocketfft on
+# a 2-core x86: 2.4 at Nx = 32, P = 2250 and 2.9 at Nx = 64, P = 20000.
+_REPROJECT_COST = 2.5
+
+# Most steps in a midpoint run's history block (_MidpointRunner): a step
+# reads wmu . G eta from O(Nx k) sums and the spectrum is formed once a
+# block.  Measured on a 2-core x86, a step took 0.30, 0.21 and 0.19 ms at
+# Nx = 64, P = 19200 for k = 16, 32 and 64 (0.077, 0.070 and 0.069 ms at
+# Nx = 32, P = 2160), and with a sample every 10 steps 32 was the fastest;
+# the three (k, P + 2) tables grow as k.
+_HISTORY_BLOCK = 32
+
+# Most multiply-adds (M N K) of one matrix product over a midpoint run's
+# padded grid.  OpenBLAS's default build keeps a product this small on one
+# thread (65536 x GEMM_MULTITHREAD_THRESHOLD = 4); a threaded product of a
+# few times this size took 0.2-7 ms on a 2-core x86 against 40-70 us on one
+# thread.
+_SERIAL_PRODUCT = 2 ** 18
 
 
 def _fourier_grid(q: float, ns: int) -> tuple[int, int, int]:
@@ -268,15 +297,16 @@ def _fourier_grid(q: float, ns: int) -> tuple[int, int, int]:
     The pad P - Ns is the least d that holds this below _PAD_TOL over the
     rho tried, and R nodes more: the nodes from which one step carries
     more than _LINEAR_SOLVER_TOL round to s_1 (G decays as r^n,
-    r = q/(1 + q)), whose content is then held below _PAD_TOL.  K
-    minimizes the cost per step, P (1 + _REPROJECT_COST log2 P / K); P is
-    then rounded up to an even 5-smooth length, and K raised to the most
-    steps that length holds.
+    r = q/(1 + q)), whose content is then held below _PAD_TOL.  K, below
+    _HISTORY_BLOCK or a whole number of such blocks, minimizes the cost per
+    step, P (1 + _REPROJECT_COST log2 P / K); P is then rounded up to an
+    even 5-smooth length, and K raised to the most steps that length holds.
     """
     reach = max(1, math.ceil(math.log(_LINEAR_SOLVER_TOL) / math.log(q / (1.0 + q))))
     rho = ((1.0 + q) / q) ** np.linspace(0.01, 0.99, 99)
     den = 1.0 + q - q * rho
-    steps = np.arange(1, 4097)
+    steps = np.concatenate([np.arange(1, _HISTORY_BLOCK),
+                            _HISTORY_BLOCK * np.arange(1, 4096 // _HISTORY_BLOCK + 1)])
     sizes = ns + reach + np.ceil(
         np.min((steps[:, None] * np.log((abs(1.0 - q) + q * rho) / den)
                 - np.log(_PAD_TOL * den * (1.0 - 1.0 / rho))) / np.log(rho), axis=1))
@@ -300,84 +330,158 @@ def _fft_size(n: int) -> int:
 
 class _MidpointRunner:
     """Cayley stepper: the history-eliminating solver with tau = dt/2, and
-    the history step as one convolution along s.
+    the history step as one convolution along s, taken a block of steps at
+    a time.
 
     Every x node's history rows of M = I - tau A_h and P = 2I - M are the
     same lower-bidiagonal Toeplitz operators L and 2I - L (SchurSolver),
     so the history update of a step is
 
-        eta' = G eta + tau (theta + theta') l,  G = L^{-1} (2I - L),
-        l = L^{-1} 1:
+        eta' = G eta + beta l,  G = L^{-1} (2I - L),  l = L^{-1} 1,
 
-    causal in s.  On a zero-padded grid of P nodes (_fourier_grid) it is
-    one product with the rfft symbol of G and a rank-1 update with that
-    of l.  wmu . eta, the only history sum the (u, v, theta) rows read, is
-    one Parseval product with the weights parseval: the (Re, Im) pairs of
-    rfft(wmu) times 2/P (1/P at the two real ends).  The solver's
-    kappa = sum g is wmu . l.  Both symbols are checked against the banded
-    solve when the runner is built.
+    with beta = tau (theta + theta') per x node: causal in s, and on a
+    zero-padded grid of P nodes (_fourier_grid) a product with the rfft
+    symbol G^.  After i steps of a block that starts from the spectrum
+    eta0^ with sources beta_0, beta_1, ...,
+
+        eta_i^ = G^i eta0^ + sum_{j<i} beta_j G^{i-1-j} l^,
+
+    and wmu . G eta_i, the only history sum the (u, v, theta) rows read, is
+
+        a_i + sum_{j<i} beta_j c_{i-j},  c_d = wmu . G^d l,
+
+    where a_i = wmu . G^{i+1} eta0 is one Parseval product of eta0^: with
+    the (Re, Im) pairs of conj(G^(i+1)) rfft(wmu) times 2/P (1/P at the
+    two real ends).  For blocks of k = min(_HISTORY_BLOCK, K) steps (so K
+    is a whole number of blocks) the runner keeps the powers G^1 .. G^k
+    (powers), the l-powers G^d l^ and c_d for d = k-1 down to 0
+    (ell_powers and c, in the order a block's sources are summed in) and
+    those Parseval weights as one real (P + 2, k) matrix (proj).
+    c_0 = wmu . l is the solver's kappa.  Products over the padded grid
+    are cut into column slices of at most _SERIAL_PRODUCT multiply-adds,
+    so OpenBLAS keeps each on one thread.
+
+    The tables are checked when the runner is built (_check_block).
     """
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
         self.cfg = cfg
         self.solver = s = SchurSolver(assembly, cfg.dt / 2.0)
         self.size, self.period, self.reach = _fourier_grid(s.q, s.ns)
-        check_history_fits(s.nx, self.size)
+        self.block = k = min(_HISTORY_BLOCK, self.period)
+        # a run's (Nx, P + 2) history copies; here the three (k, P + 2)
+        # tables, the symbols and _check_block's two-row histories
+        check_history_fits(s.nx, self.size + 2, 3 * k + 16)
         z = np.exp(-2j * np.pi * np.arange(self.size // 2 + 1) / self.size)
         l_hat = (1.0 + s.q) - s.q * z
-        self.symbol = (2.0 - l_hat) / l_hat
-        self.ell_hat = np.fft.rfft(np.ones(s.ns), n=self.size) / l_hat
+        self.powers = np.cumprod(np.broadcast_to((2.0 - l_hat) / l_hat, (k, len(z))), axis=0)
+        self.ell_powers = np.empty_like(self.powers)
+        self.ell_powers[-1] = np.fft.rfft(np.ones(s.ns), n=self.size) / l_hat
+        np.multiply(self.powers[:k - 1][::-1], self.ell_powers[-1], out=self.ell_powers[:-1])
         w_hat = np.fft.rfft(s.wmu, n=self.size) * (2.0 / self.size)
         w_hat[[0, -1]] *= 0.5
-        self.parseval = w_hat.view(float)
-        self._check_symbols()
+        self.c = self.ell_powers.view(float) @ w_hat.view(float)
+        self.proj = np.empty((self.size + 2, k))
+        for i, power in enumerate(self.powers):
+            self.proj[:, i] = (np.conj(power) * w_hat).view(float)
+        self._check_block()
 
-    def _check_symbols(self):
-        """One history step of a random history and source, by the symbols
-        and by the banded solve; LinearSolveFailure unless they agree."""
-        s, size = self.solver, self.size
+    def _slices(self, rows: int, depth: int) -> list:
+        """Column slices of a (rows, P + 2) real spectrum over which a
+        product with depth rows or columns of a table stays on one thread."""
+        n = self.size + 2
+        width = max(1, _SERIAL_PRODUCT // (rows * depth))
+        return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+    def project(self, eta_hat: np.ndarray) -> np.ndarray:
+        """a of a block that starts from the spectrum eta_hat: column i is
+        wmu . G^{i+1} eta."""
+        real = eta_hat.view(float)
+        a = np.zeros((len(eta_hat), self.block))
+        for cols in self._slices(len(eta_hat), self.block):
+            a += real[:, cols] @ self.proj[cols]
+        return a
+
+    def spectrum(self, eta0: np.ndarray, beta: np.ndarray, i: int,
+                 out: np.ndarray) -> np.ndarray:
+        """eta_i^ of a block that starts from eta0 with sources beta, for
+        i >= 1, written into out (eta0 itself is allowed)."""
+        k, real = self.block, out.view(float)
+        ells = self.ell_powers.view(float)
+        np.multiply(eta0, self.powers[i - 1], out=out)
+        for cols in self._slices(len(eta0), i):
+            real[:, cols] += beta[:i].T @ ells[k - i:, cols]
+        return out
+
+    def history_sum(self, a: np.ndarray, beta: np.ndarray, i: int) -> np.ndarray:
+        """wmu . G eta_i of a block with projections a and sources beta."""
+        k = self.block
+        return a[:, i] + beta[:i].T @ self.c[k - 1 - i:k - 1]
+
+    def _check_block(self):
+        """k steps of a random history and random sources, through the
+        tables and through the banded solve; LinearSolveFailure unless
+        every step's wmu . G eta and history agree.  The first step checks
+        the symbols of G and l."""
+        s, size, k = self.solver, self.size, self.block
         rng = np.random.default_rng(0)
-        eta, beta = rng.standard_normal((2, s.ns)), rng.standard_normal(2)
-        rhs = (1.0 - s.q) * eta + beta[:, None]
-        rhs[:, 1:] += s.q * eta[:, :-1]
-        ref = s._recurrence(s.c * rhs)
-        spectrum = np.fft.rfft(eta, n=size) * self.symbol + np.multiply.outer(beta, self.ell_hat)
-        diff = np.fft.irfft(spectrum, n=size)[:, :s.ns] - ref
-        _check_residual(np.vdot(diff, diff), np.vdot(ref, ref))
+        eta, beta = rng.standard_normal((2, s.ns)), rng.standard_normal((k, 2))
+        ell = s._recurrence(s.c * np.ones((1, s.ns)))[0]
+        eta0 = np.fft.rfft(eta, n=size)
+        a = self.project(eta0)
+        sq = np.zeros(4)          # squared differences and references: sums, histories
+        for i in range(k):
+            rhs = (1.0 - s.q) * eta
+            rhs[:, 1:] += s.q * eta[:, :-1]
+            g_eta = s._recurrence(s.c * rhs)
+            ref = g_eta @ s.wmu
+            diff = self.history_sum(a, beta, i) - ref
+            eta = g_eta + np.multiply.outer(beta[i], ell)
+            got = np.fft.irfft(self.spectrum(eta0, beta, i + 1, np.empty_like(eta0)), n=size)
+            hist = got[:, :s.ns] - eta
+            sq += [diff @ diff, ref @ ref, np.vdot(hist, hist), np.vdot(eta, eta)]
+        _check_residual(sq[0], sq[1])
+        _check_residual(sq[2], sq[3])
 
     def run(self, state: State) -> "_MidpointRun":
         return _MidpointRun(self, state)
 
 
 class _MidpointRun:
-    """(u, v, theta) as one 3Nx vector w, the history as its rfft eta_hat
-    on the runner's padded s-grid, (Nx, P/2 + 1).
+    """(u, v, theta) as one 3Nx vector w, the history as a block of the
+    runner's: the spectrum eta0 at the block start on the padded s-grid,
+    (Nx, P/2 + 1), its projections a, (Nx, k), and the block's sources
+    beta, (k, Nx).
 
     A step solves M Phi^{n+1} = P Phi^n with M = I - tau A_h and
-    P = I + tau A_h = 2I - M.  It multiplies eta_hat by the symbol of G,
-    takes wmu . G eta by one Parseval product, solves the 3Nx Schur
-    complement of SchurSolver for w' and adds beta l with
-    beta = tau (theta + theta') to the spectrum.  m = wmu . eta' is
-    carried as wmu . G eta + kappa beta inside M w', the rows
-    (I - tau B) w' - tau [theta] lap m, which give the next step's
+    P = I + tau A_h = 2I - M.  It reads wmu . G eta from the block
+    (O(Nx k)), solves the 3Nx Schur complement of SchurSolver for w' and
+    keeps beta = tau (theta + theta') as the block's next source.
+    m = wmu . eta' is carried as wmu . G eta + kappa beta inside M w', the
+    rows (I - tau B) w' - tau [theta] lap m, which give the next step's
     P w' = 2w' - M w'.  The (u, v, theta) rows of M Phi^{n+1} - P Phi^n are
-    checked every step.
+    checked every step.  The spectrum is formed (runner.spectrum: one
+    elementwise product and one product with the l-powers) only where it
+    is needed: by the step after a full block, which starts the next block
+    from it, by to_state, and at a re-projection.
 
     G is causal, so what moves into the pad never reaches the first Ns
     nodes, and zeroing the pad gives the truncated scheme again.  Every
-    K = runner.period steps, and once more after the last step, the run
-    re-projects (finish): it materializes the history and checks, each
-    against _LINEAR_SOLVER_TOL, the history rows of the last step's
-    residual in s-space and that the pad's last runner.reach nodes hold
-    nothing of the history (else it would wrap round); it records in
-    max_drift how far the next step's P w from the carried m is from P w
-    with m = wmu . eta of the materialized history, relative to its largest
-    entry as a residual is, and zeroes the pad.  (The Parseval product
-    rounds relative to the whole padded history, which outlasts wmu . eta:
-    at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 1e-8 of itself at t = 9,
-    by 1e-16 of the history and by 1e-12 of P w.)  A step that
-    fails its residual check leaves t, w and eta_hat as they were; after a
-    failed re-projection the run is spent.
+    K = runner.period steps (a whole number of blocks), and once more after
+    the last step, the run re-projects (finish): it forms the spectra after
+    the last two steps, materializes them and checks, each against
+    _LINEAR_SOLVER_TOL, the history rows of the last step's residual in
+    s-space and that the pad's last runner.reach nodes hold nothing of the
+    history (else it would wrap round); it records in max_drift how far
+    the next step's P w from the carried m is from P w with m = wmu . eta
+    of the materialized history, relative to its largest entry as a
+    residual is, zeroes the pad and starts a new block.  (The Parseval
+    products round relative to the whole padded history, which outlasts
+    wmu . eta: at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 1e-8 of itself
+    at t = 9, by 1e-16 of the history and by 1e-12 of P w.)  finish does
+    nothing when no step was taken since the last re-projection.  A step
+    that fails its residual check leaves t, w and the history as they
+    were; after a failed step or re-projection the run is spent.
     """
 
     def __init__(self, runner: _MidpointRunner, state: State):
@@ -386,19 +490,32 @@ class _MidpointRun:
         self.assembly = state.assembly
         self.t = state.t
         self.w = np.concatenate([state.u, state.v, state.theta])
-        self.eta_hat = np.fft.rfft(state.eta, n=runner.size)
-        self._next = np.empty_like(self.eta_hat)       # the step's new spectrum
-        self._rank1 = np.empty_like(self.eta_hat)
         self._m_w = runner.solver.apply_w(self.w, state.eta @ runner.solver.wmu)
+        self._beta = np.empty((runner.block, state.assembly.Nx))
+        self._start(np.fft.rfft(state.eta, n=runner.size))
+        self._work = np.empty_like(self._eta0)        # a spectrum formed mid-block
         self._theta_prev = None           # theta before the last step
         self._steps = 0
+        self.reprojections = 0
         self.max_drift = 0.0
 
+    def _start(self, eta_hat: np.ndarray):
+        """Start a block from the spectrum eta_hat, which the run then owns."""
+        self._eta0, self._a, self._i = eta_hat, self.runner.project(eta_hat), 0
+
+    def _spectrum(self, i: int) -> np.ndarray:
+        """The spectrum after i steps of the block, in the run's work
+        buffer (the block start itself for i = 0)."""
+        if not i:
+            return self._eta0
+        return self.runner.spectrum(self._eta0, self._beta, i, self._work)
+
     def advance(self):
-        run, s, nxt = self.runner, self.runner.solver, self._next
+        run, s = self.runner, self.runner.solver
+        if self._i == run.block:
+            self._start(run.spectrum(self._eta0, self._beta, self._i, out=self._eta0))
         th = slice(2 * s.nx, None)
-        np.multiply(self.eta_hat, run.symbol, out=nxt)
-        m_g = nxt.view(float) @ run.parseval                 # wmu . G eta
+        m_g = run.history_sum(self._a, self._beta, self._i)      # wmu . G eta
         rhs_w = 2.0 * self.w - self._m_w
         rhs = rhs_w.copy()
         rhs[th] += s.tau * (s.lap @ (m_g + s.tau * s.kappa * self.w[th]))
@@ -407,9 +524,8 @@ class _MidpointRun:
         m_w = s.apply_w(w, m_g + s.kappa * beta)            # wmu . eta' carried
         res = m_w - rhs_w
         _check_residual(res @ res, rhs_w @ rhs_w)
-        np.multiply.outer(beta, run.ell_hat, out=self._rank1)
-        nxt += self._rank1
-        self._next, self.eta_hat = self.eta_hat, nxt
+        self._beta[self._i] = beta
+        self._i += 1
         self._theta_prev = self.w[th]
         self.w, self._m_w = w, m_w
         self._steps += 1
@@ -419,15 +535,15 @@ class _MidpointRun:
 
     def finish(self):
         """Re-project: check the last step taken in s-space, measure the
-        drift of the carried wmu . eta and zero the pad."""
-        if not self._steps:
+        drift of the carried wmu . eta, zero the pad and start a block."""
+        if not self._i:
             return
         run, s = self.runner, self.runner.solver
         ns, q, tau = s.ns, s.q, s.tau
         theta, theta_new = self._theta_prev, self.w[2 * s.nx:]
-        new = np.fft.irfft(self.eta_hat, n=run.size)
-        old = np.fft.irfft(self._next, n=run.size)[:, :ns]
-        tail, whole = np.linalg.norm(new[:, -run.reach:]), np.linalg.norm(new)
+        old = np.fft.irfft(self._spectrum(self._i - 1), n=run.size)[:, :ns]
+        new = np.fft.irfft(self._spectrum(self._i), n=run.size)
+        tail, whole = math.sqrt(_sq_norm(new[:, -run.reach:])), math.sqrt(_sq_norm(new))
         if not tail <= _LINEAR_SOLVER_TOL * whole:
             raise LinearSolveFailure(
                 f"history at the end of the padded s-grid: {tail:.3e} exceeds "
@@ -439,16 +555,18 @@ class _MidpointRun:
         res[:, 1:] -= q * both[:, :-1]
         rhs = (1.0 - q) * old + tau * theta[:, None]
         rhs[:, 1:] += q * old[:, :-1]
-        _check_residual(np.vdot(res, res), np.vdot(rhs, rhs))
+        _check_residual(_sq_norm(res), _sq_norm(rhs))
         p_w = 2.0 * self.w           # the next step's P w, carried and fresh
         self.max_drift = _worst_drift(self.max_drift, p_w - self._m_w,
                                       p_w - s.apply_w(self.w, new[:, :ns] @ s.wmu))
         new[:, ns:] = 0.0
-        self.eta_hat[...] = np.fft.rfft(new)
+        del old, both, res, rhs           # freed before the new block's spectrum
+        self._start(np.fft.rfft(new))
+        self.reprojections += 1
 
     def to_state(self) -> State:
         nx, ns = self.assembly.Nx, self.assembly.Ns
-        eta = np.fft.irfft(self.eta_hat, n=self.runner.size)[:, :ns].copy()
+        eta = np.fft.irfft(self._spectrum(self._i), n=self.runner.size)[:, :ns].copy()
         return State(t=self.t, u=self.w[:nx].copy(), v=self.w[nx:2 * nx].copy(),
                      theta=self.w[2 * nx:].copy(), eta=eta, assembly=self.assembly)
 
@@ -777,16 +895,18 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
              mcfg=None) -> SimulationResult:
     """Advance to t = T recording diagnostics every sample_every steps.
 
-    Records are always taken at t = 0 and t = T.  More than MAX_STEPS
-    steps, or more than MAX_RECORDS records, raise ParamOutOfRange before
-    the first step.  A split run is sampled from its own history sums, so
-    sampling builds no State; midpoint runs are sampled from their
-    materialized state.  dE_numeric (centered difference of E across
-    samples) and the identity residual are filled in after the run.  Step
-    failures abort with the partial trajectory attached
-    (SimulationAborted).  One INFO line on the membeam.stepper logger
+    Records are always taken at t = 0 and t = T.  A T that is not a whole
+    number of steps, more than MAX_STEPS steps or more than MAX_RECORDS
+    records raise ParamOutOfRange before the first step.  A split run is
+    sampled from its own history sums, so sampling builds no State;
+    midpoint runs are sampled from their materialized state.  dE_numeric
+    (centered difference of E across samples) and the identity residual
+    are filled in after the run.  Step failures abort with the partial
+    trajectory attached (SimulationAborted).  One INFO line on the membeam.stepper logger
     reports steps, records, the time spent stepping and sampling, and the
-    refresh drift.
+    refresh drift; for a midpoint run also its padded grid P, the steps K
+    between re-projections, its history block k and the re-projections
+    made.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
@@ -795,9 +915,11 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     if not T / cfg.dt <= MAX_STEPS:
         raise ParamOutOfRange(
             "T", f"T / dt = {T / cfg.dt:.3g} steps exceeds the limit of {MAX_STEPS}")
-    n_steps = int(round(T / cfg.dt)) if T > 0 else 0
-    if T > 0 and abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
-        n_steps = int(np.ceil(T / cfg.dt))
+    n_steps = int(round(T / cfg.dt))
+    if abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
+        raise ParamOutOfRange(
+            "T", f"T = {T:g} is not a whole number of steps dt = {cfg.dt:g} "
+            f"(T / dt = {T / cfg.dt:.6g})")
     n_records = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
     if n_records > MAX_RECORDS:
         raise ParamOutOfRange(
@@ -810,7 +932,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     start = time.perf_counter()
     records = [analysis.diagnostics_record(init, mcfg)]
     sampling = time.perf_counter() - start
-    final, drift = init, 0.0
+    final, drift, grid = init, 0.0, ""
     if n_steps > 0:
         run = _get_runner(init.assembly, cfg).run(init)
         from_run = isinstance(run, _SplitRun)
@@ -830,10 +952,14 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             raise SimulationAborted(n_steps, exc, records) from exc
         drift = run.max_drift
         final = run.to_state()
+        if not from_run:
+            r = run.runner
+            grid = (f", padded s-grid P = {r.size}, K = {r.period}, k = {r.block}, "
+                    f"{run.reprojections} re-projections")
     _fill_numeric_derivatives(records)
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
-             "refresh drift %.3e", n_steps, len(records),
-             time.perf_counter() - start - sampling, sampling, drift)
+             "refresh drift %.3e%s", n_steps, len(records),
+             time.perf_counter() - start - sampling, sampling, drift, grid)
     return SimulationResult(records=records, final_state=final, refresh_drift=drift)
 
 

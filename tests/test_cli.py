@@ -504,6 +504,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert "needs about" in out + err and "Traceback" not in err
 
+    def test_final_time_off_the_step_grid_exits_1(self, tmp_path, monkeypatch, capsys):
+        # T = 2 is not a whole number of dt = 0.3 steps: refused before the
+        # first step instead of run on to t = 2.1
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, edit_cfg("dt = 0.1", "dt = 0.3"))
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: T = 2 is not a whole number of steps dt = 0.3")
+        assert not (tmp_path / "run.csv").exists()
+
     def test_non_integer_sweep_nx_is_config_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TINY_CFG)
         assert main(["sweep", str(path), "--param", "Nx", "--values", "16.7",

@@ -3,6 +3,7 @@ import gc
 import logging
 import math
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -159,6 +160,19 @@ class TestSimulate:
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         with pytest.raises(ParamOutOfRange):
             mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), T)
+
+    @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
+    def test_final_time_must_be_whole_steps(self, monkeypatch, scheme):
+        # T = 1 at dt = 0.3 would take 4 steps and end at t = 1.2
+        def no_step(run):
+            raise AssertionError("stepped")
+
+        monkeypatch.setattr(stepper._SplitRun, "advance", no_step)
+        monkeypatch.setattr(stepper._MidpointRun, "advance", no_step)
+        asm = make_assembly(Nx=5, ds=0.3, Ns=6)
+        with pytest.raises(ParamOutOfRange, match="whole number of steps") as err:
+            mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.3, scheme=scheme), 1.0)
+        assert err.value.field == "T"
 
     def test_record_count_bounded_before_first_step(self, monkeypatch):
         # 200,000 steps sampled every 2 keep 100,001 records, at the limit;
@@ -675,14 +689,17 @@ class TestMidpointStep:
         assert calls == [(15, 15)]
         assert "A" not in asm._cache
 
+    # a midpoint step reads its history as _a[:, i], wmu . G^(i+1) eta0 of
+    # its block: two steps in, _a[2, 2] is what the next step reads at x_2
     @pytest.mark.parametrize("scheme,field", [
-        ("full_implicit_midpoint", "w"), ("full_implicit_midpoint", "eta_hat"),
+        ("full_implicit_midpoint", "w"), ("full_implicit_midpoint", "_a"),
         ("split_semilagrangian", "theta"), ("split_semilagrangian", "u")])
     def test_non_finite_value_fails_the_residual_check(self, scheme, field):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme=scheme)).run(
             default_initial_state(asm))
-        run.advance()
+        for _ in range(2):
+            run.advance()
         getattr(run, field)[(2,) * getattr(run, field).ndim] = np.nan
         with pytest.raises(LinearSolveFailure):
             run.advance()
@@ -702,21 +719,15 @@ def _banded_cayley_trajectory(state, dt, n_steps):
 
 
 class TestFourierMidpointRun:
-    """The midpoint run steps its history as the rfft of a padded s-grid
-    and re-projects it every runner.period steps."""
+    """The midpoint run steps its history a block of steps at a time on the
+    rfft of a padded s-grid and re-projects it every runner.period steps."""
 
     @pytest.mark.parametrize("ns", [1, 30])
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("form", ["prony", "table"])
-    def test_matches_banded_and_assembled_references(self, monkeypatch, form, q, ns):
-        reprojected = []
-        real = stepper._MidpointRun.finish
-
-        def counting(run):
-            reprojected.append(run.t)
-            real(run)
-
-        monkeypatch.setattr(stepper._MidpointRun, "finish", counting)
+    def test_matches_banded_and_assembled_references(self, form, q, ns):
+        # every step's w reads the block's history sum; every third step
+        # the whole state, formed mid-block
         ds = 0.05
         kernel = _table_kernel() if form == "table" else mb.MemoryKernel.prony([1.0, 0.5],
                                                                                [1.0, 4.0])
@@ -725,19 +736,44 @@ class TestFourierMidpointRun:
         state = default_initial_state(asm)
         dt = 2.0 * q * ds
         run = _midpoint_run(asm, dt, state)
-        n_steps = 2 * run.runner.period + 3
+        n3, n_steps = 3 * asm.Nx, 2 * run.runner.period + 3
         banded = _banded_cayley_trajectory(state, dt, n_steps)
-        for (t, ref), (_, ref_banded) in zip(_assembled_cayley_trajectory(state, dt, n_steps),
-                                             banded):
+        for k, ((t, ref), (_, ref_banded)) in enumerate(
+                zip(_assembled_cayley_trajectory(state, dt, n_steps), banded), start=1):
+            run.advance()
+            assert run.t == pytest.approx(t, rel=1e-12)
+            w_ref = ref_banded[:n3]
+            assert np.abs(run.w - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
+            if k % 3 == 0:
+                got = run.to_state().flatten()
+                # the two references differ by as much (rounding)
+                assert hnorm(asm, got - ref_banded) <= 1e-10 * hnorm(asm, ref_banded)
+                assert hnorm(asm, got - ref) <= 1e-10 * hnorm(asm, ref)
+        assert run.reprojections == 2
+        run.finish()
+        assert run.reprojections == 3
+        assert run.max_drift <= 1e-11
+
+    @pytest.mark.parametrize("period", [None, 23])
+    def test_blocks_within_a_period_match_the_banded_reference(self, monkeypatch, period):
+        # blocks of 5 steps: a period of several blocks, each started by the
+        # step after the last; a period of 23 re-projects 3 steps into a block
+        monkeypatch.setattr(stepper, "_HISTORY_BLOCK", 5)
+        if period is not None:
+            real = stepper._fourier_grid
+            monkeypatch.setattr(stepper, "_fourier_grid",
+                                lambda q, ns: (real(q, ns)[0], period, real(q, ns)[2]))
+        asm = make_assembly(Nx=6, ds=0.05, Ns=30)
+        state = default_initial_state(asm)
+        run = _midpoint_run(asm, 0.05, state)
+        assert run.runner.block == 5 and run.runner.period > 10
+        n_steps = 2 * run.runner.period + 4
+        for _, ref in _banded_cayley_trajectory(state, 0.05, n_steps):
             run.advance()
             got = run.to_state().flatten()
-            assert run.t == pytest.approx(t, rel=1e-12)
-            # the two references differ by as much (rounding)
-            assert hnorm(asm, got - ref_banded) <= 1e-10 * hnorm(asm, ref_banded)
             assert hnorm(asm, got - ref) <= 1e-10 * hnorm(asm, ref)
-        assert len(reprojected) == 2
+        assert run.reprojections == 2
         run.finish()
-        assert len(reprojected) == 3
         assert run.max_drift <= 1e-11
 
     def test_grid_holds_the_history_between_reprojections(self):
@@ -746,6 +782,7 @@ class TestFourierMidpointRun:
         for q, ns in ((0.5, 1843), (0.5, 30), (2.0, 30), (2.0, 1), (0.04, 8)):
             size, period, reach = stepper._fourier_grid(q, ns)
             assert size % 2 == 0 and period >= 1 and size - ns > reach
+            assert period < stepper._HISTORY_BLOCK or period % stepper._HISTORY_BLOCK == 0
             z = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
             l_hat = (1.0 + q) - q * z
             impulse = np.zeros(size)
@@ -755,16 +792,23 @@ class TestFourierMidpointRun:
             assert np.all(np.abs(moved[size - reach:]) <= 1e-15)
             assert np.all(np.abs(moved[:ns - 1]) <= 1e-15)      # nothing carried round
 
-    @pytest.mark.parametrize("name,entries", [("symbol", 3), ("symbol", slice(None)),
-                                              ("ell_hat", slice(None))])
-    def test_corrupted_symbol_aborts_the_run(self, name, entries):
-        # one entry off spreads the history over the whole grid (the tail
-        # check fires first); a symbol scaled throughout keeps it in place,
-        # and only the history rows of the residual see it
+    @pytest.mark.parametrize("name,how", [("powers", "frequency"), ("powers", "rows"),
+                                          ("ell_powers", "all")])
+    def test_corrupted_table_aborts_the_run(self, name, how):
+        # one frequency off in every power spreads the history over the
+        # whole grid (the tail check fires first); powers off by a different
+        # factor in each row, or l-powers scaled throughout, keep it in
+        # place, and only the history rows of the residual see them
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
         runner = stepper._get_runner(asm, cfg)
-        getattr(runner, name)[entries] *= 1.0 + 1e-6
+        table = getattr(runner, name)
+        if how == "frequency":
+            table[:, 3] *= 1.0 + 1e-6
+        elif how == "rows":
+            table *= (1.0 + 1e-6 * np.arange(1, len(table) + 1))[:, None]
+        else:
+            table *= 1.0 + 1e-6
         state = default_initial_state(asm)
         # caught at the first re-projection, and by the check after the
         # last step of a shorter run
@@ -773,8 +817,19 @@ class TestFourierMidpointRun:
                 mb.simulate(state, cfg, n_steps * cfg.dt)
             assert err.value.step_index == index
             assert isinstance(err.value.__cause__, LinearSolveFailure)
-            if entries != 3:
+            if how != "frequency":
                 assert str(err.value.__cause__).startswith("residual")
+
+    @pytest.mark.parametrize("name", ["proj", "c"])
+    def test_corrupted_history_sum_table_shows_as_drift(self, name):
+        # the steps carry wmu . eta as they read it, so every residual
+        # holds; the materialized history at a re-projection does not agree
+        asm = make_assembly(Nx=6, ds=0.05, Ns=30)
+        cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
+        runner = stepper._get_runner(asm, cfg)
+        getattr(runner, name)[...] *= 1.0 + 1e-5
+        res = mb.simulate(default_initial_state(asm), cfg, (2 * runner.period + 1) * cfg.dt)
+        assert res.refresh_drift > 1e-9
 
     def test_symbols_checked_against_the_banded_solve(self, monkeypatch):
         # a pad of two nodes carries the history round at once
@@ -784,14 +839,20 @@ class TestFourierMidpointRun:
             stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
 
     def test_short_pad_is_caught_by_the_tail_check(self, monkeypatch):
-        # 40 pad nodes hold one step (the symbols pass their check) but not
-        # 200: the history moves one node a step at q = 1/2
+        # the history moves one node a step at q = 1/2: 40 pad nodes do not
+        # hold a block of 32 steps (the block check refuses them at setup);
+        # 80 hold a block but not 200 steps
         real = stepper._fourier_grid
-        monkeypatch.setattr(stepper, "_fourier_grid",
-                            lambda q, ns: (ns + 40, 200, real(q, ns)[2]))
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
+        monkeypatch.setattr(stepper, "_fourier_grid",
+                            lambda q, ns: (ns + 40, 200, real(q, ns)[2]))
+        with pytest.raises(LinearSolveFailure, match="residual"):
+            stepper._get_runner(asm, cfg)
+        monkeypatch.setattr(stepper, "_fourier_grid",
+                            lambda q, ns: (ns + 80, 200, real(q, ns)[2]))
         state = default_initial_state(asm)
+        assert stepper._get_runner(asm, cfg).block == 32
         for n_steps, index in ((250, 200), (150, 150)):
             with pytest.raises(SimulationAborted) as err:
                 mb.simulate(state, cfg, n_steps * cfg.dt, sample_every=50)
@@ -805,6 +866,74 @@ class TestFourierMidpointRun:
         period = stepper._get_runner(asm, cfg).period
         res = mb.simulate(default_initial_state(asm), cfg, (2 * period + 1) * cfg.dt)
         assert 0.0 < res.refresh_drift <= 1e-11
+
+    def test_last_reprojection_is_not_repeated(self, caplog):
+        # 2K steps: the last step re-projects, and simulate's finish after
+        # it has no step left to check
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        cfg = mb.SchemeConfig(dt=0.1, scheme="full_implicit_midpoint")
+        runner = stepper._get_runner(asm, cfg)
+        run = runner.run(default_initial_state(asm))
+        for _ in range(runner.period):
+            run.advance()
+        assert run.reprojections == 1
+        run.finish()
+        assert run.reprojections == 1
+        with caplog.at_level(logging.INFO, logger="membeam.stepper"):
+            mb.simulate(default_initial_state(asm), cfg, 2 * runner.period * cfg.dt)
+        line, = [r.getMessage() for r in caplog.records if r.name == "membeam.stepper"]
+        assert (f"padded s-grid P = {runner.size}, K = {runner.period}, k = {runner.block}, "
+                "2 re-projections") in line
+
+    def test_memory_guard_counts_the_block_tables(self, monkeypatch):
+        # q = 100: a padded grid of 340 times Ns, on which the runner's
+        # tables outweigh the history; what the runner and a run allocate
+        # stays within what the guard counts for them
+        asm = make_assembly(Nx=5, ds=0.05, Ns=64)
+        cfg = mb.SchemeConfig(dt=10.0, scheme="full_implicit_midpoint")
+        size, period, _ = stepper._fourier_grid(100.0, 64)
+        counted = []
+        real = stepper.check_history_fits
+
+        def counting(nx, ns, columns):
+            counted.append(8.0 * ns * (discretization._HISTORY_COPIES * nx + columns))
+            real(nx, ns, columns)
+
+        monkeypatch.setattr(stepper, "check_history_fits", counting)
+        state = default_initial_state(asm)
+        tracemalloc.start()
+        try:
+            run = stepper._get_runner(asm, cfg).run(state)
+            for _ in range(period + 3):
+                run.advance()
+            run.to_state()
+            run.finish()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak > 0.25 * counted[0] > 8 * size
+        assert peak <= counted[0]
+
+    def test_oversized_padded_grid_refused_before_allocation(self, monkeypatch):
+        # q = 1e4, Ns = 10 pads the s-grid to millions of nodes; with
+        # physical memory 1.5 times what the history copies alone need, the
+        # block tables do not fit, and the runner is refused before anything
+        # of the grid's length is built
+        asm = make_assembly(Nx=5, ds=0.05, Ns=10)
+        cfg = mb.SchemeConfig(dt=1000.0, scheme="full_implicit_midpoint")
+        size = stepper._fourier_grid(1e4, 10)[0]
+        history = 8.0 * size * (discretization._HISTORY_COPIES * 5 + discretization.SHIFT_BLOCK)
+        pages, real = int(1.5 * history) // os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLarge, match="needs about"):
+                stepper._get_runner(asm, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size
 
 
 class TestOracle:
