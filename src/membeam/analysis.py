@@ -101,11 +101,9 @@ class HistorySums:
 def history_sums(eta: np.ndarray, assembly: GeneratorAssembly) -> HistorySums:
     """Full quadrature of the history sums: one gradient pass over the
     columns of eta and two weighted column sums, O(Nx Ns)."""
-    mg = assembly.memory_grid
-    wmu = mg.weights * mg.mu
+    wmu, wmup = assembly.memory_grid.wmu, assembly.memory_grid.wmup
     colnorms = grad_sq_norms(eta, assembly.grid.h)
-    return HistorySums(hist_mu=float(colnorms @ wmu),
-                       hist_mup=float(colnorms @ (mg.weights * mg.muprime)),
+    return HistorySums(hist_mu=float(colnorms @ wmu), hist_mup=float(colnorms @ wmup),
                        moment=eta @ wmu, shifted_moment=eta[:, :-1] @ wmu[1:])
 
 
@@ -332,7 +330,7 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
     l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
     # dF2/dt = I - sum w mu <theta, theta> + sum_k w_k mu_k <theta, (eta_k - eta_{k-1})/ds>
     upwind_term = (f.th_moment - f.th_shifted) / mg.ds
-    l44_lhs = f.Ifun - float(np.sum(mg.weights * mg.mu)) * h * f.tt + h * upwind_term
+    l44_lhs = f.Ifun - float(np.sum(mg.wmu)) * h * f.tt + h * upwind_term
     l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
                    + (mcfg.sigma3 / 2.0 - mcfg.mu0) * f.tt
                    - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * f.hist_mup)
@@ -402,7 +400,7 @@ def _resolvent_norm1(assembly: GeneratorAssembly) -> float:
     mech = np.asarray(abs(sp.identity(3 * nx) - assembly.mechanical_block).sum(axis=0)).ravel()
     mech[2 * nx:] += assembly.Ns
     lap_norm = float(np.max(abs(assembly.ops.lap).sum(axis=0)))
-    hist = np.abs(mg.weights * mg.mu) * lap_norm + (1.0 + 1.0 / mg.ds)
+    hist = np.abs(mg.wmu) * lap_norm + (1.0 + 1.0 / mg.ds)
     hist[:-1] += 1.0 / mg.ds
     return float(max(mech.max(), hist.max()))
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis, model, stepper
 from .config import ProblemSetup, build_setup, parse_config, with_parameter
-from .discretization import DENSE_MAX_DIM
+from .discretization import DENSE_MAX_DIM, assemble_generator, memory_grid_from_counts
 from .errors import (
     ConfigError,
     DimensionTooLarge,
@@ -199,13 +199,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.levels < 2:
+        raise ConfigError(f"oracle-check needs --levels >= 2 to fit an order, got {args.levels}")
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
     if setup.assembly.dim > DENSE_MAX_DIM:
         print(f"oracle-check unavailable: dimension {setup.assembly.dim} > {DENSE_MAX_DIM}")
         return 1
-
-    from .discretization import assemble_generator, memory_grid_from_counts
 
     dts = [cfg.dt * (0.5 ** k) for k in range(args.levels)]
     errors = []
@@ -270,7 +270,10 @@ def _sweep_worker(payload):
 
 def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
-    values = [float(v) for v in args.values.replace(",", " ").split()]
+    try:
+        values = [float(v) for v in args.values.replace(",", " ").split()]
+    except ValueError as exc:
+        raise ConfigError(f"sweep values must be numbers: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
     payloads = [(cfg, args.param, v) for v in values]

@@ -33,13 +33,6 @@ from .model import CoefficientField, MemoryKernel, PhysicalParams
 # matrix-exponential oracle) are attempted.
 DENSE_MAX_DIM = 2000
 
-# The bisection for a Prony kernel's truncation point stops once its
-# bracket is narrower than _TRUNC_XTOL + _TRUNC_RTOL*s, the default
-# tolerances of scipy.optimize.brentq.  The relative part keeps the bracket
-# wider than a few float spacings, so the loop ends for any crossing.
-_TRUNC_XTOL = 2e-12
-_TRUNC_RTOL = 4 * np.finfo(float).eps
-
 # A run holds a few (Nx, Ns) arrays at once: the state's history, the
 # stepper's ring, gradient and sample temporaries.
 _HISTORY_COPIES = 8
@@ -96,9 +89,9 @@ class MemoryGrid:
     Stored nodes are s_k = k*ds, k = 1..Ns (s = 0 carries the zero inflow
     value and is not stored).  Trapezoid weights on {0, ds, ..., Ns*ds}:
     w_k = ds for k < Ns and w_Ns = ds/2; the half cell at s = 0 contributes
-    nothing to history quadratures since eta(0) = 0.  sum w_k mu_k
-    therefore underestimates mu0 by about ds*mu(0)/2 plus the truncated
-    tail.
+    nothing to history quadratures since eta(0) = 0.  They weigh the nodes
+    by wmu = (w_k mu_k) or wmup = (w_k mu'_k); sum wmu underestimates mu0
+    by about ds*mu(0)/2 plus the truncated tail.
     """
 
     Ns: int
@@ -109,42 +102,16 @@ class MemoryGrid:
     muprime: np.ndarray
     kernel: MemoryKernel
 
-
-def _memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryGrid:
-    s_nodes = ds * np.arange(1, Ns + 1)
-    weights = np.full(Ns, ds)
-    weights[-1] = 0.5 * ds
-    mu = np.asarray(kernel.mu(s_nodes), dtype=float)
-    muprime = np.asarray(kernel.muprime(s_nodes), dtype=float)
-    for arr in (s_nodes, weights, mu, muprime):
-        arr.flags.writeable = False
-    return MemoryGrid(Ns=Ns, ds=ds, s_nodes=s_nodes, weights=weights, mu=mu,
-                      muprime=muprime, kernel=kernel)
-
-
-def _prony_crossing(kernel: MemoryKernel, bound: float) -> float:
-    """The s > 0 where the decreasing Prony sum mu(s) falls to bound, by
-    bisection to _TRUNC_XTOL + _TRUNC_RTOL*s (mu(0) > bound)."""
-    lo, hi = 0.0, 1.0
-    while float(kernel.mu(hi)) > bound:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e9:
-            raise TruncationUnreachable("kernel decays too slowly for this tolerance")
-    while hi - lo > _TRUNC_XTOL + _TRUNC_RTOL * hi:
-        mid = 0.5 * (lo + hi)
-        if float(kernel.mu(mid)) > bound:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    wmu = property(lambda self: self.weights * self.mu)
+    wmup = property(lambda self: self.weights * self.muprime)
 
 
 def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) -> MemoryGrid:
-    """Choose s_max so mu(s_max) <= trunc_tol * mu(ds/2), with ds = dt.
-
-    ds is locked to the time step so the semi-Lagrangian stepper can shift
-    the history by exactly one node per step.
-    """
+    """The grid with ds = dt (the split stepper shifts the history one node
+    a step) up to the first node Ns*ds with mu(Ns*ds) <= trunc_tol *
+    mu(ds/2), for either kernel form, by a scan of the nodes in blocks that
+    double in length.  TruncationUnreachable when mu is above the bound at
+    the last node before s = 1e9 or the table end."""
     if not (dt > 0):
         raise ParamOutOfRange("dt", "dt must be > 0")
     if not (0 < trunc_tol < 1):
@@ -154,32 +121,37 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) 
     if bound <= 0:
         raise TruncationUnreachable("kernel vanishes at ds/2; no truncation point exists")
 
-    if kernel.form == "prony":
-        s_req = _prony_crossing(kernel, bound) if float(kernel.mu(0.0)) > bound else ds
-    else:
-        idx = np.flatnonzero(kernel.mu_table <= bound)
-        if idx.size == 0:
-            raise TruncationUnreachable(
-                f"table ends at s = {kernel.s_max_table:g} with mu > {bound:.3e}")
-        s_req = float(kernel.s_table[idx[0]])
-
-    check_history_fits(1, s_req / ds)
-    Ns = max(1, int(np.ceil(s_req / ds)))
-    if Ns * ds > kernel.s_max_table:
-        raise TruncationUnreachable(
-            f"need s_max = {Ns * ds:g} beyond the table end {kernel.s_max_table:g}")
-    return _memory_grid_from_counts(kernel, ds, Ns)
+    last = max(1, int(min(1e9, kernel.s_max_table) / ds))
+    lo, hi = 0, 1
+    if float(kernel.mu(last * ds)) <= bound:   # mu decreases, so a node within the cap is found
+        while lo < last:
+            check_history_fits(1, hi)
+            below = np.flatnonzero(kernel.mu(ds * np.arange(lo + 1, hi + 1)) <= bound)
+            if below.size:
+                return memory_grid_from_counts(kernel, ds, lo + 1 + int(below[0]))
+            lo, hi = hi, min(2 * hi, last)
+    raise TruncationUnreachable(
+        f"mu > {bound:.3e} at s = {last * ds:g}, the last node before the table end or 1e9")
 
 
 def memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryGrid:
-    """Direct construction with prescribed (ds, Ns), for reduced assemblies."""
+    """The grid of Ns nodes spaced ds, the one place a MemoryGrid is built."""
     if not (ds > 0) or Ns < 1:
         raise ParamOutOfRange("ds/Ns", "need ds > 0 and Ns >= 1")
     check_history_fits(1, Ns)
     if Ns * ds > kernel.s_max_table:
         raise TruncationUnreachable(
             f"s_max = {Ns * ds:g} beyond the table end {kernel.s_max_table:g}")
-    return _memory_grid_from_counts(kernel, float(ds), int(Ns))
+    ds, Ns = float(ds), int(Ns)
+    s_nodes = ds * np.arange(1, Ns + 1)
+    weights = np.full(Ns, ds)
+    weights[-1] = 0.5 * ds
+    mu = np.asarray(kernel.mu(s_nodes), dtype=float)
+    muprime = np.asarray(kernel.muprime(s_nodes), dtype=float)
+    for arr in (s_nodes, weights, mu, muprime):
+        arr.flags.writeable = False
+    return MemoryGrid(Ns=Ns, ds=ds, s_nodes=s_nodes, weights=weights, mu=mu,
+                      muprime=muprime, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +382,7 @@ class GeneratorAssembly:
     def _build_generator(self) -> sp.csr_matrix:
         nx, ns, mg = self.Nx, self.Ns, self.memory_grid
         eye = sp.identity(nx, format="csr")
-        wmu = sp.csr_matrix((mg.weights * mg.mu)[None, :])      # stores no zero weight
+        wmu = sp.csr_matrix(mg.wmu[None, :])      # stores no zero weight
         upwind = sp.diags([np.full(ns, -1.0 / mg.ds), np.full(ns - 1, 1.0 / mg.ds)], [0, -1])
         # format="csr" keeps kron from storing the zeros of a nearly dense lap
         flux = sp.vstack([sp.csr_matrix((2 * nx, nx * ns)),
@@ -425,7 +397,7 @@ class GeneratorAssembly:
         return sp.block_diag(
             [h * (ops.bih - self.params.kappa**2 * ops.lap),
              h * sp.identity(2 * self.Nx),
-             sp.kron(sp.diags(mg.weights * mg.mu * h), -ops.lap, format="csr")], format="csr")
+             sp.kron(sp.diags(mg.wmu * h), -ops.lap, format="csr")], format="csr")
 
 
 def assemble_generator(operators: DiscreteOperators, memory_grid: MemoryGrid,

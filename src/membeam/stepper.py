@@ -189,9 +189,9 @@ class SchurSolver:
     the same LU and L^T, a recurrence run from s_Ns down.  solve,
     solve_transposed and apply take inputs of any layout, leave them
     untouched and return new arrays.  resolvent_check solves through this
-    class; the midpoint run takes its LU, g and apply_w, and checks its
-    history step against the banded solve.  The solver keeps no reference
-    to its assembly.
+    class; the midpoint run takes its LU, g, apply_w and apply_eta, and
+    checks its history step against the banded solve.  The solver keeps
+    no reference to its assembly.
     """
 
     def __init__(self, assembly: GeneratorAssembly, tau: float):
@@ -200,7 +200,7 @@ class SchurSolver:
         self.tau = tau
         self.q = tau / mg.ds
         self.c = 1.0 / (1.0 + self.q)
-        self.wmu = mg.weights * mg.mu
+        self.wmu = mg.wmu
         self.B = assembly.mechanical_block
         self.lap = assembly.ops.lap
         # L / (1 + q) in LAPACK's lower band storage: the unit diagonal
@@ -223,9 +223,13 @@ class SchurSolver:
 
     def apply(self, w: np.ndarray, eta: np.ndarray):
         """(I - tau A_h)(w, eta), blockwise."""
-        out_eta = (1.0 + self.q) * eta - self.tau * w[2 * self.nx:, None]
-        out_eta[:, 1:] -= self.q * eta[:, :-1]
-        return self.apply_w(w, eta @ self.wmu), out_eta
+        return self.apply_w(w, eta @ self.wmu), self.apply_eta(w[2 * self.nx:], eta)
+
+    def apply_eta(self, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """The history rows L eta - tau theta 1 of (I - tau A_h)(w, eta)."""
+        out = (1.0 + self.q) * eta - self.tau * theta[:, None]
+        out[:, 1:] -= self.q * eta[:, :-1]
+        return out
 
     def apply_w(self, w: np.ndarray, m: np.ndarray) -> np.ndarray:
         """The (u, v, theta) rows of (I - tau A_h)(w, eta), given the one
@@ -431,9 +435,7 @@ class _MidpointRunner:
         a = self.project(eta0)
         sq = np.zeros(4)          # squared differences and references: sums, histories
         for i in range(k):
-            rhs = (1.0 - s.q) * eta
-            rhs[:, 1:] += s.q * eta[:, :-1]
-            g_eta = s._recurrence(s.c * rhs)
+            g_eta = s._recurrence(s.c * (2.0 * eta - s.apply_eta(np.zeros(len(eta)), eta)))
             ref = g_eta @ s.wmu
             diff = self.history_sum(a, beta, i) - ref
             eta = g_eta + np.multiply.outer(beta[i], ell)
@@ -539,7 +541,7 @@ class _MidpointRun:
         if not self._i:
             return
         run, s = self.runner, self.runner.solver
-        ns, q, tau = s.ns, s.q, s.tau
+        ns = s.ns
         theta, theta_new = self._theta_prev, self.w[2 * s.nx:]
         old = np.fft.irfft(self._spectrum(self._i - 1), n=run.size)[:, :ns]
         new = np.fft.irfft(self._spectrum(self._i), n=run.size)
@@ -548,19 +550,15 @@ class _MidpointRun:
             raise LinearSolveFailure(
                 f"history at the end of the padded s-grid: {tail:.3e} exceeds "
                 f"{_LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
-        # history rows of M Phi' - P Phi:
-        # L (eta' + eta) - 2 eta - tau (theta + theta') 1
-        both = new[:, :ns] + old
-        res = (1.0 + q) * both - 2.0 * old - tau * (theta + theta_new)[:, None]
-        res[:, 1:] -= q * both[:, :-1]
-        rhs = (1.0 - q) * old + tau * theta[:, None]
-        rhs[:, 1:] += q * old[:, :-1]
+        # history rows of M Phi' - P Phi, with P Phi = 2 eta - M Phi
+        res = s.apply_eta(theta + theta_new, new[:, :ns] + old) - 2.0 * old
+        rhs = 2.0 * old - s.apply_eta(theta, old)
         _check_residual(_sq_norm(res), _sq_norm(rhs))
         p_w = 2.0 * self.w           # the next step's P w, carried and fresh
         self.max_drift = _worst_drift(self.max_drift, p_w - self._m_w,
                                       p_w - s.apply_w(self.w, new[:, :ns] @ s.wmu))
         new[:, ns:] = 0.0
-        del old, both, res, rhs           # freed before the new block's spectrum
+        del old, res, rhs           # freed before the new block's spectrum
         self._start(np.fft.rfft(new))
         self.reprojections += 1
 
@@ -602,9 +600,9 @@ class _SplitRunner:
         self.cfg = cfg
         self.nx = nx = assembly.Nx
         dt, B, lap = cfg.dt, assembly.mechanical_block, assembly.ops.lap
-        wmu = mg.weights * mg.mu
+        wmu = mg.wmu
         mu0w = float(np.sum(wmu))
-        self.wmus = np.stack([wmu, mg.weights * mg.muprime])
+        self.wmus = np.stack([wmu, mg.wmup])
         self.totals = self.wmus.sum(axis=1)
         self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
         P = (sp.identity(3 * nx, format="csr") + (dt / 2.0) * B).tolil()
@@ -854,16 +852,19 @@ class _SplitRun:
                      eta=self._logical_eta(), assembly=self.assembly)
 
 
-def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig):
+def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig, keep: bool = True):
     """Runner cache: factorizations are rebuilt only when (scheme, dt) change.
 
     A runner keeps no reference to its assembly (runs take it from their
     state), so the cache makes no cycle and an assembly's matrices and
     factorizations are freed as soon as the last reference to it goes.
+    With keep false a new runner is not cached (simulate's, freed with it).
     """
     key = ("runner", cfg.scheme, cfg.dt)
     if key not in assembly._cache:
         cls = _MidpointRunner if cfg.scheme == "full_implicit_midpoint" else _SplitRunner
+        if not keep:
+            return cls(assembly, cfg)
         assembly._cache[key] = cls(assembly, cfg)
     return assembly._cache[key]
 
@@ -906,7 +907,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     reports steps, records, the time spent stepping and sampling, and the
     refresh drift; for a midpoint run also its padded grid P, the steps K
     between re-projections, its history block k and the re-projections
-    made.
+    made.  simulate caches no runner it builds; step does.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
@@ -934,7 +935,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     sampling = time.perf_counter() - start
     final, drift, grid = init, 0.0, ""
     if n_steps > 0:
-        run = _get_runner(init.assembly, cfg).run(init)
+        run = _get_runner(init.assembly, cfg, keep=False).run(init)
         from_run = isinstance(run, _SplitRun)
         for k in range(1, n_steps + 1):
             try:

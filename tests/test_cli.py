@@ -551,6 +551,28 @@ class TestExitCodes:
                      "--serial"]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_numeric_sweep_value_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["sweep", str(path), "--param", "beta", "--values", "1,abc",
+                     "--serial"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["config error: sweep values must be numbers: "
+                                    "could not convert string to float: 'abc'"]
+
+    @pytest.mark.parametrize("levels", ["0", "1"])
+    def test_oracle_check_needs_two_levels(self, tmp_path, monkeypatch, capsys, levels):
+        # refused before the run file is read or any setup is built
+        def unexpected(*args, **kwargs):
+            raise AssertionError("setup work before the levels check")
+
+        monkeypatch.setattr(cli, "parse_config", unexpected)
+        monkeypatch.setattr(cli, "build_setup", unexpected)
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["oracle-check", str(path), "--levels", levels]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"config error: oracle-check needs --levels >= 2 to fit an order, got {levels}"]
+
 
 # Each scalar line of TINY_CFG, with a finite range small enough that a run
 # stays well under a second (its dense abscissa is below dimension 800).
@@ -698,8 +720,8 @@ class TestRunLength:
             assert proc.returncode == 0, (argv, proc.stderr)
 
     def test_cli_never_imports_scipy_optimize(self, tmp_path):
-        # a bisection finds the memory truncation point; scipy.optimize
-        # would add about 0.3 s to every process
+        # a scan of the s-grid nodes finds the memory truncation point;
+        # scipy.optimize would add about 0.3 s to every process
         proc = _python(tmp_path, "-c", "import sys, membeam.cli\n"
                        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'",
                        timeout=120)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,6 +8,7 @@ import scipy.sparse as sp
 import membeam as mb
 from membeam.errors import (
     DimensionMismatch,
+    DimensionTooLarge,
     GridTooCoarse,
     ParamOutOfRange,
     TruncationUnreachable,
@@ -34,6 +37,18 @@ class TestSpatialGrid:
             mb.build_spatial_grid(0.0, 8)
 
 
+def _count_mu_nodes(monkeypatch) -> list:
+    """The number of nodes of each MemoryKernel.mu call from now on."""
+    evaluated, real = [], mb.MemoryKernel.mu
+
+    def counting(self, s):
+        evaluated.append(np.size(s))
+        return real(self, s)
+
+    monkeypatch.setattr(mb.MemoryKernel, "mu", counting)
+    return evaluated
+
+
 class TestMemoryGrid:
     def test_unit_exponential_truncation(self, exp_kernel):
         mg = mb.build_memory_grid(exp_kernel, dt=0.01, trunc_tol=1e-8)
@@ -54,18 +69,48 @@ class TestMemoryGrid:
         ([0.7, 0.3], [2e-4, 3.0], 0.5, 1e-8, 182364),
         ([1.0], [1e-5], 10.0, 1e-6, 138156),
     ])
-    def test_slow_kernel_truncation_matches_brentq(self, amps, rates, dt, tol, ns):
-        # crossings beyond s = 16384, where float spacing exceeds the
-        # absolute bisection tolerance; Ns as brentq's root gave it
-        from scipy.optimize import brentq
-
-        from membeam.discretization import _prony_crossing
-
+    def test_slow_kernel_truncation(self, amps, rates, dt, tol, ns):
+        # crossings beyond s = 16384; Ns as brentq's root of mu(s) = bound,
+        # rounded up to the grid, gave it
         kern = mb.MemoryKernel.prony(amps, rates)
         assert mb.build_memory_grid(kern, dt=dt, trunc_tol=tol).Ns == ns
+
+    @pytest.mark.parametrize("kern, dt, tol", [
+        (mb.MemoryKernel.prony([1.0], [1.0]), 1e-3, 1e-8),
+        (mb.MemoryKernel.prony([2.0, 0.5], [3.0, 0.4]), 0.07, 1e-6),
+        (mb.MemoryKernel.prony([1.0, 5.0, 0.2], [0.5, 40.0, 0.05]), 5e-4, 1e-12),
+        (mb.MemoryKernel.prony([1.0], [2.0]), 0.1, 0.7),
+        # table nodes every 0.013 against ds = 0.01 and 0.0337
+        (mb.MemoryKernel.tabulated(np.arange(0, 1501) * 0.013,
+                                   np.exp(-np.arange(0, 1501) * 0.013)), 0.01, 1e-8),
+        (mb.MemoryKernel.tabulated(np.arange(0, 1501) * 0.013,
+                                   np.exp(-np.arange(0, 1501) * 0.013)), 0.0337, 1e-6),
+    ])
+    def test_truncation_is_the_first_node_below_the_bound(self, kern, dt, tol, monkeypatch):
         bound = tol * float(kern.mu(0.5 * dt))
-        ref = brentq(lambda s: float(kern.mu(s)) - bound, 0.0, 2.0 ** 30)
-        assert _prony_crossing(kern, bound) == pytest.approx(ref, rel=1e-12)
+        evaluated = _count_mu_nodes(monkeypatch)
+        mg = mb.build_memory_grid(kern, dt=dt, trunc_tol=tol)
+        assert mg.mu[-1] <= bound
+        assert np.all(mg.mu[:-1] > bound)
+        # the scan evaluates at most about 2 Ns nodes, the grid Ns more
+        assert sum(evaluated) <= 3 * mg.Ns + 2
+
+    def test_crossing_beyond_the_cap_unreachable(self):
+        # mu = bound near s = 1.8e10, beyond the cap at s = 1e9
+        kern = mb.MemoryKernel.prony([1.0], [1e-9])
+        with pytest.raises(TruncationUnreachable):
+            mb.build_memory_grid(kern, dt=0.01, trunc_tol=1e-8)
+
+    def test_scan_checks_memory_as_it_grows(self, exp_kernel, monkeypatch):
+        # with 1 MiB of memory a history of one x node holds about 5000
+        # s-nodes: the scan for Ns = 18422 stops at the block beyond that
+        pages, real = 2**20 // os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+        evaluated = _count_mu_nodes(monkeypatch)
+        with pytest.raises(DimensionTooLarge):
+            mb.build_memory_grid(exp_kernel, dt=1e-3, trunc_tol=1e-8)
+        assert sum(evaluated) < 2**13
 
     def test_short_table_unreachable(self):
         s = np.linspace(0.0, 1.0, 101)
@@ -77,6 +122,8 @@ class TestMemoryGrid:
         mg = mb.memory_grid_from_counts(exp_kernel, ds=0.5, Ns=4)
         np.testing.assert_allclose(mg.weights, [0.5, 0.5, 0.5, 0.25])
         np.testing.assert_allclose(mg.s_nodes, [0.5, 1.0, 1.5, 2.0])
+        np.testing.assert_array_equal(mg.wmu, mg.weights * mg.mu)
+        np.testing.assert_array_equal(mg.wmup, mg.weights * mg.muprime)
 
 
 class TestOperators:

@@ -250,6 +250,13 @@ class TestSimulate:
             state = mb.step(state, mb.SchemeConfig(dt=0.05))
         assert calls == [(15, 15)]
 
+    @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
+    def test_simulate_leaves_no_runner_cached(self, scheme):
+        # a midpoint runner's tables would outlive the run in the cache
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme), 0.5)
+        assert not [key for key in asm._cache if key[0] == "runner"]
+
     def test_split_never_assembles_generator(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5)
