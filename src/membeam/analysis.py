@@ -5,7 +5,9 @@ counterpart, with the uniform weight h on interior x-nodes and w_k mu_k
 on the history grid.  Time derivatives needed by the inequality checks
 (dF1/dt, dF2/dt, theta_t inside I) are evaluated analytically from the
 generator rows, never by finite-differencing samples, so the checks are
-free of time-discretization noise.
+free of time-discretization noise.  The functionals are evaluated on a
+stack of samples (Samples) in one vectorized pass; a single state is the
+one-sample stack.
 
 The spectrum and the spectral abscissa are dense and stop at
 DENSE_MAX_DIM.  resolvent_check works at any size without assembling
@@ -36,7 +38,14 @@ from .errors import (
     SingularResolvent,
     WindowTooSmall,
 )
-from .model import CoefficientField, MemoryKernel, PhysicalParams, State, validate_kernel
+from .model import (
+    CoefficientField,
+    KernelReport,
+    MemoryKernel,
+    PhysicalParams,
+    State,
+    validate_kernel,
+)
 
 _ENERGY_FLOOR = 1e-300
 _MIN_FIT_SAMPLES = 10
@@ -89,7 +98,9 @@ class HistorySums:
 
     history_sums evaluates them by full quadrature for any eta; a split
     run of either kernel form supplies its own (stepper._SplitRun), from
-    its running per-mode moments and its ring of column norms.
+    its running per-mode moments and its ring of column norms.  In a
+    Samples stack hist_mu and hist_mup have shape (n,) and the moments
+    (Nx, n).
     """
 
     hist_mu: float
@@ -107,69 +118,108 @@ def history_sums(eta: np.ndarray, assembly: GeneratorAssembly) -> HistorySums:
                        moment=eta @ wmu, shifted_moment=eta[:, :-1] @ wmu[1:])
 
 
-def _functionals(src) -> SimpleNamespace:
-    """E, D, F1, F2, I and the inner products the lemma sides reuse.
-
-    The one implementation of every functional.  src is a State, whose
-    history sums come from full quadrature, or a split run
-    (stepper._SplitRun, either kernel form) that supplies its own; either
-    way the formulas below read the history only through those sums.  theta_t
-    inside I comes from the generator row l LAP theta + LAP m(eta) - beta D1 v.
-    """
+def take_sample(src) -> tuple:
+    """(t, u, v, theta, history sums) of a State, whose sums come from full
+    quadrature, or of a split run (stepper._SplitRun, either kernel form),
+    which supplies its own; u, v and theta are copied, as a run moves on."""
     sums = history_sums(src.eta, src.assembly) if isinstance(src, State) else src.history_sums()
-    asm = src.assembly
-    h = asm.grid.h
-    kap, beta, l = asm.params.kappa, asm.params.beta, asm.params.l
-    u, v, th = src.u, src.v, src.theta
+    return src.t, src.u.copy(), src.v.copy(), src.theta.copy(), sums
 
-    gu = grad_cols(u[:, None], h)[:, 0]
-    gth = grad_cols(th[:, None], h)[:, 0]
-    uu = float(u @ (asm.ops.bih @ u))
-    vv = float(v @ v)
-    tt = float(th @ th)
-    gugu = float(gu @ gu)
-    gthgth = float(gth @ gth)
-    moment = sums.moment
-    th_moment = float(th @ moment)
-    thdot = l * (asm.ops.lap @ th) + asm.ops.lap @ moment
+
+@dataclass(frozen=True)
+class Samples:
+    """n samples of one assembly stacked for one vectorized pass of the
+    functionals: t of shape (n,), the profiles u, v, theta as the columns
+    of (Nx, n) arrays, and their stacked HistorySums."""
+
+    assembly: GeneratorAssembly
+    t: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray
+    sums: HistorySums
+
+    @classmethod
+    def stack(cls, assembly: GeneratorAssembly, samples) -> "Samples":
+        """The stack of take_sample tuples, in order."""
+        t, u, v, theta, sums = zip(*samples)
+        return cls(assembly=assembly, t=np.array(t), u=np.array(u).T, v=np.array(v).T,
+                   theta=np.array(theta).T, sums=HistorySums(
+                       hist_mu=np.array([x.hist_mu for x in sums]),
+                       hist_mup=np.array([x.hist_mup for x in sums]),
+                       moment=np.array([x.moment for x in sums]).T,
+                       shifted_moment=np.array([x.shifted_moment for x in sums]).T))
+
+    @classmethod
+    def of(cls, src) -> "Samples":
+        """The one-sample stack of a State or a split run."""
+        return cls.stack(src.assembly, [take_sample(src)])
+
+
+def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_j . b_j for every column j of two (Nx, n) arrays."""
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _functionals(s: Samples) -> SimpleNamespace:
+    """E, D, F1, F2, I and the inner products the lemma sides reuse, one
+    array entry per sample of the stack.
+
+    The one implementation of every functional; it reads the history only
+    through the stacked sums.  theta_t inside I comes from the generator
+    row l LAP theta + LAP m(eta) - beta D1 v.
+    """
+    asm, sums = s.assembly, s.sums
+    h, ops = asm.grid.h, asm.ops
+    kap, beta, l = asm.params.kappa, asm.params.beta, asm.params.l
+    u, v, th, moment = s.u, s.v, s.theta, sums.moment
+
+    uu = _col_dots(u, ops.bih @ u)
+    vv = _col_dots(v, v)
+    tt = _col_dots(th, th)
+    gugu = grad_sq_norms(u, h)
+    gthgth = grad_sq_norms(th, h)
+    th_moment = _col_dots(th, moment)
+    thdot = l * (ops.lap @ th) + ops.lap @ moment
     if beta != 0.0:
-        thdot = thdot - beta * (asm.ops.d1 @ v)
+        thdot = thdot - beta * (ops.d1 @ v)
+    g = ops.g[:, None]
 
     return SimpleNamespace(
         E=0.5 * h * (uu + kap**2 * gugu + vv + tt + sums.hist_mu),
-        D=-2.0 * h * float((asm.ops.g * v) @ v) - l * h * gthgth + 0.5 * h * sums.hist_mup,
-        F1=h * (float(u @ v) + float(u @ (asm.ops.g * u))),
+        D=-2.0 * h * _col_dots(g * v, v) - l * h * gthgth + 0.5 * h * sums.hist_mup,
+        F1=h * (_col_dots(u, v) + _col_dots(u, g * u)),
         F2=-h * th_moment,
-        Ifun=-h * float(thdot @ moment),
+        Ifun=-h * _col_dots(thdot, moment),
         uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=sums.hist_mup,
-        th_moment=th_moment, th_shifted=float(th @ sums.shifted_moment))
+        th_moment=th_moment, th_shifted=_col_dots(th, sums.shifted_moment))
 
 
 def energy(state: State) -> float:
     """E = 1/2 Phi^T H Phi = (h/2)[u^T BIH u + kappa^2 ||D+ u||^2 + ||v||^2
     + ||theta||^2 + sum_k w_k mu_k ||D+ eta_k||^2]."""
-    return _functionals(state).E
+    return float(_functionals(Samples.of(state)).E[0])
 
 
 def dissipation(state: State) -> float:
     """D = -2 h sum g_i v_i^2 - l h ||D+ theta||^2
     + (h/2) sum_k w_k mu'_k ||D+ eta_k||^2; nonpositive under H2 and g > 0."""
-    return _functionals(state).D
+    return float(_functionals(Samples.of(state)).D[0])
 
 
 def lyap_F1(state: State) -> float:
     """F1 = h (u . v + u . (g u))."""
-    return _functionals(state).F1
+    return float(_functionals(Samples.of(state)).F1[0])
 
 
 def lyap_F2(state: State) -> float:
     """F2 = -h sum_k w_k mu_k (theta . eta_k)."""
-    return _functionals(state).F2
+    return float(_functionals(Samples.of(state)).F2[0])
 
 
 def lyap_I(state: State) -> float:
     """I = -h sum_k w_k mu_k (theta_t . eta_k), theta_t from the generator row."""
-    return _functionals(state).Ifun
+    return float(_functionals(Samples.of(state)).Ifun[0])
 
 
 @dataclass(frozen=True)
@@ -195,18 +245,21 @@ class MultiplierConfig:
 
 def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
                        coefficients: CoefficientField, Cp: float,
-                       sigma3: float | None = None, slack: float = 1.1) -> MultiplierConfig:
+                       sigma3: float | None = None, slack: float = 1.1,
+                       report: KernelReport | None = None) -> MultiplierConfig:
     """Pick weights satisfying every strict inequality with >= 10% margin.
 
     Defaults: sigma1 = sigma2 = 1, sigma3 = mu0, N1 = 1, Ckappa = 5.
     Coercivity uses the damping lower bound alpha3; upper bounds use
     alpha4.  The equivalence constants use the bound-valid forms
     zeta1 = max{(sigma + 2 alpha4) Cp / kappa^2, 1/sigma} and
-    zeta2 = max{mu0, Cp}.
+    zeta2 = max{mu0, Cp}.  mu0 and delta1 come from report, the kernel's
+    validate_kernel certificate, which is taken here when not given.
     """
     if not (Cp > 0):
         raise ParamOutOfRange("Cp", "Poincare constant must be > 0")
-    report = validate_kernel(kernel)
+    if report is None:
+        report = validate_kernel(kernel)
     mu0, delta1 = report.mu0, report.delta1
     if mu0 <= 1e-14:
         raise InfeasibleMultipliers("kernel mass mu0 is degenerate")
@@ -301,13 +354,21 @@ class DiagnosticsRecord:
 
 
 def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
-    """Evaluate every tracked functional and inequality side at one state.
+    """Every tracked functional and inequality side at one state: the
+    one-sample case of diagnostics_records.
 
     src is a State or a split run (stepper._SplitRun) of either kernel
     form, which supplies its own history sums, so that the sample needs no
     materialized history: one O(Ns) pass over its ring of column norms and
     O(Nx * modes) row work, and for a table kernel one O(Nx Ns) product
     more.
+    """
+    return diagnostics_records(Samples.of(src), mcfg)[0]
+
+
+def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[DiagnosticsRecord]:
+    """Every tracked functional and inequality side at each sample of a
+    stack, in one vectorized pass.
 
     Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
     against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2
@@ -315,16 +376,15 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
     + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is dF2/dt
     against the same bound with the sigma3 split.
     """
-    asm = src.assembly
-    h = asm.grid.h
-    mg = asm.memory_grid
+    asm = samples.assembly
+    h, ops, mg = asm.grid.h, asm.ops, asm.memory_grid
     kap, beta = asm.params.kappa, asm.params.beta
-    u, v, th = src.u, src.v, src.theta
-    f = _functionals(src)
+    u, v, th = samples.u, samples.v, samples.theta
+    f = _functionals(samples)
     L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
 
-    l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * float(u @ (asm.ops.d1 @ v))
-                   - beta * float(u @ (asm.ops.d1 @ th)))
+    l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * _col_dots(u, ops.d1 @ v)
+                   - beta * _col_dots(u, ops.d1 @ th))
     l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
                    + beta**2 / (2.0 * kap**2) * f.tt)
     l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
@@ -335,12 +395,10 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
                    + (mcfg.sigma3 / 2.0 - mcfg.mu0) * f.tt
                    - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * f.hist_mup)
 
-    return DiagnosticsRecord(
-        t=src.t, E=f.E, D=f.D, F1=f.F1, F2=f.F2, Ifun=f.Ifun, Ltotal=L,
-        lemma42_lhs=l42_lhs, lemma42_rhs=l42_rhs,
-        lemma43_lhs=f.Ifun, lemma43_rhs=l43_rhs,
-        lemma44_lhs=l44_lhs, lemma44_rhs=l44_rhs,
-        sandwich_low=mcfg.gamma1 * f.E - L, sandwich_high=L - mcfg.gamma2 * f.E)
+    # in the field order of DiagnosticsRecord
+    columns = (samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, f.Ifun, l43_rhs,
+               l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L, L - mcfg.gamma2 * f.E)
+    return [DiagnosticsRecord(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .discretization import (
     build_memory_grid,
     build_operators,
     build_spatial_grid,
-    check_history_fits,
 )
 from .errors import ConfigError, IncompatibleBoundary
 from .model import InitialData, MemoryKernel, State
@@ -266,8 +265,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     params = model.derive_params(cfg.lambda1, cfg.lambda2, cfg.kappa, cfg.beta)
     kernel = build_kernel(cfg)
     report = model.validate_kernel(kernel)
-    memory_grid = build_memory_grid(kernel, cfg.dt, cfg.trunc_tol)
-    check_history_fits(cfg.Nx, memory_grid.Ns)
+    memory_grid = build_memory_grid(kernel, cfg.dt, cfg.trunc_tol, cfg.Nx)
 
     grid = build_spatial_grid(cfg.L, cfg.Nx)
     p_prof, _ = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)
@@ -286,7 +284,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     init = InitialData(**{name: profile(grid.nodes) for name, (profile, _) in initial.items()},
                        history_mode=cfg.history_mode)
     state = model.build_initial_state(init, assembly)
-    mcfg = analysis.choose_multipliers_for(assembly)
+    mcfg = analysis.choose_multipliers_for(assembly, report=report)
     assembly.mechanical_block       # range-checked as it is built, before any evaluation
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
                         coefficients=coeffs, memory_grid=memory_grid,

@@ -106,12 +106,16 @@ class MemoryGrid:
     wmup = property(lambda self: self.weights * self.muprime)
 
 
-def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) -> MemoryGrid:
+def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8,
+                      nx: int = 1) -> MemoryGrid:
     """The grid with ds = dt (the split stepper shifts the history one node
     a step) up to the first node Ns*ds with mu(Ns*ds) <= trunc_tol *
     mu(ds/2), for either kernel form, by a scan of the nodes in blocks that
-    double in length.  TruncationUnreachable when mu is above the bound at
-    the last node before s = 1e9 or the table end."""
+    double in length.  Before each block the scan checks that a history of
+    nx x ns nodes fits in memory up to the block's end (DimensionTooLarge),
+    so with the run's Nx it stops where the run could not be held.
+    TruncationUnreachable when mu is above the bound at the last node before
+    s = 1e9 or the table end."""
     if not (dt > 0):
         raise ParamOutOfRange("dt", "dt must be > 0")
     if not (0 < trunc_tol < 1):
@@ -125,7 +129,7 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8) 
     lo, hi = 0, 1
     if float(kernel.mu(last * ds)) <= bound:   # mu decreases, so a node within the cap is found
         while lo < last:
-            check_history_fits(1, hi)
+            check_history_fits(nx, hi)
             below = np.flatnonzero(kernel.mu(ds * np.arange(lo + 1, hi + 1)) <= bound)
             if below.size:
                 return memory_grid_from_counts(kernel, ds, lo + 1 + int(below[0]))

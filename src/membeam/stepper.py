@@ -22,25 +22,34 @@ split_semilagrangian
     average of the pre- and post-step histories.  The history is stored in
     a ring buffer with a running characteristic accumulator.
 
-Cost of one step and of one diagnostics sample (times measured at
-Nx = 64, dt = 1e-3 on a 2-core x86 machine):
+Cost of one step and of one diagnostics sample (medians of repeated
+calls at Nx = 64, dt = 1e-3 on a 2-core x86 machine; a sample is taken
+in the stepping loop and evaluated with 63 others in one pass):
 
     scheme / kernel        step                         sample
-    split, Prony (m modes) O(Nx m) + 3Nx LU solve,      one O(Ns) pass over the
-                           ~0.1 ms, Ns = 18422          ring and O(Nx m), ~0.25 ms
+    split, Prony (m modes) O(Nx m) + the banded 3Nx     one O(Ns) pass over the
+                           solve and its residual,      ring and O(Nx m),
+                           ~0.05 ms, Ns = 18422         ~0.08 ms
     split, table           one O(Nx Ns B) GEMM every    one O(Nx Ns) product
-                           B = 16 steps + 3Nx LU        and one O(Ns) pass over
-                           solve, ~0.14 ms, Ns = 15612  the ring, ~0.55 ms
+                           B = 16 steps + the banded    and one O(Ns) pass over
+                           3Nx solve and its residual,  the ring, ~0.35 ms
+                           ~0.13 ms, Ns = 15612
     midpoint               an O(Nx k) history sum and   the spectrum formed
-                           the 3Nx LU solve; once a     from the block, one
-                           block of k = 32 steps, one   irfft of it and
-                           elementwise product and two  O(Nx Ns), ~16 ms
-                           products with (k, P + 2)
-                           tables on the (Nx, P/2 + 1)
+                           the banded 3Nx solve; once   from the block, one
+                           a block of k = 32 steps, one irfft of it and
+                           elementwise product and two  O(Nx Ns), ~23 ms
+                           products with (k, P + 2)     (1.2 ms at Nx = 32,
+                           tables on the (Nx, P/2 + 1)  Ns = 1843)
                            spectrum; an irfft/rfft
                            pair every K steps;
-                           ~0.33 ms, Ns = 18422
-                           (P = 20000, K = 1184)
+                           ~0.4 ms, Ns = 18422
+                           (P = 20000, K = 1184;
+                           0.11 ms at Nx = 32,
+                           Ns = 1843)
+
+Every implicit step solves with the one banded LU of its 3Nx mechanical
+block (splu, _BandedLU), taken node by node so that its bandwidth is 7
+below and 5 above the diagonal at any Nx.
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
@@ -63,8 +72,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtbtrs
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 
 from . import analysis
 from .analysis import HistorySums, grad_sq_norms
@@ -89,6 +98,11 @@ MAX_STEPS = 1_000_000
 # Most diagnostics records one simulate call keeps (about 0.6 KB each); a
 # run that would keep more is refused before the first step.
 MAX_RECORDS = MAX_STEPS // 10 + 1
+
+# Samples simulate evaluates in one vectorized pass of the functionals
+# (analysis.diagnostics_records), so the pending samples stay a few
+# (Nx, 64) arrays at any run length.
+_SAMPLE_CHUNK = 64
 
 # A split run stores its history as zeta = eta - C and takes
 # sum_k w_k ||D+ eta_k||^2 from the ||D+ zeta_k||^2 and the C terms, which
@@ -150,6 +164,73 @@ def _check_history_shape(state: State):
             f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
 
 
+class _BandedLU:
+    """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
+    with SuperLU's solve(b, trans) in the block order of the matrix.
+
+    Taken node by node, (u_i, v_i, theta_i), the mechanical block is
+    banded: the biharmonic reaches two nodes, so kl = 7 rows below and
+    ku = 5 above the diagonal (read off the sparsity pattern).  order maps
+    node order to block order.  Both solves run dgbtrs in node order.
+    solve permutes b into node order and x back, and checks nothing (a
+    resolvent solve at tau = 1 is too ill-conditioned for a fixed residual
+    bound).  solve_checked, for a time step, stays in node order and
+    raises LinearSolveFailure unless the residual M x - b, formed with
+    dgbmv from a copy of the band taken before the factorization, is
+    within _LINEAR_SOLVER_TOL of b (a NaN fails).  scipy's dgbmv wrapper
+    asks for at least kl + ku + 1 rows, so the product runs over
+    max(3Nx, kl + ku + 1) rows: those past 3Nx read the zero corner of the
+    band and the zero tail of the work vector b is copied into.
+    """
+
+    def __init__(self, matrix: sp.spmatrix):
+        self.n = n = matrix.shape[0]
+        self.order = np.arange(n).reshape(3, -1).T.ravel()
+        nodes = matrix.tocsr()[self.order][:, self.order].tocoo()
+        offsets = nodes.col - nodes.row
+        self.kl = kl = int(max(0, -offsets.min(initial=0)))
+        self.ku = ku = int(max(0, offsets.max(initial=0)))
+        # dgbtrf's layout: M[i, j] at row kl + ku + i - j, with kl rows of
+        # fill above; dgbmv reads the last kl + ku + 1 rows
+        band = np.zeros((2 * kl + ku + 1, n), order="F")
+        band[kl + ku + nodes.row - nodes.col, nodes.col] = nodes.data
+        self._band = band[kl:].copy(order="F")
+        self._lu, self._piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+        if info > 0:          # the error of scipy's splu, which _mechanical_lu names
+            raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) = 0")
+        self._rows = max(n, kl + ku + 1)
+        self._work = np.zeros(self._rows)
+
+    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """dgbtrs on b in node order, copied into the work vector; x has
+        the work vector's length, with its zero tail."""
+        self._work[:self.n] = b
+        x, info = dgbtrs(self._lu, self.kl, self.ku, self._work, self._piv,
+                         trans=int(trans == "T"))
+        if info != 0:
+            raise LinearSolveFailure(f"banded mechanical solve: LAPACK dgbtrs info = {info}")
+        return x
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        out = np.empty(self.n)
+        out[self.order] = self._solve(b[self.order], trans)[:self.n]
+        return out
+
+    def solve_checked(self, b: np.ndarray) -> np.ndarray:
+        x, rhs = self._solve(b), self._work
+        res = dgbmv(self._rows, self.n, self.kl, self.ku, 1.0, self._band, x, beta=-1.0, y=rhs)
+        _check_residual(res @ res, rhs @ rhs)
+        return x[:self.n]
+
+
+def splu(matrix: sp.spmatrix) -> _BandedLU:
+    """The LU of a 3Nx mechanical block M (_BandedLU): the one place that
+    block is factorized.  It keeps the name and the interface of scipy's
+    splu, which it replaces: solve(b, trans), and RuntimeError on a
+    singular M."""
+    return _BandedLU(matrix)
+
+
 def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
     """M = I - tau B - tau^2 gain [theta theta] lap and its LU: the 3Nx
     block left of an implicit step once the history is eliminated.  A
@@ -160,7 +241,7 @@ def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
     M = M.tocsc()
     try:
         return M, splu(M)
-    except RuntimeError as exc:    # SuperLU: "Factor is exactly singular"
+    except RuntimeError as exc:    # splu: "Factor is exactly singular ..."
         raise LinearSolveFailure(f"mechanical block of the implicit step: {exc}") from exc
 
 
@@ -582,14 +663,18 @@ class _SplitRunner:
 
         R = [P + (mu0w dt^2 / 4) [theta theta] lap | dt [theta] lap],
 
-    with P = I + (dt/2) B.
+    with P = I + (dt/2) B.  R's rows are in the node order of the banded
+    LU (lu.order), so a step's right-hand side, solve and residual check
+    (lu.solve_checked) make no permutation; M stays the sparse block in
+    block order.
 
     A run's per-mode sums are linear in the rows of
     x = [sigma_1 .. sigma_m, e_1, e_2, C] (see _SplitRun), so each is one
     fixed row of coefficients: mode_map gives y and sigma_1 .. sigma_m
     after the step; moment and shifted_moment give m(eta^n) and m_shift.
-    The rows of wmus, the wmu and wmu' weights, and their totals weigh the
-    history sums of a sample.
+    The rows of wmus, the wmu and wmu' weights each written twice over
+    (so the weights of any rotation of the ring are one slice), and their
+    totals weigh the history sums of a sample.
     """
 
     def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
@@ -599,11 +684,12 @@ class _SplitRunner:
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
         self.cfg = cfg
         self.nx = nx = assembly.Nx
+        self.h2 = assembly.grid.h ** 2
         dt, B, lap = cfg.dt, assembly.mechanical_block, assembly.ops.lap
         wmu = mg.wmu
         mu0w = float(np.sum(wmu))
-        self.wmus = np.stack([wmu, mg.wmup])
-        self.totals = self.wmus.sum(axis=1)
+        self.totals = np.array([mu0w, float(np.sum(mg.wmup))])
+        self.wmus = np.tile([wmu, mg.wmup], 2)
         self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
         P = (sp.identity(3 * nx, format="csr") + (dt / 2.0) * B).tolil()
         P[2 * nx:, 2 * nx:] = P[2 * nx:, 2 * nx:] + (mu0w * dt * dt / 4.0) * lap
@@ -611,7 +697,8 @@ class _SplitRunner:
         # R reads [w; y] from rows that hold a zero (the Dirichlet value)
         # at both ends, and skips those entries
         inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
-        self.R = (sp.hstack([P.tocsr(), flux]) @ sp.kron(sp.identity(4), inner)).tocsr()
+        self.R = (sp.hstack([P.tocsr(), flux]) @ sp.kron(sp.identity(4), inner)).tocsr()[
+            self.lu.order]                 # rows in the node order of the banded solve
 
         kern, ns = mg.kernel, mg.Ns
         self.prony = kern.form == "prony"
@@ -681,8 +768,8 @@ class _SplitRun:
     All of these are linear in the rows of x = [sigma_1 .. sigma_m, e_1,
     e_2, C], where e_1, e_2 are zeta_Ns, zeta_Ns-1 (Prony) or e_1 = sig'
     (table), so one product with the runner's mode_map gives them.  A step
-    is that product, R [w; y], the LU solve, the residual M w and O(Nx m)
-    updates in preallocated rows.
+    is that product, R [w; y], the banded solve with its residual check
+    and O(Nx m) updates in preallocated rows.
 
     The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
     once and then one O(Nx) entry per step.  Each entry is computed from
@@ -791,22 +878,21 @@ class _SplitRun:
         n_k + 2 <D+ zeta_k, D+ C> + ||D+ C||^2.  Returns the two sums and
         the size of the norm terms each was taken from."""
         run, x, m = self.runner, self._x, self.runner.modes
+        ns, head = self.zeta.shape[1], self.head
         sigma = np.zeros((2, run.nx + 2))          # rows sum_k w_k zeta_k
         sigma[0] = x[:m].sum(axis=0)
         if run.prony:
             sigma[1] = -(run.rates @ x[:m])         # w_k mu'_k = -sum_j r_j W_kj
         else:
-            sigma[1, 1:-1] = self._ring_product(self.zeta, run.wmus[1])
-        h2 = self.assembly.grid.h ** 2
-        d_c = np.diff(x[-1])
-        # numpy's own loop over the ring's two storage pieces, not a BLAS
+            sigma[1, 1:-1] = self._ring_product(self.zeta, run.wmus[1, :ns])
+        c = x[-1]
+        d_c = c[1:] - c[:-1]
+        # numpy's own loop over the ring in storage order, not a BLAS
         # product: OpenBLAS threads one of this length, which then takes
         # ms on a loaded machine
-        cut = self.zeta.shape[1] - self.head
-        norm_part = (np.einsum("ji,i->j", run.wmus[:, :cut], self._norms[self.head:])
-                     + np.einsum("ji,i->j", run.wmus[:, cut:], self._norms[:self.head]))
-        c_part = run.totals * float(d_c @ d_c) / h2
-        sums = norm_part + 2.0 * (np.diff(sigma) @ d_c) / h2 + c_part
+        norm_part = np.einsum("ji,i->j", run.wmus[:, ns - head:2 * ns - head], self._norms)
+        c_part = run.totals * float(d_c @ d_c) / run.h2
+        sums = norm_part + 2.0 * ((sigma[:, 1:] - sigma[:, :-1]) @ d_c) / run.h2 + c_part
         return sums, np.abs(norm_part) + np.abs(c_part)
 
     def history_sums(self) -> HistorySums:
@@ -829,20 +915,16 @@ class _SplitRun:
         run, rows, x, m = self.runner, self._rows, self._x, self.runner.modes
         nx, dt = run.nx, run.cfg.dt
         np.matmul(run.mode_map, x, out=rows[3:])
-        rhs = run.R @ self._wy
-        w_new = run.lu.solve(rhs)
-        res = run.M @ w_new
-        res -= rhs
-        _check_residual(res @ res, rhs @ rhs)
+        w_new = run.lu.solve_checked(run.R @ self._wy)  # checks M w_new - R [w; y]
 
         c = x[m + 2]
         self.head = (self.head - 1) % self.zeta.shape[1]
-        self.zeta[:, self.head] = -c[1:-1]                  # zeta_1 = -C^n
-        d_c = np.diff(c)
-        self._norms[self.head] = float(d_c @ d_c) / self.assembly.grid.h ** 2
+        np.negative(c[1:-1], out=self.zeta[:, self.head])   # zeta_1 = -C^n
+        d_c = c[1:] - c[:-1]
+        self._norms[self.head] = float(d_c @ d_c) / run.h2
         self._block_shifts += 1
-        c[1:-1] += 0.5 * dt * (rows[2, 1:-1] + w_new[2 * nx:])     # C^n + q
-        rows[:3, 1:-1] = w_new.reshape(3, nx)
+        c[1:-1] += 0.5 * dt * (rows[2, 1:-1] + w_new[2::3])       # C^n + q
+        rows[:3, 1:-1] = w_new.reshape(nx, 3).T
         x[:m] = rows[4:]
         self._load_ends()
         self.t += dt
@@ -898,12 +980,16 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
 
     Records are always taken at t = 0 and t = T.  A T that is not a whole
     number of steps, more than MAX_STEPS steps or more than MAX_RECORDS
-    records raise ParamOutOfRange before the first step.  A split run is
-    sampled from its own history sums, so sampling builds no State;
-    midpoint runs are sampled from their materialized state.  dE_numeric
-    (centered difference of E across samples) and the identity residual
-    are filled in after the run.  Step failures abort with the partial
-    trajectory attached (SimulationAborted).  One INFO line on the membeam.stepper logger
+    records raise ParamOutOfRange before the first step.  A sample is
+    taken as the run passes it (analysis.take_sample: t, u, v, theta and
+    the history sums); a split run is sampled from its own history sums,
+    so sampling builds no State, and midpoint runs from their materialized
+    state.  The records are evaluated _SAMPLE_CHUNK samples at a time in
+    one pass (analysis.diagnostics_records).  dE_numeric (centered
+    difference of E across samples) and the identity residual are filled
+    in after the run.  Step failures abort with the partial trajectory
+    attached (SimulationAborted), every sample taken before the failure
+    evaluated.  One INFO line on the membeam.stepper logger
     reports steps, records, the time spent stepping and sampling, and the
     refresh drift; for a midpoint run also its padded grid P, the steps K
     between re-projections, its history block k and the re-projections
@@ -931,7 +1017,15 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         mcfg = analysis.choose_multipliers_for(init.assembly)
 
     start = time.perf_counter()
-    records = [analysis.diagnostics_record(init, mcfg)]
+    records, pending = [], [analysis.take_sample(init)]
+
+    def flush():
+        """Evaluate the pending samples into records, in one pass."""
+        if pending:
+            records.extend(analysis.diagnostics_records(
+                analysis.Samples.stack(init.assembly, pending), mcfg))
+            pending.clear()
+
     sampling = time.perf_counter() - start
     final, drift, grid = init, 0.0, ""
     if n_steps > 0:
@@ -941,15 +1035,18 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             try:
                 run.advance()
             except Exception as exc:  # propagate with the step index and partial data
+                flush()
                 raise SimulationAborted(k, exc, records) from exc
             if k % sample_every == 0 or k == n_steps:
                 t0 = time.perf_counter()
-                records.append(analysis.diagnostics_record(run if from_run else run.to_state(),
-                                                           mcfg))
+                pending.append(analysis.take_sample(run if from_run else run.to_state()))
+                if len(pending) == _SAMPLE_CHUNK:
+                    flush()
                 sampling += time.perf_counter() - t0
         try:
             run.finish()
         except Exception as exc:
+            flush()
             raise SimulationAborted(n_steps, exc, records) from exc
         drift = run.max_drift
         final = run.to_state()
@@ -957,6 +1054,9 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             r = run.runner
             grid = (f", padded s-grid P = {r.size}, K = {r.period}, k = {r.block}, "
                     f"{run.reprojections} re-projections")
+    t0 = time.perf_counter()
+    flush()
+    sampling += time.perf_counter() - t0
     _fill_numeric_derivatives(records)
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
              "refresh drift %.3e%s", n_steps, len(records),

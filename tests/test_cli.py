@@ -222,6 +222,48 @@ class TestParseConfig:
         assert slope(0.5) == 0.0
 
 
+class TestBuildSetup:
+    def test_kernel_is_validated_once(self, tmp_path, monkeypatch):
+        from membeam import analysis, model
+        calls = []
+
+        def counting(module):
+            real = module.validate_kernel
+
+            def validate(kernel):
+                calls.append(module.__name__)
+                return real(kernel)
+            return validate
+
+        for module in (model, analysis):
+            monkeypatch.setattr(module, "validate_kernel", counting(module))
+        setup = config.build_setup(parse_config(write_cfg(tmp_path, TINY_CFG)))
+        assert calls == ["membeam.model"]
+        # a library call without the report still validates the kernel
+        assert membeam.choose_multipliers_for(setup.assembly) == setup.mcfg
+        assert calls == ["membeam.model", "membeam.analysis"]
+
+    def test_far_truncation_refused_before_a_long_scan(self, tmp_path, monkeypatch):
+        # mu = e^{-3e-8 s} at dt = 1 crosses its bound near s = 6e8; with
+        # 8 GiB and Nx = 64 the scan of build_memory_grid stops near 2
+        # million s-nodes, a history that no longer fits
+        import tracemalloc
+        pages, real = 2**33 // os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+        text = edit_cfg("rates = 1.0", "rates = 3e-8",
+                        edit_cfg("Nx = 6", "Nx = 64", edit_cfg("dt = 0.1", "dt = 1.0")))
+        cfg = parse_config(write_cfg(tmp_path, text))
+        tracemalloc.start()
+        try:
+            with pytest.raises(membeam.errors.DimensionTooLarge, match="64 x"):
+                config.build_setup(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
 class TestValidateCommand:
     def test_default_config_passes(self):
         assert main(["validate", str(default_config_path())]) == 0

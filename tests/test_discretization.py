@@ -112,6 +112,29 @@ class TestMemoryGrid:
             mb.build_memory_grid(exp_kernel, dt=1e-3, trunc_tol=1e-8)
         assert sum(evaluated) < 2**13
 
+    def test_scan_counts_the_x_nodes(self, monkeypatch):
+        # a rate of 3e-8 at dt = 1 crosses its bound near s = 6e8: with one
+        # x node counted the scan ran to blocks of 2^25 nodes (1.1 s,
+        # 454 MiB) before DimensionTooLarge; with 64 x nodes and 8 GiB a
+        # history stops fitting near 2 million nodes
+        import tracemalloc
+        pages, real = 2**33 // os.sysconf("SC_PAGE_SIZE"), os.sysconf
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+        evaluated = _count_mu_nodes(monkeypatch)
+        kern = mb.MemoryKernel.prony([1.0], [3e-8])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLarge):
+                mb.build_memory_grid(kern, dt=1.0, trunc_tol=1e-8, nx=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # blocks end at 1, 2, 4, ... nodes; the one to 2^21 nodes is refused
+        assert 2**20 < 2**33 / (8 * (8 * 64 + 16)) < 2**21
+        assert sum(evaluated) == 2**20 + 2      # and mu(ds/2), mu at the cap
+        assert peak < 64 * 2**20
+
     def test_short_table_unreachable(self):
         s = np.linspace(0.0, 1.0, 101)
         kern = mb.MemoryKernel.tabulated(s, np.exp(-s), -np.exp(-s))

@@ -123,6 +123,40 @@ class TestValidateKernel:
         assert report.mu0 == pytest.approx(float(np.sum(a / d)), rel=1e-12)
 
 
+class TestTableKernel:
+    def test_interpolation_copies_no_column(self):
+        # np.interp copies a read-only column on every call: 6.1 MiB for
+        # this table; the kernel interpolates on writeable columns of its own
+        import tracemalloc
+        s = np.linspace(0.0, 40.0, 400_001)
+        mu, mup = np.exp(-s) / (1 + s), -np.exp(-s) * (2 + s) / (1 + s) ** 2
+        kern = mb.MemoryKernel.tabulated(s, mu, mup)
+        nodes = np.array([0.5, 3.25, 39.9])
+        tracemalloc.start()
+        try:
+            got = kern.mu(nodes), kern.muprime(nodes), kern.mu(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        np.testing.assert_array_equal(got[0], np.interp(nodes, s, mu))
+        np.testing.assert_array_equal(got[1], np.interp(nodes, s, mup))
+        assert got[2] == np.interp(0.5, s, mu)
+
+    def test_public_columns_are_read_only_copies(self):
+        s = np.linspace(0.0, 2.0, 21)
+        mu = np.exp(-s)
+        kern = mb.MemoryKernel.tabulated(s, mu)
+        for column, given in ((kern.s_table, s), (kern.mu_table, mu),
+                              (kern.muprime_table, np.gradient(mu, s))):
+            assert not column.flags.writeable
+            np.testing.assert_array_equal(column, given)
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        s[1] = 5.0                          # the caller's arrays are not shared
+        assert kern.s_table[1] == 0.1 and kern.mu(0.1) == mu[1]
+
+
 class TestCertifyCoefficients:
     def test_constant_fields(self):
         field = mb.certify_coefficients(np.ones(10), np.ones(10))

@@ -315,21 +315,25 @@ class TestRunningHistorySums:
     TOL = 1e-11
 
     def test_default_run_records_and_refresh_drift(self, monkeypatch):
-        real = an.diagnostics_record
-        checked = []
+        # each record, evaluated in a batch from the run's sums, against the
+        # record of the state materialized where the sample was taken
+        real = an.take_sample
+        refs = []
 
-        def checking(src, mcfg):
-            rec = real(src, mcfg)
+        def checking(src):
             if not isinstance(src, State):
-                _assert_records_close(rec, real(src.to_state(), mcfg), self.TOL)
-                checked.append(rec.t)
-            return rec
+                refs.append(an.diagnostics_record(src.to_state(), mcfg))
+            return real(src)
 
-        monkeypatch.setattr(an, "diagnostics_record", checking)
+        monkeypatch.setattr(an, "take_sample", checking)
         asm = build_default_assembly()
+        mcfg = mb.choose_multipliers_for(asm)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=1e-3), 10.0,
-                          sample_every=10)
-        assert len(checked) == 1000
+                          sample_every=10, mcfg=mcfg)
+        assert len(refs) == 1000
+        for rec, ref in zip(res.records[1:], refs):
+            assert rec.t == ref.t
+            _assert_records_close(rec, ref, self.TOL)
         assert 0.0 < res.refresh_drift <= 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -627,7 +631,7 @@ class TestSchurSolver:
         assert np.array_equal(w_base, w_copy) and np.array_equal(eta_base, eta_copy)
 
     def test_singular_mechanical_block_is_a_linear_solve_failure(self):
-        # M = I - B = 0: SuperLU raises "Factor is exactly singular"
+        # M = I - B = 0: dgbtrf reports a zero pivot (info > 0)
         with pytest.raises(LinearSolveFailure, match="singular"):
             stepper._mechanical_lu(sp.identity(3, format="csr"), sp.csr_matrix((1, 1)), 1.0, 0.0)
 
@@ -636,6 +640,117 @@ class TestSchurSolver:
         solver = stepper.SchurSolver(asm, 0.3)
         M = np.eye(asm.dim) - 0.3 * asm.generator_matrix.toarray()
         assert np.abs(_identity_columns(solver.apply, asm) - M).max() <= 1e-13 * np.abs(M).max()
+
+
+def _mechanical_block(nx, beta):
+    """The mechanical block B at any Nx, also below the 4 nodes a run
+    needs, with varying coefficients."""
+    params = mb.derive_params(0.5, 1.0, 0.5, beta)
+    h = 1.0 / (nx + 1)
+    grid = mb.SpatialGrid(L=1.0, Nx=nx, h=h, nodes=h * np.arange(1, nx + 1))
+    rng = np.random.default_rng(nx)
+    coeffs = mb.certify_coefficients(rng.uniform(0.5, 2.0, nx), rng.uniform(0.5, 2.0, nx))
+    ops = mb.build_operators(grid, coeffs, params)
+    asm = discretization.GeneratorAssembly(params=params, grid=grid, memory_grid=None, ops=ops)
+    return asm.mechanical_block, ops.lap
+
+
+class TestBandedLU:
+    """The banded LU of the mechanical block against dense solves."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("nx", [2, 3, 4, 5, 16, 64])
+    def test_solves_match_dense(self, nx, beta):
+        # at Nx <= 4 the 3Nx rows are fewer than kl + ku + 1, so dgbmv runs
+        # over padded rows
+        B, lap = _mechanical_block(nx, beta)
+        rng = np.random.default_rng(nx)
+        b = rng.standard_normal(3 * nx)
+        # the forward error is bounded by cond(M) eps: compared at the
+        # default run's tau = dt/2 (cond 4e8 at Nx = 64); at the resolvent's
+        # tau = 1 the backward error is compared
+        for tau in (5e-4, 1.0):
+            M, lu = stepper._mechanical_lu(B, lap, tau, 0.7)
+            assert (lu.n < lu.kl + lu.ku + 1) == (nx <= 4)
+            dense = M.toarray()
+            for trans, A in (("N", dense), ("T", dense.T)):
+                x = lu.solve(b, trans)
+                backward = np.abs(A @ x - b).max() / (np.abs(A).sum(axis=1).max()
+                                                      * np.abs(x).max())
+                assert backward <= 1e-15
+                if tau < 1.0:
+                    ref = np.linalg.solve(A, b)
+                    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            # the checked solve is the same solve in node order
+            np.testing.assert_array_equal(lu.solve_checked(b[lu.order]),
+                                          lu.solve(b)[lu.order])
+
+    def test_corrupted_factor_aborts_the_run(self):
+        # simulate uses a cached runner, so its factor can be reached
+        asm = make_assembly(Nx=6, ds=0.05, Ns=8)
+        cfg = mb.SchemeConfig(dt=0.05)
+        lu = stepper._get_runner(asm, cfg).lu
+        lu._lu[lu.kl + lu.ku, 7] *= 1.0 + 1e-6        # one entry of U's diagonal
+        with pytest.raises(SimulationAborted) as err:
+            mb.simulate(default_initial_state(asm), cfg, 0.5)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.cause, LinearSolveFailure)
+        assert "residual" in str(err.value.cause)
+        assert [r.t for r in err.value.records] == [0.0]
+
+
+class TestBatchedRecords:
+    """simulate evaluates its samples in batches; each record must equal
+    the one-sample diagnostics_record of what was sampled."""
+
+    @pytest.mark.parametrize("scheme, form", [
+        ("split_semilagrangian", "prony"), ("split_semilagrangian", "table"),
+        ("full_implicit_midpoint", "prony")])
+    def test_batched_records_equal_per_state_records(self, scheme, form):
+        # 151 samples: two full batches and a part of one
+        dt = 0.02
+        asm = make_assembly(Nx=8, ds=dt, Ns=50,
+                            kernel=_table_kernel() if form == "table" else None)
+        cfg = mb.SchemeConfig(dt=dt, scheme=scheme)
+        mcfg = mb.choose_multipliers_for(asm)
+        state = default_initial_state(asm)
+        res = mb.simulate(state, cfg, 300 * dt, sample_every=2, mcfg=mcfg)
+        run = stepper._get_runner(asm, cfg).run(state)
+        refs = [an.diagnostics_record(state, mcfg)]
+        for k in range(1, 301):
+            run.advance()
+            if k % 2 == 0:
+                refs.append(an.diagnostics_record(
+                    run if scheme == "split_semilagrangian" else run.to_state(), mcfg))
+        assert len(res.records) == len(refs) == 151
+        for rec, ref in zip(res.records, refs):
+            assert rec.t == ref.t
+            _assert_records_close(rec, ref, 1e-12)
+
+    @pytest.mark.parametrize("fail_at", [1, 64, 150])
+    def test_aborted_run_keeps_every_earlier_sample(self, monkeypatch, fail_at):
+        asm = make_assembly(Nx=6, ds=0.05, Ns=8)
+        cfg = mb.SchemeConfig(dt=0.05)
+        state = default_initial_state(asm)
+        full = mb.simulate(state, cfg, 200 * 0.05).records
+        real, steps = stepper._SplitRun.advance, []
+
+        def failing(run):
+            steps.append(run.t)
+            if len(steps) == fail_at:
+                raise LinearSolveFailure("injected")
+            real(run)
+
+        monkeypatch.setattr(stepper._SplitRun, "advance", failing)
+        with pytest.raises(SimulationAborted) as err:
+            mb.simulate(state, cfg, 200 * 0.05)
+        assert err.value.step_index == fail_at
+        kept = err.value.records
+        assert len(kept) == fail_at
+        for rec, ref in zip(kept, full):
+            # the derivative fields of an aborted run are left unfilled
+            assert rec.t == ref.t and math.isnan(rec.dE_numeric)
+            _assert_records_close(ref, rec, 1e-12)
 
 
 def _assembled_cayley_trajectory(state, dt, n_steps):
