@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +34,12 @@ from .model import CoefficientField, MemoryKernel, PhysicalParams
 # matrix-exponential oracle) are attempted.
 DENSE_MAX_DIM = 2000
 
-# A run holds a few (Nx, Ns) arrays at once: the state's history, the
-# stepper's ring, gradient and sample temporaries.
+# (Nx, Ns) arrays a run may allocate at once on top of its caller's state.
+# Traced at Nx = 64, dt = 1e-3 (tests pin the peaks): a split run holds 1.2
+# histories (Prony, Ns = 18422: its ring) or 1.6 (table, Ns = 15612: the
+# ring and the Hankel weights); a midpoint run 10.1 histories of Ns, 9.3 of
+# its padded P + 2 = 20002 nodes, within the 8 + (3k + 16)/Nx = 9.75 that
+# its check_history_fits(Nx, P + 2, 3k + 16) allows.
 _HISTORY_COPIES = 8
 
 # Columns of the (Ns, SHIFT_BLOCK) Hankel weight block with which a
@@ -60,6 +65,11 @@ def check_history_fits(nx: float, ns: float, columns: float = SHIFT_BLOCK):
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory")
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class SpatialGrid:
     """Uniform interior grid on (0, L); clamped/Dirichlet endpoints not stored."""
@@ -77,9 +87,7 @@ def build_spatial_grid(L: float, Nx: int) -> SpatialGrid:
         raise GridTooCoarse(f"Nx = {Nx} < 4 interior nodes")
     check_history_fits(Nx, 1)
     h = L / (Nx + 1)
-    nodes = h * np.arange(1, Nx + 1)
-    nodes.flags.writeable = False
-    return SpatialGrid(L=float(L), Nx=int(Nx), h=h, nodes=nodes)
+    return SpatialGrid(L=float(L), Nx=int(Nx), h=h, nodes=_read_only(h * np.arange(1, Nx + 1)))
 
 
 @dataclass(frozen=True)
@@ -102,8 +110,15 @@ class MemoryGrid:
     muprime: np.ndarray
     kernel: MemoryKernel
 
-    wmu = property(lambda self: self.weights * self.mu)
-    wmup = property(lambda self: self.weights * self.muprime)
+    @cached_property
+    def wmu(self) -> np.ndarray:
+        """w_k mu_k, computed once per grid and read-only."""
+        return _read_only(self.weights * self.mu)
+
+    @cached_property
+    def wmup(self) -> np.ndarray:
+        """w_k mu'_k, computed once per grid and read-only."""
+        return _read_only(self.weights * self.muprime)
 
 
 def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8,
@@ -152,10 +167,8 @@ def memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryG
     weights[-1] = 0.5 * ds
     mu = np.asarray(kernel.mu(s_nodes), dtype=float)
     muprime = np.asarray(kernel.muprime(s_nodes), dtype=float)
-    for arr in (s_nodes, weights, mu, muprime):
-        arr.flags.writeable = False
-    return MemoryGrid(Ns=Ns, ds=ds, s_nodes=s_nodes, weights=weights, mu=mu,
-                      muprime=muprime, kernel=kernel)
+    return MemoryGrid(Ns=Ns, ds=ds, s_nodes=_read_only(s_nodes), weights=_read_only(weights),
+                      mu=_read_only(mu), muprime=_read_only(muprime), kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +213,12 @@ def _clamped_second_difference(Nx: int, h: float) -> sp.csr_matrix:
     """
     end = (2.0 / h**2) * sp.identity(Nx, format="csr")
     return sp.vstack([end[0], _dirichlet_laplacian(Nx, h), end[-1]], format="csr")
+
+
+def _norm_inf(matrix: sp.spmatrix) -> float:
+    """The largest absolute row sum (scipy.sparse.linalg.norm(matrix,
+    inf), without importing that package)."""
+    return float(abs(matrix).sum(axis=1).max())
 
 
 def _banded_upper(matrix: sp.spmatrix, bandwidth: int) -> np.ndarray:
@@ -264,11 +283,11 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField,
     bih = (d2.T @ sp.diags(cw * p_ext) @ d2).tocsr()
     bih = ((bih + bih.T) * 0.5).tocsr()
 
-    skew = sp.linalg.norm(d1 + d1.T, np.inf)
+    skew = _norm_inf(d1 + d1.T)
     if skew != 0.0:
         raise StructureViolation("d1 skew-adjointness", skew)
-    scale = sp.linalg.norm(bih, np.inf)
-    gram_err = sp.linalg.norm(dplus.T @ dplus + lap, np.inf) / sp.linalg.norm(lap, np.inf)
+    scale = _norm_inf(bih)
+    gram_err = _norm_inf(dplus.T @ dplus + lap) / _norm_inf(lap)
     if gram_err > 1e-12:
         raise StructureViolation("dplus^T dplus == -lap", gram_err)
     _assert_positive_definite(bih, 2, "bih")

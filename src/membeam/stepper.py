@@ -47,6 +47,15 @@ in the stepping loop and evaluated with 63 others in one pass):
                            0.11 ms at Nx = 32,
                            Ns = 1843)
 
+What a simulate call holds at its peak on top of the caller's state, in
+(Nx, Ns) float64 histories (tracemalloc, same sizes):
+
+    split, Prony           its ring, which the final state takes over, and
+                           blocks of columns: 1.2
+    split, table           the ring and the (Ns, 16) Hankel weights: 1.6
+    midpoint               two spectra, the block tables and a
+                           re-projection's histories and residual: 10.1
+
 Every implicit step solves with the one banded LU of its 3Nx mechanical
 block (splu, _BandedLU), taken node by node so that its bandwidth is 7
 below and 5 above the diagonal at any Nx.
@@ -54,6 +63,7 @@ below and 5 above the diagonal at any Nx.
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
 once after its last step, where it reports the drift of its running sums.
+Its final state takes over the ring (_SplitRun.final_state).
 A midpoint run materializes its history every K steps (a whole number of
 blocks) and once after its last step, where it checks the history rows of
 the step and reports the drift of its carried wmu . eta.
@@ -649,6 +659,8 @@ class _MidpointRun:
         return State(t=self.t, u=self.w[:nx].copy(), v=self.w[nx:2 * nx].copy(),
                      theta=self.w[2 * nx:].copy(), eta=eta, assembly=self.assembly)
 
+    final_state = to_state          # the history is a new array either way
+
 
 class _SplitRunner:
     """Semi-Lagrangian history shift + implicit midpoint mechanical block:
@@ -782,6 +794,11 @@ class _SplitRun:
     sum by _RECENTER_RATIO the run stores eta itself (_recenter).  Each
     re-centring, and simulate once after the last step, compares sigma
     with the ring and keeps in max_drift the largest relative difference.
+
+    Every pass over the ring reads it in place or in blocks of columns,
+    so the run holds no other history.  to_state is a snapshot that copies
+    the ring; final_state, which simulate and step take, turns the ring
+    itself into the final history and spends the run.
     """
 
     def __init__(self, runner: _SplitRunner, state: State):
@@ -812,8 +829,14 @@ class _SplitRun:
     # -- history bookkeeping ------------------------------------------------
 
     def _logical_eta(self) -> np.ndarray:
-        zeta = np.roll(self.zeta, -self.head, axis=1) if self.head else self.zeta.copy()
-        return zeta + self.C[:, None]
+        """A new array of the history in s-order: the ring's two storage
+        pieces copied into place, then C added in place."""
+        zeta, tail = self.zeta, self.zeta.shape[1] - self.head
+        eta = np.empty_like(zeta)
+        eta[:, :tail] = zeta[:, self.head:]
+        eta[:, tail:] = zeta[:, :self.head]
+        eta += self.C[:, None]
+        return eta
 
     def _ring_product(self, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k a_k over the first len(weights) logical columns of
@@ -930,8 +953,28 @@ class _SplitRun:
         self.t += dt
 
     def to_state(self) -> State:
+        """A snapshot: the history is a new array and the run goes on."""
+        return self._state(self._logical_eta())
+
+    def final_state(self) -> State:
+        """The state after the last step, which takes over the ring: each
+        row is rotated to s-order in place through a one-row buffer and
+        C is added in place.  The run is spent (its ring is gone)."""
+        zeta, head = self.zeta, self.head
+        tail = zeta.shape[1] - head
+        if head:
+            row = np.empty(zeta.shape[1])
+            for r in zeta:
+                row[:tail] = r[head:]
+                row[tail:] = r[:head]
+                r[:] = row
+        zeta += self.C[:, None]
+        self.zeta = None
+        return self._state(zeta)
+
+    def _state(self, eta: np.ndarray) -> State:
         return State(t=self.t, u=self.u.copy(), v=self.v.copy(), theta=self.theta.copy(),
-                     eta=self._logical_eta(), assembly=self.assembly)
+                     eta=eta, assembly=self.assembly)
 
 
 def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig, keep: bool = True):
@@ -952,15 +995,19 @@ def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig, keep: bool = Tru
 
 
 def step(state: State, cfg: SchemeConfig) -> State:
-    """Advance one time step and return the new state."""
+    """Advance one time step and return the new state (for a split run,
+    the run's copy of the history, taken over by final_state)."""
     run = _get_runner(state.assembly, cfg).run(state)
     run.advance()
-    return run.to_state()
+    return run.final_state()
 
 
 @dataclass
 class SimulationResult:
     """Trajectory of diagnostics records plus the final state.
+
+    For a split run final_state holds the run's ring itself, rotated to
+    s-order in place, not a copy of it.
 
     refresh_drift is the largest relative difference between a run's
     running history sums and the history they sum, measured once after
@@ -1049,7 +1096,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             flush()
             raise SimulationAborted(n_steps, exc, records) from exc
         drift = run.max_drift
-        final = run.to_state()
+        final = run.final_state()
         if not from_run:
             r = run.runner
             grid = (f", padded s-grid P = {r.size}, K = {r.period}, k = {r.block}, "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,18 @@ def default_initial_state(assembly):
     init = mb.InitialData(u0=x**2 * (L - x) ** 2, v0=np.zeros(x.size),
                           theta0=np.sin(np.pi * x / L))
     return mb.build_initial_state(init, assembly)
+
+
+def peak_history_copies(call, assembly):
+    """The traced peak of call() in units of one history, Nx Ns float64s:
+    what it allocates on top of what exists when it starts."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * assembly.Nx * assembly.Ns)
 
 
 @pytest.fixture

@@ -26,6 +26,19 @@ def zero_state(asm):
                     theta=np.zeros(asm.Nx), eta=np.zeros((asm.Nx, asm.Ns)), assembly=asm)
 
 
+B = an._GRAD_BLOCK
+
+
+@pytest.mark.parametrize("m", [1, B - 1, B, B + 1, 3 * B + 5])
+@pytest.mark.parametrize("nx", [4, 64])
+def test_blocked_grad_norms_match_one_pass(nx, m):
+    # a pass over column blocks rounds every norm as one pass does
+    a = np.random.default_rng(m).standard_normal((nx, m))
+    g = an.grad_cols(a, 0.1)
+    ref = np.einsum("ij,ij->j", g, g)
+    assert an.grad_sq_norms(a, 0.1).tobytes() == ref.tobytes()
+
+
 class TestEnergy:
     def test_zero_state(self, small_assembly):
         assert mb.energy(zero_state(small_assembly)) == 0.0
@@ -222,33 +235,35 @@ class TestSpectral:
         assert np.isfinite(cond) and cond > 1.0
 
     def test_resolvent_matches_assembled_estimate(self, monkeypatch):
-        # onenormest draws from the global numpy generator: the same draws
-        # on the assembled sparse LU give the reference estimate
+        # the estimate draws nothing at random: the same estimator on the
+        # assembled sparse LU gives the reference estimate
         asm = make_assembly(Nx=6, ds=0.1, Ns=20, p=np.linspace(0.5, 2.0, 6))
         M = (sp.identity(asm.dim, format="csc") - asm.generator_matrix).tocsc()
         lu = spla.splu(M)
-        saved = np.random.get_state()
-        try:
-            np.random.seed(0)
-            ref = spla.norm(M, 1) * spla.onenormest(spla.LinearOperator(
-                M.shape, matvec=lu.solve, rmatvec=lambda x: lu.solve(x, trans="T")))
-            shapes = []
-            real = stepper.splu
+        ref = spla.norm(M, 1) * an.norm1_inverse_estimate(
+            lu.solve, lambda x: lu.solve(x, trans="T"), asm.dim)
+        shapes = []
+        real = stepper.splu
 
-            def counting(matrix):
-                shapes.append(matrix.shape)
-                return real(matrix)
+        def counting(matrix):
+            shapes.append(matrix.shape)
+            return real(matrix)
 
-            monkeypatch.setattr(stepper, "splu", counting)
-            np.random.seed(0)
-            cond = mb.resolvent_check(asm)
-        finally:
-            np.random.set_state(saved)
+        monkeypatch.setattr(stepper, "splu", counting)
+        cond = mb.resolvent_check(asm)
         exact = np.abs(M.toarray()).sum(axis=0).max() * np.abs(
             np.linalg.inv(M.toarray())).sum(axis=0).max()
         assert shapes == [(18, 18)]
         assert cond == pytest.approx(ref, rel=1e-10)
-        assert cond <= exact * (1.0 + 1e-10)
+        assert exact / 3.0 <= cond <= exact * (1.0 + 1e-10)
+        assert mb.resolvent_check(asm) == cond
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_norm1_estimate_exact_on_a_diagonal(self, n):
+        # every step reads one column; the largest is found from e/n
+        d = np.linspace(3.0, 0.5, n) * (-1.0) ** np.arange(n)
+        est = an.norm1_inverse_estimate(lambda x: x / d, lambda x: x / d, n)
+        assert est == np.max(np.abs(1.0 / d))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("ns", [1, 2, 20])

@@ -148,6 +148,14 @@ class TestMemoryGrid:
         np.testing.assert_array_equal(mg.wmu, mg.weights * mg.mu)
         np.testing.assert_array_equal(mg.wmup, mg.weights * mg.muprime)
 
+    def test_history_weights_computed_once(self, exp_kernel):
+        mg = mb.memory_grid_from_counts(exp_kernel, ds=0.1, Ns=50)
+        for name, factor in (("wmu", mg.mu), ("wmup", mg.muprime)):
+            arr = getattr(mg, name)
+            assert getattr(mg, name) is arr
+            np.testing.assert_array_equal(arr, mg.weights * factor)
+            assert not arr.flags.writeable
+
 
 class TestOperators:
     def test_d1_exactly_skew(self, default_params):

@@ -25,7 +25,7 @@ from membeam.errors import (
 )
 from membeam.model import State
 
-from conftest import default_initial_state, make_assembly
+from conftest import default_initial_state, make_assembly, peak_history_copies
 from test_acceptance import build_default_assembly
 
 
@@ -192,36 +192,36 @@ class TestSimulate:
         assert err.value.step_index == 1
 
     def test_prony_split_materializes_history_once(self, monkeypatch):
-        # sampling reads the running sums; only final_state rolls the ring
-        calls = []
-        real = stepper._SplitRun._logical_eta
+        # sampling reads the running sums; only the final state rotates the
+        # ring, in place, and no snapshot copies it
+        calls = {"final_state": [], "_logical_eta": []}
+        for name in calls:
+            def counting(run, name=name, real=getattr(stepper._SplitRun, name)):
+                calls[name].append(run.t)
+                return real(run)
 
-        def counting(run):
-            calls.append(run.t)
-            return real(run)
-
-        monkeypatch.setattr(stepper._SplitRun, "_logical_eta", counting)
+            monkeypatch.setattr(stepper._SplitRun, name, counting)
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 1.0)
         assert len(res.records) == 21
-        assert len(calls) == 1
+        assert calls == {"final_state": [pytest.approx(1.0)], "_logical_eta": []}
 
     @pytest.mark.parametrize("form", ["prony", "table"])
     def test_split_run_builds_only_the_final_state(self, monkeypatch, form):
-        # every record comes from the run's own history sums
+        # every record comes from the run's own history sums; the one
+        # State built is the final one, which takes over the ring
         calls = []
-        real = stepper._SplitRun.to_state
+        for name in ("final_state", "to_state"):
+            def counting(run, name=name, real=getattr(stepper._SplitRun, name)):
+                calls.append((name, run.t))
+                return real(run)
 
-        def counting(run):
-            calls.append(run.t)
-            return real(run)
-
-        monkeypatch.setattr(stepper._SplitRun, "to_state", counting)
+            monkeypatch.setattr(stepper._SplitRun, name, counting)
         asm = make_assembly(Nx=5, ds=0.05, Ns=6,
                             kernel=_table_kernel() if form == "table" else None)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 1.0)
         assert len(res.records) == 21
-        assert calls == [pytest.approx(1.0)]
+        assert calls == [("final_state", pytest.approx(1.0))]
 
     def test_logs_one_info_line(self, caplog):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
@@ -1056,6 +1056,70 @@ class TestFourierMidpointRun:
         finally:
             tracemalloc.stop()
         assert peak < 8 * size
+
+
+def _long_assembly(form):
+    """Nx = 64, Ns = 16384 at ds = 1e-3: an 8 MiB history, against which
+    the runners' own arrays are small."""
+    kernel = None
+    if form == "table":
+        s = np.linspace(0.0, 20.0, 2001)
+        kernel = mb.MemoryKernel.tabulated(s, np.exp(-s) / (1 + s),
+                                           -np.exp(-s) * (2 + s) / (1 + s) ** 2)
+    return make_assembly(Nx=64, ds=1e-3, Ns=16384, kernel=kernel)
+
+
+class TestHistoryMemory:
+    """What a run holds at its peak, in histories (Nx Ns float64s) above
+    the caller's state."""
+
+    @pytest.mark.parametrize("form", ["prony", "table"])
+    def test_split_run_holds_one_history_of_its_own(self, form):
+        # the ring, which the final state takes over; every other temporary
+        # is a block of columns or a few rows
+        asm = _long_assembly(form)
+        state, cfg = default_initial_state(asm), mb.SchemeConfig(dt=1e-3)
+        assert peak_history_copies(lambda: mb.simulate(state, cfg, 5e-3), asm) < 2.0
+        assert peak_history_copies(lambda: mb.step(state, cfg), asm) < 2.0
+
+    def test_midpoint_run_fits_its_memory_guard(self, monkeypatch):
+        # the runner's allowance: _HISTORY_COPIES (Nx, P + 2) arrays and
+        # 3k + 16 columns of length P + 2
+        asm = _long_assembly("prony")
+        cfg = mb.SchemeConfig(dt=1e-3, scheme="full_implicit_midpoint")
+        allowed = []
+        real = stepper.check_history_fits
+
+        def counting(nx, ns, columns):
+            allowed.append(ns * (discretization._HISTORY_COPIES * nx + columns))
+            real(nx, ns, columns)
+
+        monkeypatch.setattr(stepper, "check_history_fits", counting)
+        state = default_initial_state(asm)
+        peak = peak_history_copies(lambda: mb.simulate(state, cfg, 5e-3), asm)
+        assert len(allowed) == 1
+        assert peak <= allowed[0] / (asm.Nx * asm.Ns)
+
+    @pytest.mark.parametrize("steps", [7, 40])
+    @pytest.mark.parametrize("form", ["prony", "table"])
+    def test_final_state_is_the_last_snapshot(self, monkeypatch, form, steps):
+        # 40 steps bring the ring head back to storage column 0
+        snapshots = []
+        real = stepper._SplitRun.final_state
+
+        def snapshot_first(run):
+            snapshots.append(run.to_state())
+            return real(run)
+
+        monkeypatch.setattr(stepper._SplitRun, "final_state", snapshot_first)
+        asm = make_assembly(Nx=6, ds=0.05, Ns=40,
+                            kernel=_table_kernel() if form == "table" else None)
+        final = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05),
+                            steps * 0.05).final_state
+        snap, = snapshots
+        assert final.t == snap.t
+        for name in ("u", "v", "theta", "eta"):
+            assert getattr(final, name).tobytes() == getattr(snap, name).tobytes()
 
 
 class TestOracle:
