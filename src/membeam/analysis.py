@@ -18,7 +18,7 @@ the blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,40 +107,44 @@ def poincare_constant(assembly: GeneratorAssembly) -> float:
 
 @dataclass(frozen=True)
 class HistorySums:
-    """The history quadratures every functional is built from.
+    """The history sums every functional is built from: the only way a
+    sample reads its history.
 
-    hist_mu         sum_k w_k mu_k ||D+ eta_k||^2
-    hist_mup        sum_k w_k mu'_k ||D+ eta_k||^2
-    moment          m(eta) = sum_k w_k mu_k eta_k
-    shifted_moment  sum_{k>=2} w_k mu_k eta_{k-1}, the upwind part of dF2/dt
+    hist_mu        sum_k w_k mu_k ||D+ eta_k||^2
+    hist_mup       sum_k w_k mu'_k ||D+ eta_k||^2
+    moment         m(eta) = sum_k w_k mu_k eta_k
+    mass           sum_k w_k mu_k
+    upwind_moment  sum_k w_k mu_k (eta_k - eta_{k-1}) / ds with eta_0 = 0, so
+                   that dm/dt = mass theta - upwind_moment (dF2/dt reads it)
 
     history_sums evaluates them by full quadrature for any eta; a split
-    run of either kernel form supplies its own (stepper._SplitRun), from
-    its running per-mode moments and its ring of column norms.  In a
-    Samples stack hist_mu and hist_mup have shape (n,) and the moments
-    (Nx, n).
+    run supplies its own (stepper._SplitRun).  In a Samples stack the
+    scalars have shape (n,) and the vectors (Nx, n).
     """
 
     hist_mu: float
     hist_mup: float
     moment: np.ndarray
-    shifted_moment: np.ndarray
+    mass: float
+    upwind_moment: np.ndarray
 
 
 def history_sums(eta: np.ndarray, assembly: GeneratorAssembly) -> HistorySums:
     """Full quadrature of the history sums: one gradient pass over the
-    columns of eta and two weighted column sums, O(Nx Ns)."""
-    wmu, wmup = assembly.memory_grid.wmu, assembly.memory_grid.wmup
-    colnorms = grad_sq_norms(eta, assembly.grid.h)
-    return HistorySums(hist_mu=float(colnorms @ wmu), hist_mup=float(colnorms @ wmup),
-                       moment=eta @ wmu, shifted_moment=eta[:, :-1] @ wmu[1:])
+    columns of eta and three weighted column sums, O(Nx Ns)."""
+    mg, colnorms = assembly.memory_grid, grad_sq_norms(eta, assembly.grid.h)
+    moment = eta @ mg.wmu
+    return HistorySums(hist_mu=float(colnorms @ mg.wmu), hist_mup=float(colnorms @ mg.wmup),
+                       moment=moment, mass=float(np.sum(mg.wmu)),
+                       upwind_moment=(moment - eta[:, :-1] @ mg.wmu[1:]) / mg.ds)
 
 
 def take_sample(src) -> tuple:
-    """(t, u, v, theta, history sums) of a State, whose sums come from full
-    quadrature, or of a split run (stepper._SplitRun, either kernel form),
-    which supplies its own; u, v and theta are copied, as a run moves on."""
-    sums = history_sums(src.eta, src.assembly) if isinstance(src, State) else src.history_sums()
+    """(t, u, v, theta, history sums) of a source with t, u, v, theta and
+    either its own history_sums() or a history eta and its assembly, which
+    full quadrature sums; u, v and theta are copied, as a run moves on."""
+    own = getattr(src, "history_sums", None)
+    sums = own() if own is not None else history_sums(src.eta, src.assembly)
     return src.t, src.u.copy(), src.v.copy(), src.theta.copy(), sums
 
 
@@ -162,15 +166,13 @@ class Samples:
         """The stack of take_sample tuples, in order."""
         t, u, v, theta, sums = zip(*samples)
         return cls(assembly=assembly, t=np.array(t), u=np.array(u).T, v=np.array(v).T,
-                   theta=np.array(theta).T, sums=HistorySums(
-                       hist_mu=np.array([x.hist_mu for x in sums]),
-                       hist_mup=np.array([x.hist_mup for x in sums]),
-                       moment=np.array([x.moment for x in sums]).T,
-                       shifted_moment=np.array([x.shifted_moment for x in sums]).T))
+                   theta=np.array(theta).T, sums=HistorySums(**{
+                       f.name: np.array([getattr(x, f.name) for x in sums]).T
+                       for f in fields(HistorySums)}))
 
     @classmethod
     def of(cls, src) -> "Samples":
-        """The one-sample stack of a State or a split run."""
+        """The one-sample stack of a State or a run."""
         return cls.stack(src.assembly, [take_sample(src)])
 
 
@@ -197,7 +199,6 @@ def _functionals(s: Samples) -> SimpleNamespace:
     tt = _col_dots(th, th)
     gugu = grad_sq_norms(u, h)
     gthgth = grad_sq_norms(th, h)
-    th_moment = _col_dots(th, moment)
     thdot = l * (ops.lap @ th) + ops.lap @ moment
     if beta != 0.0:
         thdot = thdot - beta * (ops.d1 @ v)
@@ -207,10 +208,10 @@ def _functionals(s: Samples) -> SimpleNamespace:
         E=0.5 * h * (uu + kap**2 * gugu + vv + tt + sums.hist_mu),
         D=-2.0 * h * _col_dots(g * v, v) - l * h * gthgth + 0.5 * h * sums.hist_mup,
         F1=h * (_col_dots(u, v) + _col_dots(u, g * u)),
-        F2=-h * th_moment,
+        F2=-h * _col_dots(th, moment),
         Ifun=-h * _col_dots(thdot, moment),
         uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=sums.hist_mup,
-        th_moment=th_moment, th_shifted=_col_dots(th, sums.shifted_moment))
+        th_upwind=_col_dots(th, sums.upwind_moment))
 
 
 def energy(state: State) -> float:
@@ -375,8 +376,8 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
     """Every tracked functional and inequality side at one state: the
     one-sample case of diagnostics_records.
 
-    src is a State or a split run (stepper._SplitRun) of either kernel
-    form, which supplies its own history sums, so that the sample needs no
+    src is anything take_sample reads: a State or a run of either scheme.
+    A split run supplies its own history sums, so that the sample needs no
     materialized history: one O(Ns) pass over its ring of column norms and
     O(Nx * modes) row work, and for a table kernel one O(Nx Ns) product
     more.
@@ -395,7 +396,7 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
     against the same bound with the sigma3 split.
     """
     asm = samples.assembly
-    h, ops, mg = asm.grid.h, asm.ops, asm.memory_grid
+    h, ops = asm.grid.h, asm.ops
     kap, beta = asm.params.kappa, asm.params.beta
     u, v, th = samples.u, samples.v, samples.theta
     f = _functionals(samples)
@@ -406,9 +407,8 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
     l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
                    + beta**2 / (2.0 * kap**2) * f.tt)
     l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
-    # dF2/dt = I - sum w mu <theta, theta> + sum_k w_k mu_k <theta, (eta_k - eta_{k-1})/ds>
-    upwind_term = (f.th_moment - f.th_shifted) / mg.ds
-    l44_lhs = f.Ifun - float(np.sum(mg.wmu)) * h * f.tt + h * upwind_term
+    # dF2/dt = I - h <theta, dm/dt>, dm/dt = mass theta - upwind_moment
+    l44_lhs = f.Ifun - h * (samples.sums.mass * f.tt - f.th_upwind)
     l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
                    + (mcfg.sigma3 / 2.0 - mcfg.mu0) * f.tt
                    - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * f.hist_mup)

@@ -10,7 +10,7 @@ Subcommands:
 Exit codes: 0 pass, 1 validation/certification failure or internal error
 (a built-in, numpy or scipy exception; an exception class a caller defines
 passes through), 2 usage/parse error.
-The environment variable MEMBEAM_LOG sets the log level.  CSV and report
+MEMBEAM_LOG sets the log level (an unknown level exits 2).  CSV and report
 paths come from the config's [output] section; --csv/--report override.
 """
 
@@ -102,7 +102,7 @@ def cmd_validate(args) -> int:
         lines.append(f"validation FAILED: {exc}")
         code = 1
     else:
-        par, coeffs, mcfg = setup.params, setup.coefficients, setup.mcfg
+        par, coeffs, mcfg = setup.params, setup.assembly.coefficients, setup.mcfg
         lines = [f"params: kappa={par.kappa:g} beta={par.beta:g} lambda1={par.lambda1:g} "
                  f"lambda2={par.lambda2:g} l={par.l:.12g} PASS",
                  *_kernel_lines(setup.kernel_report),
@@ -218,7 +218,7 @@ def cmd_oracle_check(args) -> int:
         ref = stepper.oracle_evolve(setup.assembly, setup.initial_state.flatten(), cfg.T)
     for dt in dts:
         if cfg.scheme == "split_semilagrangian":
-            mg = memory_grid_from_counts(setup.kernel, ds=dt, Ns=setup.memory_grid.Ns)
+            mg = memory_grid_from_counts(setup.kernel, ds=dt, Ns=setup.assembly.Ns)
             asm = assemble_generator(setup.assembly.ops, mg, setup.params)
             state = model.build_initial_state(
                 model.InitialData(u0=setup.initial_state.u, v0=setup.initial_state.v,
@@ -326,14 +326,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MEMBEAM_LOG", "WARNING").upper(),
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        level = os.environ.get("MEMBEAM_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"MEMBEAM_LOG={level} is not a log level")
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -51,7 +51,6 @@ import numpy as np
 from . import analysis, model, stepper
 from .discretization import (
     GeneratorAssembly,
-    MemoryGrid,
     assemble_generator,
     build_memory_grid,
     build_operators,
@@ -250,8 +249,6 @@ class ProblemSetup:
     params: model.PhysicalParams
     kernel: MemoryKernel
     kernel_report: model.KernelReport
-    coefficients: model.CoefficientField
-    memory_grid: MemoryGrid
     assembly: GeneratorAssembly
     initial_state: State
     mcfg: analysis.MultiplierConfig
@@ -287,7 +284,6 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     mcfg = analysis.choose_multipliers_for(assembly, report=report)
     assembly.mechanical_block       # range-checked as it is built, before any evaluation
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
-                        coefficients=coeffs, memory_grid=memory_grid,
                         assembly=assembly, initial_state=state, mcfg=mcfg)
 
 

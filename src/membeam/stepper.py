@@ -63,10 +63,10 @@ below and 5 above the diagonal at any Nx.
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
 once after its last step, where it reports the drift of its running sums.
-Its final state takes over the ring (_SplitRun.final_state).
-A midpoint run materializes its history every K steps (a whole number of
-blocks) and once after its last step, where it checks the history rows of
-the step and reports the drift of its carried wmu . eta.
+Its final state takes over the ring (_SplitRun.final_state).  A midpoint
+run, sampled from its history in place, materializes it every K steps (a
+whole number of blocks) and once after its last step, where it checks the
+history rows of the step and reports the drift of its carried wmu . eta.
 
 oracle_evolve is the reference both schemes are tested against:
 exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM.
@@ -277,9 +277,9 @@ class SchurSolver:
 
     nonsingular exactly when I - tau A_h is.  Once w is known, the history
     is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
-    the same LU and L^T, a recurrence run from s_Ns down.  solve,
-    solve_transposed and apply take inputs of any layout, leave them
-    untouched and return new arrays.  resolvent_check solves through this
+    the same LU and L^T, a recurrence run from s_Ns down.  solve and
+    solve_transposed take inputs of any layout, leave them untouched and
+    return new arrays.  resolvent_check solves through this
     class; the midpoint run takes its LU, g, apply_w and apply_eta, and
     checks its history step against the banded solve.  The solver keeps
     no reference to its assembly.
@@ -311,10 +311,6 @@ class SchurSolver:
         if info != 0:
             raise LinearSolveFailure(f"banded history solve: LAPACK dtbtrs info = {info}")
         return y.T
-
-    def apply(self, w: np.ndarray, eta: np.ndarray):
-        """(I - tau A_h)(w, eta), blockwise."""
-        return self.apply_w(w, eta @ self.wmu), self.apply_eta(w[2 * self.nx:], eta)
 
     def apply_eta(self, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
         """The history rows L eta - tau theta 1 of (I - tau A_h)(w, eta)."""
@@ -556,7 +552,7 @@ class _MidpointRun:
     checked every step.  The spectrum is formed (runner.spectrum: one
     elementwise product and one product with the l-powers) only where it
     is needed: by the step after a full block, which starts the next block
-    from it, by to_state, and at a re-projection.
+    from it, by eta (a sample or to_state), and at a re-projection.
 
     G is causal, so what moves into the pad never reaches the first Ns
     nodes, and zeroing the pad gives the truncated scheme again.  Every
@@ -653,11 +649,15 @@ class _MidpointRun:
         self._start(np.fft.rfft(new))
         self.reprojections += 1
 
+    # the state: views of w and of the current history (one irfft an access)
+    u = property(lambda self: self.w.reshape(3, -1)[0])
+    v = property(lambda self: self.w.reshape(3, -1)[1])
+    theta = property(lambda self: self.w.reshape(3, -1)[2])
+    eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.runner.size)[
+        :, :self.assembly.Ns])
+
     def to_state(self) -> State:
-        nx, ns = self.assembly.Nx, self.assembly.Ns
-        eta = np.fft.irfft(self._spectrum(self._i), n=self.runner.size)[:, :ns].copy()
-        return State(t=self.t, u=self.w[:nx].copy(), v=self.w[nx:2 * nx].copy(),
-                     theta=self.w[2 * nx:].copy(), eta=eta, assembly=self.assembly)
+        return _snapshot(self, self.eta.copy())
 
     final_state = to_state          # the history is a new array either way
 
@@ -683,7 +683,7 @@ class _SplitRunner:
     A run's per-mode sums are linear in the rows of
     x = [sigma_1 .. sigma_m, e_1, e_2, C] (see _SplitRun), so each is one
     fixed row of coefficients: mode_map gives y and sigma_1 .. sigma_m
-    after the step; moment and shifted_moment give m(eta^n) and m_shift.
+    after the step; moment and upwind give m(eta^n) and (m(eta^n) - m_shift)/ds.
     The rows of wmus, the wmu and wmu' weights each written twice over
     (so the weights of any rotation of the ring are one slice), and their
     totals weigh the history sums of a sample.
@@ -743,8 +743,9 @@ class _SplitRunner:
         e_c = np.zeros(m + 3)
         e_c[m + 2] = 1.0
         self.moment = np.concatenate([np.ones(m), [0.0, 0.0, mu0w]])
-        self.shifted_moment = shift.sum(axis=0) + (mu0w - wmu[0]) * e_c
-        self.mode_map = np.vstack([0.5 * (self.moment + self.shifted_moment),
+        shifted = shift.sum(axis=0) + (mu0w - wmu[0]) * e_c
+        self.upwind = (self.moment - shifted) / mg.ds
+        self.mode_map = np.vstack([0.5 * (self.moment + shifted),
                                    shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
 
     def run(self, state: State) -> "_SplitRun":
@@ -785,11 +786,11 @@ class _SplitRun:
 
     The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
     once and then one O(Nx) entry per step.  Each entry is computed from
-    its stored column, so nothing drifts.  history_sums take
-    sum_k w_k mu_k ||D+ eta_k||^2 from n, sum_j sigma_j and C, and the
-    wmu' sum the same way from the row sum_k w_k mu'_k zeta_k: that row is
-    -sum_j r_j sigma_j for a Prony kernel (w_k mu'_k = -sum_j r_j W_kj)
-    and one product of the ring with wmu' for a table kernel.  These
+    its stored column, so nothing drifts.  history_sums read m(eta) and the
+    upwind moment off x, and take sum_k w_k mu_k ||D+ eta_k||^2 from n,
+    sum_j sigma_j and C, and the wmu' sum likewise from sum_k w_k mu'_k zeta_k:
+    -sum_j r_j sigma_j for a Prony kernel (w_k mu'_k = -sum_j r_j W_kj), one
+    product of the ring with wmu' for a table kernel.  These
     terms cancel as the history decays against C; when they exceed either
     sum by _RECENTER_RATIO the run stores eta itself (_recenter).  Each
     re-centring, and simulate once after the last step, compares sigma
@@ -929,8 +930,8 @@ class _SplitRun:
             self._recenter()
             sums = self._mu_sums()[0]
         return HistorySums(hist_mu=float(sums[0]), hist_mup=float(sums[1]),
-                           moment=(run.moment @ x)[1:-1],
-                           shifted_moment=(run.shifted_moment @ x)[1:-1])
+                           moment=(run.moment @ x)[1:-1], mass=float(run.totals[0]),
+                           upwind_moment=(run.upwind @ x)[1:-1])
 
     # -- stepping -----------------------------------------------------------
 
@@ -954,7 +955,7 @@ class _SplitRun:
 
     def to_state(self) -> State:
         """A snapshot: the history is a new array and the run goes on."""
-        return self._state(self._logical_eta())
+        return _snapshot(self, self._logical_eta())
 
     def final_state(self) -> State:
         """The state after the last step, which takes over the ring: each
@@ -970,11 +971,13 @@ class _SplitRun:
                 r[:] = row
         zeta += self.C[:, None]
         self.zeta = None
-        return self._state(zeta)
+        return _snapshot(self, zeta)
 
-    def _state(self, eta: np.ndarray) -> State:
-        return State(t=self.t, u=self.u.copy(), v=self.v.copy(), theta=self.theta.copy(),
-                     eta=eta, assembly=self.assembly)
+
+def _snapshot(run, eta: np.ndarray) -> State:
+    """The State of a run of either scheme: copies of u, v, theta; eta as given."""
+    return State(t=run.t, u=run.u.copy(), v=run.v.copy(), theta=run.theta.copy(),
+                 eta=eta, assembly=run.assembly)
 
 
 def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig, keep: bool = True):
@@ -1028,13 +1031,12 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     Records are always taken at t = 0 and t = T.  A T that is not a whole
     number of steps, more than MAX_STEPS steps or more than MAX_RECORDS
     records raise ParamOutOfRange before the first step.  A sample is
-    taken as the run passes it (analysis.take_sample: t, u, v, theta and
-    the history sums); a split run is sampled from its own history sums,
-    so sampling builds no State, and midpoint runs from their materialized
-    state.  The records are evaluated _SAMPLE_CHUNK samples at a time in
-    one pass (analysis.diagnostics_records).  dE_numeric (centered
-    difference of E across samples) and the identity residual are filled
-    in after the run.  Step failures abort with the partial trajectory
+    taken from the run as it passes (analysis.take_sample(run)), so no
+    State is built but the final one: a split run supplies its own history
+    sums, and a midpoint run's are summed from its history in place.  The
+    records are evaluated _SAMPLE_CHUNK samples at a time in one pass
+    (analysis.diagnostics_records).  dE_numeric (centered difference of E
+    across samples) and the identity residual are filled in after the run.  Step failures abort with the partial trajectory
     attached (SimulationAborted), every sample taken before the failure
     evaluated.  One INFO line on the membeam.stepper logger
     reports steps, records, the time spent stepping and sampling, and the
@@ -1077,7 +1079,6 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     final, drift, grid = init, 0.0, ""
     if n_steps > 0:
         run = _get_runner(init.assembly, cfg, keep=False).run(init)
-        from_run = isinstance(run, _SplitRun)
         for k in range(1, n_steps + 1):
             try:
                 run.advance()
@@ -1086,7 +1087,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
                 raise SimulationAborted(k, exc, records) from exc
             if k % sample_every == 0 or k == n_steps:
                 t0 = time.perf_counter()
-                pending.append(analysis.take_sample(run if from_run else run.to_state()))
+                pending.append(analysis.take_sample(run))
                 if len(pending) == _SAMPLE_CHUNK:
                     flush()
                 sampling += time.perf_counter() - t0
@@ -1097,7 +1098,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             raise SimulationAborted(n_steps, exc, records) from exc
         drift = run.max_drift
         final = run.final_state()
-        if not from_run:
+        if cfg.scheme == "full_implicit_midpoint":
             r = run.runner
             grid = (f", padded s-grid P = {r.size}, K = {r.period}, k = {r.block}, "
                     f"{run.reprojections} re-projections")

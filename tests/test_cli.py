@@ -587,6 +587,15 @@ class TestExitCodes:
         with pytest.raises(Stop):
             main(["simulate", str(write_cfg(tmp_path, TINY_CFG))])
 
+    def test_unknown_log_level_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        # MEMBEAM_LOG names the level of the membeam logger: an unknown one
+        # is one stderr line and exit 2, before the command runs
+        monkeypatch.setenv("MEMBEAM_LOG", "bogus")
+        assert main(["validate", str(write_cfg(tmp_path, TINY_CFG))]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["config error: MEMBEAM_LOG=BOGUS is not a log level"]
+
     def test_non_finite_sweep_value_is_config_error(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TINY_CFG)
         assert main(["sweep", str(path), "--param", "Nx", "--values", "nan",
@@ -775,4 +784,4 @@ class TestRunLength:
     @pytest.mark.parametrize("name,ns", [("default", 18422), ("small", 93)])
     def test_shipped_memory_grids(self, name, ns):
         setup = config.build_setup(parse_config(default_config_path(name)))
-        assert setup.memory_grid.Ns == ns
+        assert setup.assembly.Ns == ns

@@ -223,6 +223,23 @@ class TestSimulate:
         assert len(res.records) == 21
         assert calls == [("final_state", pytest.approx(1.0))]
 
+    def test_midpoint_run_builds_only_the_final_state(self, monkeypatch):
+        # a midpoint run is sampled in place, as a split run is: the one
+        # State simulate builds is the final one
+        built, real = [], stepper.State
+
+        def counting(**fields):
+            built.append(fields["t"])
+            return real(**fields)
+
+        monkeypatch.setattr(stepper, "State", counting)
+        asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+        res = mb.simulate(default_initial_state(asm),
+                          mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"), 1.0)
+        assert len(res.records) == 21
+        assert built == [pytest.approx(1.0)]
+        assert res.final_state.t == pytest.approx(1.0)
+
     def test_logs_one_info_line(self, caplog):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         with caplog.at_level(logging.INFO, logger="membeam.stepper"):
@@ -472,9 +489,13 @@ class TestTableKernelRing:
             sums = run.history_sums()
             for name in ("hist_mu", "hist_mup"):
                 assert getattr(sums, name) == pytest.approx(getattr(full, name), rel=1e-12)
-            for name in ("moment", "shifted_moment"):
-                ref = getattr(full, name)
-                assert np.max(np.abs(getattr(sums, name) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            scale = np.max(np.abs(full.moment))
+            assert np.max(np.abs(sums.moment - full.moment)) <= 1e-12 * scale
+            assert sums.mass == full.mass
+            # the upwind moment is a difference quotient of moments: its
+            # error is bounded against the moment's, over ds
+            assert np.max(np.abs(sums.upwind_moment - full.upwind_moment)) \
+                <= 1e-12 * scale / asm.memory_grid.ds
         assert recentred
         # re-centring leaves the trajectory as it was, up to rounding
         unsampled = stepper._get_runner(asm, cfg).run(state)
@@ -636,10 +657,17 @@ class TestSchurSolver:
             stepper._mechanical_lu(sp.identity(3, format="csr"), sp.csr_matrix((1, 1)), 1.0, 0.0)
 
     def test_apply_is_the_assembled_matrix(self):
+        # apply_w and apply_eta are the (u, v, theta) and the history rows
         asm = make_assembly(Nx=5, ds=0.05, Ns=7)
         solver = stepper.SchurSolver(asm, 0.3)
         M = np.eye(asm.dim) - 0.3 * asm.generator_matrix.toarray()
-        assert np.abs(_identity_columns(solver.apply, asm) - M).max() <= 1e-13 * np.abs(M).max()
+        got = _identity_columns(lambda w, eta: _apply(solver, w, eta), asm)
+        assert np.abs(got - M).max() <= 1e-13 * np.abs(M).max()
+
+
+def _apply(solver, w, eta):
+    """(I - tau A_h)(w, eta) blockwise, from the solver's row blocks."""
+    return solver.apply_w(w, eta @ solver.wmu), solver.apply_eta(w[2 * solver.nx:], eta)
 
 
 def _mechanical_block(nx, beta):
@@ -828,14 +856,14 @@ class TestMidpointStep:
 
 
 def _banded_cayley_trajectory(state, dt, n_steps):
-    """Reference midpoint step on the history grid: SchurSolver's apply and
-    its banded (dtbtrs) solve, Phi' = M^{-1} (2 Phi - M Phi)."""
+    """Reference midpoint step on the history grid: SchurSolver's row blocks
+    and its banded (dtbtrs) solve, Phi' = M^{-1} (2 Phi - M Phi)."""
     asm = state.assembly
     solver = stepper.SchurSolver(asm, dt / 2.0)
     n3 = 3 * asm.Nx
     w, eta = state.flatten()[:n3], state.eta
     for k in range(1, n_steps + 1):
-        m_w, m_eta = solver.apply(w, eta)
+        m_w, m_eta = _apply(solver, w, eta)
         w, eta = solver.solve(2.0 * w - m_w, 2.0 * eta - m_eta)
         yield k * dt, np.concatenate([w, eta.T.ravel()])
 
