@@ -51,7 +51,6 @@ from .analysis import (
     lyap_F1,
     lyap_F2,
     lyap_I,
-    lyapunov_total,
     poincare_constant,
     resolvent_check,
     spectral_abscissa,

@@ -50,6 +50,14 @@ _ENERGY_FLOOR = 1e-300
 _MIN_FIT_SAMPLES = 10
 _MIN_PEAKS = 5
 
+# Tolerances of certify_trajectory: every check, and the relative energy
+# increase between samples.
+_CHECK_TOL = 1e-8
+_MONOTONE_TOL = 1e-10
+
+# Seeded random states of check_dissipativity.
+_DISSIPATIVITY_SAMPLES = 1000
+
 # Most iterations of norm1_inverse_estimate (ITMAX of LAPACK's dlacn2).
 _NORMEST_ITERATIONS = 5
 
@@ -248,7 +256,6 @@ class MultiplierConfig:
     N: float
     N1: float
     N2: float
-    sigma3: float
     Ckappa: float
     C1: float
     C2: float
@@ -264,16 +271,18 @@ class MultiplierConfig:
 
 def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
                        coefficients: CoefficientField, Cp: float,
-                       sigma3: float | None = None, slack: float = 1.1,
                        report: KernelReport | None = None) -> MultiplierConfig:
-    """Pick weights satisfying every strict inequality with >= 10% margin.
+    """Pick weights satisfying every strict inequality with a 10% margin.
 
-    Defaults: sigma1 = sigma2 = 1, sigma3 = mu0, N1 = 1, Ckappa = 5.
-    Coercivity uses the damping lower bound alpha3; upper bounds use
-    alpha4.  The equivalence constants use the bound-valid forms
-    zeta1 = max{(sigma + 2 alpha4) Cp / kappa^2, 1/sigma} and
-    zeta2 = max{mu0, Cp}.  mu0 and delta1 come from report, the kernel's
-    validate_kernel certificate, which is taken here when not given.
+    The free constants are fixed: sigma1 = sigma2 = 1, sigma3 = mu0,
+    N1 = 1, Ckappa = 5, and N2 and N are 1.1 times their floors.  With
+    sigma3 = mu0 the F2 coefficient mu0 - sigma3/2 = mu0/2 is positive
+    whenever the kernel mass is.  Coercivity uses the damping lower bound
+    alpha3; upper bounds use alpha4.  The equivalence constants use the
+    bound-valid forms zeta1 = max{(sigma + 2 alpha4) Cp / kappa^2,
+    1/sigma} and zeta2 = max{mu0, Cp}.  mu0 and delta1 come from report,
+    the kernel's validate_kernel certificate, which is taken here when not
+    given.
     """
     if not (Cp > 0):
         raise ParamOutOfRange("Cp", "Poincare constant must be > 0")
@@ -284,10 +293,8 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
         raise InfeasibleMultipliers("kernel mass mu0 is degenerate")
     sigma1 = sigma2 = 1.0
     sigma = 1.0
-    if sigma3 is None:
-        sigma3 = mu0
-    if not (mu0 > sigma3 / 2.0):
-        raise InfeasibleMultipliers(f"need mu0 > sigma3/2, got mu0 = {mu0}, sigma3 = {sigma3}")
+    sigma3 = mu0
+    slack = 1.1
     Ckappa = 5.0
     beta, kappa, l = params.beta, params.kappa, params.l
     a3, a4 = coefficients.alpha3, coefficients.alpha4
@@ -328,20 +335,16 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
         raise InfeasibleMultipliers("derived Lyapunov coefficients are not all positive")
     lam = 2.0 * min(N1, N1 / 4.0, ct1, ct4, ct3 * delta1)
     return MultiplierConfig(
-        N=N, N1=N1, N2=N2, sigma3=sigma3, Ckappa=Ckappa, C1=C1, C2=C2, C3=C3, Cp=Cp,
+        N=N, N1=N1, N2=N2, Ckappa=Ckappa, C1=C1, C2=C2, C3=C3, Cp=Cp,
         mu0=mu0, delta1=delta1, gamma1=gamma1, gamma2=gamma2, lam=lam,
         gamma_certified=lam / gamma2)
 
 
-def choose_multipliers_for(assembly: GeneratorAssembly, **kw) -> MultiplierConfig:
+def choose_multipliers_for(assembly: GeneratorAssembly,
+                           report: KernelReport | None = None) -> MultiplierConfig:
     """choose_multipliers with the sharp discrete Poincare constant of the grid."""
     return choose_multipliers(assembly.params, assembly.memory_grid.kernel,
-                              assembly.coefficients, poincare_constant(assembly), **kw)
-
-
-def lyapunov_total(state: State, mcfg: MultiplierConfig) -> float:
-    """L = N E + N1 F1 + N2 F2."""
-    return diagnostics_record(state, mcfg).Ltotal
+                              assembly.coefficients, poincare_constant(assembly), report)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +396,7 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
     against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2
     + beta^2/(2 kappa^2) ||theta||^2; 4.3 is I against C1 ||v||^2
     + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is dF2/dt
-    against the same bound with the sigma3 split.
+    against the same bound with the sigma3 = mu0 split.
     """
     asm = samples.assembly
     h, ops = asm.grid.h, asm.ops
@@ -410,8 +413,8 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
     # dF2/dt = I - h <theta, dm/dt>, dm/dt = mass theta - upwind_moment
     l44_lhs = f.Ifun - h * (samples.sums.mass * f.tt - f.th_upwind)
     l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
-                   + (mcfg.sigma3 / 2.0 - mcfg.mu0) * f.tt
-                   - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.sigma3)) * f.hist_mup)
+                   - 0.5 * mcfg.mu0 * f.tt
+                   - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
 
     # in the field order of DiagnosticsRecord
     columns = (samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, f.Ifun, l43_rhs,
@@ -423,17 +426,15 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
 # spectral certification
 
 
-def check_dissipativity(assembly: GeneratorAssembly, n_samples: int = 1000,
-                        rng_seed: int = 0) -> float:
-    """Worst Rayleigh ratio Phi^T H (A Phi) / (Phi^T H Phi) over seeded
-    random states; must be <= 1e-10 for a certified assembly."""
-    if n_samples < 1:
-        raise ParamOutOfRange("n_samples", "need at least one sample")
+def check_dissipativity(assembly: GeneratorAssembly) -> float:
+    """Worst Rayleigh ratio Phi^T H (A Phi) / (Phi^T H Phi) over 1000
+    random states drawn with seed 0; must be <= 1e-10 for a certified
+    assembly."""
     A = assembly.generator_matrix
     H = assembly.metric_matrix
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     worst = -np.inf
-    remaining = n_samples
+    remaining = _DISSIPATIVITY_SAMPLES
     batch = max(1, min(64, int(2e7 // max(assembly.dim, 1))))
     while remaining > 0:
         b = min(batch, remaining)
@@ -560,32 +561,21 @@ class DecayFit:
     K_fit: float
     r2: float
     window: tuple
-    method: str
     n_points: int
 
 
-def _extract_series(trajectory):
-    if isinstance(trajectory, tuple) and len(trajectory) == 2:
-        t, E = (np.asarray(a, dtype=float) for a in trajectory)
-    else:
-        t = np.array([r.t for r in trajectory], dtype=float)
-        E = np.array([r.E for r in trajectory], dtype=float)
-    return t, E
+def fit_decay(records, window: tuple) -> DecayFit:
+    """Fit gamma and K to the peak envelope of the records' energy inside
+    the window.
 
-
-def fit_decay(trajectory, window: tuple, method: str = "plain_lsq") -> DecayFit:
-    """Fit gamma and K from (t, E) samples inside the window.
-
-    plain_lsq fits the line through (t, ln E).  peak_envelope fits through
-    the local maxima of E, which is robust when the dominant eigenvalue
-    pair is oscillatory; a monotone window has no interior maxima, in
-    which case the envelope degenerates to the curve itself and all
-    window samples are used.  K_fit is exp(intercept)/E(0) with E(0) the
-    first sample of the supplied trajectory.
+    The line through (t, ln E) is fitted through the local maxima of E,
+    which is robust when the dominant eigenvalue pair is oscillatory.  A
+    window with fewer than five interior maxima (a monotone one has none)
+    is fitted through all its samples.  records are read for their t and
+    E; K_fit is exp(intercept)/E(0) with E(0) the first record's.
     """
-    if method not in ("plain_lsq", "peak_envelope"):
-        raise ParamOutOfRange("method", f"unknown decay-fit method {method!r}")
-    t, E = _extract_series(trajectory)
+    t = np.array([r.t for r in records], dtype=float)
+    E = np.array([r.E for r in records], dtype=float)
     if t.size == 0:
         raise WindowTooSmall("empty trajectory")
     E0 = E[0]
@@ -599,10 +589,9 @@ def fit_decay(trajectory, window: tuple, method: str = "plain_lsq") -> DecayFit:
         raise EnergyUnderflow("energy underflowed inside the fit window")
     tw, Ew = tw[alive], Ew[alive]
 
-    if method == "peak_envelope":
-        interior = np.flatnonzero((Ew[1:-1] > Ew[:-2]) & (Ew[1:-1] >= Ew[2:])) + 1
-        if interior.size >= _MIN_PEAKS:
-            tw, Ew = tw[interior], Ew[interior]
+    interior = np.flatnonzero((Ew[1:-1] > Ew[:-2]) & (Ew[1:-1] >= Ew[2:])) + 1
+    if interior.size >= _MIN_PEAKS:
+        tw, Ew = tw[interior], Ew[interior]
 
     lE = np.log(Ew)
     slope, intercept = np.polyfit(tw, lE, 1)
@@ -611,7 +600,7 @@ def fit_decay(trajectory, window: tuple, method: str = "plain_lsq") -> DecayFit:
     ss_tot = float(np.sum((lE - lE.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(gamma_fit=float(-slope), K_fit=float(np.exp(intercept) / E0),
-                    r2=float(r2), window=(t1, t2), method=method, n_points=int(tw.size))
+                    r2=float(r2), window=(t1, t2), n_points=int(tw.size))
 
 
 # ---------------------------------------------------------------------------
@@ -630,36 +619,39 @@ class CheckResult:
         return f"check {self.name}: worst={self.worst:.6e} tol={self.tol:.1e} {status}"
 
 
-def certify_trajectory(records, tol: float = 1e-8,
-                       monotone_tol: float = 1e-10) -> list[CheckResult]:
+def certify_trajectory(records) -> list[CheckResult]:
     """Evaluate every trajectory invariant over the recorded samples.
 
     Each line of the certification report maps to one invariant: energy
     nonnegativity, dissipation sign, monotone energy decay between
     samples, the three lemma inequalities, and the Lyapunov sandwich.
+    Every check has the tolerance 1e-8 but the monotone decay, which
+    bounds the relative energy increase between samples by 1e-10.
     Fewer than two records certify nothing: a failing
     trajectory_recorded check (worst = the record count) is added.
     """
     E = np.array([r.E for r in records])
     D = np.array([r.D for r in records])
     results = [
-        CheckResult("energy_nonnegative", float(-E.min()), tol, bool(E.min() >= -tol)),
-        CheckResult("dissipation_nonpositive", float(D.max()), tol, bool(D.max() <= tol)),
+        CheckResult("energy_nonnegative", float(-E.min()), _CHECK_TOL,
+                    bool(E.min() >= -_CHECK_TOL)),
+        CheckResult("dissipation_nonpositive", float(D.max()), _CHECK_TOL,
+                    bool(D.max() <= _CHECK_TOL)),
     ]
     if E.size < 2:
         results.append(CheckResult("trajectory_recorded", float(E.size), 2.0, False))
     else:
         rel_inc = np.diff(E) / np.maximum(E[:-1], _ENERGY_FLOOR)
         worst = float(rel_inc.max())
-        results.append(CheckResult("energy_monotone_decay", worst, monotone_tol,
-                                   bool(worst <= monotone_tol)))
+        results.append(CheckResult("energy_monotone_decay", worst, _MONOTONE_TOL,
+                                   bool(worst <= _MONOTONE_TOL)))
     for name, lo, hi in (("lemma_F1_derivative", "lemma42_lhs", "lemma42_rhs"),
                          ("lemma_I_bound", "lemma43_lhs", "lemma43_rhs"),
                          ("lemma_F2_derivative", "lemma44_lhs", "lemma44_rhs")):
         margin = np.array([getattr(r, lo) - getattr(r, hi) for r in records])
         worst = float(np.max(margin))
-        results.append(CheckResult(name, worst, tol, bool(worst <= tol)))
+        results.append(CheckResult(name, worst, _CHECK_TOL, bool(worst <= _CHECK_TOL)))
     for name, attr in (("sandwich_lower", "sandwich_low"), ("sandwich_upper", "sandwich_high")):
         worst = float(np.max([getattr(r, attr) for r in records]))
-        results.append(CheckResult(name, worst, tol, bool(worst <= tol)))
+        results.append(CheckResult(name, worst, _CHECK_TOL, bool(worst <= _CHECK_TOL)))
     return results

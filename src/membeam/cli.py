@@ -139,7 +139,6 @@ def cmd_simulate(args) -> int:
     try:
         result = _run_simulation(setup)
     except SimulationAborted as exc:
-        stepper._fill_numeric_derivatives(exc.records)
         _write_csv(csv_path, exc.records, truncated_at=exc.step_index)
         print(f"simulation aborted at step {exc.step_index}: {exc.cause}")
         return 1
@@ -150,10 +149,10 @@ def cmd_simulate(args) -> int:
     checks.append(analysis.CheckResult("running_sum_drift", drift, _DRIFT_TOL,
                                        bool(drift <= _DRIFT_TOL)))
     try:
-        fit = analysis.fit_decay(result.records, (0.2 * cfg.T, cfg.T), "peak_envelope")
+        fit = analysis.fit_decay(result.records, (0.2 * cfg.T, cfg.T))
         fit_line = (f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} "
                     f"r2={fit.r2:.6g} window=[{fit.window[0]:g},{fit.window[1]:g}] "
-                    f"method={fit.method}")
+                    "method=peak_envelope")
         if fit.gamma_fit <= 0:
             checks.append(analysis.CheckResult("decay_rate_positive", fit.gamma_fit, 0.0, False))
     except MembeamError as exc:
@@ -260,7 +259,7 @@ def _sweep_worker(payload):
     swept = with_parameter(cfg, name, value)
     setup = build_setup(swept)
     result = _run_simulation(setup)
-    fit = analysis.fit_decay(result.records, (0.2 * swept.T, swept.T), "peak_envelope")
+    fit = analysis.fit_decay(result.records, (0.2 * swept.T, swept.T))
     absc = (analysis.spectral_abscissa(setup.assembly)
             if setup.assembly.dim <= DENSE_MAX_DIM else float("nan"))
     cond = analysis.resolvent_check(setup.assembly)

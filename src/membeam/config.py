@@ -20,8 +20,7 @@ and keys are rejected.  Value grammar:
     [time]          dt, T = <float>; sample_every = <int>;
                     scheme = split_semilagrangian | full_implicit_midpoint
     [initial]       u0, v0, theta0 = <profile>;
-                    history_mode = zero | constant_past | explicit is not
-                    supported from files (explicit histories are API-only)
+                    history_mode = zero | constant_past
     [output]        csv_path, report_path = <path>
 
 A <profile> is one of

@@ -349,18 +349,6 @@ class GeneratorAssembly:
     def dim(self) -> int:
         return self.Nx * (3 + self.Ns)
 
-    def block_slice(self, block: str, k: int = 0) -> slice:
-        """Index range of a block: 'u', 'v', 'theta', or ('eta', k) with k >= 1."""
-        nx = self.Nx
-        base = {"u": 0, "v": 1, "theta": 2}
-        if block == "eta":
-            if not 1 <= k <= self.Ns:
-                raise DimensionMismatch(f"eta block index {k} outside 1..{self.Ns}")
-            start = (3 + (k - 1)) * nx
-        else:
-            start = base[block] * nx
-        return slice(start, start + nx)
-
     @property
     def mechanical_block(self) -> sp.csr_matrix:
         """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h (built lazily and cached).

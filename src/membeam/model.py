@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IncompatibleBoundary,
     IncreasingKernel,
     InfiniteMass,
     NoExponentialDomination,
@@ -287,30 +286,24 @@ def certify_coefficients(p_values, g_values) -> CoefficientField:
 
 @dataclass(frozen=True)
 class InitialData:
-    """Initial profiles on the interior grid plus the history prescription.
+    """Initial profiles on the interior grid plus the history prescription,
+    one of the two a run file can name.
 
     history_mode:
       zero           eta^0 = 0
       constant_past  eta^0(x, s) = s * theta0(x)   (constant past temperature)
-      explicit       eta0 supplied on s-nodes {0, ds, ..., Ns*ds}; the s = 0
-                     column must vanish.
     """
 
     u0: np.ndarray
     v0: np.ndarray
     theta0: np.ndarray
     history_mode: str = "constant_past"
-    eta0: np.ndarray | None = None
 
     def __post_init__(self):
         for name in ("u0", "v0", "theta0"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        if self.history_mode not in ("zero", "constant_past", "explicit"):
+        if self.history_mode not in ("zero", "constant_past"):
             raise ParamOutOfRange("history_mode", f"unknown history mode {self.history_mode!r}")
-        if self.history_mode == "explicit":
-            if self.eta0 is None:
-                raise DimensionMismatch("history_mode='explicit' requires eta0")
-            object.__setattr__(self, "eta0", _readonly(self.eta0))
         if self.u0.shape != self.v0.shape or self.u0.shape != self.theta0.shape:
             raise DimensionMismatch("u0, v0, theta0 must share the interior-grid shape")
 
@@ -348,12 +341,8 @@ class State:
 
 
 def build_initial_state(init: InitialData, assembly) -> State:
-    """Populate a State from validated initial data on a built assembly.
-
-    The history field follows init.history_mode; explicit histories must
-    include the s = 0 column (required to vanish) ahead of the Ns stored
-    columns.
-    """
+    """Populate a State from validated initial data on a built assembly;
+    the history field follows init.history_mode."""
     nx, ns = assembly.grid.Nx, assembly.memory_grid.Ns
     for name, arr in (("u0", init.u0), ("v0", init.v0), ("theta0", init.theta0)):
         if arr.shape != (nx,):
@@ -361,18 +350,8 @@ def build_initial_state(init: InitialData, assembly) -> State:
 
     if init.history_mode == "zero":
         eta = np.zeros((nx, ns))
-    elif init.history_mode == "constant_past":
-        eta = init.theta0[:, None] * assembly.memory_grid.s_nodes[None, :]
     else:
-        eta0 = init.eta0
-        if eta0.shape != (nx, ns + 1):
-            raise DimensionMismatch(
-                f"explicit eta0 has shape {eta0.shape}, expected ({nx}, {ns + 1}) "
-                "including the s = 0 column")
-        scale = float(np.max(np.abs(eta0))) or 1.0
-        if np.max(np.abs(eta0[:, 0])) > 1e-12 * scale:
-            raise IncompatibleBoundary("explicit eta0 must vanish at s = 0")
-        eta = eta0[:, 1:].copy()
+        eta = init.theta0[:, None] * assembly.memory_grid.s_nodes[None, :]
 
     return State(t=0.0, u=init.u0.copy(), v=init.v0.copy(),
                  theta=init.theta0.copy(), eta=eta, assembly=assembly)

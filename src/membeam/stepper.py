@@ -180,8 +180,9 @@ class _BandedLU:
 
     Taken node by node, (u_i, v_i, theta_i), the mechanical block is
     banded: the biharmonic reaches two nodes, so kl = 7 rows below and
-    ku = 5 above the diagonal (read off the sparsity pattern).  order maps
-    node order to block order.  Both solves run dgbtrs in node order.
+    ku = 5 above the diagonal (read off the sparsity pattern).  A zero
+    pivot raises LinearSolveFailure.  order maps node order to block
+    order.  Both solves run dgbtrs in node order.
     solve permutes b into node order and x back, and checks nothing (a
     resolvent solve at tau = 1 is too ill-conditioned for a fixed residual
     bound).  solve_checked, for a time step, stays in node order and
@@ -206,8 +207,9 @@ class _BandedLU:
         band[kl + ku + nodes.row - nodes.col, nodes.col] = nodes.data
         self._band = band[kl:].copy(order="F")
         self._lu, self._piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
-        if info > 0:          # the error of scipy's splu, which _mechanical_lu names
-            raise RuntimeError(f"Factor is exactly singular: U({info}, {info}) = 0")
+        if info > 0:
+            raise LinearSolveFailure("mechanical block of the implicit step: "
+                                     f"Factor is exactly singular: U({info}, {info}) = 0")
         self._rows = max(n, kl + ku + 1)
         self._work = np.zeros(self._rows)
 
@@ -235,9 +237,9 @@ class _BandedLU:
 
 def splu(matrix: sp.spmatrix) -> _BandedLU:
     """The LU of a 3Nx mechanical block M (_BandedLU): the one place that
-    block is factorized.  It keeps the name and the interface of scipy's
-    splu, which it replaces: solve(b, trans), and RuntimeError on a
-    singular M."""
+    block is factorized.  It keeps the name of scipy's splu, which it
+    replaced, and its solve(b, trans); a singular M raises
+    LinearSolveFailure."""
     return _BandedLU(matrix)
 
 
@@ -249,10 +251,7 @@ def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
     M = (sp.identity(3 * nx, format="csc") - tau * B).tolil()
     M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - (tau * tau * gain) * lap
     M = M.tocsc()
-    try:
-        return M, splu(M)
-    except RuntimeError as exc:    # splu: "Factor is exactly singular ..."
-        raise LinearSolveFailure(f"mechanical block of the implicit step: {exc}") from exc
+    return M, splu(M)
 
 
 class SchurSolver:
@@ -433,15 +432,15 @@ class _MidpointRunner:
     with beta = tau (theta + theta') per x node: causal in s, and on a
     zero-padded grid of P nodes (_fourier_grid) a product with the rfft
     symbol G^.  After i steps of a block that starts from the spectrum
-    eta0^ with sources beta_0, beta_1, ...,
+    eta_0^ with sources beta_0, beta_1, ...,
 
-        eta_i^ = G^i eta0^ + sum_{j<i} beta_j G^{i-1-j} l^,
+        eta_i^ = G^i eta_0^ + sum_{j<i} beta_j G^{i-1-j} l^,
 
     and wmu . G eta_i, the only history sum the (u, v, theta) rows read, is
 
         a_i + sum_{j<i} beta_j c_{i-j},  c_d = wmu . G^d l,
 
-    where a_i = wmu . G^{i+1} eta0 is one Parseval product of eta0^: with
+    where a_i = wmu . G^{i+1} eta_0 is one Parseval product of eta_0^: with
     the (Re, Im) pairs of conj(G^(i+1)) rfft(wmu) times 2/P (1/P at the
     two real ends).  For blocks of k = min(_HISTORY_BLOCK, K) steps (so K
     is a whole number of blocks) the runner keeps the powers G^1 .. G^k
@@ -493,14 +492,14 @@ class _MidpointRunner:
             a += real[:, cols] @ self.proj[cols]
         return a
 
-    def spectrum(self, eta0: np.ndarray, beta: np.ndarray, i: int,
+    def spectrum(self, eta_0: np.ndarray, beta: np.ndarray, i: int,
                  out: np.ndarray) -> np.ndarray:
-        """eta_i^ of a block that starts from eta0 with sources beta, for
-        i >= 1, written into out (eta0 itself is allowed)."""
+        """eta_i^ of a block that starts from eta_0 with sources beta, for
+        i >= 1, written into out (eta_0 itself is allowed)."""
         k, real = self.block, out.view(float)
         ells = self.ell_powers.view(float)
-        np.multiply(eta0, self.powers[i - 1], out=out)
-        for cols in self._slices(len(eta0), i):
+        np.multiply(eta_0, self.powers[i - 1], out=out)
+        for cols in self._slices(len(eta_0), i):
             real[:, cols] += beta[:i].T @ ells[k - i:, cols]
         return out
 
@@ -518,15 +517,15 @@ class _MidpointRunner:
         rng = np.random.default_rng(0)
         eta, beta = rng.standard_normal((2, s.ns)), rng.standard_normal((k, 2))
         ell = s._recurrence(s.c * np.ones((1, s.ns)))[0]
-        eta0 = np.fft.rfft(eta, n=size)
-        a = self.project(eta0)
+        eta_0 = np.fft.rfft(eta, n=size)
+        a = self.project(eta_0)
         sq = np.zeros(4)          # squared differences and references: sums, histories
         for i in range(k):
             g_eta = s._recurrence(s.c * (2.0 * eta - s.apply_eta(np.zeros(len(eta)), eta)))
             ref = g_eta @ s.wmu
             diff = self.history_sum(a, beta, i) - ref
             eta = g_eta + np.multiply.outer(beta[i], ell)
-            got = np.fft.irfft(self.spectrum(eta0, beta, i + 1, np.empty_like(eta0)), n=size)
+            got = np.fft.irfft(self.spectrum(eta_0, beta, i + 1, np.empty_like(eta_0)), n=size)
             hist = got[:, :s.ns] - eta
             sq += [diff @ diff, ref @ ref, np.vdot(hist, hist), np.vdot(eta, eta)]
         _check_residual(sq[0], sq[1])
@@ -538,7 +537,7 @@ class _MidpointRunner:
 
 class _MidpointRun:
     """(u, v, theta) as one 3Nx vector w, the history as a block of the
-    runner's: the spectrum eta0 at the block start on the padded s-grid,
+    runner's: the spectrum eta_0 at the block start on the padded s-grid,
     (Nx, P/2 + 1), its projections a, (Nx, k), and the block's sources
     beta, (k, Nx).
 
@@ -582,7 +581,7 @@ class _MidpointRun:
         self._m_w = runner.solver.apply_w(self.w, state.eta @ runner.solver.wmu)
         self._beta = np.empty((runner.block, state.assembly.Nx))
         self._start(np.fft.rfft(state.eta, n=runner.size))
-        self._work = np.empty_like(self._eta0)        # a spectrum formed mid-block
+        self._work = np.empty_like(self._eta_0)        # a spectrum formed mid-block
         self._theta_prev = None           # theta before the last step
         self._steps = 0
         self.reprojections = 0
@@ -590,19 +589,19 @@ class _MidpointRun:
 
     def _start(self, eta_hat: np.ndarray):
         """Start a block from the spectrum eta_hat, which the run then owns."""
-        self._eta0, self._a, self._i = eta_hat, self.runner.project(eta_hat), 0
+        self._eta_0, self._a, self._i = eta_hat, self.runner.project(eta_hat), 0
 
     def _spectrum(self, i: int) -> np.ndarray:
         """The spectrum after i steps of the block, in the run's work
         buffer (the block start itself for i = 0)."""
         if not i:
-            return self._eta0
-        return self.runner.spectrum(self._eta0, self._beta, i, self._work)
+            return self._eta_0
+        return self.runner.spectrum(self._eta_0, self._beta, i, self._work)
 
     def advance(self):
         run, s = self.runner, self.runner.solver
         if self._i == run.block:
-            self._start(run.spectrum(self._eta0, self._beta, self._i, out=self._eta0))
+            self._start(run.spectrum(self._eta_0, self._beta, self._i, out=self._eta_0))
         th = slice(2 * s.nx, None)
         m_g = run.history_sum(self._a, self._beta, self._i)      # wmu . G eta
         rhs_w = 2.0 * self.w - self._m_w
@@ -671,14 +670,15 @@ class _SplitRunner:
     histories, m_mid = y + (mu0w dt / 4) (theta^n + theta^{n+1}), with
     y = (m(eta^n) + m_shift) / 2 known before the solve (see _SplitRun).
     The theta^{n+1} share sits in M; the rest of the right-hand side
-    P w + dt [theta] lap m_mid is one operator R applied to [w; y],
+    P w + dt [theta] lap m_mid, with P = I + (dt/2) B, is one operator R
+    applied to [w; y],
 
-        R = [P + (mu0w dt^2 / 4) [theta theta] lap | dt [theta] lap],
+        R = [P + (mu0w dt^2 / 4) [theta theta] lap | dt [theta] lap]
+          = [2I - M | dt [theta] lap].
 
-    with P = I + (dt/2) B.  R's rows are in the node order of the banded
-    LU (lu.order), so a step's right-hand side, solve and residual check
-    (lu.solve_checked) make no permutation; M stays the sparse block in
-    block order.
+    R's rows are in the node order of the banded LU (lu.order), so a
+    step's right-hand side, solve and residual check (lu.solve_checked)
+    make no permutation; M stays the sparse block in block order.
 
     A run's per-mode sums are linear in the rows of
     x = [sigma_1 .. sigma_m, e_1, e_2, C] (see _SplitRun), so each is one
@@ -703,14 +703,13 @@ class _SplitRunner:
         self.totals = np.array([mu0w, float(np.sum(mg.wmup))])
         self.wmus = np.tile([wmu, mg.wmup], 2)
         self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
-        P = (sp.identity(3 * nx, format="csr") + (dt / 2.0) * B).tolil()
-        P[2 * nx:, 2 * nx:] = P[2 * nx:, 2 * nx:] + (mu0w * dt * dt / 4.0) * lap
         flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), dt * lap])
         # R reads [w; y] from rows that hold a zero (the Dirichlet value)
-        # at both ends, and skips those entries
+        # at both ends, and skips those entries; its rows are in the node
+        # order of the banded solve
         inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
-        self.R = (sp.hstack([P.tocsr(), flux]) @ sp.kron(sp.identity(4), inner)).tocsr()[
-            self.lu.order]                 # rows in the node order of the banded solve
+        self.R = (sp.hstack([2.0 * sp.identity(3 * nx) - self.M, flux])
+                  @ sp.kron(sp.identity(4), inner)).tocsr()[self.lu.order]
 
         kern, ns = mg.kernel, mg.Ns
         self.prony = kern.form == "prony"
@@ -1036,13 +1035,15 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     sums, and a midpoint run's are summed from its history in place.  The
     records are evaluated _SAMPLE_CHUNK samples at a time in one pass
     (analysis.diagnostics_records).  dE_numeric (centered difference of E
-    across samples) and the identity residual are filled in after the run.  Step failures abort with the partial trajectory
-    attached (SimulationAborted), every sample taken before the failure
-    evaluated.  One INFO line on the membeam.stepper logger
-    reports steps, records, the time spent stepping and sampling, and the
-    refresh drift; for a midpoint run also its padded grid P, the steps K
-    between re-projections, its history block k and the re-projections
-    made.  simulate caches no runner it builds; step does.
+    across samples) and the identity residual are filled in after the run.
+    Step failures abort with the partial trajectory attached
+    (SimulationAborted): every sample taken before the failure evaluated,
+    its dE_numeric and identity residual filled in.  One INFO line on the
+    membeam.stepper logger reports steps, records, the time spent stepping
+    and sampling, and the refresh drift; for a midpoint run also its
+    padded grid P, the steps K between re-projections, its history block k
+    and the re-projections made.  simulate caches no runner it builds;
+    step does.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
@@ -1075,6 +1076,13 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
                 analysis.Samples.stack(init.assembly, pending), mcfg))
             pending.clear()
 
+    def complete() -> list:
+        """The records of every sample taken, finished: the pending ones
+        evaluated, dE_numeric and the identity residual filled in."""
+        flush()
+        _fill_numeric_derivatives(records)
+        return records
+
     sampling = time.perf_counter() - start
     final, drift, grid = init, 0.0, ""
     if n_steps > 0:
@@ -1083,8 +1091,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             try:
                 run.advance()
             except Exception as exc:  # propagate with the step index and partial data
-                flush()
-                raise SimulationAborted(k, exc, records) from exc
+                raise SimulationAborted(k, exc, complete()) from exc
             if k % sample_every == 0 or k == n_steps:
                 t0 = time.perf_counter()
                 pending.append(analysis.take_sample(run))
@@ -1094,8 +1101,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         try:
             run.finish()
         except Exception as exc:
-            flush()
-            raise SimulationAborted(n_steps, exc, records) from exc
+            raise SimulationAborted(n_steps, exc, complete()) from exc
         drift = run.max_drift
         final = run.final_state()
         if cfg.scheme == "full_implicit_midpoint":
@@ -1103,9 +1109,8 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             grid = (f", padded s-grid P = {r.size}, K = {r.period}, k = {r.block}, "
                     f"{run.reprojections} re-projections")
     t0 = time.perf_counter()
-    flush()
+    complete()
     sampling += time.perf_counter() - t0
-    _fill_numeric_derivatives(records)
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
              "refresh drift %.3e%s", n_steps, len(records),
              time.perf_counter() - start - sampling, sampling, drift, grid)

@@ -58,7 +58,7 @@ def test_criterion_1_dissipativity(report):
     t0 = time.time()
     asm = build_default_assembly(dt=1e-2)
     assert asm.memory_grid.Ns == 1843
-    worst = mb.check_dissipativity(asm, n_samples=1000, rng_seed=0)
+    worst = mb.check_dissipativity(asm)
     elapsed = time.time() - t0
     passed = worst <= 1e-10 and elapsed <= 30.0
     report(1, "dissipativity", passed,
@@ -160,13 +160,13 @@ def test_criterion_4_exponential_decay(default_run, report):
     rate matches 2 |s(A_h)| within 5%.  Runtime <= 120 s including the
     shared default run."""
     t0 = time.time()
-    fit = mb.fit_decay(default_run["result"].records, (2.0, 10.0), "peak_envelope")
+    fit = mb.fit_decay(default_run["result"].records, (2.0, 10.0))
 
     reduced = make_assembly(Nx=24, ds=0.1, Ns=64)
     st = default_initial_state(reduced)
     res = mb.simulate(st, mb.SchemeConfig(dt=1e-3, scheme="full_implicit_midpoint"),
                       10.0, sample_every=10)
-    red_fit = mb.fit_decay(res.records, (2.0, 10.0), "peak_envelope")
+    red_fit = mb.fit_decay(res.records, (2.0, 10.0))
     absc = mb.spectral_abscissa(reduced)
     target = 2.0 * abs(absc)
     mismatch = abs(red_fit.gamma_fit - target)

@@ -283,7 +283,7 @@ class TestGeneratorAssembly:
     def test_dissipativity_on_random_states(self):
         asm = make_assembly(Nx=10, Ns=20, p=1.0 + np.linspace(0, 1, 10) ** 2,
                             g=0.5 + np.linspace(0, 1, 10))
-        worst = mb.check_dissipativity(asm, n_samples=200, rng_seed=1)
+        worst = mb.check_dissipativity(asm)
         assert worst <= 1e-10
 
     def test_resolvent_nonsingular(self):
@@ -291,15 +291,6 @@ class TestGeneratorAssembly:
             params = mb.derive_params(0.5, 1.0, 0.5, beta)
             asm = make_assembly(Nx=6, Ns=10, params=params)
             assert np.isfinite(mb.resolvent_check(asm))
-
-    def test_block_slices(self):
-        asm = make_assembly(Nx=5, Ns=6)
-        assert asm.block_slice("u") == slice(0, 5)
-        assert asm.block_slice("theta") == slice(10, 15)
-        assert asm.block_slice("eta", 1) == slice(15, 20)
-        assert asm.block_slice("eta", 6) == slice(40, 45)
-        with pytest.raises(DimensionMismatch):
-            asm.block_slice("eta", 7)
 
     @pytest.mark.parametrize("kappa,lambda2,field", [
         (0.5, 1e-300, "l"), (1e300, 1.0, "mechanical_block"), (1e150, 1.0, "mechanical_block")])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import membeam as mb
 from membeam.errors import (
     DimensionMismatch,
-    IncompatibleBoundary,
     IncreasingKernel,
     InfiniteMass,
     KernelHypothesisError,
@@ -216,23 +215,6 @@ class TestBuildInitialState:
         state = mb.build_initial_state(init, asm)
         expected = theta0[:, None] * asm.memory_grid.s_nodes[None, :]
         np.testing.assert_array_equal(state.eta, expected)
-
-    def test_explicit_history_with_nonzero_inflow_rejected(self):
-        asm = make_assembly()
-        eta0 = np.ones((asm.Nx, asm.Ns + 1))
-        init = mb.InitialData(u0=np.zeros(asm.Nx), v0=np.zeros(asm.Nx),
-                              theta0=np.zeros(asm.Nx), history_mode="explicit", eta0=eta0)
-        with pytest.raises(IncompatibleBoundary):
-            mb.build_initial_state(init, asm)
-
-    def test_explicit_history_accepted_with_zero_inflow(self):
-        asm = make_assembly()
-        eta0 = np.ones((asm.Nx, asm.Ns + 1))
-        eta0[:, 0] = 0.0
-        init = mb.InitialData(u0=np.zeros(asm.Nx), v0=np.zeros(asm.Nx),
-                              theta0=np.zeros(asm.Nx), history_mode="explicit", eta0=eta0)
-        state = mb.build_initial_state(init, asm)
-        np.testing.assert_array_equal(state.eta, eta0[:, 1:])
 
     def test_shape_mismatch_rejected(self):
         asm = make_assembly()

@@ -656,6 +656,14 @@ class TestSchurSolver:
         with pytest.raises(LinearSolveFailure, match="singular"):
             stepper._mechanical_lu(sp.identity(3, format="csr"), sp.csr_matrix((1, 1)), 1.0, 0.0)
 
+    def test_singular_block_given_to_splu_is_a_linear_solve_failure(self):
+        # a zero v row at the second node: the fourth pivot in node order
+        block = sp.diags([1.0, 0.0, 1.0, 1.0, 1.0, 1.0]).tocsc()
+        with pytest.raises(LinearSolveFailure) as err:
+            stepper.splu(block)
+        assert str(err.value) == ("mechanical block of the implicit step: "
+                                  "Factor is exactly singular: U(4, 4) = 0")
+
     def test_apply_is_the_assembled_matrix(self):
         # apply_w and apply_eta are the (u, v, theta) and the history rows
         asm = make_assembly(Nx=5, ds=0.05, Ns=7)
@@ -775,10 +783,33 @@ class TestBatchedRecords:
         assert err.value.step_index == fail_at
         kept = err.value.records
         assert len(kept) == fail_at
-        for rec, ref in zip(kept, full):
-            # the derivative fields of an aborted run are left unfilled
-            assert rec.t == ref.t and math.isnan(rec.dE_numeric)
-            _assert_records_close(ref, rec, 1e-12)
+        for j, (rec, ref) in enumerate(zip(kept, full)):
+            # the derivative fields of an aborted run are filled from its own
+            # records, so only its last one (one-sided there) differs
+            assert rec.t == ref.t and math.isfinite(rec.dE_numeric)
+            if j == fail_at - 1:
+                ref = dataclasses.replace(ref, dE_numeric=math.nan, identity_residual=math.nan)
+            _assert_records_close(rec, ref, 1e-12)
+
+    def test_run_aborted_after_its_last_step_has_complete_records(self, monkeypatch):
+        # the check after the last step aborts the run with every record
+        # taken, derivatives filled as in a finished run
+        asm = make_assembly(Nx=6, ds=0.05, Ns=8)
+        cfg = mb.SchemeConfig(dt=0.05)
+        state = default_initial_state(asm)
+        full = mb.simulate(state, cfg, 20 * 0.05).records
+
+        def failing(run):
+            raise LinearSolveFailure("injected")
+
+        monkeypatch.setattr(stepper._SplitRun, "finish", failing)
+        with pytest.raises(SimulationAborted) as err:
+            mb.simulate(state, cfg, 20 * 0.05)
+        assert err.value.step_index == 20
+        assert len(err.value.records) == len(full) == 21
+        for rec, ref in zip(err.value.records, full):
+            assert math.isfinite(rec.dE_numeric) and math.isfinite(rec.identity_residual)
+            assert rec == ref
 
 
 def _assembled_cayley_trajectory(state, dt, n_steps):
@@ -839,7 +870,7 @@ class TestMidpointStep:
         assert calls == [(15, 15)]
         assert "A" not in asm._cache
 
-    # a midpoint step reads its history as _a[:, i], wmu . G^(i+1) eta0 of
+    # a midpoint step reads its history as _a[:, i], wmu . G^(i+1) eta_0 of
     # its block: two steps in, _a[2, 2] is what the next step reads at x_2
     @pytest.mark.parametrize("scheme,field", [
         ("full_implicit_midpoint", "w"), ("full_implicit_midpoint", "_a"),
