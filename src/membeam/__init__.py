@@ -35,7 +35,6 @@ from .stepper import (
     SimulationResult,
     oracle_evolve,
     simulate,
-    step,
 )
 from .analysis import (
     DecayFit,

@@ -354,7 +354,8 @@ def choose_multipliers_for(assembly: GeneratorAssembly,
 @dataclass
 class DiagnosticsRecord:
     """Per-sample functional values; dE_numeric and identity_residual are
-    filled by the simulation driver once neighboring samples exist."""
+    filled by the simulation driver once neighboring samples exist.  The
+    left side of lemma 4.3 is Ifun itself."""
 
     t: float
     E: float
@@ -365,7 +366,6 @@ class DiagnosticsRecord:
     Ltotal: float
     lemma42_lhs: float
     lemma42_rhs: float
-    lemma43_lhs: float
     lemma43_rhs: float
     lemma44_lhs: float
     lemma44_rhs: float
@@ -394,7 +394,7 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
 
     Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
     against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2
-    + beta^2/(2 kappa^2) ||theta||^2; 4.3 is I against C1 ||v||^2
+    + beta^2/(2 kappa^2) ||theta||^2; 4.3 is I (Ifun) against C1 ||v||^2
     + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is dF2/dt
     against the same bound with the sigma3 = mu0 split.
     """
@@ -417,7 +417,7 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
                    - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
 
     # in the field order of DiagnosticsRecord
-    columns = (samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, f.Ifun, l43_rhs,
+    columns = (samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, l43_rhs,
                l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L, L - mcfg.gamma2 * f.E)
     return [DiagnosticsRecord(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
 
@@ -646,7 +646,7 @@ def certify_trajectory(records) -> list[CheckResult]:
         results.append(CheckResult("energy_monotone_decay", worst, _MONOTONE_TOL,
                                    bool(worst <= _MONOTONE_TOL)))
     for name, lo, hi in (("lemma_F1_derivative", "lemma42_lhs", "lemma42_rhs"),
-                         ("lemma_I_bound", "lemma43_lhs", "lemma43_rhs"),
+                         ("lemma_I_bound", "Ifun", "lemma43_rhs"),
                          ("lemma_F2_derivative", "lemma44_lhs", "lemma44_rhs")):
         margin = np.array([getattr(r, lo) - getattr(r, hi) for r in records])
         worst = float(np.max(margin))

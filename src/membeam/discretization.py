@@ -37,14 +37,14 @@ DENSE_MAX_DIM = 2000
 # (Nx, Ns) arrays a run may allocate at once on top of its caller's state.
 # Traced at Nx = 64, dt = 1e-3 (tests pin the peaks): a split run holds 1.2
 # histories (Prony, Ns = 18422: its ring) or 1.6 (table, Ns = 15612: the
-# ring and the Hankel weights); a midpoint run 10.1 histories of Ns, 9.3 of
+# ring and the Hankel weights); a midpoint run 8.0 histories of Ns, 7.4 of
 # its padded P + 2 = 20002 nodes, within the 8 + (3k + 16)/Nx = 9.75 that
 # its check_history_fits(Nx, P + 2, 3k + 16) allows.
 _HISTORY_COPIES = 8
 
 # Columns of the (Ns, SHIFT_BLOCK) Hankel weight block with which a
 # table-kernel split run takes its shifted history sum for that many steps
-# at once (stepper._SplitRunner); the memory guard counts it.
+# at once (stepper._SplitRun); the memory guard counts it.
 SHIFT_BLOCK = 16
 
 # Largest entry magnitude whose square is still a finite float: past it the

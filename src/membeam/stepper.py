@@ -54,7 +54,12 @@ What a simulate call holds at its peak on top of the caller's state, in
                            blocks of columns: 1.2
     split, table           the ring and the (Ns, 16) Hankel weights: 1.6
     midpoint               two spectra, the block tables and a
-                           re-projection's histories and residual: 10.1
+                           re-projection's histories and residual: 8.0
+
+Each scheme's run is one class, _MidpointRun or _SplitRun, built from a
+State and a SchemeConfig by _start: it builds and checks the scheme's
+fixed coefficients (the LU, the Fourier tables) and then holds the
+trajectory.  simulate starts one run a call and keeps none of it.
 
 Every implicit step solves with the one banded LU of its 3Nx mechanical
 block (splu, _BandedLU), taken node by node so that its bandwidth is 7
@@ -278,10 +283,9 @@ class SchurSolver:
     is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
     the same LU and L^T, a recurrence run from s_Ns down.  solve and
     solve_transposed take inputs of any layout, leave them untouched and
-    return new arrays.  resolvent_check solves through this
-    class; the midpoint run takes its LU, g, apply_w and apply_eta, and
-    checks its history step against the banded solve.  The solver keeps
-    no reference to its assembly.
+    return new arrays.  resolvent_check solves through this class; the
+    midpoint run takes its LU, kappa, apply_w and apply_eta, and checks its
+    history step against the banded solve.
     """
 
     def __init__(self, assembly: GeneratorAssembly, tau: float):
@@ -354,7 +358,7 @@ _PAD_TOL = 2.0 ** -60
 # a 2-core x86: 2.4 at Nx = 32, P = 2250 and 2.9 at Nx = 64, P = 20000.
 _REPROJECT_COST = 2.5
 
-# Most steps in a midpoint run's history block (_MidpointRunner): a step
+# Most steps in a midpoint run's history block (_MidpointRun): a step
 # reads wmu . G eta from O(Nx k) sums and the spectrum is formed once a
 # block.  Measured on a 2-core x86, a step took 0.30, 0.21 and 0.19 ms at
 # Nx = 64, P = 19200 for k = 16, 32 and 64 (0.077, 0.070 and 0.069 ms at
@@ -418,7 +422,7 @@ def _fft_size(n: int) -> int:
         size += 2
 
 
-class _MidpointRunner:
+class _MidpointRun:
     """Cayley stepper: the history-eliminating solver with tau = dt/2, and
     the history step as one convolution along s, taken a block of steps at
     a time.
@@ -443,20 +447,52 @@ class _MidpointRunner:
     where a_i = wmu . G^{i+1} eta_0 is one Parseval product of eta_0^: with
     the (Re, Im) pairs of conj(G^(i+1)) rfft(wmu) times 2/P (1/P at the
     two real ends).  For blocks of k = min(_HISTORY_BLOCK, K) steps (so K
-    is a whole number of blocks) the runner keeps the powers G^1 .. G^k
+    is a whole number of blocks) the run tabulates the powers G^1 .. G^k
     (powers), the l-powers G^d l^ and c_d for d = k-1 down to 0
     (ell_powers and c, in the order a block's sources are summed in) and
     those Parseval weights as one real (P + 2, k) matrix (proj).
     c_0 = wmu . l is the solver's kappa.  Products over the padded grid
     are cut into column slices of at most _SERIAL_PRODUCT multiply-adds,
-    so OpenBLAS keeps each on one thread.
+    so OpenBLAS keeps each on one thread.  The tables are checked when
+    the run is built (_check_block).
 
-    The tables are checked when the runner is built (_check_block).
+    The run holds (u, v, theta) as one 3Nx vector w and the history as a
+    block: the spectrum eta_0 at the block start on the padded s-grid,
+    (Nx, P/2 + 1), its projections a, (Nx, k), and the block's sources
+    beta, (k, Nx).  A step solves M Phi^{n+1} = P Phi^n.  It reads
+    wmu . G eta from the block (O(Nx k)), solves the 3Nx Schur complement
+    of SchurSolver for w' and keeps beta = tau (theta + theta') as the
+    block's next source.  m = wmu . eta' is carried as
+    wmu . G eta + kappa beta inside M w', the rows
+    (I - tau B) w' - tau [theta] lap m, which give the next step's
+    P w' = 2w' - M w'.  The (u, v, theta) rows of M Phi^{n+1} - P Phi^n are
+    checked every step.  The spectrum is formed (_block_spectrum: one
+    elementwise product and one product with the l-powers) only where it
+    is needed: by the step after a full block, which starts the next block
+    from it, by eta (a sample or to_state), and at a re-projection.
+
+    G is causal, so what moves into the pad never reaches the first Ns
+    nodes, and zeroing the pad gives the truncated scheme again.  Every
+    K = period steps (a whole number of blocks), and once more after the
+    last step, the run re-projects (finish): it forms the spectra after
+    the last two steps, materializes them and checks, each against
+    _LINEAR_SOLVER_TOL, the history rows of the last step's residual in
+    s-space and that the pad's last reach nodes hold nothing of the
+    history (else it would wrap round); it records in max_drift how far
+    the next step's P w from the carried m is from P w with m = wmu . eta
+    of the materialized history, relative to its largest entry as a
+    residual is, zeroes the pad and starts a new block.  (The Parseval
+    products round relative to the whole padded history, which outlasts
+    wmu . eta: at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 1e-8 of itself
+    at t = 9, by 1e-16 of the history and by 1e-12 of P w.)  finish does
+    nothing when no step was taken since the last re-projection.  A step
+    that fails its residual check leaves t, w and the history as they
+    were; after a failed step or re-projection the run is spent.
     """
 
-    def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
+    def __init__(self, state: State, cfg: SchemeConfig):
         self.cfg = cfg
-        self.solver = s = SchurSolver(assembly, cfg.dt / 2.0)
+        self.solver = s = SchurSolver(state.assembly, cfg.dt / 2.0)
         self.size, self.period, self.reach = _fourier_grid(s.q, s.ns)
         self.block = k = min(_HISTORY_BLOCK, self.period)
         # a run's (Nx, P + 2) history copies; here the three (k, P + 2)
@@ -476,6 +512,21 @@ class _MidpointRunner:
             self.proj[:, i] = (np.conj(power) * w_hat).view(float)
         self._check_block()
 
+        _check_history_shape(state)
+        self.assembly = state.assembly
+        self.t = state.t
+        self.w = np.concatenate([state.u, state.v, state.theta])
+        self._m_w = s.apply_w(self.w, state.eta @ s.wmu)
+        self._beta = np.empty((k, state.assembly.Nx))
+        self._begin_block(np.fft.rfft(state.eta, n=self.size))
+        self._work = np.empty_like(self._eta_0)        # a spectrum formed mid-block
+        self._theta_prev = None           # theta before the last step
+        self._steps = 0
+        self.reprojections = 0
+        self.max_drift = 0.0
+
+    # -- the block tables ---------------------------------------------------
+
     def _slices(self, rows: int, depth: int) -> list:
         """Column slices of a (rows, P + 2) real spectrum over which a
         product with depth rows or columns of a table stays on one thread."""
@@ -483,7 +534,7 @@ class _MidpointRunner:
         width = max(1, _SERIAL_PRODUCT // (rows * depth))
         return [slice(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
-    def project(self, eta_hat: np.ndarray) -> np.ndarray:
+    def _project(self, eta_hat: np.ndarray) -> np.ndarray:
         """a of a block that starts from the spectrum eta_hat: column i is
         wmu . G^{i+1} eta."""
         real = eta_hat.view(float)
@@ -492,8 +543,8 @@ class _MidpointRunner:
             a += real[:, cols] @ self.proj[cols]
         return a
 
-    def spectrum(self, eta_0: np.ndarray, beta: np.ndarray, i: int,
-                 out: np.ndarray) -> np.ndarray:
+    def _block_spectrum(self, eta_0: np.ndarray, beta: np.ndarray, i: int,
+                        out: np.ndarray) -> np.ndarray:
         """eta_i^ of a block that starts from eta_0 with sources beta, for
         i >= 1, written into out (eta_0 itself is allowed)."""
         k, real = self.block, out.view(float)
@@ -503,7 +554,7 @@ class _MidpointRunner:
             real[:, cols] += beta[:i].T @ ells[k - i:, cols]
         return out
 
-    def history_sum(self, a: np.ndarray, beta: np.ndarray, i: int) -> np.ndarray:
+    def _history_sum(self, a: np.ndarray, beta: np.ndarray, i: int) -> np.ndarray:
         """wmu . G eta_i of a block with projections a and sources beta."""
         k = self.block
         return a[:, i] + beta[:i].T @ self.c[k - 1 - i:k - 1]
@@ -518,92 +569,40 @@ class _MidpointRunner:
         eta, beta = rng.standard_normal((2, s.ns)), rng.standard_normal((k, 2))
         ell = s._recurrence(s.c * np.ones((1, s.ns)))[0]
         eta_0 = np.fft.rfft(eta, n=size)
-        a = self.project(eta_0)
+        a = self._project(eta_0)
         sq = np.zeros(4)          # squared differences and references: sums, histories
         for i in range(k):
             g_eta = s._recurrence(s.c * (2.0 * eta - s.apply_eta(np.zeros(len(eta)), eta)))
             ref = g_eta @ s.wmu
-            diff = self.history_sum(a, beta, i) - ref
+            diff = self._history_sum(a, beta, i) - ref
             eta = g_eta + np.multiply.outer(beta[i], ell)
-            got = np.fft.irfft(self.spectrum(eta_0, beta, i + 1, np.empty_like(eta_0)), n=size)
+            got = np.fft.irfft(self._block_spectrum(eta_0, beta, i + 1, np.empty_like(eta_0)),
+                               n=size)
             hist = got[:, :s.ns] - eta
             sq += [diff @ diff, ref @ ref, np.vdot(hist, hist), np.vdot(eta, eta)]
         _check_residual(sq[0], sq[1])
         _check_residual(sq[2], sq[3])
 
-    def run(self, state: State) -> "_MidpointRun":
-        return _MidpointRun(self, state)
+    # -- the trajectory -----------------------------------------------------
 
-
-class _MidpointRun:
-    """(u, v, theta) as one 3Nx vector w, the history as a block of the
-    runner's: the spectrum eta_0 at the block start on the padded s-grid,
-    (Nx, P/2 + 1), its projections a, (Nx, k), and the block's sources
-    beta, (k, Nx).
-
-    A step solves M Phi^{n+1} = P Phi^n with M = I - tau A_h and
-    P = I + tau A_h = 2I - M.  It reads wmu . G eta from the block
-    (O(Nx k)), solves the 3Nx Schur complement of SchurSolver for w' and
-    keeps beta = tau (theta + theta') as the block's next source.
-    m = wmu . eta' is carried as wmu . G eta + kappa beta inside M w', the
-    rows (I - tau B) w' - tau [theta] lap m, which give the next step's
-    P w' = 2w' - M w'.  The (u, v, theta) rows of M Phi^{n+1} - P Phi^n are
-    checked every step.  The spectrum is formed (runner.spectrum: one
-    elementwise product and one product with the l-powers) only where it
-    is needed: by the step after a full block, which starts the next block
-    from it, by eta (a sample or to_state), and at a re-projection.
-
-    G is causal, so what moves into the pad never reaches the first Ns
-    nodes, and zeroing the pad gives the truncated scheme again.  Every
-    K = runner.period steps (a whole number of blocks), and once more after
-    the last step, the run re-projects (finish): it forms the spectra after
-    the last two steps, materializes them and checks, each against
-    _LINEAR_SOLVER_TOL, the history rows of the last step's residual in
-    s-space and that the pad's last runner.reach nodes hold nothing of the
-    history (else it would wrap round); it records in max_drift how far
-    the next step's P w from the carried m is from P w with m = wmu . eta
-    of the materialized history, relative to its largest entry as a
-    residual is, zeroes the pad and starts a new block.  (The Parseval
-    products round relative to the whole padded history, which outlasts
-    wmu . eta: at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 1e-8 of itself
-    at t = 9, by 1e-16 of the history and by 1e-12 of P w.)  finish does
-    nothing when no step was taken since the last re-projection.  A step
-    that fails its residual check leaves t, w and the history as they
-    were; after a failed step or re-projection the run is spent.
-    """
-
-    def __init__(self, runner: _MidpointRunner, state: State):
-        _check_history_shape(state)
-        self.runner = runner
-        self.assembly = state.assembly
-        self.t = state.t
-        self.w = np.concatenate([state.u, state.v, state.theta])
-        self._m_w = runner.solver.apply_w(self.w, state.eta @ runner.solver.wmu)
-        self._beta = np.empty((runner.block, state.assembly.Nx))
-        self._start(np.fft.rfft(state.eta, n=runner.size))
-        self._work = np.empty_like(self._eta_0)        # a spectrum formed mid-block
-        self._theta_prev = None           # theta before the last step
-        self._steps = 0
-        self.reprojections = 0
-        self.max_drift = 0.0
-
-    def _start(self, eta_hat: np.ndarray):
+    def _begin_block(self, eta_hat: np.ndarray):
         """Start a block from the spectrum eta_hat, which the run then owns."""
-        self._eta_0, self._a, self._i = eta_hat, self.runner.project(eta_hat), 0
+        self._eta_0, self._a, self._i = eta_hat, self._project(eta_hat), 0
 
     def _spectrum(self, i: int) -> np.ndarray:
         """The spectrum after i steps of the block, in the run's work
         buffer (the block start itself for i = 0)."""
         if not i:
             return self._eta_0
-        return self.runner.spectrum(self._eta_0, self._beta, i, self._work)
+        return self._block_spectrum(self._eta_0, self._beta, i, self._work)
 
     def advance(self):
-        run, s = self.runner, self.runner.solver
-        if self._i == run.block:
-            self._start(run.spectrum(self._eta_0, self._beta, self._i, out=self._eta_0))
+        s = self.solver
+        if self._i == self.block:
+            self._begin_block(self._block_spectrum(self._eta_0, self._beta, self._i,
+                                                   out=self._eta_0))
         th = slice(2 * s.nx, None)
-        m_g = run.history_sum(self._a, self._beta, self._i)      # wmu . G eta
+        m_g = self._history_sum(self._a, self._beta, self._i)      # wmu . G eta
         rhs_w = 2.0 * self.w - self._m_w
         rhs = rhs_w.copy()
         rhs[th] += s.tau * (s.lap @ (m_g + s.tau * s.kappa * self.w[th]))
@@ -617,42 +616,47 @@ class _MidpointRun:
         self._theta_prev = self.w[th]
         self.w, self._m_w = w, m_w
         self._steps += 1
-        self.t += run.cfg.dt
-        if self._steps % run.period == 0:
+        self.t += self.cfg.dt
+        if self._steps % self.period == 0:
             self.finish()
 
     def finish(self):
         """Re-project: check the last step taken in s-space, measure the
-        drift of the carried wmu . eta, zero the pad and start a block."""
+        drift of the carried wmu . eta, zero the pad and start a block.
+
+        The history rows of the residual are M Phi' - P Phi = M Phi' +
+        (M Phi - 2 Phi), one (Nx, Ns) buffer that takes the old history's
+        share before the new history is formed; the new block's spectrum
+        is written over the old one's."""
         if not self._i:
             return
-        run, s = self.runner, self.runner.solver
-        ns = s.ns
-        theta, theta_new = self._theta_prev, self.w[2 * s.nx:]
-        old = np.fft.irfft(self._spectrum(self._i - 1), n=run.size)[:, :ns]
-        new = np.fft.irfft(self._spectrum(self._i), n=run.size)
-        tail, whole = math.sqrt(_sq_norm(new[:, -run.reach:])), math.sqrt(_sq_norm(new))
+        s, ns = self.solver, self.solver.ns
+        old = np.fft.irfft(self._spectrum(self._i - 1), n=self.size)[:, :ns].copy()
+        res = s.apply_eta(self._theta_prev, old)
+        old *= 2.0
+        res -= old               # M Phi - P Phi = -(P Phi), history rows
+        del old                  # freed before the new history is formed
+        rhs_sq = _sq_norm(res)
+        new = np.fft.irfft(self._spectrum(self._i), n=self.size)
+        tail, whole = math.sqrt(_sq_norm(new[:, -self.reach:])), math.sqrt(_sq_norm(new))
         if not tail <= _LINEAR_SOLVER_TOL * whole:
             raise LinearSolveFailure(
                 f"history at the end of the padded s-grid: {tail:.3e} exceeds "
                 f"{_LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
-        # history rows of M Phi' - P Phi, with P Phi = 2 eta - M Phi
-        res = s.apply_eta(theta + theta_new, new[:, :ns] + old) - 2.0 * old
-        rhs = 2.0 * old - s.apply_eta(theta, old)
-        _check_residual(_sq_norm(res), _sq_norm(rhs))
+        res += s.apply_eta(self.w[2 * s.nx:], new[:, :ns])
+        _check_residual(_sq_norm(res), rhs_sq)
         p_w = 2.0 * self.w           # the next step's P w, carried and fresh
         self.max_drift = _worst_drift(self.max_drift, p_w - self._m_w,
                                       p_w - s.apply_w(self.w, new[:, :ns] @ s.wmu))
         new[:, ns:] = 0.0
-        del old, res, rhs           # freed before the new block's spectrum
-        self._start(np.fft.rfft(new))
+        self._begin_block(np.fft.rfft(new, out=self._eta_0))
         self.reprojections += 1
 
     # the state: views of w and of the current history (one irfft an access)
     u = property(lambda self: self.w.reshape(3, -1)[0])
     v = property(lambda self: self.w.reshape(3, -1)[1])
     theta = property(lambda self: self.w.reshape(3, -1)[2])
-    eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.runner.size)[
+    eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.size)[
         :, :self.assembly.Ns])
 
     def to_state(self) -> State:
@@ -661,43 +665,86 @@ class _MidpointRun:
     final_state = to_state          # the history is a new array either way
 
 
-class _SplitRunner:
-    """Semi-Lagrangian history shift + implicit midpoint mechanical block:
-    the cached LU factorization of the block's implicit matrix and every
-    fixed coefficient of a step.
+class _SplitRun:
+    """Semi-Lagrangian history shift + implicit midpoint mechanical block,
+    on a ring-buffer history.
+
+    The exact characteristic update is eta^{n+1}_k = eta^n_{k-1} + q with
+    q = dt * (theta^n + theta^{n+1}) / 2.  Storing zeta_k = eta_k - C with
+    the accumulator C^{n+1} = C^n + q turns it into a pure ring shift with
+    new inflow column zeta_1 = -C^n.
+
+    The run keeps sigma_j = sum_k W_kj zeta_k per kernel mode j, with
+    W_kj = w_k mu_j(s_k); a tabulated kernel is one mode.  With the
+    shifted sums sig'_j = sum_{k>=2} W_kj zeta_{k-1},
+
+        m(eta^n)      = sum_j sigma_j + mu0w C,
+        m_shift       = sum_j sig'_j + (mu0w - w_1 mu_1) C,
+        sigma_j^{n+1} = sig'_j - w_1 mu_j(s_1) C.
+
+    For a Prony kernel, mu_j(s) = a_j exp(-r_j s), so W_{k+1,j} =
+    exp(-r_j ds) W_kj except at the half-weight end node, and
+    sig'_j = exp(-r_j ds) (sigma_j - ds/2 (mu_j(s_Ns) zeta_Ns
+    + mu_j(s_Ns-1) zeta_Ns-1)).  A table kernel takes sig' = sum_k wshift_k
+    zeta_k (wshift_k = w_{k+1} mu_{k+1}) in blocks of B = min(SHIFT_BLOCK,
+    Ns) steps: t shifts into a block, zeta_k for k > t is the block-start
+    zeta_{k-t}, so the block start's share of all B sums is one product of
+    the ring with the (Ns, B) Hankel weights (hankel), and each step adds
+    the t < B newest columns.
+
+    All of these are linear in the rows of x = [sigma_1 .. sigma_m, e_1,
+    e_2, C], where e_1, e_2 are zeta_Ns, zeta_Ns-1 (Prony) or e_1 = sig'
+    (table), so each is one fixed row of coefficients: mode_map gives y
+    and sigma_1 .. sigma_m after the step; moment and upwind give m(eta^n)
+    and (m(eta^n) - m_shift)/ds.
 
     The memory flux is evaluated at the average of the pre- and post-shift
     histories, m_mid = y + (mu0w dt / 4) (theta^n + theta^{n+1}), with
-    y = (m(eta^n) + m_shift) / 2 known before the solve (see _SplitRun).
-    The theta^{n+1} share sits in M; the rest of the right-hand side
-    P w + dt [theta] lap m_mid, with P = I + (dt/2) B, is one operator R
-    applied to [w; y],
+    y = (m(eta^n) + m_shift) / 2 known before the solve.  The theta^{n+1}
+    share sits in the block M, factorized once (lu); the rest of the
+    right-hand side P w + dt [theta] lap m_mid, with P = I + (dt/2) B, is
+    one operator R applied to [w; y],
 
         R = [P + (mu0w dt^2 / 4) [theta theta] lap | dt [theta] lap]
           = [2I - M | dt [theta] lap].
 
     R's rows are in the node order of the banded LU (lu.order), so a
     step's right-hand side, solve and residual check (lu.solve_checked)
-    make no permutation; M stays the sparse block in block order.
+    make no permutation; M stays the sparse block in block order.  A step
+    is one product with mode_map, R [w; y], the banded solve with its
+    residual check and O(Nx m) updates in preallocated rows.
 
-    A run's per-mode sums are linear in the rows of
-    x = [sigma_1 .. sigma_m, e_1, e_2, C] (see _SplitRun), so each is one
-    fixed row of coefficients: mode_map gives y and sigma_1 .. sigma_m
-    after the step; moment and upwind give m(eta^n) and (m(eta^n) - m_shift)/ds.
-    The rows of wmus, the wmu and wmu' weights each written twice over
-    (so the weights of any rotation of the ring are one slice), and their
-    totals weigh the history sums of a sample.
+    The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
+    once and then one O(Nx) entry per step.  Each entry is computed from
+    its stored column, so nothing drifts.  history_sums read m(eta) and the
+    upwind moment off x, and take sum_k w_k mu_k ||D+ eta_k||^2 from n,
+    sum_j sigma_j and C, and the wmu' sum likewise from sum_k w_k mu'_k zeta_k:
+    -sum_j r_j sigma_j for a Prony kernel (w_k mu'_k = -sum_j r_j W_kj), one
+    product of the ring with wmu' for a table kernel.  The rows of wmus,
+    the wmu and wmu' weights each written twice over (so the weights of
+    any rotation of the ring are one slice), and their totals weigh these
+    sums.  These terms cancel as the history decays against C; when they
+    exceed either sum by _RECENTER_RATIO the run stores eta itself
+    (_recenter).  Each re-centring, and simulate once after the last step,
+    compares sigma with the ring and keeps in max_drift the largest
+    relative difference.
+
+    Every pass over the ring reads it in place or in blocks of columns,
+    so the run holds no other history.  to_state is a snapshot that copies
+    the ring; final_state, which simulate takes, turns the ring itself
+    into the final history and spends the run.
     """
 
-    def __init__(self, assembly: GeneratorAssembly, cfg: SchemeConfig):
-        mg = assembly.memory_grid
+    def __init__(self, state: State, cfg: SchemeConfig):
+        asm = state.assembly
+        mg = asm.memory_grid
         if abs(mg.ds - cfg.dt) > 1e-12 * max(mg.ds, cfg.dt):
             raise InconsistentGrid(
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
         self.cfg = cfg
-        self.nx = nx = assembly.Nx
-        self.h2 = assembly.grid.h ** 2
-        dt, B, lap = cfg.dt, assembly.mechanical_block, assembly.ops.lap
+        self.nx = nx = asm.Nx
+        self.h2 = asm.grid.h ** 2
+        dt, B, lap = cfg.dt, asm.mechanical_block, asm.ops.lap
         wmu = mg.wmu
         mu0w = float(np.sum(wmu))
         self.totals = np.array([mu0w, float(np.sum(mg.wmup))])
@@ -747,74 +794,16 @@ class _SplitRunner:
         self.mode_map = np.vstack([0.5 * (self.moment + shifted),
                                    shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
 
-    def run(self, state: State) -> "_SplitRun":
-        return _SplitRun(self, state)
-
-
-class _SplitRun:
-    """Mutable trajectory state for the split scheme (ring-buffer history).
-
-    The exact characteristic update is eta^{n+1}_k = eta^n_{k-1} + q with
-    q = dt * (theta^n + theta^{n+1}) / 2.  Storing zeta_k = eta_k - C with
-    the accumulator C^{n+1} = C^n + q turns it into a pure ring shift with
-    new inflow column zeta_1 = -C^n.
-
-    The run keeps sigma_j = sum_k W_kj zeta_k per kernel mode j, with
-    W_kj = w_k mu_j(s_k); a tabulated kernel is one mode.  With the
-    shifted sums sig'_j = sum_{k>=2} W_kj zeta_{k-1},
-
-        m(eta^n)      = sum_j sigma_j + mu0w C,
-        m_shift       = sum_j sig'_j + (mu0w - w_1 mu_1) C,
-        sigma_j^{n+1} = sig'_j - w_1 mu_j(s_1) C.
-
-    For a Prony kernel, mu_j(s) = a_j exp(-r_j s), so W_{k+1,j} =
-    exp(-r_j ds) W_kj except at the half-weight end node, and
-    sig'_j = exp(-r_j ds) (sigma_j - ds/2 (mu_j(s_Ns) zeta_Ns
-    + mu_j(s_Ns-1) zeta_Ns-1)).  A table kernel takes sig' = sum_k wshift_k
-    zeta_k (wshift_k = w_{k+1} mu_{k+1}) in blocks of B = min(SHIFT_BLOCK,
-    Ns) steps: t shifts into a block, zeta_k for k > t is the block-start
-    zeta_{k-t}, so the block start's share of all B sums is one product of
-    the ring with the runner's (Ns, B) Hankel weights, and each step adds
-    the t < B newest columns.
-
-    All of these are linear in the rows of x = [sigma_1 .. sigma_m, e_1,
-    e_2, C], where e_1, e_2 are zeta_Ns, zeta_Ns-1 (Prony) or e_1 = sig'
-    (table), so one product with the runner's mode_map gives them.  A step
-    is that product, R [w; y], the banded solve with its residual check
-    and O(Nx m) updates in preallocated rows.
-
-    The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
-    once and then one O(Nx) entry per step.  Each entry is computed from
-    its stored column, so nothing drifts.  history_sums read m(eta) and the
-    upwind moment off x, and take sum_k w_k mu_k ||D+ eta_k||^2 from n,
-    sum_j sigma_j and C, and the wmu' sum likewise from sum_k w_k mu'_k zeta_k:
-    -sum_j r_j sigma_j for a Prony kernel (w_k mu'_k = -sum_j r_j W_kj), one
-    product of the ring with wmu' for a table kernel.  These
-    terms cancel as the history decays against C; when they exceed either
-    sum by _RECENTER_RATIO the run stores eta itself (_recenter).  Each
-    re-centring, and simulate once after the last step, compares sigma
-    with the ring and keeps in max_drift the largest relative difference.
-
-    Every pass over the ring reads it in place or in blocks of columns,
-    so the run holds no other history.  to_state is a snapshot that copies
-    the ring; final_state, which simulate and step take, turns the ring
-    itself into the final history and spends the run.
-    """
-
-    def __init__(self, runner: _SplitRunner, state: State):
         _check_history_shape(state)
-        asm = state.assembly
-        self.runner = runner
         self.assembly = asm
         self.t = state.t
-        m = runner.modes
         # Each row holds an x-profile with a zero at both ends, so D+ of a
         # row is one difference of neighbours.  _rows: u, v, theta, then
         # what mode_map makes; _x: the x of the class docstring.
-        self._rows = np.zeros((m + 4, asm.Nx + 2))
+        self._rows = np.zeros((m + 4, nx + 2))
         self._rows[:3, 1:-1] = state.u, state.v, state.theta
         self._wy = self._rows[:4].reshape(-1)          # [w; y], a view
-        self._x = np.zeros((m + 3, asm.Nx + 2))
+        self._x = np.zeros((m + 3, nx + 2))
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
         self.max_drift = 0.0
@@ -851,14 +840,14 @@ class _SplitRun:
 
     def _load_ends(self):
         """e_1, e_2 of x for the current ring head."""
-        ns, m = self.zeta.shape[1], self.runner.modes
-        if self.runner.prony:
+        ns, m = self.zeta.shape[1], self.modes
+        if self.prony:
             self._x[m, 1:-1] = self.zeta[:, (self.head - 1) % ns]
             self._x[m + 1, 1:-1] = self.zeta[:, (self.head - 2) % ns]
             return
         # e_1 = sig' in blocks (class docstring): the block-start columns'
         # share, taken for the whole block at its start, plus the t newest
-        hankel = self.runner.hankel
+        hankel = self.hankel
         if self._block_shifts >= hankel.shape[1]:
             self._block = self._ring_product(self.zeta, hankel)
             self._block_shifts = 0
@@ -866,12 +855,12 @@ class _SplitRun:
         e_1 = self._x[m, 1:-1]
         e_1[...] = self._block[:, t]
         if t:
-            e_1 += self._ring_product(self.zeta, self.runner.wshift[:t])
+            e_1 += self._ring_product(self.zeta, self.wshift[:t])
 
     def _from_ring(self):
         """sigma and the column norms from the stored history, a new shift
         block and the end terms: one O(Nx Ns) pass."""
-        self._x[:self.runner.modes, 1:-1] = self._ring_product(self.zeta, self.runner.wmode).T
+        self._x[:self.modes, 1:-1] = self._ring_product(self.zeta, self.wmode).T
         self._norms = grad_sq_norms(self.zeta, self.assembly.grid.h)
         self._block_shifts = SHIFT_BLOCK
         self._load_ends()
@@ -879,8 +868,8 @@ class _SplitRun:
     def _measure_drift(self):
         """Record in max_drift how far the running sigma rows have drifted
         from the ring: one O(Nx Ns) product, in the zeta frame."""
-        fresh = self._ring_product(self.zeta, self.runner.wmode)
-        self.max_drift = _worst_drift(self.max_drift, self._x[:self.runner.modes, 1:-1].T, fresh)
+        fresh = self._ring_product(self.zeta, self.wmode)
+        self.max_drift = _worst_drift(self.max_drift, self._x[:self.modes, 1:-1].T, fresh)
 
     def finish(self):
         """Measure the drift once more after the last step."""
@@ -900,22 +889,22 @@ class _SplitRun:
         the ring of column norms: eta_k = zeta_k + C, so ||D+ eta_k||^2 =
         n_k + 2 <D+ zeta_k, D+ C> + ||D+ C||^2.  Returns the two sums and
         the size of the norm terms each was taken from."""
-        run, x, m = self.runner, self._x, self.runner.modes
+        x, m = self._x, self.modes
         ns, head = self.zeta.shape[1], self.head
-        sigma = np.zeros((2, run.nx + 2))          # rows sum_k w_k zeta_k
+        sigma = np.zeros((2, self.nx + 2))          # rows sum_k w_k zeta_k
         sigma[0] = x[:m].sum(axis=0)
-        if run.prony:
-            sigma[1] = -(run.rates @ x[:m])         # w_k mu'_k = -sum_j r_j W_kj
+        if self.prony:
+            sigma[1] = -(self.rates @ x[:m])         # w_k mu'_k = -sum_j r_j W_kj
         else:
-            sigma[1, 1:-1] = self._ring_product(self.zeta, run.wmus[1, :ns])
+            sigma[1, 1:-1] = self._ring_product(self.zeta, self.wmus[1, :ns])
         c = x[-1]
         d_c = c[1:] - c[:-1]
         # numpy's own loop over the ring in storage order, not a BLAS
         # product: OpenBLAS threads one of this length, which then takes
         # ms on a loaded machine
-        norm_part = np.einsum("ji,i->j", run.wmus[:, ns - head:2 * ns - head], self._norms)
-        c_part = run.totals * float(d_c @ d_c) / run.h2
-        sums = norm_part + 2.0 * ((sigma[:, 1:] - sigma[:, :-1]) @ d_c) / run.h2 + c_part
+        norm_part = np.einsum("ji,i->j", self.wmus[:, ns - head:2 * ns - head], self._norms)
+        c_part = self.totals * float(d_c @ d_c) / self.h2
+        sums = norm_part + 2.0 * ((sigma[:, 1:] - sigma[:, :-1]) @ d_c) / self.h2 + c_part
         return sums, np.abs(norm_part) + np.abs(c_part)
 
     def history_sums(self) -> HistorySums:
@@ -923,28 +912,28 @@ class _SplitRun:
         over the history: one O(Ns) pass of both weights over the ring of
         column norms and O(Nx m) row work; a table kernel adds one product
         of the ring with the wmu' weights."""
-        run, x = self.runner, self._x
+        x = self._x
         sums, terms = self._mu_sums()
         if np.any(terms > _RECENTER_RATIO * np.abs(sums)):
             self._recenter()
             sums = self._mu_sums()[0]
         return HistorySums(hist_mu=float(sums[0]), hist_mup=float(sums[1]),
-                           moment=(run.moment @ x)[1:-1], mass=float(run.totals[0]),
-                           upwind_moment=(run.upwind @ x)[1:-1])
+                           moment=(self.moment @ x)[1:-1], mass=float(self.totals[0]),
+                           upwind_moment=(self.upwind @ x)[1:-1])
 
     # -- stepping -----------------------------------------------------------
 
     def advance(self):
-        run, rows, x, m = self.runner, self._rows, self._x, self.runner.modes
-        nx, dt = run.nx, run.cfg.dt
-        np.matmul(run.mode_map, x, out=rows[3:])
-        w_new = run.lu.solve_checked(run.R @ self._wy)  # checks M w_new - R [w; y]
+        rows, x, m = self._rows, self._x, self.modes
+        nx, dt = self.nx, self.cfg.dt
+        np.matmul(self.mode_map, x, out=rows[3:])
+        w_new = self.lu.solve_checked(self.R @ self._wy)  # checks M w_new - R [w; y]
 
         c = x[m + 2]
         self.head = (self.head - 1) % self.zeta.shape[1]
         np.negative(c[1:-1], out=self.zeta[:, self.head])   # zeta_1 = -C^n
         d_c = c[1:] - c[:-1]
-        self._norms[self.head] = float(d_c @ d_c) / run.h2
+        self._norms[self.head] = float(d_c @ d_c) / self.h2
         self._block_shifts += 1
         c[1:-1] += 0.5 * dt * (rows[2, 1:-1] + w_new[2::3])       # C^n + q
         rows[:3, 1:-1] = w_new.reshape(nx, 3).T
@@ -979,29 +968,10 @@ def _snapshot(run, eta: np.ndarray) -> State:
                  eta=eta, assembly=run.assembly)
 
 
-def _get_runner(assembly: GeneratorAssembly, cfg: SchemeConfig, keep: bool = True):
-    """Runner cache: factorizations are rebuilt only when (scheme, dt) change.
-
-    A runner keeps no reference to its assembly (runs take it from their
-    state), so the cache makes no cycle and an assembly's matrices and
-    factorizations are freed as soon as the last reference to it goes.
-    With keep false a new runner is not cached (simulate's, freed with it).
-    """
-    key = ("runner", cfg.scheme, cfg.dt)
-    if key not in assembly._cache:
-        cls = _MidpointRunner if cfg.scheme == "full_implicit_midpoint" else _SplitRunner
-        if not keep:
-            return cls(assembly, cfg)
-        assembly._cache[key] = cls(assembly, cfg)
-    return assembly._cache[key]
-
-
-def step(state: State, cfg: SchemeConfig) -> State:
-    """Advance one time step and return the new state (for a split run,
-    the run's copy of the history, taken over by final_state)."""
-    run = _get_runner(state.assembly, cfg).run(state)
-    run.advance()
-    return run.final_state()
+def _start(state: State, cfg: SchemeConfig):
+    """A run of cfg's scheme from state, its coefficients built and checked."""
+    cls = _MidpointRun if cfg.scheme == "full_implicit_midpoint" else _SplitRun
+    return cls(state, cfg)
 
 
 @dataclass
@@ -1020,30 +990,32 @@ class SimulationResult:
 
     records: list
     final_state: State
-    refresh_drift: float = 0.0
+    refresh_drift: float
 
 
 def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
              mcfg=None) -> SimulationResult:
-    """Advance to t = T recording diagnostics every sample_every steps.
+    """Advance init by the span T, round(T / dt) steps from init.t,
+    recording diagnostics every sample_every steps.
 
-    Records are always taken at t = 0 and t = T.  A T that is not a whole
-    number of steps, more than MAX_STEPS steps or more than MAX_RECORDS
-    records raise ParamOutOfRange before the first step.  A sample is
-    taken from the run as it passes (analysis.take_sample(run)), so no
-    State is built but the final one: a split run supplies its own history
-    sums, and a midpoint run's are summed from its history in place.  The
-    records are evaluated _SAMPLE_CHUNK samples at a time in one pass
-    (analysis.diagnostics_records).  dE_numeric (centered difference of E
-    across samples) and the identity residual are filled in after the run.
+    Records are always taken at init.t and after the last step.  A T that
+    is not a whole number of steps, more than MAX_STEPS steps or more than
+    MAX_RECORDS records raise ParamOutOfRange before the first step.  A
+    sample is taken from the run as it passes (analysis.take_sample(run)),
+    so no State is built but the final one: a split run supplies its own
+    history sums, and a midpoint run's are summed from its history in
+    place.  The records are evaluated _SAMPLE_CHUNK samples at a time in
+    one pass (analysis.diagnostics_records).  dE_numeric (centered
+    difference of E across samples) and the identity residual are filled
+    in after the run.
     Step failures abort with the partial trajectory attached
     (SimulationAborted): every sample taken before the failure evaluated,
     its dE_numeric and identity residual filled in.  One INFO line on the
     membeam.stepper logger reports steps, records, the time spent stepping
     and sampling, and the refresh drift; for a midpoint run also its
     padded grid P, the steps K between re-projections, its history block k
-    and the re-projections made.  simulate caches no runner it builds;
-    step does.
+    and the re-projections made.  One step from a state is
+    simulate(state, cfg, cfg.dt).final_state.
     """
     if not (np.isfinite(T) and T >= 0):
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
@@ -1086,7 +1058,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     sampling = time.perf_counter() - start
     final, drift, grid = init, 0.0, ""
     if n_steps > 0:
-        run = _get_runner(init.assembly, cfg, keep=False).run(init)
+        run = _start(init, cfg)
         for k in range(1, n_steps + 1):
             try:
                 run.advance()
@@ -1105,8 +1077,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         drift = run.max_drift
         final = run.final_state()
         if cfg.scheme == "full_implicit_midpoint":
-            r = run.runner
-            grid = (f", padded s-grid P = {r.size}, K = {r.period}, k = {r.block}, "
+            grid = (f", padded s-grid P = {run.size}, K = {run.period}, k = {run.block}, "
                     f"{run.reprojections} re-projections")
     t0 = time.perf_counter()
     complete()

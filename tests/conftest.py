@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import membeam as mb
+from membeam import stepper
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,15 @@ def default_initial_state(assembly):
     init = mb.InitialData(u0=x**2 * (L - x) ** 2, v0=np.zeros(x.size),
                           theta0=np.sin(np.pi * x / L))
     return mb.build_initial_state(init, assembly)
+
+
+def step(state, cfg):
+    """One step of cfg's scheme from state, by a new run: its final state.
+    simulate(state, cfg, cfg.dt).final_state also samples the run and
+    checks it once more after the step."""
+    run = stepper._start(state, cfg)
+    run.advance()
+    return run.final_state()
 
 
 def peak_history_copies(call, assembly):

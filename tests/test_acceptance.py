@@ -14,7 +14,7 @@ import scipy.linalg as sla
 import membeam as mb
 from membeam.model import State
 
-from conftest import default_initial_state, make_assembly
+from conftest import default_initial_state, make_assembly, step
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ def test_criterion_2_energy_identity(report):
         acc = 0.0
         n = int(round(0.5 / dt))
         for _ in range(n):
-            nxt = mb.step(prev, cfg)
+            nxt = step(prev, cfg)
             e_next = mb.energy(nxt)
             mid = State(t=0.0, u=0.5 * (prev.u + nxt.u), v=0.5 * (prev.v + nxt.v),
                         theta=0.5 * (prev.theta + nxt.theta),
@@ -201,7 +201,7 @@ def test_criterion_6_lemma_inequalities(default_run, report):
     records = default_run["result"].records
     worst = {
         "lemma_F1_derivative": max(r.lemma42_lhs - r.lemma42_rhs for r in records),
-        "lemma_I_bound": max(r.lemma43_lhs - r.lemma43_rhs for r in records),
+        "lemma_I_bound": max(r.Ifun - r.lemma43_rhs for r in records),
         "lemma_F2_derivative": max(r.lemma44_lhs - r.lemma44_rhs for r in records),
         "sandwich_lower": max(r.sandwich_low for r in records),
         "sandwich_upper": max(r.sandwich_high for r in records),

@@ -40,6 +40,20 @@ def test_blocked_grad_norms_match_one_pass(nx, m):
     assert an.grad_sq_norms(a, 0.1).tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("nx", [4, 5, 16, 64])
+def test_grad_cols_is_the_forward_gradient_operator(nx, default_params):
+    # every energy norm takes D+ from grad_cols, while the structure check
+    # dplus^T dplus = -lap vouches for ops.dplus: the two must agree
+    grid = mb.build_spatial_grid(1.0, nx)
+    ops = mb.build_operators(grid, mb.certify_coefficients(np.ones(nx), np.ones(nx)),
+                             default_params)
+    a = np.random.default_rng(nx).standard_normal((nx, 7))
+    ref = ops.dplus @ a
+    got = an.grad_cols(a, grid.h)
+    assert got.shape == ref.shape == (nx + 1, 7)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 class TestEnergy:
     def test_zero_state(self, small_assembly):
         assert mb.energy(zero_state(small_assembly)) == 0.0
@@ -158,7 +172,7 @@ class TestLemmaChecksAlongTrajectory:
         res = mb.simulate(st, mb.SchemeConfig(dt=0.02), 1.0, sample_every=5, mcfg=mcfg)
         for rec in res.records:
             assert rec.lemma42_lhs <= rec.lemma42_rhs + 1e-8
-            assert rec.lemma43_lhs <= rec.lemma43_rhs + 1e-8
+            assert rec.Ifun <= rec.lemma43_rhs + 1e-8
             assert rec.lemma44_lhs <= rec.lemma44_rhs + 1e-8
             assert rec.sandwich_low <= 1e-8
             assert rec.sandwich_high <= 1e-8
@@ -179,7 +193,7 @@ class TestSplitRunRecords:
         dt = 0.02
         asm = make_assembly(Nx=8, ds=dt, Ns=50, kernel=self.KERNELS[form])
         mcfg = mb.choose_multipliers_for(asm)
-        run = stepper._get_runner(asm, mb.SchemeConfig(dt=dt)).run(default_initial_state(asm))
+        run = stepper._start(default_initial_state(asm), mb.SchemeConfig(dt=dt))
         for step in range(1, 121):
             run.advance()
             if step % 7:
@@ -202,7 +216,7 @@ def test_records_read_no_memory_grid(scheme):
     asm = make_assembly(Nx=8, ds=dt, Ns=50)
     mcfg = mb.choose_multipliers_for(asm)
     state = default_initial_state(asm)
-    run = stepper._get_runner(asm, mb.SchemeConfig(dt=dt, scheme=scheme)).run(state)
+    run = stepper._start(state, mb.SchemeConfig(dt=dt, scheme=scheme))
     samples = [an.take_sample(state)]
     for _ in range(12):
         run.advance()

@@ -25,7 +25,7 @@ from membeam.errors import (
 )
 from membeam.model import State
 
-from conftest import default_initial_state, make_assembly, peak_history_copies
+from conftest import default_initial_state, make_assembly, peak_history_copies, step
 from test_acceptance import build_default_assembly
 
 
@@ -49,7 +49,7 @@ class TestStep:
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         zero = mb.State(t=0.0, u=np.zeros(5), v=np.zeros(5), theta=np.zeros(5),
                         eta=np.zeros((5, 6)), assembly=asm)
-        out = mb.step(zero, mb.SchemeConfig(dt=0.05, scheme=scheme))
+        out = step(zero, mb.SchemeConfig(dt=0.05, scheme=scheme))
         assert np.all(out.flatten() == 0.0)
 
     def test_scalar_cayley_transform(self):
@@ -66,13 +66,13 @@ class TestStep:
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         state = default_initial_state(asm)
         with pytest.raises(InconsistentGrid):
-            mb.step(state, mb.SchemeConfig(dt=0.01, scheme="split_semilagrangian"))
+            step(state, mb.SchemeConfig(dt=0.01, scheme="split_semilagrangian"))
 
     def test_split_inflow_is_trapezoid_of_theta(self):
         dt = 0.05
         asm = make_assembly(Nx=6, ds=dt, Ns=8)
         state = default_initial_state(asm)
-        out = mb.step(state, mb.SchemeConfig(dt=dt, scheme="split_semilagrangian"))
+        out = step(state, mb.SchemeConfig(dt=dt, scheme="split_semilagrangian"))
         np.testing.assert_allclose(out.eta[:, 0], dt * 0.5 * (state.theta + out.theta),
                                    rtol=0, atol=1e-15)
 
@@ -80,7 +80,7 @@ class TestStep:
         dt = 0.05
         asm = make_assembly(Nx=6, ds=dt, Ns=8)
         state = default_initial_state(asm)
-        out = mb.step(state, mb.SchemeConfig(dt=dt, scheme="split_semilagrangian"))
+        out = step(state, mb.SchemeConfig(dt=dt, scheme="split_semilagrangian"))
         q = dt * 0.5 * (state.theta + out.theta)
         np.testing.assert_allclose(out.eta[:, 1:], state.eta[:, :-1] + q[:, None],
                                    rtol=0, atol=1e-14)
@@ -96,7 +96,7 @@ class TestStep:
             state = default_initial_state(asm)
             prev = hnorm(asm, state.flatten())
             for _ in range(5):
-                state = mb.step(state, mb.SchemeConfig(dt=dt, scheme=scheme))
+                state = step(state, mb.SchemeConfig(dt=dt, scheme=scheme))
                 cur = hnorm(asm, state.flatten())
                 assert cur <= prev * (1.0 + 1e-10)
                 prev = cur
@@ -109,8 +109,8 @@ class TestStep:
         s2 = mb.State.unflatten(rng.standard_normal(asm.dim), asm)
         a, b = 2.5, -1.25
         combo = mb.State.unflatten(a * s1.flatten() + b * s2.flatten(), asm)
-        lhs = mb.step(combo, cfg).flatten()
-        rhs = a * mb.step(s1, cfg).flatten() + b * mb.step(s2, cfg).flatten()
+        lhs = step(combo, cfg).flatten()
+        rhs = a * step(s1, cfg).flatten() + b * step(s2, cfg).flatten()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_beta_zero_mechanical_decoupling(self):
@@ -125,8 +125,8 @@ class TestStep:
         sa = mb.build_initial_state(base, asm)
         sb = mb.build_initial_state(hot, asm)
         for _ in range(10):
-            sa = mb.step(sa, cfg)
-            sb = mb.step(sb, cfg)
+            sa = step(sa, cfg)
+            sb = step(sb, cfg)
         np.testing.assert_allclose(sa.u, sb.u, rtol=0, atol=1e-13)
         np.testing.assert_allclose(sa.v, sb.v, rtol=0, atol=1e-13)
 
@@ -252,7 +252,8 @@ class TestSimulate:
         assert "refresh drift" in lines[0]
 
     def test_split_factorizes_once_across_steps(self, monkeypatch):
-        # the LU of the mechanical block lives in the cached runner
+        # one factorization of the mechanical block per simulate call,
+        # made when its run starts
         calls = []
         real = stepper.splu
 
@@ -262,17 +263,16 @@ class TestSimulate:
 
         monkeypatch.setattr(stepper, "splu", counting)
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        state = default_initial_state(asm)
-        for _ in range(20):
-            state = mb.step(state, mb.SchemeConfig(dt=0.05))
+        mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 20 * 0.05)
         assert calls == [(15, 15)]
 
     @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
     def test_simulate_leaves_no_runner_cached(self, scheme):
-        # a midpoint runner's tables would outlive the run in the cache
+        # a midpoint run's tables would outlive it in the assembly's cache;
+        # the cache holds only the mechanical block
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme), 0.5)
-        assert not [key for key in asm._cache if key[0] == "runner"]
+        assert list(asm._cache) == ["B"]
 
     def test_split_never_assembles_generator(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
@@ -282,7 +282,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
     def test_assembly_freed_without_cycle_collector(self, scheme):
-        # The cached runner must not point back at its assembly: a cycle
+        # Nothing a run leaves behind may form a cycle with the assembly: it
         # would keep A_h and its LU alive until the collector happens to run.
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme),
@@ -363,8 +363,7 @@ class TestRunningHistorySums:
         asm = make_assembly(Nx=nx, ds=dt, Ns=ns, kernel=kernel)
         mcfg = mb.choose_multipliers_for(asm)
         cfg = mb.SchemeConfig(dt=dt)
-        run = stepper._get_runner(asm, cfg).run(
-            State.unflatten(rng.standard_normal(asm.dim), asm))
+        run = stepper._start(State.unflatten(rng.standard_normal(asm.dim), asm), cfg)
         for _ in range(40):
             run.advance()
             _assert_records_close(an.diagnostics_record(run, mcfg),
@@ -373,11 +372,10 @@ class TestRunningHistorySums:
     def test_recenter_measures_and_replaces_running_sums(self):
         asm = make_assembly(Nx=6, ds=0.05, Ns=12,
                             kernel=mb.MemoryKernel.prony([1.0, 0.5], [1.0, 4.0]))
-        run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05)).run(
-            default_initial_state(asm))
+        run = stepper._start(default_initial_state(asm), mb.SchemeConfig(dt=0.05))
         for _ in range(7):
             run.advance()
-        run._x[:run.runner.modes] *= 1.0 + 1e-6
+        run._x[:run.modes] *= 1.0 + 1e-6
         run._recenter()
         assert run.max_drift == pytest.approx(1e-6, rel=1e-3)
         full = an.history_sums(run.to_state().eta, asm)
@@ -388,8 +386,7 @@ class TestRunningHistorySums:
 def test_nan_running_sum_is_a_nan_drift(scheme):
     # the drift check must fail on a NaN, so the drift may not drop it
     asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-    run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme=scheme)).run(
-        default_initial_state(asm))
+    run = stepper._start(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme))
     for _ in range(3):
         run.advance()
     (run._x[0] if scheme == "split_semilagrangian" else run._m_w)[2] = np.nan
@@ -412,12 +409,11 @@ def _parent_table_trajectory(state, cfg, n_steps):
     """Reference table-kernel split step: gather the ring into s order for
     the shifted sum, and recompute sigma from the whole ring every step."""
     asm = state.assembly
-    runner = stepper._get_runner(asm, cfg)
     mg = asm.memory_grid
     nx, ns, dt = asm.Nx, asm.Ns, cfg.dt
     wmu = mg.weights * mg.mu
     mu0w = float(np.sum(wmu))
-    lu = splu(runner.M)
+    lu = splu(stepper._start(state, cfg).M)
     u, v, th = state.u.copy(), state.v.copy(), state.theta.copy()
     zeta, head, C = state.eta.copy(), 0, np.zeros(nx)
     sigma = zeta @ wmu
@@ -453,10 +449,10 @@ class TestTableKernelRing:
     def test_blocked_shifted_sum_matches_rolled_product(self, ns):
         dt = 0.05
         asm = make_assembly(Nx=6, ds=dt, Ns=ns, kernel=_table_kernel())
-        run = stepper._get_runner(asm, mb.SchemeConfig(dt=dt)).run(default_initial_state(asm))
+        run = stepper._start(default_initial_state(asm), mb.SchemeConfig(dt=dt))
         for _ in range(3 * ns + 2 * discretization.SHIFT_BLOCK + 1):
-            weights = np.roll(run.runner.wshift, run.head)
-            e_1 = run._x[run.runner.modes, 1:-1]
+            weights = np.roll(run.wshift, run.head)
+            e_1 = run._x[run.modes, 1:-1]
             terms = np.abs(run.zeta) @ np.abs(weights)
             assert np.all(np.abs(e_1 - run.zeta @ weights) <= 1e-14 * terms)
             run.advance()
@@ -482,7 +478,7 @@ class TestTableKernelRing:
         asm = make_assembly(Nx=6, ds=dt, Ns=40, kernel=kernel)
         state = default_initial_state(asm)
         cfg = mb.SchemeConfig(dt=dt)
-        run = stepper._get_runner(asm, cfg).run(state)
+        run = stepper._start(state, cfg)
         for _ in range(200):
             run.advance()
             full = an.history_sums(run.to_state().eta, asm)
@@ -498,7 +494,7 @@ class TestTableKernelRing:
                 <= 1e-12 * scale / asm.memory_grid.ds
         assert recentred
         # re-centring leaves the trajectory as it was, up to rounding
-        unsampled = stepper._get_runner(asm, cfg).run(state)
+        unsampled = stepper._start(state, cfg)
         for _ in range(200):
             unsampled.advance()
         ref = unsampled.to_state().flatten()
@@ -526,7 +522,7 @@ def test_table_kernel_step_matches_gather_reference():
     asm = make_assembly(Nx=6, ds=dt, Ns=40, kernel=kernel)
     state = default_initial_state(asm)
     cfg = mb.SchemeConfig(dt=dt)
-    run = stepper._get_runner(asm, cfg).run(state)
+    run = stepper._start(state, cfg)
     ref = None
     for ref in _parent_table_trajectory(state, cfg, 500):
         run.advance()
@@ -545,7 +541,7 @@ def _parent_prony_trajectory(state, cfg, n_steps):
     nx, ns, dt = asm.Nx, asm.Ns, cfg.dt
     wmu = mg.weights * mg.mu
     mu0w = float(np.sum(wmu))
-    lu = splu(stepper._get_runner(asm, cfg).M)
+    lu = splu(stepper._start(state, cfg).M)
     decay = np.exp(-kern.rates * mg.ds)
     mode_mu = kern.amplitudes[None, :] * np.exp(-np.multiply.outer(mg.s_nodes, kern.rates))
     u, v, th = state.u.copy(), state.v.copy(), state.theta.copy()
@@ -582,14 +578,14 @@ class TestFusedPronyStep:
         for _ in range(20):
             state = State.unflatten(rng.standard_normal(asm.dim), asm)
             ref = next(_parent_prony_trajectory(state, cfg, 1)).flatten()
-            diff = mb.step(state, cfg).flatten() - ref
+            diff = step(state, cfg).flatten() - ref
             assert hnorm(asm, diff) <= 1e-10 * hnorm(asm, ref)
 
     def test_energy_of_every_step(self):
         asm = make_assembly(Nx=6, ds=0.01, Ns=50, kernel=self.KERNEL)
         state = default_initial_state(asm)
         cfg = mb.SchemeConfig(dt=0.01)
-        run = stepper._get_runner(asm, cfg).run(state)
+        run = stepper._start(state, cfg)
         E0 = mb.energy(state)
         for ref in _parent_prony_trajectory(state, cfg, 2000):
             run.advance()
@@ -721,12 +717,18 @@ class TestBandedLU:
             np.testing.assert_array_equal(lu.solve_checked(b[lu.order]),
                                           lu.solve(b)[lu.order])
 
-    def test_corrupted_factor_aborts_the_run(self):
-        # simulate uses a cached runner, so its factor can be reached
+    def test_corrupted_factor_aborts_the_run(self, monkeypatch):
+        # the run simulate starts gets one entry of U's diagonal off
+        real = stepper._start
+
+        def corrupted(state, cfg):
+            run = real(state, cfg)
+            run.lu._lu[run.lu.kl + run.lu.ku, 7] *= 1.0 + 1e-6
+            return run
+
+        monkeypatch.setattr(stepper, "_start", corrupted)
         asm = make_assembly(Nx=6, ds=0.05, Ns=8)
         cfg = mb.SchemeConfig(dt=0.05)
-        lu = stepper._get_runner(asm, cfg).lu
-        lu._lu[lu.kl + lu.ku, 7] *= 1.0 + 1e-6        # one entry of U's diagonal
         with pytest.raises(SimulationAborted) as err:
             mb.simulate(default_initial_state(asm), cfg, 0.5)
         assert err.value.step_index == 1
@@ -751,7 +753,7 @@ class TestBatchedRecords:
         mcfg = mb.choose_multipliers_for(asm)
         state = default_initial_state(asm)
         res = mb.simulate(state, cfg, 300 * dt, sample_every=2, mcfg=mcfg)
-        run = stepper._get_runner(asm, cfg).run(state)
+        run = stepper._start(state, cfg)
         refs = [an.diagnostics_record(state, mcfg)]
         for k in range(1, 301):
             run.advance()
@@ -825,9 +827,8 @@ def _assembled_cayley_trajectory(state, dt, n_steps):
         yield k * dt, phi
 
 
-def _midpoint_run(asm, dt, state):
-    return stepper._get_runner(asm, mb.SchemeConfig(dt=dt, scheme="full_implicit_midpoint")
-                               ).run(state)
+def _midpoint_run(dt, state):
+    return stepper._start(state, mb.SchemeConfig(dt=dt, scheme="full_implicit_midpoint"))
 
 
 class TestMidpointStep:
@@ -838,7 +839,7 @@ class TestMidpointStep:
             asm = make_assembly(Nx=8, ds=0.05, Ns=ns, kernel=kernel,
                                 p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
             state = default_initial_state(asm)
-            run = _midpoint_run(asm, 0.2, state)
+            run = _midpoint_run(0.2, state)
             for t, ref in _assembled_cayley_trajectory(state, 0.2, 200):
                 run.advance()
                 assert run.t == pytest.approx(t, rel=1e-12)
@@ -846,7 +847,7 @@ class TestMidpointStep:
 
     def test_state_is_not_a_view_of_the_run(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        run = _midpoint_run(asm, 0.1, default_initial_state(asm))
+        run = _midpoint_run(0.1, default_initial_state(asm))
         run.advance()
         state = run.to_state()
         fields = [f.copy() for f in (state.u, state.v, state.theta, state.eta)]
@@ -877,8 +878,7 @@ class TestMidpointStep:
         ("split_semilagrangian", "theta"), ("split_semilagrangian", "u")])
     def test_non_finite_value_fails_the_residual_check(self, scheme, field):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
-        run = stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme=scheme)).run(
-            default_initial_state(asm))
+        run = stepper._start(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme))
         for _ in range(2):
             run.advance()
         getattr(run, field)[(2,) * getattr(run, field).ndim] = np.nan
@@ -901,7 +901,7 @@ def _banded_cayley_trajectory(state, dt, n_steps):
 
 class TestFourierMidpointRun:
     """The midpoint run steps its history a block of steps at a time on the
-    rfft of a padded s-grid and re-projects it every runner.period steps."""
+    rfft of a padded s-grid and re-projects it every run.period steps."""
 
     @pytest.mark.parametrize("ns", [1, 30])
     @pytest.mark.parametrize("q", [0.5, 2.0])
@@ -916,8 +916,8 @@ class TestFourierMidpointRun:
                             p=np.linspace(0.8, 1.4, 8), g=np.linspace(1.5, 0.5, 8))
         state = default_initial_state(asm)
         dt = 2.0 * q * ds
-        run = _midpoint_run(asm, dt, state)
-        n3, n_steps = 3 * asm.Nx, 2 * run.runner.period + 3
+        run = _midpoint_run(dt, state)
+        n3, n_steps = 3 * asm.Nx, 2 * run.period + 3
         banded = _banded_cayley_trajectory(state, dt, n_steps)
         for k, ((t, ref), (_, ref_banded)) in enumerate(
                 zip(_assembled_cayley_trajectory(state, dt, n_steps), banded), start=1):
@@ -946,9 +946,9 @@ class TestFourierMidpointRun:
                                 lambda q, ns: (real(q, ns)[0], period, real(q, ns)[2]))
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         state = default_initial_state(asm)
-        run = _midpoint_run(asm, 0.05, state)
-        assert run.runner.block == 5 and run.runner.period > 10
-        n_steps = 2 * run.runner.period + 4
+        run = _midpoint_run(0.05, state)
+        assert run.block == 5 and run.period > 10
+        n_steps = 2 * run.period + 4
         for _, ref in _banded_cayley_trajectory(state, 0.05, n_steps):
             run.advance()
             got = run.to_state().flatten()
@@ -975,25 +975,33 @@ class TestFourierMidpointRun:
 
     @pytest.mark.parametrize("name,how", [("powers", "frequency"), ("powers", "rows"),
                                           ("ell_powers", "all")])
-    def test_corrupted_table_aborts_the_run(self, name, how):
+    def test_corrupted_table_aborts_the_run(self, monkeypatch, name, how):
         # one frequency off in every power spreads the history over the
         # whole grid (the tail check fires first); powers off by a different
         # factor in each row, or l-powers scaled throughout, keep it in
-        # place, and only the history rows of the residual see them
+        # place, and only the history rows of the residual see them.  The
+        # tables are corrupted after the run's setup has checked them.
+        real = stepper._start
+
+        def corrupted(state, cfg):
+            run = real(state, cfg)
+            table = getattr(run, name)
+            if how == "frequency":
+                table[:, 3] *= 1.0 + 1e-6
+            elif how == "rows":
+                table *= (1.0 + 1e-6 * np.arange(1, len(table) + 1))[:, None]
+            else:
+                table *= 1.0 + 1e-6
+            return run
+
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
-        runner = stepper._get_runner(asm, cfg)
-        table = getattr(runner, name)
-        if how == "frequency":
-            table[:, 3] *= 1.0 + 1e-6
-        elif how == "rows":
-            table *= (1.0 + 1e-6 * np.arange(1, len(table) + 1))[:, None]
-        else:
-            table *= 1.0 + 1e-6
         state = default_initial_state(asm)
+        period = real(state, cfg).period
+        monkeypatch.setattr(stepper, "_start", corrupted)
         # caught at the first re-projection, and by the check after the
         # last step of a shorter run
-        for n_steps, index in ((runner.period + 5, runner.period), (3, 3)):
+        for n_steps, index in ((period + 5, period), (3, 3)):
             with pytest.raises(SimulationAborted) as err:
                 mb.simulate(state, cfg, n_steps * cfg.dt)
             assert err.value.step_index == index
@@ -1002,14 +1010,22 @@ class TestFourierMidpointRun:
                 assert str(err.value.__cause__).startswith("residual")
 
     @pytest.mark.parametrize("name", ["proj", "c"])
-    def test_corrupted_history_sum_table_shows_as_drift(self, name):
+    def test_corrupted_history_sum_table_shows_as_drift(self, monkeypatch, name):
         # the steps carry wmu . eta as they read it, so every residual
         # holds; the materialized history at a re-projection does not agree
+        real = stepper._start
+
+        def corrupted(state, cfg):
+            run = real(state, cfg)
+            getattr(run, name)[...] *= 1.0 + 1e-5
+            return run
+
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
-        runner = stepper._get_runner(asm, cfg)
-        getattr(runner, name)[...] *= 1.0 + 1e-5
-        res = mb.simulate(default_initial_state(asm), cfg, (2 * runner.period + 1) * cfg.dt)
+        state = default_initial_state(asm)
+        period = real(state, cfg).period
+        monkeypatch.setattr(stepper, "_start", corrupted)
+        res = mb.simulate(state, cfg, (2 * period + 1) * cfg.dt)
         assert res.refresh_drift > 1e-9
 
     def test_symbols_checked_against_the_banded_solve(self, monkeypatch):
@@ -1017,7 +1033,8 @@ class TestFourierMidpointRun:
         monkeypatch.setattr(stepper, "_fourier_grid", lambda q, ns: (ns + 2, 10, 1))
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         with pytest.raises(LinearSolveFailure, match="residual"):
-            stepper._get_runner(asm, mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
+            stepper._start(default_initial_state(asm),
+                           mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
 
     def test_short_pad_is_caught_by_the_tail_check(self, monkeypatch):
         # the history moves one node a step at q = 1/2: 40 pad nodes do not
@@ -1028,12 +1045,12 @@ class TestFourierMidpointRun:
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
         monkeypatch.setattr(stepper, "_fourier_grid",
                             lambda q, ns: (ns + 40, 200, real(q, ns)[2]))
+        state = default_initial_state(asm)
         with pytest.raises(LinearSolveFailure, match="residual"):
-            stepper._get_runner(asm, cfg)
+            stepper._start(state, cfg)
         monkeypatch.setattr(stepper, "_fourier_grid",
                             lambda q, ns: (ns + 80, 200, real(q, ns)[2]))
-        state = default_initial_state(asm)
-        assert stepper._get_runner(asm, cfg).block == 32
+        assert stepper._start(state, cfg).block == 32
         for n_steps, index in ((250, 200), (150, 150)):
             with pytest.raises(SimulationAborted) as err:
                 mb.simulate(state, cfg, n_steps * cfg.dt, sample_every=50)
@@ -1044,8 +1061,9 @@ class TestFourierMidpointRun:
     def test_simulate_reports_the_drift_of_the_carried_sum(self):
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
-        period = stepper._get_runner(asm, cfg).period
-        res = mb.simulate(default_initial_state(asm), cfg, (2 * period + 1) * cfg.dt)
+        state = default_initial_state(asm)
+        period = stepper._start(state, cfg).period
+        res = mb.simulate(state, cfg, (2 * period + 1) * cfg.dt)
         assert 0.0 < res.refresh_drift <= 1e-11
 
     def test_last_reprojection_is_not_repeated(self, caplog):
@@ -1053,23 +1071,22 @@ class TestFourierMidpointRun:
         # it has no step left to check
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         cfg = mb.SchemeConfig(dt=0.1, scheme="full_implicit_midpoint")
-        runner = stepper._get_runner(asm, cfg)
-        run = runner.run(default_initial_state(asm))
-        for _ in range(runner.period):
+        run = stepper._start(default_initial_state(asm), cfg)
+        for _ in range(run.period):
             run.advance()
         assert run.reprojections == 1
         run.finish()
         assert run.reprojections == 1
         with caplog.at_level(logging.INFO, logger="membeam.stepper"):
-            mb.simulate(default_initial_state(asm), cfg, 2 * runner.period * cfg.dt)
+            mb.simulate(default_initial_state(asm), cfg, 2 * run.period * cfg.dt)
         line, = [r.getMessage() for r in caplog.records if r.name == "membeam.stepper"]
-        assert (f"padded s-grid P = {runner.size}, K = {runner.period}, k = {runner.block}, "
+        assert (f"padded s-grid P = {run.size}, K = {run.period}, k = {run.block}, "
                 "2 re-projections") in line
 
     def test_memory_guard_counts_the_block_tables(self, monkeypatch):
-        # q = 100: a padded grid of 340 times Ns, on which the runner's
-        # tables outweigh the history; what the runner and a run allocate
-        # stays within what the guard counts for them
+        # q = 100: a padded grid of 340 times Ns, on which the run's
+        # tables outweigh the history; what a run allocates stays within
+        # what the guard counts for it
         asm = make_assembly(Nx=5, ds=0.05, Ns=64)
         cfg = mb.SchemeConfig(dt=10.0, scheme="full_implicit_midpoint")
         size, period, _ = stepper._fourier_grid(100.0, 64)
@@ -1084,7 +1101,7 @@ class TestFourierMidpointRun:
         state = default_initial_state(asm)
         tracemalloc.start()
         try:
-            run = stepper._get_runner(asm, cfg).run(state)
+            run = stepper._start(state, cfg)
             for _ in range(period + 3):
                 run.advance()
             run.to_state()
@@ -1098,9 +1115,10 @@ class TestFourierMidpointRun:
     def test_oversized_padded_grid_refused_before_allocation(self, monkeypatch):
         # q = 1e4, Ns = 10 pads the s-grid to millions of nodes; with
         # physical memory 1.5 times what the history copies alone need, the
-        # block tables do not fit, and the runner is refused before anything
+        # block tables do not fit, and the run is refused before anything
         # of the grid's length is built
         asm = make_assembly(Nx=5, ds=0.05, Ns=10)
+        state = default_initial_state(asm)
         cfg = mb.SchemeConfig(dt=1000.0, scheme="full_implicit_midpoint")
         size = stepper._fourier_grid(1e4, 10)[0]
         history = 8.0 * size * (discretization._HISTORY_COPIES * 5 + discretization.SHIFT_BLOCK)
@@ -1110,7 +1128,7 @@ class TestFourierMidpointRun:
         tracemalloc.start()
         try:
             with pytest.raises(DimensionTooLarge, match="needs about"):
-                stepper._get_runner(asm, cfg)
+                stepper._start(state, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1119,7 +1137,7 @@ class TestFourierMidpointRun:
 
 def _long_assembly(form):
     """Nx = 64, Ns = 16384 at ds = 1e-3: an 8 MiB history, against which
-    the runners' own arrays are small."""
+    the runs' own tables are small."""
     kernel = None
     if form == "table":
         s = np.linspace(0.0, 20.0, 2001)
@@ -1139,11 +1157,13 @@ class TestHistoryMemory:
         asm = _long_assembly(form)
         state, cfg = default_initial_state(asm), mb.SchemeConfig(dt=1e-3)
         assert peak_history_copies(lambda: mb.simulate(state, cfg, 5e-3), asm) < 2.0
-        assert peak_history_copies(lambda: mb.step(state, cfg), asm) < 2.0
+        assert peak_history_copies(lambda: step(state, cfg), asm) < 2.0
 
     def test_midpoint_run_fits_its_memory_guard(self, monkeypatch):
-        # the runner's allowance: _HISTORY_COPIES (Nx, P + 2) arrays and
-        # 3k + 16 columns of length P + 2
+        # the run's allowance: _HISTORY_COPIES (Nx, P + 2) arrays and
+        # 3k + 16 columns of length P + 2; the re-projection after the last
+        # step holds one (Nx, Ns) residual buffer and writes the new block's
+        # spectrum over the old one, so the peak stays below 8.5 histories
         asm = _long_assembly("prony")
         cfg = mb.SchemeConfig(dt=1e-3, scheme="full_implicit_midpoint")
         allowed = []
@@ -1158,6 +1178,7 @@ class TestHistoryMemory:
         peak = peak_history_copies(lambda: mb.simulate(state, cfg, 5e-3), asm)
         assert len(allowed) == 1
         assert peak <= allowed[0] / (asm.Nx * asm.Ns)
+        assert peak <= 8.5
 
     @pytest.mark.parametrize("steps", [7, 40])
     @pytest.mark.parametrize("form", ["prony", "table"])
@@ -1248,5 +1269,5 @@ def test_split_contraction_property(dt, seed):
     asm = make_assembly(Nx=5, ds=dt, Ns=6)
     phi = np.random.default_rng(seed).standard_normal(asm.dim)
     state = mb.State.unflatten(phi, asm)
-    out = mb.step(state, mb.SchemeConfig(dt=dt, scheme="split_semilagrangian"))
+    out = step(state, mb.SchemeConfig(dt=dt, scheme="split_semilagrangian"))
     assert hnorm(asm, out.flatten()) <= hnorm(asm, phi) * (1.0 + 1e-10)
