@@ -5,7 +5,7 @@ Subcommands:
     simulate <cfg>                  run the configured simulation; write CSV + report
     spectrum <cfg>                  eigenvalues (re, im) sorted by real part + abscissa
     oracle-check <cfg>              dt-halving error table against exp(t A_h)
-    sweep <cfg> --param P --values  one simulate + fit per value, concurrent
+    sweep <cfg> --param P --values  one simulate + fit per value, in turn
 
 Exit codes: 0 pass, 1 validation/certification failure or internal error
 (a built-in, numpy or scipy exception; an exception class a caller defines
@@ -20,7 +20,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -254,8 +253,8 @@ def cmd_oracle_check(args) -> int:
 # sweep
 
 
-def _sweep_worker(payload):
-    cfg, name, value = payload
+def _sweep_row(cfg, name, value) -> dict:
+    """The sweep CSV row of cfg with name set to value."""
     swept = with_parameter(cfg, name, value)
     setup = build_setup(swept)
     result = _run_simulation(setup)
@@ -275,13 +274,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep values must be numbers: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    payloads = [(cfg, args.param, v) for v in values]
-    rows = []
-    if args.serial or len(values) == 1:
-        rows = [_sweep_worker(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=min(len(values), os.cpu_count() or 1)) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+    rows = [_sweep_row(cfg, args.param, v) for v in values]
 
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_sweep.csv"
     with open(csv_path, "w") as fh:
@@ -320,7 +313,8 @@ def make_parser() -> argparse.ArgumentParser:
     add("sweep", cmd_sweep,
         **{"--param": dict(required=True, help="parameter to sweep, e.g. beta"),
            "--values": dict(required=True, help="comma/space separated values"),
-           "--serial": dict(action="store_true", help="disable concurrency")})
+           "--serial": dict(action="store_true", help="ignored: sweeps always run serially; "
+                            "kept until bench/workloads.py, which passes it, next changes")})
     return parser
 
 

@@ -24,28 +24,23 @@ split_semilagrangian
 
 Cost of one step and of one diagnostics sample (medians of repeated
 calls at Nx = 64, dt = 1e-3 on a 2-core x86 machine; a sample is taken
-in the stepping loop and evaluated with 63 others in one pass):
+in the stepping loop and evaluated with 63 others in one pass).  Every
+step of either scheme is one product with the Cayley operator R
+(_step_operator) and one banded 3Nx solve with its residual check:
 
-    scheme / kernel        step                         sample
-    split, Prony (m modes) O(Nx m) + the banded 3Nx     one O(Ns) pass over the
-                           solve and its residual,      ring and O(Nx m),
-                           ~0.05 ms, Ns = 18422         ~0.08 ms
-    split, table           one O(Nx Ns B) GEMM every    one O(Nx Ns) product
-                           B = 16 steps + the banded    and one O(Ns) pass over
-                           3Nx solve and its residual,  the ring, ~0.35 ms
-                           ~0.13 ms, Ns = 15612
-    midpoint               an O(Nx k) history sum and   the spectrum formed
-                           the banded 3Nx solve; once   from the block, one
-                           a block of k = 32 steps, one irfft of it and
-                           elementwise product and two  O(Nx Ns), ~23 ms
-                           products with (k, P + 2)     (1.2 ms at Nx = 32,
-                           tables on the (Nx, P/2 + 1)  Ns = 1843)
-                           spectrum; an irfft/rfft
-                           pair every K steps;
-                           ~0.4 ms, Ns = 18422
-                           (P = 20000, K = 1184;
-                           0.11 ms at Nx = 32,
-                           Ns = 1843)
+    split, Prony (m modes), Ns = 18422
+        step O(Nx m), ~0.05 ms; sample one O(Ns) pass over the ring and
+        O(Nx m), ~0.08 ms
+    split, table, Ns = 15612
+        step one O(Nx Ns B) GEMM every B = 16 steps, ~0.13 ms; sample one
+        O(Nx Ns) product and one O(Ns) pass over the ring, ~0.35 ms
+    midpoint, Ns = 18422 (P = 20000, K = 1184)
+        step an O(Nx k) history sum (~0.03 ms); once a block of k = 32
+        steps one elementwise product and two products with (k, P + 2)
+        tables on the (Nx, P/2 + 1) spectrum, and an irfft/rfft pair
+        every K steps: ~0.3 ms a step in all; sample the spectrum formed
+        from the block, one irfft of it and O(Nx Ns), ~14 ms.  At
+        Nx = 32, Ns = 1843 (P = 2250, K = 224): ~0.05 ms and ~0.8 ms
 
 What a simulate call holds at its peak on top of the caller's state, in
 (Nx, Ns) float64 histories (tracemalloc, same sizes):
@@ -259,6 +254,21 @@ def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
     return M, splu(M)
 
 
+def _step_operator(M: sp.spmatrix, lu: _BandedLU, lap: sp.spmatrix, tau: float) -> sp.csr_matrix:
+    """R = [2I - M | tau [theta] lap], the right-hand side of the Cayley
+    step of the (u, v, theta) block in both schemes, for the block
+    M = I - tau B - tau^2 gain [theta theta] lap of _mechanical_lu and its
+    LU.  R reads the padded rows (u, v, theta, a), each with a zero (the
+    Dirichlet value) at both ends, as one vector; a is the history sum of
+    the step's flux known before the solve.  Its rows are in the LU's node
+    order, in which lu.solve_checked takes them."""
+    nx = lap.shape[0]
+    flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), tau * lap])
+    inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
+    return (sp.hstack([2.0 * sp.identity(3 * nx) - M, flux])
+            @ sp.kron(sp.identity(4), inner)).tocsr()[lu.order]
+
+
 class SchurSolver:
     """Solves (I - tau A_h) x = r and its transpose by eliminating the
     history block exactly; only a 3Nx matrix is factorized.
@@ -284,7 +294,7 @@ class SchurSolver:
     the same LU and L^T, a recurrence run from s_Ns down.  solve and
     solve_transposed take inputs of any layout, leave them untouched and
     return new arrays.  resolvent_check solves through this class; the
-    midpoint run takes its LU, kappa, apply_w and apply_eta, and checks its
+    midpoint run takes its M, LU, kappa and apply_eta, and checks its
     history step against the banded solve.
     """
 
@@ -295,7 +305,6 @@ class SchurSolver:
         self.q = tau / mg.ds
         self.c = 1.0 / (1.0 + self.q)
         self.wmu = mg.wmu
-        self.B = assembly.mechanical_block
         self.lap = assembly.ops.lap
         # L / (1 + q) in LAPACK's lower band storage: the unit diagonal
         # (not read with diag="U") over the subdiagonal
@@ -303,7 +312,7 @@ class SchurSolver:
                                         np.full(self.ns, -self.q / (1.0 + self.q))])
         self.g = self._recurrence(self.c * self.wmu[None, :], transposed=True)[0]
         self.kappa = float(np.sum(self.g))
-        _, self.lu = _mechanical_lu(self.B, self.lap, tau, self.kappa)
+        self.M, self.lu = _mechanical_lu(assembly.mechanical_block, self.lap, tau, self.kappa)
 
     def _recurrence(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
         """L^{-1} (1 + q) z along s, or L^{-T} (1 + q) z, written over the
@@ -319,13 +328,6 @@ class SchurSolver:
         """The history rows L eta - tau theta 1 of (I - tau A_h)(w, eta)."""
         out = (1.0 + self.q) * eta - self.tau * theta[:, None]
         out[:, 1:] -= self.q * eta[:, :-1]
-        return out
-
-    def apply_w(self, w: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """The (u, v, theta) rows of (I - tau A_h)(w, eta), given the one
-        history sum they read, m = wmu . eta."""
-        out = w - self.tau * (self.B @ w)
-        out[2 * self.nx:] -= self.tau * (self.lap @ m)
         return out
 
     def solve(self, r_w: np.ndarray, r_eta: np.ndarray):
@@ -456,20 +458,19 @@ class _MidpointRun:
     so OpenBLAS keeps each on one thread.  The tables are checked when
     the run is built (_check_block).
 
-    The run holds (u, v, theta) as one 3Nx vector w and the history as a
+    The run holds (u, v, theta) as w, a view of the padded rows
+    (u, v, theta, a) that R (_step_operator) reads, and the history as a
     block: the spectrum eta_0 at the block start on the padded s-grid,
     (Nx, P/2 + 1), its projections a, (Nx, k), and the block's sources
-    beta, (k, Nx).  A step solves M Phi^{n+1} = P Phi^n.  It reads
-    wmu . G eta from the block (O(Nx k)), solves the 3Nx Schur complement
-    of SchurSolver for w' and keeps beta = tau (theta + theta') as the
-    block's next source.  m = wmu . eta' is carried as
-    wmu . G eta + kappa beta inside M w', the rows
-    (I - tau B) w' - tau [theta] lap m, which give the next step's
-    P w' = 2w' - M w'.  The (u, v, theta) rows of M Phi^{n+1} - P Phi^n are
-    checked every step.  The spectrum is formed (_block_spectrum: one
-    elementwise product and one product with the l-powers) only where it
-    is needed: by the step after a full block, which starts the next block
-    from it, by eta (a sample or to_state), and at a re-projection.
+    beta, (k, Nx).  Eliminating the history from M Phi^{n+1} = P Phi^n
+    leaves M w' = R (w, m + wmu . G eta) with m = wmu . eta, carried as
+    m' = wmu . G eta + kappa beta: a step reads wmu . G eta from the block
+    (O(Nx k)), takes w' from one checked banded solve (lu.solve_checked)
+    and keeps beta = tau (theta + theta') as the block's next source.  The
+    spectrum is formed (_block_spectrum: one elementwise product and one
+    product with the l-powers) only where it is needed: by the step after
+    a full block, which starts the next block from it, for a sample or a
+    state, and at a re-projection.
 
     G is causal, so what moves into the pad never reaches the first Ns
     nodes, and zeroing the pad gives the truncated scheme again.  Every
@@ -478,16 +479,17 @@ class _MidpointRun:
     the last two steps, materializes them and checks, each against
     _LINEAR_SOLVER_TOL, the history rows of the last step's residual in
     s-space and that the pad's last reach nodes hold nothing of the
-    history (else it would wrap round); it records in max_drift how far
-    the next step's P w from the carried m is from P w with m = wmu . eta
-    of the materialized history, relative to its largest entry as a
-    residual is, zeroes the pad and starts a new block.  (The Parseval
+    history (else it would wrap round); it zeroes the pad, starts a new
+    block and records in max_drift how far the next step's right-hand side
+    from the carried m is from the one from m = wmu . eta of the
+    materialized history, relative to its largest entry.  (The Parseval
     products round relative to the whole padded history, which outlasts
-    wmu . eta: at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 1e-8 of itself
-    at t = 9, by 1e-16 of the history and by 1e-12 of P w.)  finish does
-    nothing when no step was taken since the last re-projection.  A step
-    that fails its residual check leaves t, w and the history as they
-    were; after a failed step or re-projection the run is spent.
+    wmu . eta: at Nx = 32, Ns = 1843, dt = 1e-2 m is off by 5e-9 of itself
+    at t = 9, by 1e-16 of the history and by 4e-14 of the right-hand
+    side.)  finish does nothing when no step was taken since the last
+    re-projection.  A step that fails its residual check leaves t, w and
+    the history as they were; after a failed step or re-projection the run
+    is spent.
     """
 
     def __init__(self, state: State, cfg: SchemeConfig):
@@ -511,12 +513,17 @@ class _MidpointRun:
         for i, power in enumerate(self.powers):
             self.proj[:, i] = (np.conj(power) * w_hat).view(float)
         self._check_block()
+        self.R = _step_operator(s.M, s.lu, s.lap, s.tau)
 
         _check_history_shape(state)
         self.assembly = state.assembly
         self.t = state.t
-        self.w = np.concatenate([state.u, state.v, state.theta])
-        self._m_w = s.apply_w(self.w, state.eta @ s.wmu)
+        # the padded rows (u, v, theta, a) that R reads; w views the first 3
+        self._rows = np.zeros((4, s.nx + 2))
+        self._rows[:3, 1:-1] = state.u, state.v, state.theta
+        self._wa = self._rows.reshape(-1)
+        self.w = self._rows[:3, 1:-1]
+        self._m = state.eta @ s.wmu                 # wmu . eta, carried
         self._beta = np.empty((k, state.assembly.Nx))
         self._begin_block(np.fft.rfft(state.eta, n=self.size))
         self._work = np.empty_like(self._eta_0)        # a spectrum formed mid-block
@@ -597,32 +604,27 @@ class _MidpointRun:
         return self._block_spectrum(self._eta_0, self._beta, i, self._work)
 
     def advance(self):
-        s = self.solver
+        s, rows = self.solver, self._rows
         if self._i == self.block:
             self._begin_block(self._block_spectrum(self._eta_0, self._beta, self._i,
                                                    out=self._eta_0))
-        th = slice(2 * s.nx, None)
         m_g = self._history_sum(self._a, self._beta, self._i)      # wmu . G eta
-        rhs_w = 2.0 * self.w - self._m_w
-        rhs = rhs_w.copy()
-        rhs[th] += s.tau * (s.lap @ (m_g + s.tau * s.kappa * self.w[th]))
-        w = s.lu.solve(rhs)
-        beta = s.tau * (self.w[th] + w[th])
-        m_w = s.apply_w(w, m_g + s.kappa * beta)            # wmu . eta' carried
-        res = m_w - rhs_w
-        _check_residual(res @ res, rhs_w @ rhs_w)
+        rows[3, 1:-1] = self._m + m_g
+        w = s.lu.solve_checked(self.R @ self._wa)            # node order
+        beta = s.tau * (self.w[2] + w[2::3])
         self._beta[self._i] = beta
         self._i += 1
-        self._theta_prev = self.w[th]
-        self.w, self._m_w = w, m_w
+        self._theta_prev = self.w[2].copy()
+        self.w[...] = w.reshape(-1, 3).T
+        self._m = m_g + s.kappa * beta                   # wmu . eta' carried
         self._steps += 1
         self.t += self.cfg.dt
         if self._steps % self.period == 0:
             self.finish()
 
     def finish(self):
-        """Re-project: check the last step taken in s-space, measure the
-        drift of the carried wmu . eta, zero the pad and start a block.
+        """Re-project: check the last step taken in s-space, zero the pad,
+        start a block and measure the drift of the carried wmu . eta.
 
         The history rows of the residual are M Phi' - P Phi = M Phi' +
         (M Phi - 2 Phi), one (Nx, Ns) buffer that takes the old history's
@@ -643,24 +645,36 @@ class _MidpointRun:
             raise LinearSolveFailure(
                 f"history at the end of the padded s-grid: {tail:.3e} exceeds "
                 f"{_LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
-        res += s.apply_eta(self.w[2 * s.nx:], new[:, :ns])
+        res += s.apply_eta(self.w[2], new[:, :ns])
         _check_residual(_sq_norm(res), rhs_sq)
-        p_w = 2.0 * self.w           # the next step's P w, carried and fresh
-        self.max_drift = _worst_drift(self.max_drift, p_w - self._m_w,
-                                      p_w - s.apply_w(self.w, new[:, :ns] @ s.wmu))
+        fresh = new[:, :ns] @ s.wmu
         new[:, ns:] = 0.0
         self._begin_block(np.fft.rfft(new, out=self._eta_0))
         self.reprojections += 1
+        # the next step's right-hand side from the carried and the fresh m
+        m_g = self._history_sum(self._a, self._beta, 0)
+        rhs = []
+        for m in (self._m, fresh):
+            self._rows[3, 1:-1] = m + m_g
+            rhs.append(self.R @ self._wa)
+        self.max_drift = _worst_drift(self.max_drift, *rhs)
 
     # the state: views of w and of the current history (one irfft an access)
-    u = property(lambda self: self.w.reshape(3, -1)[0])
-    v = property(lambda self: self.w.reshape(3, -1)[1])
-    theta = property(lambda self: self.w.reshape(3, -1)[2])
+    u = property(lambda self: self.w[0])
+    v = property(lambda self: self.w[1])
+    theta = property(lambda self: self.w[2])
     eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.size)[
         :, :self.assembly.Ns])
 
     def to_state(self) -> State:
-        return _snapshot(self, self.eta.copy())
+        """A snapshot whose history is the inverse FFT taken an eighth of
+        the rows at a time, so that it holds one history and a block."""
+        spectrum, ns = self._spectrum(self._i), self.assembly.Ns
+        eta = np.empty((len(spectrum), ns))
+        rows = max(1, len(spectrum) // 8)
+        for lo in range(0, len(spectrum), rows):
+            eta[lo:lo + rows] = np.fft.irfft(spectrum[lo:lo + rows], n=self.size)[:, :ns]
+        return _snapshot(self, eta)
 
     final_state = to_state          # the history is a new array either way
 
@@ -694,25 +708,21 @@ class _SplitRun:
 
     All of these are linear in the rows of x = [sigma_1 .. sigma_m, e_1,
     e_2, C], where e_1, e_2 are zeta_Ns, zeta_Ns-1 (Prony) or e_1 = sig'
-    (table), so each is one fixed row of coefficients: mode_map gives y
+    (table), so each is one fixed row of coefficients: mode_map gives a
     and sigma_1 .. sigma_m after the step; moment and upwind give m(eta^n)
     and (m(eta^n) - m_shift)/ds.
 
     The memory flux is evaluated at the average of the pre- and post-shift
-    histories, m_mid = y + (mu0w dt / 4) (theta^n + theta^{n+1}), with
-    y = (m(eta^n) + m_shift) / 2 known before the solve.  The theta^{n+1}
-    share sits in the block M, factorized once (lu); the rest of the
-    right-hand side P w + dt [theta] lap m_mid, with P = I + (dt/2) B, is
-    one operator R applied to [w; y],
-
-        R = [P + (mu0w dt^2 / 4) [theta theta] lap | dt [theta] lap]
-          = [2I - M | dt [theta] lap].
-
-    R's rows are in the node order of the banded LU (lu.order), so a
-    step's right-hand side, solve and residual check (lu.solve_checked)
-    make no permutation; M stays the sparse block in block order.  A step
-    is one product with mode_map, R [w; y], the banded solve with its
-    residual check and O(Nx m) updates in preallocated rows.
+    histories, m_mid = a/2 + (mu0w dt / 4) (theta^n + theta^{n+1}), with
+    a = m(eta^n) + m_shift known before the solve.  The theta^{n+1} share
+    sits in the block M = I - tau B - tau^2 mu0w [theta theta] lap,
+    tau = dt/2, factorized once (lu); the rest of the right-hand side
+    P w + dt [theta] lap m_mid, with P = I + tau B, is the Cayley step's
+    operator R = [2I - M | tau [theta] lap] (_step_operator, which the
+    midpoint run shares) applied to the rows (u, v, theta, a).  A step is
+    one product with mode_map, R (u, v, theta, a), the banded solve with
+    its residual check (lu.solve_checked, in R's node order) and O(Nx m)
+    updates in preallocated rows.
 
     The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
     once and then one O(Nx) entry per step.  Each entry is computed from
@@ -750,13 +760,7 @@ class _SplitRun:
         self.totals = np.array([mu0w, float(np.sum(mg.wmup))])
         self.wmus = np.tile([wmu, mg.wmup], 2)
         self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
-        flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), dt * lap])
-        # R reads [w; y] from rows that hold a zero (the Dirichlet value)
-        # at both ends, and skips those entries; its rows are in the node
-        # order of the banded solve
-        inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
-        self.R = (sp.hstack([2.0 * sp.identity(3 * nx) - self.M, flux])
-                  @ sp.kron(sp.identity(4), inner)).tocsr()[self.lu.order]
+        self.R = _step_operator(self.M, self.lu, lap, dt / 2.0)
 
         kern, ns = mg.kernel, mg.Ns
         self.prony = kern.form == "prony"
@@ -791,7 +795,7 @@ class _SplitRun:
         self.moment = np.concatenate([np.ones(m), [0.0, 0.0, mu0w]])
         shifted = shift.sum(axis=0) + (mu0w - wmu[0]) * e_c
         self.upwind = (self.moment - shifted) / mg.ds
-        self.mode_map = np.vstack([0.5 * (self.moment + shifted),
+        self.mode_map = np.vstack([self.moment + shifted,
                                    shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
 
         _check_history_shape(state)
@@ -802,7 +806,7 @@ class _SplitRun:
         # what mode_map makes; _x: the x of the class docstring.
         self._rows = np.zeros((m + 4, nx + 2))
         self._rows[:3, 1:-1] = state.u, state.v, state.theta
-        self._wy = self._rows[:4].reshape(-1)          # [w; y], a view
+        self._wa = self._rows[:4].reshape(-1)          # what R reads, a view
         self._x = np.zeros((m + 3, nx + 2))
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
@@ -927,7 +931,7 @@ class _SplitRun:
         rows, x, m = self._rows, self._x, self.modes
         nx, dt = self.nx, self.cfg.dt
         np.matmul(self.mode_map, x, out=rows[3:])
-        w_new = self.lu.solve_checked(self.R @ self._wy)  # checks M w_new - R [w; y]
+        w_new = self.lu.solve_checked(self.R @ self._wa)  # checks M w_new - R [w; a]
 
         c = x[m + 2]
         self.head = (self.head - 1) % self.zeta.shape[1]

@@ -12,9 +12,10 @@ import pytest
 import scipy.linalg as sla
 
 import membeam as mb
+from membeam import stepper
 from membeam.model import State
 
-from conftest import default_initial_state, make_assembly, step
+from conftest import default_initial_state, make_assembly
 
 
 @pytest.fixture
@@ -85,12 +86,13 @@ def test_criterion_2_energy_identity(report):
         init = mb.InitialData(u0=x**2 * (1 - x) ** 2, v0=np.zeros(16),
                               theta0=np.sin(np.pi * x))
         prev = mb.build_initial_state(init, asm)
-        cfg = mb.SchemeConfig(dt=dt, scheme="full_implicit_midpoint")
+        run = stepper._start(prev, mb.SchemeConfig(dt=dt, scheme="full_implicit_midpoint"))
         e_prev = mb.energy(prev)
         acc = 0.0
         n = int(round(0.5 / dt))
         for _ in range(n):
-            nxt = step(prev, cfg)
+            run.advance()
+            nxt = run.to_state()
             e_next = mb.energy(nxt)
             mid = State(t=0.0, u=0.5 * (prev.u + nxt.u), v=0.5 * (prev.v + nxt.v),
                         theta=0.5 * (prev.theta + nxt.theta),

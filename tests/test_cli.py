@@ -492,16 +492,6 @@ class TestSweepCommand:
         gamma = float(row.split(",")[1])
         assert gamma == pytest.approx(2.0, rel=0.05)
 
-    def test_concurrent_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        path = write_cfg(tmp_path, TINY_CFG.replace("sample_every = 2",
-                                                    "sample_every = 1"))
-        assert main(["sweep", str(path), "--param", "kappa",
-                     "--values", "0.4,0.6", "--serial", "--csv", "ser.csv"]) == 0
-        assert main(["sweep", str(path), "--param", "kappa",
-                     "--values", "0.4,0.6", "--csv", "par.csv"]) == 0
-        assert (tmp_path / "ser.csv").read_bytes() == (tmp_path / "par.csv").read_bytes()
-
 
 class TestExitCodes:
     def test_usage_error(self):
@@ -712,11 +702,13 @@ def _python(tmp_path, *argv, timeout):
 
 
 def _run_then_check(*modules):
-    """Python source: `membeam argv[1:]` must exit 0 without importing
-    any of modules."""
-    return ("import runpy, sys; sys.argv = ['membeam', *sys.argv[1:]];\n"
-            "try:\n    runpy.run_module('membeam', run_name='__main__')\n"
-            "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+    """Python source: `membeam argv[1:]` must exit 0 (with no arguments,
+    membeam.cli is only imported) without importing any of modules."""
+    return ("import runpy, sys, membeam.cli\n"
+            "if sys.argv[1:]:\n"
+            "    sys.argv = ['membeam', *sys.argv[1:]]\n"
+            "    try:\n        runpy.run_module('membeam', run_name='__main__')\n"
+            "    except SystemExit as exc:\n        assert exc.code == 0, exc.code\n"
             + "".join(f"assert {module!r} not in sys.modules, '{module} imported'\n"
                       for module in modules))
 
@@ -758,28 +750,24 @@ class TestRunLength:
         assert "200001 records" in err[0] and str(stepper.MAX_RECORDS) in err[0]
         assert not (tmp_path / "membeam_small.csv").exists()
 
-    def test_cli_never_imports_scipy_signal(self, tmp_path):
-        # the midpoint history step is a convolution taken with numpy.fft;
+    def test_cli_imports_no_scipy_signal_fft_or_optimize(self, tmp_path):
+        # the midpoint history step is a convolution taken with numpy.fft,
+        # and a scan of the s-grid nodes finds the memory truncation point:
         # scipy.signal (with scipy.stats) would add about 1 s to a process,
-        # scipy.fft about 57 ms
-        path = str(_small_cfg(tmp_path, "scheme = split_semilagrangian",
-                              "scheme = full_implicit_midpoint"))
-        for argv in (["simulate", path],
-                     ["sweep", path, "--param", "beta", "--values", "1.0", "--serial"]):
-            proc = _python(tmp_path, "-c", _run_then_check("scipy.signal", "scipy.fft"), *argv,
-                           timeout=120)
+        # scipy.optimize about 0.3 s and scipy.fft about 57 ms.  One
+        # interpreter a path checks all three, on small.cfg at Nx = 8: the
+        # same path, with a dense spectrum an eighth the cost of Nx = 16's
+        text = edit_cfg("Nx = 16", "Nx = 8", default_config_path("small").read_text())
+        split = str(write_cfg(tmp_path, text, "split.cfg"))
+        midpoint = str(write_cfg(tmp_path, edit_cfg("scheme = split_semilagrangian",
+                                                    "scheme = full_implicit_midpoint", text),
+                                 "midpoint.cfg"))
+        check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize")
+        for argv in ([], ["simulate", midpoint],
+                     ["sweep", midpoint, "--param", "beta", "--values", "1.0"],
+                     ["simulate", split]):
+            proc = _python(tmp_path, "-c", check, *argv, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
-
-    def test_cli_never_imports_scipy_optimize(self, tmp_path):
-        # a scan of the s-grid nodes finds the memory truncation point;
-        # scipy.optimize would add about 0.3 s to every process
-        proc = _python(tmp_path, "-c", "import sys, membeam.cli\n"
-                       "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'",
-                       timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        proc = _python(tmp_path, "-c", _run_then_check("scipy.optimize"),
-                       "simulate", str(_small_cfg(tmp_path)), timeout=120)
-        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("name,ns", [("default", 18422), ("small", 93)])
     def test_shipped_memory_grids(self, name, ns):

@@ -389,19 +389,20 @@ def test_nan_running_sum_is_a_nan_drift(scheme):
     run = stepper._start(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme))
     for _ in range(3):
         run.advance()
-    (run._x[0] if scheme == "split_semilagrangian" else run._m_w)[2] = np.nan
+    (run._x[0] if scheme == "split_semilagrangian" else run._m)[2] = np.nan
     run.finish()
     assert math.isnan(run.max_drift)
 
 
 def _reference_rhs(asm, dt, w, m_n, m_shift):
     """The split step's right-hand side, unfused: P w plus the memory flux
-    dt lap m at the known part of the averaged history."""
-    nx = asm.Nx
+    tau lap (a + tau mu0w theta), tau = dt/2, at the known part
+    a = m(eta^n) + m_shift of twice the averaged history."""
+    nx, tau = asm.Nx, dt / 2.0
     mu0w = float(np.sum(asm.memory_grid.weights * asm.memory_grid.mu))
-    P = sp.identity(3 * nx, format="csr") + (dt / 2.0) * asm.mechanical_block
+    P = sp.identity(3 * nx, format="csr") + tau * asm.mechanical_block
     rhs = P @ w
-    rhs[2 * nx:] += dt * (asm.ops.lap @ (0.5 * (m_n + m_shift) + (mu0w * dt / 4.0) * w[2 * nx:]))
+    rhs[2 * nx:] += tau * (asm.ops.lap @ (m_n + m_shift + tau * mu0w * w[2 * nx:]))
     return rhs
 
 
@@ -661,17 +662,32 @@ class TestSchurSolver:
                                   "Factor is exactly singular: U(4, 4) = 0")
 
     def test_apply_is_the_assembled_matrix(self):
-        # apply_w and apply_eta are the (u, v, theta) and the history rows
+        # the Cayley step's R gives the (u, v, theta) rows and apply_eta
+        # the history rows
         asm = make_assembly(Nx=5, ds=0.05, Ns=7)
         solver = stepper.SchurSolver(asm, 0.3)
         M = np.eye(asm.dim) - 0.3 * asm.generator_matrix.toarray()
-        got = _identity_columns(lambda w, eta: _apply(solver, w, eta), asm)
+        got = _identity_columns(_row_blocks(solver), asm)
         assert np.abs(got - M).max() <= 1e-13 * np.abs(M).max()
 
 
-def _apply(solver, w, eta):
-    """(I - tau A_h)(w, eta) blockwise, from the solver's row blocks."""
-    return solver.apply_w(w, eta @ solver.wmu), solver.apply_eta(w[2 * solver.nx:], eta)
+def _row_blocks(solver):
+    """(I - tau A_h)(w, eta) blockwise: the history rows from apply_eta and
+    the (u, v, theta) rows M w - tau [theta] lap a = 2w - R (w, a) through
+    the Cayley step's R, with a = wmu . eta - tau kappa theta, which
+    cancels the tau^2 kappa [theta theta] lap of M."""
+    nx, order = solver.nx, solver.lu.order
+    R = stepper._step_operator(solver.M, solver.lu, solver.lap, solver.tau)
+    rows = np.zeros((4, nx + 2))
+
+    def apply(w, eta):
+        rows[:3, 1:-1] = w.reshape(3, nx)
+        rows[3, 1:-1] = eta @ solver.wmu - solver.tau * solver.kappa * w[2 * nx:]
+        out = 2.0 * w
+        out[order] -= R @ rows.ravel()
+        return out, solver.apply_eta(w[2 * nx:], eta)
+
+    return apply
 
 
 def _mechanical_block(nx, beta):
@@ -885,16 +901,36 @@ class TestMidpointStep:
         with pytest.raises(LinearSolveFailure):
             run.advance()
 
+    def test_corrupted_factor_fails_the_checked_solve(self):
+        # one entry of U's diagonal off: the step's one checked banded solve
+        # raises, and the step leaves t, w, the carried m and the history
+        # as they were
+        asm = make_assembly(Nx=6, ds=0.05, Ns=8)
+        run = _midpoint_run(0.1, default_initial_state(asm))
+        for _ in range(2):
+            run.advance()
+        before, m = run.to_state(), run._m.copy()
+        lu = run.solver.lu
+        lu._lu[lu.kl + lu.ku, 7] *= 1.0 + 1e-6
+        with pytest.raises(LinearSolveFailure, match="residual") as err:
+            run.advance()
+        assert any(entry.name == "solve_checked" for entry in err.traceback)
+        after = run.to_state()
+        assert after.t == before.t
+        for name in ("u", "v", "theta", "eta"):
+            np.testing.assert_array_equal(getattr(after, name), getattr(before, name))
+        np.testing.assert_array_equal(run._m, m)
+
 
 def _banded_cayley_trajectory(state, dt, n_steps):
     """Reference midpoint step on the history grid: SchurSolver's row blocks
     and its banded (dtbtrs) solve, Phi' = M^{-1} (2 Phi - M Phi)."""
     asm = state.assembly
     solver = stepper.SchurSolver(asm, dt / 2.0)
-    n3 = 3 * asm.Nx
+    n3, apply = 3 * asm.Nx, _row_blocks(solver)
     w, eta = state.flatten()[:n3], state.eta
     for k in range(1, n_steps + 1):
-        m_w, m_eta = _apply(solver, w, eta)
+        m_w, m_eta = apply(w, eta)
         w, eta = solver.solve(2.0 * w - m_w, 2.0 * eta - m_eta)
         yield k * dt, np.concatenate([w, eta.T.ravel()])
 
@@ -924,7 +960,7 @@ class TestFourierMidpointRun:
             run.advance()
             assert run.t == pytest.approx(t, rel=1e-12)
             w_ref = ref_banded[:n3]
-            assert np.abs(run.w - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
+            assert np.abs(run.w.ravel() - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
             if k % 3 == 0:
                 got = run.to_state().flatten()
                 # the two references differ by as much (rounding)
@@ -1158,6 +1194,19 @@ class TestHistoryMemory:
         state, cfg = default_initial_state(asm), mb.SchemeConfig(dt=1e-3)
         assert peak_history_copies(lambda: mb.simulate(state, cfg, 5e-3), asm) < 2.0
         assert peak_history_copies(lambda: step(state, cfg), asm) < 2.0
+
+    def test_midpoint_state_holds_one_history_and_a_block(self):
+        # to_state takes the inverse FFT a block of rows at a time into the
+        # new history: mid-block, where the spectrum is formed in the run's
+        # own buffer, and after a re-projection, at a block start
+        asm = _long_assembly("prony")
+        run = _midpoint_run(1e-3, default_initial_state(asm))
+        for _ in range(5):
+            run.advance()
+        assert peak_history_copies(run.to_state, asm) <= 1.2
+        np.testing.assert_array_equal(run.to_state().eta, run.eta)
+        run.finish()
+        assert peak_history_copies(run.final_state, asm) <= 1.2
 
     def test_midpoint_run_fits_its_memory_guard(self, monkeypatch):
         # the run's allowance: _HISTORY_COPIES (Nx, P + 2) arrays and
