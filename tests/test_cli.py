@@ -750,22 +750,30 @@ class TestRunLength:
         assert "200001 records" in err[0] and str(stepper.MAX_RECORDS) in err[0]
         assert not (tmp_path / "membeam_small.csv").exists()
 
-    def test_cli_imports_no_scipy_signal_fft_or_optimize(self, tmp_path):
-        # the midpoint history step is a convolution taken with numpy.fft,
-        # and a scan of the s-grid nodes finds the memory truncation point:
-        # scipy.signal (with scipy.stats) would add about 1 s to a process,
-        # scipy.optimize about 0.3 s and scipy.fft about 57 ms.  One
-        # interpreter a path checks all three, on small.cfg at Nx = 8: the
-        # same path, with a dense spectrum an eighth the cost of Nx = 16's
+    @staticmethod
+    def _nx8_cfg(tmp_path, scheme):
+        # small.cfg at Nx = 8: the same path, with a dense spectrum an
+        # eighth the cost of Nx = 16's
         text = edit_cfg("Nx = 16", "Nx = 8", default_config_path("small").read_text())
-        split = str(write_cfg(tmp_path, text, "split.cfg"))
-        midpoint = str(write_cfg(tmp_path, edit_cfg("scheme = split_semilagrangian",
-                                                    "scheme = full_implicit_midpoint", text),
-                                 "midpoint.cfg"))
+        return str(write_cfg(tmp_path, edit_cfg("scheme = split_semilagrangian",
+                                                f"scheme = {scheme}", text), f"{scheme}.cfg"))
+
+    def test_cli_never_imports_scipy_signal(self, tmp_path):
+        # the midpoint history step is a convolution taken with numpy.fft;
+        # scipy.signal (with scipy.stats) would add about 1 s to a process,
+        # scipy.fft about 57 ms
+        path = self._nx8_cfg(tmp_path, "full_implicit_midpoint")
         check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize")
-        for argv in ([], ["simulate", midpoint],
-                     ["sweep", midpoint, "--param", "beta", "--values", "1.0"],
-                     ["simulate", split]):
+        for argv in (["simulate", path],
+                     ["sweep", path, "--param", "beta", "--values", "1.0"]):
+            proc = _python(tmp_path, "-c", check, *argv, timeout=120)
+            assert proc.returncode == 0, (argv, proc.stderr)
+
+    def test_cli_never_imports_scipy_optimize(self, tmp_path):
+        # a scan of the s-grid nodes finds the memory truncation point;
+        # scipy.optimize would add about 0.3 s to every process
+        check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize")
+        for argv in ([], ["simulate", self._nx8_cfg(tmp_path, "split_semilagrangian")]):
             proc = _python(tmp_path, "-c", check, *argv, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)
 
