@@ -51,14 +51,13 @@ What a simulate call holds at its peak on top of the caller's state, in
     midpoint               two spectra, the block tables and a
                            re-projection's histories and residual: 8.0
 
-Each scheme's run is one class, _MidpointRun or _SplitRun, built from a
-State and a SchemeConfig by _start: it builds and checks the scheme's
-fixed coefficients (the LU, the Fourier tables) and then holds the
-trajectory.  simulate starts one run a call and keeps none of it.
-
-Every implicit step solves with the one banded LU of its 3Nx mechanical
-block (splu, _BandedLU), taken node by node so that its bandwidth is 7
-below and 5 above the diagonal at any Nx.
+A run is the Cayley step of the (u, v, theta) block (_CayleyRun: the
+block's one banded LU, splu, taken node by node so that its bandwidth is
+7 below and 5 above the diagonal at any Nx, R, the padded rows and the
+checked step) plus a history: _MidpointRun or _SplitRun, built from a
+State and a SchemeConfig by _start, which builds and checks the scheme's
+fixed coefficients and then holds the trajectory.  simulate starts one
+run a call and keeps none of it.
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
@@ -167,13 +166,6 @@ def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
     return float(np.maximum(worst, diff / scale if scale > 0 else diff))
 
 
-def _check_history_shape(state: State):
-    asm = state.assembly
-    if state.eta.shape != (asm.Nx, asm.Ns):
-        raise DimensionMismatch(
-            f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
-
-
 class _BandedLU:
     """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
     with SuperLU's solve(b, trans) in the block order of the matrix.
@@ -256,12 +248,8 @@ def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
 
 def _step_operator(M: sp.spmatrix, lu: _BandedLU, lap: sp.spmatrix, tau: float) -> sp.csr_matrix:
     """R = [2I - M | tau [theta] lap], the right-hand side of the Cayley
-    step of the (u, v, theta) block in both schemes, for the block
-    M = I - tau B - tau^2 gain [theta theta] lap of _mechanical_lu and its
-    LU.  R reads the padded rows (u, v, theta, a), each with a zero (the
-    Dirichlet value) at both ends, as one vector; a is the history sum of
-    the step's flux known before the solve.  Its rows are in the LU's node
-    order, in which lu.solve_checked takes them."""
+    step (_CayleyRun) from its padded rows (u, v, theta, a), for the block
+    M of _mechanical_lu and its LU; its rows are in the LU's node order."""
     nx = lap.shape[0]
     flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), tau * lap])
     inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
@@ -424,7 +412,61 @@ def _fft_size(n: int) -> int:
         size += 2
 
 
-class _MidpointRun:
+class _CayleyRun:
+    """The Cayley step of the (u, v, theta) block with tau = dt/2, which a
+    run of either scheme extends with its history.
+
+    M = I - tau B - tau^2 gain [theta theta] lap is the 3Nx block left once
+    the history is eliminated; it and its LU come from the one
+    factorization the run makes (SchurSolver's for the midpoint,
+    _mechanical_lu's for the split).  R (_step_operator) reads the padded
+    rows (u, v, theta, a), each with a zero (the Dirichlet value) at both
+    ends, as one vector; the run writes a, the history sum of the step's
+    flux known before the solve, and owns the rows after it.  u, v, theta
+    and w = (u, v, theta) are views of the rows.  _step takes w' from one
+    checked banded solve (lu.solve_checked, in R's node order), writes it,
+    advances t and returns beta = tau (theta + theta'): the split run's
+    increment of C and the midpoint run's block source.  A failed check
+    leaves t and w as they were.
+    """
+
+    def __init__(self, state: State, cfg: SchemeConfig, M: sp.spmatrix, lu: _BandedLU,
+                 own_rows: int = 0):
+        asm = state.assembly
+        if state.eta.shape != (asm.Nx, asm.Ns):
+            raise DimensionMismatch(
+                f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
+        self.cfg, self.assembly, self.t = cfg, asm, state.t
+        self.tau = cfg.dt / 2.0
+        self.M, self.lu = M, lu
+        self.R = _step_operator(M, lu, asm.ops.lap, self.tau)
+        self._rows = np.zeros((4 + own_rows, asm.Nx + 2))
+        self._rows[:3, 1:-1] = state.u, state.v, state.theta
+        self._wa = self._rows[:4].reshape(-1)          # what R reads, a view
+        self.w = self._rows[:3, 1:-1]
+
+    u = property(lambda self: self.w[0])
+    v = property(lambda self: self.w[1])
+    theta = property(lambda self: self.w[2])
+
+    def _step(self) -> np.ndarray:
+        w = self.lu.solve_checked(self.R @ self._wa)          # node order
+        beta = self.tau * (self.theta + w[2::3])
+        self.w[...] = w.reshape(-1, 3).T
+        self.t += self.cfg.dt
+        return beta
+
+    def _snapshot(self, eta: np.ndarray) -> State:
+        """The run's State: copies of u, v, theta; eta as given."""
+        return State(t=self.t, u=self.u.copy(), v=self.v.copy(), theta=self.theta.copy(),
+                     eta=eta, assembly=self.assembly)
+
+    def info(self) -> str:
+        """What the run adds to simulate's INFO line."""
+        return ""
+
+
+class _MidpointRun(_CayleyRun):
     """Cayley stepper: the history-eliminating solver with tau = dt/2, and
     the history step as one convolution along s, taken a block of steps at
     a time.
@@ -458,19 +500,17 @@ class _MidpointRun:
     so OpenBLAS keeps each on one thread.  The tables are checked when
     the run is built (_check_block).
 
-    The run holds (u, v, theta) as w, a view of the padded rows
-    (u, v, theta, a) that R (_step_operator) reads, and the history as a
-    block: the spectrum eta_0 at the block start on the padded s-grid,
-    (Nx, P/2 + 1), its projections a, (Nx, k), and the block's sources
-    beta, (k, Nx).  Eliminating the history from M Phi^{n+1} = P Phi^n
-    leaves M w' = R (w, m + wmu . G eta) with m = wmu . eta, carried as
-    m' = wmu . G eta + kappa beta: a step reads wmu . G eta from the block
-    (O(Nx k)), takes w' from one checked banded solve (lu.solve_checked)
-    and keeps beta = tau (theta + theta') as the block's next source.  The
-    spectrum is formed (_block_spectrum: one elementwise product and one
-    product with the l-powers) only where it is needed: by the step after
-    a full block, which starts the next block from it, for a sample or a
-    state, and at a re-projection.
+    The run holds the history as a block: the spectrum eta_0 at the block
+    start on the padded s-grid, (Nx, P/2 + 1), its projections a, (Nx, k),
+    and the block's sources beta, (k, Nx).  Eliminating the history from
+    M Phi^{n+1} = P Phi^n leaves the Cayley step (_CayleyRun) with
+    a = m + wmu . G eta, m = wmu . eta carried as m' = wmu . G eta +
+    kappa beta: a step reads wmu . G eta from the block (O(Nx k)) and keeps
+    the step's beta as the block's next source.  The spectrum is formed
+    (_block_spectrum: one elementwise product and one product with the
+    l-powers) only where it is needed: by the step after a full block,
+    which starts the next block from it, for a sample or a state, and at a
+    re-projection.
 
     G is causal, so what moves into the pad never reaches the first Ns
     nodes, and zeroing the pad gives the truncated scheme again.  Every
@@ -493,7 +533,6 @@ class _MidpointRun:
     """
 
     def __init__(self, state: State, cfg: SchemeConfig):
-        self.cfg = cfg
         self.solver = s = SchurSolver(state.assembly, cfg.dt / 2.0)
         self.size, self.period, self.reach = _fourier_grid(s.q, s.ns)
         self.block = k = min(_HISTORY_BLOCK, self.period)
@@ -513,16 +552,8 @@ class _MidpointRun:
         for i, power in enumerate(self.powers):
             self.proj[:, i] = (np.conj(power) * w_hat).view(float)
         self._check_block()
-        self.R = _step_operator(s.M, s.lu, s.lap, s.tau)
 
-        _check_history_shape(state)
-        self.assembly = state.assembly
-        self.t = state.t
-        # the padded rows (u, v, theta, a) that R reads; w views the first 3
-        self._rows = np.zeros((4, s.nx + 2))
-        self._rows[:3, 1:-1] = state.u, state.v, state.theta
-        self._wa = self._rows.reshape(-1)
-        self.w = self._rows[:3, 1:-1]
+        super().__init__(state, cfg, s.M, s.lu)
         self._m = state.eta @ s.wmu                 # wmu . eta, carried
         self._beta = np.empty((k, state.assembly.Nx))
         self._begin_block(np.fft.rfft(state.eta, n=self.size))
@@ -604,21 +635,16 @@ class _MidpointRun:
         return self._block_spectrum(self._eta_0, self._beta, i, self._work)
 
     def advance(self):
-        s, rows = self.solver, self._rows
         if self._i == self.block:
             self._begin_block(self._block_spectrum(self._eta_0, self._beta, self._i,
                                                    out=self._eta_0))
         m_g = self._history_sum(self._a, self._beta, self._i)      # wmu . G eta
-        rows[3, 1:-1] = self._m + m_g
-        w = s.lu.solve_checked(self.R @ self._wa)            # node order
-        beta = s.tau * (self.w[2] + w[2::3])
-        self._beta[self._i] = beta
+        self._rows[3, 1:-1] = self._m + m_g
+        self._theta_prev = self.theta.copy()
+        self._beta[self._i] = beta = self._step()
         self._i += 1
-        self._theta_prev = self.w[2].copy()
-        self.w[...] = w.reshape(-1, 3).T
-        self._m = m_g + s.kappa * beta                   # wmu . eta' carried
+        self._m = m_g + self.solver.kappa * beta                # wmu . eta' carried
         self._steps += 1
-        self.t += self.cfg.dt
         if self._steps % self.period == 0:
             self.finish()
 
@@ -659,10 +685,7 @@ class _MidpointRun:
             rhs.append(self.R @ self._wa)
         self.max_drift = _worst_drift(self.max_drift, *rhs)
 
-    # the state: views of w and of the current history (one irfft an access)
-    u = property(lambda self: self.w[0])
-    v = property(lambda self: self.w[1])
-    theta = property(lambda self: self.w[2])
+    # the current history (one irfft an access)
     eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.size)[
         :, :self.assembly.Ns])
 
@@ -674,12 +697,16 @@ class _MidpointRun:
         rows = max(1, len(spectrum) // 8)
         for lo in range(0, len(spectrum), rows):
             eta[lo:lo + rows] = np.fft.irfft(spectrum[lo:lo + rows], n=self.size)[:, :ns]
-        return _snapshot(self, eta)
+        return self._snapshot(eta)
 
     final_state = to_state          # the history is a new array either way
 
+    def info(self) -> str:
+        return (f", padded s-grid P = {self.size}, K = {self.period}, k = {self.block}, "
+                f"{self.reprojections} re-projections")
 
-class _SplitRun:
+
+class _SplitRun(_CayleyRun):
     """Semi-Lagrangian history shift + implicit midpoint mechanical block,
     on a ring-buffer history.
 
@@ -714,15 +741,10 @@ class _SplitRun:
 
     The memory flux is evaluated at the average of the pre- and post-shift
     histories, m_mid = a/2 + (mu0w dt / 4) (theta^n + theta^{n+1}), with
-    a = m(eta^n) + m_shift known before the solve.  The theta^{n+1} share
-    sits in the block M = I - tau B - tau^2 mu0w [theta theta] lap,
-    tau = dt/2, factorized once (lu); the rest of the right-hand side
-    P w + dt [theta] lap m_mid, with P = I + tau B, is the Cayley step's
-    operator R = [2I - M | tau [theta] lap] (_step_operator, which the
-    midpoint run shares) applied to the rows (u, v, theta, a).  A step is
-    one product with mode_map, R (u, v, theta, a), the banded solve with
-    its residual check (lu.solve_checked, in R's node order) and O(Nx m)
-    updates in preallocated rows.
+    a = m(eta^n) + m_shift known before the solve: the Cayley step
+    (_CayleyRun) with gain mu0w, whose beta is q.  A step is one product
+    with mode_map, which writes a and the sigma rows after it, the Cayley
+    step and O(Nx m) updates in preallocated rows.
 
     The run also keeps the ring of column norms n_k = ||D+ zeta_k||^2, set
     once and then one O(Nx) entry per step.  Each entry is computed from
@@ -751,16 +773,12 @@ class _SplitRun:
         if abs(mg.ds - cfg.dt) > 1e-12 * max(mg.ds, cfg.dt):
             raise InconsistentGrid(
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
-        self.cfg = cfg
         self.nx = nx = asm.Nx
         self.h2 = asm.grid.h ** 2
-        dt, B, lap = cfg.dt, asm.mechanical_block, asm.ops.lap
         wmu = mg.wmu
         mu0w = float(np.sum(wmu))
         self.totals = np.array([mu0w, float(np.sum(mg.wmup))])
         self.wmus = np.tile([wmu, mg.wmup], 2)
-        self.M, self.lu = _mechanical_lu(B, lap, dt / 2.0, mu0w)
-        self.R = _step_operator(self.M, self.lu, lap, dt / 2.0)
 
         kern, ns = mg.kernel, mg.Ns
         self.prony = kern.form == "prony"
@@ -798,25 +816,17 @@ class _SplitRun:
         self.mode_map = np.vstack([self.moment + shifted,
                                    shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
 
-        _check_history_shape(state)
-        self.assembly = asm
-        self.t = state.t
+        super().__init__(state, cfg, *_mechanical_lu(asm.mechanical_block, asm.ops.lap,
+                                                     cfg.dt / 2.0, mu0w), own_rows=m)
         # Each row holds an x-profile with a zero at both ends, so D+ of a
-        # row is one difference of neighbours.  _rows: u, v, theta, then
-        # what mode_map makes; _x: the x of the class docstring.
-        self._rows = np.zeros((m + 4, nx + 2))
-        self._rows[:3, 1:-1] = state.u, state.v, state.theta
-        self._wa = self._rows[:4].reshape(-1)          # what R reads, a view
+        # row is one difference of neighbours.  _rows after a: the sigma
+        # rows mode_map makes; _x: the x of the class docstring.
         self._x = np.zeros((m + 3, nx + 2))
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
         self.max_drift = 0.0
         self._from_ring()
 
-    # the state: views of the step buffers
-    u = property(lambda self: self._rows[0, 1:-1])
-    v = property(lambda self: self._rows[1, 1:-1])
-    theta = property(lambda self: self._rows[2, 1:-1])
     C = property(lambda self: self._x[-1, 1:-1])
 
     # -- history bookkeeping ------------------------------------------------
@@ -929,9 +939,8 @@ class _SplitRun:
 
     def advance(self):
         rows, x, m = self._rows, self._x, self.modes
-        nx, dt = self.nx, self.cfg.dt
         np.matmul(self.mode_map, x, out=rows[3:])
-        w_new = self.lu.solve_checked(self.R @ self._wa)  # checks M w_new - R [w; a]
+        q = self._step()
 
         c = x[m + 2]
         self.head = (self.head - 1) % self.zeta.shape[1]
@@ -939,15 +948,13 @@ class _SplitRun:
         d_c = c[1:] - c[:-1]
         self._norms[self.head] = float(d_c @ d_c) / self.h2
         self._block_shifts += 1
-        c[1:-1] += 0.5 * dt * (rows[2, 1:-1] + w_new[2::3])       # C^n + q
-        rows[:3, 1:-1] = w_new.reshape(nx, 3).T
+        c[1:-1] += q                                              # C^n + q
         x[:m] = rows[4:]
         self._load_ends()
-        self.t += dt
 
     def to_state(self) -> State:
         """A snapshot: the history is a new array and the run goes on."""
-        return _snapshot(self, self._logical_eta())
+        return self._snapshot(self._logical_eta())
 
     def final_state(self) -> State:
         """The state after the last step, which takes over the ring: each
@@ -963,13 +970,7 @@ class _SplitRun:
                 r[:] = row
         zeta += self.C[:, None]
         self.zeta = None
-        return _snapshot(self, zeta)
-
-
-def _snapshot(run, eta: np.ndarray) -> State:
-    """The State of a run of either scheme: copies of u, v, theta; eta as given."""
-    return State(t=run.t, u=run.u.copy(), v=run.v.copy(), theta=run.theta.copy(),
-                 eta=eta, assembly=run.assembly)
+        return self._snapshot(zeta)
 
 
 def _start(state: State, cfg: SchemeConfig):
@@ -1060,7 +1061,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         return records
 
     sampling = time.perf_counter() - start
-    final, drift, grid = init, 0.0, ""
+    final, drift, info = init, 0.0, ""
     if n_steps > 0:
         run = _start(init, cfg)
         for k in range(1, n_steps + 1):
@@ -1080,15 +1081,13 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             raise SimulationAborted(n_steps, exc, complete()) from exc
         drift = run.max_drift
         final = run.final_state()
-        if cfg.scheme == "full_implicit_midpoint":
-            grid = (f", padded s-grid P = {run.size}, K = {run.period}, k = {run.block}, "
-                    f"{run.reprojections} re-projections")
+        info = run.info()
     t0 = time.perf_counter()
     complete()
     sampling += time.perf_counter() - t0
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
              "refresh drift %.3e%s", n_steps, len(records),
-             time.perf_counter() - start - sampling, sampling, drift, grid)
+             time.perf_counter() - start - sampling, sampling, drift, info)
     return SimulationResult(records=records, final_state=final, refresh_drift=drift)
 
 
