@@ -24,7 +24,6 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvals as dense_eigvals
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .discretization import DENSE_MAX_DIM, GeneratorAssembly
 from .errors import (
@@ -101,12 +100,11 @@ def grad_sq_norms(arr: np.ndarray, h: float) -> np.ndarray:
 
 
 def poincare_constant(assembly: GeneratorAssembly) -> float:
-    """Sharp discrete Poincare constant 1/lambda_min(-LAP)."""
+    """Sharp discrete Poincare constant 1/lambda_min(-LAP), with the least
+    eigenvalue of the Dirichlet Laplacian in closed form,
+    lambda_min = (4/h^2) sin^2(pi / (2 (Nx + 1)))."""
     nx, h = assembly.Nx, assembly.grid.h
-    lam_min = eigvalsh_tridiagonal(
-        np.full(nx, 2.0 / h**2), np.full(nx - 1, -1.0 / h**2),
-        select="i", select_range=(0, 0))[0]
-    return 1.0 / float(lam_min)
+    return 1.0 / (4.0 / h**2 * math.sin(math.pi / (2 * (nx + 1))) ** 2)
 
 
 # ---------------------------------------------------------------------------

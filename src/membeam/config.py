@@ -256,12 +256,14 @@ class ProblemSetup:
 def build_setup(cfg: RunConfig) -> ProblemSetup:
     """Validate every model object and assemble the discrete system,
     including the range check of the mechanical block; the first stage
-    that fails raises.  The (Nx, Ns) history size is checked
-    before anything of size Nx is allocated."""
+    that fails raises.  The (Nx, Ns) history size and the run length
+    (stepper.run_length, as simulate checks it) are checked before
+    anything of size Nx is allocated."""
     params = model.derive_params(cfg.lambda1, cfg.lambda2, cfg.kappa, cfg.beta)
     kernel = build_kernel(cfg)
     report = model.validate_kernel(kernel)
     memory_grid = build_memory_grid(kernel, cfg.dt, cfg.trunc_tol, cfg.Nx)
+    stepper.run_length(cfg.T, cfg.dt, cfg.sample_every)
 
     grid = build_spatial_grid(cfg.L, cfg.Nx)
     p_prof, _ = parse_profile(cfg.p_spec, cfg.L, cfg.base_dir)

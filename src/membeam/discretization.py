@@ -51,6 +51,10 @@ SHIFT_BLOCK = 16
 # energy, the residual norms and the dense spectrum of a run overflow.
 _ENTRY_MAX = float(np.sqrt(np.finfo(float).max))
 
+# Largest node spacing h whose h^4 is a finite float; 1/h^4, the scale of
+# the biharmonic, is one for h above its reciprocal.
+_H_MAX = float(np.finfo(float).max) ** 0.25
+
 
 def check_history_fits(nx: float, ns: float, columns: float = SHIFT_BLOCK):
     """Raise DimensionTooLarge, before anything is allocated, when
@@ -87,6 +91,9 @@ def build_spatial_grid(L: float, Nx: int) -> SpatialGrid:
         raise GridTooCoarse(f"Nx = {Nx} < 4 interior nodes")
     check_history_fits(Nx, 1)
     h = L / (Nx + 1)
+    if not 1.0 / _H_MAX < h < _H_MAX:
+        raise ParamOutOfRange("L", f"beam length L = {L:g} gives the node spacing h = {h:g}, "
+                              "whose h^4 or 1/h^4 leaves the float range")
     return SpatialGrid(L=float(L), Nx=int(Nx), h=h, nodes=_read_only(h * np.arange(1, Nx + 1)))
 
 

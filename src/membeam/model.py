@@ -302,6 +302,8 @@ class InitialData:
     def __post_init__(self):
         for name in ("u0", "v0", "theta0"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParamOutOfRange(name, f"{name} holds a non-finite value")
         if self.history_mode not in ("zero", "constant_past"):
             raise ParamOutOfRange("history_mode", f"unknown history mode {self.history_mode!r}")
         if self.u0.shape != self.v0.shape or self.u0.shape != self.theta0.shape:

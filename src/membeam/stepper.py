@@ -51,13 +51,13 @@ What a simulate call holds at its peak on top of the caller's state, in
     midpoint               two spectra, the block tables and a
                            re-projection's histories and residual: 8.0
 
-A run is the Cayley step of the (u, v, theta) block (_CayleyRun: the
-block's one banded LU, splu, taken node by node so that its bandwidth is
-7 below and 5 above the diagonal at any Nx, R, the padded rows and the
-checked step) plus a history: _MidpointRun or _SplitRun, built from a
-State and a SchemeConfig by _start, which builds and checks the scheme's
-fixed coefficients and then holds the trajectory.  simulate starts one
-run a call and keeps none of it.
+A run is a _CayleyRun, the Cayley step of the (u, v, theta) block, plus
+a history: _MidpointRun or _SplitRun, built from a State and a
+SchemeConfig by _start, which builds and checks the scheme's fixed
+coefficients and then holds the trajectory.  simulate starts one run a
+call and keeps none of it.  Every step solves with the one banded LU of
+the 3Nx block (splu, _BandedLU), taken node by node so that its
+bandwidth is 7 below and 5 above the diagonal at any Nx.
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
@@ -143,7 +143,7 @@ def _check_residual(residual_sq: float, rhs_sq: float):
     """Raise LinearSolveFailure unless ||residual|| <= tol ||rhs||, given
     the squared norms over all blocks; a non-finite value never passes."""
     num, den = math.sqrt(residual_sq), math.sqrt(rhs_sq)
-    if not num <= _LINEAR_SOLVER_TOL * den:
+    if not (num <= _LINEAR_SOLVER_TOL * den and math.isfinite(den)):
         raise LinearSolveFailure(
             f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
 
@@ -998,15 +998,40 @@ class SimulationResult:
     refresh_drift: float
 
 
+def run_length(T: float, dt: float, sample_every: int) -> tuple[int, int]:
+    """(steps, records) of a run over the span T in steps of dt > 0 with a
+    record every sample_every steps, at the start and after the last step.
+    A T that is negative, not finite or not a whole number of steps, a
+    sample_every below 1, more than MAX_STEPS steps or more than
+    MAX_RECORDS records raise ParamOutOfRange."""
+    if not (np.isfinite(T) and T >= 0):
+        raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
+    if sample_every < 1:
+        raise ParamOutOfRange("sample_every", "sample_every must be >= 1")
+    if not T / dt <= MAX_STEPS:
+        raise ParamOutOfRange(
+            "T", f"T / dt = {T / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ParamOutOfRange(
+            "T", f"T = {T:g} is not a whole number of steps dt = {dt:g} "
+            f"(T / dt = {T / dt:.6g})")
+    n_records = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
+    if n_records > MAX_RECORDS:
+        raise ParamOutOfRange(
+            "sample_every", f"{n_steps} steps sampled every {sample_every} keep {n_records} "
+            f"records, above the limit of {MAX_RECORDS}")
+    return n_steps, n_records
+
+
 def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
              mcfg=None) -> SimulationResult:
     """Advance init by the span T, round(T / dt) steps from init.t,
     recording diagnostics every sample_every steps.
 
-    Records are always taken at init.t and after the last step.  A T that
-    is not a whole number of steps, more than MAX_STEPS steps or more than
-    MAX_RECORDS records raise ParamOutOfRange before the first step.  A
-    sample is taken from the run as it passes (analysis.take_sample(run)),
+    Records are always taken at init.t and after the last step.  A run
+    length that run_length refuses raises ParamOutOfRange before the
+    first step.  A sample is taken from the run as it passes (analysis.take_sample(run)),
     so no State is built but the final one: a split run supplies its own
     history sums, and a midpoint run's are summed from its history in
     place.  The records are evaluated _SAMPLE_CHUNK samples at a time in
@@ -1022,24 +1047,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     and the re-projections made.  One step from a state is
     simulate(state, cfg, cfg.dt).final_state.
     """
-    if not (np.isfinite(T) and T >= 0):
-        raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
-    if sample_every < 1:
-        raise ParamOutOfRange("sample_every", "sample_every must be >= 1")
-    if not T / cfg.dt <= MAX_STEPS:
-        raise ParamOutOfRange(
-            "T", f"T / dt = {T / cfg.dt:.3g} steps exceeds the limit of {MAX_STEPS}")
-    n_steps = int(round(T / cfg.dt))
-    if abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
-        raise ParamOutOfRange(
-            "T", f"T = {T:g} is not a whole number of steps dt = {cfg.dt:g} "
-            f"(T / dt = {T / cfg.dt:.6g})")
-    n_records = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
-    if n_records > MAX_RECORDS:
-        raise ParamOutOfRange(
-            "sample_every", f"{n_steps} steps sampled every {sample_every} keep {n_records} "
-            f"records, above the limit of {MAX_RECORDS}")
-
+    n_steps = run_length(T, cfg.dt, sample_every)[0]
     if mcfg is None:
         mcfg = analysis.choose_multipliers_for(init.assembly)
 

@@ -163,6 +163,13 @@ class TestChooseMultipliers:
         lam_min = sla.eigvalsh(-small_assembly.ops.lap.toarray())[0]
         assert an.poincare_constant(small_assembly) == pytest.approx(1.0 / lam_min, rel=1e-12)
 
+    @pytest.mark.parametrize("nx", [4, 16, 64, 128])
+    def test_poincare_constant_is_the_closed_form(self, nx):
+        # 1 / ((4/h^2) sin^2(pi / (2 (Nx + 1)))) against the dense -LAP
+        asm = make_assembly(Nx=nx)
+        lam_min = np.linalg.eigvalsh(-asm.ops.lap.toarray())[0]
+        assert an.poincare_constant(asm) == pytest.approx(1.0 / lam_min, rel=1e-11)
+
 
 class TestLemmaChecksAlongTrajectory:
     def test_inequalities_hold(self):

@@ -122,6 +122,37 @@ PARSE_ERRORS = [
                           ("initial", "theta0"))]
 
 
+# Every error of the profile and list grammar (config.parse_profile,
+# _load_table, _floats) and of sweep's --values as (id, run file, command,
+# message); {dir} is the run file's directory, which holds ragged.txt (rows
+# of two and of one number) and one_column.txt.
+VALUE_ERRORS = [(id_, edit_cfg(old, new), ["validate"], message) for id_, old, new, message in (
+    ("unknown_profile", "u0 = poly 0 0 1 -2 1", "u0 = wave 1",
+     "unknown profile kind 'wave' (constant|poly|table|sine)"),
+    ("poly_without_coefficients", "u0 = poly 0 0 1 -2 1", "u0 = poly",
+     "poly profile needs coefficients: 'poly'"),
+    ("sine_without_amplitude", "u0 = poly 0 0 1 -2 1", "u0 = sine",
+     "sine profile takes amplitude [mode]: 'sine'"),
+    ("sine_with_three_numbers", "u0 = poly 0 0 1 -2 1", "u0 = sine 1 2 3",
+     "sine profile takes amplitude [mode]: 'sine 1 2 3'"),
+    ("empty_profile", "u0 = poly 0 0 1 -2 1", "u0 =", "empty profile spec"),
+    ("table_without_path", "u0 = poly 0 0 1 -2 1", "u0 = table",
+     "table profile takes a path: 'table'"),
+    ("table_with_two_paths", "u0 = poly 0 0 1 -2 1", "u0 = table a b",
+     "table profile takes a path: 'table a b'"),
+    ("missing_table", "u0 = poly 0 0 1 -2 1", "u0 = table absent.txt",
+     "cannot read table {dir}/absent.txt: {dir}/absent.txt not found."),
+    ("ragged_table", "u0 = poly 0 0 1 -2 1", "u0 = table ragged.txt",
+     "malformed table {dir}/ragged.txt: the number of columns changed from 2 to 1 at row 2; "
+     "use `usecols` to select a subset and avoid this error"),
+    ("one_column_table", "u0 = poly 0 0 1 -2 1", "u0 = table one_column.txt",
+     "table {dir}/one_column.txt needs at least 2 columns"),
+    ("bad_constant", "p = constant 1.0", "p = constant abc", "bad numeric list 'abc'"),
+    ("bad_list", "amplitudes = 1.0", "amplitudes = 1,,x", "bad numeric list '1,,x'"),
+)] + [("empty_sweep_values", TINY_CFG, ["sweep", "--param", "beta", "--values", ","],
+       "sweep needs at least one value")]
+
+
 class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, TINY_CFG))
@@ -155,6 +186,17 @@ class TestParseConfig:
         assert str(exc.value) == message
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("text,command,message", [case[1:] for case in VALUE_ERRORS],
+                             ids=[case[0] for case in VALUE_ERRORS])
+    def test_every_value_error(self, tmp_path, capsys, text, command, message):
+        (tmp_path / "ragged.txt").write_text("0 0\n0.5\n1 0\n")
+        (tmp_path / "one_column.txt").write_text("0\n0.5\n1\n")
+        path = write_cfg(tmp_path, text)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {message.format(dir=tmp_path)}\n"
 
     def test_defaults(self, tmp_path):
         text = TINY_CFG
@@ -299,6 +341,41 @@ class TestValidateCommand:
         out, err = capsys.readouterr()
         assert "PASSED" not in out and "Traceback" not in err
         assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("old,new", [
+        ("T = 8.0", "T = -1"), ("T = 8.0", "T = 8.05"), ("T = 8.0", "T = 1e9"),
+        ("sample_every = 2", "sample_every = 0")])
+    def test_refuses_every_run_length_simulate_refuses(self, tmp_path, monkeypatch, capsys,
+                                                       old, new):
+        # stepper.run_length, in the setup every command builds: refused
+        # with simulate's message before a step or a spectrum is taken
+        monkeypatch.chdir(tmp_path)
+        path = str(_small_cfg(tmp_path, old, new))
+        assert main(["validate", path]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("validation FAILED: ")
+        message = line.removeprefix("validation FAILED: ")
+        for command in ("simulate", "spectrum"):
+            assert main([command, path]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["u0", "v0", "theta0"])
+    def test_non_finite_table_profile_is_refused(self, tmp_path, monkeypatch, capsys, name):
+        # a nan row interpolates to nan nodes, which the boundary check's
+        # comparisons let through
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.txt").write_text("0 0\n0.5 nan\n1 0\n")
+        text = re.sub(rf"^{name} = .*$", f"{name} = table nan.txt",
+                      default_config_path("small").read_text(), flags=re.M)
+        path = str(write_cfg(tmp_path, text))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"validation FAILED: {name} holds a non-finite value"]
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {name} holds a non-finite value"]
 
     def test_stops_at_first_failing_stage(self, tmp_path, capsys):
         bad = TINY_CFG.replace("lambda1 = 0.5", "lambda1 = 1.5")
@@ -622,6 +699,7 @@ class TestExitCodes:
 _FLOAT_SPECIALS = ("nan", "inf", "-inf", "0.0", "-1.0", "-1e300", "1e-300", "5e-324", "1e300")
 _INT_SPECIALS = ("nan", "inf", "0", "-1", "2.5", str(10**9), str(10**15))
 _SCALARS = {
+    "L = 1.0": st.floats(0.5, 2.0).map(repr),
     "dt = 0.1": st.floats(0.08, 1.0).map(repr),
     "T = 2.0": st.floats(0.0, 4.0).map(repr),
     "Nx = 6": st.integers(-2, 8).map(str),
@@ -660,10 +738,12 @@ def test_run_file_scalar_fuzz(case):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("kappa", "1e300"), ("beta", "1e300"), ("kappa", "1e-300"), ("lambda2", "5e-324")])
+    ("kappa", "1e300"), ("beta", "1e300"), ("kappa", "1e-300"), ("lambda2", "5e-324"),
+    ("L", "1e-300"), ("L", "1e-80"), ("L", "1e300"), ("L", "1e80")])
 def test_extreme_scalar_is_a_named_error(tmp_path, capsys, name, value):
-    # squares and quotients of these leave the float range: kappa^2, beta^2
-    # and l = (1 - lambda1)/lambda2 are range-checked and named
+    # squares and quotients of these leave the float range: kappa^2, beta^2,
+    # l = (1 - lambda1)/lambda2 and the h^4 and 1/h^4 of h = L/(Nx + 1) are
+    # range-checked and named
     line = next(line for line in _SCALARS if line.split(" = ")[0] == name)
     path = write_cfg(tmp_path, TINY_CFG.replace(line, f"{name} = {value}"))
     code = main(["simulate", str(path), "--csv", str(tmp_path / "run.csv"),

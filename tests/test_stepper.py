@@ -174,6 +174,20 @@ class TestSimulate:
             mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.3, scheme=scheme), 1.0)
         assert err.value.field == "T"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_right_hand_side_aborts_at_step_1(self):
+        # a kernel amplitude of 1e300 overflows the first right-hand side;
+        # residual inf <= 1e-9 x inf must not pass the check
+        kernel = mb.MemoryKernel.prony([1e300], [1.0])
+        state = default_initial_state(make_assembly(Nx=6, ds=0.05, Ns=8, kernel=kernel))
+        with pytest.raises(SimulationAborted) as err:
+            mb.simulate(state, mb.SchemeConfig(dt=0.05), 0.5)
+        assert err.value.step_index == 1
+        assert isinstance(err.value.cause, LinearSolveFailure)
+        # a midpoint run's check of its block tables overflows first
+        with pytest.raises(LinearSolveFailure, match="right-hand side inf"):
+            stepper._start(state, mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
+
     def test_record_count_bounded_before_first_step(self, monkeypatch):
         # 200,000 steps sampled every 2 keep 100,001 records, at the limit;
         # every step keeps 200,001 and is refused before the first step
