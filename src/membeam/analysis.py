@@ -54,6 +54,10 @@ _MIN_PEAKS = 5
 _CHECK_TOL = 1e-8
 _MONOTONE_TOL = 1e-10
 
+# Least decay gamma_fit (t2 - t1) across a fit window that certifies one: a
+# constant energy fits a rate of rounding size, which may come out positive.
+MIN_FIT_DECAY = _CHECK_TOL
+
 # Seeded random states of check_dissipativity.
 _DISSIPATIVITY_SAMPLES = 1000
 

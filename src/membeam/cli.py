@@ -17,6 +17,7 @@ paths come from the config's [output] section; --csv/--report override.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import os
 import sys
@@ -48,15 +49,6 @@ _INTERNAL_ERRORS = (ArithmeticError, AssertionError, AttributeError, BufferError
                     RuntimeError, SystemError, TypeError, ValueError)
 
 
-# Largest relative drift accepted between a run's running history sums and
-# the history they sum (stepper.SimulationResult.refresh_drift).  The drift
-# is an error in the right-hand side of every step, so it gets the bound of
-# a step's linear-solve residual (1e-9 in stepper); rounding that grows by
-# one unit (1.1e-16) per step stays below it for the 1e6 steps of
-# stepper.MAX_STEPS.
-_DRIFT_TOL = 1e-9
-
-
 def default_config_path(name: str = "default") -> Path:
     """Path of a shipped run file ('default' or 'small')."""
     return Path(resources.files("membeam").joinpath(f"data/{name}.cfg"))
@@ -66,15 +58,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path, records, truncated_at: int | None = None):
-    with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(",".join(_fmt(v) for v in
-                              (r.t, r.E, r.D, r.dE_numeric, r.identity_residual,
-                               r.F1, r.F2, r.Ifun, r.Ltotal)) + "\n")
-        if truncated_at is not None:
-            fh.write(f"# TRUNCATED at step {truncated_at}\n")
+def _write(path, head: str, rows=(), first: str | None = None, last: str | None = None):
+    """Write every file the CLI writes: an optional first line, head, one
+    line of _fmt numbers per row and an optional last line.  A path that
+    cannot be written is a usage error (ConfigError), not a fault."""
+    lines = itertools.chain((first, head), (",".join(map(_fmt, row)) for row in rows), (last,))
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(f"{line}\n" for line in lines if line is not None)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +105,19 @@ def cmd_validate(args) -> int:
                  "validation PASSED"]
         code = 0
     text = "\n".join(lines)
-    print(text)
     if args.report:
-        Path(args.report).write_text(text + "\n")
+        _write(args.report, text)
+    print(text)
     return code
 
 
 # ---------------------------------------------------------------------------
 # simulate
+
+
+def _csv_rows(records):
+    return ((r.t, r.E, r.D, r.dE_numeric, r.identity_residual, r.F1, r.F2, r.Ifun, r.Ltotal)
+            for r in records)
 
 
 def _run_simulation(setup: ProblemSetup):
@@ -138,22 +136,25 @@ def cmd_simulate(args) -> int:
     try:
         result = _run_simulation(setup)
     except SimulationAborted as exc:
-        _write_csv(csv_path, exc.records, truncated_at=exc.step_index)
+        _write(csv_path, CSV_HEADER, _csv_rows(exc.records),
+               last=f"# TRUNCATED at step {exc.step_index}")
         print(f"simulation aborted at step {exc.step_index}: {exc.cause}")
         return 1
-    _write_csv(csv_path, result.records)
+    _write(csv_path, CSV_HEADER, _csv_rows(result.records))
 
     checks = analysis.certify_trajectory(result.records)
     drift = result.refresh_drift
-    checks.append(analysis.CheckResult("running_sum_drift", drift, _DRIFT_TOL,
-                                       bool(drift <= _DRIFT_TOL)))
+    checks.append(analysis.CheckResult("running_sum_drift", drift, stepper.DRIFT_TOL,
+                                       bool(drift <= stepper.DRIFT_TOL)))
     try:
         fit = analysis.fit_decay(result.records, (0.2 * cfg.T, cfg.T))
         fit_line = (f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} "
                     f"r2={fit.r2:.6g} window=[{fit.window[0]:g},{fit.window[1]:g}] "
                     "method=peak_envelope")
-        if fit.gamma_fit <= 0:
-            checks.append(analysis.CheckResult("decay_rate_positive", fit.gamma_fit, 0.0, False))
+        decay = fit.gamma_fit * (fit.window[1] - fit.window[0])
+        if not decay > analysis.MIN_FIT_DECAY:   # worst = decay across the window
+            checks.append(analysis.CheckResult("decay_rate_positive", decay,
+                                               analysis.MIN_FIT_DECAY, False))
     except MembeamError as exc:
         fit_line = f"decay fit: unavailable ({exc})"
         # worst = fits made, tol = fits needed
@@ -167,7 +168,7 @@ def cmd_simulate(args) -> int:
     lines.append(f"certified decay rate (Lyapunov): {setup.mcfg.gamma_certified:.6g}")
 
     text = "\n".join(lines)
-    Path(report_path).write_text(text + "\n")
+    _write(report_path, text)
     print(text)
     print(f"wrote {csv_path} and {report_path}")
     return 0 if all(c.passed for c in checks) else 1
@@ -187,11 +188,8 @@ def cmd_spectrum(args) -> int:
         return 1
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv"
     absc = float(w[0].real)
-    with open(csv_path, "w") as fh:
-        fh.write(f"# abscissa = {_fmt(absc)}\n")
-        fh.write("re,im\n")
-        for lam in w:
-            fh.write(f"{_fmt(lam.real)},{_fmt(lam.imag)}\n")
+    _write(csv_path, "re,im", ((lam.real, lam.imag) for lam in w),
+           first=f"# abscissa = {_fmt(absc)}")
     print(f"abscissa = {absc:.6g}; wrote {csv_path}")
     return 0 if absc <= 1e-10 else 1
 
@@ -207,41 +205,28 @@ def cmd_oracle_check(args) -> int:
 
     dts = [cfg.dt * (0.5 ** k) for k in range(args.levels)]
     errors = []
-    H = setup.assembly.metric_matrix
-
-    def hnorm(vec):
-        return float(np.sqrt(vec @ (H @ vec)))
-
-    if cfg.scheme == "full_implicit_midpoint":
-        ref = stepper.oracle_evolve(setup.assembly, setup.initial_state.flatten(), cfg.T)
+    asm, state, ref = setup.assembly, setup.initial_state, None
     for dt in dts:
-        if cfg.scheme == "split_semilagrangian":
+        if cfg.scheme == "split_semilagrangian":   # its history grid is spaced ds = dt
             mg = memory_grid_from_counts(setup.kernel, ds=dt, Ns=setup.assembly.Ns)
             asm = assemble_generator(setup.assembly.ops, mg, setup.params)
             state = model.build_initial_state(
                 model.InitialData(u0=setup.initial_state.u, v0=setup.initial_state.v,
                                   theta0=setup.initial_state.theta,
                                   history_mode=cfg.history_mode), asm)
+            ref = None
+        if ref is None:   # the dense reference, once per assembly
             ref = stepper.oracle_evolve(asm, state.flatten(), cfg.T)
-            Hd = asm.metric_matrix
-            out = stepper.simulate(state, stepper.SchemeConfig(dt=dt, scheme=cfg.scheme),
-                                   cfg.T, sample_every=10**9).final_state.flatten()
-            err = float(np.sqrt((out - ref) @ (Hd @ (out - ref)) / (ref @ (Hd @ ref))))
-        else:
-            out = stepper.simulate(setup.initial_state,
-                                   stepper.SchemeConfig(dt=dt, scheme=cfg.scheme),
-                                   cfg.T, sample_every=10**9).final_state.flatten()
-            err = hnorm(out - ref) / hnorm(ref)
-        errors.append(err)
+        out = stepper.simulate(state, stepper.SchemeConfig(dt=dt, scheme=cfg.scheme),
+                               cfg.T, sample_every=10**9).final_state.flatten()
+        H = asm.metric_matrix
+        errors.append(float(np.sqrt((out - ref) @ (H @ (out - ref)) / (ref @ (H @ ref)))))
 
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
     fitted = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_oracle.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(f"# scheme = {cfg.scheme}, fitted order = {_fmt(fitted)}\n")
-        fh.write("dt,rel_error\n")
-        for dt, err in zip(dts, errors):
-            fh.write(f"{_fmt(dt)},{_fmt(err)}\n")
+    _write(csv_path, "dt,rel_error", zip(dts, errors),
+           first=f"# scheme = {cfg.scheme}, fitted order = {_fmt(fitted)}")
     print(f"scheme {cfg.scheme}: errors {['%.3e' % e for e in errors]}, "
           f"pairwise orders {['%.2f' % o for o in orders]}, fitted order {fitted:.3f}")
     print(f"wrote {csv_path}")
@@ -253,8 +238,8 @@ def cmd_oracle_check(args) -> int:
 # sweep
 
 
-def _sweep_row(cfg, name, value) -> dict:
-    """The sweep CSV row of cfg with name set to value."""
+def _sweep_row(cfg, name, value) -> tuple:
+    """The sweep CSV row of cfg with name set to value, in column order."""
     swept = with_parameter(cfg, name, value)
     setup = build_setup(swept)
     result = _run_simulation(setup)
@@ -262,8 +247,7 @@ def _sweep_row(cfg, name, value) -> dict:
     absc = (analysis.spectral_abscissa(setup.assembly)
             if setup.assembly.dim <= DENSE_MAX_DIM else float("nan"))
     cond = analysis.resolvent_check(setup.assembly)
-    return {"value": value, "gamma_fit": fit.gamma_fit, "K_fit": fit.K_fit,
-            "r2": fit.r2, "abscissa": absc, "resolvent_cond": cond}
+    return value, fit.gamma_fit, fit.K_fit, fit.r2, absc, cond
 
 
 def cmd_sweep(args) -> int:
@@ -277,12 +261,7 @@ def cmd_sweep(args) -> int:
     rows = [_sweep_row(cfg, args.param, v) for v in values]
 
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_sweep.csv"
-    with open(csv_path, "w") as fh:
-        fh.write(f"{args.param},gamma_fit,K_fit,r2,abscissa,resolvent_cond\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[k]) for k in
-                              ("value", "gamma_fit", "K_fit", "r2",
-                               "abscissa", "resolvent_cond")) + "\n")
+    _write(csv_path, f"{args.param},gamma_fit,K_fit,r2,abscissa,resolvent_cond", rows)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 

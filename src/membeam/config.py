@@ -55,7 +55,7 @@ from .discretization import (
     build_operators,
     build_spatial_grid,
 )
-from .errors import ConfigError, IncompatibleBoundary
+from .errors import ConfigError, IncompatibleBoundary, ParamOutOfRange
 from .model import InitialData, MemoryKernel, State
 
 _BOUNDARY_TOL = 1e-12
@@ -255,8 +255,8 @@ class ProblemSetup:
 
 def build_setup(cfg: RunConfig) -> ProblemSetup:
     """Validate every model object and assemble the discrete system,
-    including the range check of the mechanical block; the first stage
-    that fails raises.  The (Nx, Ns) history size and the run length
+    including the range checks of the mechanical block and the memory
+    flux; the first stage that fails raises.  The (Nx, Ns) history size and the run length
     (stepper.run_length, as simulate checks it) are checked before
     anything of size Nx is allocated."""
     params = model.derive_params(cfg.lambda1, cfg.lambda2, cfg.kappa, cfg.beta)
@@ -284,6 +284,11 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     state = model.build_initial_state(init, assembly)
     mcfg = analysis.choose_multipliers_for(assembly, report=report)
     assembly.mechanical_block       # range-checked as it is built, before any evaluation
+    # every step's residual norm squares the memory flux sum_k w_k mu_k LAP eta_k
+    flux = float(np.max(np.abs(memory_grid.wmu))) * float(np.max(np.abs(ops.lap.data)))
+    if not math.isfinite(flux * flux):
+        raise ParamOutOfRange("kernel", f"the kernel's largest memory-flux entry |w_k mu_k| "
+                              f"max|LAP| = {flux:.3g} has a square beyond the float range")
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
                         assembly=assembly, initial_state=state, mcfg=mcfg)
 

@@ -147,7 +147,11 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8,
     if bound <= 0:
         raise TruncationUnreachable("kernel vanishes at ds/2; no truncation point exists")
 
-    last = max(1, int(min(1e9, kernel.s_max_table) / ds))
+    end = min(1e9, kernel.s_max_table)
+    if not np.isfinite(end / ds):
+        raise ParamOutOfRange("dt", f"dt = {dt:g} makes the node count {end:g}/dt of the "
+                              "memory grid's scan overflow")
+    last = max(1, int(end / ds))
     lo, hi = 0, 1
     if float(kernel.mu(last * ds)) <= bound:   # mu decreases, so a node within the cap is found
         while lo < last:

@@ -22,34 +22,11 @@ split_semilagrangian
     average of the pre- and post-step histories.  The history is stored in
     a ring buffer with a running characteristic accumulator.
 
-Cost of one step and of one diagnostics sample (medians of repeated
-calls at Nx = 64, dt = 1e-3 on a 2-core x86 machine; a sample is taken
-in the stepping loop and evaluated with 63 others in one pass).  Every
-step of either scheme is one product with the Cayley operator R
-(_step_operator) and one banded 3Nx solve with its residual check:
-
-    split, Prony (m modes), Ns = 18422
-        step O(Nx m), ~0.05 ms; sample one O(Ns) pass over the ring and
-        O(Nx m), ~0.08 ms
-    split, table, Ns = 15612
-        step one O(Nx Ns B) GEMM every B = 16 steps, ~0.13 ms; sample one
-        O(Nx Ns) product and one O(Ns) pass over the ring, ~0.35 ms
-    midpoint, Ns = 18422 (P = 20000, K = 1184)
-        step an O(Nx k) history sum (~0.03 ms); once a block of k = 32
-        steps one elementwise product and two products with (k, P + 2)
-        tables on the (Nx, P/2 + 1) spectrum, and an irfft/rfft pair
-        every K steps: ~0.3 ms a step in all; sample the spectrum formed
-        from the block, one irfft of it and O(Nx Ns), ~14 ms.  At
-        Nx = 32, Ns = 1843 (P = 2250, K = 224): ~0.05 ms and ~0.8 ms
-
-What a simulate call holds at its peak on top of the caller's state, in
-(Nx, Ns) float64 histories (tracemalloc, same sizes):
-
-    split, Prony           its ring, which the final state takes over, and
-                           blocks of columns: 1.2
-    split, table           the ring and the (Ns, 16) Hankel weights: 1.6
-    midpoint               two spectra, the block tables and a
-                           re-projection's histories and residual: 8.0
+Every step of either scheme is one product with the Cayley operator R
+(_step_operator) and one banded 3Nx solve with its residual check.  The
+cost of a step and of a sample for each scheme and kernel form, and what
+a run holds at its peak, are tabulated once, in the README's "Cost of a
+step and of a sample".
 
 A run is a _CayleyRun, the Cayley step of the (u, v, theta) block, plus
 a history: _MidpointRun or _SplitRun, built from a State and a
@@ -99,6 +76,13 @@ from .model import State
 
 # Largest relative residual accepted from any linear solve of a step.
 _LINEAR_SOLVER_TOL = 1e-9
+
+# Largest relative drift accepted between a run's running history sums and
+# the history they sum (SimulationResult.refresh_drift).  The drift is an
+# error in the right-hand side of every step, so it gets the bound of a
+# step's residual; rounding that grows by one unit (1.1e-16) per step stays
+# below it for the MAX_STEPS steps of the longest run.
+DRIFT_TOL = _LINEAR_SOLVER_TOL
 
 # Most steps one simulate call takes; a longer run is refused before the
 # first step (100 times the 10,000 steps of the shipped default run).

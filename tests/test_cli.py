@@ -361,6 +361,24 @@ class TestValidateCommand:
             assert out == "" and err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("scheme", stepper.SCHEMES)
+    def test_overflowing_memory_flux_is_refused(self, tmp_path, monkeypatch, capsys, scheme):
+        # amplitudes = 1e300 meets every kernel hypothesis, but the squares of
+        # its w_k mu_k LAP entries, which every step's residual norm takes,
+        # overflow: refused in setup with one line, for both schemes
+        monkeypatch.chdir(tmp_path)
+        text = default_config_path("small").read_text()
+        text = edit_cfg("scheme = split_semilagrangian", f"scheme = {scheme}",
+                        edit_cfg("amplitudes = 1.0", "amplitudes = 1e300", text))
+        path = str(write_cfg(tmp_path, text))
+        assert main(["validate", path]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("validation FAILED: the kernel's largest memory-flux entry")
+        assert main(["simulate", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {line.removeprefix('validation FAILED: ')}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("name", ["u0", "v0", "theta0"])
     def test_non_finite_table_profile_is_refused(self, tmp_path, monkeypatch, capsys, name):
         # a nan row interpolates to nan nodes, which the boundary check's
@@ -406,6 +424,7 @@ class TestSimulateCommand:
         assert "spectral abscissa" in report
         assert re.search(r"^check running_sum_drift: worst=\S+ tol=1\.0e-09 PASS$", report,
                          flags=re.M)
+        assert "decay_rate_positive" not in report
 
     @pytest.mark.parametrize("drift", [float("nan"), 2e-9])
     def test_running_sum_drift_is_checked(self, tmp_path, monkeypatch, capsys, drift):
@@ -443,6 +462,48 @@ class TestSimulateCommand:
         assert all(line.endswith("PASS") for line in out.splitlines()
                    if line.startswith("check ") and "decay_fit_available" not in line)
         assert len((tmp_path / "run.csv").read_text().splitlines()) == 1 + 11
+
+    def test_rounding_decay_does_not_certify(self, tmp_path, monkeypatch, capsys):
+        # at L = 1e70 with u0 = 0 the energy is constant to rounding, and the
+        # fit reads a rate of 4e-14 from it: no decay across the window
+        monkeypatch.chdir(tmp_path)
+        text = edit_cfg("u0 = poly 0 0 1 -2 1", "u0 = constant 0.0",
+                        edit_cfg("L = 1.0", "L = 1e70", FIT_CFG))
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 1
+        assert re.search(r"^check decay_rate_positive: worst=\S+ tol=1\.0e-08 FAIL$",
+                         capsys.readouterr().out, flags=re.M)
+
+    def test_aborted_run_writes_every_earlier_sample(self, tmp_path, monkeypatch, capsys):
+        # the run's factor gets one entry of U's diagonal off in its 5th solve
+        monkeypatch.chdir(tmp_path)
+        path = str(write_cfg(tmp_path, FIT_CFG))
+        assert main(["simulate", path, "--csv", "full.csv", "--report", "full.txt"]) == 0
+        real = stepper._start
+
+        def corrupted(state, cfg):
+            run = real(state, cfg)
+            solve, calls = run.lu.solve_checked, []
+
+            def solve_checked(*args):
+                calls.append(args)
+                if len(calls) == 5:
+                    run.lu._lu[run.lu.kl + run.lu.ku, 7] *= 1.0 + 1e-6
+                return solve(*args)
+
+            run.lu.solve_checked = solve_checked
+            return run
+
+        monkeypatch.setattr(stepper, "_start", corrupted)
+        capsys.readouterr()
+        assert main(["simulate", path]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("simulation aborted at step 5: residual ")
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        full = (tmp_path / "full.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and rows[-1] == "# TRUNCATED at step 5"
+        # samples at steps 0-4; the last one's derivative fields are one-sided
+        assert [r.split(",")[:3] for r in rows[1:-1]] == [r.split(",")[:3] for r in full[1:6]]
+        assert not (tmp_path / "report.txt").exists()
 
     def test_zero_initial_data_all_zero_columns(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -677,6 +738,17 @@ class TestExitCodes:
         assert err.splitlines() == ["config error: sweep values must be numbers: "
                                     "could not convert string to float: 'abc'"]
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--report", "nodir/r.txt"], ["simulate", "--csv", "nodir/r.txt"],
+        ["simulate", "--report", "nodir/r.txt"], ["spectrum", "--csv", "nodir/r.txt"],
+        ["oracle-check", "--csv", "nodir/r.txt"],
+        ["sweep", "--param", "beta", "--values", "1", "--csv", "nodir/r.txt"]])
+    def test_unwritable_output_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], str(write_cfg(tmp_path, FIT_CFG)), *argv[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: cannot write nodir/r.txt: No such file or directory\n")
+
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_oracle_check_needs_two_levels(self, tmp_path, monkeypatch, capsys, levels):
         # refused before the run file is read or any setup is built
@@ -739,11 +811,11 @@ def test_run_file_scalar_fuzz(case):
 
 @pytest.mark.parametrize("name,value", [
     ("kappa", "1e300"), ("beta", "1e300"), ("kappa", "1e-300"), ("lambda2", "5e-324"),
-    ("L", "1e-300"), ("L", "1e-80"), ("L", "1e300"), ("L", "1e80")])
+    ("L", "1e-300"), ("L", "1e-80"), ("L", "1e300"), ("L", "1e80"), ("dt", "1e-300")])
 def test_extreme_scalar_is_a_named_error(tmp_path, capsys, name, value):
     # squares and quotients of these leave the float range: kappa^2, beta^2,
-    # l = (1 - lambda1)/lambda2 and the h^4 and 1/h^4 of h = L/(Nx + 1) are
-    # range-checked and named
+    # l = (1 - lambda1)/lambda2, the h^4 and 1/h^4 of h = L/(Nx + 1) and the
+    # node count s/dt of the memory grid's scan are range-checked and named
     line = next(line for line in _SCALARS if line.split(" = ")[0] == name)
     path = write_cfg(tmp_path, TINY_CFG.replace(line, f"{name} = {value}"))
     code = main(["simulate", str(path), "--csv", str(tmp_path / "run.csv"),
