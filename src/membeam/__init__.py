@@ -38,8 +38,8 @@ from .stepper import (
 )
 from .analysis import (
     DecayFit,
-    DiagnosticsRecord,
     MultiplierConfig,
+    Trajectory,
     check_dissipativity,
     choose_multipliers,
     choose_multipliers_for,

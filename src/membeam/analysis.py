@@ -353,33 +353,42 @@ def choose_multipliers_for(assembly: GeneratorAssembly,
 # diagnostics records
 
 
-@dataclass
-class DiagnosticsRecord:
-    """Per-sample functional values; dE_numeric and identity_residual are
-    filled by the simulation driver once neighboring samples exist.  The
-    left side of lemma 4.3 is Ifun itself."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Every tracked functional and inequality side of n samples, one (n,)
+    float64 column each.  dE_numeric and identity_residual are nan until
+    stepper.simulate fills them from neighbouring samples.  The left side
+    of lemma 4.3 is Ifun itself."""
 
-    t: float
-    E: float
-    D: float
-    F1: float
-    F2: float
-    Ifun: float
-    Ltotal: float
-    lemma42_lhs: float
-    lemma42_rhs: float
-    lemma43_rhs: float
-    lemma44_lhs: float
-    lemma44_rhs: float
-    sandwich_low: float
-    sandwich_high: float
-    dE_numeric: float = math.nan
-    identity_residual: float = math.nan
+    t: np.ndarray
+    E: np.ndarray
+    D: np.ndarray
+    F1: np.ndarray
+    F2: np.ndarray
+    Ifun: np.ndarray
+    Ltotal: np.ndarray
+    lemma42_lhs: np.ndarray
+    lemma42_rhs: np.ndarray
+    lemma43_rhs: np.ndarray
+    lemma44_lhs: np.ndarray
+    lemma44_rhs: np.ndarray
+    sandwich_low: np.ndarray
+    sandwich_high: np.ndarray
+    dE_numeric: np.ndarray
+    identity_residual: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    @classmethod
+    def concatenate(cls, parts) -> "Trajectory":
+        """The tables of parts, one after the other."""
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
 
 
-def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
+def diagnostics_record(src, mcfg: MultiplierConfig) -> Trajectory:
     """Every tracked functional and inequality side at one state: the
-    one-sample case of diagnostics_records.
+    one-sample table of diagnostics_records.
 
     src is anything take_sample reads: a State or a run of either scheme.
     A split run supplies its own history sums, so that the sample needs no
@@ -387,10 +396,10 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> DiagnosticsRecord:
     O(Nx * modes) row work, and for a table kernel one O(Nx Ns) product
     more.
     """
-    return diagnostics_records(Samples.of(src), mcfg)[0]
+    return diagnostics_records(Samples.of(src), mcfg)
 
 
-def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[DiagnosticsRecord]:
+def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
     """Every tracked functional and inequality side at each sample of a
     stack, in one vectorized pass.
 
@@ -418,10 +427,9 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> list[Diagno
                    - 0.5 * mcfg.mu0 * f.tt
                    - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
 
-    # in the field order of DiagnosticsRecord
-    columns = (samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, l43_rhs,
-               l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L, L - mcfg.gamma2 * f.E)
-    return [DiagnosticsRecord(*row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+    return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, l43_rhs,
+                      l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L, L - mcfg.gamma2 * f.E,
+                      *np.full((2, samples.t.size), math.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -566,18 +574,18 @@ class DecayFit:
     n_points: int
 
 
-def fit_decay(records, window: tuple) -> DecayFit:
-    """Fit gamma and K to the peak envelope of the records' energy inside
+def fit_decay(traj, window: tuple) -> DecayFit:
+    """Fit gamma and K to the peak envelope of a trajectory's energy inside
     the window.
 
     The line through (t, ln E) is fitted through the local maxima of E,
     which is robust when the dominant eigenvalue pair is oscillatory.  A
     window with fewer than five interior maxima (a monotone one has none)
-    is fitted through all its samples.  records are read for their t and
-    E; K_fit is exp(intercept)/E(0) with E(0) the first record's.
+    is fitted through all its samples.  traj is read for its t and E
+    columns; K_fit is exp(intercept)/E(0) with E(0) the first sample's.
     """
-    t = np.array([r.t for r in records], dtype=float)
-    E = np.array([r.E for r in records], dtype=float)
+    t = np.asarray(traj.t, dtype=float)
+    E = np.asarray(traj.E, dtype=float)
     if t.size == 0:
         raise WindowTooSmall("empty trajectory")
     E0 = E[0]
@@ -621,7 +629,7 @@ class CheckResult:
         return f"check {self.name}: worst={self.worst:.6e} tol={self.tol:.1e} {status}"
 
 
-def certify_trajectory(records) -> list[CheckResult]:
+def certify_trajectory(traj: Trajectory) -> list[CheckResult]:
     """Evaluate every trajectory invariant over the recorded samples.
 
     Each line of the certification report maps to one invariant: energy
@@ -629,11 +637,10 @@ def certify_trajectory(records) -> list[CheckResult]:
     samples, the three lemma inequalities, and the Lyapunov sandwich.
     Every check has the tolerance 1e-8 but the monotone decay, which
     bounds the relative energy increase between samples by 1e-10.
-    Fewer than two records certify nothing: a failing
-    trajectory_recorded check (worst = the record count) is added.
+    Fewer than two samples certify nothing: a failing
+    trajectory_recorded check (worst = the sample count) is added.
     """
-    E = np.array([r.E for r in records])
-    D = np.array([r.D for r in records])
+    E, D = traj.E, traj.D
     results = [
         CheckResult("energy_nonnegative", float(-E.min()), _CHECK_TOL,
                     bool(E.min() >= -_CHECK_TOL)),
@@ -647,13 +654,11 @@ def certify_trajectory(records) -> list[CheckResult]:
         worst = float(rel_inc.max())
         results.append(CheckResult("energy_monotone_decay", worst, _MONOTONE_TOL,
                                    bool(worst <= _MONOTONE_TOL)))
-    for name, lo, hi in (("lemma_F1_derivative", "lemma42_lhs", "lemma42_rhs"),
-                         ("lemma_I_bound", "Ifun", "lemma43_rhs"),
-                         ("lemma_F2_derivative", "lemma44_lhs", "lemma44_rhs")):
-        margin = np.array([getattr(r, lo) - getattr(r, hi) for r in records])
+    for name, margin in (("lemma_F1_derivative", traj.lemma42_lhs - traj.lemma42_rhs),
+                         ("lemma_I_bound", traj.Ifun - traj.lemma43_rhs),
+                         ("lemma_F2_derivative", traj.lemma44_lhs - traj.lemma44_rhs),
+                         ("sandwich_lower", traj.sandwich_low),
+                         ("sandwich_upper", traj.sandwich_high)):
         worst = float(np.max(margin))
-        results.append(CheckResult(name, worst, _CHECK_TOL, bool(worst <= _CHECK_TOL)))
-    for name, attr in (("sandwich_lower", "sandwich_low"), ("sandwich_upper", "sandwich_high")):
-        worst = float(np.max([getattr(r, attr) for r in records]))
         results.append(CheckResult(name, worst, _CHECK_TOL, bool(worst <= _CHECK_TOL)))
     return results

@@ -1,24 +1,30 @@
 """Command-line entry point.
 
-Subcommands:
-    validate <cfg>                  simulate's setup: its certificates or first failure
-    simulate <cfg>                  run the configured simulation; write CSV + report
-    spectrum <cfg>                  eigenvalues (re, im) sorted by real part + abscissa
-    oracle-check <cfg>              dt-halving error table against exp(t A_h)
-    sweep <cfg> --param P --values  one simulate + fit per value, in turn
+Subcommands and the flags each takes:
+    validate <cfg> [--report R]            simulate's setup: its certificates or first failure
+    simulate <cfg> [--csv C] [--report R]  run the configured simulation; write CSV + report
+    spectrum <cfg> [--csv C]               eigenvalues (re, im) sorted by real part + abscissa
+    oracle-check <cfg> [--csv C] [--levels N]
+                                           dt-halving error table against exp(t A_h)
+    sweep <cfg> --param P --values V [--csv C] [--serial]
+                                           one simulate + fit per value, in turn
 
 Exit codes: 0 pass, 1 validation/certification failure or internal error
 (a built-in, numpy or scipy exception; an exception class a caller defines
 passes through), 2 usage/parse error.
 MEMBEAM_LOG sets the log level (an unknown level exits 2).  CSV and report
 paths come from the config's [output] section; --csv/--report override.
+A path that names a directory or lies in no directory is refused after
+setup, before the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import logging
+import math
 import os
 import sys
 from importlib import resources
@@ -34,6 +40,7 @@ from .errors import (
     DimensionTooLarge,
     KernelHypothesisError,
     MembeamError,
+    ParamOutOfRange,
     SimulationAborted,
 )
 
@@ -68,6 +75,20 @@ def _write(path, head: str, rows=(), first: str | None = None, last: str | None 
             fh.writelines(f"{line}\n" for line in lines if line is not None)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(*paths):
+    """Refuse before a run, with _write's message, a path that names a
+    directory or whose directory does not exist.  Creates no file."""
+    for path in paths:
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +136,10 @@ def cmd_validate(args) -> int:
 # simulate
 
 
-def _csv_rows(records):
-    return ((r.t, r.E, r.D, r.dE_numeric, r.identity_residual, r.F1, r.F2, r.Ifun, r.Ltotal)
-            for r in records)
+def _csv_rows(traj: analysis.Trajectory):
+    """The rows of the simulate CSV, in CSV_HEADER's column order."""
+    return zip(*(getattr(traj, name).tolist() for name in
+                 ("t", "E", "D", "dE_numeric", "identity_residual", "F1", "F2", "Ifun", "Ltotal")))
 
 
 def _run_simulation(setup: ProblemSetup):
@@ -132,6 +154,7 @@ def cmd_simulate(args) -> int:
     setup = build_setup(cfg)
     csv_path = args.csv or cfg.csv_path
     report_path = args.report or cfg.report_path
+    _check_writable(csv_path, report_path)
 
     try:
         result = _run_simulation(setup)
@@ -181,12 +204,13 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
+    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv"
+    _check_writable(csv_path)
     try:
         w = analysis.eigenvalues(setup.assembly)
     except DimensionTooLarge as exc:
         print(f"spectrum unavailable: {exc}")
         return 1
-    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv"
     absc = float(w[0].real)
     _write(csv_path, "re,im", ((lam.real, lam.imag) for lam in w),
            first=f"# abscissa = {_fmt(absc)}")
@@ -199,9 +223,22 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"oracle-check needs --levels >= 2 to fit an order, got {args.levels}")
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
+    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_oracle.csv"
+    _check_writable(csv_path)
     if setup.assembly.dim > DENSE_MAX_DIM:
         print(f"oracle-check unavailable: dimension {setup.assembly.dim} > {DENSE_MAX_DIM}")
         return 1
+    # refused before the first level: what no level can measure, and a finest
+    # level past simulate's step limit (counted without its dt, which may underflow)
+    if not cfg.T > 0:
+        raise ParamOutOfRange("T", "oracle-check needs T > 0: at T = 0 every error is 0 "
+                              "and the order 0/0")
+    stepper.check_steps(cfg.T / cfg.dt * (2.0 ** (args.levels - 1) if args.levels <= 1024
+                                          else math.inf))
+    phi = setup.initial_state.flatten()
+    if not phi @ (setup.assembly.metric_matrix @ phi) > 0:
+        raise ParamOutOfRange("initial data", "oracle-check needs nonzero initial data: "
+                              "the error relative to a zero solution is 0/0")
 
     dts = [cfg.dt * (0.5 ** k) for k in range(args.levels)]
     errors = []
@@ -224,7 +261,6 @@ def cmd_oracle_check(args) -> int:
 
     orders = [float(np.log2(errors[i] / errors[i + 1])) for i in range(len(errors) - 1)]
     fitted = float(np.polyfit(np.log(dts), np.log(errors), 1)[0])
-    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_oracle.csv"
     _write(csv_path, "dt,rel_error", zip(dts, errors),
            first=f"# scheme = {cfg.scheme}, fitted order = {_fmt(fitted)}")
     print(f"scheme {cfg.scheme}: errors {['%.3e' % e for e in errors]}, "
@@ -258,9 +294,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep values must be numbers: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    rows = [_sweep_row(cfg, args.param, v) for v in values]
-
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_sweep.csv"
+    _check_writable(csv_path)
+    rows = [_sweep_row(cfg, args.param, v) for v in values]
     _write(csv_path, f"{args.param},gamma_fit,K_fit,r2,abscissa,resolvent_cond", rows)
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
@@ -274,22 +310,22 @@ def make_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn, **flags):
         p = sub.add_parser(name)
         p.add_argument("config", help="run configuration file")
-        p.add_argument("--csv", default=None, help="override CSV output path")
-        p.add_argument("--report", default=None, help="override report output path")
-        for argname, kwargs in extra.items():
-            p.add_argument(argname, **kwargs)
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
         return p
 
-    add("validate", cmd_validate)
-    add("simulate", cmd_simulate)
-    add("spectrum", cmd_spectrum)
+    csv = {"--csv": dict(help="override CSV output path")}
+    report = {"--report": dict(help="override report output path")}
+    add("validate", cmd_validate, **report)
+    add("simulate", cmd_simulate, **csv, **report)
+    add("spectrum", cmd_spectrum, **csv)
     add("oracle-check", cmd_oracle_check,
-        **{"--levels": dict(type=int, default=3, help="number of dt halvings")})
-    add("sweep", cmd_sweep,
+        **csv, **{"--levels": dict(type=int, default=3, help="number of dt halvings")})
+    add("sweep", cmd_sweep, **csv,
         **{"--param": dict(required=True, help="parameter to sweep, e.g. beta"),
            "--values": dict(required=True, help="comma/space separated values"),
            "--serial": dict(action="store_true", help="ignored: sweeps always run serially; "

@@ -92,10 +92,10 @@ class DimensionTooLarge(MembeamError):
 class SimulationAborted(MembeamError):
     """A step failed mid-run; carries the partial trajectory."""
 
-    def __init__(self, step_index: int, cause: Exception, records=None):
+    def __init__(self, step_index: int, cause: Exception, records):
         self.step_index = step_index
         self.cause = cause
-        self.records = records or []
+        self.records = records   # the analysis.Trajectory of every sample taken
         super().__init__(f"simulation aborted at step {step_index}: {cause}")
 
 

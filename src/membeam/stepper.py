@@ -88,8 +88,10 @@ DRIFT_TOL = _LINEAR_SOLVER_TOL
 # first step (100 times the 10,000 steps of the shipped default run).
 MAX_STEPS = 1_000_000
 
-# Most diagnostics records one simulate call keeps (about 0.6 KB each); a
-# run that would keep more is refused before the first step.
+# Most diagnostics records one simulate call keeps (the 16 float64 columns
+# of analysis.Trajectory: 146 bytes a record under tracemalloc in a 2,001-record
+# run at Nx = 8, Ns = 50); a run that would keep more is refused before the
+# first step.
 MAX_RECORDS = MAX_STEPS // 10 + 1
 
 # Samples simulate evaluates in one vectorized pass of the functionals
@@ -965,7 +967,7 @@ def _start(state: State, cfg: SchemeConfig):
 
 @dataclass
 class SimulationResult:
-    """Trajectory of diagnostics records plus the final state.
+    """The diagnostics table of a run (analysis.Trajectory) plus the final state.
 
     For a split run final_state holds the run's ring itself, rotated to
     s-order in place, not a copy of it.
@@ -977,9 +979,15 @@ class SimulationResult:
     carried wmu . eta against the materialized history).
     """
 
-    records: list
+    records: analysis.Trajectory
     final_state: State
     refresh_drift: float
+
+
+def check_steps(steps: float) -> None:
+    """Refuse (ParamOutOfRange) a run of steps = T / dt above MAX_STEPS."""
+    if not steps <= MAX_STEPS:
+        raise ParamOutOfRange("T", f"T / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
 
 
 def run_length(T: float, dt: float, sample_every: int) -> tuple[int, int]:
@@ -992,9 +1000,7 @@ def run_length(T: float, dt: float, sample_every: int) -> tuple[int, int]:
         raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
     if sample_every < 1:
         raise ParamOutOfRange("sample_every", "sample_every must be >= 1")
-    if not T / dt <= MAX_STEPS:
-        raise ParamOutOfRange(
-            "T", f"T / dt = {T / dt:.3g} steps exceeds the limit of {MAX_STEPS}")
+    check_steps(T / dt)
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ParamOutOfRange(
@@ -1018,10 +1024,10 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     first step.  A sample is taken from the run as it passes (analysis.take_sample(run)),
     so no State is built but the final one: a split run supplies its own
     history sums, and a midpoint run's are summed from its history in
-    place.  The records are evaluated _SAMPLE_CHUNK samples at a time in
-    one pass (analysis.diagnostics_records).  dE_numeric (centered
-    difference of E across samples) and the identity residual are filled
-    in after the run.
+    place.  The samples are evaluated _SAMPLE_CHUNK at a time in one pass
+    (analysis.diagnostics_records) and joined into one analysis.Trajectory
+    after the run, with dE_numeric (centered difference of E across
+    samples) and the identity residual filled in.
     Step failures abort with the partial trajectory attached
     (SimulationAborted): every sample taken before the failure evaluated,
     its dE_numeric and identity residual filled in.  One INFO line on the
@@ -1036,21 +1042,26 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         mcfg = analysis.choose_multipliers_for(init.assembly)
 
     start = time.perf_counter()
-    records, pending = [], [analysis.take_sample(init)]
+    chunks, pending = [], [analysis.take_sample(init)]
 
     def flush():
-        """Evaluate the pending samples into records, in one pass."""
+        """Evaluate the pending samples into a table, in one pass."""
         if pending:
-            records.extend(analysis.diagnostics_records(
+            chunks.append(analysis.diagnostics_records(
                 analysis.Samples.stack(init.assembly, pending), mcfg))
             pending.clear()
 
-    def complete() -> list:
-        """The records of every sample taken, finished: the pending ones
-        evaluated, dE_numeric and the identity residual filled in."""
+    def complete() -> analysis.Trajectory:
+        """The table of every sample taken, dE_numeric (one-sided at either
+        end, 0 for a lone sample) and |dE_numeric - D| filled in."""
         flush()
-        _fill_numeric_derivatives(records)
-        return records
+        traj = analysis.Trajectory.concatenate(chunks)
+        E, t, dE, j = traj.E, traj.t, traj.dE_numeric, np.arange(len(traj))
+        lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, j.size - 1)
+        dE.fill(0.0)
+        np.divide(E[hi] - E[lo], t[hi] - t[lo], out=dE, where=hi > lo)
+        np.abs(dE - traj.D, out=traj.identity_residual)
+        return traj
 
     sampling = time.perf_counter() - start
     final, drift, info = init, 0.0, ""
@@ -1075,26 +1086,12 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         final = run.final_state()
         info = run.info()
     t0 = time.perf_counter()
-    complete()
+    records = complete()
     sampling += time.perf_counter() - t0
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
              "refresh drift %.3e%s", n_steps, len(records),
              time.perf_counter() - start - sampling, sampling, drift, info)
     return SimulationResult(records=records, final_state=final, refresh_drift=drift)
-
-
-def _fill_numeric_derivatives(records):
-    """Centered finite difference of E across samples -> dE_numeric,
-    identity_residual = |dE_numeric - D|."""
-    n = len(records)
-    for j, rec in enumerate(records):
-        lo = max(0, j - 1)
-        hi = min(n - 1, j + 1)
-        if hi == lo:
-            rec.dE_numeric = 0.0
-        else:
-            rec.dE_numeric = (records[hi].E - records[lo].E) / (records[hi].t - records[lo].t)
-        rec.identity_residual = abs(rec.dE_numeric - rec.D)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,17 @@ def step(state, cfg):
     run = stepper._start(state, cfg)
     run.advance()
     return run.final_state()
+
+
+def assert_tables_close(traj, full, tol):
+    """Every entry of a Trajectory within tol * max(|full|, E) of the
+    full-quadrature table's, sample by sample; a nan entry of full is not
+    compared."""
+    for f in dataclasses.fields(full):
+        ref = getattr(full, f.name)
+        known = ~np.isnan(ref)
+        err = np.abs(getattr(traj, f.name) - ref)[known]
+        assert np.all(err <= tol * np.maximum(np.abs(ref), full.E)[known]), f.name
 
 
 def peak_history_copies(call, assembly):

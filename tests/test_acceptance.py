@@ -188,7 +188,7 @@ def test_criterion_4_exponential_decay(default_run, report):
 def test_criterion_5_monotone_decay(default_run, report):
     """Energy never increases between consecutive default-run samples by
     more than 1e-10 relative."""
-    E = np.array([r.E for r in default_run["result"].records])
+    E = default_run["result"].records.E
     worst = float((np.diff(E) / E[:-1]).max())
     passed = worst <= 1e-10
     report(5, "monotone decay", passed, f"worst relative increase {worst:.3e} <= 1e-10")
@@ -200,13 +200,13 @@ def test_criterion_6_lemma_inequalities(default_run, report):
     default-run sample with 1e-8 absolute slack and C_kappa = 5."""
     mcfg = default_run["mcfg"]
     assert mcfg.Ckappa == 5.0
-    records = default_run["result"].records
+    traj = default_run["result"].records
     worst = {
-        "lemma_F1_derivative": max(r.lemma42_lhs - r.lemma42_rhs for r in records),
-        "lemma_I_bound": max(r.Ifun - r.lemma43_rhs for r in records),
-        "lemma_F2_derivative": max(r.lemma44_lhs - r.lemma44_rhs for r in records),
-        "sandwich_lower": max(r.sandwich_low for r in records),
-        "sandwich_upper": max(r.sandwich_high for r in records),
+        "lemma_F1_derivative": (traj.lemma42_lhs - traj.lemma42_rhs).max(),
+        "lemma_I_bound": (traj.Ifun - traj.lemma43_rhs).max(),
+        "lemma_F2_derivative": (traj.lemma44_lhs - traj.lemma44_rhs).max(),
+        "sandwich_lower": traj.sandwich_low.max(),
+        "sandwich_upper": traj.sandwich_high.max(),
     }
     passed = all(v <= 1e-8 for v in worst.values())
     report(6, "lemma inequalities", passed,

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +18,7 @@ from membeam.errors import (
     WindowTooSmall,
 )
 
-from conftest import default_initial_state, make_assembly
+from conftest import assert_tables_close, default_initial_state, make_assembly
 
 
 def zero_state(asm):
@@ -176,13 +175,11 @@ class TestLemmaChecksAlongTrajectory:
         asm = make_assembly(Nx=12, ds=0.02, Ns=64)
         st = default_initial_state(asm)
         mcfg = mb.choose_multipliers_for(asm)
-        res = mb.simulate(st, mb.SchemeConfig(dt=0.02), 1.0, sample_every=5, mcfg=mcfg)
-        for rec in res.records:
-            assert rec.lemma42_lhs <= rec.lemma42_rhs + 1e-8
-            assert rec.Ifun <= rec.lemma43_rhs + 1e-8
-            assert rec.lemma44_lhs <= rec.lemma44_rhs + 1e-8
-            assert rec.sandwich_low <= 1e-8
-            assert rec.sandwich_high <= 1e-8
+        traj = mb.simulate(st, mb.SchemeConfig(dt=0.02), 1.0, sample_every=5, mcfg=mcfg).records
+        assert np.all(traj.lemma42_lhs <= traj.lemma42_rhs + 1e-8)
+        assert np.all(traj.Ifun <= traj.lemma43_rhs + 1e-8)
+        assert np.all(traj.lemma44_lhs <= traj.lemma44_rhs + 1e-8)
+        assert np.all(np.maximum(traj.sandwich_low, traj.sandwich_high) <= 1e-8)
 
 
 class TestSplitRunRecords:
@@ -205,13 +202,8 @@ class TestSplitRunRecords:
             run.advance()
             if step % 7:
                 continue
-            full = an.diagnostics_record(run.to_state(), mcfg)
-            rec = an.diagnostics_record(run, mcfg)
-            for f in dataclasses.fields(full):
-                ref = getattr(full, f.name)
-                if math.isnan(ref):
-                    continue
-                assert abs(getattr(rec, f.name) - ref) <= 1e-11 * max(abs(ref), full.E), f.name
+            assert_tables_close(an.diagnostics_record(run, mcfg),
+                                an.diagnostics_record(run.to_state(), mcfg), 1e-11)
 
 
 @pytest.mark.parametrize("scheme", ["split_semilagrangian", "full_implicit_midpoint"])
@@ -229,10 +221,10 @@ def test_records_read_no_memory_grid(scheme):
         run.advance()
         samples.append(an.take_sample(run))
     stand_in = SimpleNamespace(grid=asm.grid, ops=asm.ops, params=asm.params)
-    records = [an.diagnostics_records(an.Samples.stack(a, samples), mcfg) for a in (asm, stand_in)]
+    real, bare = (np.array(dataclasses.astuple(an.diagnostics_records(
+        an.Samples.stack(a, samples), mcfg))) for a in (asm, stand_in))
     assert not hasattr(stand_in, "memory_grid")
-    real, bare = (np.array([dataclasses.astuple(r) for r in recs]) for recs in records)
-    assert real.shape == (13, len(dataclasses.fields(an.DiagnosticsRecord)))
+    assert real.shape == (len(dataclasses.fields(an.Trajectory)), 13)
     assert real.tobytes() == bare.tobytes()
 
 
@@ -334,8 +326,8 @@ class TestSpectral:
 
 
 def _records(t, E):
-    """What fit_decay reads of a record: its t and E."""
-    return [SimpleNamespace(t=ti, E=Ei) for ti, Ei in zip(t, E)]
+    """What fit_decay reads of a trajectory: its t and E columns."""
+    return SimpleNamespace(t=t, E=E)
 
 
 class TestFitDecay:
@@ -411,7 +403,7 @@ class TestCertifyTrajectory:
         asm = make_assembly(Nx=8, ds=0.05, Ns=24)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5,
                           sample_every=2)
-        setattr(res.records[2], attr, np.nan)
+        getattr(res.records, attr)[2] = np.nan
         failed = {c.name for c in an.certify_trajectory(res.records) if not c.passed}
         assert failed == {"lemma_F1_derivative" if attr == "lemma42_lhs" else "sandwich_upper"}
 
@@ -419,9 +411,10 @@ class TestCertifyTrajectory:
         asm = make_assembly(Nx=8, ds=0.05, Ns=24)
         st = default_initial_state(asm)
         res = mb.simulate(st, mb.SchemeConfig(dt=0.05), 0.5, sample_every=1)
-        recs = res.records
-        j = len(recs) // 2
-        expected = (recs[j + 1].E - recs[j - 1].E) / (recs[j + 1].t - recs[j - 1].t)
-        assert recs[j].dE_numeric == pytest.approx(expected, rel=1e-12)
-        assert recs[j].identity_residual == pytest.approx(
-            abs(recs[j].dE_numeric - recs[j].D), rel=1e-12)
+        traj = res.records
+        # the per-sample loop the column arithmetic replaces, bitwise
+        for j in range(len(traj)):
+            lo, hi = max(0, j - 1), min(len(traj) - 1, j + 1)
+            dE = (traj.E[hi] - traj.E[lo]) / (traj.t[hi] - traj.t[lo])
+            assert traj.dE_numeric[j] == dE
+            assert traj.identity_residual[j] == abs(dE - traj.D[j])

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import membeam
-from membeam import cli, config, discretization, stepper
+from membeam import analysis, cli, config, discretization, stepper
 from membeam.cli import CSV_HEADER, default_config_path, main
 from membeam.config import parse_config, with_parameter
 from membeam.errors import ConfigError, IncompatibleBoundary
@@ -744,10 +744,58 @@ class TestExitCodes:
         ["oracle-check", "--csv", "nodir/r.txt"],
         ["sweep", "--param", "beta", "--values", "1", "--csv", "nodir/r.txt"]])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # refused after setup, before any run, level or eigensolve, for a
+        # path in no directory and a path that names one; no file is left
+        def unexpected(*args, **kwargs):
+            raise AssertionError("work before the output paths were checked")
+
+        monkeypatch.setattr(stepper, "simulate", unexpected)
+        monkeypatch.setattr(stepper, "oracle_evolve", unexpected)
+        monkeypatch.setattr(analysis, "eigenvalues", unexpected)
         monkeypatch.chdir(tmp_path)
-        assert main([argv[0], str(write_cfg(tmp_path, FIT_CFG)), *argv[1:]]) == 2
-        assert capsys.readouterr() == (
-            "", "config error: cannot write nodir/r.txt: No such file or directory\n")
+        (tmp_path / "adir").mkdir()
+        cfg = str(write_cfg(tmp_path, FIT_CFG))
+        for path, reason in (("nodir/r.txt", "No such file or directory"),
+                             ("adir", "Is a directory")):
+            assert main([argv[0], cfg, *(path if a == "nodir/r.txt" else a
+                                         for a in argv[1:])]) == 2
+            assert capsys.readouterr() == ("", f"config error: cannot write {path}: {reason}\n")
+        assert sorted(os.listdir(tmp_path)) == ["adir", "run.cfg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--csv"], ["spectrum", "--report"], ["oracle-check", "--report"],
+        ["sweep", "--param", "beta", "--values", "1", "--report"]])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, tmp_path, monkeypatch,
+                                                             capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([argv[0], str(write_cfg(tmp_path, TINY_CFG)), *argv[1:], "out.txt"]) == 2
+        assert f"unrecognized arguments: {argv[-1]} out.txt" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("edits, levels, message", [
+        ([("T = 2.0", "T = 0.0")], "3",
+         "oracle-check needs T > 0: at T = 0 every error is 0 and the order 0/0"),
+        ([("u0 = poly 0 0 1 -2 1", "u0 = constant 0.0"),
+          ("theta0 = sine 1.0 1", "theta0 = constant 0.0")], "3",
+         "oracle-check needs nonzero initial data: the error relative to a zero solution "
+         "is 0/0"),
+        ([], "60", "T / dt = 1.15e+19 steps exceeds the limit of 1000000")],
+        ids=["T=0", "zero-data", "levels=60"])
+    def test_oracle_check_refuses_what_it_cannot_measure(self, tmp_path, monkeypatch, capsys,
+                                                         edits, levels, message):
+        # refused before the first level, in one line, with no CSV
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a level was run")
+
+        monkeypatch.setattr(stepper, "simulate", unexpected)
+        monkeypatch.setattr(stepper, "oracle_evolve", unexpected)
+        monkeypatch.chdir(tmp_path)
+        text = TINY_CFG
+        for old, new in edits:
+            text = edit_cfg(old, new, text)
+        assert main(["oracle-check", str(write_cfg(tmp_path, text)), "--levels", levels]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
 
     @pytest.mark.parametrize("levels", ["0", "1"])
     def test_oracle_check_needs_two_levels(self, tmp_path, monkeypatch, capsys, levels):

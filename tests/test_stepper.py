@@ -25,7 +25,8 @@ from membeam.errors import (
 )
 from membeam.model import State
 
-from conftest import default_initial_state, make_assembly, peak_history_copies, step
+from conftest import (assert_tables_close, default_initial_state, make_assembly,
+                      peak_history_copies, step)
 from test_acceptance import build_default_assembly
 
 
@@ -136,24 +137,38 @@ class TestSimulate:
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         state = default_initial_state(asm)
         res = mb.simulate(state, mb.SchemeConfig(dt=0.05), 0.0)
-        assert len(res.records) == 1
-        assert res.records[0].t == 0.0
+        assert res.records.t.tolist() == [0.0]
+        # a lone sample has no difference: dE_numeric 0, with no 0/0 warning
+        assert res.records.dE_numeric.tolist() == [0.0]
+        assert res.records.identity_residual.tolist() == [abs(res.records.D[0])]
 
     def test_zero_initial_data_all_zero_records(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         zero = mb.State(t=0.0, u=np.zeros(5), v=np.zeros(5), theta=np.zeros(5),
                         eta=np.zeros((5, 6)), assembly=asm)
         res = mb.simulate(zero, mb.SchemeConfig(dt=0.05), 0.5, sample_every=2)
-        for rec in res.records:
-            assert rec.E == 0.0 and rec.D == 0.0 and rec.Ltotal == 0.0
+        assert not np.any([res.records.E, res.records.D, res.records.Ltotal])
+
+    def test_keeps_at_most_200_bytes_a_record(self):
+        # the diagnostics table is 16 float64 columns, 128 bytes a sample
+        asm = make_assembly(Nx=8, ds=0.01, Ns=50)
+        state, cfg = default_initial_state(asm), mb.SchemeConfig(dt=0.01)
+        mb.simulate(state, cfg, 0.1)   # what the assembly caches is built here
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = mb.simulate(state, cfg, 20.0)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(res.records) == 2001
+        assert kept / len(res.records) <= 200
 
     def test_sparse_sampling_keeps_endpoints(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         state = default_initial_state(asm)
         res = mb.simulate(state, mb.SchemeConfig(dt=0.05), 0.5, sample_every=1000)
-        assert len(res.records) == 2
-        assert res.records[0].t == 0.0
-        assert res.records[-1].t == pytest.approx(0.5)
+        assert res.records.t.tolist() == [0.0, pytest.approx(0.5)]
 
     @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
     def test_final_time_must_be_finite(self, T):
@@ -313,8 +328,7 @@ class TestSimulate:
         asm = make_assembly(Nx=8, ds=0.02, Ns=40)
         state = default_initial_state(asm)
         res = mb.simulate(state, mb.SchemeConfig(dt=0.02), 2.0, sample_every=5)
-        E = np.array([r.E for r in res.records])
-        assert np.all(np.diff(E) < 0.0)
+        assert np.all(np.diff(res.records.E) < 0.0)
 
     @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
     def test_matches_oracle(self, scheme):
@@ -329,15 +343,6 @@ class TestSimulate:
         assert err < (1e-3 if scheme == "full_implicit_midpoint" else 0.2)
 
 
-def _assert_records_close(rec, full, tol):
-    """Every field within tol * max(|full|, E) of the full-quadrature record."""
-    for f in dataclasses.fields(full):
-        ref = getattr(full, f.name)
-        if math.isnan(ref):
-            continue
-        assert abs(getattr(rec, f.name) - ref) <= tol * max(abs(ref), full.E), f.name
-
-
 class TestRunningHistorySums:
     """A split run samples from its running per-mode sums and its ring of
     column norms; every record must match the full quadrature on the
@@ -348,8 +353,10 @@ class TestRunningHistorySums:
     def test_default_run_records_and_refresh_drift(self, monkeypatch):
         # each record, evaluated in a batch from the run's sums, against the
         # record of the state materialized where the sample was taken
-        real = an.take_sample
-        refs = []
+        asm = build_default_assembly()
+        mcfg = mb.choose_multipliers_for(asm)
+        init = default_initial_state(asm)
+        real, refs = an.take_sample, [an.diagnostics_record(init, mcfg)]
 
         def checking(src):
             if not isinstance(src, State):
@@ -357,14 +364,10 @@ class TestRunningHistorySums:
             return real(src)
 
         monkeypatch.setattr(an, "take_sample", checking)
-        asm = build_default_assembly()
-        mcfg = mb.choose_multipliers_for(asm)
-        res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=1e-3), 10.0,
-                          sample_every=10, mcfg=mcfg)
-        assert len(refs) == 1000
-        for rec, ref in zip(res.records[1:], refs):
-            assert rec.t == ref.t
-            _assert_records_close(rec, ref, self.TOL)
+        res = mb.simulate(init, mb.SchemeConfig(dt=1e-3), 10.0, sample_every=10, mcfg=mcfg)
+        ref = an.Trajectory.concatenate(refs)
+        assert len(ref) == 1001 and res.records.t.tobytes() == ref.t.tobytes()
+        assert_tables_close(res.records, ref, self.TOL)
         assert 0.0 < res.refresh_drift <= 1e-12
 
     @settings(max_examples=25, deadline=None)
@@ -380,8 +383,8 @@ class TestRunningHistorySums:
         run = stepper._start(State.unflatten(rng.standard_normal(asm.dim), asm), cfg)
         for _ in range(40):
             run.advance()
-            _assert_records_close(an.diagnostics_record(run, mcfg),
-                                  an.diagnostics_record(run.to_state(), mcfg), self.TOL)
+            assert_tables_close(an.diagnostics_record(run, mcfg),
+                                an.diagnostics_record(run.to_state(), mcfg), self.TOL)
 
     def test_recenter_measures_and_replaces_running_sums(self):
         asm = make_assembly(Nx=6, ds=0.05, Ns=12,
@@ -764,7 +767,7 @@ class TestBandedLU:
         assert err.value.step_index == 1
         assert isinstance(err.value.cause, LinearSolveFailure)
         assert "residual" in str(err.value.cause)
-        assert [r.t for r in err.value.records] == [0.0]
+        assert err.value.records.t.tolist() == [0.0]
 
 
 class TestBatchedRecords:
@@ -790,10 +793,9 @@ class TestBatchedRecords:
             if k % 2 == 0:
                 refs.append(an.diagnostics_record(
                     run if scheme == "split_semilagrangian" else run.to_state(), mcfg))
-        assert len(res.records) == len(refs) == 151
-        for rec, ref in zip(res.records, refs):
-            assert rec.t == ref.t
-            _assert_records_close(rec, ref, 1e-12)
+        ref = an.Trajectory.concatenate(refs)
+        assert len(ref) == 151 and res.records.t.tobytes() == ref.t.tobytes()
+        assert_tables_close(res.records, ref, 1e-12)
 
     @pytest.mark.parametrize("fail_at", [1, 64, 150])
     def test_aborted_run_keeps_every_earlier_sample(self, monkeypatch, fail_at):
@@ -814,14 +816,13 @@ class TestBatchedRecords:
             mb.simulate(state, cfg, 200 * 0.05)
         assert err.value.step_index == fail_at
         kept = err.value.records
-        assert len(kept) == fail_at
-        for j, (rec, ref) in enumerate(zip(kept, full)):
-            # the derivative fields of an aborted run are filled from its own
-            # records, so only its last one (one-sided there) differs
-            assert rec.t == ref.t and math.isfinite(rec.dE_numeric)
-            if j == fail_at - 1:
-                ref = dataclasses.replace(ref, dE_numeric=math.nan, identity_residual=math.nan)
-            _assert_records_close(rec, ref, 1e-12)
+        # the derivative columns of an aborted run are filled from its own
+        # samples, so only its last one (one-sided there) differs
+        ref = an.Trajectory(*(getattr(full, f.name)[:fail_at].copy()
+                              for f in dataclasses.fields(full)))
+        ref.dE_numeric[-1] = ref.identity_residual[-1] = math.nan
+        assert kept.t.tobytes() == ref.t.tobytes() and np.all(np.isfinite(kept.dE_numeric))
+        assert_tables_close(kept, ref, 1e-12)
 
     def test_run_aborted_after_its_last_step_has_complete_records(self, monkeypatch):
         # the check after the last step aborts the run with every record
@@ -838,10 +839,10 @@ class TestBatchedRecords:
         with pytest.raises(SimulationAborted) as err:
             mb.simulate(state, cfg, 20 * 0.05)
         assert err.value.step_index == 20
-        assert len(err.value.records) == len(full) == 21
-        for rec, ref in zip(err.value.records, full):
-            assert math.isfinite(rec.dE_numeric) and math.isfinite(rec.identity_residual)
-            assert rec == ref
+        kept = err.value.records
+        assert len(kept) == len(full) == 21
+        assert np.all(np.isfinite([kept.dE_numeric, kept.identity_residual]))
+        assert_tables_close(kept, full, 0.0)
 
 
 def _assembled_cayley_trajectory(state, dt, n_steps):
