@@ -10,9 +10,9 @@ stack of samples (Samples) in one vectorized pass; a single state is the
 one-sample stack.
 
 The spectrum and the spectral abscissa are dense and stop at
-DENSE_MAX_DIM.  resolvent_check works at any size without assembling
-A_h: it solves through stepper.SchurSolver and reads ||I - A_h||_1 off
-the blocks.
+DENSE_MAX_DIM (discretization.check_dense).  resolvent_check works at
+any size without assembling A_h: it solves through stepper.SchurSolver
+and reads ||I - A_h||_1 off the blocks.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvals as dense_eigvals
 
-from .discretization import DENSE_MAX_DIM, GeneratorAssembly
+from .discretization import GeneratorAssembly, check_dense
 from .errors import (
-    DimensionTooLarge,
     EigensolveFailed,
     EnergyUnderflow,
     InfeasibleMultipliers,
@@ -212,7 +211,7 @@ def _functionals(s: Samples) -> SimpleNamespace:
     thdot = l * (ops.lap @ th) + ops.lap @ moment
     if beta != 0.0:
         thdot = thdot - beta * (ops.d1 @ v)
-    g = ops.g[:, None]
+    g = ops.coefficients.g_values[:, None]
 
     return SimpleNamespace(
         E=0.5 * h * (uu + kap**2 * gugu + vv + tt + sums.hist_mu),
@@ -264,7 +263,6 @@ class MultiplierConfig:
     C3: float
     Cp: float
     mu0: float
-    delta1: float
     gamma1: float
     gamma2: float
     lam: float
@@ -338,7 +336,7 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
     lam = 2.0 * min(N1, N1 / 4.0, ct1, ct4, ct3 * delta1)
     return MultiplierConfig(
         N=N, N1=N1, N2=N2, Ckappa=Ckappa, C1=C1, C2=C2, C3=C3, Cp=Cp,
-        mu0=mu0, delta1=delta1, gamma1=gamma1, gamma2=gamma2, lam=lam,
+        mu0=mu0, gamma1=gamma1, gamma2=gamma2, lam=lam,
         gamma_certified=lam / gamma2)
 
 
@@ -457,10 +455,9 @@ def check_dissipativity(assembly: GeneratorAssembly) -> float:
 
 
 def eigenvalues(assembly: GeneratorAssembly) -> np.ndarray:
-    """Dense spectrum, sorted by descending real part (dim <= 2000)."""
-    if assembly.dim > DENSE_MAX_DIM:
-        raise DimensionTooLarge(
-            f"dense spectrum limited to dimension {DENSE_MAX_DIM}, got {assembly.dim}")
+    """Dense spectrum, sorted by descending real part; DimensionTooLarge
+    above DENSE_MAX_DIM (check_dense)."""
+    check_dense(assembly, "dense spectrum")
     try:
         w = dense_eigvals(assembly.generator_matrix.toarray())
     except Exception as exc:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analysis, model, stepper
 from .config import ProblemSetup, build_setup, parse_config, with_parameter
-from .discretization import DENSE_MAX_DIM, assemble_generator, memory_grid_from_counts
+from .discretization import DENSE_MAX_DIM, assemble_generator, check_dense, memory_grid_from_counts
 from .errors import (
     ConfigError,
     DimensionTooLarge,
@@ -183,11 +183,12 @@ def cmd_simulate(args) -> int:
         # worst = fits made, tol = fits needed
         checks.append(analysis.CheckResult("decay_fit_available", 0.0, 1.0, False))
     lines = [c.format_line() for c in checks] + [fit_line]
-    if setup.assembly.dim <= DENSE_MAX_DIM:
-        absc = analysis.spectral_abscissa(setup.assembly)
-        lines.append(f"spectral abscissa: {absc:.6g} (dim={setup.assembly.dim})")
-    else:
-        lines.append(f"spectral abscissa: skipped (dim={setup.assembly.dim} > {DENSE_MAX_DIM})")
+    dim = setup.assembly.dim
+    try:
+        absc = f"{analysis.spectral_abscissa(setup.assembly):.6g} (dim={dim})"
+    except DimensionTooLarge:
+        absc = f"skipped (dim={dim} > {DENSE_MAX_DIM})"
+    lines.append(f"spectral abscissa: {absc}")
     lines.append(f"certified decay rate (Lyapunov): {setup.mcfg.gamma_certified:.6g}")
 
     text = "\n".join(lines)
@@ -206,11 +207,7 @@ def cmd_spectrum(args) -> int:
     setup = build_setup(cfg)
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv"
     _check_writable(csv_path)
-    try:
-        w = analysis.eigenvalues(setup.assembly)
-    except DimensionTooLarge as exc:
-        print(f"spectrum unavailable: {exc}")
-        return 1
+    w = analysis.eigenvalues(setup.assembly)
     absc = float(w[0].real)
     _write(csv_path, "re,im", ((lam.real, lam.imag) for lam in w),
            first=f"# abscissa = {_fmt(absc)}")
@@ -225,11 +222,10 @@ def cmd_oracle_check(args) -> int:
     setup = build_setup(cfg)
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_oracle.csv"
     _check_writable(csv_path)
-    if setup.assembly.dim > DENSE_MAX_DIM:
-        print(f"oracle-check unavailable: dimension {setup.assembly.dim} > {DENSE_MAX_DIM}")
-        return 1
-    # refused before the first level: what no level can measure, and a finest
-    # level past simulate's step limit (counted without its dt, which may underflow)
+    # refused before the first level, the dense cap before anything of size dim
+    # is built: what no level can measure, and a finest level past simulate's
+    # step limit (counted without its dt, which may underflow)
+    check_dense(setup.assembly, "oracle")
     if not cfg.T > 0:
         raise ParamOutOfRange("T", "oracle-check needs T > 0: at T = 0 every error is 0 "
                               "and the order 0/0")
@@ -280,8 +276,10 @@ def _sweep_row(cfg, name, value) -> tuple:
     setup = build_setup(swept)
     result = _run_simulation(setup)
     fit = analysis.fit_decay(result.records, (0.2 * swept.T, swept.T))
-    absc = (analysis.spectral_abscissa(setup.assembly)
-            if setup.assembly.dim <= DENSE_MAX_DIM else float("nan"))
+    try:
+        absc = analysis.spectral_abscissa(setup.assembly)
+    except DimensionTooLarge:
+        absc = float("nan")
     cond = analysis.resolvent_check(setup.assembly)
     return value, fit.gamma_fit, fit.K_fit, fit.r2, absc, cond
 

@@ -31,7 +31,7 @@ from .errors import (
 from .model import CoefficientField, MemoryKernel, PhysicalParams
 
 # Largest system dimension for which dense computations (spectrum,
-# matrix-exponential oracle) are attempted.
+# matrix-exponential oracle) are attempted; check_dense enforces it.
 DENSE_MAX_DIM = 2000
 
 # (Nx, Ns) arrays a run may allocate at once on top of its caller's state.
@@ -67,6 +67,14 @@ def check_history_fits(nx: float, ns: float, columns: float = SHIFT_BLOCK):
         raise DimensionTooLarge(
             f"a history of {float(nx):.6g} x {float(ns):.6g} nodes needs about "
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory")
+
+
+def check_dense(assembly: GeneratorAssembly, what: str):
+    """Raise DimensionTooLarge when the assembly is too large for what, a
+    dense computation: the one place DENSE_MAX_DIM is decided."""
+    if assembly.dim > DENSE_MAX_DIM:
+        raise DimensionTooLarge(
+            f"{what} limited to dimension {DENSE_MAX_DIM}, got {assembly.dim}")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -226,7 +234,7 @@ def _clamped_second_difference(Nx: int, h: float) -> sp.csr_matrix:
     return sp.vstack([end[0], _dirichlet_laplacian(Nx, h), end[-1]], format="csr")
 
 
-def _norm_inf(matrix: sp.spmatrix) -> float:
+def norm_inf(matrix: sp.spmatrix) -> float:
     """The largest absolute row sum (scipy.sparse.linalg.norm(matrix,
     inf), without importing that package)."""
     return float(abs(matrix).sum(axis=1).max())
@@ -265,20 +273,19 @@ class DiscreteOperators:
     dplus: sp.csr_matrix
     lap: sp.csr_matrix
     bih: sp.csr_matrix
-    g: np.ndarray
 
 
-def build_operators(grid: SpatialGrid, coefficients: CoefficientField,
-                    params: PhysicalParams) -> DiscreteOperators:
+def build_operators(grid: SpatialGrid, coefficients: CoefficientField) -> DiscreteOperators:
     """Assemble the difference operators and verify their structure.
 
-    Verified at build time (StructureViolation beyond 1e-12 relative):
-    d1 skew-adjoint, bih symmetric positive definite, lap symmetric and
-    -lap positive definite, and dplus^T dplus = -lap.
+    Verified at build time: p has length Nx (DimensionMismatch); every
+    entry of bih is finite (ParamOutOfRange naming p, before its Cholesky
+    factorization); d1 is exactly skew-adjoint, dplus^T dplus = -lap
+    within 1e-12 relative, and bih and -lap are positive definite by their
+    banded Cholesky factorizations (StructureViolation).
     """
     Nx, h = grid.Nx, grid.h
     p = np.asarray(coefficients.p_values, dtype=float)
-    g = np.asarray(coefficients.g_values, dtype=float)
     if p.shape != (Nx,):
         raise DimensionMismatch(f"coefficient arrays have length {p.size}, expected Nx = {Nx}")
 
@@ -293,21 +300,21 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField,
     cw[0] = cw[-1] = 0.5
     bih = (d2.T @ sp.diags(cw * p_ext) @ d2).tocsr()
     bih = ((bih + bih.T) * 0.5).tocsr()
+    if not np.all(np.isfinite(bih.data)):
+        raise ParamOutOfRange("p", f"p up to {p.max():.3g} at h = {h:.3g} gives a biharmonic "
+                              "p/h^4 with an entry beyond the float range")
 
-    skew = _norm_inf(d1 + d1.T)
+    skew = norm_inf(d1 + d1.T)
     if skew != 0.0:
         raise StructureViolation("d1 skew-adjointness", skew)
-    scale = _norm_inf(bih)
-    gram_err = _norm_inf(dplus.T @ dplus + lap) / _norm_inf(lap)
+    gram_err = norm_inf(dplus.T @ dplus + lap) / norm_inf(lap)
     if gram_err > 1e-12:
         raise StructureViolation("dplus^T dplus == -lap", gram_err)
     _assert_positive_definite(bih, 2, "bih")
     _assert_positive_definite(-lap, 1, "-lap")
-    if scale <= 0:
-        raise StructureViolation("bih scale", scale)
 
     return DiscreteOperators(grid=grid, coefficients=coefficients, d1=d1, dplus=dplus,
-                             lap=lap, bih=bih, g=g)
+                             lap=lap, bih=bih)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +346,13 @@ class GeneratorAssembly:
     """
 
     params: PhysicalParams
-    grid: SpatialGrid
     memory_grid: MemoryGrid
     ops: DiscreteOperators
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def grid(self) -> SpatialGrid:
+        return self.ops.grid
 
     @property
     def coefficients(self) -> CoefficientField:
@@ -369,13 +379,13 @@ class GeneratorAssembly:
         run on such a block is finite.  The theta rows carry l LAP, so an
         entry there names l."""
         if "B" not in self._cache:
-            ops, par, nx = self.ops, self.params, self.Nx
+            ops, par, nx, g = self.ops, self.params, self.Nx, self.coefficients.g_values
             # beta = 0 keeps the (u, v) rows structurally free of theta
             coupling = -par.beta * ops.d1 if par.beta != 0.0 else None
             B = sp.bmat(
                 [[None, sp.identity(nx), None],
                  [-ops.bih + (par.kappa * par.kappa) * ops.lap,
-                  -2.0 * sp.diags(ops.g) - 2.0 * par.kappa * ops.d1, coupling],
+                  -2.0 * sp.diags(g) - 2.0 * par.kappa * ops.d1, coupling],
                  [None, coupling, par.l * ops.lap]], format="csr")
             for field, rows in (("l", B[2 * nx:]), ("mechanical_block", B[:2 * nx])):
                 big = float(np.max(np.abs(rows.data), initial=0.0))
@@ -430,5 +440,4 @@ def assemble_generator(operators: DiscreteOperators, memory_grid: MemoryGrid,
     if memory_grid.Ns < 1:
         raise DimensionMismatch("memory grid has no nodes")
     check_history_fits(operators.grid.Nx, memory_grid.Ns)
-    return GeneratorAssembly(params=params, grid=operators.grid,
-                             memory_grid=memory_grid, ops=operators)
+    return GeneratorAssembly(params=params, memory_grid=memory_grid, ops=operators)

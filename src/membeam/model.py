@@ -34,6 +34,9 @@ _TAIL_DECLINE_TOL = 0.05
 # Number of points at which H1 and H2 are probed.
 _PROBE_COUNT = 200
 
+# The history prescriptions of InitialData, the ones a run file can name.
+HISTORY_MODES = ("zero", "constant_past")
+
 
 def _readonly(a) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(a, dtype=float))
@@ -49,14 +52,14 @@ class PhysicalParams:
     beta    thermomechanical coupling (>= 0; 0 gives the decoupled limit)
     lambda1 memory fraction in (0, 1)
     lambda2 relaxation scale (> 0)
-    l       instantaneous conductivity (1 - lambda1) / lambda2
+    l       instantaneous conductivity (1 - lambda1) / lambda2, derived, not stored
     """
 
     kappa: float
     beta: float
     lambda1: float
     lambda2: float
-    l: float
+    l = property(lambda self: (1.0 - self.lambda1) / self.lambda2)
 
     def __post_init__(self):
         # every range excludes nan and inf
@@ -68,16 +71,14 @@ class PhysicalParams:
             raise ParamOutOfRange("kappa", f"kappa = {self.kappa} not > 0")
         if not 0 <= self.beta < np.inf:
             raise ParamOutOfRange("beta", f"beta = {self.beta} negative")
-        expected = (1.0 - self.lambda1) / self.lambda2
-        if not 0 < self.l < np.inf or abs(self.l - expected) > 1e-12 * max(1.0, expected):
-            raise ParamOutOfRange("l", f"l = {self.l} must equal (1 - lambda1)/lambda2, "
-                                  "finite and > 0")
+        if not self.l < np.inf:
+            raise ParamOutOfRange("l", f"l = (1 - lambda1)/lambda2 = {self.l} is not finite")
 
 
 def derive_params(lambda1: float, lambda2: float, kappa: float, beta: float) -> PhysicalParams:
-    """Derive l = (1 - lambda1)/lambda2; PhysicalParams validates the constants."""
-    l = (1.0 - lambda1) / lambda2 if lambda2 > 0 else np.nan
-    return PhysicalParams(kappa=kappa, beta=beta, lambda1=lambda1, lambda2=lambda2, l=l)
+    """The constants in the paper's order; PhysicalParams validates them
+    and derives l = (1 - lambda1)/lambda2."""
+    return PhysicalParams(kappa=kappa, beta=beta, lambda1=lambda1, lambda2=lambda2)
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,8 @@ class MemoryKernel:
 
 @dataclass(frozen=True)
 class KernelReport:
-    """Certificate produced by validate_kernel."""
+    """Certificate produced by validate_kernel; every report it returns
+    has passed H1-H4 (a failing one travels on its exception)."""
 
     mu0: float
     delta1: float
@@ -179,10 +181,6 @@ class KernelReport:
     h2: bool
     h3: bool
     h4: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.h1 and self.h2 and self.h3 and self.h4
 
 
 def _probe_points(kernel: MemoryKernel) -> np.ndarray:
@@ -265,7 +263,8 @@ class CoefficientField:
 
 
 def certify_coefficients(p_values, g_values) -> CoefficientField:
-    """Set alpha1..alpha4 to the exact sample extrema; reject nonpositive samples.
+    """Set alpha1..alpha4 to the exact sample extrema; reject nonpositive
+    samples (NonPositiveCoefficient), then infinite ones (ParamOutOfRange).
 
     Idempotent: re-certifying a certified field reproduces identical bounds.
     """
@@ -277,6 +276,8 @@ def certify_coefficients(p_values, g_values) -> CoefficientField:
         bad = np.flatnonzero(~(arr > 0))
         if bad.size:
             raise NonPositiveCoefficient(name, int(bad[0]))
+        if not np.all(np.isfinite(arr)):
+            raise ParamOutOfRange(name, f"{name} holds a non-finite value")
     return CoefficientField(
         p_values=p, g_values=g,
         alpha1=float(p.min()), alpha2=float(p.max()),
@@ -304,7 +305,7 @@ class InitialData:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ParamOutOfRange(name, f"{name} holds a non-finite value")
-        if self.history_mode not in ("zero", "constant_past"):
+        if self.history_mode not in HISTORY_MODES:
             raise ParamOutOfRange("history_mode", f"unknown history mode {self.history_mode!r}")
         if self.u0.shape != self.v0.shape or self.u0.shape != self.theta0.shape:
             raise DimensionMismatch("u0, v0, theta0 must share the interior-grid shape")

@@ -45,7 +45,8 @@ whole number of blocks) and once after its last step, where it checks the
 history rows of the step and reports the drift of its carried wmu . eta.
 
 oracle_evolve is the reference both schemes are tested against:
-exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM.
+exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM
+(discretization.check_dense).
 """
 
 from __future__ import annotations
@@ -63,10 +64,9 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 
 from . import analysis
 from .analysis import HistorySums, grad_sq_norms
-from .discretization import DENSE_MAX_DIM, SHIFT_BLOCK, GeneratorAssembly, check_history_fits
+from .discretization import SHIFT_BLOCK, GeneratorAssembly, check_dense, check_history_fits
 from .errors import (
     DimensionMismatch,
-    DimensionTooLarge,
     InconsistentGrid,
     LinearSolveFailure,
     ParamOutOfRange,
@@ -817,16 +817,6 @@ class _SplitRun(_CayleyRun):
 
     # -- history bookkeeping ------------------------------------------------
 
-    def _logical_eta(self) -> np.ndarray:
-        """A new array of the history in s-order: the ring's two storage
-        pieces copied into place, then C added in place."""
-        zeta, tail = self.zeta, self.zeta.shape[1] - self.head
-        eta = np.empty_like(zeta)
-        eta[:, :tail] = zeta[:, self.head:]
-        eta[:, tail:] = zeta[:, :self.head]
-        eta += self.C[:, None]
-        return eta
-
     def _ring_product(self, a: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """sum_k weights_k a_k over the first len(weights) logical columns of
         a, an array kept in ring storage order along its last axis: at most
@@ -939,8 +929,14 @@ class _SplitRun(_CayleyRun):
         self._load_ends()
 
     def to_state(self) -> State:
-        """A snapshot: the history is a new array and the run goes on."""
-        return self._snapshot(self._logical_eta())
+        """A snapshot: the history is a new array (the ring's two storage
+        pieces in s-order, plus C) and the run goes on."""
+        zeta, tail = self.zeta, self.zeta.shape[1] - self.head
+        eta = np.empty_like(zeta)
+        eta[:, :tail] = zeta[:, self.head:]
+        eta[:, tail:] = zeta[:, :self.head]
+        eta += self.C[:, None]
+        return self._snapshot(eta)
 
     def final_state(self) -> State:
         """The state after the last step, which takes over the ring: each
@@ -1106,9 +1102,7 @@ def oracle_evolve(assembly: GeneratorAssembly, phi0: np.ndarray, t: float) -> np
     conditioned: the upwind history block is one Jordan block at -1/ds
     per x node.  Only intended for tests and oracle-check.
     """
-    if assembly.dim > DENSE_MAX_DIM:
-        raise DimensionTooLarge(
-            f"oracle limited to dimension {DENSE_MAX_DIM}, got {assembly.dim}")
+    check_dense(assembly, "oracle")
     if t < 0:
         raise ParamOutOfRange("t", "oracle time must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)

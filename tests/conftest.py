@@ -26,7 +26,7 @@ def make_assembly(Nx=8, ds=0.1, Ns=16, params=None, kernel=None, p=None, g=None,
     p = np.ones(Nx) if p is None else np.asarray(p, dtype=float)
     g = np.ones(Nx) if g is None else np.asarray(g, dtype=float)
     coeff = mb.certify_coefficients(p, g)
-    ops = mb.build_operators(grid, coeff, params)
+    ops = mb.build_operators(grid, coeff)
     mg = mb.memory_grid_from_counts(kernel, ds=ds, Ns=Ns)
     return mb.assemble_generator(ops, mg, params)
 

@@ -35,7 +35,7 @@ def build_default_assembly(dt=1e-3, trunc_tol=1e-8):
     kernel = mb.MemoryKernel.prony([1.0], [1.0])
     grid = mb.build_spatial_grid(1.0, 64)
     coeff = mb.certify_coefficients(np.ones(64), np.ones(64))
-    ops = mb.build_operators(grid, coeff, params)
+    ops = mb.build_operators(grid, coeff)
     mg = mb.build_memory_grid(kernel, dt=dt, trunc_tol=trunc_tol)
     return mb.assemble_generator(ops, mg, params)
 
@@ -76,7 +76,7 @@ def test_criterion_2_energy_identity(report):
     kernel = mb.MemoryKernel.prony([1.0], [1.0])
     grid = mb.build_spatial_grid(1.0, 16)
     coeff = mb.certify_coefficients(np.ones(16), np.ones(16))
-    ops = mb.build_operators(grid, coeff, params)
+    ops = mb.build_operators(grid, coeff)
     x = grid.nodes
     dts = (4e-3, 2e-3, 1e-3)
     residuals = []
@@ -119,7 +119,7 @@ def test_criterion_3_oracle_equivalence(report):
     kernel = mb.MemoryKernel.prony([1.0], [1.0])
     grid = mb.build_spatial_grid(1.0, 4)
     coeff = mb.certify_coefficients(np.full(4, 0.01), np.ones(4))
-    ops = mb.build_operators(grid, coeff, params)
+    ops = mb.build_operators(grid, coeff)
     x = grid.nodes
     init = mb.InitialData(u0=x**2 * (1 - x) ** 2, v0=np.zeros(4),
                           theta0=np.sin(np.pi * x))
@@ -260,12 +260,11 @@ def test_criterion_9_clamped_beam_eigenvalue(report):
     """Smallest eigenvalue of the clamped fourth-order operator converges
     to (4.7300407)^4 within 0.5% after Richardson extrapolation at Nx=128."""
     target = 4.7300407**4
-    params = mb.derive_params(0.5, 1.0, 0.5, 1.0)
     lam = {}
     for nx in (64, 128):
         grid = mb.build_spatial_grid(1.0, nx)
         coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx))
-        ops = mb.build_operators(grid, coeff, params)
+        ops = mb.build_operators(grid, coeff)
         lam[nx] = float(sla.eigvalsh(ops.bih.toarray())[0])
     richardson = lam[128] + (lam[128] - lam[64]) / 3.0
     rel = abs(richardson - target) / target

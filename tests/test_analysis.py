@@ -40,12 +40,11 @@ def test_blocked_grad_norms_match_one_pass(nx, m):
 
 
 @pytest.mark.parametrize("nx", [4, 5, 16, 64])
-def test_grad_cols_is_the_forward_gradient_operator(nx, default_params):
+def test_grad_cols_is_the_forward_gradient_operator(nx):
     # every energy norm takes D+ from grad_cols, while the structure check
     # dplus^T dplus = -lap vouches for ops.dplus: the two must agree
     grid = mb.build_spatial_grid(1.0, nx)
-    ops = mb.build_operators(grid, mb.certify_coefficients(np.ones(nx), np.ones(nx)),
-                             default_params)
+    ops = mb.build_operators(grid, mb.certify_coefficients(np.ones(nx), np.ones(nx)))
     a = np.random.default_rng(nx).standard_normal((nx, 7))
     ref = ops.dplus @ a
     got = an.grad_cols(a, grid.h)

@@ -3,7 +3,8 @@
 The traced benchmark wraps functions by (module, attribute) and the probe
 of bench/child.py imports and reads named objects; a rename in src/ that
 misses one of them fails here rather than in a traced benchmark run.  The
-modules of membeam read no private name of one another.
+modules of membeam read no private name of one another, and no function of
+theirs takes a parameter that it never reads.
 """
 
 import ast
@@ -101,3 +102,40 @@ def test_no_module_reads_a_private_name_of_another():
     reads = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in _private_reads(path.read_text())]
     assert reads == []
+
+
+def _unread_parameters(source):
+    """(line, function, parameter) of every parameter of a def, other than
+    self and cls, that its body never reads; a read in a nested function or
+    lambda counts.  Lambdas themselves are exempt (the constant profile's
+    slope is lambda x: 0.0)."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.lineno, node.name, p) for p in params if p not in read]
+    return unread
+
+
+def test_unread_parameters_are_found():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    return a + kw['x']\n"
+              "class K:\n"
+              "    def m(self, x, y):\n"
+              "        def inner():\n"
+              "            return y\n"
+              "        x = inner()\n"
+              "        return lambda z: 0.0\n")
+    assert _unread_parameters(source) == [(1, "f", "b"), (1, "f", "rest"), (1, "f", "c"),
+                                          (4, "m", "x")]
+
+
+def test_no_function_has_an_unread_parameter():
+    unread = [f"{path.name}:{line}: {name}({param})" for path in sorted(SRC.glob("*.py"))
+              for line, name, param in _unread_parameters(path.read_text())]
+    assert unread == []

@@ -17,7 +17,12 @@ import membeam
 from membeam import analysis, cli, config, discretization, stepper
 from membeam.cli import CSV_HEADER, default_config_path, main
 from membeam.config import parse_config, with_parameter
-from membeam.errors import ConfigError, IncompatibleBoundary
+from membeam.errors import (
+    ConfigError,
+    EigensolveFailed,
+    IncompatibleBoundary,
+    InfeasibleMultipliers,
+)
 
 
 TINY_CFG = """
@@ -114,6 +119,8 @@ PARSE_ERRORS = [
     ("unknown_scheme", edit_cfg("scheme = split_semilagrangian", "scheme = leapfrog"),
      "{path}: scheme must be one of ('full_implicit_midpoint', 'split_semilagrangian'), "
      "got 'leapfrog'"),
+    ("unknown_history_mode", edit_cfg("history_mode = constant_past", "history_mode = explicit"),
+     "{path}: history_mode must be one of ('zero', 'constant_past'), got 'explicit'"),
 ] + [(f"missing_{key}", drop_key(key), f"{{path}}: missing required key [{section}] {key}")
      for section, key in (("domain", "L"), ("domain", "Nx"), ("params", "kappa"),
                           ("params", "beta"), ("params", "lambda1"), ("params", "lambda2"),
@@ -395,6 +402,59 @@ class TestValidateCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {name} holds a non-finite value"]
 
+    def test_non_utf8_run_file_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xff\xfe" + TINY_CFG.encode())
+        for command in ("validate", "simulate"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"config error: cannot read config {path}: "
+                                           "'utf-8' codec can't decode byte 0xff in position 0: "
+                                           "invalid start byte\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("scheme", stepper.SCHEMES)
+    @pytest.mark.parametrize("line, message", [
+        ("p = poly 1 1e308", "p up to 9.41e+307 at h = 0.0588 gives a biharmonic p/h^4 with an "
+         "entry beyond the float range"),
+        ("g = poly 1e308 1e308", "g holds a non-finite value"),
+        ("u0 = poly 0 0 1e200 -2e200 1e200", "the initial data u0, v0, theta0 have an energy "
+         "beyond the float range"),
+        ("theta0 = sine 1e200 1", "the initial data u0, v0, theta0 have an energy beyond the "
+         "float range")])
+    def test_value_past_the_float_range_is_named(self, tmp_path, monkeypatch, capsys, scheme,
+                                                 line, message):
+        # p is finite but the p/h^4 entries of bih overflow; g overflows to
+        # inf at the nodes; u0 and theta0 are finite but the energy of the
+        # state is not.  Each is refused by name in setup, before a residual
+        # or a sample overflows, and no numpy warning is raised on the way
+        # (pyproject.toml's filterwarnings turn one into an error)
+        monkeypatch.chdir(tmp_path)
+        name = line.split(" = ")[0]
+        text = re.sub(rf"^{name} = .*$", line, default_config_path("small").read_text(),
+                      flags=re.M)
+        text = edit_cfg("scheme = split_semilagrangian", f"scheme = {scheme}",
+                        edit_cfg("T = 8.0", "T = 1.0", text))
+        path = str(write_cfg(tmp_path, text))
+        assert main(["validate", path]) == 1
+        assert capsys.readouterr() == (f"validation FAILED: {message}\n", "")
+        assert main(["simulate", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_degenerate_kernel_mass_is_refused(self, tmp_path, monkeypatch, capsys):
+        # a Prony amplitude of 1e-16 meets H1-H4, but its mass leaves no
+        # feasible Lyapunov multipliers
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, edit_cfg("amplitudes = 1.0", "amplitudes = 1e-16"))
+        with pytest.raises(InfeasibleMultipliers, match="^kernel mass mu0 is degenerate$"):
+            config.build_setup(parse_config(path))
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr() == ("validation FAILED: kernel mass mu0 is degenerate\n", "")
+        assert main(["simulate", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: kernel mass mu0 is degenerate\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     def test_stops_at_first_failing_stage(self, tmp_path, capsys):
         bad = TINY_CFG.replace("lambda1 = 0.5", "lambda1 = 1.5")
         bad = bad.replace("g = constant 1.0", "g = constant -1")
@@ -559,6 +619,37 @@ class TestSpectrumCommand:
     def test_oversized_config_refused(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["spectrum", str(default_config_path("default"))]) == 1
+
+    @pytest.mark.parametrize("command, what", [("spectrum", "dense spectrum"),
+                                               ("oracle-check", "oracle")])
+    def test_above_the_dense_cap_is_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                                   command, what):
+        # small.cfg at Nx = 32 has dim 32 (3 + 93) = 3072: refused by the one
+        # dense-cap guard before A_h or H is built, and no CSV is written
+        def unexpected(self):
+            raise AssertionError("a dim x dim matrix built above the dense cap")
+
+        monkeypatch.setattr(discretization.GeneratorAssembly, "_build_generator", unexpected)
+        monkeypatch.setattr(discretization.GeneratorAssembly, "_build_metric", unexpected)
+        monkeypatch.chdir(tmp_path)
+        path = _small_cfg(tmp_path, "Nx = 16", "Nx = 32")
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: {what} limited to dimension 2000, "
+                                       "got 3072\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    def test_failed_eigensolve_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(analysis, "dense_eigvals", fail)
+        monkeypatch.chdir(tmp_path)
+        setup = config.build_setup(parse_config(default_config_path("small")))
+        with pytest.raises(EigensolveFailed, match="^eigenvalues did not converge$"):
+            analysis.eigenvalues(setup.assembly)
+        assert main(["spectrum", str(default_config_path("small"))]) == 1
+        assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
+        assert os.listdir(tmp_path) == []
 
 
 class TestOracleCheckCommand:
@@ -818,6 +909,12 @@ class TestExitCodes:
 # the huge Nx are refused from the history size before any allocation.
 _FLOAT_SPECIALS = ("nan", "inf", "-inf", "0.0", "-1.0", "-1e300", "1e-300", "5e-324", "1e300")
 _INT_SPECIALS = ("nan", "inf", "0", "-1", "2.5", str(10**9), str(10**15))
+# Scalars inside a profile, written where {} stands, which also draw 1e200:
+# the values of p and g, the leading coefficient of u0 and the amplitude of
+# theta0, whose squares leave the float range in the operators or the energy.
+_PROFILE_SCALARS = {"p = constant 1.0": "p = constant {}", "g = constant 1.0": "g = constant {}",
+                    "u0 = poly 0 0 1 -2 1": "u0 = poly 0 0 1 -2 {}",
+                    "theta0 = sine 1.0 1": "theta0 = sine {} 1"}
 _SCALARS = {
     "L = 1.0": st.floats(0.5, 2.0).map(repr),
     "dt = 0.1": st.floats(0.08, 1.0).map(repr),
@@ -830,11 +927,17 @@ _SCALARS = {
     "trunc_tol = 1e-4": st.floats(1e-5, 0.99).map(repr),
     "rates = 1.0": st.floats(0.8, 50.0).map(repr),
     "sample_every = 2": st.integers(-2, 30).map(str),
+    "p = constant 1.0": st.floats(0.1, 10.0).map(repr),
+    "g = constant 1.0": st.floats(0.1, 10.0).map(repr),
+    "u0 = poly 0 0 1 -2 1": st.floats(-2.0, 2.0).map(repr),
+    "theta0 = sine 1.0 1": st.floats(-5.0, 5.0).map(repr),
 }
 
 
 def _scalar_case(line):
     specials = _INT_SPECIALS if line.startswith(("Nx", "sample_every")) else _FLOAT_SPECIALS
+    if line in _PROFILE_SCALARS:
+        specials += ("1e200",)
     return st.tuples(st.just(line), st.one_of(st.sampled_from(specials), _SCALARS[line]))
 
 
@@ -844,9 +947,10 @@ def test_run_file_scalar_fuzz(case):
     """simulate on TINY_CFG with one scalar replaced exits 0, 1 or 2 with
     nothing escaping main, and a non-finite value never exits 0."""
     line, value = case
+    place = _PROFILE_SCALARS.get(line, f"{line.split(' = ')[0]} = {{}}")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
-        path.write_text(TINY_CFG.replace(line, f"{line.split(' = ')[0]} = {value}"))
+        path.write_text(TINY_CFG.replace(line, place.format(value)))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", str(path), "--csv", str(Path(tmp) / "run.csv"),

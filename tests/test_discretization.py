@@ -158,53 +158,53 @@ class TestMemoryGrid:
 
 
 class TestOperators:
-    def test_d1_exactly_skew(self, default_params):
+    def test_d1_exactly_skew(self):
         for nx in (4, 9, 32):
             grid = mb.build_spatial_grid(1.0, nx)
             coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx))
-            ops = mb.build_operators(grid, coeff, default_params)
+            ops = mb.build_operators(grid, coeff)
             asym = sp.linalg.norm(ops.d1 + ops.d1.T, np.inf)
             assert asym == 0.0
 
-    def test_dplus_gram_equals_neg_laplacian(self, default_params):
+    def test_dplus_gram_equals_neg_laplacian(self):
         grid = mb.build_spatial_grid(1.0, 12)
         coeff = mb.certify_coefficients(np.ones(12), np.ones(12))
-        ops = mb.build_operators(grid, coeff, default_params)
+        ops = mb.build_operators(grid, coeff)
         err = sp.linalg.norm(ops.dplus.T @ ops.dplus + ops.lap, np.inf)
         assert err <= 1e-12 * sp.linalg.norm(ops.lap, np.inf)
 
-    def test_bih_symmetric_positive_definite(self, default_params):
+    def test_bih_symmetric_positive_definite(self):
         rng = np.random.default_rng(3)
         nx = 24
         grid = mb.build_spatial_grid(1.0, nx)
         p = 1.0 + rng.random(nx)
         coeff = mb.certify_coefficients(p, np.ones(nx))
-        ops = mb.build_operators(grid, coeff, default_params)
+        ops = mb.build_operators(grid, coeff)
         bih = ops.bih.toarray()
         assert np.max(np.abs(bih - bih.T)) == 0.0
         assert sla.eigvalsh(bih)[0] > 0.0
 
-    def test_lap_negative_definite(self, default_params):
+    def test_lap_negative_definite(self):
         grid = mb.build_spatial_grid(1.0, 16)
         coeff = mb.certify_coefficients(np.ones(16), np.ones(16))
-        ops = mb.build_operators(grid, coeff, default_params)
+        ops = mb.build_operators(grid, coeff)
         assert sla.eigvalsh(-ops.lap.toarray())[0] > 0.0
 
-    def test_clamped_beam_eigenvalue_converges(self, default_params):
+    def test_clamped_beam_eigenvalue_converges(self):
         lam = {}
         for nx in (64, 128):
             grid = mb.build_spatial_grid(1.0, nx)
             coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx))
-            ops = mb.build_operators(grid, coeff, default_params)
+            ops = mb.build_operators(grid, coeff)
             lam[nx] = sla.eigvalsh(ops.bih.toarray())[0]
         richardson = lam[128] + (lam[128] - lam[64]) / 3.0
         assert richardson == pytest.approx(CLAMPED_EIGENVALUE, rel=5e-3)
 
-    def test_coefficient_length_checked(self, default_params):
+    def test_coefficient_length_checked(self):
         grid = mb.build_spatial_grid(1.0, 8)
         coeff = mb.certify_coefficients(np.ones(6), np.ones(6))
         with pytest.raises(DimensionMismatch):
-            mb.build_operators(grid, coeff, default_params)
+            mb.build_operators(grid, coeff)
 
 
 class TestGeneratorAssembly:
@@ -246,8 +246,8 @@ class TestGeneratorAssembly:
         params = mb.derive_params(0.5, 1.0, 0.5, beta)
         kernel = mb.MemoryKernel.tabulated([0.0, 1.0], [1.0, 0.0])
         x = np.linspace(0.0, 1.0, nx)
-        asm = make_assembly(Nx=nx, ds=ds, Ns=ns, params=params, kernel=kernel,
-                            p=1.0 + x, g=0.5 + x**2)
+        g = 0.5 + x**2
+        asm = make_assembly(Nx=nx, ds=ds, Ns=ns, params=params, kernel=kernel, p=1.0 + x, g=g)
         ops, mg, h = asm.ops, asm.memory_grid, asm.grid.h
         wmu = mg.weights * mg.mu
         assert wmu[-1] == 0.0 and np.all(wmu[:-1] > 0.0)
@@ -255,7 +255,7 @@ class TestGeneratorAssembly:
         bih, lap, d1 = ops.bih.toarray(), ops.lap.toarray(), ops.d1.toarray()
         I, Z = np.eye(nx), np.zeros((nx, nx))
         B = np.block([[Z, I, Z],
-                      [-bih + kap**2 * lap, -2.0 * np.diag(ops.g) - 2.0 * kap * d1, -beta * d1],
+                      [-bih + kap**2 * lap, -2.0 * np.diag(g) - 2.0 * kap * d1, -beta * d1],
                       [Z, -beta * d1, l * lap]])
         F = np.vstack([np.zeros((2 * nx, nx * ns)), np.kron(wmu[None, :], lap)])
         T = (np.eye(ns, k=-1) - np.eye(ns)) / ds

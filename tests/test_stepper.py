@@ -223,7 +223,7 @@ class TestSimulate:
     def test_prony_split_materializes_history_once(self, monkeypatch):
         # sampling reads the running sums; only the final state rotates the
         # ring, in place, and no snapshot copies it
-        calls = {"final_state": [], "_logical_eta": []}
+        calls = {"final_state": [], "to_state": []}
         for name in calls:
             def counting(run, name=name, real=getattr(stepper._SplitRun, name)):
                 calls[name].append(run.t)
@@ -233,7 +233,7 @@ class TestSimulate:
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 1.0)
         assert len(res.records) == 21
-        assert calls == {"final_state": [pytest.approx(1.0)], "_logical_eta": []}
+        assert calls == {"final_state": [pytest.approx(1.0)], "to_state": []}
 
     @pytest.mark.parametrize("form", ["prony", "table"])
     def test_split_run_builds_only_the_final_state(self, monkeypatch, form):
@@ -715,8 +715,8 @@ def _mechanical_block(nx, beta):
     grid = mb.SpatialGrid(L=1.0, Nx=nx, h=h, nodes=h * np.arange(1, nx + 1))
     rng = np.random.default_rng(nx)
     coeffs = mb.certify_coefficients(rng.uniform(0.5, 2.0, nx), rng.uniform(0.5, 2.0, nx))
-    ops = mb.build_operators(grid, coeffs, params)
-    asm = discretization.GeneratorAssembly(params=params, grid=grid, memory_grid=None, ops=ops)
+    ops = mb.build_operators(grid, coeffs)
+    asm = discretization.GeneratorAssembly(params=params, memory_grid=None, ops=ops)
     return asm.mechanical_block, ops.lap
 
 
@@ -1311,7 +1311,7 @@ class TestConvergenceOrders:
     def test_split_at_least_first_order(self, default_params, exp_kernel):
         grid = mb.build_spatial_grid(1.0, 4)
         coeff = mb.certify_coefficients(np.full(4, 0.01), np.ones(4))
-        ops = mb.build_operators(grid, coeff, default_params)
+        ops = mb.build_operators(grid, coeff)
         T = 0.5
         errs = []
         for dt in (0.05, 0.025, 0.0125):
