@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigvals as dense_eigvals
 
-from .discretization import GeneratorAssembly, check_dense
+from .discretization import CoupledSystem, GeneratorAssembly, check_dense
 from .errors import (
     EigensolveFailed,
     EnergyUnderflow,
@@ -454,9 +454,9 @@ def check_dissipativity(assembly: GeneratorAssembly) -> float:
     return worst
 
 
-def eigenvalues(assembly: GeneratorAssembly) -> np.ndarray:
-    """Dense spectrum, sorted by descending real part; DimensionTooLarge
-    above DENSE_MAX_DIM (check_dense)."""
+def eigenvalues(assembly: GeneratorAssembly | CoupledSystem) -> np.ndarray:
+    """Dense spectrum of A_h or of a CoupledSystem (the modal A~), sorted by
+    descending real part; DimensionTooLarge above DENSE_MAX_DIM (check_dense)."""
     check_dense(assembly, "dense spectrum")
     try:
         w = dense_eigvals(assembly.generator_matrix.toarray())
@@ -466,9 +466,8 @@ def eigenvalues(assembly: GeneratorAssembly) -> np.ndarray:
     return w[order]
 
 
-def spectral_abscissa(assembly: GeneratorAssembly) -> float:
-    """max Re(lambda) from the dense spectrum; DimensionTooLarge above
-    DENSE_MAX_DIM."""
+def spectral_abscissa(assembly: GeneratorAssembly | CoupledSystem) -> float:
+    """max Re(lambda) of the dense spectrum (eigenvalues)."""
     return float(eigenvalues(assembly)[0].real)
 
 

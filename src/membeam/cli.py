@@ -183,12 +183,13 @@ def cmd_simulate(args) -> int:
         # worst = fits made, tol = fits needed
         checks.append(analysis.CheckResult("decay_fit_available", 0.0, 1.0, False))
     lines = [c.format_line() for c in checks] + [fit_line]
-    dim = setup.assembly.dim
-    try:
-        absc = f"{analysis.spectral_abscissa(setup.assembly):.6g} (dim={dim})"
-    except DimensionTooLarge:
-        absc = f"skipped (dim={dim} > {DENSE_MAX_DIM})"
-    lines.append(f"spectral abscissa: {absc}")
+    if setup.kernel.form == "prony":   # a tabulated kernel has no modal system
+        modal = setup.assembly.modal_system
+        try:
+            absc = f"{analysis.spectral_abscissa(modal):.6g} (dim={modal.dim})"
+        except DimensionTooLarge:
+            absc = f"skipped (dim={modal.dim} > {DENSE_MAX_DIM})"
+        lines.append(f"spectral abscissa (modal, exact in s): {absc}")
     lines.append(f"certified decay rate (Lyapunov): {setup.mcfg.gamma_certified:.6g}")
 
     text = "\n".join(lines)

@@ -69,8 +69,8 @@ def check_history_fits(nx: float, ns: float, columns: float = SHIFT_BLOCK):
             f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB of physical memory")
 
 
-def check_dense(assembly: GeneratorAssembly, what: str):
-    """Raise DimensionTooLarge when the assembly is too large for what, a
+def check_dense(assembly: GeneratorAssembly | CoupledSystem, what: str):
+    """Raise DimensionTooLarge when the system is too large for what, a
     dense computation: the one place DENSE_MAX_DIM is decided."""
     if assembly.dim > DENSE_MAX_DIM:
         raise DimensionTooLarge(
@@ -321,28 +321,33 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField) -> Discre
 # generator assembly
 
 
+@dataclass(frozen=True)
+class CoupledSystem:
+    """A generator and its energy metric (GeneratorAssembly._couple)."""
+
+    generator_matrix: sp.csr_matrix
+    metric_matrix: sp.csr_matrix
+    dim = property(lambda self: self.generator_matrix.shape[0])
+
+
 @dataclass
 class GeneratorAssembly:
-    """Discrete generator A_h and energy metric H for Phi = (u, v, theta, eta).
+    """Discrete generator A_h and energy metric H for Phi = (u, v, theta, eta),
+    and the modal system of a Prony kernel: one coupling (_couple) each.
 
     Flattened block order: u, v, theta, then eta_1..eta_Ns by ascending s.
-    With I the Nx identity, wmu = (w_k mu_k) the history weights, 1 the
-    Ns-vector of ones and T the Ns x Ns upwind matrix (-1/ds on the
-    diagonal, 1/ds below it), the blocks are
+    With I the Nx identity, the (u, v, theta) block is
 
-        B   = [[0,                    I,                        0       ],
-               [-bih + kappa^2 lap,   -2 diag(g) - 2 kappa d1,  -beta d1],
-               [0,                    -beta d1,                 l lap   ]]
+        B = [[0,                    I,                        0       ],
+             [-bih + kappa^2 lap,   -2 diag(g) - 2 kappa d1,  -beta d1],
+             [0,                    -beta d1,                 l lap   ]]
 
-        A_h = [[B,                  F       ],
-               [1 kron [0, 0, I],   T kron I]],   F = [0; 0; wmu^T kron lap]
-
-        H   = blockdiag(h (bih - kappa^2 lap), h I, h I, diag(wmu h) kron (-lap))
-
-    F is the memory flux LAP m(eta) in the theta row, and 1 kron [0, 0, I]
-    feeds the source theta into every eta_k row.  Hence ||Phi||_H^2 =
-    2 E(Phi) and the symmetric part of H A_h reduces exactly
-    to damping + thermal gradient + upwind history dissipation.
+    A_h and H couple it to the Ns history columns with the weights wmu =
+    (w_k mu_k) and the upwind T (-1/ds on the diagonal, 1/ds below it): the
+    flux wmu^T kron lap is LAP m(eta) in the theta row, and 1 kron [0, 0, I]
+    feeds theta into every eta_k row.  So ||Phi||_H^2 = 2 E(Phi), and the
+    symmetric part of H A_h is damping + thermal gradient + upwind history
+    dissipation, exactly.
     """
 
     params: PhysicalParams
@@ -350,25 +355,11 @@ class GeneratorAssembly:
     ops: DiscreteOperators
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def grid(self) -> SpatialGrid:
-        return self.ops.grid
-
-    @property
-    def coefficients(self) -> CoefficientField:
-        return self.ops.coefficients
-
-    @property
-    def Nx(self) -> int:
-        return self.grid.Nx
-
-    @property
-    def Ns(self) -> int:
-        return self.memory_grid.Ns
-
-    @property
-    def dim(self) -> int:
-        return self.Nx * (3 + self.Ns)
+    grid = property(lambda self: self.ops.grid)
+    coefficients = property(lambda self: self.ops.coefficients)
+    Nx = property(lambda self: self.grid.Nx)
+    Ns = property(lambda self: self.memory_grid.Ns)
+    dim = property(lambda self: self.Nx * (3 + self.Ns))
 
     @property
     def mechanical_block(self) -> sp.csr_matrix:
@@ -397,47 +388,56 @@ class GeneratorAssembly:
             self._cache["B"] = B
         return self._cache["B"]
 
-    @property
-    def generator_matrix(self) -> sp.csr_matrix:
-        """Sparse A_h (built lazily and cached)."""
+    generator_matrix = property(lambda self: self._grid_system().generator_matrix,
+                                doc="Sparse A_h (built lazily and cached, with H).")
+    metric_matrix = property(lambda self: self._grid_system().metric_matrix,
+                             doc="Sparse H (built lazily and cached, with A_h).")
+
+    def _grid_system(self) -> CoupledSystem:
         if "A" not in self._cache:
-            self._cache["A"] = self._build_generator()
+            ns, ds = self.Ns, self.memory_grid.ds
+            upwind = sp.diags([np.full(ns, -1.0 / ds), np.full(ns - 1, 1.0 / ds)], [0, -1])
+            self._cache["A"] = self._couple(self.memory_grid.wmu, upwind)
         return self._cache["A"]
 
     @property
-    def metric_matrix(self) -> sp.csr_matrix:
-        """Sparse H (built lazily and cached)."""
-        if "H" not in self._cache:
-            self._cache["H"] = self._build_metric()
-        return self._cache["H"]
+    def modal_system(self) -> CoupledSystem:
+        """(A~, H~) of a Prony kernel mu = sum_j a_j exp(-r_j s), exact in s
+        and of dimension (3 + m) Nx (built lazily and cached): B coupled to
+        the modes zeta_j = r_j int exp(-r_j s) eta ds, whose zeta_j' = theta -
+        r_j zeta_j and m(eta) = sum_j (a_j/r_j) zeta_j give w = a/r and
+        T = -diag(r).  A tabulated kernel has none (ParamOutOfRange)."""
+        kernel = self.memory_grid.kernel
+        if kernel.form != "prony":
+            raise ParamOutOfRange("kernel", "a tabulated kernel has no modal system A~")
+        if "modal" not in self._cache:
+            self._cache["modal"] = self._couple(kernel.amplitudes / kernel.rates,
+                                                sp.diags(-kernel.rates))
+        return self._cache["modal"]
 
-    def _build_generator(self) -> sp.csr_matrix:
-        nx, ns, mg = self.Nx, self.Ns, self.memory_grid
+    def _couple(self, w: np.ndarray, transport: sp.spmatrix) -> CoupledSystem:
+        """B coupled to n = w.size history columns of Nx nodes, with history
+        weights w and the n x n transport matrix T:
+
+            A = [[B, [0; 0; w^T kron lap]], [1 kron [0, 0, I], T kron I]]
+            H = blockdiag(h (bih - kappa^2 lap), h I, h I, diag(h w) kron (-lap))
+        """
+        nx, n, ops, h = self.Nx, w.size, self.ops, self.grid.h
         eye = sp.identity(nx, format="csr")
-        wmu = sp.csr_matrix(mg.wmu[None, :])      # stores no zero weight
-        upwind = sp.diags([np.full(ns, -1.0 / mg.ds), np.full(ns - 1, 1.0 / mg.ds)], [0, -1])
-        # format="csr" keeps kron from storing the zeros of a nearly dense lap
-        flux = sp.vstack([sp.csr_matrix((2 * nx, nx * ns)),
-                          sp.kron(wmu, self.ops.lap, format="csr")])
-        source = sp.kron(np.ones((ns, 1)), sp.hstack([sp.csr_matrix((nx, 2 * nx)), eye]),
+        # a csr kron stores neither a zero weight nor the zeros of a nearly dense lap
+        flux = sp.vstack([sp.csr_matrix((2 * nx, nx * n)),
+                          sp.kron(sp.csr_matrix(w[None, :]), ops.lap, format="csr")])
+        source = sp.kron(np.ones((n, 1)), sp.hstack([sp.csr_matrix((nx, 2 * nx)), eye]),
                          format="csr")
-        return sp.bmat([[self.mechanical_block, flux],
-                        [source, sp.kron(upwind, eye, format="csr")]], format="csr")
-
-    def _build_metric(self) -> sp.csr_matrix:
-        h, ops, mg = self.grid.h, self.ops, self.memory_grid
-        return sp.block_diag(
-            [h * (ops.bih - self.params.kappa**2 * ops.lap),
-             h * sp.identity(2 * self.Nx),
-             sp.kron(sp.diags(mg.wmu * h), -ops.lap, format="csr")], format="csr")
+        A = sp.bmat([[self.mechanical_block, flux],
+                     [source, sp.kron(transport, eye, format="csr")]], format="csr")
+        H = sp.block_diag([h * (ops.bih - self.params.kappa**2 * ops.lap), h * sp.identity(2 * nx),
+                           sp.kron(sp.diags(w * h), -ops.lap, format="csr")], format="csr")
+        return CoupledSystem(A, H)
 
 
 def assemble_generator(operators: DiscreteOperators, memory_grid: MemoryGrid,
                        params: PhysicalParams) -> GeneratorAssembly:
     """Bundle operators, memory grid, and parameters into the assembled system."""
-    if operators.grid.Nx != operators.coefficients.p_values.size:
-        raise DimensionMismatch("operators and coefficient field disagree on Nx")
-    if memory_grid.Ns < 1:
-        raise DimensionMismatch("memory grid has no nodes")
     check_history_fits(operators.grid.Nx, memory_grid.Ns)
     return GeneratorAssembly(params=params, memory_grid=memory_grid, ops=operators)

@@ -70,6 +70,8 @@ report_path = report.txt
 # samples for a decay fit (TINY_CFG itself has 8, fewer than the 10 needed)
 FIT_CFG = TINY_CFG.replace("sample_every = 2", "sample_every = 1")
 
+PRONY_LINES = "type = prony\namplitudes = 1.0\nrates = 1.0"
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -215,8 +217,7 @@ class TestParseConfig:
                 cfg.csv_path, cfg.report_path, cfg.kernel_path, cfg.base_dir) == (
             1e-8, 10, "split_semilagrangian", "constant_past",
             "membeam_run.csv", "membeam_report.txt", "", tmp_path)
-        table = edit_cfg("type = prony\namplitudes = 1.0\nrates = 1.0",
-                         "type = table\npath = kern.txt", text)
+        table = edit_cfg(PRONY_LINES, "type = table\npath = kern.txt", text)
         cfg = parse_config(write_cfg(tmp_path, table))
         assert (cfg.kernel_type, cfg.kernel_amplitudes, cfg.kernel_rates, cfg.kernel_path) == (
             "table", "", "", "kern.txt")
@@ -486,6 +487,27 @@ class TestSimulateCommand:
                          flags=re.M)
         assert "decay_rate_positive" not in report
 
+    @pytest.mark.parametrize("kernel, line", [
+        (PRONY_LINES, "spectral abscissa (modal, exact in s): -1.00141 (dim=64)"),
+        ("type = prony\namplitudes = " + " 0.008" * 123 + "\nrates = " + " 1.0" * 123,
+         "spectral abscissa (modal, exact in s): skipped (dim=2016 > 2000)"),
+        ("type = table\npath = kern.txt", None)])
+    def test_report_abscissa_is_the_modal_one(self, tmp_path, monkeypatch, capsys, kernel, line):
+        # small.cfg's abscissa line is that of its Prony kernel's modal A~,
+        # of dimension (3 + modes) Nx under the dense cap, a table kernel
+        # has none, and no run builds A_h
+        def unexpected(self):
+            raise AssertionError("simulate built A_h")
+
+        monkeypatch.setattr(discretization.GeneratorAssembly, "generator_matrix",
+                            property(unexpected))
+        monkeypatch.chdir(tmp_path)
+        s = np.linspace(0.0, 20.0, 2001)
+        np.savetxt(tmp_path / "kern.txt", np.column_stack([s, np.exp(-s), -np.exp(-s)]))
+        assert main(["simulate", str(_small_cfg(tmp_path, PRONY_LINES, kernel))]) == 0
+        out = capsys.readouterr().out
+        assert [l for l in out.splitlines() if "abscissa" in l] == ([line] if line else [])
+
     @pytest.mark.parametrize("drift", [float("nan"), 2e-9])
     def test_running_sum_drift_is_checked(self, tmp_path, monkeypatch, capsys, drift):
         monkeypatch.chdir(tmp_path)
@@ -629,8 +651,7 @@ class TestSpectrumCommand:
         def unexpected(self):
             raise AssertionError("a dim x dim matrix built above the dense cap")
 
-        monkeypatch.setattr(discretization.GeneratorAssembly, "_build_generator", unexpected)
-        monkeypatch.setattr(discretization.GeneratorAssembly, "_build_metric", unexpected)
+        monkeypatch.setattr(discretization.GeneratorAssembly, "_couple", unexpected)
         monkeypatch.chdir(tmp_path)
         path = _small_cfg(tmp_path, "Nx = 16", "Nx = 32")
         assert main([command, str(path)]) == 1
@@ -645,11 +666,16 @@ class TestSpectrumCommand:
         monkeypatch.setattr(analysis, "dense_eigvals", fail)
         monkeypatch.chdir(tmp_path)
         setup = config.build_setup(parse_config(default_config_path("small")))
-        with pytest.raises(EigensolveFailed, match="^eigenvalues did not converge$"):
-            analysis.eigenvalues(setup.assembly)
+        for system in (setup.assembly, setup.assembly.modal_system):
+            with pytest.raises(EigensolveFailed, match="^eigenvalues did not converge$"):
+                analysis.eigenvalues(system)
         assert main(["spectrum", str(default_config_path("small"))]) == 1
         assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
         assert os.listdir(tmp_path) == []
+        # simulate's modal abscissa comes after the run's CSV, before its report
+        assert main(["simulate", str(default_config_path("small"))]) == 1
+        assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
+        assert os.listdir(tmp_path) == ["membeam_small.csv"]
 
 
 class TestOracleCheckCommand:
@@ -708,7 +734,7 @@ class TestSweepCommand:
         def unreachable(self):
             raise AssertionError("A_h assembled above the dense cap")
 
-        monkeypatch.setattr(discretization.GeneratorAssembly, "_build_generator", unreachable)
+        monkeypatch.setattr(discretization.GeneratorAssembly, "_couple", unreachable)
         monkeypatch.chdir(tmp_path)
         text = TINY_CFG.replace("T = 2.0", "T = 6.0")
         text = text.replace("dt = 0.1", "dt = 0.01")
@@ -903,8 +929,8 @@ class TestExitCodes:
             f"config error: oracle-check needs --levels >= 2 to fit an order, got {levels}"]
 
 
-# Each scalar line of TINY_CFG, with a finite range small enough that a run
-# stays well under a second (its dense abscissa is below dimension 800).
+# Each scalar line of FIT_CFG, with a finite range small enough that a run
+# stays well under a second (its modal A~, dimension 4 Nx, is at most 32).
 # Every scalar also draws zero, negative, tiny, huge and non-finite values;
 # the huge Nx are refused from the history size before any allocation.
 _FLOAT_SPECIALS = ("nan", "inf", "-inf", "0.0", "-1.0", "-1e300", "1e-300", "5e-324", "1e300")
@@ -925,8 +951,9 @@ _SCALARS = {
     "lambda1 = 0.5": st.floats(0.01, 0.99).map(repr),
     "lambda2 = 1.0": st.floats(0.1, 10.0).map(repr),
     "trunc_tol = 1e-4": st.floats(1e-5, 0.99).map(repr),
+    "amplitudes = 1.0": st.floats(0.01, 100.0).map(repr),
     "rates = 1.0": st.floats(0.8, 50.0).map(repr),
-    "sample_every = 2": st.integers(-2, 30).map(str),
+    "sample_every = 1": st.integers(-2, 30).map(str),
     "p = constant 1.0": st.floats(0.1, 10.0).map(repr),
     "g = constant 1.0": st.floats(0.1, 10.0).map(repr),
     "u0 = poly 0 0 1 -2 1": st.floats(-2.0, 2.0).map(repr),
@@ -934,31 +961,54 @@ _SCALARS = {
 }
 
 
-def _scalar_case(line):
+def _specials(line):
     specials = _INT_SPECIALS if line.startswith(("Nx", "sample_every")) else _FLOAT_SPECIALS
-    if line in _PROFILE_SCALARS:
-        specials += ("1e200",)
-    return st.tuples(st.just(line), st.one_of(st.sampled_from(specials), _SCALARS[line]))
+    return specials + ("1e200",) if line in _PROFILE_SCALARS else specials
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.sampled_from(sorted(_SCALARS)).flatmap(_scalar_case))
-def test_run_file_scalar_fuzz(case):
-    """simulate on TINY_CFG with one scalar replaced exits 0, 1 or 2 with
-    nothing escaping main, and a non-finite value never exits 0."""
-    line, value = case
-    place = _PROFILE_SCALARS.get(line, f"{line.split(' = ')[0]} = {{}}")
+def _scalar_case(line):
+    return st.tuples(st.just(line), st.one_of(st.sampled_from(_specials(line)), _SCALARS[line]))
+
+
+def _simulate_with_scalar(line, value) -> int:
+    """simulate on FIT_CFG with the scalar of line replaced by value (with
+    line None, unchanged): it exits 0, 1 or 2 with nothing escaping main,
+    and a non-finite value never exits 0.  Returns the exit code."""
+    text = FIT_CFG
+    if line is not None:
+        place = _PROFILE_SCALARS.get(line, f"{line.split(' = ')[0]} = {{}}")
+        text = edit_cfg(line, place.format(value), FIT_CFG)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.cfg"
-        path.write_text(TINY_CFG.replace(line, place.format(value)))
+        path.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["simulate", str(path), "--csv", str(Path(tmp) / "run.csv"),
                          "--report", str(Path(tmp) / "report.txt")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    if value.lstrip("-") in ("nan", "inf"):
+    if str(value).lstrip("-") in ("nan", "inf"):
         assert code != 0
+    return code
+
+
+def test_run_file_scalar_fuzz_base_exits_0():
+    # else "a non-finite value never exits 0" could not fail
+    assert _simulate_with_scalar(None, None) == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(_SCALARS)).flatmap(_scalar_case))
+def test_run_file_scalar_fuzz(case):
+    """simulate on FIT_CFG with one scalar replaced by a drawn value."""
+    _simulate_with_scalar(*case)
+
+
+@pytest.mark.parametrize("line, value", [(line, value) for line in sorted(_SCALARS)
+                                         for value in _specials(line)])
+def test_run_file_scalar_special(line, value):
+    """simulate on FIT_CFG with one scalar replaced by each special value."""
+    _simulate_with_scalar(line, value)
 
 
 @pytest.mark.parametrize("name,value", [

@@ -6,6 +6,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 import membeam as mb
+from membeam.cli import default_config_path
+from membeam.config import build_setup, parse_config
 from membeam.errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -332,3 +334,32 @@ class TestDissipativityStructure:
         phi = state.flatten()
         num = phi @ (asm.metric_matrix @ (asm.generator_matrix @ phi))
         assert num < 0.0
+
+
+class TestModalSystem:
+    """A~, the Prony kernel's mechanical block coupled to its modes, exact
+    in s, built by the same coupling as A_h."""
+
+    @pytest.mark.parametrize("name", ["default", "small"])
+    def test_metric_makes_the_shipped_systems_dissipative(self, name):
+        setup = build_setup(parse_config(default_config_path(name)))
+        modal = setup.assembly.modal_system
+        S = (modal.metric_matrix @ modal.generator_matrix).toarray()
+        assert modal.dim == setup.assembly.Nx * 4
+        assert sla.eigvalsh(0.5 * (S + S.T))[-1] <= 0.0
+
+    @pytest.mark.parametrize("ds, gap", [(0.1, 1.0e-6), (0.05, 6.0e-7)])
+    def test_grid_abscissa_approaches_the_modal_one(self, ds, gap):
+        # the upwind history of A_h converges to exact transport as ds -> 0
+        kernel = mb.MemoryKernel.prony([1.0], [1.0])
+        Ns = mb.build_memory_grid(kernel, ds, 1e-2).Ns
+        asm = make_assembly(Nx=8, ds=ds, Ns=Ns, kernel=kernel)
+        modal = mb.spectral_abscissa(asm.modal_system)
+        assert modal == pytest.approx(-1.0039535, abs=1e-7)
+        assert 0.0 < mb.spectral_abscissa(asm) - modal <= gap
+
+    def test_table_kernel_has_no_modal_system(self):
+        kernel = mb.MemoryKernel.tabulated([0.0, 1.0, 2.0], [1.0, 0.5, 0.25])
+        with pytest.raises(ParamOutOfRange) as info:
+            make_assembly(ds=0.5, Ns=4, kernel=kernel).modal_system
+        assert info.value.field == "kernel" and "modal" in str(info.value)
