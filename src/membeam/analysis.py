@@ -533,6 +533,7 @@ def resolvent_check(assembly: GeneratorAssembly) -> float:
 
     try:
         solver = SchurSolver(assembly, 1.0)
+        solver.lu          # factorized here: a singular block keeps its own message
     except LinearSolveFailure as exc:
         raise SingularResolvent(str(exc)) from exc
     n3, ns, dim = 3 * assembly.Nx, assembly.Ns, assembly.dim

@@ -14,8 +14,8 @@ Exit codes: 0 pass, 1 validation/certification failure or internal error
 passes through), 2 usage/parse error.
 MEMBEAM_LOG sets the log level (an unknown level exits 2).  CSV and report
 paths come from the config's [output] section; --csv/--report override.
-A path that names a directory or lies in no directory is refused after
-setup, before the run.
+A path that names a directory, lies in no directory, or names the run file
+or the same file as another output is refused after setup, before the run.
 """
 
 from __future__ import annotations
@@ -77,18 +77,23 @@ def _write(path, head: str, rows=(), first: str | None = None, last: str | None 
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _check_writable(*paths):
+def _check_writable(config, *paths):
     """Refuse before a run, with _write's message, a path that names a
-    directory or whose directory does not exist.  Creates no file."""
+    directory, lies in no directory, or names the same file as the run
+    file config or an earlier path (ConfigError).  Creates no file."""
+    taken = {os.path.realpath(config): f"the run file {config}"}
     for path in paths:
-        folder = os.path.dirname(path) or "."
+        folder, key = os.path.dirname(path) or ".", os.path.realpath(path)
         if os.path.isdir(path):
-            code = errno.EISDIR
+            reason = os.strerror(errno.EISDIR)
         elif not os.path.isdir(folder):
-            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            reason = os.strerror(errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
+        elif key in taken:
+            reason = f"it names the same file as {taken[key]}"
         else:
+            taken[key] = f"the output {path}"
             continue
-        raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+        raise ConfigError(f"cannot write {path}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +132,7 @@ def cmd_validate(args) -> int:
         code = 0
     text = "\n".join(lines)
     if args.report:
+        _check_writable(args.config, args.report)
         _write(args.report, text)
     print(text)
     return code
@@ -154,7 +160,7 @@ def cmd_simulate(args) -> int:
     setup = build_setup(cfg)
     csv_path = args.csv or cfg.csv_path
     report_path = args.report or cfg.report_path
-    _check_writable(csv_path, report_path)
+    _check_writable(args.config, csv_path, report_path)
 
     try:
         result = _run_simulation(setup)
@@ -207,7 +213,7 @@ def cmd_spectrum(args) -> int:
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv"
-    _check_writable(csv_path)
+    _check_writable(args.config, csv_path)
     w = analysis.eigenvalues(setup.assembly)
     absc = float(w[0].real)
     _write(csv_path, "re,im", ((lam.real, lam.imag) for lam in w),
@@ -222,7 +228,7 @@ def cmd_oracle_check(args) -> int:
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_oracle.csv"
-    _check_writable(csv_path)
+    _check_writable(args.config, csv_path)
     # refused before the first level, the dense cap before anything of size dim
     # is built: what no level can measure, and a finest level past simulate's
     # step limit (counted without its dt, which may underflow)
@@ -294,7 +300,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep needs at least one value")
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_sweep.csv"
-    _check_writable(csv_path)
+    _check_writable(args.config, csv_path)
     rows = [_sweep_row(cfg, args.param, v) for v in values]
     _write(csv_path, f"{args.param},gamma_fit,K_fit,r2,abscissa,resolvent_cond", rows)
     print(f"wrote {csv_path} ({len(rows)} rows)")

@@ -13,7 +13,7 @@ numerical dissipation is sign-safe for any admissible kernel.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -348,12 +348,14 @@ class GeneratorAssembly:
     feeds theta into every eta_k row.  So ||Phi||_H^2 = 2 E(Phi), and the
     symmetric part of H A_h is damping + thermal gradient + upwind history
     dissipation, exactly.
+
+    B, (A_h, H) and the modal system are built at their first read and kept
+    (cached_property); a run builds its own Cayley block (stepper._CayleyRun).
     """
 
     params: PhysicalParams
     memory_grid: MemoryGrid
     ops: DiscreteOperators
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     grid = property(lambda self: self.ops.grid)
     coefficients = property(lambda self: self.ops.coefficients)
@@ -361,59 +363,51 @@ class GeneratorAssembly:
     Ns = property(lambda self: self.memory_grid.Ns)
     dim = property(lambda self: self.Nx * (3 + self.Ns))
 
-    @property
+    @cached_property
     def mechanical_block(self) -> sp.csr_matrix:
-        """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h (built lazily and cached).
+        """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h.
 
         ParamOutOfRange when an entry's square overflows (kappa^2 is a
         product, so it gives inf there, not an exception): no norm of a
         run on such a block is finite.  The theta rows carry l LAP, so an
         entry there names l."""
-        if "B" not in self._cache:
-            ops, par, nx, g = self.ops, self.params, self.Nx, self.coefficients.g_values
-            # beta = 0 keeps the (u, v) rows structurally free of theta
-            coupling = -par.beta * ops.d1 if par.beta != 0.0 else None
-            B = sp.bmat(
-                [[None, sp.identity(nx), None],
-                 [-ops.bih + (par.kappa * par.kappa) * ops.lap,
-                  -2.0 * sp.diags(g) - 2.0 * par.kappa * ops.d1, coupling],
-                 [None, coupling, par.l * ops.lap]], format="csr")
-            for field, rows in (("l", B[2 * nx:]), ("mechanical_block", B[:2 * nx])):
-                big = float(np.max(np.abs(rows.data), initial=0.0))
-                if not big <= _ENTRY_MAX:
-                    raise ParamOutOfRange(
-                        field, f"an entry of size {big:.3g} in the "
-                        f"{'theta' if field == 'l' else '(u, v)'} rows of the mechanical block "
-                        f"(l = {par.l:.3g}) has a square beyond the float range")
-            self._cache["B"] = B
-        return self._cache["B"]
+        ops, par, nx, g = self.ops, self.params, self.Nx, self.coefficients.g_values
+        # beta = 0 keeps the (u, v) rows structurally free of theta
+        coupling = -par.beta * ops.d1 if par.beta != 0.0 else None
+        B = sp.bmat(
+            [[None, sp.identity(nx), None],
+             [-ops.bih + (par.kappa * par.kappa) * ops.lap,
+              -2.0 * sp.diags(g) - 2.0 * par.kappa * ops.d1, coupling],
+             [None, coupling, par.l * ops.lap]], format="csr")
+        for field, rows in (("l", B[2 * nx:]), ("mechanical_block", B[:2 * nx])):
+            big = float(np.max(np.abs(rows.data), initial=0.0))
+            if not big <= _ENTRY_MAX:
+                raise ParamOutOfRange(
+                    field, f"an entry of size {big:.3g} in the "
+                    f"{'theta' if field == 'l' else '(u, v)'} rows of the mechanical block "
+                    f"(l = {par.l:.3g}) has a square beyond the float range")
+        return B
 
-    generator_matrix = property(lambda self: self._grid_system().generator_matrix,
-                                doc="Sparse A_h (built lazily and cached, with H).")
-    metric_matrix = property(lambda self: self._grid_system().metric_matrix,
-                             doc="Sparse H (built lazily and cached, with A_h).")
+    generator_matrix = property(lambda self: self._grid_system.generator_matrix, doc="A_h")
+    metric_matrix = property(lambda self: self._grid_system.metric_matrix, doc="H")
 
+    @cached_property
     def _grid_system(self) -> CoupledSystem:
-        if "A" not in self._cache:
-            ns, ds = self.Ns, self.memory_grid.ds
-            upwind = sp.diags([np.full(ns, -1.0 / ds), np.full(ns - 1, 1.0 / ds)], [0, -1])
-            self._cache["A"] = self._couple(self.memory_grid.wmu, upwind)
-        return self._cache["A"]
+        ns, ds = self.Ns, self.memory_grid.ds
+        upwind = sp.diags([np.full(ns, -1.0 / ds), np.full(ns - 1, 1.0 / ds)], [0, -1])
+        return self._couple(self.memory_grid.wmu, upwind)
 
-    @property
+    @cached_property
     def modal_system(self) -> CoupledSystem:
         """(A~, H~) of a Prony kernel mu = sum_j a_j exp(-r_j s), exact in s
-        and of dimension (3 + m) Nx (built lazily and cached): B coupled to
-        the modes zeta_j = r_j int exp(-r_j s) eta ds, whose zeta_j' = theta -
-        r_j zeta_j and m(eta) = sum_j (a_j/r_j) zeta_j give w = a/r and
-        T = -diag(r).  A tabulated kernel has none (ParamOutOfRange)."""
+        and of dimension (3 + m) Nx: B coupled to the modes zeta_j = r_j
+        int exp(-r_j s) eta ds, whose zeta_j' = theta - r_j zeta_j and
+        m(eta) = sum_j (a_j/r_j) zeta_j give w = a/r and T = -diag(r).  A
+        tabulated kernel has none (ParamOutOfRange)."""
         kernel = self.memory_grid.kernel
         if kernel.form != "prony":
             raise ParamOutOfRange("kernel", "a tabulated kernel has no modal system A~")
-        if "modal" not in self._cache:
-            self._cache["modal"] = self._couple(kernel.amplitudes / kernel.rates,
-                                                sp.diags(-kernel.rates))
-        return self._cache["modal"]
+        return self._couple(kernel.amplitudes / kernel.rates, sp.diags(-kernel.rates))
 
     def _couple(self, w: np.ndarray, transport: sp.spmatrix) -> CoupledSystem:
         """B coupled to n = w.size history columns of Nx nodes, with history

@@ -23,18 +23,18 @@ split_semilagrangian
     a ring buffer with a running characteristic accumulator.
 
 Every step of either scheme is one product with the Cayley operator R
-(_step_operator) and one banded 3Nx solve with its residual check.  The
-cost of a step and of a sample for each scheme and kernel form, and what
-a run holds at its peak, are tabulated once, in the README's "Cost of a
-step and of a sample".
+and one banded 3Nx solve with its residual check.  The cost of a step
+and of a sample for each scheme and kernel form, and what a run holds at
+its peak, are tabulated once, in the README's "Cost of a step and of a
+sample".
 
 A run is a _CayleyRun, the Cayley step of the (u, v, theta) block, plus
 a history: _MidpointRun or _SplitRun, built from a State and a
 SchemeConfig by _start, which builds and checks the scheme's fixed
 coefficients and then holds the trajectory.  simulate starts one run a
-call and keeps none of it.  Every step solves with the one banded LU of
-the 3Nx block (splu, _BandedLU), taken node by node so that its
-bandwidth is 7 below and 5 above the diagonal at any Nx.
+call and keeps none of it.  From the history's gain the _CayleyRun
+builds M (_cayley_block), R and the one banded LU of M (splu,
+_BandedLU), whose bandwidth is 7 below and 5 above at any Nx.
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
@@ -55,6 +55,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -221,26 +222,14 @@ def splu(matrix: sp.spmatrix) -> _BandedLU:
     return _BandedLU(matrix)
 
 
-def _mechanical_lu(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float):
-    """M = I - tau B - tau^2 gain [theta theta] lap and its LU: the 3Nx
-    block left of an implicit step once the history is eliminated.  A
-    singular M raises LinearSolveFailure."""
+def _cayley_block(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float) -> sp.csc_matrix:
+    """M = I - tau B - tau^2 gain [theta theta] lap: the 3Nx block left of an
+    implicit step once the history is eliminated, for the history's gain
+    (the one expression for it: _CayleyRun and SchurSolver factorize it)."""
     nx = lap.shape[0]
-    M = (sp.identity(3 * nx, format="csc") - tau * B).tolil()
-    M[2 * nx:, 2 * nx:] = M[2 * nx:, 2 * nx:] - (tau * tau * gain) * lap
-    M = M.tocsc()
-    return M, splu(M)
-
-
-def _step_operator(M: sp.spmatrix, lu: _BandedLU, lap: sp.spmatrix, tau: float) -> sp.csr_matrix:
-    """R = [2I - M | tau [theta] lap], the right-hand side of the Cayley
-    step (_CayleyRun) from its padded rows (u, v, theta, a), for the block
-    M of _mechanical_lu and its LU; its rows are in the LU's node order."""
-    nx = lap.shape[0]
-    flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), tau * lap])
-    inner = sp.hstack([sp.csr_matrix((nx, 1)), sp.identity(nx), sp.csr_matrix((nx, 1))])
-    return (sp.hstack([2.0 * sp.identity(3 * nx) - M, flux])
-            @ sp.kron(sp.identity(4), inner)).tocsr()[lu.order]
+    return (sp.identity(3 * nx, format="csc") - tau * B
+            - sp.block_diag([sp.csc_matrix((2 * nx, 2 * nx)), (tau * tau * gain) * lap],
+                            format="csc"))
 
 
 class SchurSolver:
@@ -267,9 +256,10 @@ class SchurSolver:
     is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
     the same LU and L^T, a recurrence run from s_Ns down.  solve and
     solve_transposed take inputs of any layout, leave them untouched and
-    return new arrays.  resolvent_check solves through this class; the
-    midpoint run takes its M, LU, kappa and apply_eta, and checks its
-    history step against the banded solve.
+    return new arrays.  The Schur complement (_cayley_block) is factorized
+    at the first solve (lu).  resolvent_check solves through this class;
+    the midpoint run takes only kappa, the gain of its own Cayley block,
+    and apply_eta, and checks its history step against the banded solve.
     """
 
     def __init__(self, assembly: GeneratorAssembly, tau: float):
@@ -286,7 +276,11 @@ class SchurSolver:
                                         np.full(self.ns, -self.q / (1.0 + self.q))])
         self.g = self._recurrence(self.c * self.wmu[None, :], transposed=True)[0]
         self.kappa = float(np.sum(self.g))
-        self.M, self.lu = _mechanical_lu(assembly.mechanical_block, self.lap, tau, self.kappa)
+        self._mechanical = assembly.mechanical_block
+
+    @cached_property
+    def lu(self) -> _BandedLU:
+        return splu(_cayley_block(self._mechanical, self.lap, self.tau, self.kappa))
 
     def _recurrence(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
         """L^{-1} (1 + q) z along s, or L^{-T} (1 + q) z, written over the
@@ -402,41 +396,48 @@ class _CayleyRun:
     """The Cayley step of the (u, v, theta) block with tau = dt/2, which a
     run of either scheme extends with its history.
 
-    M = I - tau B - tau^2 gain [theta theta] lap is the 3Nx block left once
-    the history is eliminated; it and its LU come from the one
-    factorization the run makes (SchurSolver's for the midpoint,
-    _mechanical_lu's for the split).  R (_step_operator) reads the padded
-    rows (u, v, theta, a), each with a zero (the Dirichlet value) at both
-    ends, as one vector; the run writes a, the history sum of the step's
-    flux known before the solve, and owns the rows after it.  u, v, theta
-    and w = (u, v, theta) are views of the rows.  _step takes w' from one
-    checked banded solve (lu.solve_checked, in R's node order), writes it,
-    advances t and returns beta = tau (theta + theta'): the split run's
-    increment of C and the midpoint run's block source.  A failed check
-    leaves t and w as they were.
+    From the gain of its scheme's history (the midpoint run's kappa, the
+    split run's sum of wmu) the run builds M = I - tau B - tau^2 gain
+    [theta theta] lap (_cayley_block), its one LU (splu) and R = [2I - M |
+    tau [theta] lap] in the LU's node order, which reads the padded rows
+    (u, v, theta, a), each with a zero (the Dirichlet value) at both ends,
+    as one vector; a is the step's history sum, known before the solve.
+    _rhs(a) writes a and returns R (w, a); u, v, theta and w = (u, v,
+    theta) are views of the rows.  _step(a) takes w' from one checked
+    banded solve of _rhs(a), writes it, advances t and returns beta = tau
+    (theta + theta'): the split run's increment of C and the midpoint
+    run's block source.  A failed check leaves t and w as they were.
     """
 
-    def __init__(self, state: State, cfg: SchemeConfig, M: sp.spmatrix, lu: _BandedLU,
-                 own_rows: int = 0):
+    def __init__(self, state: State, cfg: SchemeConfig, gain: float):
         asm = state.assembly
         if state.eta.shape != (asm.Nx, asm.Ns):
             raise DimensionMismatch(
                 f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
         self.cfg, self.assembly, self.t = cfg, asm, state.t
-        self.tau = cfg.dt / 2.0
-        self.M, self.lu = M, lu
-        self.R = _step_operator(M, lu, asm.ops.lap, self.tau)
-        self._rows = np.zeros((4 + own_rows, asm.Nx + 2))
+        self.tau = tau = cfg.dt / 2.0
+        nx, lap = asm.Nx, asm.ops.lap
+        M = _cayley_block(asm.mechanical_block, lap, tau, gain)
+        self.lu = splu(M)
+        flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), tau * lap])
+        self.R = (sp.hstack([2.0 * sp.identity(3 * nx) - M, flux])  # kron: the rows' interiors
+                  @ sp.kron(sp.identity(4), sp.eye(nx, nx + 2, k=1))).tocsr()[self.lu.order]
+        self._rows = np.zeros((4, nx + 2))
         self._rows[:3, 1:-1] = state.u, state.v, state.theta
-        self._wa = self._rows[:4].reshape(-1)          # what R reads, a view
+        self._wa = self._rows.reshape(-1)          # what R reads, a view
         self.w = self._rows[:3, 1:-1]
 
     u = property(lambda self: self.w[0])
     v = property(lambda self: self.w[1])
     theta = property(lambda self: self.w[2])
 
-    def _step(self) -> np.ndarray:
-        w = self.lu.solve_checked(self.R @ self._wa)          # node order
+    def _rhs(self, a: np.ndarray) -> np.ndarray:
+        """R (w, a) in node order, for the history sum a."""
+        self._rows[3, 1:-1] = a
+        return self.R @ self._wa
+
+    def _step(self, a: np.ndarray) -> np.ndarray:
+        w = self.lu.solve_checked(self._rhs(a))          # node order
         beta = self.tau * (self.theta + w[2::3])
         self.w[...] = w.reshape(-1, 3).T
         self.t += self.cfg.dt
@@ -539,7 +540,7 @@ class _MidpointRun(_CayleyRun):
             self.proj[:, i] = (np.conj(power) * w_hat).view(float)
         self._check_block()
 
-        super().__init__(state, cfg, s.M, s.lu)
+        super().__init__(state, cfg, s.kappa)
         self._m = state.eta @ s.wmu                 # wmu . eta, carried
         self._beta = np.empty((k, state.assembly.Nx))
         self._begin_block(np.fft.rfft(state.eta, n=self.size))
@@ -625,9 +626,8 @@ class _MidpointRun(_CayleyRun):
             self._begin_block(self._block_spectrum(self._eta_0, self._beta, self._i,
                                                    out=self._eta_0))
         m_g = self._history_sum(self._a, self._beta, self._i)      # wmu . G eta
-        self._rows[3, 1:-1] = self._m + m_g
         self._theta_prev = self.theta.copy()
-        self._beta[self._i] = beta = self._step()
+        self._beta[self._i] = beta = self._step(self._m + m_g)
         self._i += 1
         self._m = m_g + self.solver.kappa * beta                # wmu . eta' carried
         self._steps += 1
@@ -665,11 +665,8 @@ class _MidpointRun(_CayleyRun):
         self.reprojections += 1
         # the next step's right-hand side from the carried and the fresh m
         m_g = self._history_sum(self._a, self._beta, 0)
-        rhs = []
-        for m in (self._m, fresh):
-            self._rows[3, 1:-1] = m + m_g
-            rhs.append(self.R @ self._wa)
-        self.max_drift = _worst_drift(self.max_drift, *rhs)
+        self.max_drift = _worst_drift(self.max_drift, self._rhs(self._m + m_g),
+                                      self._rhs(fresh + m_g))
 
     # the current history (one irfft an access)
     eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.size)[
@@ -802,12 +799,12 @@ class _SplitRun(_CayleyRun):
         self.mode_map = np.vstack([self.moment + shifted,
                                    shift - np.outer(mg.weights[0] * mode_mu[0], e_c)])
 
-        super().__init__(state, cfg, *_mechanical_lu(asm.mechanical_block, asm.ops.lap,
-                                                     cfg.dt / 2.0, mu0w), own_rows=m)
+        super().__init__(state, cfg, mu0w)
         # Each row holds an x-profile with a zero at both ends, so D+ of a
-        # row is one difference of neighbours.  _rows after a: the sigma
-        # rows mode_map makes; _x: the x of the class docstring.
+        # row is one difference of neighbours.  _x: the x of the class
+        # docstring; _mapped: mode_map @ x, a and the sigma rows after it.
         self._x = np.zeros((m + 3, nx + 2))
+        self._mapped = np.zeros((m + 1, nx + 2))
         self.zeta = state.eta.copy()          # ring storage, start head = 0
         self.head = 0                         # storage column of s-index 1
         self.max_drift = 0.0
@@ -914,9 +911,9 @@ class _SplitRun(_CayleyRun):
     # -- stepping -----------------------------------------------------------
 
     def advance(self):
-        rows, x, m = self._rows, self._x, self.modes
-        np.matmul(self.mode_map, x, out=rows[3:])
-        q = self._step()
+        mapped, x, m = self._mapped, self._x, self.modes
+        np.matmul(self.mode_map, x, out=mapped)
+        q = self._step(mapped[0, 1:-1])
 
         c = x[m + 2]
         self.head = (self.head - 1) % self.zeta.shape[1]
@@ -925,7 +922,7 @@ class _SplitRun(_CayleyRun):
         self._norms[self.head] = float(d_c @ d_c) / self.h2
         self._block_shifts += 1
         c[1:-1] += q                                              # C^n + q
-        x[:m] = rows[4:]
+        x[:m] = mapped[1:]
         self._load_ends()
 
     def to_state(self) -> State:

@@ -310,7 +310,7 @@ class TestSpectral:
                             params=mb.derive_params(0.5, 1.0, 0.5, beta),
                             p=rng.uniform(0.5, 2.0, 7), g=rng.uniform(0.5, 2.0, 7))
         assert np.isfinite(mb.resolvent_check(asm))
-        assert "A" not in asm._cache
+        assert "_grid_system" not in vars(asm)
         assembled = spla.norm(sp.identity(asm.dim, format="csc") - asm.generator_matrix, 1)
         assert an._resolvent_norm1(asm) == assembled
 

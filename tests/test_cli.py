@@ -879,6 +879,55 @@ class TestExitCodes:
             assert capsys.readouterr() == ("", f"config error: cannot write {path}: {reason}\n")
         assert sorted(os.listdir(tmp_path)) == ["adir", "run.cfg"]
 
+    @staticmethod
+    def _refuse_work(monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("work before the output paths were checked")
+
+        monkeypatch.setattr(stepper, "simulate", unexpected)
+        monkeypatch.setattr(stepper, "oracle_evolve", unexpected)
+        monkeypatch.setattr(analysis, "eigenvalues", unexpected)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--report"], ["simulate", "--csv"], ["simulate", "--report"],
+        ["spectrum", "--csv"], ["oracle-check", "--csv"],
+        ["sweep", "--param", "beta", "--values", "1", "--csv"]])
+    def test_output_on_the_run_file_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                     argv):
+        # the run file, named as given or by another path to it, is never
+        # overwritten
+        self._refuse_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, FIT_CFG)
+        for path in ("run.cfg", str(tmp_path / "run.cfg"), "./run.cfg"):
+            assert main([argv[0], "run.cfg", *argv[1:], path]) == 2
+            assert capsys.readouterr() == (
+                "", f"config error: cannot write {path}: it names the same file as "
+                "the run file run.cfg\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+        assert (tmp_path / "run.cfg").read_text() == FIT_CFG
+
+    @pytest.mark.parametrize("argv, keys, first, second", [
+        (["--csv", "out.txt", "--report", "./out.txt"], None, "out.txt", "./out.txt"),
+        (["--csv", "sub/../out.txt", "--report", "out.txt"], None, "sub/../out.txt", "out.txt"),
+        ([], "csv_path = out.txt\nreport_path = out.txt", "out.txt", "out.txt"),
+        (["--report", "run.csv"], None, "run.csv", "run.csv")],
+        ids=["flags", "dotdot", "keys", "flag-and-key"])
+    def test_two_outputs_on_one_file_are_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                       argv, keys, first, second):
+        # the CSV and the report would overwrite each other: refused before
+        # the run, and no file is written
+        self._refuse_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        output = "csv_path = run.csv\nreport_path = report.txt"
+        write_cfg(tmp_path, FIT_CFG.replace(output, keys) if keys else FIT_CFG)
+        assert main(["simulate", "run.cfg", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: cannot write {second}: it names the same file as "
+            f"the output {first}\n")
+        assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sub"]
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--csv"], ["spectrum", "--report"], ["oracle-check", "--report"],
         ["sweep", "--param", "beta", "--values", "1", "--report"]])
@@ -1115,9 +1164,12 @@ class TestRunLength:
     def test_cli_never_imports_scipy_signal(self, tmp_path):
         # the midpoint history step is a convolution taken with numpy.fft;
         # scipy.signal (with scipy.stats) would add about 1 s to a process,
-        # scipy.fft about 57 ms
+        # scipy.fft about 57 ms.  Every factorization is the banded LAPACK LU
+        # and the resolvent's norm estimate is membeam's own, so neither
+        # SuperLU nor onenormest (scipy.sparse.linalg) is ever loaded
         path = self._nx8_cfg(tmp_path, "full_implicit_midpoint")
-        check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize")
+        check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize",
+                                "scipy.sparse.linalg")
         for argv in (["simulate", path],
                      ["sweep", path, "--param", "beta", "--values", "1.0"]):
             proc = _python(tmp_path, "-c", check, *argv, timeout=120)
@@ -1126,7 +1178,8 @@ class TestRunLength:
     def test_cli_never_imports_scipy_optimize(self, tmp_path):
         # a scan of the s-grid nodes finds the memory truncation point;
         # scipy.optimize would add about 0.3 s to every process
-        check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize")
+        check = _run_then_check("scipy.signal", "scipy.fft", "scipy.optimize",
+                                "scipy.sparse.linalg")
         for argv in ([], ["simulate", self._nx8_cfg(tmp_path, "split_semilagrangian")]):
             proc = _python(tmp_path, "-c", check, *argv, timeout=120)
             assert proc.returncode == 0, (argv, proc.stderr)

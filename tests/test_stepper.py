@@ -297,17 +297,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
     def test_simulate_leaves_no_runner_cached(self, scheme):
-        # a midpoint run's tables would outlive it in the assembly's cache;
-        # the cache holds only the mechanical block
+        # a midpoint run's tables would outlive it in the assembly; of its
+        # cached blocks the assembly holds only the mechanical block
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05, scheme=scheme), 0.5)
-        assert list(asm._cache) == ["B"]
+        assert set(vars(asm)) == {"params", "memory_grid", "ops", "mechanical_block"}
 
     def test_split_never_assembles_generator(self):
         asm = make_assembly(Nx=5, ds=0.05, Ns=6)
         mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5)
-        assert "B" in asm._cache
-        assert "A" not in asm._cache
+        assert "mechanical_block" in vars(asm)
+        assert "_grid_system" not in vars(asm)
 
     @pytest.mark.parametrize("scheme", ["full_implicit_midpoint", "split_semilagrangian"])
     def test_assembly_freed_without_cycle_collector(self, scheme):
@@ -431,7 +431,7 @@ def _parent_table_trajectory(state, cfg, n_steps):
     nx, ns, dt = asm.Nx, asm.Ns, cfg.dt
     wmu = mg.weights * mg.mu
     mu0w = float(np.sum(wmu))
-    lu = splu(stepper._start(state, cfg).M)
+    lu = stepper._start(state, cfg).lu
     u, v, th = state.u.copy(), state.v.copy(), state.theta.copy()
     zeta, head, C = state.eta.copy(), 0, np.zeros(nx)
     sigma = zeta @ wmu
@@ -559,7 +559,7 @@ def _parent_prony_trajectory(state, cfg, n_steps):
     nx, ns, dt = asm.Nx, asm.Ns, cfg.dt
     wmu = mg.weights * mg.mu
     mu0w = float(np.sum(wmu))
-    lu = splu(stepper._start(state, cfg).M)
+    lu = stepper._start(state, cfg).lu
     decay = np.exp(-kern.rates * mg.ds)
     mode_mu = kern.amplitudes[None, :] * np.exp(-np.multiply.outer(mg.s_nodes, kern.rates))
     u, v, th = state.u.copy(), state.v.copy(), state.theta.copy()
@@ -668,7 +668,8 @@ class TestSchurSolver:
     def test_singular_mechanical_block_is_a_linear_solve_failure(self):
         # M = I - B = 0: dgbtrf reports a zero pivot (info > 0)
         with pytest.raises(LinearSolveFailure, match="singular"):
-            stepper._mechanical_lu(sp.identity(3, format="csr"), sp.csr_matrix((1, 1)), 1.0, 0.0)
+            stepper.splu(stepper._cayley_block(sp.identity(3, format="csr"),
+                                               sp.csr_matrix((1, 1)), 1.0, 0.0))
 
     def test_singular_block_given_to_splu_is_a_linear_solve_failure(self):
         # a zero v row at the second node: the fourth pivot in node order
@@ -684,24 +685,24 @@ class TestSchurSolver:
         asm = make_assembly(Nx=5, ds=0.05, Ns=7)
         solver = stepper.SchurSolver(asm, 0.3)
         M = np.eye(asm.dim) - 0.3 * asm.generator_matrix.toarray()
-        got = _identity_columns(_row_blocks(solver), asm)
+        got = _identity_columns(_row_blocks(solver, default_initial_state(asm)), asm)
         assert np.abs(got - M).max() <= 1e-13 * np.abs(M).max()
 
 
-def _row_blocks(solver):
+def _row_blocks(solver, state):
     """(I - tau A_h)(w, eta) blockwise: the history rows from apply_eta and
     the (u, v, theta) rows M w - tau [theta] lap a = 2w - R (w, a) through
-    the Cayley step's R, with a = wmu . eta - tau kappa theta, which
-    cancels the tau^2 kappa [theta theta] lap of M."""
-    nx, order = solver.nx, solver.lu.order
-    R = stepper._step_operator(solver.M, solver.lu, solver.lap, solver.tau)
-    rows = np.zeros((4, nx + 2))
+    the Cayley step of a run from state with the solver's kappa as its
+    gain, with a = wmu . eta - tau kappa theta, which cancels the
+    tau^2 kappa [theta theta] lap of M."""
+    nx = solver.nx
+    core = stepper._CayleyRun(state, mb.SchemeConfig(dt=2.0 * solver.tau), solver.kappa)
 
     def apply(w, eta):
-        rows[:3, 1:-1] = w.reshape(3, nx)
-        rows[3, 1:-1] = eta @ solver.wmu - solver.tau * solver.kappa * w[2 * nx:]
+        core.w[...] = w.reshape(3, nx)
+        a = eta @ solver.wmu - solver.tau * solver.kappa * w[2 * nx:]
         out = 2.0 * w
-        out[order] -= R @ rows.ravel()
+        out[core.lu.order] -= core._rhs(a)
         return out, solver.apply_eta(w[2 * nx:], eta)
 
     return apply
@@ -735,7 +736,8 @@ class TestBandedLU:
         # default run's tau = dt/2 (cond 4e8 at Nx = 64); at the resolvent's
         # tau = 1 the backward error is compared
         for tau in (5e-4, 1.0):
-            M, lu = stepper._mechanical_lu(B, lap, tau, 0.7)
+            M = stepper._cayley_block(B, lap, tau, 0.7)
+            lu = stepper.splu(M)
             assert (lu.n < lu.kl + lu.ku + 1) == (nx <= 4)
             dense = M.toarray()
             for trans, A in (("N", dense), ("T", dense.T)):
@@ -900,7 +902,7 @@ class TestMidpointStep:
         mb.simulate(default_initial_state(asm),
                     mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"), 0.5)
         assert calls == [(15, 15)]
-        assert "A" not in asm._cache
+        assert "_grid_system" not in vars(asm)
 
     # a midpoint step reads its history as _a[:, i], wmu . G^(i+1) eta_0 of
     # its block: two steps in, _a[2, 2] is what the next step reads at x_2
@@ -925,7 +927,7 @@ class TestMidpointStep:
         for _ in range(2):
             run.advance()
         before, m = run.to_state(), run._m.copy()
-        lu = run.solver.lu
+        lu = run.lu
         lu._lu[lu.kl + lu.ku, 7] *= 1.0 + 1e-6
         with pytest.raises(LinearSolveFailure, match="residual") as err:
             run.advance()
@@ -942,7 +944,7 @@ def _banded_cayley_trajectory(state, dt, n_steps):
     and its banded (dtbtrs) solve, Phi' = M^{-1} (2 Phi - M Phi)."""
     asm = state.assembly
     solver = stepper.SchurSolver(asm, dt / 2.0)
-    n3, apply = 3 * asm.Nx, _row_blocks(solver)
+    n3, apply = 3 * asm.Nx, _row_blocks(solver, state)
     w, eta = state.flatten()[:n3], state.eta
     for k in range(1, n_steps + 1):
         m_w, m_eta = apply(w, eta)
