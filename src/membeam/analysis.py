@@ -26,15 +26,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigvals as dense_eigvals
 
 from .discretization import CoupledSystem, GeneratorAssembly, check_dense
-from .errors import (
-    EigensolveFailed,
-    EnergyUnderflow,
-    InfeasibleMultipliers,
-    LinearSolveFailure,
-    ParamOutOfRange,
-    SingularResolvent,
-    WindowTooSmall,
-)
+from .errors import LinearSolveFailure, MembeamError
 from .model import (
     CoefficientField,
     KernelReport,
@@ -192,7 +184,8 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _functionals(s: Samples) -> SimpleNamespace:
     """E, D, F1, F2, I and the inner products the lemma sides reuse, one
-    array entry per sample of the stack.
+    array entry per sample of the stack, and D1 v, formed once for theta_t
+    and lemma 4.2.
 
     The one implementation of every functional; it reads the history only
     through the stacked sums.  theta_t inside I comes from the generator
@@ -208,9 +201,10 @@ def _functionals(s: Samples) -> SimpleNamespace:
     tt = _col_dots(th, th)
     gugu = grad_sq_norms(u, h)
     gthgth = grad_sq_norms(th, h)
+    d1v = ops.d1 @ v
     thdot = l * (ops.lap @ th) + ops.lap @ moment
     if beta != 0.0:
-        thdot = thdot - beta * (ops.d1 @ v)
+        thdot = thdot - beta * d1v
     g = ops.coefficients.g_values[:, None]
 
     return SimpleNamespace(
@@ -219,7 +213,7 @@ def _functionals(s: Samples) -> SimpleNamespace:
         F1=h * (_col_dots(u, v) + _col_dots(u, g * u)),
         F2=-h * _col_dots(th, moment),
         Ifun=-h * _col_dots(thdot, moment),
-        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=sums.hist_mup,
+        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, d1v=d1v, hist_mup=sums.hist_mup,
         th_upwind=_col_dots(th, sums.upwind_moment))
 
 
@@ -265,7 +259,6 @@ class MultiplierConfig:
     mu0: float
     gamma1: float
     gamma2: float
-    lam: float
     gamma_certified: float
 
 
@@ -285,12 +278,12 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
     given.
     """
     if not (Cp > 0):
-        raise ParamOutOfRange("Cp", "Poincare constant must be > 0")
+        raise MembeamError("Poincare constant must be > 0")
     if report is None:
         report = validate_kernel(kernel)
     mu0, delta1 = report.mu0, report.delta1
     if mu0 <= 1e-14:
-        raise InfeasibleMultipliers("kernel mass mu0 is degenerate")
+        raise MembeamError("kernel mass mu0 is degenerate")
     sigma1 = sigma2 = 1.0
     sigma = 1.0
     sigma3 = mu0
@@ -303,7 +296,7 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
     # exception, and the range checks below name them
     kappa2, beta2 = kappa * kappa, beta * beta
     if not kappa2 > 0:
-        raise ParamOutOfRange("kappa", f"kappa^2 = {kappa:g}^2 underflows to 0")
+        raise MembeamError(f"kappa^2 = {kappa:g}^2 underflows to 0")
 
     C1 = beta * mu0 * sigma2 / 2.0
     C2 = l * mu0 * sigma1 / 2.0
@@ -329,15 +322,14 @@ def choose_multipliers(params: PhysicalParams, kernel: MemoryKernel,
                "zeta1": zeta1, "N": N, "gamma2": gamma2, "ct1": ct1, "ct3": ct3, "ct4": ct4}
     overflowed = [name for name, value in derived.items() if not math.isfinite(value)]
     if overflowed:
-        raise InfeasibleMultipliers(
+        raise MembeamError(
             f"derived constants out of floating-point range: {', '.join(overflowed)}")
     if min(ct1, ct3, ct4, gamma1) <= 0:
-        raise InfeasibleMultipliers("derived Lyapunov coefficients are not all positive")
+        raise MembeamError("derived Lyapunov coefficients are not all positive")
     lam = 2.0 * min(N1, N1 / 4.0, ct1, ct4, ct3 * delta1)
     return MultiplierConfig(
         N=N, N1=N1, N2=N2, Ckappa=Ckappa, C1=C1, C2=C2, C3=C3, Cp=Cp,
-        mu0=mu0, gamma1=gamma1, gamma2=gamma2, lam=lam,
-        gamma_certified=lam / gamma2)
+        mu0=mu0, gamma1=gamma1, gamma2=gamma2, gamma_certified=lam / gamma2)
 
 
 def choose_multipliers_for(assembly: GeneratorAssembly,
@@ -410,11 +402,11 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
     asm = samples.assembly
     h, ops = asm.grid.h, asm.ops
     kap, beta = asm.params.kappa, asm.params.beta
-    u, v, th = samples.u, samples.v, samples.theta
+    u, th = samples.u, samples.theta
     f = _functionals(samples)
     L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
 
-    l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * _col_dots(u, ops.d1 @ v)
+    l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * _col_dots(u, f.d1v)
                    - beta * _col_dots(u, ops.d1 @ th))
     l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
                    + beta**2 / (2.0 * kap**2) * f.tt)
@@ -456,12 +448,14 @@ def check_dissipativity(assembly: GeneratorAssembly) -> float:
 
 def eigenvalues(assembly: GeneratorAssembly | CoupledSystem) -> np.ndarray:
     """Dense spectrum of A_h or of a CoupledSystem (the modal A~), sorted by
-    descending real part; DimensionTooLarge above DENSE_MAX_DIM (check_dense)."""
+    descending real part; DimensionTooLarge above DENSE_MAX_DIM (check_dense).
+    An eigensolve that does not converge (LinAlgError) is a MembeamError
+    with its message; any other exception passes through."""
     check_dense(assembly, "dense spectrum")
     try:
         w = dense_eigvals(assembly.generator_matrix.toarray())
-    except Exception as exc:
-        raise EigensolveFailed(str(exc)) from exc
+    except np.linalg.LinAlgError as exc:
+        raise MembeamError(str(exc)) from exc
     order = np.lexsort((w.imag, -w.real))
     return w[order]
 
@@ -531,11 +525,8 @@ def resolvent_check(assembly: GeneratorAssembly) -> float:
     """
     from .stepper import SchurSolver   # stepper imports this module
 
-    try:
-        solver = SchurSolver(assembly, 1.0)
-        solver.lu          # factorized here: a singular block keeps its own message
-    except LinearSolveFailure as exc:
-        raise SingularResolvent(str(exc)) from exc
+    solver = SchurSolver(assembly, 1.0)
+    solver.lu          # factorized here: a singular block keeps its own message
     n3, ns, dim = 3 * assembly.Nx, assembly.Ns, assembly.dim
 
     def blockwise(solve):
@@ -549,10 +540,10 @@ def resolvent_check(assembly: GeneratorAssembly) -> float:
         inv_norm = norm1_inverse_estimate(blockwise(solver.solve),
                                           blockwise(solver.solve_transposed), dim)
     except LinearSolveFailure as exc:
-        raise SingularResolvent(f"condition estimate failed: {exc}") from exc
+        raise MembeamError(f"condition estimate failed: {exc}") from exc
     cond = float(_resolvent_norm1(assembly) * inv_norm)
     if not np.isfinite(cond):
-        raise SingularResolvent("condition estimate is not finite")
+        raise MembeamError("condition estimate is not finite")
     return cond
 
 
@@ -568,7 +559,6 @@ class DecayFit:
     K_fit: float
     r2: float
     window: tuple
-    n_points: int
 
 
 def fit_decay(traj, window: tuple) -> DecayFit:
@@ -584,16 +574,16 @@ def fit_decay(traj, window: tuple) -> DecayFit:
     t = np.asarray(traj.t, dtype=float)
     E = np.asarray(traj.E, dtype=float)
     if t.size == 0:
-        raise WindowTooSmall("empty trajectory")
+        raise MembeamError("empty trajectory")
     E0 = E[0]
     t1, t2 = float(window[0]), float(window[1])
     m = (t >= t1) & (t <= t2)
     tw, Ew = t[m], E[m]
     if tw.size < _MIN_FIT_SAMPLES:
-        raise WindowTooSmall(f"only {tw.size} samples in window [{t1}, {t2}]")
+        raise MembeamError(f"only {tw.size} samples in window [{t1}, {t2}]")
     alive = Ew > _ENERGY_FLOOR
     if np.count_nonzero(alive) < _MIN_FIT_SAMPLES:
-        raise EnergyUnderflow("energy underflowed inside the fit window")
+        raise MembeamError("energy underflowed inside the fit window")
     tw, Ew = tw[alive], Ew[alive]
 
     interior = np.flatnonzero((Ew[1:-1] > Ew[:-2]) & (Ew[1:-1] >= Ew[2:])) + 1
@@ -607,7 +597,7 @@ def fit_decay(traj, window: tuple) -> DecayFit:
     ss_tot = float(np.sum((lE - lE.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return DecayFit(gamma_fit=float(-slope), K_fit=float(np.exp(intercept) / E0),
-                    r2=float(r2), window=(t1, t2), n_points=int(tw.size))
+                    r2=float(r2), window=(t1, t2))
 
 
 # ---------------------------------------------------------------------------

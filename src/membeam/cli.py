@@ -40,7 +40,6 @@ from .errors import (
     DimensionTooLarge,
     KernelHypothesisError,
     MembeamError,
-    ParamOutOfRange,
     SimulationAborted,
 )
 
@@ -234,14 +233,13 @@ def cmd_oracle_check(args) -> int:
     # step limit (counted without its dt, which may underflow)
     check_dense(setup.assembly, "oracle")
     if not cfg.T > 0:
-        raise ParamOutOfRange("T", "oracle-check needs T > 0: at T = 0 every error is 0 "
-                              "and the order 0/0")
+        raise MembeamError("oracle-check needs T > 0: at T = 0 every error is 0 and the order 0/0")
     stepper.check_steps(cfg.T / cfg.dt * (2.0 ** (args.levels - 1) if args.levels <= 1024
                                           else math.inf))
     phi = setup.initial_state.flatten()
     if not phi @ (setup.assembly.metric_matrix @ phi) > 0:
-        raise ParamOutOfRange("initial data", "oracle-check needs nonzero initial data: "
-                              "the error relative to a zero solution is 0/0")
+        raise MembeamError("oracle-check needs nonzero initial data: "
+                           "the error relative to a zero solution is 0/0")
 
     dts = [cfg.dt * (0.5 ** k) for k in range(args.levels)]
     errors = []

@@ -36,7 +36,7 @@ strictly increasing s starting at 0.
 Clamped profiles (u0, v0) must vanish together with their slope at both
 endpoints; Dirichlet profiles (theta0) must vanish at both endpoints.  The
 end slope of a table profile is not checked.  Violations raise
-IncompatibleBoundary at build time.
+MembeamError at build time.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .discretization import (
     build_spatial_grid,
     norm_inf,
 )
-from .errors import ConfigError, IncompatibleBoundary, ParamOutOfRange
+from .errors import ConfigError, MembeamError
 from .model import InitialData, MemoryKernel, State
 
 _BOUNDARY_TOL = 1e-12
@@ -235,9 +235,9 @@ def _check_boundary(profile, slope, name: str, L: float):
     vals = profile(np.array([0.0, L]))
     scale = max(float(np.max(np.abs(profile(np.linspace(0.0, L, 33))))), 1.0)
     if np.max(np.abs(vals)) > _BOUNDARY_TOL * scale:
-        raise IncompatibleBoundary(f"{name} must vanish at x = 0 and x = L")
+        raise MembeamError(f"{name} must vanish at x = 0 and x = L")
     if slope is not None and max(abs(slope(0.0)), abs(slope(L))) > _BOUNDARY_TOL * scale:
-        raise IncompatibleBoundary(f"{name} must have zero slope at x = 0 and x = L")
+        raise MembeamError(f"{name} must have zero slope at x = 0 and x = L")
 
 
 def build_kernel(cfg: RunConfig) -> MemoryKernel:
@@ -294,8 +294,8 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
     # every step's residual norm squares the memory flux sum_k w_k mu_k LAP eta_k
     flux = float(np.max(np.abs(memory_grid.wmu))) * float(np.max(np.abs(ops.lap.data)))
     if not math.isfinite(flux * flux):
-        raise ParamOutOfRange("kernel", f"the kernel's largest memory-flux entry |w_k mu_k| "
-                              f"max|LAP| = {flux:.3g} has a square beyond the float range")
+        raise MembeamError(f"the kernel's largest memory-flux entry |w_k mu_k| "
+                           f"max|LAP| = {flux:.3g} has a square beyond the float range")
     # E(Phi0) <= (h/2)(||bih - kappa^2 lap|| |u|^2 + |v|^2 + |theta|^2 + ||lap|| sum_k
     # |w_k mu_k| |eta_k|^2), the row-sum norm bounding the 2-norm of a symmetric
     # block: one pass over eta, which refuses what the first sample would overflow.
@@ -307,8 +307,7 @@ def build_setup(cfg: RunConfig) -> ProblemSetup:
         bound = 0.5 * grid.h * (norm_inf(ops.bih - params.kappa * params.kappa * ops.lap) * (u @ u)
                                 + v @ v + th @ th + norm_inf(ops.lap) * hist)
     if not math.isfinite(bound):
-        raise ParamOutOfRange("initial data", "the initial data u0, v0, theta0 have an energy "
-                              "beyond the float range")
+        raise MembeamError("the initial data u0, v0, theta0 have an energy beyond the float range")
     return ProblemSetup(config=cfg, params=params, kernel=kernel, kernel_report=report,
                         assembly=assembly, initial_state=state, mcfg=mcfg)
 

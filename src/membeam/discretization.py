@@ -20,14 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
 
-from .errors import (
-    DimensionMismatch,
-    DimensionTooLarge,
-    GridTooCoarse,
-    ParamOutOfRange,
-    StructureViolation,
-    TruncationUnreachable,
-)
+from .errors import DimensionTooLarge, MembeamError
 from .model import CoefficientField, MemoryKernel, PhysicalParams
 
 # Largest system dimension for which dense computations (spectrum,
@@ -94,14 +87,14 @@ class SpatialGrid:
 
 def build_spatial_grid(L: float, Nx: int) -> SpatialGrid:
     if not (L > 0):
-        raise ParamOutOfRange("L", "beam length must be > 0")
+        raise MembeamError("beam length must be > 0")
     if Nx < 4:
-        raise GridTooCoarse(f"Nx = {Nx} < 4 interior nodes")
+        raise MembeamError(f"Nx = {Nx} < 4 interior nodes")
     check_history_fits(Nx, 1)
     h = L / (Nx + 1)
     if not 1.0 / _H_MAX < h < _H_MAX:
-        raise ParamOutOfRange("L", f"beam length L = {L:g} gives the node spacing h = {h:g}, "
-                              "whose h^4 or 1/h^4 leaves the float range")
+        raise MembeamError(f"beam length L = {L:g} gives the node spacing h = {h:g}, "
+                           "whose h^4 or 1/h^4 leaves the float range")
     return SpatialGrid(L=float(L), Nx=int(Nx), h=h, nodes=_read_only(h * np.arange(1, Nx + 1)))
 
 
@@ -144,21 +137,21 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8,
     double in length.  Before each block the scan checks that a history of
     nx x ns nodes fits in memory up to the block's end (DimensionTooLarge),
     so with the run's Nx it stops where the run could not be held.
-    TruncationUnreachable when mu is above the bound at the last node before
-    s = 1e9 or the table end."""
+    MembeamError when mu is above the bound at the last node before s = 1e9
+    or the table end."""
     if not (dt > 0):
-        raise ParamOutOfRange("dt", "dt must be > 0")
+        raise MembeamError("dt must be > 0")
     if not (0 < trunc_tol < 1):
-        raise ParamOutOfRange("trunc_tol", "trunc_tol must lie in (0, 1)")
+        raise MembeamError("trunc_tol must lie in (0, 1)")
     ds = float(dt)
     bound = trunc_tol * float(kernel.mu(0.5 * ds))
     if bound <= 0:
-        raise TruncationUnreachable("kernel vanishes at ds/2; no truncation point exists")
+        raise MembeamError("kernel vanishes at ds/2; no truncation point exists")
 
     end = min(1e9, kernel.s_max_table)
     if not np.isfinite(end / ds):
-        raise ParamOutOfRange("dt", f"dt = {dt:g} makes the node count {end:g}/dt of the "
-                              "memory grid's scan overflow")
+        raise MembeamError(f"dt = {dt:g} makes the node count {end:g}/dt of the "
+                           "memory grid's scan overflow")
     last = max(1, int(end / ds))
     lo, hi = 0, 1
     if float(kernel.mu(last * ds)) <= bound:   # mu decreases, so a node within the cap is found
@@ -168,17 +161,17 @@ def build_memory_grid(kernel: MemoryKernel, dt: float, trunc_tol: float = 1e-8,
             if below.size:
                 return memory_grid_from_counts(kernel, ds, lo + 1 + int(below[0]))
             lo, hi = hi, min(2 * hi, last)
-    raise TruncationUnreachable(
+    raise MembeamError(
         f"mu > {bound:.3e} at s = {last * ds:g}, the last node before the table end or 1e9")
 
 
 def memory_grid_from_counts(kernel: MemoryKernel, ds: float, Ns: int) -> MemoryGrid:
     """The grid of Ns nodes spaced ds, the one place a MemoryGrid is built."""
     if not (ds > 0) or Ns < 1:
-        raise ParamOutOfRange("ds/Ns", "need ds > 0 and Ns >= 1")
+        raise MembeamError("need ds > 0 and Ns >= 1")
     check_history_fits(1, Ns)
     if Ns * ds > kernel.s_max_table:
-        raise TruncationUnreachable(
+        raise MembeamError(
             f"s_max = {Ns * ds:g} beyond the table end {kernel.s_max_table:g}")
     ds, Ns = float(ds), int(Ns)
     s_nodes = ds * np.arange(1, Ns + 1)
@@ -250,7 +243,8 @@ def _assert_positive_definite(matrix: sp.spmatrix, bandwidth: int, name: str):
     try:
         cholesky_banded(_banded_upper(matrix, bandwidth), lower=False)
     except np.linalg.LinAlgError as exc:
-        raise StructureViolation(f"{name} not positive definite", np.nan) from exc
+        raise MembeamError(f"structure check failed: {name} not positive definite "
+                           "(measured nan)") from exc
 
 
 @dataclass(frozen=True)
@@ -258,8 +252,8 @@ class DiscreteOperators:
     """Interior-node difference operators and coefficient diagonals.
 
     d1     centered first derivative, exactly skew-adjoint
-    dplus  forward-difference gradient; dplus^T dplus = -lap exactly
-    lap    three-point Dirichlet Laplacian (symmetric negative definite)
+    lap    three-point Dirichlet Laplacian (symmetric negative definite),
+           -lap the Gram matrix of the forward-difference gradient exactly
     bih    D2^T diag(c * p) D2: variable-coefficient clamped biharmonic,
            D2 the clamped second-difference map onto all Nx+2 nodes, p
            extended to the two end nodes by its nearest interior value, c
@@ -270,7 +264,6 @@ class DiscreteOperators:
     grid: SpatialGrid
     coefficients: CoefficientField
     d1: sp.csr_matrix
-    dplus: sp.csr_matrix
     lap: sp.csr_matrix
     bih: sp.csr_matrix
 
@@ -278,19 +271,18 @@ class DiscreteOperators:
 def build_operators(grid: SpatialGrid, coefficients: CoefficientField) -> DiscreteOperators:
     """Assemble the difference operators and verify their structure.
 
-    Verified at build time: p has length Nx (DimensionMismatch); every
-    entry of bih is finite (ParamOutOfRange naming p, before its Cholesky
-    factorization); d1 is exactly skew-adjoint, dplus^T dplus = -lap
-    within 1e-12 relative, and bih and -lap are positive definite by their
-    banded Cholesky factorizations (StructureViolation).
+    Verified at build time, each failure a MembeamError: p has length Nx;
+    every entry of bih is finite (naming p, before its Cholesky
+    factorization); d1 is exactly skew-adjoint, D+^T D+ = -lap within
+    1e-12 relative for the forward-difference gradient D+, and bih and
+    -lap are positive definite by their banded Cholesky factorizations.
     """
     Nx, h = grid.Nx, grid.h
     p = np.asarray(coefficients.p_values, dtype=float)
     if p.shape != (Nx,):
-        raise DimensionMismatch(f"coefficient arrays have length {p.size}, expected Nx = {Nx}")
+        raise MembeamError(f"coefficient arrays have length {p.size}, expected Nx = {Nx}")
 
     d1 = _first_derivative(Nx, h)
-    dplus = _forward_gradient(Nx, h)
     lap = _dirichlet_laplacian(Nx, h)
     d2 = _clamped_second_difference(Nx, h)
 
@@ -301,20 +293,21 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField) -> Discre
     bih = (d2.T @ sp.diags(cw * p_ext) @ d2).tocsr()
     bih = ((bih + bih.T) * 0.5).tocsr()
     if not np.all(np.isfinite(bih.data)):
-        raise ParamOutOfRange("p", f"p up to {p.max():.3g} at h = {h:.3g} gives a biharmonic "
-                              "p/h^4 with an entry beyond the float range")
+        raise MembeamError(f"p up to {p.max():.3g} at h = {h:.3g} gives a biharmonic "
+                           "p/h^4 with an entry beyond the float range")
 
     skew = norm_inf(d1 + d1.T)
     if skew != 0.0:
-        raise StructureViolation("d1 skew-adjointness", skew)
+        raise MembeamError(f"structure check failed: d1 skew-adjointness (measured {skew:.3e})")
+    dplus = _forward_gradient(Nx, h)
     gram_err = norm_inf(dplus.T @ dplus + lap) / norm_inf(lap)
     if gram_err > 1e-12:
-        raise StructureViolation("dplus^T dplus == -lap", gram_err)
+        raise MembeamError(
+            f"structure check failed: dplus^T dplus == -lap (measured {gram_err:.3e})")
     _assert_positive_definite(bih, 2, "bih")
     _assert_positive_definite(-lap, 1, "-lap")
 
-    return DiscreteOperators(grid=grid, coefficients=coefficients, d1=d1, dplus=dplus,
-                             lap=lap, bih=bih)
+    return DiscreteOperators(grid=grid, coefficients=coefficients, d1=d1, lap=lap, bih=bih)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +360,10 @@ class GeneratorAssembly:
     def mechanical_block(self) -> sp.csr_matrix:
         """Sparse B, the 3Nx x 3Nx (u, v, theta) block of A_h.
 
-        ParamOutOfRange when an entry's square overflows (kappa^2 is a
+        MembeamError when an entry's square overflows (kappa^2 is a
         product, so it gives inf there, not an exception): no norm of a
-        run on such a block is finite.  The theta rows carry l LAP, so an
-        entry there names l."""
+        run on such a block is finite.  The theta rows carry l LAP, so the
+        message gives l."""
         ops, par, nx, g = self.ops, self.params, self.Nx, self.coefficients.g_values
         # beta = 0 keeps the (u, v) rows structurally free of theta
         coupling = -par.beta * ops.d1 if par.beta != 0.0 else None
@@ -379,13 +372,12 @@ class GeneratorAssembly:
              [-ops.bih + (par.kappa * par.kappa) * ops.lap,
               -2.0 * sp.diags(g) - 2.0 * par.kappa * ops.d1, coupling],
              [None, coupling, par.l * ops.lap]], format="csr")
-        for field, rows in (("l", B[2 * nx:]), ("mechanical_block", B[:2 * nx])):
+        for name, rows in (("theta", B[2 * nx:]), ("(u, v)", B[:2 * nx])):
             big = float(np.max(np.abs(rows.data), initial=0.0))
             if not big <= _ENTRY_MAX:
-                raise ParamOutOfRange(
-                    field, f"an entry of size {big:.3g} in the "
-                    f"{'theta' if field == 'l' else '(u, v)'} rows of the mechanical block "
-                    f"(l = {par.l:.3g}) has a square beyond the float range")
+                raise MembeamError(f"an entry of size {big:.3g} in the {name} rows of the "
+                                   f"mechanical block (l = {par.l:.3g}) has a square beyond "
+                                   "the float range")
         return B
 
     generator_matrix = property(lambda self: self._grid_system.generator_matrix, doc="A_h")
@@ -403,10 +395,10 @@ class GeneratorAssembly:
         and of dimension (3 + m) Nx: B coupled to the modes zeta_j = r_j
         int exp(-r_j s) eta ds, whose zeta_j' = theta - r_j zeta_j and
         m(eta) = sum_j (a_j/r_j) zeta_j give w = a/r and T = -diag(r).  A
-        tabulated kernel has none (ParamOutOfRange)."""
+        tabulated kernel has none (MembeamError)."""
         kernel = self.memory_grid.kernel
         if kernel.form != "prony":
-            raise ParamOutOfRange("kernel", "a tabulated kernel has no modal system A~")
+            raise MembeamError("a tabulated kernel has no modal system A~")
         return self._couple(kernel.amplitudes / kernel.rates, sp.diags(-kernel.rates))
 
     def _couple(self, w: np.ndarray, transport: sp.spmatrix) -> CoupledSystem:

@@ -14,15 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IncreasingKernel,
-    InfiniteMass,
-    NoExponentialDomination,
-    NonPositiveCoefficient,
-    NonPositiveKernel,
-    ParamOutOfRange,
-)
+from .errors import KernelHypothesisError, MembeamError
 
 # Guard against 0/0 noise in the far kernel tail when estimating delta1.
 _MU_GUARD = 1e-14
@@ -64,15 +56,15 @@ class PhysicalParams:
     def __post_init__(self):
         # every range excludes nan and inf
         if not 0 < self.lambda1 < 1:
-            raise ParamOutOfRange("lambda1", f"lambda1 = {self.lambda1} not in (0, 1)")
+            raise MembeamError(f"lambda1 = {self.lambda1} not in (0, 1)")
         if not 0 < self.lambda2 < np.inf:
-            raise ParamOutOfRange("lambda2", f"lambda2 = {self.lambda2} not > 0")
+            raise MembeamError(f"lambda2 = {self.lambda2} not > 0")
         if not 0 < self.kappa < np.inf:
-            raise ParamOutOfRange("kappa", f"kappa = {self.kappa} not > 0")
+            raise MembeamError(f"kappa = {self.kappa} not > 0")
         if not 0 <= self.beta < np.inf:
-            raise ParamOutOfRange("beta", f"beta = {self.beta} negative")
+            raise MembeamError(f"beta = {self.beta} negative")
         if not self.l < np.inf:
-            raise ParamOutOfRange("l", f"l = (1 - lambda1)/lambda2 = {self.l} is not finite")
+            raise MembeamError(f"l = (1 - lambda1)/lambda2 = {self.l} is not finite")
 
 
 def derive_params(lambda1: float, lambda2: float, kappa: float, beta: float) -> PhysicalParams:
@@ -118,11 +110,11 @@ class MemoryKernel:
         a = _readonly(np.atleast_1d(amplitudes))
         d = _readonly(np.atleast_1d(rates))
         if a.size == 0 or a.size != d.size:
-            raise DimensionMismatch("prony amplitudes and rates must be nonempty and equal length")
+            raise MembeamError("prony amplitudes and rates must be nonempty and equal length")
         if np.any(a <= 0):
-            raise ParamOutOfRange("amplitudes", "prony amplitudes must be > 0")
+            raise MembeamError("prony amplitudes must be > 0")
         if np.any(d <= 0):
-            raise ParamOutOfRange("rates", "prony rates must be > 0")
+            raise MembeamError("prony rates must be > 0")
         return cls(form="prony", amplitudes=a, rates=d)
 
     @classmethod
@@ -130,15 +122,15 @@ class MemoryKernel:
         s = np.asarray(s, dtype=float)
         mu = np.asarray(mu, dtype=float)
         if s.ndim != 1 or s.size < 2 or mu.shape != s.shape:
-            raise DimensionMismatch("kernel table needs matching 1-d s and mu columns, >= 2 rows")
+            raise MembeamError("kernel table needs matching 1-d s and mu columns, >= 2 rows")
         if s[0] != 0.0 or np.any(np.diff(s) <= 0):
-            raise ParamOutOfRange("s_table", "table s must be strictly increasing and start at 0")
+            raise MembeamError("table s must be strictly increasing and start at 0")
         if muprime is None:
             mp = np.gradient(mu, s)
         else:
             mp = np.asarray(muprime, dtype=float)
             if mp.shape != s.shape:
-                raise DimensionMismatch("mu' column must match the s column")
+                raise MembeamError("mu' column must match the s column")
         return cls(form="tabulated", s_table=s, mu_table=mu, muprime_table=mp)
 
     @property
@@ -205,7 +197,7 @@ def validate_kernel(kernel: MemoryKernel) -> KernelReport:
     over the table, and H4 additionally requires that ratio to have
     stabilized near the table end (certification demands a resolved tail).
 
-    The first violated hypothesis raises its KernelHypothesisError, which
+    The first violated hypothesis raises KernelHypothesisError, which
     carries the full report.
     """
     probes = _probe_points(kernel)
@@ -235,13 +227,13 @@ def validate_kernel(kernel: MemoryKernel) -> KernelReport:
 
     report = KernelReport(mu0=float(mu0), delta1=float(delta1), h1=h1, h2=h2, h3=h3, h4=h4)
     if not h1:
-        raise NonPositiveKernel("H1 fails: mu(s) < 0 at a probe point", report)
+        raise KernelHypothesisError("H1 fails: mu(s) < 0 at a probe point", report)
     if not h2:
-        raise IncreasingKernel("H2 fails: mu'(s) > 0 at a probe point", report)
+        raise KernelHypothesisError("H2 fails: mu'(s) > 0 at a probe point", report)
     if not h3:
-        raise InfiniteMass("H3 fails: mu0 is not positive and finite", report)
+        raise KernelHypothesisError("H3 fails: mu0 is not positive and finite", report)
     if not h4:
-        raise NoExponentialDomination(
+        raise KernelHypothesisError(
             "H4 fails: cannot certify delta1 > 0 with mu' + delta1*mu <= 0", report)
     return report
 
@@ -264,20 +256,20 @@ class CoefficientField:
 
 def certify_coefficients(p_values, g_values) -> CoefficientField:
     """Set alpha1..alpha4 to the exact sample extrema; reject nonpositive
-    samples (NonPositiveCoefficient), then infinite ones (ParamOutOfRange).
+    samples, then infinite ones (MembeamError).
 
     Idempotent: re-certifying a certified field reproduces identical bounds.
     """
     p = np.asarray(p_values, dtype=float)
     g = np.asarray(g_values, dtype=float)
     if p.size == 0 or g.size == 0 or p.shape != g.shape:
-        raise DimensionMismatch("p and g sample arrays must be nonempty and equal length")
+        raise MembeamError("p and g sample arrays must be nonempty and equal length")
     for name, arr in (("p", p), ("g", g)):
         bad = np.flatnonzero(~(arr > 0))
         if bad.size:
-            raise NonPositiveCoefficient(name, int(bad[0]))
+            raise MembeamError(f"coefficient {name} is not strictly positive at node {bad[0]}")
         if not np.all(np.isfinite(arr)):
-            raise ParamOutOfRange(name, f"{name} holds a non-finite value")
+            raise MembeamError(f"{name} holds a non-finite value")
     return CoefficientField(
         p_values=p, g_values=g,
         alpha1=float(p.min()), alpha2=float(p.max()),
@@ -304,11 +296,11 @@ class InitialData:
         for name in ("u0", "v0", "theta0"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
             if not np.all(np.isfinite(getattr(self, name))):
-                raise ParamOutOfRange(name, f"{name} holds a non-finite value")
+                raise MembeamError(f"{name} holds a non-finite value")
         if self.history_mode not in HISTORY_MODES:
-            raise ParamOutOfRange("history_mode", f"unknown history mode {self.history_mode!r}")
+            raise MembeamError(f"unknown history mode {self.history_mode!r}")
         if self.u0.shape != self.v0.shape or self.u0.shape != self.theta0.shape:
-            raise DimensionMismatch("u0, v0, theta0 must share the interior-grid shape")
+            raise MembeamError("u0, v0, theta0 must share the interior-grid shape")
 
 
 @dataclass
@@ -335,7 +327,7 @@ class State:
     def unflatten(cls, vec: np.ndarray, assembly, t: float = 0.0) -> "State":
         nx, ns = assembly.grid.Nx, assembly.memory_grid.Ns
         if vec.size != nx * (3 + ns):
-            raise DimensionMismatch(f"vector length {vec.size} != Nx*(3+Ns) = {nx * (3 + ns)}")
+            raise MembeamError(f"vector length {vec.size} != Nx*(3+Ns) = {nx * (3 + ns)}")
         u = vec[:nx].copy()
         v = vec[nx:2 * nx].copy()
         theta = vec[2 * nx:3 * nx].copy()
@@ -349,7 +341,7 @@ def build_initial_state(init: InitialData, assembly) -> State:
     nx, ns = assembly.grid.Nx, assembly.memory_grid.Ns
     for name, arr in (("u0", init.u0), ("v0", init.v0), ("theta0", init.theta0)):
         if arr.shape != (nx,):
-            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected ({nx},)")
+            raise MembeamError(f"{name} has shape {arr.shape}, expected ({nx},)")
 
     if init.history_mode == "zero":
         eta = np.zeros((nx, ns))

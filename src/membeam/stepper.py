@@ -66,13 +66,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 from . import analysis
 from .analysis import HistorySums, grad_sq_norms
 from .discretization import SHIFT_BLOCK, GeneratorAssembly, check_dense, check_history_fits
-from .errors import (
-    DimensionMismatch,
-    InconsistentGrid,
-    LinearSolveFailure,
-    ParamOutOfRange,
-    SimulationAborted,
-)
+from .errors import LinearSolveFailure, MembeamError, SimulationAborted
 from .model import State
 
 # Largest relative residual accepted from any linear solve of a step.
@@ -121,9 +115,9 @@ class SchemeConfig:
 
     def __post_init__(self):
         if not (self.dt > 0):
-            raise ParamOutOfRange("dt", "dt must be > 0")
+            raise MembeamError("dt must be > 0")
         if self.scheme not in SCHEMES:
-            raise ParamOutOfRange("scheme", f"scheme must be one of {SCHEMES}")
+            raise MembeamError(f"scheme must be one of {SCHEMES}")
 
 
 def _check_residual(residual_sq: float, rhs_sq: float):
@@ -412,7 +406,7 @@ class _CayleyRun:
     def __init__(self, state: State, cfg: SchemeConfig, gain: float):
         asm = state.assembly
         if state.eta.shape != (asm.Nx, asm.Ns):
-            raise DimensionMismatch(
+            raise MembeamError(
                 f"state eta has shape {state.eta.shape}, expected {(asm.Nx, asm.Ns)}")
         self.cfg, self.assembly, self.t = cfg, asm, state.t
         self.tau = tau = cfg.dt / 2.0
@@ -754,7 +748,7 @@ class _SplitRun(_CayleyRun):
         asm = state.assembly
         mg = asm.memory_grid
         if abs(mg.ds - cfg.dt) > 1e-12 * max(mg.ds, cfg.dt):
-            raise InconsistentGrid(
+            raise MembeamError(
                 f"split_semilagrangian needs ds == dt (ds = {mg.ds:g}, dt = {cfg.dt:g})")
         self.nx = nx = asm.Nx
         self.h2 = asm.grid.h ** 2
@@ -978,9 +972,9 @@ class SimulationResult:
 
 
 def check_steps(steps: float) -> None:
-    """Refuse (ParamOutOfRange) a run of steps = T / dt above MAX_STEPS."""
+    """Refuse (MembeamError) a run of steps = T / dt above MAX_STEPS."""
     if not steps <= MAX_STEPS:
-        raise ParamOutOfRange("T", f"T / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
+        raise MembeamError(f"T / dt = {steps:.3g} steps exceeds the limit of {MAX_STEPS}")
 
 
 def run_length(T: float, dt: float, sample_every: int) -> tuple[int, int]:
@@ -988,22 +982,20 @@ def run_length(T: float, dt: float, sample_every: int) -> tuple[int, int]:
     record every sample_every steps, at the start and after the last step.
     A T that is negative, not finite or not a whole number of steps, a
     sample_every below 1, more than MAX_STEPS steps or more than
-    MAX_RECORDS records raise ParamOutOfRange."""
+    MAX_RECORDS records raise MembeamError."""
     if not (np.isfinite(T) and T >= 0):
-        raise ParamOutOfRange("T", f"final time must be finite and >= 0, got {T}")
+        raise MembeamError(f"final time must be finite and >= 0, got {T}")
     if sample_every < 1:
-        raise ParamOutOfRange("sample_every", "sample_every must be >= 1")
+        raise MembeamError("sample_every must be >= 1")
     check_steps(T / dt)
     n_steps = int(round(T / dt))
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ParamOutOfRange(
-            "T", f"T = {T:g} is not a whole number of steps dt = {dt:g} "
-            f"(T / dt = {T / dt:.6g})")
+        raise MembeamError(f"T = {T:g} is not a whole number of steps dt = {dt:g} "
+                           f"(T / dt = {T / dt:.6g})")
     n_records = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)
     if n_records > MAX_RECORDS:
-        raise ParamOutOfRange(
-            "sample_every", f"{n_steps} steps sampled every {sample_every} keep {n_records} "
-            f"records, above the limit of {MAX_RECORDS}")
+        raise MembeamError(f"{n_steps} steps sampled every {sample_every} keep {n_records} "
+                           f"records, above the limit of {MAX_RECORDS}")
     return n_steps, n_records
 
 
@@ -1013,7 +1005,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     recording diagnostics every sample_every steps.
 
     Records are always taken at init.t and after the last step.  A run
-    length that run_length refuses raises ParamOutOfRange before the
+    length that run_length refuses raises MembeamError before the
     first step.  A sample is taken from the run as it passes (analysis.take_sample(run)),
     so no State is built but the final one: a split run supplies its own
     history sums, and a midpoint run's are summed from its history in
@@ -1101,10 +1093,10 @@ def oracle_evolve(assembly: GeneratorAssembly, phi0: np.ndarray, t: float) -> np
     """
     check_dense(assembly, "oracle")
     if t < 0:
-        raise ParamOutOfRange("t", "oracle time must be >= 0")
+        raise MembeamError("oracle time must be >= 0")
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (assembly.dim,):
-        raise DimensionMismatch(f"phi0 has shape {phi0.shape}, expected ({assembly.dim},)")
+        raise MembeamError(f"phi0 has shape {phi0.shape}, expected ({assembly.dim},)")
     if t == 0:
         return phi0.copy()
     return sla.expm(t * assembly.generator_matrix.toarray()) @ phi0

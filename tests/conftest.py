@@ -1,8 +1,10 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import membeam as mb
 from membeam import stepper
@@ -16,6 +18,17 @@ def default_params():
 @pytest.fixture(scope="session")
 def exp_kernel():
     return mb.MemoryKernel.prony([1.0], [1.0])
+
+
+def exactly(message: str) -> str:
+    """The pytest.raises match pattern of exactly message."""
+    return f"^{re.escape(message)}$"
+
+
+def forward_gradient(nx, h):
+    """D+, the forward difference onto the nx + 1 cell interfaces with
+    Dirichlet ends, whose Gram matrix D+^T D+ is -LAP."""
+    return ((sp.eye(nx + 1, nx) - sp.eye(nx + 1, nx, k=-1)) / h).tocsr()
 
 
 def make_assembly(Nx=8, ds=0.1, Ns=16, params=None, kernel=None, p=None, g=None, L=1.0):

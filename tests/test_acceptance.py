@@ -217,8 +217,8 @@ def test_criterion_6_lemma_inequalities(default_run, report):
 
 def test_criterion_7_kernel_gate(report):
     """H1-H4 gate: exact certificates for the exponential kernels, power-law
-    kernel rejected with NoExponentialDomination."""
-    from membeam.errors import NoExponentialDomination
+    kernel rejected by H4."""
+    from membeam.errors import KernelHypothesisError
 
     r1 = mb.validate_kernel(mb.MemoryKernel.prony([1.0], [1.0]))
     r2 = mb.validate_kernel(mb.MemoryKernel.prony([2.0], [3.0]))
@@ -227,8 +227,8 @@ def test_criterion_7_kernel_gate(report):
     try:
         mb.validate_kernel(mb.MemoryKernel.tabulated(s, (1 + s) ** -2.0,
                                                      -2.0 * (1 + s) ** -3.0))
-    except NoExponentialDomination:
-        rejected = True
+    except KernelHypothesisError as exc:
+        rejected = str(exc) == "H4 fails: cannot certify delta1 > 0 with mu' + delta1*mu <= 0"
     exact = (r1.mu0 == 1.0 and r1.delta1 == 1.0
              and r2.mu0 == pytest.approx(2.0 / 3.0, rel=1e-15) and r2.delta1 == 3.0)
     passed = exact and rejected

@@ -3,8 +3,9 @@
 The traced benchmark wraps functions by (module, attribute) and the probe
 of bench/child.py imports and reads named objects; a rename in src/ that
 misses one of them fails here rather than in a traced benchmark run.  The
-modules of membeam read no private name of one another, and no function of
-theirs takes a parameter that it never reads.
+modules of membeam read no private name of one another, no function of
+theirs takes a parameter that it never reads, and they keep no error class
+that no caller tells apart and no dataclass field that nothing reads.
 """
 
 import ast
@@ -139,3 +140,87 @@ def test_no_function_has_an_unread_parameter():
     unread = [f"{path.name}:{line}: {name}({param})" for path in sorted(SRC.glob("*.py"))
               for line, name, param in _unread_parameters(path.read_text())]
     assert unread == []
+
+
+def _names(node):
+    """The names an except clause, an isinstance class argument or a
+    decorator gives: a name, a dotted name's last part, or a tuple's."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*map(_names, node.elts))
+    if isinstance(node, ast.Call):
+        return _names(node.func)
+    return {node.id} if isinstance(node, ast.Name) else {getattr(node, "attr", None)}
+
+
+def _unread_errors_and_fields(errors, sources):
+    """Every class of the errors source that no except clause or
+    isinstance call of sources names and none of whose own attributes
+    (self.x = ...) they read off an exception they caught (exc.x in an
+    except ... as exc block); and every dataclass field of sources that
+    they never read as .field nor name as a string."""
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
+    named, caught = set(), set()
+    for node in nodes:
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            named |= _names(node.type)
+            caught |= {n.attr for stmt in node.body for n in ast.walk(stmt)
+                       if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                       and n.value.id == node.name}
+        elif (isinstance(node, ast.Call) and _names(node.func) == {"isinstance"}
+              and len(node.args) == 2):
+            named |= _names(node.args[1])
+    unread = []
+    for cls in ast.parse(errors).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        own = {target.attr for n in ast.walk(cls) if isinstance(n, ast.Assign)
+               for target in n.targets if isinstance(target, ast.Attribute)
+               and isinstance(target.value, ast.Name) and target.value.id == "self"}
+        if cls.name not in named and not own & caught:
+            unread.append(f"error class {cls.name}")
+    read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    for cls in nodes:
+        if isinstance(cls, ast.ClassDef) and any("dataclass" in _names(d)
+                                                 for d in cls.decorator_list):
+            unread += [f"field {cls.name}.{stmt.target.id}" for stmt in cls.body
+                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id not in read]
+    return unread
+
+
+def test_unread_errors_and_fields_are_found():
+    errors = ("class Base(Exception):\n"
+              "    pass\n"
+              "class Caught(Base):\n"
+              "    pass\n"
+              "class Checked(Base):\n"
+              "    pass\n"
+              "class Carrier(Base):\n"
+              "    def __init__(self, n):\n"
+              "        self.n = n\n"
+              "class Unread(Base):\n"
+              "    def __init__(self, m):\n"
+              "        self.m = m\n")
+    module = ("@dataclasses.dataclass(frozen=True)\n"
+              "class Point:\n"
+              "    x: float\n"
+              "    y: float\n"
+              "    z: float\n"
+              "    w: float = 0.0\n"
+              "class Plain:\n"
+              "    v: float\n"
+              "def run(p):\n"
+              "    try:\n"
+              "        return p.x + getattr(p, 'y') + p.m\n"
+              "    except (errors.Caught, ValueError):\n"
+              "        return p.w\n"
+              "    except Base as exc:\n"
+              "        return isinstance(exc, Checked) or exc.n\n")
+    assert _unread_errors_and_fields(errors, [errors, module]) == [
+        "error class Unread", "field Point.z"]
+
+
+def test_no_error_class_or_dataclass_field_goes_unread():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert _unread_errors_and_fields((SRC / "errors.py").read_text(), sources) == []

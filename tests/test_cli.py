@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,12 +18,9 @@ import membeam
 from membeam import analysis, cli, config, discretization, stepper
 from membeam.cli import CSV_HEADER, default_config_path, main
 from membeam.config import parse_config, with_parameter
-from membeam.errors import (
-    ConfigError,
-    EigensolveFailed,
-    IncompatibleBoundary,
-    InfeasibleMultipliers,
-)
+from membeam.errors import ConfigError, MembeamError
+
+from conftest import default_initial_state, exactly, make_assembly
 
 
 TINY_CFG = """
@@ -239,13 +237,14 @@ class TestParseConfig:
     def test_boundary_incompatible_profiles(self, tmp_path):
         from membeam.config import build_setup
         bad = TINY_CFG.replace("u0 = poly 0 0 1 -2 1", "u0 = constant 1.0")
-        with pytest.raises(IncompatibleBoundary):
+        with pytest.raises(MembeamError, match=exactly("u0 must vanish at x = 0 and x = L")):
             build_setup(parse_config(write_cfg(tmp_path, bad)))
         bad = TINY_CFG.replace("u0 = poly 0 0 1 -2 1", "u0 = sine 1.0 1")
-        with pytest.raises(IncompatibleBoundary):
+        with pytest.raises(MembeamError,
+                           match=exactly("u0 must have zero slope at x = 0 and x = L")):
             build_setup(parse_config(write_cfg(tmp_path, bad)))
         bad = TINY_CFG.replace("theta0 = sine 1.0 1", "theta0 = constant 0.5")
-        with pytest.raises(IncompatibleBoundary):
+        with pytest.raises(MembeamError, match=exactly("theta0 must vanish at x = 0 and x = L")):
             build_setup(parse_config(write_cfg(tmp_path, bad)))
 
     def test_end_slope_checked_for_formulas_not_tables(self, tmp_path):
@@ -258,8 +257,8 @@ class TestParseConfig:
         nodes = setup.assembly.grid.nodes
         np.testing.assert_array_equal(setup.initial_state.u, np.interp(nodes, x, x * (1.0 - x)))
         poly = edit_cfg("u0 = poly 0 0 1 -2 1", "u0 = poly 0 1 -1")
-        with pytest.raises(IncompatibleBoundary,
-                           match="^u0 must have zero slope at x = 0 and x = L$"):
+        with pytest.raises(MembeamError,
+                           match=exactly("u0 must have zero slope at x = 0 and x = L")):
             build_setup(parse_config(write_cfg(tmp_path, poly)))
 
     @pytest.mark.parametrize("spec", ["constant 1,2", "constant 1, 2", "constant"])
@@ -448,7 +447,7 @@ class TestValidateCommand:
         # feasible Lyapunov multipliers
         monkeypatch.chdir(tmp_path)
         path = write_cfg(tmp_path, edit_cfg("amplitudes = 1.0", "amplitudes = 1e-16"))
-        with pytest.raises(InfeasibleMultipliers, match="^kernel mass mu0 is degenerate$"):
+        with pytest.raises(MembeamError, match=exactly("kernel mass mu0 is degenerate")):
             config.build_setup(parse_config(path))
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr() == ("validation FAILED: kernel mass mu0 is degenerate\n", "")
@@ -587,6 +586,32 @@ class TestSimulateCommand:
         assert [r.split(",")[:3] for r in rows[1:-1]] == [r.split(",")[:3] for r in full[1:6]]
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("scheme", ["split_semilagrangian", "full_implicit_midpoint"])
+    def test_fine_grid_step_misses_the_residual_bound(self, tmp_path, monkeypatch, capsys,
+                                                      scheme):
+        # at Nx = 768, dt = 1e-2 the rounding of tau bih u (entries of size
+        # tau/h^4) leaves a step residual about 16 times the 1e-9 bound: the
+        # run aborts cleanly at step 1, and validate, which takes no step,
+        # passes
+        monkeypatch.chdir(tmp_path)
+        text = default_config_path("default").read_text()
+        for old, new in (("Nx = 64", "Nx = 768"), ("dt = 0.001", "dt = 0.01"),
+                         ("T = 10.0", "T = 0.4"), ("sample_every = 10", "sample_every = 1"),
+                         ("trunc_tol = 1e-8", "trunc_tol = 1e-3"),
+                         ("scheme = split_semilagrangian", f"scheme = {scheme}")):
+            text = edit_cfg(old, new, text)
+        path = str(write_cfg(tmp_path, text))
+        assert main(["simulate", path]) == 1
+        out, err = capsys.readouterr()
+        assert re.fullmatch(r"simulation aborted at step 1: residual \S+ exceeds 1\.0e-09 x "
+                            r"right-hand side \S+\n", out), out
+        assert err == ""
+        rows = (tmp_path / "membeam_run.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and rows[-1] == "# TRUNCATED at step 1"
+        assert not (tmp_path / "membeam_report.txt").exists()
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.endswith("validation PASSED\n")
+
     def test_zero_initial_data_all_zero_columns(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         text = TINY_CFG.replace("u0 = poly 0 0 1 -2 1", "u0 = constant 0.0")
@@ -667,7 +692,7 @@ class TestSpectrumCommand:
         monkeypatch.chdir(tmp_path)
         setup = config.build_setup(parse_config(default_config_path("small")))
         for system in (setup.assembly, setup.assembly.modal_system):
-            with pytest.raises(EigensolveFailed, match="^eigenvalues did not converge$"):
+            with pytest.raises(MembeamError, match=exactly("eigenvalues did not converge")):
                 analysis.eigenvalues(system)
         assert main(["spectrum", str(default_config_path("small"))]) == 1
         assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
@@ -676,6 +701,20 @@ class TestSpectrumCommand:
         assert main(["simulate", str(default_config_path("small"))]) == 1
         assert capsys.readouterr() == ("", "error: eigenvalues did not converge\n")
         assert os.listdir(tmp_path) == ["membeam_small.csv"]
+
+    def test_eigensolve_fault_is_an_internal_error(self, tmp_path, monkeypatch, capsys):
+        # only a LinAlgError means the eigensolve did not converge: a fault
+        # in the dense path passes through as itself
+        def broken(matrix):
+            raise TypeError("eigvals() got an unexpected keyword argument 'overwrite'")
+
+        monkeypatch.setattr(analysis, "dense_eigvals", broken)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError):
+            analysis.eigenvalues(make_assembly())
+        assert main(["simulate", str(default_config_path("small"))]) == 1
+        assert capsys.readouterr() == ("", "internal error: TypeError: eigvals() got an "
+                                       "unexpected keyword argument 'overwrite'\n")
 
 
 class TestOracleCheckCommand:
@@ -976,6 +1015,114 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             f"config error: oracle-check needs --levels >= 2 to fit an order, got {levels}"]
+
+
+_TABLE_KERNEL = [("type = prony", "type = table\npath = kernel.txt"),
+                 ("amplitudes = 1.0\n", ""), ("rates = 1.0\n", "")]
+# e^-s on [0, 1], where it never falls to trunc_tol = 1e-4 of mu(ds/2)
+_SHORT_TABLE = "".join(f"{k / 10} {float(np.exp(-k / 10))!r} {-float(np.exp(-k / 10))!r}\n"
+                       for k in range(11))
+
+
+def _run_file_failure(edits, argv, table=None):
+    """The stderr of argv on TINY_CFG with edits (and kernel.txt holding
+    table), which must exit 1 and print nothing on stdout."""
+    def run(tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        text = TINY_CFG
+        for old, new in edits:
+            text = edit_cfg(old, new, text)
+        write_cfg(tmp_path, text)
+        if table is not None:
+            (tmp_path / "kernel.txt").write_text(table)
+        code = main([argv[0], "run.cfg", *argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        return err
+    return run
+
+
+def _library_failure(kept, call):
+    """str() of the kept error class that call(monkeypatch) raises."""
+    def run(tmp_path, monkeypatch, capsys):
+        with pytest.raises(kept) as info:
+            call(monkeypatch)
+        return str(info.value)
+    return run
+
+
+def _patched(monkeypatch, module, name, value, then):
+    monkeypatch.setattr(module, name, value)
+    return then()
+
+
+def _no_convergence(matrix):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+def _split_run_off_its_grid():
+    asm = make_assembly(Nx=5, ds=0.05, Ns=6)
+    stepper.simulate(default_initial_state(asm), stepper.SchemeConfig(dt=0.01), 0.01)
+
+
+# One input for each way a run fails that no caller tells apart from the
+# rest: a run-file input and the one stderr line of its command, or a
+# library call and its message.
+FAILURE_MESSAGES = [
+    ("H1", _run_file_failure(_TABLE_KERNEL, ["simulate"], "0 1\n1 0\n2 -1\n"),
+     "error: H1 fails: mu(s) < 0 at a probe point\n"),
+    ("H2", _run_file_failure(_TABLE_KERNEL, ["simulate"], "0 1\n1 2\n2 3\n"),
+     "error: H2 fails: mu'(s) > 0 at a probe point\n"),
+    ("H3", _run_file_failure(_TABLE_KERNEL, ["simulate"], "0 0\n1 0\n2 0\n"),
+     "error: H3 fails: mu0 is not positive and finite\n"),
+    ("H4", _run_file_failure(_TABLE_KERNEL, ["simulate"], "0 1\n1 0.25\n2 0.125\n3 0.0625\n"),
+     "error: H4 fails: cannot certify delta1 > 0 with mu' + delta1*mu <= 0\n"),
+    ("short_table", _run_file_failure(_TABLE_KERNEL, ["simulate"], _SHORT_TABLE),
+     "error: mu > 9.524e-05 at s = 1, the last node before the table end or 1e9\n"),
+    ("coarse_grid", _run_file_failure([("Nx = 6", "Nx = 3")], ["simulate"]),
+     "error: Nx = 3 < 4 interior nodes\n"),
+    ("tiny_beam", _run_file_failure([("L = 1.0", "L = 1e-80")], ["simulate"]),
+     "error: beam length L = 1e-80 gives the node spacing h = 1.42857e-81, whose h^4 or "
+     "1/h^4 leaves the float range\n"),
+    ("negative_p", _run_file_failure([("p = constant 1.0", "p = constant -1")], ["simulate"]),
+     "error: coefficient p is not strictly positive at node 0\n"),
+    ("clamped_u0", _run_file_failure([("u0 = poly 0 0 1 -2 1", "u0 = constant 1.0")],
+                                     ["simulate"]),
+     "error: u0 must vanish at x = 0 and x = L\n"),
+    ("tiny_mass", _run_file_failure([("amplitudes = 1.0", "amplitudes = 1e-16")], ["simulate"]),
+     "error: kernel mass mu0 is degenerate\n"),
+    ("empty_window", _run_file_failure([], ["sweep", "--param", "T", "--values", "0"]),
+     "error: only 1 samples in window [0.0, 0.0]\n"),
+    ("zero_energy", _run_file_failure(
+        [("u0 = poly 0 0 1 -2 1", "u0 = constant 0.0"),
+         ("theta0 = sine 1.0 1", "theta0 = constant 0.0"),
+         ("sample_every = 2", "sample_every = 1")], ["sweep", "--param", "beta", "--values", "1"]),
+     "error: energy underflowed inside the fit window\n"),
+    ("prony_shapes", _library_failure(
+        membeam.MembeamError, lambda mp: membeam.MemoryKernel.prony([1.0, 2.0], [1.0])),
+     "prony amplitudes and rates must be nonempty and equal length"),
+    ("split_grid", _library_failure(membeam.MembeamError, lambda mp: _split_run_off_its_grid()),
+     "split_semilagrangian needs ds == dt (ds = 0.05, dt = 0.01)"),
+    ("skew_d1", _library_failure(membeam.MembeamError, lambda mp: _patched(
+        mp, discretization, "_first_derivative", lambda nx, h: sp.identity(nx, format="csr"),
+        make_assembly)),
+     "structure check failed: d1 skew-adjointness (measured 2.000e+00)"),
+    ("eigensolve", _library_failure(membeam.MembeamError, lambda mp: _patched(
+        mp, analysis, "dense_eigvals", _no_convergence,
+        lambda: analysis.eigenvalues(make_assembly()))),
+     "eigenvalues did not converge"),
+    ("resolvent_lu", _library_failure(membeam.MembeamError, lambda mp: _patched(
+        mp, stepper, "dgbtrf", lambda band, kl, ku, overwrite_ab: (
+            band, np.zeros(band.shape[1], np.int32), 3),
+        lambda: analysis.resolvent_check(make_assembly()))),
+     "mechanical block of the implicit step: Factor is exactly singular: U(3, 3) = 0"),
+]
+
+
+@pytest.mark.parametrize("run, message", [case[1:] for case in FAILURE_MESSAGES],
+                         ids=[case[0] for case in FAILURE_MESSAGES])
+def test_a_failure_keeps_its_message(tmp_path, monkeypatch, capsys, run, message):
+    assert run(tmp_path, monkeypatch, capsys) == message
 
 
 # Each scalar line of FIT_CFG, with a finite range small enough that a run
