@@ -1042,27 +1042,38 @@ def _run_file_failure(edits, argv, table=None):
     return run
 
 
-def _library_failure(kept, call):
-    """str() of the kept error class that call(monkeypatch) raises."""
+def _library_failure(call):
+    """str() of the MembeamError that call(monkeypatch) raises."""
     def run(tmp_path, monkeypatch, capsys):
-        with pytest.raises(kept) as info:
+        with pytest.raises(membeam.MembeamError) as info:
             call(monkeypatch)
         return str(info.value)
     return run
 
 
-def _patched(monkeypatch, module, name, value, then):
-    monkeypatch.setattr(module, name, value)
-    return then()
-
-
-def _no_convergence(matrix):
-    raise np.linalg.LinAlgError("eigenvalues did not converge")
-
-
-def _split_run_off_its_grid():
+def _split_run_off_its_grid(monkeypatch):
     asm = make_assembly(Nx=5, ds=0.05, Ns=6)
     stepper.simulate(default_initial_state(asm), stepper.SchemeConfig(dt=0.01), 0.01)
+
+
+def _first_derivative_not_skew(monkeypatch):
+    monkeypatch.setattr(discretization, "_first_derivative",
+                        lambda nx, h: sp.identity(nx, format="csr"))
+    make_assembly()
+
+
+def _eigensolve_not_converged(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(analysis, "dense_eigvals", fail)
+    analysis.eigenvalues(make_assembly())
+
+
+def _resolvent_lu_singular(monkeypatch):
+    monkeypatch.setattr(stepper, "dgbtrf", lambda band, kl, ku, overwrite_ab: (
+        band, np.zeros(band.shape[1], np.int32), 3))
+    analysis.resolvent_check(make_assembly())
 
 
 # One input for each way a run fails that no caller tells apart from the
@@ -1098,23 +1109,14 @@ FAILURE_MESSAGES = [
          ("theta0 = sine 1.0 1", "theta0 = constant 0.0"),
          ("sample_every = 2", "sample_every = 1")], ["sweep", "--param", "beta", "--values", "1"]),
      "error: energy underflowed inside the fit window\n"),
-    ("prony_shapes", _library_failure(
-        membeam.MembeamError, lambda mp: membeam.MemoryKernel.prony([1.0, 2.0], [1.0])),
+    ("prony_shapes", _library_failure(lambda mp: membeam.MemoryKernel.prony([1.0, 2.0], [1.0])),
      "prony amplitudes and rates must be nonempty and equal length"),
-    ("split_grid", _library_failure(membeam.MembeamError, lambda mp: _split_run_off_its_grid()),
+    ("split_grid", _library_failure(_split_run_off_its_grid),
      "split_semilagrangian needs ds == dt (ds = 0.05, dt = 0.01)"),
-    ("skew_d1", _library_failure(membeam.MembeamError, lambda mp: _patched(
-        mp, discretization, "_first_derivative", lambda nx, h: sp.identity(nx, format="csr"),
-        make_assembly)),
+    ("skew_d1", _library_failure(_first_derivative_not_skew),
      "structure check failed: d1 skew-adjointness (measured 2.000e+00)"),
-    ("eigensolve", _library_failure(membeam.MembeamError, lambda mp: _patched(
-        mp, analysis, "dense_eigvals", _no_convergence,
-        lambda: analysis.eigenvalues(make_assembly()))),
-     "eigenvalues did not converge"),
-    ("resolvent_lu", _library_failure(membeam.MembeamError, lambda mp: _patched(
-        mp, stepper, "dgbtrf", lambda band, kl, ku, overwrite_ab: (
-            band, np.zeros(band.shape[1], np.int32), 3),
-        lambda: analysis.resolvent_check(make_assembly()))),
+    ("eigensolve", _library_failure(_eigensolve_not_converged), "eigenvalues did not converge"),
+    ("resolvent_lu", _library_failure(_resolvent_lu_singular),
      "mechanical block of the implicit step: Factor is exactly singular: U(3, 3) = 0"),
 ]
 
