@@ -7,11 +7,12 @@ Subcommands and the flags each takes:
     oracle-check <cfg> [--csv C] [--levels N]
                                            dt-halving error table against exp(t A_h)
     sweep <cfg> --param P --values V [--csv C] [--serial]
-                                           one simulate + fit per value, in turn
+                                           one simulate + fit per value, in turn;
+                                           a value that fails gets a nan row
 
-Exit codes: 0 pass, 1 validation/certification failure or internal error
-(a built-in, numpy or scipy exception; an exception class a caller defines
-passes through), 2 usage/parse error.
+Exit codes: 0 pass, 1 validation/certification failure, aborted run, failed
+sweep value or internal error (a built-in, numpy or scipy exception; an
+exception class a caller defines passes through), 2 usage/parse error.
 MEMBEAM_LOG sets the log level (an unknown level exits 2).  CSV and report
 paths come from the config's [output] section; --csv/--report override.
 A path that names a directory, lies in no directory, or names the run file
@@ -163,11 +164,10 @@ def cmd_simulate(args) -> int:
 
     try:
         result = _run_simulation(setup)
-    except SimulationAborted as exc:
+    except SimulationAborted as exc:   # main prints it; no report is written
         _write(csv_path, CSV_HEADER, _csv_rows(exc.records),
                last=f"# TRUNCATED at step {exc.step_index}")
-        print(f"simulation aborted at step {exc.step_index}: {exc.cause}")
-        return 1
+        raise
     _write(csv_path, CSV_HEADER, _csv_rows(result.records))
 
     checks = analysis.certify_trajectory(result.records)
@@ -275,9 +275,9 @@ def cmd_oracle_check(args) -> int:
 # sweep
 
 
-def _sweep_row(cfg, name, value) -> tuple:
-    """The sweep CSV row of cfg with name set to value, in column order."""
-    swept = with_parameter(cfg, name, value)
+def _sweep_row(swept, value) -> tuple:
+    """The sweep CSV row of swept, the run file with the swept parameter
+    set to value, in column order."""
     setup = build_setup(swept)
     result = _run_simulation(setup)
     fit = analysis.fit_decay(result.records, (0.2 * swept.T, swept.T))
@@ -299,8 +299,20 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep needs at least one value")
     csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_sweep.csv"
     _check_writable(args.config, csv_path)
-    rows = [_sweep_row(cfg, args.param, v) for v in values]
+    runs = [with_parameter(cfg, args.param, v) for v in values]   # every value before any run
+    rows, failed = [], False
+    for value, swept in zip(values, runs):
+        try:
+            rows.append(_sweep_row(swept, value))
+        except ConfigError:
+            raise
+        except MembeamError as exc:   # a nan row; the later values still run
+            print(f"error: {exc}", file=sys.stderr)
+            rows.append((value,) + (math.nan,) * 5)
+            failed = True
     _write(csv_path, f"{args.param},gamma_fit,K_fit,r2,abscissa,resolvent_cond", rows)
+    if failed:
+        return 1
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return 0
 

@@ -4,8 +4,8 @@ The spatial operators are built so that the discrete energy identity holds
 exactly in space: the clamped fourth-order operator is assembled in factored
 form D2^T diag(w p) D2 (self-adjoint positive definite by construction), the
 first-derivative map is exactly skew-adjoint, and every Laplacian appearing
-in the generator is the exact negative Gram matrix of the forward-difference
-gradient used by the energy metric.  The history variable lives on a uniform
+in the generator has the stencil of -D+^T D+ for the forward-difference
+gradient D+ of the energy metric.  The history variable lives on a uniform
 s-grid with trapezoid weights and first-order upwind transport, whose
 numerical dissipation is sign-safe for any admissible kernel.
 """
@@ -196,18 +196,6 @@ def _first_derivative(Nx: int, h: float) -> sp.csr_matrix:
     return (upper - upper.T).tocsr()
 
 
-def _forward_gradient(Nx: int, h: float) -> sp.csr_matrix:
-    """Forward difference onto the Nx+1 cell interfaces, Dirichlet ends.
-
-    Its Gram matrix D+^T D+ equals -LAP exactly, which is what makes the
-    discrete energy identity exact.
-    """
-    rows = np.concatenate([np.arange(Nx), np.arange(1, Nx + 1)])
-    cols = np.concatenate([np.arange(Nx), np.arange(Nx)])
-    data = np.concatenate([np.full(Nx, 1.0 / h), np.full(Nx, -1.0 / h)])
-    return sp.csr_matrix((data, (rows, cols)), shape=(Nx + 1, Nx))
-
-
 def _dirichlet_laplacian(Nx: int, h: float) -> sp.csr_matrix:
     main = np.full(Nx, -2.0 / h**2)
     off = np.full(Nx - 1, 1.0 / h**2)
@@ -239,21 +227,14 @@ def _banded_upper(matrix: sp.spmatrix, bandwidth: int) -> np.ndarray:
                       for k in range(bandwidth, -1, -1)])
 
 
-def _assert_positive_definite(matrix: sp.spmatrix, bandwidth: int, name: str):
-    try:
-        cholesky_banded(_banded_upper(matrix, bandwidth), lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise MembeamError(f"structure check failed: {name} not positive definite "
-                           "(measured nan)") from exc
-
-
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Interior-node difference operators and coefficient diagonals.
 
-    d1     centered first derivative, exactly skew-adjoint
-    lap    three-point Dirichlet Laplacian (symmetric negative definite),
-           -lap the Gram matrix of the forward-difference gradient exactly
+    d1     centered first derivative, U - U^T: d1 + d1^T is exactly 0
+    lap    three-point Dirichlet Laplacian, the stencil of -D+^T D+ for the
+           forward-difference gradient D+ (equal to a few ulps); -lap is
+           positive definite, its least eigenvalue 1/poincare_constant
     bih    D2^T diag(c * p) D2: variable-coefficient clamped biharmonic,
            D2 the clamped second-difference map onto all Nx+2 nodes, p
            extended to the two end nodes by its nearest interior value, c
@@ -269,13 +250,13 @@ class DiscreteOperators:
 
 
 def build_operators(grid: SpatialGrid, coefficients: CoefficientField) -> DiscreteOperators:
-    """Assemble the difference operators and verify their structure.
+    """Assemble the difference operators and check what p can break.
 
-    Verified at build time, each failure a MembeamError: p has length Nx;
-    every entry of bih is finite (naming p, before its Cholesky
-    factorization); d1 is exactly skew-adjoint, D+^T D+ = -lap within
-    1e-12 relative for the forward-difference gradient D+, and bih and
-    -lap are positive definite by their banded Cholesky factorizations.
+    By construction, at every Nx and h, and not checked: d1 is exactly
+    skew-adjoint, lap has the stencil of -D+^T D+, and -lap is positive
+    definite (its Cholesky pivots are (k+1)/(k h^2)).  Checked, each
+    failure a MembeamError: p has length Nx; every entry of bih is finite
+    (naming p); bih is positive definite by its banded Cholesky factor.
     """
     Nx, h = grid.Nx, grid.h
     p = np.asarray(coefficients.p_values, dtype=float)
@@ -295,17 +276,11 @@ def build_operators(grid: SpatialGrid, coefficients: CoefficientField) -> Discre
     if not np.all(np.isfinite(bih.data)):
         raise MembeamError(f"p up to {p.max():.3g} at h = {h:.3g} gives a biharmonic "
                            "p/h^4 with an entry beyond the float range")
-
-    skew = norm_inf(d1 + d1.T)
-    if skew != 0.0:
-        raise MembeamError(f"structure check failed: d1 skew-adjointness (measured {skew:.3e})")
-    dplus = _forward_gradient(Nx, h)
-    gram_err = norm_inf(dplus.T @ dplus + lap) / norm_inf(lap)
-    if gram_err > 1e-12:
-        raise MembeamError(
-            f"structure check failed: dplus^T dplus == -lap (measured {gram_err:.3e})")
-    _assert_positive_definite(bih, 2, "bih")
-    _assert_positive_definite(-lap, 1, "-lap")
+    try:
+        cholesky_banded(_banded_upper(bih, 2), lower=False)
+    except np.linalg.LinAlgError as exc:
+        raise MembeamError("structure check failed: bih not positive definite "
+                           "(measured nan)") from exc
 
     return DiscreteOperators(grid=grid, coefficients=coefficients, d1=d1, lap=lap, bih=bih)
 

@@ -240,14 +240,15 @@ def validate_kernel(kernel: MemoryKernel) -> KernelReport:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """Grid samples of stiffness p(x) and damping g(x) with certified bounds."""
+    """Grid samples of stiffness p(x) and damping g(x); their bounds
+    alpha1 <= p <= alpha2 and alpha3 <= g <= alpha4 are the sample extrema."""
 
     p_values: np.ndarray
     g_values: np.ndarray
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    alpha4: float
+    alpha1 = property(lambda self: float(self.p_values.min()))
+    alpha2 = property(lambda self: float(self.p_values.max()))
+    alpha3 = property(lambda self: float(self.g_values.min()))
+    alpha4 = property(lambda self: float(self.g_values.max()))
 
     def __post_init__(self):
         object.__setattr__(self, "p_values", _readonly(self.p_values))
@@ -255,8 +256,8 @@ class CoefficientField:
 
 
 def certify_coefficients(p_values, g_values) -> CoefficientField:
-    """Set alpha1..alpha4 to the exact sample extrema; reject nonpositive
-    samples, then infinite ones (MembeamError).
+    """The field of the samples, whose extrema are its bounds alpha1..alpha4;
+    reject nonpositive samples, then infinite ones (MembeamError).
 
     Idempotent: re-certifying a certified field reproduces identical bounds.
     """
@@ -270,11 +271,7 @@ def certify_coefficients(p_values, g_values) -> CoefficientField:
             raise MembeamError(f"coefficient {name} is not strictly positive at node {bad[0]}")
         if not np.all(np.isfinite(arr)):
             raise MembeamError(f"{name} holds a non-finite value")
-    return CoefficientField(
-        p_values=p, g_values=g,
-        alpha1=float(p.min()), alpha2=float(p.max()),
-        alpha3=float(g.min()), alpha4=float(g.max()),
-    )
+    return CoefficientField(p_values=p, g_values=g)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ def test_blocked_grad_norms_match_one_pass(nx, m):
 
 @pytest.mark.parametrize("nx", [4, 5, 16, 64])
 def test_grad_cols_is_the_forward_gradient_operator(nx):
-    # every energy norm takes D+ from grad_cols, while the structure check
-    # D+^T D+ = -lap vouches for the operator D+: the two must agree
+    # every energy norm takes D+ from grad_cols, while
+    # test_dplus_gram_equals_neg_laplacian vouches for the operator D+: the
+    # two must agree
     grid = mb.build_spatial_grid(1.0, nx)
     a = np.random.default_rng(nx).standard_normal((nx, 7))
     ref = forward_gradient(nx, grid.h) @ a

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -577,8 +576,9 @@ class TestSimulateCommand:
         monkeypatch.setattr(stepper, "_start", corrupted)
         capsys.readouterr()
         assert main(["simulate", path]) == 1
-        (line,) = capsys.readouterr().out.splitlines()
-        assert line.startswith("simulation aborted at step 5: residual ")
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert out == "" and line.startswith("error: simulation aborted at step 5: residual ")
         rows = (tmp_path / "run.csv").read_text().splitlines()
         full = (tmp_path / "full.csv").read_text().splitlines()
         assert rows[0] == CSV_HEADER and rows[-1] == "# TRUNCATED at step 5"
@@ -603,9 +603,9 @@ class TestSimulateCommand:
         path = str(write_cfg(tmp_path, text))
         assert main(["simulate", path]) == 1
         out, err = capsys.readouterr()
-        assert re.fullmatch(r"simulation aborted at step 1: residual \S+ exceeds 1\.0e-09 x "
-                            r"right-hand side \S+\n", out), out
-        assert err == ""
+        assert re.fullmatch(r"error: simulation aborted at step 1: residual \S+ exceeds "
+                            r"1\.0e-09 x right-hand side \S+\n", err), err
+        assert out == ""
         rows = (tmp_path / "membeam_run.csv").read_text().splitlines()
         assert rows[0] == CSV_HEADER and rows[-1] == "# TRUNCATED at step 1"
         assert not (tmp_path / "membeam_report.txt").exists()
@@ -785,6 +785,32 @@ class TestSweepCommand:
         row = (tmp_path / "sweep.csv").read_text().splitlines()[1]
         gamma = float(row.split(",")[1])
         assert gamma == pytest.approx(2.0, rel=0.05)
+
+    def test_failed_value_gets_a_nan_row(self, tmp_path, monkeypatch, capsys):
+        # T = 0 leaves one sample, no decay to fit: its row is nan, its
+        # error line the one of a single-value sweep, and T = 4 runs after it
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG.replace("sample_every = 2", "sample_every = 1"))
+        assert main(["sweep", str(path), "--param", "T", "--values", "4,0,4",
+                     "--csv", "sweep.csv"]) == 1
+        assert capsys.readouterr() == ("", "error: only 1 samples in window [0.0, 0.0]\n")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert rows[0] == "T,gamma_fit,K_fit,r2,abscissa,resolvent_cond"
+        assert rows[2] == "0,nan,nan,nan,nan,nan"
+        assert rows[1] == rows[3] and "nan" not in rows[1]
+
+    def test_bad_value_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
+        def unreachable(cfg):
+            raise AssertionError("a value ran before every value was checked")
+
+        monkeypatch.setattr(cli, "build_setup", unreachable)
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, TINY_CFG)
+        assert main(["sweep", str(path), "--param", "Nx", "--values", "6,6.5",
+                     "--csv", "sweep.csv"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: sweep value for Nx must be an integer, got 6.5\n"
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestExitCodes:
@@ -1056,12 +1082,6 @@ def _split_run_off_its_grid(monkeypatch):
     stepper.simulate(default_initial_state(asm), stepper.SchemeConfig(dt=0.01), 0.01)
 
 
-def _first_derivative_not_skew(monkeypatch):
-    monkeypatch.setattr(discretization, "_first_derivative",
-                        lambda nx, h: sp.identity(nx, format="csr"))
-    make_assembly()
-
-
 def _eigensolve_not_converged(monkeypatch):
     def fail(matrix):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -1113,8 +1133,6 @@ FAILURE_MESSAGES = [
      "prony amplitudes and rates must be nonempty and equal length"),
     ("split_grid", _library_failure(_split_run_off_its_grid),
      "split_semilagrangian needs ds == dt (ds = 0.05, dt = 0.01)"),
-    ("skew_d1", _library_failure(_first_derivative_not_skew),
-     "structure check failed: d1 skew-adjointness (measured 2.000e+00)"),
     ("eigensolve", _library_failure(_eigensolve_not_converged), "eigenvalues did not converge"),
     ("resolvent_lu", _library_failure(_resolvent_lu_singular),
      "mechanical block of the implicit step: Factor is exactly singular: U(3, 3) = 0"),

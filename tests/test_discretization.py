@@ -10,6 +10,7 @@ import membeam.analysis as an
 from membeam import stepper
 from membeam.cli import default_config_path
 from membeam.config import build_setup, parse_config
+from membeam.discretization import _H_MAX
 from membeam.errors import DimensionTooLarge, MembeamError
 
 from conftest import default_initial_state, exactly, forward_gradient, make_assembly
@@ -157,22 +158,42 @@ class TestMemoryGrid:
             assert not arr.flags.writeable
 
 
+# (L, Nx): L = 1, and the L whose node spacing h lies a factor 4 inside
+# either end of the range build_spatial_grid allows
+_OPERATOR_SIZES = [(L, nx) for nx in (4, 5, 64, 1024)
+                   for L in (1.0, 4.0 / _H_MAX * (nx + 1), _H_MAX / 4.0 * (nx + 1))]
+
+
+def _unit_assemblies():
+    """(L, Nx, assembly) with p = g = 1 at each of _OPERATOR_SIZES."""
+    return [(L, nx, make_assembly(Nx=nx, Ns=1, L=L)) for L, nx in _OPERATOR_SIZES]
+
+
 class TestOperators:
+    # build_operators checks none of these: they hold by construction
     def test_d1_exactly_skew(self):
-        for nx in (4, 9, 32):
-            grid = mb.build_spatial_grid(1.0, nx)
-            coeff = mb.certify_coefficients(np.ones(nx), np.ones(nx))
-            ops = mb.build_operators(grid, coeff)
-            asym = sp.linalg.norm(ops.d1 + ops.d1.T, np.inf)
-            assert asym == 0.0
+        for L, nx, asm in _unit_assemblies():
+            d1 = asm.ops.d1
+            assert sp.linalg.norm(d1 + d1.T, np.inf) == 0.0, (L, nx)
 
     def test_dplus_gram_equals_neg_laplacian(self):
-        grid = mb.build_spatial_grid(1.0, 12)
-        coeff = mb.certify_coefficients(np.ones(12), np.ones(12))
-        ops = mb.build_operators(grid, coeff)
-        dplus = forward_gradient(12, grid.h)
-        err = sp.linalg.norm(dplus.T @ dplus + ops.lap, np.inf)
-        assert err <= 1e-12 * sp.linalg.norm(ops.lap, np.inf)
+        for L, nx, asm in _unit_assemblies():
+            dplus, lap = forward_gradient(nx, asm.grid.h), asm.ops.lap
+            err = sp.linalg.norm(dplus.T @ dplus + lap, np.inf)
+            assert err <= 1e-12 * sp.linalg.norm(lap, np.inf), (L, nx)
+
+    def test_lap_negative_definite(self):
+        # -lap's inverse has only positive entries, which its Cholesky solve
+        # computes without cancellation, and its largest eigenvalue is its
+        # norm; an eigensolve of -lap itself loses eps ||lap|| / lambda_min,
+        # about 1e-11 relative at Nx = 1024
+        for L, nx, asm in _unit_assemblies():
+            lap = asm.ops.lap
+            factor = sla.cholesky_banded(np.vstack([np.r_[0.0, -lap.diagonal(1)],
+                                                    -lap.diagonal()]))
+            inverse = sla.cho_solve_banded((factor, False), np.eye(nx))
+            least = 1.0 / sla.eigvalsh(inverse)[-1]
+            assert least == pytest.approx(1.0 / an.poincare_constant(asm), rel=1e-12), (L, nx)
 
     def test_bih_symmetric_positive_definite(self):
         rng = np.random.default_rng(3)
@@ -184,12 +205,6 @@ class TestOperators:
         bih = ops.bih.toarray()
         assert np.max(np.abs(bih - bih.T)) == 0.0
         assert sla.eigvalsh(bih)[0] > 0.0
-
-    def test_lap_negative_definite(self):
-        grid = mb.build_spatial_grid(1.0, 16)
-        coeff = mb.certify_coefficients(np.ones(16), np.ones(16))
-        ops = mb.build_operators(grid, coeff)
-        assert sla.eigvalsh(-ops.lap.toarray())[0] > 0.0
 
     def test_clamped_beam_eigenvalue_converges(self):
         lam = {}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,8 @@ class TestCertifyCoefficients:
         field = mb.certify_coefficients(p, np.ones_like(p))
         assert field.alpha1 == 1.0
         assert field.alpha2 == 1.25
+        # the bounds are read off the samples, not stored beside them
+        assert [f.name for f in dataclasses.fields(field)] == ["p_values", "g_values"]
 
     def test_zero_sample_rejected_with_index(self):
         g = np.ones(8)
