@@ -22,11 +22,13 @@ or the same file as another output is refused after setup, before the run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import itertools
 import logging
 import math
 import os
+import stat
 import sys
 from importlib import resources
 from pathlib import Path
@@ -67,12 +69,22 @@ def _fmt(x: float) -> str:
 
 def _write(path, head: str, rows=(), first: str | None = None, last: str | None = None):
     """Write every file the CLI writes: an optional first line, head, one
-    line of _fmt numbers per row and an optional last line.  A path that
+    line of _fmt numbers per row and an optional last line.  Rewritten in
+    place (no wait for the last run's blocks to be flushed), a regular file
+    is then cut to length; a failed write leaves it empty.  A path that
     cannot be written is a usage error (ConfigError), not a fault."""
     lines = itertools.chain((first, head), (",".join(map(_fmt, row)) for row in rows), (last,))
     try:
-        with open(path, "w") as fh:
-            fh.writelines(f"{line}\n" for line in lines if line is not None)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, "w") as fh:
+                fh.writelines(f"{line}\n" for line in lines if line is not None)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
+        except BaseException:   # no new rows over the old tail
+            with contextlib.suppress(OSError):
+                os.truncate(path, 0)
+            raise
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

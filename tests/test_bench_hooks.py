@@ -4,8 +4,9 @@ The traced benchmark wraps functions by (module, attribute) and the probe
 of bench/child.py imports and reads named objects; a rename in src/ that
 misses one of them fails here rather than in a traced benchmark run.  The
 modules of membeam read no private name of one another, no function of
-theirs takes a parameter that it never reads, and they keep no error class
-that no caller tells apart and no dataclass field that nothing reads.
+theirs takes a parameter that it never reads, they keep no error class
+that no caller tells apart and no dataclass field that nothing reads, and
+only cli._write opens a file for writing.
 """
 
 import ast
@@ -103,6 +104,65 @@ def test_no_module_reads_a_private_name_of_another():
     reads = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in _private_reads(path.read_text())]
     assert reads == []
+
+
+# calls that write a file whatever their arguments, by attribute name
+_WRITERS = {"write_text", "write_bytes", "savetxt", "savez", "savez_compressed", "tofile"}
+
+
+def _file_writes(source, writer=None):
+    """(line, call) of every call in source, outside the function named
+    writer, that opens a file for writing: open, io.open, os.fdopen or a
+    Path's open with a mode that writes or is not a string literal,
+    os.open, a Path or numpy writer; and every O_TRUNC, in writer too."""
+    tree = ast.parse(source)
+    exempt = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == writer for node in ast.walk(fn)}
+    writes = [(node.lineno, "O_TRUNC") for node in ast.walk(tree)
+              if "O_TRUNC" in (getattr(node, "attr", None), getattr(node, "id", None))]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = getattr(func, "value", None)
+        owner = owner.id if isinstance(owner, ast.Name) else None
+        if name in _WRITERS or (owner, name) == ("os", "open"):
+            writes.append((node.lineno, ast.unparse(func)))
+        elif name in ("open", "fdopen"):   # the mode follows the file, a Path's comes first
+            at = 0 if isinstance(func, ast.Attribute) and owner not in ("io", "os") else 1
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"),
+                        node.args[at] if len(node.args) > at else ast.Constant("r"))
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                writes.append((node.lineno, ast.unparse(func)))
+    return sorted(writes)
+
+
+def test_file_writes_are_found():
+    source = ("import io, os, numpy as np\n"
+              "def _write(path):\n"
+              "    fd = os.open(path, os.O_WRONLY)\n"
+              "    with open(fd, 'w') as fh:\n"
+              "        fh.write('x')\n"
+              "def other(path, mode):\n"
+              "    open(path).read(); open(path, 'rb'); io.open(path, mode='r'); path.open()\n"
+              "    open(path, 'a'); io.open(path, mode); path.open('w'); os.fdopen(3, 'r+')\n"
+              "    path.write_text('x'); np.savetxt(path, []); os.open(path, os.O_RDONLY)\n"
+              "    flags = os.O_CREAT | os.O_TRUNC\n")
+    found = [(8, "io.open"), (8, "open"), (8, "os.fdopen"), (8, "path.open"),
+             (9, "np.savetxt"), (9, "os.open"), (9, "path.write_text"), (10, "O_TRUNC")]
+    assert _file_writes(source, "_write") == found
+    assert _file_writes(source) == sorted([(3, "os.open"), (4, "open"), *found])
+
+
+def test_only_cli_write_opens_a_file_for_writing():
+    # a second writer could truncate at open, which waits for the last run's
+    # blocks to be flushed
+    writes = [f"{path.name}:{line}: {call}" for path in sorted(SRC.glob("*.py"))
+              for line, call in _file_writes(path.read_text(),
+                                             "_write" if path.name == "cli.py" else None)]
+    assert writes == []
 
 
 def _unread_parameters(source):

@@ -1,7 +1,10 @@
 import contextlib
+import errno
 import io
+import itertools
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -1041,6 +1044,107 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             f"config error: oracle-check needs --levels >= 2 to fit an order, got {levels}"]
+
+
+class TestOutputRewrite:
+    """Every output is rewritten in place, never truncated at open: it gets
+    the bytes of a fresh write and keeps its inode, links and mode."""
+
+    OLD = b"x" * 100_000   # longer than any output below
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--report"], ["simulate", "--csv"], ["simulate", "--report"],
+        ["spectrum", "--csv"], ["oracle-check", "--csv"],
+        ["sweep", "--param", "beta", "--values", "0.5,1", "--csv"]])
+    @pytest.mark.parametrize("old", [OLD, b"t\n"], ids=["longer", "shorter"])
+    def test_rewrite_gives_the_bytes_of_a_fresh_write(self, tmp_path, monkeypatch, capsys,
+                                                      argv, old):
+        # and no output is opened with O_TRUNC
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, FIT_CFG)
+        code = main([argv[0], "run.cfg", *argv[1:], "fresh.txt"])
+        (tmp_path / "out.txt").write_bytes(old)
+        opened, real_open = [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert main([argv[0], "run.cfg", *argv[1:], "out.txt"]) == code
+        assert (tmp_path / "out.txt").read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+        assert "out.txt" in (path for path, _ in opened)
+        assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+    def test_keeps_inode_hard_links_and_mode(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, FIT_CFG)
+        assert main(["simulate", "run.cfg", "--csv", "fresh.csv"]) == 0
+        out = tmp_path / "run.csv"
+        out.write_bytes(self.OLD)
+        out.chmod(0o604)
+        os.link(out, tmp_path / "alias.csv")
+        inode = out.stat().st_ino
+        assert main(["simulate", "run.cfg"]) == 0
+        after = out.stat()
+        assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (inode, 2, 0o604)
+        assert (tmp_path / "alias.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_symbolic_link_updates_its_target(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, FIT_CFG)
+        assert main(["simulate", "run.cfg", "--csv", "fresh.csv"]) == 0
+        (tmp_path / "target.csv").write_bytes(self.OLD)
+        (tmp_path / "link.csv").symlink_to("target.csv")
+        assert main(["simulate", "run.cfg", "--csv", "link.csv"]) == 0
+        assert os.readlink(tmp_path / "link.csv") == "target.csv"
+        assert (tmp_path / "target.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, FIT_CFG)
+        previous = os.umask(0o027)
+        try:
+            assert main(["simulate", "run.cfg"]) == 0
+        finally:
+            os.umask(previous)
+        for name in ("run.csv", "report.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o640
+
+    def test_device_output_is_not_cut(self, tmp_path, monkeypatch, capsys):
+        # /dev/null cannot be truncated; only a regular file is cut to length
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", str(default_config_path("small")), "--csv", os.devnull]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"wrote {os.devnull} and membeam_small_report.txt\n")
+
+    def test_failed_write_leaves_the_file_empty(self, tmp_path, monkeypatch, capsys):
+        # a write that fails partway leaves the new rows over the longer old
+        # file's tail, which could read as a whole CSV: the file is cut to
+        # nothing, and the error is the usual usage error
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, FIT_CFG)
+        out = tmp_path / "run.csv"
+        out.write_bytes(self.OLD)
+
+        def open_failing_partway(fd, mode):
+            fh = open(fd, mode)
+
+            def writelines(lines):
+                fh.write("".join(itertools.islice(lines, 3)))
+                fh.flush()
+                on_disk = out.read_bytes()
+                assert on_disk.startswith(CSV_HEADER.encode()) and on_disk.endswith(b"xxx")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.writelines = writelines
+            return fh
+
+        monkeypatch.setattr(cli, "open", open_failing_partway, raising=False)
+        assert main(["simulate", "run.cfg"]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: cannot write run.csv: No space left on device\n")
+        assert out.read_bytes() == b""
 
 
 _TABLE_KERNEL = [("type = prony", "type = table\npath = kernel.txt"),

@@ -389,7 +389,8 @@ class TestModalSystem:
         # energies P_j >= 0 beyond what zeta_j carries: Q_j = P_j +
         # (a_j/r_j) ||D+ zeta_j||^2.  Fed the modal history sums,
         # analysis._functionals gives E = x^T H~ x / 2 + h sum P_j / 2,
-        # D = x^T H~ A~ x + h sum (a_j ||D+ zeta_j||^2 - r_j P_j) / 2 and
+        # D = x^T H~ A~ x + h sum (a_j ||D+ zeta_j||^2 - r_j P_j) / 2,
+        # F1 = x^T F x with F = h [[diag g, I/2], [I/2, 0]] on (u, v) and
         # theta_t = (A~ x)_theta, and dm/dt = mass theta - upwind_moment
         # is m's row of A~ x: to rounding of the terms summed
         if name == "small":
@@ -418,12 +419,17 @@ class TestModalSystem:
             return np.einsum("ij,ij->j", p, q)
 
         H, A = modal.metric_matrix, modal.generator_matrix
+        half = 0.5 * sp.identity(nx)
+        F = h * sp.block_diag([sp.bmat([[sp.diags(asm.coefficients.g_values), half],
+                                        [half, None]]),
+                               sp.csr_array((modal.dim - 2 * nx,) * 2)])
         ax = A @ x
         m_dot = np.einsum("j,jin->in", a / r, ax[3 * nx:].reshape(a.size, nx, n))
         scale = dots(abs(x), abs(H) @ (abs(A) @ abs(x)))
         for got, want in (
                 (f.E, 0.5 * dots(x, H @ x) + 0.5 * h * P.sum(axis=0)),
                 (f.D, dots(x, H @ ax) + 0.5 * h * (a @ grad - r @ P)),
+                (f.F1, dots(x, F @ x)),
                 (f.F2, -h * dots(th, moment)),
                 (f.Ifun, -h * dots(ax[2 * nx:3 * nx], moment)),
                 (sums.mass * f.tt - f.th_upwind, dots(th, m_dot))):
