@@ -70,15 +70,17 @@ def _fmt(x: float) -> str:
 def _write(path, head: str, rows=(), first: str | None = None, last: str | None = None):
     """Write every file the CLI writes: an optional first line, head, one
     line of _fmt numbers per row and an optional last line.  Rewritten in
-    place (no wait for the last run's blocks to be flushed), a regular file
-    is then cut to length; a failed write leaves it empty.  A path that
-    cannot be written is a usage error (ConfigError), not a fault."""
+    place by one write (no wait for the last run's blocks to be flushed), a
+    regular file is then cut to length.  An exception in this process leaves
+    it empty; a kill between the write and the cut leaves the old tail.  A
+    path that cannot be written is a usage error (ConfigError), not a fault."""
     lines = itertools.chain((first, head), (",".join(map(_fmt, row)) for row in rows), (last,))
+    text = "".join(f"{line}\n" for line in lines if line is not None)
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
         try:
             with open(fd, "w") as fh:
-                fh.writelines(f"{line}\n" for line in lines if line is not None)
+                fh.write(text)
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     fh.truncate()
         except BaseException:   # no new rows over the old tail

@@ -1,7 +1,6 @@
 import contextlib
 import errno
 import io
-import itertools
 import os
 import re
 import stat
@@ -1130,14 +1129,15 @@ class TestOutputRewrite:
         def open_failing_partway(fd, mode):
             fh = open(fd, mode)
 
-            def writelines(lines):
-                fh.write("".join(itertools.islice(lines, 3)))
-                fh.flush()
+            def write(text):
+                # the whole text in one call; the first 1000 characters land
+                assert text.startswith(f"{CSV_HEADER}\n") and text.endswith("\n")
+                os.write(fd, text[:1000].encode())
                 on_disk = out.read_bytes()
-                assert on_disk.startswith(CSV_HEADER.encode()) and on_disk.endswith(b"xxx")
+                assert on_disk.startswith(text[:1000].encode()) and len(on_disk) == len(self.OLD)
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-            fh.writelines = writelines
+            fh.write = write
             return fh
 
         monkeypatch.setattr(cli, "open", open_failing_partway, raising=False)
