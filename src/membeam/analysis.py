@@ -404,22 +404,23 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
     kap, beta = asm.params.kappa, asm.params.beta
     u, th = samples.u, samples.theta
     f = _functionals(samples)
-    L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
-
-    l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * _col_dots(u, f.d1v)
-                   - beta * _col_dots(u, ops.d1 @ th))
-    l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
-                   + beta**2 / (2.0 * kap**2) * f.tt)
-    l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
-    # dF2/dt = I - h <theta, dm/dt>, dm/dt = mass theta - upwind_moment
-    l44_lhs = f.Ifun - h * (samples.sums.mass * f.tt - f.th_upwind)
-    l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
-                   - 0.5 * mcfg.mu0 * f.tt
-                   - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
-
-    return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs, l43_rhs,
-                      l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L, L - mcfg.gamma2 * f.E,
-                      *np.full((2, samples.t.size), math.nan))
+    # a side that overflows reads inf, and inf - inf reads nan, which fails
+    # its check; neither warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
+        l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * _col_dots(u, f.d1v)
+                       - beta * _col_dots(u, ops.d1 @ th))
+        l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
+                       + beta**2 / (2.0 * kap**2) * f.tt)
+        l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
+        # dF2/dt = I - h <theta, dm/dt>, dm/dt = mass theta - upwind_moment
+        l44_lhs = f.Ifun - h * (samples.sums.mass * f.tt - f.th_upwind)
+        l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
+                       - 0.5 * mcfg.mu0 * f.tt
+                       - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
+        return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs,
+                          l43_rhs, l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L,
+                          L - mcfg.gamma2 * f.E, *np.full((2, samples.t.size), math.nan))
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,10 @@ A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
 once after its last step, where it reports the drift of its running sums.
 Its final state takes over the ring (_SplitRun.final_state).  A midpoint
-run, sampled from its history in place, materializes it every K steps (a
-whole number of blocks) and once after its last step, where it checks the
-history rows of the step and reports the drift of its carried wmu . eta.
+run forms its history for a sample or a state by one routine (its eta),
+and materializes its padded grid every K steps (a whole number of blocks)
+and once after its last step, where it checks the history rows of the
+step and reports the drift of its carried wmu . eta.
 
 oracle_evolve is the reference both schemes are tested against:
 exp(t A_h) phi0 from one dense scipy.linalg.expm, up to DENSE_MAX_DIM
@@ -252,8 +253,8 @@ class SchurSolver:
     solve_transposed take inputs of any layout, leave them untouched and
     return new arrays.  The Schur complement (_cayley_block) is factorized
     at the first solve (lu).  resolvent_check solves through this class;
-    the midpoint run takes only kappa, the gain of its own Cayley block,
-    and apply_eta, and checks its history step against the banded solve.
+    the midpoint run takes only its sizes, q, wmu, kappa (the gain of its
+    own Cayley block) and apply_eta, and solves nothing through it.
     """
 
     def __init__(self, assembly: GeneratorAssembly, tau: float):
@@ -478,8 +479,12 @@ class _MidpointRun(_CayleyRun):
     those Parseval weights as one real (P + 2, k) matrix (proj).
     c_0 = wmu . l is the solver's kappa.  Products over the padded grid
     are cut into column slices of at most _SERIAL_PRODUCT multiply-adds,
-    so OpenBLAS keeps each on one thread.  The tables are checked when
-    the run is built (_check_block).
+    so OpenBLAS keeps each on one thread.  Nothing checks the tables
+    when the run is built: their formulas hold for any input, and whether
+    the pad holds K steps depends on q and Ns alone (_fourier_grid), which
+    the test suite proves at q = 1/2, the q of every run file.  A table or
+    pad that is off aborts the run at its next re-projection (the residual
+    or the pad's tail) or shows in max_drift.
 
     The run holds the history as a block: the spectrum eta_0 at the block
     start on the padded s-grid, (Nx, P/2 + 1), its projections a, (Nx, k),
@@ -518,7 +523,7 @@ class _MidpointRun(_CayleyRun):
         self.size, self.period, self.reach = _fourier_grid(s.q, s.ns)
         self.block = k = min(_HISTORY_BLOCK, self.period)
         # a run's (Nx, P + 2) history copies; here the three (k, P + 2)
-        # tables, the symbols and _check_block's two-row histories
+        # tables and up to 16 rows of symbols and their temporaries
         check_history_fits(s.nx, self.size + 2, 3 * k + 16)
         z = np.exp(-2j * np.pi * np.arange(self.size // 2 + 1) / self.size)
         l_hat = (1.0 + s.q) - s.q * z
@@ -532,7 +537,6 @@ class _MidpointRun(_CayleyRun):
         self.proj = np.empty((self.size + 2, k))
         for i, power in enumerate(self.powers):
             self.proj[:, i] = (np.conj(power) * w_hat).view(float)
-        self._check_block()
 
         super().__init__(state, cfg, s.kappa)
         self._m = state.eta @ s.wmu                 # wmu . eta, carried
@@ -562,45 +566,20 @@ class _MidpointRun(_CayleyRun):
             a += real[:, cols] @ self.proj[cols]
         return a
 
-    def _block_spectrum(self, eta_0: np.ndarray, beta: np.ndarray, i: int,
-                        out: np.ndarray) -> np.ndarray:
-        """eta_i^ of a block that starts from eta_0 with sources beta, for
-        i >= 1, written into out (eta_0 itself is allowed)."""
+    def _block_spectrum(self, i: int, out: np.ndarray) -> np.ndarray:
+        """eta_i^, the spectrum after i >= 1 steps of the run's block,
+        written into out (the block start itself is allowed)."""
         k, real = self.block, out.view(float)
         ells = self.ell_powers.view(float)
-        np.multiply(eta_0, self.powers[i - 1], out=out)
-        for cols in self._slices(len(eta_0), i):
-            real[:, cols] += beta[:i].T @ ells[k - i:, cols]
+        np.multiply(self._eta_0, self.powers[i - 1], out=out)
+        for cols in self._slices(len(out), i):
+            real[:, cols] += self._beta[:i].T @ ells[k - i:, cols]
         return out
 
-    def _history_sum(self, a: np.ndarray, beta: np.ndarray, i: int) -> np.ndarray:
-        """wmu . G eta_i of a block with projections a and sources beta."""
+    def _history_sum(self, i: int) -> np.ndarray:
+        """wmu . G eta_i after i steps of the run's block."""
         k = self.block
-        return a[:, i] + beta[:i].T @ self.c[k - 1 - i:k - 1]
-
-    def _check_block(self):
-        """k steps of a random history and random sources, through the
-        tables and through the banded solve; LinearSolveFailure unless
-        every step's wmu . G eta and history agree.  The first step checks
-        the symbols of G and l."""
-        s, size, k = self.solver, self.size, self.block
-        rng = np.random.default_rng(0)
-        eta, beta = rng.standard_normal((2, s.ns)), rng.standard_normal((k, 2))
-        ell = s._recurrence(s.c * np.ones((1, s.ns)))[0]
-        eta_0 = np.fft.rfft(eta, n=size)
-        a = self._project(eta_0)
-        sq = np.zeros(4)          # squared differences and references: sums, histories
-        for i in range(k):
-            g_eta = s._recurrence(s.c * (2.0 * eta - s.apply_eta(np.zeros(len(eta)), eta)))
-            ref = g_eta @ s.wmu
-            diff = self._history_sum(a, beta, i) - ref
-            eta = g_eta + np.multiply.outer(beta[i], ell)
-            got = np.fft.irfft(self._block_spectrum(eta_0, beta, i + 1, np.empty_like(eta_0)),
-                               n=size)
-            hist = got[:, :s.ns] - eta
-            sq += [diff @ diff, ref @ ref, np.vdot(hist, hist), np.vdot(eta, eta)]
-        _check_residual(sq[0], sq[1])
-        _check_residual(sq[2], sq[3])
+        return self._a[:, i] + self._beta[:i].T @ self.c[k - 1 - i:k - 1]
 
     # -- the trajectory -----------------------------------------------------
 
@@ -613,13 +592,12 @@ class _MidpointRun(_CayleyRun):
         buffer (the block start itself for i = 0)."""
         if not i:
             return self._eta_0
-        return self._block_spectrum(self._eta_0, self._beta, i, self._work)
+        return self._block_spectrum(i, self._work)
 
     def advance(self):
         if self._i == self.block:
-            self._begin_block(self._block_spectrum(self._eta_0, self._beta, self._i,
-                                                   out=self._eta_0))
-        m_g = self._history_sum(self._a, self._beta, self._i)      # wmu . G eta
+            self._begin_block(self._block_spectrum(self._i, out=self._eta_0))
+        m_g = self._history_sum(self._i)      # wmu . G eta
         self._theta_prev = self.theta.copy()
         self._beta[self._i] = beta = self._step(self._m + m_g)
         self._i += 1
@@ -658,23 +636,25 @@ class _MidpointRun(_CayleyRun):
         self._begin_block(np.fft.rfft(new, out=self._eta_0))
         self.reprojections += 1
         # the next step's right-hand side from the carried and the fresh m
-        m_g = self._history_sum(self._a, self._beta, 0)
+        m_g = self._history_sum(0)
         self.max_drift = _worst_drift(self.max_drift, self._rhs(self._m + m_g),
                                       self._rhs(fresh + m_g))
 
-    # the current history (one irfft an access)
-    eta = property(lambda self: np.fft.irfft(self._spectrum(self._i), n=self.size)[
-        :, :self.assembly.Ns])
-
-    def to_state(self) -> State:
-        """A snapshot whose history is the inverse FFT taken an eighth of
-        the rows at a time, so that it holds one history and a block."""
+    @property
+    def eta(self) -> np.ndarray:
+        """The current history, a new array: the inverse FFT of its
+        spectrum taken an eighth of the rows at a time, so that it holds
+        one history and a block."""
         spectrum, ns = self._spectrum(self._i), self.assembly.Ns
         eta = np.empty((len(spectrum), ns))
         rows = max(1, len(spectrum) // 8)
         for lo in range(0, len(spectrum), rows):
             eta[lo:lo + rows] = np.fft.irfft(spectrum[lo:lo + rows], n=self.size)[:, :ns]
-        return self._snapshot(eta)
+        return eta
+
+    def to_state(self) -> State:
+        """A snapshot of the run, which goes on."""
+        return self._snapshot(self.eta)
 
     final_state = to_state          # the history is a new array either way
 
@@ -919,22 +899,11 @@ class _SplitRun(_CayleyRun):
         x[:m] = mapped[1:]
         self._load_ends()
 
-    def to_state(self) -> State:
-        """A snapshot: the history is a new array (the ring's two storage
-        pieces in s-order, plus C) and the run goes on."""
-        zeta, tail = self.zeta, self.zeta.shape[1] - self.head
-        eta = np.empty_like(zeta)
-        eta[:, :tail] = zeta[:, self.head:]
-        eta[:, tail:] = zeta[:, :self.head]
-        eta += self.C[:, None]
-        return self._snapshot(eta)
-
-    def final_state(self) -> State:
-        """The state after the last step, which takes over the ring: each
-        row is rotated to s-order in place through a one-row buffer and
-        C is added in place.  The run is spent (its ring is gone)."""
-        zeta, head = self.zeta, self.head
-        tail = zeta.shape[1] - head
+    def _as_state(self, zeta: np.ndarray) -> State:
+        """The run's State with the history zeta, a ring laid out as the
+        run's: each row is rotated to s-order in place through a one-row
+        buffer and C is added in place."""
+        head, tail = self.head, zeta.shape[1] - self.head
         if head:
             row = np.empty(zeta.shape[1])
             for r in zeta:
@@ -942,8 +911,17 @@ class _SplitRun(_CayleyRun):
                 row[tail:] = r[:head]
                 r[:] = row
         zeta += self.C[:, None]
-        self.zeta = None
         return self._snapshot(zeta)
+
+    def to_state(self) -> State:
+        """A snapshot from a copy of the ring; the run goes on."""
+        return self._as_state(self.zeta.copy())
+
+    def final_state(self) -> State:
+        """The state after the last step, which takes over the ring.  The
+        run is spent (its ring is gone)."""
+        state, self.zeta = self._as_state(self.zeta), None
+        return state
 
 
 def _start(state: State, cfg: SchemeConfig):

@@ -5,8 +5,9 @@ of bench/child.py imports and reads named objects; a rename in src/ that
 misses one of them fails here rather than in a traced benchmark run.  The
 modules of membeam read no private name of one another, no function of
 theirs takes a parameter that it never reads, they keep no error class
-that no caller tells apart and no dataclass field that nothing reads, and
-only cli._write opens a file for writing.
+that no caller tells apart and no dataclass field that nothing reads,
+only cli._write opens a file for writing, and only
+analysis.check_dissipativity draws random numbers.
 """
 
 import ast
@@ -163,6 +164,55 @@ def test_only_cli_write_opens_a_file_for_writing():
               for line, call in _file_writes(path.read_text(),
                                              "_write" if path.name == "cli.py" else None)]
     assert writes == []
+
+
+# names that reach a random number generator: the modules random, secrets
+# and numpy.random, numpy's default_rng, and scipy.sparse.random
+_RANDOM = {"random", "secrets", "default_rng"}
+
+
+def _random_draws(source):
+    """(line, function) of every import, name or attribute in source that
+    names one of _RANDOM, or has it as a dotted part, with the innermost
+    def it sits in ("" at module level)."""
+    draws = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            parts = {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            parts = {*(node.module or "").split("."), *(alias.name for alias in node.names)}
+        else:
+            parts = {getattr(node, "attr", None), getattr(node, "id", None)}
+        if parts & _RANDOM:
+            draws.add((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "")
+    return sorted(draws)
+
+
+def test_random_draws_are_found():
+    source = ("import random, numpy.random as npr\n"
+              "from numpy.random import default_rng\n"
+              "def f(n):\n"
+              "    rng = np.random.default_rng(0)\n"
+              "    def g():\n"
+              "        return sp.random(n, n)\n"
+              "    return rng.standard_normal(n), g, 'random'\n"
+              "x = secrets.token_hex()\n")
+    assert _random_draws(source) == [(1, ""), (2, ""), (4, "f"), (6, "g"), (8, "")]
+
+
+def test_only_the_dissipativity_check_draws_random_numbers():
+    # every other number a run prints follows from its run file alone, and
+    # no setup samples what a test proves or the run's own checks watch
+    draws = [(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in _random_draws(path.read_text())]
+    assert draws == [("analysis.py", "check_dissipativity")]
 
 
 def _unread_parameters(source):

@@ -508,6 +508,24 @@ class TestSimulateCommand:
         out = capsys.readouterr().out
         assert [l for l in out.splitlines() if "abscissa" in l] == ([line] if line else [])
 
+    @pytest.mark.parametrize("scheme", stepper.SCHEMES)
+    def test_overflowing_lemma_sides_read_inf(self, tmp_path, monkeypatch, capsys, scheme):
+        # amplitudes = 1e140 passes the flux bound, but C1 ||v||^2 in the
+        # bounds of lemmas 4.3 and 4.4 overflows: the sides read inf with no
+        # RuntimeWarning (which fails a test here), every check is reported
+        # and the energy rise and the growing fit fail the run
+        monkeypatch.chdir(tmp_path)
+        text = default_config_path("small").read_text()
+        text = edit_cfg("scheme = split_semilagrangian", f"scheme = {scheme}",
+                        edit_cfg("amplitudes = 1.0", "amplitudes = 1e140", text))
+        assert main(["simulate", str(write_cfg(tmp_path, text))]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        failed = [l.split(":")[0] for l in out.splitlines()
+                  if l.startswith("check ") and l.endswith(" FAIL")]
+        assert failed == ["check energy_monotone_decay", "check decay_rate_positive"]
+        assert "check lemma_I_bound: worst=-4.890023e+280 tol=1.0e-08 PASS" in out
+
     @pytest.mark.parametrize("drift", [float("nan"), 2e-9])
     def test_running_sum_drift_is_checked(self, tmp_path, monkeypatch, capsys, drift):
         monkeypatch.chdir(tmp_path)

@@ -193,17 +193,16 @@ class TestSimulate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_right_hand_side_aborts_at_step_1(self):
-        # a kernel amplitude of 1e300 overflows the first right-hand side;
-        # residual inf <= 1e-9 x inf must not pass the check
+        # a kernel amplitude of 1e300 overflows the first right-hand side of
+        # either scheme; residual inf <= 1e-9 x inf must not pass the check
         kernel = mb.MemoryKernel.prony([1e300], [1.0])
         state = default_initial_state(make_assembly(Nx=6, ds=0.05, Ns=8, kernel=kernel))
-        with pytest.raises(SimulationAborted) as err:
-            mb.simulate(state, mb.SchemeConfig(dt=0.05), 0.5)
-        assert err.value.step_index == 1
-        assert isinstance(err.value.cause, LinearSolveFailure)
-        # a midpoint run's check of its block tables overflows first
-        with pytest.raises(LinearSolveFailure, match="right-hand side inf"):
-            stepper._start(state, mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
+        for scheme in stepper.SCHEMES:
+            with pytest.raises(SimulationAborted) as err:
+                mb.simulate(state, mb.SchemeConfig(dt=0.05, scheme=scheme), 0.5)
+            assert err.value.step_index == 1
+            assert isinstance(err.value.cause, LinearSolveFailure)
+            assert str(err.value.cause) == "residual inf exceeds 1.0e-09 x right-hand side inf"
 
     def test_record_count_bounded_before_first_step(self, monkeypatch):
         # 200,000 steps sampled every 2 keep 100,001 records, at the limit;
@@ -1014,8 +1013,16 @@ class TestFourierMidpointRun:
 
     def test_grid_holds_the_history_between_reprojections(self):
         # what K steps move into the pad stays below _PAD_TOL before its
-        # checked last R nodes: measured on a unit history at s_Ns
-        for q, ns in ((0.5, 1843), (0.5, 30), (2.0, 30), (2.0, 1), (0.04, 8)):
+        # checked last R nodes: measured on a unit history at s_Ns, the
+        # node whose content moves furthest.  This is the one fact about the
+        # block tables that depends on the run's input, and the run checks
+        # nothing of them when it is built.
+        # q = 1/2 (dt = ds, the q of every run file) at every Ns to 64, every
+        # power of two to 2^15, small.cfg's 93 and the benchmark run files'
+        # 1843, 15612 and 18422
+        half = (*range(1, 65), *(2 ** j for j in range(7, 16)), 93, 1843, 15612, 18422)
+        cases = [(0.5, ns) for ns in half] + [(2.0, 30), (2.0, 1), (0.04, 8)]
+        for q, ns in cases:
             size, period, reach = stepper._fourier_grid(q, ns)
             assert size % 2 == 0 and period >= 1 and size - ns > reach
             assert period < stepper._HISTORY_BLOCK or period % stepper._HISTORY_BLOCK == 0
@@ -1028,6 +1035,32 @@ class TestFourierMidpointRun:
             assert np.all(np.abs(moved[size - reach:]) <= 1e-15)
             assert np.all(np.abs(moved[:ns - 1]) <= 1e-15)      # nothing carried round
 
+    def test_one_block_matches_the_banded_step_on_the_longest_grid(self):
+        # Ns = 18422 at q = 1/2, the s-grid of the benchmark's Prony run
+        # file, from a random state: each step of one block reads the
+        # history sum wmu . G eta from the tables and forms the history
+        # from them; G eta by the banded solve, G = L^{-1} (2I - L)
+        nx, ns, dt = 6, 18422, 1e-3
+        asm = make_assembly(Nx=nx, ds=dt, Ns=ns)
+        rng = np.random.default_rng(0)
+        u, v, theta = rng.standard_normal((3, nx))
+        state = State(t=0.0, u=u, v=v, theta=theta, eta=rng.standard_normal((nx, ns)),
+                      assembly=asm)
+        run, solver = _midpoint_run(dt, state), stepper.SchurSolver(asm, dt / 2.0)
+        assert run.block == stepper._HISTORY_BLOCK < run.period
+        eta = state.eta
+        for _, ref in _banded_cayley_trajectory(state, dt, run.block):
+            g_eta = solver._recurrence(
+                solver.c * (2.0 * eta - solver.apply_eta(np.zeros(nx), eta)))
+            want = g_eta @ solver.wmu
+            assert np.linalg.norm(run._history_sum(run._i) - want) <= 1e-9 * np.linalg.norm(want)
+            eta = ref[3 * nx:].reshape(ns, nx).T
+            run.advance()
+            w_ref = ref[:3 * nx]
+            assert np.abs(run.w.ravel() - w_ref).max() <= 1e-10 * np.abs(w_ref).max()
+            got = run.to_state().flatten()
+            assert hnorm(asm, got - ref) <= 1e-10 * hnorm(asm, ref)
+
     @pytest.mark.parametrize("name,how", [("powers", "frequency"), ("powers", "rows"),
                                           ("ell_powers", "all")])
     def test_corrupted_table_aborts_the_run(self, monkeypatch, name, how):
@@ -1035,7 +1068,7 @@ class TestFourierMidpointRun:
         # whole grid (the tail check fires first); powers off by a different
         # factor in each row, or l-powers scaled throughout, keep it in
         # place, and only the history rows of the residual see them.  The
-        # tables are corrupted after the run's setup has checked them.
+        # tables are corrupted once the run is built.
         real = stepper._start
 
         def corrupted(state, cfg):
@@ -1084,34 +1117,37 @@ class TestFourierMidpointRun:
         assert res.refresh_drift > 1e-9
 
     def test_symbols_checked_against_the_banded_solve(self, monkeypatch):
-        # a pad of two nodes carries the history round at once
+        # a pad of two nodes carries the history round at once: nothing
+        # refuses it at setup, and the first re-projection, after K = 10
+        # steps, finds the history at the end of the grid
         monkeypatch.setattr(stepper, "_fourier_grid", lambda q, ns: (ns + 2, 10, 1))
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
-        with pytest.raises(LinearSolveFailure, match="residual"):
-            stepper._start(default_initial_state(asm),
-                           mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint"))
+        cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
+        with pytest.raises(SimulationAborted) as err:
+            mb.simulate(default_initial_state(asm), cfg, 20 * cfg.dt)
+        assert err.value.step_index == 10
+        assert isinstance(err.value.__cause__, LinearSolveFailure)
+        assert "end of the padded s-grid" in str(err.value.__cause__)
 
     def test_short_pad_is_caught_by_the_tail_check(self, monkeypatch):
         # the history moves one node a step at q = 1/2: 40 pad nodes do not
-        # hold a block of 32 steps (the block check refuses them at setup);
-        # 80 hold a block but not 200 steps
+        # hold a block of 32 steps, 80 hold a block but not 200 steps; both
+        # are caught at the re-projection after step 200, or by the check
+        # after the last step of a shorter run
         real = stepper._fourier_grid
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
         cfg = mb.SchemeConfig(dt=0.05, scheme="full_implicit_midpoint")
-        monkeypatch.setattr(stepper, "_fourier_grid",
-                            lambda q, ns: (ns + 40, 200, real(q, ns)[2]))
         state = default_initial_state(asm)
-        with pytest.raises(LinearSolveFailure, match="residual"):
-            stepper._start(state, cfg)
-        monkeypatch.setattr(stepper, "_fourier_grid",
-                            lambda q, ns: (ns + 80, 200, real(q, ns)[2]))
-        assert stepper._start(state, cfg).block == 32
-        for n_steps, index in ((250, 200), (150, 150)):
-            with pytest.raises(SimulationAborted) as err:
-                mb.simulate(state, cfg, n_steps * cfg.dt, sample_every=50)
-            assert err.value.step_index == index
-            assert isinstance(err.value.__cause__, LinearSolveFailure)
-            assert "end of the padded s-grid" in str(err.value.__cause__)
+        for pad in (40, 80):
+            monkeypatch.setattr(stepper, "_fourier_grid",
+                                lambda q, ns: (ns + pad, 200, real(q, ns)[2]))
+            assert stepper._start(state, cfg).block == 32
+            for n_steps, index in ((250, 200), (150, 150)):
+                with pytest.raises(SimulationAborted) as err:
+                    mb.simulate(state, cfg, n_steps * cfg.dt, sample_every=50)
+                assert err.value.step_index == index
+                assert isinstance(err.value.__cause__, LinearSolveFailure)
+                assert "end of the padded s-grid" in str(err.value.__cause__)
 
     def test_simulate_reports_the_drift_of_the_carried_sum(self):
         asm = make_assembly(Nx=6, ds=0.05, Ns=30)
