@@ -43,13 +43,9 @@ from .analysis import (
     check_dissipativity,
     choose_multipliers,
     choose_multipliers_for,
-    dissipation,
-    energy,
     eigenvalues,
     fit_decay,
-    lyap_F1,
-    lyap_F2,
-    lyap_I,
+    functionals,
     poincare_constant,
     resolvent_check,
     spectral_abscissa,

@@ -32,7 +32,6 @@ from .model import (
     KernelReport,
     MemoryKernel,
     PhysicalParams,
-    State,
     validate_kernel,
 )
 
@@ -217,31 +216,21 @@ def _functionals(s: Samples) -> SimpleNamespace:
         th_upwind=_col_dots(th, sums.upwind_moment))
 
 
-def energy(state: State) -> float:
-    """E = 1/2 Phi^T H Phi = (h/2)[u^T BIH u + kappa^2 ||D+ u||^2 + ||v||^2
-    + ||theta||^2 + sum_k w_k mu_k ||D+ eta_k||^2]."""
-    return float(_functionals(Samples.of(state)).E[0])
+def functionals(src) -> SimpleNamespace:
+    """E, D, F1, F2 and Ifun of one state as floats, from one pass of the
+    functionals; src is anything take_sample reads, a State or a run.
 
-
-def dissipation(state: State) -> float:
-    """D = -2 h sum g_i v_i^2 - l h ||D+ theta||^2
-    + (h/2) sum_k w_k mu'_k ||D+ eta_k||^2; nonpositive under H2 and g > 0."""
-    return float(_functionals(Samples.of(state)).D[0])
-
-
-def lyap_F1(state: State) -> float:
-    """F1 = h (u . v + u . (g u))."""
-    return float(_functionals(Samples.of(state)).F1[0])
-
-
-def lyap_F2(state: State) -> float:
-    """F2 = -h sum_k w_k mu_k (theta . eta_k)."""
-    return float(_functionals(Samples.of(state)).F2[0])
-
-
-def lyap_I(state: State) -> float:
-    """I = -h sum_k w_k mu_k (theta_t . eta_k), theta_t from the generator row."""
-    return float(_functionals(Samples.of(state)).Ifun[0])
+    E  = (h/2)[u^T BIH u + kappa^2 ||D+ u||^2 + ||v||^2 + ||theta||^2
+         + sum_k w_k mu_k ||D+ eta_k||^2] = 1/2 Phi^T H Phi
+    D  = -2 h sum g_i v_i^2 - l h ||D+ theta||^2
+         + (h/2) sum_k w_k mu'_k ||D+ eta_k||^2, nonpositive under H2 and g > 0
+    F1 = h (u . v + u . (g u))
+    F2 = -h sum_k w_k mu_k (theta . eta_k)
+    I  = -h sum_k w_k mu_k (theta_t . eta_k), theta_t from the generator row
+    """
+    f = _functionals(Samples.of(src))
+    return SimpleNamespace(**{name: float(getattr(f, name)[0])
+                              for name in ("E", "D", "F1", "F2", "Ifun")})
 
 
 @dataclass(frozen=True)
@@ -345,10 +334,10 @@ def choose_multipliers_for(assembly: GeneratorAssembly,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Every tracked functional and inequality side of n samples, one (n,)
-    float64 column each.  dE_numeric and identity_residual are nan until
-    stepper.simulate fills them from neighbouring samples.  The left side
-    of lemma 4.3 is Ifun itself."""
+    """Every tracked functional and lemma margin of n samples, one (n,)
+    float64 column each.  A margin is lhs - rhs of its inequality (<= 0
+    expected); the sandwich margins are gamma1 E - L and L - gamma2 E.
+    dE_numeric and identity_residual are read off t, E and D."""
 
     t: np.ndarray
     E: np.ndarray
@@ -357,18 +346,27 @@ class Trajectory:
     F2: np.ndarray
     Ifun: np.ndarray
     Ltotal: np.ndarray
-    lemma42_lhs: np.ndarray
-    lemma42_rhs: np.ndarray
-    lemma43_rhs: np.ndarray
-    lemma44_lhs: np.ndarray
-    lemma44_rhs: np.ndarray
+    lemma42_margin: np.ndarray
+    lemma43_margin: np.ndarray
+    lemma44_margin: np.ndarray
     sandwich_low: np.ndarray
     sandwich_high: np.ndarray
-    dE_numeric: np.ndarray
-    identity_residual: np.ndarray
 
     def __len__(self) -> int:
         return self.t.size
+
+    @property
+    def dE_numeric(self) -> np.ndarray:
+        """dE/dt from neighbouring samples: centred, one-sided at either
+        end, 0 for a lone sample."""
+        E, t, j = self.E, self.t, np.arange(len(self))
+        lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, j.size - 1)
+        return np.divide(E[hi] - E[lo], t[hi] - t[lo], out=np.zeros(j.size), where=hi > lo)
+
+    @property
+    def identity_residual(self) -> np.ndarray:
+        """|dE_numeric - D|: the residual of the energy identity dE/dt = D."""
+        return np.abs(self.dE_numeric - self.D)
 
     @classmethod
     def concatenate(cls, parts) -> "Trajectory":
@@ -377,7 +375,7 @@ class Trajectory:
 
 
 def diagnostics_record(src, mcfg: MultiplierConfig) -> Trajectory:
-    """Every tracked functional and inequality side at one state: the
+    """Every tracked functional and lemma margin at one state: the
     one-sample table of diagnostics_records.
 
     src is anything take_sample reads: a State or a run of either scheme.
@@ -390,14 +388,14 @@ def diagnostics_record(src, mcfg: MultiplierConfig) -> Trajectory:
 
 
 def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
-    """Every tracked functional and inequality side at each sample of a
+    """Every tracked functional and lemma margin at each sample of a
     stack, in one vectorized pass.
 
-    Lemma sides (lhs <= rhs expected): 4.2 is dF1/dt from the generator rows
-    against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2 + Ck ||v||^2
-    + beta^2/(2 kappa^2) ||theta||^2; 4.3 is I (Ifun) against C1 ||v||^2
-    + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is dF2/dt
-    against the same bound with the sigma3 = mu0 split.
+    Lemma margins, lhs - rhs (<= 0 expected): 4.2 is dF1/dt from the
+    generator rows against -<p u_xx, u_xx> - kappa^2/4 ||u_x||^2
+    + Ck ||v||^2 + beta^2/(2 kappa^2) ||theta||^2; 4.3 is I (Ifun) against
+    C1 ||v||^2 + C2 ||theta_x||^2 - C3 sum w_k mu'_k ||eta_x,k||^2; 4.4 is
+    dF2/dt against the same bound with the sigma3 = mu0 split.
     """
     asm = samples.assembly
     h, ops = asm.grid.h, asm.ops
@@ -418,9 +416,9 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
         l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
                        - 0.5 * mcfg.mu0 * f.tt
                        - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
-        return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs, l42_rhs,
-                          l43_rhs, l44_lhs, l44_rhs, mcfg.gamma1 * f.E - L,
-                          L - mcfg.gamma2 * f.E, *np.full((2, samples.t.size), math.nan))
+        return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs - l42_rhs,
+                          f.Ifun - l43_rhs, l44_lhs - l44_rhs, mcfg.gamma1 * f.E - L,
+                          L - mcfg.gamma2 * f.E)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +640,9 @@ def certify_trajectory(traj: Trajectory) -> list[CheckResult]:
         worst = float(rel_inc.max())
         results.append(CheckResult("energy_monotone_decay", worst, _MONOTONE_TOL,
                                    bool(worst <= _MONOTONE_TOL)))
-    for name, margin in (("lemma_F1_derivative", traj.lemma42_lhs - traj.lemma42_rhs),
-                         ("lemma_I_bound", traj.Ifun - traj.lemma43_rhs),
-                         ("lemma_F2_derivative", traj.lemma44_lhs - traj.lemma44_rhs),
+    for name, margin in (("lemma_F1_derivative", traj.lemma42_margin),
+                         ("lemma_I_bound", traj.lemma43_margin),
+                         ("lemma_F2_derivative", traj.lemma44_margin),
                          ("sandwich_lower", traj.sandwich_low),
                          ("sandwich_upper", traj.sandwich_high)):
         worst = float(np.max(margin))

@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
     _write(csv_path, CSV_HEADER, _csv_rows(result.records))
 
     checks = analysis.certify_trajectory(result.records)
-    drift = result.refresh_drift
+    drift = result.running_sum_drift
     checks.append(analysis.CheckResult("running_sum_drift", drift, stepper.DRIFT_TOL,
                                        bool(drift <= stepper.DRIFT_TOL)))
     try:

@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dgbmv
+from scipy.linalg.blas import dgbmv, dnrm2
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 
 from . import analysis
@@ -74,7 +74,7 @@ from .model import State
 _LINEAR_SOLVER_TOL = 1e-9
 
 # Largest relative drift accepted between a run's running history sums and
-# the history they sum (SimulationResult.refresh_drift).  The drift is an
+# the history they sum (SimulationResult.running_sum_drift).  The drift is an
 # error in the right-hand side of every step, so it gets the bound of a
 # step's residual; rounding that grows by one unit (1.1e-16) per step stays
 # below it for the MAX_STEPS steps of the longest run.
@@ -84,10 +84,10 @@ DRIFT_TOL = _LINEAR_SOLVER_TOL
 # first step (100 times the 10,000 steps of the shipped default run).
 MAX_STEPS = 1_000_000
 
-# Most diagnostics records one simulate call keeps (the 16 float64 columns
-# of analysis.Trajectory: 146 bytes a record under tracemalloc in a 2,001-record
-# run at Nx = 8, Ns = 50); a run that would keep more is refused before the
-# first step.
+# Most diagnostics records one simulate call keeps (the 12 float64 columns
+# of analysis.Trajectory: 117 bytes a record under tracemalloc in a
+# 2,001-record run at Nx = 8, Ns = 50); a run that would keep more is
+# refused before the first step.
 MAX_RECORDS = MAX_STEPS // 10 + 1
 
 # Samples simulate evaluates in one vectorized pass of the functionals
@@ -150,7 +150,7 @@ def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
 
 class _BandedLU:
     """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
-    with SuperLU's solve(b, trans) in the block order of the matrix.
+    with solve(b, trans) in the block order of the matrix.
 
     Taken node by node, (u_i, v_i, theta_i), the mechanical block is
     banded: the biharmonic reaches two nodes, so kl = 7 rows below and
@@ -162,7 +162,8 @@ class _BandedLU:
     bound).  solve_checked, for a time step, stays in node order and
     raises LinearSolveFailure unless the residual M x - b, formed with
     dgbmv from a copy of the band taken before the factorization, is
-    within _LINEAR_SOLVER_TOL of b (a NaN fails).  scipy's dgbmv wrapper
+    within _LINEAR_SOLVER_TOL of b (a NaN fails); both norms come from
+    BLAS dnrm2, which scales and does not overflow.  scipy's dgbmv wrapper
     asks for at least kl + ku + 1 rows, so the product runs over
     max(3Nx, kl + ku + 1) rows: those past 3Nx read the zero corner of the
     band and the zero tail of the work vector b is copied into.
@@ -205,7 +206,8 @@ class _BandedLU:
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         x, rhs = self._solve(b), self._work
         res = dgbmv(self._rows, self.n, self.kl, self.ku, 1.0, self._band, x, beta=-1.0, y=rhs)
-        _check_residual(res @ res, rhs @ rhs)
+        num, den = dnrm2(res), dnrm2(rhs)      # scaled: no overflow, no warning
+        _check_residual(num * num, den * den)  # Python floats: an overflow reads inf
         return x[:self.n]
 
 
@@ -543,7 +545,6 @@ class _MidpointRun(_CayleyRun):
         self._beta = np.empty((k, state.assembly.Nx))
         self._begin_block(np.fft.rfft(state.eta, n=self.size))
         self._work = np.empty_like(self._eta_0)        # a spectrum formed mid-block
-        self._theta_prev = None           # theta before the last step
         self._steps = 0
         self.reprojections = 0
         self.max_drift = 0.0
@@ -598,7 +599,6 @@ class _MidpointRun(_CayleyRun):
         if self._i == self.block:
             self._begin_block(self._block_spectrum(self._i, out=self._eta_0))
         m_g = self._history_sum(self._i)      # wmu . G eta
-        self._theta_prev = self.theta.copy()
         self._beta[self._i] = beta = self._step(self._m + m_g)
         self._i += 1
         self._m = m_g + self.solver.kappa * beta                # wmu . eta' carried
@@ -618,7 +618,8 @@ class _MidpointRun(_CayleyRun):
             return
         s, ns = self.solver, self.solver.ns
         old = np.fft.irfft(self._spectrum(self._i - 1), n=self.size)[:, :ns].copy()
-        res = s.apply_eta(self._theta_prev, old)
+        # theta before the last step, from its source beta = tau (theta + theta')
+        res = s.apply_eta(self._beta[self._i - 1] / s.tau - self.theta, old)
         old *= 2.0
         res -= old               # M Phi - P Phi = -(P Phi), history rows
         del old                  # freed before the new history is formed
@@ -937,7 +938,7 @@ class SimulationResult:
     For a split run final_state holds the run's ring itself, rotated to
     s-order in place, not a copy of it.
 
-    refresh_drift is the largest relative difference between a run's
+    running_sum_drift is the largest relative difference between a run's
     running history sums and the history they sum, measured once after
     the last step and, for a split run, at every re-centring (its per-mode
     sums against its ring), for a midpoint run at every re-projection (its
@@ -946,7 +947,7 @@ class SimulationResult:
 
     records: analysis.Trajectory
     final_state: State
-    refresh_drift: float
+    running_sum_drift: float
 
 
 def check_steps(steps: float) -> None:
@@ -989,15 +990,13 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     history sums, and a midpoint run's are summed from its history in
     place.  The samples are evaluated _SAMPLE_CHUNK at a time in one pass
     (analysis.diagnostics_records) and joined into one analysis.Trajectory
-    after the run, with dE_numeric (centered difference of E across
-    samples) and the identity residual filled in.
-    Step failures abort with the partial trajectory attached
-    (SimulationAborted): every sample taken before the failure evaluated,
-    its dE_numeric and identity residual filled in.  One INFO line on the
-    membeam.stepper logger reports steps, records, the time spent stepping
-    and sampling, and the refresh drift; for a midpoint run also its
-    padded grid P, the steps K between re-projections, its history block k
-    and the re-projections made.  One step from a state is
+    after the run.  Step failures abort with the partial trajectory
+    attached (SimulationAborted): every sample taken before the failure,
+    evaluated.  One INFO line on the membeam.stepper logger reports steps,
+    records, the time spent stepping and sampling, and the
+    running_sum_drift; for a midpoint run also its padded grid P, the
+    steps K between re-projections, its history block k and the
+    re-projections made.  One step from a state is
     simulate(state, cfg, cfg.dt).final_state.
     """
     n_steps = run_length(T, cfg.dt, sample_every)[0]
@@ -1015,16 +1014,9 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             pending.clear()
 
     def complete() -> analysis.Trajectory:
-        """The table of every sample taken, dE_numeric (one-sided at either
-        end, 0 for a lone sample) and |dE_numeric - D| filled in."""
+        """The table of every sample taken."""
         flush()
-        traj = analysis.Trajectory.concatenate(chunks)
-        E, t, dE, j = traj.E, traj.t, traj.dE_numeric, np.arange(len(traj))
-        lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, j.size - 1)
-        dE.fill(0.0)
-        np.divide(E[hi] - E[lo], t[hi] - t[lo], out=dE, where=hi > lo)
-        np.abs(dE - traj.D, out=traj.identity_residual)
-        return traj
+        return analysis.Trajectory.concatenate(chunks)
 
     sampling = time.perf_counter() - start
     final, drift, info = init, 0.0, ""
@@ -1052,9 +1044,9 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
     records = complete()
     sampling += time.perf_counter() - t0
     log.info("simulate: %d steps, %d records, stepping %.3f s, sampling %.3f s, "
-             "refresh drift %.3e%s", n_steps, len(records),
+             "running_sum_drift %.3e%s", n_steps, len(records),
              time.perf_counter() - start - sampling, sampling, drift, info)
-    return SimulationResult(records=records, final_state=final, refresh_drift=drift)
+    return SimulationResult(records=records, final_state=final, running_sum_drift=drift)
 
 
 # ---------------------------------------------------------------------------

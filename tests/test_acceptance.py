@@ -87,17 +87,17 @@ def test_criterion_2_energy_identity(report):
                               theta0=np.sin(np.pi * x))
         prev = mb.build_initial_state(init, asm)
         run = stepper._start(prev, mb.SchemeConfig(dt=dt, scheme="full_implicit_midpoint"))
-        e_prev = mb.energy(prev)
+        e_prev = mb.functionals(prev).E
         acc = 0.0
         n = int(round(0.5 / dt))
         for _ in range(n):
             run.advance()
             nxt = run.to_state()
-            e_next = mb.energy(nxt)
+            e_next = mb.functionals(nxt).E
             mid = State(t=0.0, u=0.5 * (prev.u + nxt.u), v=0.5 * (prev.v + nxt.v),
                         theta=0.5 * (prev.theta + nxt.theta),
                         eta=0.5 * (prev.eta + nxt.eta), assembly=asm)
-            acc += abs((e_next - e_prev) / dt - mb.dissipation(mid))
+            acc += abs((e_next - e_prev) / dt - mb.functionals(mid).D)
             prev, e_prev = nxt, e_next
         residuals.append(acc / n)
     slope = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
@@ -202,9 +202,9 @@ def test_criterion_6_lemma_inequalities(default_run, report):
     assert mcfg.Ckappa == 5.0
     traj = default_run["result"].records
     worst = {
-        "lemma_F1_derivative": (traj.lemma42_lhs - traj.lemma42_rhs).max(),
-        "lemma_I_bound": (traj.Ifun - traj.lemma43_rhs).max(),
-        "lemma_F2_derivative": (traj.lemma44_lhs - traj.lemma44_rhs).max(),
+        "lemma_F1_derivative": traj.lemma42_margin.max(),
+        "lemma_I_bound": traj.lemma43_margin.max(),
+        "lemma_F2_derivative": traj.lemma44_margin.max(),
         "sandwich_lower": traj.sandwich_low.max(),
         "sandwich_upper": traj.sandwich_high.max(),
     }

@@ -49,7 +49,7 @@ def test_grad_cols_is_the_forward_gradient_operator(nx):
 
 class TestEnergy:
     def test_zero_state(self, small_assembly):
-        assert mb.energy(zero_state(small_assembly)) == 0.0
+        assert mb.functionals(zero_state(small_assembly)).E == 0.0
 
     def test_pure_sine_temperature(self):
         # h * sum sin^2(pi x_i / L) = L/2 exactly on a uniform grid
@@ -57,14 +57,14 @@ class TestEnergy:
         const = 1.7
         st = zero_state(asm)
         st.theta = const * np.sin(np.pi * asm.grid.nodes / asm.grid.L)
-        assert mb.energy(st) == pytest.approx(0.25 * const**2 * asm.grid.L, rel=1e-12)
+        assert mb.functionals(st).E == pytest.approx(0.25 * const**2 * asm.grid.L, rel=1e-12)
 
     def test_matches_exported_metric(self):
         asm = make_assembly(Nx=7, Ns=9)
         rng = np.random.default_rng(2)
         phi = rng.standard_normal(asm.dim)
         st = mb.State.unflatten(phi, asm)
-        assert mb.energy(st) == pytest.approx(0.5 * phi @ (asm.metric_matrix @ phi),
+        assert mb.functionals(st).E == pytest.approx(0.5 * phi @ (asm.metric_matrix @ phi),
                                               rel=1e-12)
 
     def test_positive_definite(self):
@@ -72,34 +72,33 @@ class TestEnergy:
         rng = np.random.default_rng(3)
         for _ in range(10):
             st = mb.State.unflatten(rng.standard_normal(asm.dim), asm)
-            assert mb.energy(st) > 0.0
+            assert mb.functionals(st).E > 0.0
 
 
 class TestDissipation:
     def test_zero_state(self, small_assembly):
-        assert mb.dissipation(zero_state(small_assembly)) == 0.0
+        assert mb.functionals(zero_state(small_assembly)).D == 0.0
 
     def test_velocity_only_unit_damping(self):
         asm = make_assembly(Nx=9)
         st = zero_state(asm)
         st.v = np.random.default_rng(4).standard_normal(asm.Nx)
         expected = -2.0 * asm.grid.h * float(st.v @ st.v)
-        assert mb.dissipation(st) == pytest.approx(expected, rel=1e-14)
+        assert mb.functionals(st).D == pytest.approx(expected, rel=1e-14)
 
     def test_nonpositive_on_random_states(self):
         asm = make_assembly(Nx=8, Ns=12, g=0.5 + np.linspace(0, 1, 8))
         rng = np.random.default_rng(5)
         for _ in range(20):
             st = mb.State.unflatten(rng.standard_normal(asm.dim), asm)
-            assert mb.dissipation(st) <= 0.0
+            assert mb.functionals(st).D <= 0.0
 
 
 class TestLyapunovFunctionals:
     def test_zero_state_all_zero(self, small_assembly):
         st = zero_state(small_assembly)
-        assert mb.lyap_F1(st) == 0.0
-        assert mb.lyap_F2(st) == 0.0
-        assert mb.lyap_I(st) == 0.0
+        f = mb.functionals(st)
+        assert (f.F1, f.F2, f.Ifun) == (0.0, 0.0, 0.0)
 
     def test_f1_with_u_equal_v(self):
         asm = make_assembly(Nx=9)
@@ -107,7 +106,7 @@ class TestLyapunovFunctionals:
         w = np.sin(2 * np.pi * asm.grid.nodes)
         st.u = w.copy()
         st.v = w.copy()
-        assert mb.lyap_F1(st) == pytest.approx(2.0 * asm.grid.h * float(w @ w), rel=1e-14)
+        assert mb.functionals(st).F1 == pytest.approx(2.0 * asm.grid.h * float(w @ w), rel=1e-14)
 
     def test_f2_constant_past_closed_form(self):
         asm = make_assembly(Nx=9, Ns=14, ds=0.2)
@@ -116,7 +115,7 @@ class TestLyapunovFunctionals:
         theta = st.theta
         expected = -float(np.sum(mg.weights * mg.mu * mg.s_nodes)) \
             * asm.grid.h * float(theta @ theta)
-        assert mb.lyap_F2(st) == pytest.approx(expected, rel=1e-12)
+        assert mb.functionals(st).F2 == pytest.approx(expected, rel=1e-12)
 
     def test_lyapunov_total_degenerate_weights_is_energy(self):
         import dataclasses
@@ -124,8 +123,8 @@ class TestLyapunovFunctionals:
         st = default_initial_state(asm)
         mcfg = mb.choose_multipliers_for(asm)
         degenerate = dataclasses.replace(mcfg, N=1.0, N1=0.0, N2=0.0)
-        assert an.diagnostics_record(st, degenerate).Ltotal == pytest.approx(mb.energy(st),
-                                                                             rel=1e-14)
+        assert an.diagnostics_record(st, degenerate).Ltotal == pytest.approx(
+            mb.functionals(st).E, rel=1e-14)
 
 
 class TestChooseMultipliers:
@@ -170,10 +169,9 @@ class TestLemmaChecksAlongTrajectory:
         st = default_initial_state(asm)
         mcfg = mb.choose_multipliers_for(asm)
         traj = mb.simulate(st, mb.SchemeConfig(dt=0.02), 1.0, sample_every=5, mcfg=mcfg).records
-        assert np.all(traj.lemma42_lhs <= traj.lemma42_rhs + 1e-8)
-        assert np.all(traj.Ifun <= traj.lemma43_rhs + 1e-8)
-        assert np.all(traj.lemma44_lhs <= traj.lemma44_rhs + 1e-8)
-        assert np.all(np.maximum(traj.sandwich_low, traj.sandwich_high) <= 1e-8)
+        for name in ("lemma42_margin", "lemma43_margin", "lemma44_margin",
+                     "sandwich_low", "sandwich_high"):
+            assert np.all(getattr(traj, name) <= 1e-8), name
 
 
 class TestSplitRunRecords:
@@ -215,11 +213,35 @@ def test_records_read_no_memory_grid(scheme):
         run.advance()
         samples.append(an.take_sample(run))
     stand_in = SimpleNamespace(grid=asm.grid, ops=asm.ops, params=asm.params)
-    real, bare = (np.array(dataclasses.astuple(an.diagnostics_records(
-        an.Samples.stack(a, samples), mcfg))) for a in (asm, stand_in))
+    real, bare = (an.diagnostics_records(an.Samples.stack(a, samples), mcfg)
+                  for a in (asm, stand_in))
+    columns = np.array(dataclasses.astuple(real))
     assert not hasattr(stand_in, "memory_grid")
-    assert real.shape == (len(dataclasses.fields(an.Trajectory)), 13)
-    assert real.tobytes() == bare.tobytes()
+    assert columns.shape == (12, 13)
+    assert columns.tobytes() == np.array(dataclasses.astuple(bare)).tobytes()
+    # the table is whole when it is built: no column is nan, none is left to fill
+    assert np.all(np.isfinite([*columns, real.dE_numeric, real.identity_residual]))
+
+
+@pytest.mark.parametrize("scheme, form", [
+    (None, "prony"), ("split_semilagrangian", "prony"), ("split_semilagrangian", "table"),
+    ("full_implicit_midpoint", "prony")])
+def test_functionals_are_the_columns_of_the_record(scheme, form):
+    # one call evaluates a State's or a run's functionals, bitwise those of
+    # its diagnostics record
+    dt = 0.02
+    asm = make_assembly(Nx=8, ds=dt, Ns=50, kernel=TestSplitRunRecords.KERNELS[form])
+    mcfg = mb.choose_multipliers_for(asm)
+    src = default_initial_state(asm)
+    if scheme is not None:
+        src = stepper._start(src, mb.SchemeConfig(dt=dt, scheme=scheme))
+        for _ in range(7):
+            src.advance()
+    got, record = mb.functionals(src), an.diagnostics_record(src, mcfg)
+    for name in ("E", "D", "F1", "F2", "Ifun"):
+        value = getattr(got, name)
+        assert type(value) is float, name
+        assert np.float64(value).tobytes() == getattr(record, name).tobytes(), name
 
 
 class TestSpectral:
@@ -398,14 +420,14 @@ class TestCertifyTrajectory:
         assert {"energy_monotone_decay", "lemma_F1_derivative",
                 "sandwich_lower", "sandwich_upper"} <= names
 
-    @pytest.mark.parametrize("attr", ["lemma42_lhs", "sandwich_high"])
+    @pytest.mark.parametrize("attr", ["lemma42_margin", "sandwich_high"])
     def test_nan_side_fails(self, attr):
         asm = make_assembly(Nx=8, ds=0.05, Ns=24)
         res = mb.simulate(default_initial_state(asm), mb.SchemeConfig(dt=0.05), 0.5,
                           sample_every=2)
         getattr(res.records, attr)[2] = np.nan
         failed = {c.name for c in an.certify_trajectory(res.records) if not c.passed}
-        assert failed == {"lemma_F1_derivative" if attr == "lemma42_lhs" else "sandwich_upper"}
+        assert failed == {"lemma_F1_derivative" if attr == "lemma42_margin" else "sandwich_upper"}
 
     def test_identity_residual_definition(self):
         asm = make_assembly(Nx=8, ds=0.05, Ns=24)

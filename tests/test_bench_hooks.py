@@ -7,7 +7,8 @@ modules of membeam read no private name of one another, no function of
 theirs takes a parameter that it never reads, they keep no error class
 that no caller tells apart and no dataclass field that nothing reads,
 only cli._write opens a file for writing, and only
-analysis.check_dissipativity draws random numbers.
+analysis.check_dissipativity draws random numbers.  No test ignores the
+RuntimeWarning that pyproject.toml turns into an error.
 """
 
 import ast
@@ -21,8 +22,9 @@ import pytest
 from membeam.config import ProblemSetup
 from membeam.discretization import GeneratorAssembly, MemoryGrid
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-SRC = Path(__file__).resolve().parent.parent / "src" / "membeam"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
+SRC = TESTS.parent / "src" / "membeam"
 
 
 def _tracing():
@@ -334,3 +336,53 @@ def test_unread_errors_and_fields_are_found():
 def test_no_error_class_or_dataclass_field_goes_unread():
     sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert _unread_errors_and_fields((SRC / "errors.py").read_text(), sources) == []
+
+
+def _runtime_warning_ignores(source):
+    """(line, call) of every filterwarnings or simplefilter call in source,
+    a pytest mark among them, that ignores RuntimeWarning: its action is
+    "ignore" and its category RuntimeWarning, Warning or none given.  A
+    filter string "action:message:category:..." gives both."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and
+                _names(node.func) & {"filterwarnings", "simplefilter"}):
+            continue
+        given = {kw.arg: kw.value for kw in node.keywords}
+        action = given.get("action", node.args[0] if node.args else None)
+        if not (isinstance(action, ast.Constant) and isinstance(action.value, str)):
+            continue
+        action, *rest = action.value.split(":")
+        at = 1 if _names(node.func) == {"simplefilter"} else 2
+        category = given.get("category", node.args[at] if len(node.args) > at else None)
+        names = _names(category) if category is not None else set()
+        names |= {rest[1].strip().rsplit(".", 1)[-1]} if len(rest) > 1 else set()
+        if action.strip() == "ignore" and not names - {"", "RuntimeWarning", "Warning"}:
+            found.append((node.lineno, ast.unparse(node.func)))
+    return found
+
+
+def test_runtime_warning_ignores_are_found():
+    source = ("@pytest.mark.filterwarnings('ignore::RuntimeWarning')\n"
+              "@pytest.mark.filterwarnings('ignore::DeprecationWarning')\n"
+              "@pytest.mark.filterwarnings('error::RuntimeWarning')\n"
+              "def test():\n"
+              "    warnings.simplefilter('ignore', RuntimeWarning)\n"
+              "    warnings.simplefilter('ignore')\n"
+              "    warnings.simplefilter('error')\n"
+              "    warnings.filterwarnings('ignore', category=RuntimeWarning)\n"
+              "    filterwarnings('ignore', 'overflow', builtins.RuntimeWarning)\n"
+              "    warnings.filterwarnings('ignore', category=UserWarning)\n"
+              "    warnings.simplefilter(action='ignore', category=Warning)\n")
+    assert _runtime_warning_ignores(source) == [
+        (1, "pytest.mark.filterwarnings"), (5, "warnings.simplefilter"),
+        (6, "warnings.simplefilter"), (8, "warnings.filterwarnings"), (9, "filterwarnings"),
+        (11, "warnings.simplefilter")]
+
+
+def test_no_test_ignores_runtime_warnings():
+    # pyproject.toml makes a numpy overflow or invalid-value warning an
+    # error; a test that ignores it can hide a defect that warns
+    ignores = [f"{path.name}:{line}: {call}" for path in sorted(TESTS.rglob("*.py"))
+               for line, call in _runtime_warning_ignores(path.read_text())]
+    assert ignores == []

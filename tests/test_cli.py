@@ -533,7 +533,7 @@ class TestSimulateCommand:
 
         def drifted(setup):
             result = run(setup)
-            result.refresh_drift = drift
+            result.running_sum_drift = drift
             return result
 
         monkeypatch.setattr(cli, "_run_simulation", drifted)

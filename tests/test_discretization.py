@@ -295,7 +295,7 @@ class TestGeneratorAssembly:
         phi = rng.standard_normal(asm.dim)
         state = mb.State.unflatten(phi, asm)
         quad = 0.5 * phi @ (asm.metric_matrix @ phi)
-        assert mb.energy(state) == pytest.approx(quad, rel=1e-12)
+        assert mb.functionals(state).E == pytest.approx(quad, rel=1e-12)
 
     def test_dissipativity_on_random_states(self):
         asm = make_assembly(Nx=10, Ns=20, p=1.0 + np.linspace(0, 1, 10) ** 2,

@@ -203,7 +203,7 @@ class TestBuildInitialState:
         init = mb.InitialData(u0=np.zeros(nx), v0=np.zeros(nx), theta0=np.zeros(nx),
                               history_mode="zero")
         state = mb.build_initial_state(init, asm)
-        assert mb.energy(state) == 0.0
+        assert mb.functionals(state).E == 0.0
 
     def test_constant_past_forces_linear_history(self):
         asm = make_assembly()
