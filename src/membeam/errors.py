@@ -41,6 +41,5 @@ class SimulationAborted(MembeamError):
 
     def __init__(self, step_index: int, cause: Exception, records):
         self.step_index = step_index
-        self.cause = cause
         self.records = records   # the analysis.Trajectory of every sample taken
         super().__init__(f"simulation aborted at step {step_index}: {cause}")

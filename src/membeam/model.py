@@ -3,8 +3,10 @@
 Everything the simulator consumes is validated here before any grid or
 operator is built: the four kernel hypotheses (nonnegativity, monotone
 decay, finite mass, exponential domination), strict coefficient bounds,
-and boundary-compatible initial profiles.  All types are immutable after
-construction and safe to share across concurrent simulations.
+and boundary-compatible initial profiles.  The parameter, kernel,
+coefficient and initial-data types are frozen dataclasses, safe to share
+across concurrent simulations; a State, like the GeneratorAssembly it
+refers to, is a mutable dataclass.
 """
 
 from __future__ import annotations

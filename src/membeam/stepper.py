@@ -121,21 +121,12 @@ class SchemeConfig:
             raise MembeamError(f"scheme must be one of {SCHEMES}")
 
 
-def _check_residual(residual_sq: float, rhs_sq: float):
-    """Raise LinearSolveFailure unless ||residual|| <= tol ||rhs||, given
-    the squared norms over all blocks; a non-finite value never passes."""
-    num, den = math.sqrt(residual_sq), math.sqrt(rhs_sq)
+def _check_residual(num: float, den: float):
+    """Raise LinearSolveFailure unless the residual norm num <= tol times
+    the right-hand side's norm den; a non-finite norm never passes."""
     if not (num <= _LINEAR_SOLVER_TOL * den and math.isfinite(den)):
         raise LinearSolveFailure(
             f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
-
-
-def _sq_norm(x: np.ndarray) -> float:
-    """The squared 2-norm of a 2-d array by numpy's own loop: OpenBLAS
-    threads a dot product of a padded history's length, and on a 2-core
-    x86 one in ten np.linalg.norm calls on a (32, 2250) history took 8 ms
-    against 30 us for this loop."""
-    return float(np.einsum("ij,ij->", x, x))
 
 
 def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
@@ -150,7 +141,9 @@ def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
 
 class _BandedLU:
     """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
-    with solve(b, trans) in the block order of the matrix.
+    with solve(b, trans) in the block order of the matrix: the one place a
+    mechanical block M is factorized.  The module binds it as splu, the
+    name of scipy's splu, which it replaced.
 
     Taken node by node, (u_i, v_i, theta_i), the mechanical block is
     banded: the biharmonic reaches two nodes, so kl = 7 rows below and
@@ -163,7 +156,9 @@ class _BandedLU:
     raises LinearSolveFailure unless the residual M x - b, formed with
     dgbmv from a copy of the band taken before the factorization, is
     within _LINEAR_SOLVER_TOL of b (a NaN fails); both norms come from
-    BLAS dnrm2, which scales and does not overflow.  scipy's dgbmv wrapper
+    BLAS dnrm2, which scales and does not overflow, and a norm whose
+    square overflows reads inf, so a right-hand side that large fails: a
+    state whose energy is not a float is not stepped.  scipy's dgbmv wrapper
     asks for at least kl + ku + 1 rows, so the product runs over
     max(3Nx, kl + ku + 1) rows: those past 3Nx read the zero corner of the
     band and the zero tail of the work vector b is copied into.
@@ -206,17 +201,13 @@ class _BandedLU:
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         x, rhs = self._solve(b), self._work
         res = dgbmv(self._rows, self.n, self.kl, self.ku, 1.0, self._band, x, beta=-1.0, y=rhs)
-        num, den = dnrm2(res), dnrm2(rhs)      # scaled: no overflow, no warning
-        _check_residual(num * num, den * den)  # Python floats: an overflow reads inf
+        # Python floats square with no warning; an overflow reads inf
+        num, den = (math.inf if n * n == math.inf else n for n in (dnrm2(res), dnrm2(rhs)))
+        _check_residual(num, den)
         return x[:self.n]
 
 
-def splu(matrix: sp.spmatrix) -> _BandedLU:
-    """The LU of a 3Nx mechanical block M (_BandedLU): the one place that
-    block is factorized.  It keeps the name of scipy's splu, which it
-    replaced, and its solve(b, trans); a singular M raises
-    LinearSolveFailure."""
-    return _BandedLU(matrix)
+splu = _BandedLU
 
 
 def _cayley_block(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float) -> sp.csc_matrix:
@@ -623,15 +614,15 @@ class _MidpointRun(_CayleyRun):
         old *= 2.0
         res -= old               # M Phi - P Phi = -(P Phi), history rows
         del old                  # freed before the new history is formed
-        rhs_sq = _sq_norm(res)
+        rhs = dnrm2(res.ravel())
         new = np.fft.irfft(self._spectrum(self._i), n=self.size)
-        tail, whole = math.sqrt(_sq_norm(new[:, -self.reach:])), math.sqrt(_sq_norm(new))
+        tail, whole = dnrm2(new[:, -self.reach:].ravel()), dnrm2(new.ravel())
         if not tail <= _LINEAR_SOLVER_TOL * whole:
             raise LinearSolveFailure(
                 f"history at the end of the padded s-grid: {tail:.3e} exceeds "
                 f"{_LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
         res += s.apply_eta(self.w[2], new[:, :ns])
-        _check_residual(_sq_norm(res), rhs_sq)
+        _check_residual(dnrm2(res.ravel()), rhs)
         fresh = new[:, :ns] @ s.wmu
         new[:, ns:] = 0.0
         self._begin_block(np.fft.rfft(new, out=self._eta_0))

@@ -268,7 +268,8 @@ def _unread_errors_and_fields(errors, sources):
     """Every class of the errors source that no except clause or
     isinstance call of sources names and none of whose own attributes
     (self.x = ...) they read off an exception they caught (exc.x in an
-    except ... as exc block); and every dataclass field of sources that
+    except ... as exc block); every such attribute that they never read
+    off a caught exception; and every dataclass field of sources that
     they never read as .field nor name as a string."""
     nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
     named, caught = set(), set()
@@ -290,6 +291,7 @@ def _unread_errors_and_fields(errors, sources):
                and isinstance(target.value, ast.Name) and target.value.id == "self"}
         if cls.name not in named and not own & caught:
             unread.append(f"error class {cls.name}")
+        unread += [f"attribute {cls.name}.{attr}" for attr in sorted(own - caught)]
     read = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     read |= {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     for cls in nodes:
@@ -309,8 +311,9 @@ def test_unread_errors_and_fields_are_found():
               "class Checked(Base):\n"
               "    pass\n"
               "class Carrier(Base):\n"
-              "    def __init__(self, n):\n"
+              "    def __init__(self, n, k):\n"
               "        self.n = n\n"
+              "        self.k = k\n"
               "class Unread(Base):\n"
               "    def __init__(self, m):\n"
               "        self.m = m\n")
@@ -330,7 +333,7 @@ def test_unread_errors_and_fields_are_found():
               "    except Base as exc:\n"
               "        return isinstance(exc, Checked) or exc.n\n")
     assert _unread_errors_and_fields(errors, [errors, module]) == [
-        "error class Unread", "field Point.z"]
+        "attribute Carrier.k", "error class Unread", "attribute Unread.m", "field Point.z"]
 
 
 def test_no_error_class_or_dataclass_field_goes_unread():

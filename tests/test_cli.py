@@ -632,6 +632,26 @@ class TestSimulateCommand:
         assert main(["validate", path]) == 0
         assert capsys.readouterr().out.endswith("validation PASSED\n")
 
+    @pytest.mark.parametrize("scheme", stepper.SCHEMES)
+    def test_large_history_passes_the_reprojection_check(self, tmp_path, monkeypatch, capsys,
+                                                         scheme):
+        # theta0 = 1e151 sin(pi x) passes setup; the squared sum over a
+        # midpoint run's (Nx, Ns) history overflows, so its re-projection
+        # compares plain norms and the run goes on
+        monkeypatch.chdir(tmp_path)
+        text = default_config_path("default").read_text()
+        for old, new in (("Nx = 64", "Nx = 32"), ("dt = 0.001", "dt = 0.01"),
+                         ("T = 10.0", "T = 3.0"), ("theta0 = sine 1.0 1", "theta0 = sine 1e151 1"),
+                         ("scheme = split_semilagrangian", f"scheme = {scheme}")):
+            text = edit_cfg(old, new, text)
+        path = str(write_cfg(tmp_path, text, "default.cfg"))
+        assert main(["validate", path]) == 0
+        assert main(["simulate", path]) == 0
+        assert capsys.readouterr().err == ""
+        checks = [l for l in (tmp_path / "membeam_report.txt").read_text().splitlines()
+                  if l.startswith("check ")]
+        assert checks and all(l.endswith(" PASS") for l in checks), checks
+
     def test_zero_initial_data_all_zero_columns(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         text = TINY_CFG.replace("u0 = poly 0 0 1 -2 1", "u0 = constant 0.0")

@@ -203,8 +203,16 @@ class TestSimulate:
                 warnings.simplefilter("error")
                 mb.simulate(state, mb.SchemeConfig(dt=0.05, scheme=scheme), 0.5)
             assert err.value.step_index == 1
-            assert isinstance(err.value.cause, LinearSolveFailure)
-            assert str(err.value.cause) == "residual inf exceeds 1.0e-09 x right-hand side inf"
+            assert isinstance(err.value.__cause__, LinearSolveFailure)
+            assert str(err.value.__cause__) == "residual inf exceeds 1.0e-09 x right-hand side inf"
+
+    def test_residual_check_compares_norms(self):
+        # norms near 1e200, whose squares overflow, pass by their ratio
+        stepper._check_residual(0.9e-9 * 1e200, 1e200)
+        for num, den in ((2e-9 * 1e200, 1e200), (0.0, math.inf), (math.inf, math.inf),
+                         (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(LinearSolveFailure, match="^residual .* exceeds 1.0e-09 x"):
+                stepper._check_residual(num, den)
 
     def test_record_count_bounded_before_first_step(self, monkeypatch):
         # 200,000 steps sampled every 2 keep 100,001 records, at the limit;
@@ -770,8 +778,8 @@ class TestBandedLU:
         with pytest.raises(SimulationAborted) as err:
             mb.simulate(default_initial_state(asm), cfg, 0.5)
         assert err.value.step_index == 1
-        assert isinstance(err.value.cause, LinearSolveFailure)
-        assert "residual" in str(err.value.cause)
+        assert isinstance(err.value.__cause__, LinearSolveFailure)
+        assert "residual" in str(err.value.__cause__)
         assert err.value.records.t.tolist() == [0.0]
 
 
