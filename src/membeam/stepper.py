@@ -387,11 +387,10 @@ class _CayleyRun:
     From the gain of its scheme's history (the midpoint run's kappa, the
     split run's sum of wmu) the run builds M = I - tau B - tau^2 gain
     [theta theta] lap (_cayley_block), its one LU (splu) and R = [2I - M |
-    tau [theta] lap] in the LU's node order, which reads the padded rows
-    (u, v, theta, a), each with a zero (the Dirichlet value) at both ends,
-    as one vector; a is the step's history sum, known before the solve.
-    _rhs(a) writes a and returns R (w, a); u, v, theta and w = (u, v,
-    theta) are views of the rows.  _step(a) takes w' from one checked
+    tau [theta] lap] in the LU's node order, which reads the (4, Nx) rows
+    (u, v, theta, a) as one vector; a is the step's history sum, known
+    before the solve.  _rhs(a) writes a and returns R (w, a); u, v, theta
+    and w = (u, v, theta) are views of the rows.  _step(a) takes w' from one checked
     banded solve of _rhs(a), writes it, advances t and returns beta = tau
     (theta + theta'): the split run's increment of C and the midpoint
     run's block source.  A failed check leaves t and w as they were.
@@ -408,12 +407,11 @@ class _CayleyRun:
         M = _cayley_block(asm.mechanical_block, lap, tau, gain)
         self.lu = splu(M)
         flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), tau * lap])
-        self.R = (sp.hstack([2.0 * sp.identity(3 * nx) - M, flux])  # kron: the rows' interiors
-                  @ sp.kron(sp.identity(4), sp.eye(nx, nx + 2, k=1))).tocsr()[self.lu.order]
-        self._rows = np.zeros((4, nx + 2))
-        self._rows[:3, 1:-1] = state.u, state.v, state.theta
+        self.R = sp.hstack([2.0 * sp.identity(3 * nx) - M, flux]).tocsr()[self.lu.order]
+        self._rows = np.empty((4, nx))
+        self._rows[:3] = state.u, state.v, state.theta
         self._wa = self._rows.reshape(-1)          # what R reads, a view
-        self.w = self._rows[:3, 1:-1]
+        self.w = self._rows[:3]
 
     u = property(lambda self: self.w[0])
     v = property(lambda self: self.w[1])
@@ -421,7 +419,7 @@ class _CayleyRun:
 
     def _rhs(self, a: np.ndarray) -> np.ndarray:
         """R (w, a) in node order, for the history sum a."""
-        self._rows[3, 1:-1] = a
+        self._rows[3] = a
         return self.R @ self._wa
 
     def _step(self, a: np.ndarray) -> np.ndarray:

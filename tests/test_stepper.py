@@ -422,16 +422,32 @@ def test_nan_running_sum_is_a_nan_drift(scheme):
     assert math.isnan(run.max_drift)
 
 
-def _reference_rhs(asm, dt, w, m_n, m_shift):
-    """The split step's right-hand side, unfused: P w plus the memory flux
-    tau lap (a + tau mu0w theta), tau = dt/2, at the known part
-    a = m(eta^n) + m_shift of twice the averaged history."""
+def _reference_rhs(asm, dt, w, a, gain):
+    """The Cayley step's right-hand side (2I - M) w + tau [theta] lap a,
+    unfused: P w plus the memory flux tau lap (a + tau gain theta),
+    tau = dt/2.  For the split step gain = mu0w and a = m(eta^n) +
+    m_shift, the known part of twice the averaged history."""
     nx, tau = asm.Nx, dt / 2.0
-    mu0w = float(np.sum(asm.memory_grid.weights * asm.memory_grid.mu))
     P = sp.identity(3 * nx, format="csr") + tau * asm.mechanical_block
     rhs = P @ w
-    rhs[2 * nx:] += tau * (asm.ops.lap @ (m_n + m_shift + tau * mu0w * w[2 * nx:]))
+    rhs[2 * nx:] += tau * (asm.ops.lap @ (a + tau * gain * w[2 * nx:]))
     return rhs
+
+
+@pytest.mark.parametrize("scheme", stepper.SCHEMES)
+@pytest.mark.parametrize("nx", [4, 8])
+def test_rhs_reads_plain_rows(scheme, nx):
+    # R = [2I - M | tau [theta] lap] in the LU's node order reads (4, Nx)
+    # rows; at Nx = 4 the 3Nx = 12 rows are below dgbmv's kl + ku + 1 = 13
+    dt = 0.05
+    asm = make_assembly(Nx=nx, ds=dt, Ns=8)
+    state = State.unflatten(np.random.default_rng(nx).standard_normal(asm.dim), asm)
+    run = stepper._start(state, mb.SchemeConfig(dt=dt, scheme=scheme))
+    gain = run.solver.kappa if scheme == "full_implicit_midpoint" else run.totals[0]
+    assert run.R.shape == (3 * nx, 4 * nx) and run._rows.shape == (4, nx)
+    a = np.random.default_rng(nx + 1).standard_normal(nx)
+    ref = _reference_rhs(asm, dt, np.concatenate([state.u, state.v, state.theta]), a, gain)
+    assert np.abs(run._rhs(a) - ref[run.lu.order]).max() <= 1e-14 * np.abs(ref).max()
 
 
 def _parent_table_trajectory(state, cfg, n_steps):
@@ -450,7 +466,7 @@ def _parent_table_trajectory(state, cfg, n_steps):
         m_n = sigma + mu0w * C
         order = (head + np.arange(ns - 1)) % ns
         m_shift = zeta[:, order] @ wmu[1:] + (mu0w - wmu[0]) * C
-        rhs = _reference_rhs(asm, dt, np.concatenate([u, v, th]), m_n, m_shift)
+        rhs = _reference_rhs(asm, dt, np.concatenate([u, v, th]), m_n + m_shift, mu0w)
         w_new = lu.solve(rhs)
         q = 0.5 * dt * (th + w_new[2 * nx:])
         u, v, th = w_new[:nx], w_new[nx:2 * nx], w_new[2 * nx:]
@@ -581,8 +597,9 @@ def _parent_prony_trajectory(state, cfg, n_steps):
         if ns > 1:
             tail = tail + np.multiply.outer(zeta[:, (head - 2) % ns], mode_mu[ns - 2])
         sig_shift = (sigma - 0.5 * mg.ds * tail) * decay
-        rhs = _reference_rhs(asm, dt, np.concatenate([u, v, th]), sigma.sum(axis=1) + mu0w * C,
-                             sig_shift.sum(axis=1) + (mu0w - wmu[0]) * C)
+        rhs = _reference_rhs(asm, dt, np.concatenate([u, v, th]),
+                             (sigma.sum(axis=1) + mu0w * C)
+                             + (sig_shift.sum(axis=1) + (mu0w - wmu[0]) * C), mu0w)
         w_new = lu.solve(rhs)
         q = 0.5 * dt * (th + w_new[2 * nx:])
         u, v, th = w_new[:nx], w_new[nx:2 * nx], w_new[2 * nx:]
