@@ -156,9 +156,7 @@ class _BandedLU:
     raises LinearSolveFailure unless the residual M x - b, formed with
     dgbmv from a copy of the band taken before the factorization, is
     within _LINEAR_SOLVER_TOL of b (a NaN fails); both norms come from
-    BLAS dnrm2, which scales and does not overflow, and a norm whose
-    square overflows reads inf, so a right-hand side that large fails: a
-    state whose energy is not a float is not stepped.  scipy's dgbmv wrapper
+    BLAS dnrm2, which scales and does not overflow.  scipy's dgbmv wrapper
     asks for at least kl + ku + 1 rows, so the product runs over
     max(3Nx, kl + ku + 1) rows: those past 3Nx read the zero corner of the
     band and the zero tail of the work vector b is copied into.
@@ -201,7 +199,8 @@ class _BandedLU:
     def solve_checked(self, b: np.ndarray) -> np.ndarray:
         x, rhs = self._solve(b), self._work
         res = dgbmv(self._rows, self.n, self.kl, self.ku, 1.0, self._band, x, beta=-1.0, y=rhs)
-        # Python floats square with no warning; an overflow reads inf
+        # a norm whose square overflows reads inf: a right-hand side that
+        # large fails, as its state's energy is not a float
         num, den = (math.inf if n * n == math.inf else n for n in (dnrm2(res), dnrm2(rhs)))
         _check_residual(num, den)
         return x[:self.n]
@@ -390,10 +389,10 @@ class _CayleyRun:
     tau [theta] lap] in the LU's node order, which reads the (4, Nx) rows
     (u, v, theta, a) as one vector; a is the step's history sum, known
     before the solve.  _rhs(a) writes a and returns R (w, a); u, v, theta
-    and w = (u, v, theta) are views of the rows.  _step(a) takes w' from one checked
-    banded solve of _rhs(a), writes it, advances t and returns beta = tau
-    (theta + theta'): the split run's increment of C and the midpoint
-    run's block source.  A failed check leaves t and w as they were.
+    and w = (u, v, theta) are views of the rows.  _step(a) takes w' from
+    one checked banded solve of _rhs(a), writes it, advances t and returns
+    beta = tau (theta + theta'): the split run's increment of C and the
+    midpoint run's block source.  A failed check leaves t and w as before.
     """
 
     def __init__(self, state: State, cfg: SchemeConfig, gain: float):
@@ -602,7 +601,8 @@ class _MidpointRun(_CayleyRun):
         The history rows of the residual are M Phi' - P Phi = M Phi' +
         (M Phi - 2 Phi), one (Nx, Ns) buffer that takes the old history's
         share before the new history is formed; the new block's spectrum
-        is written over the old one's."""
+        is written over the old one's.  Norms are plain (dnrm2), as the
+        squared sum of a large history overflows."""
         if not self._i:
             return
         s, ns = self.solver, self.solver.ns
