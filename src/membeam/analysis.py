@@ -182,17 +182,19 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _functionals(s: Samples) -> SimpleNamespace:
-    """E, D, F1, F2, I and the inner products the lemma sides reuse, one
-    array entry per sample of the stack, and D1 v, formed once for theta_t
-    and lemma 4.2.
+    """E, D, F1, F2, I, dF1/dt and the inner products the lemma sides
+    reuse, one array entry per sample of the stack.
 
     The one implementation of every functional; it reads the history only
-    through the stacked sums.  theta_t inside I comes from the generator
-    row l LAP theta + LAP m(eta) - beta D1 v.
+    through the stacked sums.  The time derivatives come from one product
+    of the generator's mechanical block B with the stacked (u, v, theta):
+    theta_t inside I is its theta rows plus the flux LAP m(eta), and
+    dF1/dt = h (v . v + u . v_t + 2 u . (g v)), lemma 4.2's left side,
+    reads v_t off its v rows.
     """
     asm, sums = s.assembly, s.sums
-    h, ops = asm.grid.h, asm.ops
-    kap, beta, l = asm.params.kappa, asm.params.beta, asm.params.l
+    h, ops, nx = asm.grid.h, asm.ops, asm.grid.Nx
+    kap, l = asm.params.kappa, asm.params.l
     u, v, th, moment = s.u, s.v, s.theta, sums.moment
 
     uu = _col_dots(u, ops.bih @ u)
@@ -200,19 +202,19 @@ def _functionals(s: Samples) -> SimpleNamespace:
     tt = _col_dots(th, th)
     gugu = grad_sq_norms(u, h)
     gthgth = grad_sq_norms(th, h)
-    d1v = ops.d1 @ v
-    thdot = l * (ops.lap @ th) + ops.lap @ moment
-    if beta != 0.0:
-        thdot = thdot - beta * d1v
+    rows = asm.mechanical_block @ np.vstack([u, v, th])
+    thdot = rows[2 * nx:] + ops.lap @ moment
     g = ops.coefficients.g_values[:, None]
+    gv = g * v
 
     return SimpleNamespace(
         E=0.5 * h * (uu + kap**2 * gugu + vv + tt + sums.hist_mu),
-        D=-2.0 * h * _col_dots(g * v, v) - l * h * gthgth + 0.5 * h * sums.hist_mup,
+        D=-2.0 * h * _col_dots(gv, v) - l * h * gthgth + 0.5 * h * sums.hist_mup,
         F1=h * (_col_dots(u, v) + _col_dots(u, g * u)),
         F2=-h * _col_dots(th, moment),
         Ifun=-h * _col_dots(thdot, moment),
-        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, d1v=d1v, hist_mup=sums.hist_mup,
+        dF1=h * (vv + _col_dots(u, rows[nx:2 * nx]) + 2.0 * _col_dots(u, gv)),
+        uu=uu, vv=vv, tt=tt, gugu=gugu, gthgth=gthgth, hist_mup=sums.hist_mup,
         th_upwind=_col_dots(th, sums.upwind_moment))
 
 
@@ -398,16 +400,12 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
     dF2/dt against the same bound with the sigma3 = mu0 split.
     """
     asm = samples.assembly
-    h, ops = asm.grid.h, asm.ops
-    kap, beta = asm.params.kappa, asm.params.beta
-    u, th = samples.u, samples.theta
+    h, kap, beta = asm.grid.h, asm.params.kappa, asm.params.beta
     f = _functionals(samples)
     # a side that overflows reads inf, and inf - inf reads nan, which fails
     # its check; neither warns
     with np.errstate(over="ignore", invalid="ignore"):
         L = mcfg.N * f.E + mcfg.N1 * f.F1 + mcfg.N2 * f.F2
-        l42_lhs = h * (f.vv - f.uu - kap**2 * f.gugu - 2.0 * kap * _col_dots(u, f.d1v)
-                       - beta * _col_dots(u, ops.d1 @ th))
         l42_rhs = h * (-f.uu - 0.25 * kap**2 * f.gugu + mcfg.Ckappa * f.vv
                        + beta**2 / (2.0 * kap**2) * f.tt)
         l43_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth - mcfg.C3 * f.hist_mup)
@@ -416,7 +414,7 @@ def diagnostics_records(samples: Samples, mcfg: MultiplierConfig) -> Trajectory:
         l44_rhs = h * (mcfg.C1 * f.vv + mcfg.C2 * f.gthgth
                        - 0.5 * mcfg.mu0 * f.tt
                        - (mcfg.C3 + mcfg.Cp / (2.0 * mcfg.mu0)) * f.hist_mup)
-        return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, l42_lhs - l42_rhs,
+        return Trajectory(samples.t, f.E, f.D, f.F1, f.F2, f.Ifun, L, f.dF1 - l42_rhs,
                           f.Ifun - l43_rhs, l44_lhs - l44_rhs, mcfg.gamma1 * f.E - L,
                           L - mcfg.gamma2 * f.E)
 

@@ -2,11 +2,12 @@
 
 Everything the simulator consumes is validated here before any grid or
 operator is built: the four kernel hypotheses (nonnegativity, monotone
-decay, finite mass, exponential domination), strict coefficient bounds,
-and boundary-compatible initial profiles.  The parameter, kernel,
-coefficient and initial-data types are frozen dataclasses, safe to share
-across concurrent simulations; a State, like the GeneratorAssembly it
-refers to, is a mutable dataclass.
+decay, finite mass, exponential domination; in closed form for a Prony
+kernel, sampled for a table), strict coefficient bounds, and
+boundary-compatible initial profiles.  The parameter, kernel, coefficient
+and initial-data types are frozen dataclasses, safe to share across
+concurrent simulations; a State, like the GeneratorAssembly it refers
+to, is a mutable dataclass.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _MU_GUARD = 1e-14
 # this bound.  Scale-free, so it rejects (1+s)^-2 for any table length while
 # accepting resolved Prony tails.
 _TAIL_DECLINE_TOL = 0.05
-# Number of points at which H1 and H2 are probed.
+# Least number of points at which a kernel table is probed.
 _PROBE_COUNT = 200
 
 # The history prescriptions of InitialData, the ones a run file can name.
@@ -79,13 +80,13 @@ def derive_params(lambda1: float, lambda2: float, kappa: float, beta: float) -> 
 class MemoryKernel:
     """Memory kernel mu(s), either a Prony series or a sample table.
 
-    Prony form: mu(s) = sum_j a_j exp(-delta_j s) with a_j, delta_j > 0.
-    Tabulated form: columns (s_k, mu_k, mu'_k) with strictly increasing s
-    starting at 0; mu' is differenced from mu when not supplied.  The
-    kernel copies the columns once into writeable arrays of its own
-    (_columns), which mu and muprime interpolate on, and shows them as
-    read-only views: np.interp copies a read-only array on every call,
-    6.1 MiB for a 400,001-row table.
+    Prony form: mu(s) = sum_j a_j exp(-delta_j s) with a_j, delta_j finite
+    and > 0.  Tabulated form: columns (s_k, mu_k, mu'_k) with
+    strictly increasing s starting at 0; mu' is differenced from mu when
+    not supplied.  The kernel copies the columns once into writeable
+    arrays of its own (_columns), which mu and muprime interpolate on, and
+    shows them as read-only views: np.interp copies a read-only array on
+    every call, 6.1 MiB for a 400,001-row table.
     """
 
     form: str
@@ -113,10 +114,11 @@ class MemoryKernel:
         d = _readonly(np.atleast_1d(rates))
         if a.size == 0 or a.size != d.size:
             raise MembeamError("prony amplitudes and rates must be nonempty and equal length")
-        if np.any(a <= 0):
-            raise MembeamError("prony amplitudes must be > 0")
-        if np.any(d <= 0):
-            raise MembeamError("prony rates must be > 0")
+        for name, x in (("amplitudes", a), ("rates", d)):
+            if np.any(x <= 0):
+                raise MembeamError(f"prony {name} must be > 0")
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+            raise MembeamError("prony amplitudes and rates must be finite")
         return cls(form="prony", amplitudes=a, rates=d)
 
     @classmethod
@@ -177,45 +179,33 @@ class KernelReport:
     h4: bool
 
 
-def _probe_points(kernel: MemoryKernel) -> np.ndarray:
-    if kernel.form == "prony":
-        # cover several decades of the slowest mode; for a rate so small
-        # that the span leaves the float range (its mass is infinite, which
-        # H3 rejects) the probes stop at the largest float
-        span = min(20.0 / float(np.min(kernel.rates)), np.finfo(float).max)
-        return np.linspace(0.0, span, _PROBE_COUNT)
-    s = kernel.s_table
-    if _PROBE_COUNT <= s.size:
-        return s
-    extra = np.linspace(s[0], s[-1], _PROBE_COUNT - s.size)
-    return np.unique(np.concatenate([s, extra]))
-
-
 def validate_kernel(kernel: MemoryKernel) -> KernelReport:
     """Certify hypotheses H1-H4 and return (mu0, delta1).
 
-    For Prony kernels mu0 = sum(a_j/delta_j) and delta1 = min_j delta_j are
-    exact.  For tabulated kernels delta1 is the guarded minimum of -mu'/mu
-    over the table, and H4 additionally requires that ratio to have
+    A Prony kernel is certified in closed form: its a_j, delta_j are finite
+    and > 0 (MemoryKernel.prony), so mu > 0 > mu' and, with delta1 =
+    min_j delta_j, mu' + delta1 mu <= 0 hold exactly; only the mass mu0 =
+    sum(a_j/delta_j) of H3 is computed, as it can overflow.  A table is
+    sampled at its nodes, padded to _PROBE_COUNT points: delta1 is the
+    guarded minimum of -mu'/mu, and H4 also requires that ratio to have
     stabilized near the table end (certification demands a resolved tail).
 
     The first violated hypothesis raises KernelHypothesisError, which
     carries the full report.
     """
-    probes = _probe_points(kernel)
-    mu = kernel.mu(probes)
-    mup = kernel.muprime(probes)
-
-    scale = float(np.max(np.abs(mu))) or 1.0
-    h1 = bool(np.all(mu >= -1e-12 * scale))
-    h2 = bool(np.all(mup <= 1e-12 * scale))
-
     mu0 = kernel.mu0()
     h3 = np.isfinite(mu0) and mu0 > 0
     if kernel.form == "prony":
+        h1 = h2 = h4 = True
         delta1 = float(np.min(kernel.rates))
-        h4 = h1 and h2 and delta1 > 0
     else:
+        s = kernel.s_table
+        probes = s if _PROBE_COUNT <= s.size else np.unique(
+            np.concatenate([s, np.linspace(s[0], s[-1], _PROBE_COUNT - s.size)]))
+        mu, mup = kernel.mu(probes), kernel.muprime(probes)
+        scale = float(np.max(np.abs(mu))) or 1.0
+        h1 = bool(np.all(mu >= -1e-12 * scale))
+        h2 = bool(np.all(mup <= 1e-12 * scale))
         mask = mu > _MU_GUARD
         if not np.any(mask):
             delta1, h4 = 0.0, False

@@ -212,7 +212,8 @@ def test_records_read_no_memory_grid(scheme):
     for _ in range(12):
         run.advance()
         samples.append(an.take_sample(run))
-    stand_in = SimpleNamespace(grid=asm.grid, ops=asm.ops, params=asm.params)
+    stand_in = SimpleNamespace(grid=asm.grid, ops=asm.ops, params=asm.params,
+                               mechanical_block=asm.mechanical_block)
     real, bare = (an.diagnostics_records(an.Samples.stack(a, samples), mcfg)
                   for a in (asm, stand_in))
     columns = np.array(dataclasses.astuple(real))

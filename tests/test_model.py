@@ -106,16 +106,40 @@ class TestValidateKernel:
         with pytest.raises(MembeamError, match=exactly("prony rates must be > 0")):
             mb.MemoryKernel.prony([1.0], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_prony_requires_finite_parameters(self, bad):
+        for a, d in (([1.0, bad], [1.0, 2.0]), ([1.0], [bad])):
+            with pytest.raises(MembeamError,
+                               match=exactly("prony amplitudes and rates must be finite")):
+                mb.MemoryKernel.prony(a, d)
+
+    def test_prony_certificate_evaluates_no_kernel(self, monkeypatch):
+        def fail(kernel, s):
+            raise AssertionError("evaluated")
+
+        monkeypatch.setattr(mb.MemoryKernel, "mu", fail)
+        monkeypatch.setattr(mb.MemoryKernel, "muprime", fail)
+        report = mb.validate_kernel(mb.MemoryKernel.prony([1.0, 0.5], [2.0, 0.25]))
+        assert (report.mu0, report.delta1) == (2.5, 0.25)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.01, 50.0), st.floats(0.01, 50.0)),
                     min_size=1, max_size=6))
     def test_prony_always_passes_with_exact_certificate(self, modes):
+        # the closed-form certificate against samples over several decades
+        # of the slowest mode: mu > 0 > mu' and mu' + delta1 mu <= 0, the
+        # last to the rounding of its two sums
         a = np.array([m[0] for m in modes])
         d = np.array([m[1] for m in modes])
-        report = mb.validate_kernel(mb.MemoryKernel.prony(a, d))
+        kernel = mb.MemoryKernel.prony(a, d)
+        report = mb.validate_kernel(kernel)
         assert (report.h1, report.h2, report.h3, report.h4) == (True,) * 4
         assert report.delta1 == float(d.min())
         assert report.mu0 == pytest.approx(float(np.sum(a / d)), rel=1e-12)
+        s = np.linspace(0.0, 20.0 / d.min(), 200)
+        mu, mup = kernel.mu(s), kernel.muprime(s)
+        assert np.all(mu > 0) and np.all(mup < 0)
+        assert np.all(mup + report.delta1 * mu <= 1e-12 * (np.abs(mup) + report.delta1 * mu))
 
 
 class TestTableKernel:
