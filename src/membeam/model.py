@@ -81,7 +81,7 @@ class MemoryKernel:
     """Memory kernel mu(s), either a Prony series or a sample table.
 
     Prony form: mu(s) = sum_j a_j exp(-delta_j s) with a_j, delta_j finite
-    and > 0.  Tabulated form: columns (s_k, mu_k, mu'_k) with
+    and > 0.  Tabulated form: finite columns (s_k, mu_k, mu'_k) with
     strictly increasing s starting at 0; mu' is differenced from mu when
     not supplied.  The kernel copies the columns once into writeable
     arrays of its own (_columns), which mu and muprime interpolate on, and
@@ -127,14 +127,15 @@ class MemoryKernel:
         mu = np.asarray(mu, dtype=float)
         if s.ndim != 1 or s.size < 2 or mu.shape != s.shape:
             raise MembeamError("kernel table needs matching 1-d s and mu columns, >= 2 rows")
+        mp = None if muprime is None else np.asarray(muprime, dtype=float)
+        if not all(np.all(np.isfinite(c)) for c in (s, mu, mp) if c is not None):
+            raise MembeamError("kernel table holds a non-finite value")
         if s[0] != 0.0 or np.any(np.diff(s) <= 0):
             raise MembeamError("table s must be strictly increasing and start at 0")
-        if muprime is None:
+        if mp is None:
             mp = np.gradient(mu, s)
-        else:
-            mp = np.asarray(muprime, dtype=float)
-            if mp.shape != s.shape:
-                raise MembeamError("mu' column must match the s column")
+        elif mp.shape != s.shape:
+            raise MembeamError("mu' column must match the s column")
         return cls(form="tabulated", s_table=s, mu_table=mu, muprime_table=mp)
 
     @property

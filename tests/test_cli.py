@@ -1250,6 +1250,9 @@ FAILURE_MESSAGES = [
      "error: H3 fails: mu0 is not positive and finite\n"),
     ("H4", _run_file_failure(_TABLE_KERNEL, ["simulate"], "0 1\n1 0.25\n2 0.125\n3 0.0625\n"),
      "error: H4 fails: cannot certify delta1 > 0 with mu' + delta1*mu <= 0\n"),
+    ("nan_table", _run_file_failure(_TABLE_KERNEL, ["simulate"],
+                                    "0 1 -1\n0.5 nan -0.5\n1 0.5 -0.5\n"),
+     "error: kernel table holds a non-finite value\n"),
     ("short_table", _run_file_failure(_TABLE_KERNEL, ["simulate"], _SHORT_TABLE),
      "error: mu > 9.524e-05 at s = 1, the last node before the table end or 1e9\n"),
     ("coarse_grid", _run_file_failure([("Nx = 6", "Nx = 3")], ["simulate"]),

@@ -143,6 +143,17 @@ class TestValidateKernel:
 
 
 class TestTableKernel:
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused(self, column, bad):
+        # a nan passes the s column's diff <= 0 test and every H check but
+        # H4's; the table is refused when it is built
+        s = np.linspace(0.0, 2.0, 5)
+        columns = [s, np.exp(-s), -np.exp(-s)]
+        columns[column][2] = bad
+        with pytest.raises(MembeamError, match=exactly("kernel table holds a non-finite value")):
+            mb.MemoryKernel.tabulated(*columns)
+
     def test_interpolation_copies_no_column(self):
         # np.interp copies a read-only column on every call: 6.1 MiB for
         # this table; the kernel interpolates on writeable columns of its own
