@@ -117,6 +117,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not (self.dt > 0):
             raise MembeamError("dt must be > 0")
+        if not math.isfinite(self.dt):
+            raise MembeamError(f"dt = {self.dt} is not finite")
         if self.scheme not in SCHEMES:
             raise MembeamError(f"scheme must be one of {SCHEMES}")
 
@@ -957,7 +959,7 @@ def run_length(T: float, dt: float, sample_every: int) -> tuple[int, int]:
         raise MembeamError("sample_every must be >= 1")
     check_steps(T / dt)
     n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+    if not abs(n_steps * dt - T) <= 1e-9 * max(T, 1.0):   # a nan fails
         raise MembeamError(f"T = {T:g} is not a whole number of steps dt = {dt:g} "
                            f"(T / dt = {T / dt:.6g})")
     n_records = n_steps // sample_every + 1 + (1 if n_steps % sample_every else 0)

@@ -39,6 +39,20 @@ class TestSchemeConfig:
         with pytest.raises(MembeamError, match=exactly("dt must be > 0")):
             mb.SchemeConfig(dt=0.0)
 
+    @pytest.mark.parametrize("dt", [math.inf, math.nan])
+    def test_dt_finite(self, dt):
+        # dt = inf would pass "> 0", and a run of T = 1 would record t = 0
+        # and take no step; nan fails "> 0" first
+        message = "dt must be > 0" if math.isnan(dt) else "dt = inf is not finite"
+        with pytest.raises(MembeamError, match=exactly(message)):
+            mb.SchemeConfig(dt=dt)
+
+    def test_whole_steps_refuses_a_nan_step_count(self):
+        # 0 steps of dt = inf give 0 * inf = nan against T = 1
+        with pytest.raises(MembeamError, match=exactly(
+                "T = 1 is not a whole number of steps dt = inf (T / dt = 0)")):
+            stepper.run_length(1.0, math.inf, 1)
+
     def test_scheme_names(self):
         with pytest.raises(MembeamError, match=exactly(
                 "scheme must be one of ('full_implicit_midpoint', 'split_semilagrangian')")):
