@@ -390,9 +390,10 @@ class TestModalSystem:
         # (a_j/r_j) ||D+ zeta_j||^2.  Fed the modal history sums,
         # analysis._functionals gives E = x^T H~ x / 2 + h sum P_j / 2,
         # D = x^T H~ A~ x + h sum (a_j ||D+ zeta_j||^2 - r_j P_j) / 2,
-        # F1 = x^T F x with F = h [[diag g, I/2], [I/2, 0]] on (u, v) and
-        # theta_t = (A~ x)_theta, and dm/dt = mass theta - upwind_moment
-        # is m's row of A~ x: to rounding of the terms summed
+        # F1 = x^T F x with F = h [[diag g, I/2], [I/2, 0]] on (u, v),
+        # dF1/dt = 2 x^T F (A~ x), theta_t = (A~ x)_theta, and dm/dt =
+        # mass theta - upwind_moment is m's row of A~ x: to rounding of the
+        # terms summed
         if name == "small":
             asm = build_setup(parse_config(default_config_path("small"))).assembly
         else:
@@ -426,14 +427,16 @@ class TestModalSystem:
         ax = A @ x
         m_dot = np.einsum("j,jin->in", a / r, ax[3 * nx:].reshape(a.size, nx, n))
         scale = dots(abs(x), abs(H) @ (abs(A) @ abs(x)))
-        for got, want in (
-                (f.E, 0.5 * dots(x, H @ x) + 0.5 * h * P.sum(axis=0)),
-                (f.D, dots(x, H @ ax) + 0.5 * h * (a @ grad - r @ P)),
-                (f.F1, dots(x, F @ x)),
-                (f.F2, -h * dots(th, moment)),
-                (f.Ifun, -h * dots(ax[2 * nx:3 * nx], moment)),
-                (sums.mass * f.tt - f.th_upwind, dots(th, m_dot))):
-            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        scale_F = 2.0 * dots(abs(x), abs(F) @ (abs(A) @ abs(x)))
+        for got, want, bound in (
+                (f.E, 0.5 * dots(x, H @ x) + 0.5 * h * P.sum(axis=0), scale),
+                (f.D, dots(x, H @ ax) + 0.5 * h * (a @ grad - r @ P), scale),
+                (f.F1, dots(x, F @ x), scale),
+                (f.F2, -h * dots(th, moment), scale),
+                (f.Ifun, -h * dots(ax[2 * nx:3 * nx], moment), scale),
+                (sums.mass * f.tt - f.th_upwind, dots(th, m_dot), scale),
+                (f.dF1, 2.0 * dots(x, F @ ax), scale_F)):
+            assert np.all(np.abs(got - want) <= 1e-14 * bound)
 
     @staticmethod
     def _uvt_errors(nx, kernel, beta):
