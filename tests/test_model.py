@@ -146,8 +146,9 @@ class TestTableKernel:
     @pytest.mark.parametrize("column", [0, 1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_refused(self, column, bad):
-        # a nan passes the s column's diff <= 0 test and every H check but
-        # H4's; the table is refused when it is built
+        # a nan passes the s column's diff <= 0 test, and validate_kernel
+        # then read a nan mu as H1 failing with H4 passing; the table is
+        # refused when it is built
         s = np.linspace(0.0, 2.0, 5)
         columns = [s, np.exp(-s), -np.exp(-s)]
         columns[column][2] = bad

@@ -39,13 +39,11 @@ class TestSchemeConfig:
         with pytest.raises(MembeamError, match=exactly("dt must be > 0")):
             mb.SchemeConfig(dt=0.0)
 
-    @pytest.mark.parametrize("dt", [math.inf, math.nan])
-    def test_dt_finite(self, dt):
-        # dt = inf would pass "> 0", and a run of T = 1 would record t = 0
-        # and take no step; nan fails "> 0" first
-        message = "dt must be > 0" if math.isnan(dt) else "dt = inf is not finite"
-        with pytest.raises(MembeamError, match=exactly(message)):
-            mb.SchemeConfig(dt=dt)
+    def test_dt_finite(self):
+        # dt = inf passes "> 0", and a run of T = 1 would record t = 0 and
+        # take no step
+        with pytest.raises(MembeamError, match=exactly("dt = inf is not finite")):
+            mb.SchemeConfig(dt=math.inf)
 
     def test_whole_steps_refuses_a_nan_step_count(self):
         # 0 steps of dt = inf give 0 * inf = nan against T = 1
