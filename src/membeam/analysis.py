@@ -11,8 +11,8 @@ one-sample stack.
 
 The spectrum and the spectral abscissa are dense and stop at
 DENSE_MAX_DIM (discretization.check_dense).  resolvent_check works at
-any size without assembling A_h: it solves through stepper.SchurSolver
-and reads ||I - A_h||_1 off the blocks.
+any size without assembling A_h: discretization.SchurSolver, the owner
+of I - tau A_h, solves with it and gives ||I - A_h||_1.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import eigvals as dense_eigvals
 
-from .discretization import CoupledSystem, GeneratorAssembly, check_dense
+from .discretization import CoupledSystem, GeneratorAssembly, SchurSolver, check_dense
 from .errors import LinearSolveFailure, MembeamError
 from .model import (
     CoefficientField,
@@ -462,23 +461,6 @@ def spectral_abscissa(assembly: GeneratorAssembly | CoupledSystem) -> float:
     return float(eigenvalues(assembly)[0].real)
 
 
-def _resolvent_norm1(assembly: GeneratorAssembly) -> float:
-    """||I - A_h||_1, the largest column sum of |I - A_h|, from the blocks.
-
-    A (u, v, theta) column sums the column of |I - B|, plus Ns on a theta
-    column (the source -1 in every eta_k row).  The eta_k column at node i
-    sums |wmu_k| ||lap[:, i]||_1 from the flux, 1 + 1/ds on the diagonal
-    and 1/ds below it when k < Ns.
-    """
-    nx, mg = assembly.Nx, assembly.memory_grid
-    mech = np.asarray(abs(sp.identity(3 * nx) - assembly.mechanical_block).sum(axis=0)).ravel()
-    mech[2 * nx:] += assembly.Ns
-    lap_norm = float(np.max(abs(assembly.ops.lap).sum(axis=0)))
-    hist = np.abs(mg.wmu) * lap_norm + (1.0 + 1.0 / mg.ds)
-    hist[:-1] += 1.0 / mg.ds
-    return float(max(mech.max(), hist.max()))
-
-
 def norm1_inverse_estimate(solve, solve_transposed, n: int) -> float:
     """The Hager-Higham estimate of ||A^-1||_1 from solves with A and A^T
     on vectors of length n: the algorithm of LAPACK's dlacn2 (Higham, ACM
@@ -515,30 +497,17 @@ def norm1_inverse_estimate(solve, solve_transposed, n: int) -> float:
 def resolvent_check(assembly: GeneratorAssembly) -> float:
     """1-norm condition estimate of (I - A_h); finite iff nonsingular.
 
-    The inverse is applied through stepper.SchurSolver with tau = 1, which
-    factorizes only the 3Nx Schur complement, ||(I - A_h)^-1||_1 is
-    estimated by norm1_inverse_estimate, and ||I - A_h||_1 is read off the
-    blocks, so A_h is never assembled.
+    discretization.SchurSolver with tau = 1 gives ||I - A_h||_1 from the
+    blocks and applies the inverse, factorizing only the 3Nx Schur
+    complement, for norm1_inverse_estimate: A_h is never assembled.
     """
-    from .stepper import SchurSolver   # stepper imports this module
-
     solver = SchurSolver(assembly, 1.0)
     solver.lu          # factorized here: a singular block keeps its own message
-    n3, ns, dim = 3 * assembly.Nx, assembly.Ns, assembly.dim
-
-    def blockwise(solve):
-        def apply(x):
-            x = np.ravel(x)
-            w, eta = solve(x[:n3], x[n3:].reshape(ns, -1).T)
-            return np.concatenate([w, eta.T.ravel()])
-        return apply
-
     try:
-        inv_norm = norm1_inverse_estimate(blockwise(solver.solve),
-                                          blockwise(solver.solve_transposed), dim)
+        inv_norm = norm1_inverse_estimate(solver.solve, solver.solve_transposed, assembly.dim)
     except LinearSolveFailure as exc:
         raise MembeamError(f"condition estimate failed: {exc}") from exc
-    cond = float(_resolvent_norm1(assembly) * inv_norm)
+    cond = float(solver.norm1() * inv_norm)
     if not np.isfinite(cond):
         raise MembeamError("condition estimate is not finite")
     return cond

@@ -7,11 +7,14 @@ first-derivative map is exactly skew-adjoint, and every Laplacian appearing
 in the generator has the stencil of -D+^T D+ for the forward-difference
 gradient D+ of the energy metric.  The history variable lives on a uniform
 s-grid with trapezoid weights and first-order upwind transport, whose
-numerical dissipation is sign-safe for any admissible kernel.
+numerical dissipation is sign-safe for any admissible kernel.  Beside A_h
+the module owns I - tau A_h: SchurSolver solves with it and gives its
+1-norm, through BandedLU, the banded LU of the Cayley block cayley_block.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,8 +22,10 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky_banded
+from scipy.linalg.blas import dgbmv, dnrm2
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
 
-from .errors import DimensionTooLarge, MembeamError
+from .errors import DimensionTooLarge, LinearSolveFailure, MembeamError
 from .model import CoefficientField, MemoryKernel, PhysicalParams
 
 # Largest system dimension for which dense computations (spectrum,
@@ -39,6 +44,9 @@ _HISTORY_COPIES = 8
 # table-kernel split run takes its shifted history sum for that many steps
 # at once (stepper._SplitRun); the memory guard counts it.
 SHIFT_BLOCK = 16
+
+# Largest relative residual accepted from any linear solve of a step.
+LINEAR_SOLVER_TOL = 1e-9
 
 # Largest entry magnitude whose square is still a finite float: past it the
 # energy, the residual norms and the dense spectrum of a run overflow.
@@ -318,7 +326,7 @@ class GeneratorAssembly:
     dissipation, exactly.
 
     B, (A_h, H) and the modal system are built at their first read and kept
-    (cached_property); a run builds its own Cayley block (stepper._CayleyRun).
+    (cached_property); SchurSolver and a run build their own Cayley block.
     """
 
     params: PhysicalParams
@@ -402,3 +410,196 @@ def assemble_generator(operators: DiscreteOperators, memory_grid: MemoryGrid,
     """Bundle operators, memory grid, and parameters into the assembled system."""
     check_history_fits(operators.grid.Nx, memory_grid.Ns)
     return GeneratorAssembly(params=params, memory_grid=memory_grid, ops=operators)
+
+
+# ---------------------------------------------------------------------------
+# I - tau A_h: the Cayley block, its banded LU and the history-eliminating solve
+
+
+def check_residual(num: float, den: float):
+    """Raise LinearSolveFailure unless the residual norm num <= tol times
+    the right-hand side's norm den; a non-finite norm never passes."""
+    if not (num <= LINEAR_SOLVER_TOL * den and math.isfinite(den)):
+        raise LinearSolveFailure(
+            f"residual {num:.3e} exceeds {LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
+
+
+class BandedLU:
+    """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
+    with solve(b, trans) in the block order of the matrix: the one place a
+    mechanical block M is factorized.  stepper binds it as splu, the name
+    of scipy's splu, which it replaced.
+
+    Taken node by node, (u_i, v_i, theta_i), the mechanical block is
+    banded: the biharmonic reaches two nodes, so kl = 7 rows below and
+    ku = 5 above the diagonal (read off the sparsity pattern).  A zero
+    pivot raises LinearSolveFailure.  order maps node order to block
+    order.  Both solves run dgbtrs in node order.
+    solve permutes b into node order and x back, and checks nothing (a
+    resolvent solve at tau = 1 is too ill-conditioned for a fixed residual
+    bound).  solve_checked, for a time step, stays in node order and
+    raises LinearSolveFailure unless the residual M x - b, formed with
+    dgbmv from a copy of the band taken before the factorization, is
+    within LINEAR_SOLVER_TOL of b (a NaN fails); both norms come from
+    BLAS dnrm2, which scales and does not overflow.  scipy's dgbmv wrapper
+    asks for at least kl + ku + 1 rows, so the product runs over
+    max(3Nx, kl + ku + 1) rows: those past 3Nx read the zero corner of the
+    band and the zero tail of the work vector b is copied into.
+    """
+
+    def __init__(self, matrix: sp.spmatrix):
+        self.n = n = matrix.shape[0]
+        self.order = np.arange(n).reshape(3, -1).T.ravel()
+        nodes = matrix.tocsr()[self.order][:, self.order].tocoo()
+        offsets = nodes.col - nodes.row
+        self.kl = kl = int(max(0, -offsets.min(initial=0)))
+        self.ku = ku = int(max(0, offsets.max(initial=0)))
+        # dgbtrf's layout: M[i, j] at row kl + ku + i - j, with kl rows of
+        # fill above; dgbmv reads the last kl + ku + 1 rows
+        band = np.zeros((2 * kl + ku + 1, n), order="F")
+        band[kl + ku + nodes.row - nodes.col, nodes.col] = nodes.data
+        self._band = band[kl:].copy(order="F")
+        self._lu, self._piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise LinearSolveFailure("mechanical block of the implicit step: "
+                                     f"Factor is exactly singular: U({info}, {info}) = 0")
+        self._rows = max(n, kl + ku + 1)
+        self._work = np.zeros(self._rows)
+
+    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """dgbtrs on b in node order, copied into the work vector; x has
+        the work vector's length, with its zero tail."""
+        self._work[:self.n] = b
+        x, info = dgbtrs(self._lu, self.kl, self.ku, self._work, self._piv,
+                         trans=int(trans == "T"))
+        if info != 0:
+            raise LinearSolveFailure(f"banded mechanical solve: LAPACK dgbtrs info = {info}")
+        return x
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        out = np.empty(self.n)
+        out[self.order] = self._solve(b[self.order], trans)[:self.n]
+        return out
+
+    def solve_checked(self, b: np.ndarray) -> np.ndarray:
+        x, rhs = self._solve(b), self._work
+        res = dgbmv(self._rows, self.n, self.kl, self.ku, 1.0, self._band, x, beta=-1.0, y=rhs)
+        # a norm whose square overflows reads inf: a right-hand side that
+        # large fails, as its state's energy is not a float
+        num, den = (math.inf if n * n == math.inf else n for n in (dnrm2(res), dnrm2(rhs)))
+        check_residual(num, den)
+        return x[:self.n]
+
+
+def cayley_block(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float) -> sp.csc_matrix:
+    """M = I - tau B - tau^2 gain [theta theta] lap: the 3Nx block left of an
+    implicit step once the history is eliminated, for the history's gain
+    (the one expression for it: stepper's runs and SchurSolver factorize it)."""
+    nx = lap.shape[0]
+    return (sp.identity(3 * nx, format="csc") - tau * B
+            - sp.block_diag([sp.csc_matrix((2 * nx, 2 * nx)), (tau * tau * gain) * lap],
+                            format="csc"))
+
+
+class SchurSolver:
+    """The one owner of I - tau A_h, which it reads off the assembly's
+    blocks and never assembles: norm1 gives ||I - tau A_h||_1, and solve
+    and solve_transposed solve (I - tau A_h) x = r and its transpose by
+    eliminating the history block exactly; only a 3Nx matrix is factorized.
+
+    Vectors are flat, in A_h's block order, split as (w, eta): w = (u, v,
+    theta) of length 3Nx and the history eta of shape (Nx, Ns).  With
+    q = tau/ds and S the one-node shift in s (eta_0 = 0), the history rows
+    of I - tau A_h read
+
+        L eta_i = r_eta,i + tau theta_i 1,   L = (1 + q) I - q S,
+
+    at every x node i: a first-order recurrence.  L / (1 + q) is unit lower
+    bidiagonal, so one LAPACK banded triangular solve (dtbtrs) of the
+    C-ordered (Nx, Ns) right-hand side z / (1 + q), read as Nx columns of
+    length Ns, gives L^{-1} z in place: y_k = z_k / (1 + q) + q / (1 + q)
+    y_{k-1}.  With g = L^{-T} wmu the theta row sees the history only
+    through wmu . L^{-1} r_eta = g . r_eta and tau kappa theta with
+    kappa = g . 1, which leaves the Schur complement
+
+        I - tau B - tau^2 kappa [theta theta] lap,
+
+    nonsingular exactly when I - tau A_h is.  Once w is known, the history
+    is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
+    the same LU and L^T, a recurrence run from s_Ns down.  Both solves
+    take vectors of any layout, leave them untouched and return new ones.
+    The Schur complement (cayley_block) is factorized at the first solve
+    (lu).  analysis.resolvent_check solves through this class; stepper's
+    midpoint run takes only its sizes, q, wmu, kappa (the gain of its own
+    Cayley block) and apply_eta, and solves nothing through it.
+    """
+
+    def __init__(self, assembly: GeneratorAssembly, tau: float):
+        mg = assembly.memory_grid
+        self.nx, self.ns = assembly.Nx, assembly.Ns
+        self.tau = tau
+        self.q = tau / mg.ds
+        self.c = 1.0 / (1.0 + self.q)
+        self.wmu = mg.wmu
+        self.lap = assembly.ops.lap
+        # L / (1 + q) in LAPACK's lower band storage: the unit diagonal
+        # (not read with diag="U") over the subdiagonal
+        self._band = np.asfortranarray([np.ones(self.ns),
+                                        np.full(self.ns, -self.q / (1.0 + self.q))])
+        self.g = self._recurrence(self.c * self.wmu[None, :], transposed=True)[0]
+        self.kappa = float(np.sum(self.g))
+        self._mechanical = assembly.mechanical_block
+
+    @cached_property
+    def lu(self) -> BandedLU:
+        return BandedLU(cayley_block(self._mechanical, self.lap, self.tau, self.kappa))
+
+    def norm1(self) -> float:
+        """||I - tau A_h||_1, the largest column sum of |I - tau A_h|.
+
+        A (u, v, theta) column sums the column of |I - tau B|, plus tau Ns
+        on a theta column (the source -tau in every eta_k row).  The eta_k
+        column at node i sums tau |wmu_k| ||lap[:, i]||_1 from the flux,
+        1 + q on the diagonal and q below it when k < Ns.
+        """
+        nx, tau = self.nx, self.tau
+        mech = np.asarray(abs(sp.identity(3 * nx) - tau * self._mechanical).sum(axis=0)).ravel()
+        mech[2 * nx:] += tau * self.ns
+        hist = tau * np.abs(self.wmu) * float(np.max(abs(self.lap).sum(axis=0))) + (1.0 + self.q)
+        hist[:-1] += self.q
+        return float(max(mech.max(), hist.max()))
+
+    def _recurrence(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """L^{-1} (1 + q) z along s, or L^{-T} (1 + q) z, written over the
+        (Nx, Ns) array z when it is C-ordered (LAPACK copies any other
+        layout, so callers use the returned array)."""
+        y, info = dtbtrs(self._band, z.T, uplo="L", trans="T" if transposed else "N",
+                         diag="U", overwrite_b=1)
+        if info != 0:
+            raise LinearSolveFailure(f"banded history solve: LAPACK dtbtrs info = {info}")
+        return y.T
+
+    def apply_eta(self, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """The history rows L eta - tau theta 1 of (I - tau A_h)(w, eta)."""
+        out = (1.0 + self.q) * eta - self.tau * theta[:, None]
+        out[:, 1:] -= self.q * eta[:, :-1]
+        return out
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        r_w, r_eta = r[:3 * self.nx], r[3 * self.nx:].reshape(self.ns, -1).T
+        th = slice(2 * self.nx, None)
+        rhs = r_w.copy()
+        rhs[th] += self.tau * (self.lap @ (r_eta @ self.g))
+        w = self.lu.solve(rhs)
+        eta = self._recurrence(self.c * (r_eta + self.tau * w[th, None]))
+        return np.concatenate([w, eta.T.ravel()])
+
+    def solve_transposed(self, r: np.ndarray) -> np.ndarray:
+        r_w, r_eta = r[:3 * self.nx], r[3 * self.nx:].reshape(self.ns, -1).T
+        th = slice(2 * self.nx, None)
+        eta = self._recurrence(self.c * r_eta, transposed=True)
+        rhs = r_w.copy()
+        rhs[th] += self.tau * eta.sum(axis=1)
+        w = self.lu.solve(rhs, trans="T")
+        eta += self.tau * np.outer(self.lap.T @ w[th], self.g)
+        return np.concatenate([w, eta.T.ravel()])

@@ -6,12 +6,12 @@ full_implicit_midpoint
     Cayley step (I - dt/2 A_h) Phi^{n+1} = (I + dt/2 A_h) Phi^n on the
     monolithic generator.  An exact H-contraction for the dissipative
     assembly at any dt.  The upwind history block of I - dt/2 A_h is a
-    first-order recurrence in s, which SchurSolver eliminates exactly, so
-    only a 3Nx matrix is factorized.  The history update of a step is one
-    fixed causal convolution along s, so the run advances the history a
-    block of up to 32 steps at a time on the rfft of a zero-padded s-grid:
-    a step reads the one history sum it needs from O(Nx k) numbers, and
-    the spectrum is formed once a block.
+    first-order recurrence in s, which discretization.SchurSolver
+    eliminates exactly, so only a 3Nx matrix is factorized.  The history
+    update of a step is one fixed causal convolution along s, so the run
+    advances the history a block of up to 32 steps at a time on the rfft
+    of a zero-padded s-grid: a step reads the one history sum it needs
+    from O(Nx k) numbers, and the spectrum is formed once a block.
 
 split_semilagrangian
     Requires ds == dt.  The history transport eta_t + eta_s = theta is
@@ -33,8 +33,8 @@ a history: _MidpointRun or _SplitRun, built from a State and a
 SchemeConfig by _start, which builds and checks the scheme's fixed
 coefficients and then holds the trajectory.  simulate starts one run a
 call and keeps none of it.  From the history's gain the _CayleyRun
-builds M (_cayley_block), R and the one banded LU of M (splu,
-_BandedLU), whose bandwidth is 7 below and 5 above at any Nx.
+builds M, R and the one banded LU of M (splu), whose bandwidth is 7
+below and 5 above at any Nx; discretization owns M and its LU.
 
 A split run takes its samples from a ring of history column norms and
 re-reads the whole ring (one O(Nx Ns) pass) only when it re-centres and
@@ -56,29 +56,26 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.blas import dgbmv, dnrm2
-from scipy.linalg.lapack import dgbtrf, dgbtrs, dtbtrs
+from scipy.linalg.blas import dnrm2
 
 from . import analysis
 from .analysis import HistorySums, grad_sq_norms
-from .discretization import SHIFT_BLOCK, GeneratorAssembly, check_dense, check_history_fits
+from .discretization import (LINEAR_SOLVER_TOL, SHIFT_BLOCK, BandedLU, GeneratorAssembly,
+                             SchurSolver, cayley_block, check_dense, check_history_fits,
+                             check_residual)
 from .errors import LinearSolveFailure, MembeamError, SimulationAborted
 from .model import State
-
-# Largest relative residual accepted from any linear solve of a step.
-_LINEAR_SOLVER_TOL = 1e-9
 
 # Largest relative drift accepted between a run's running history sums and
 # the history they sum (SimulationResult.running_sum_drift).  The drift is an
 # error in the right-hand side of every step, so it gets the bound of a
 # step's residual; rounding that grows by one unit (1.1e-16) per step stays
 # below it for the MAX_STEPS steps of the longest run.
-DRIFT_TOL = _LINEAR_SOLVER_TOL
+DRIFT_TOL = LINEAR_SOLVER_TOL
 
 # Most steps one simulate call takes; a longer run is refused before the
 # first step (100 times the 10,000 steps of the shipped default run).
@@ -102,6 +99,9 @@ _SAMPLE_CHUNK = 64
 # the sums keep about 15 digits.  The check is made when the sums are read.
 _RECENTER_RATIO = 10
 
+# every run factorizes through this name, which bench/tracing.py wraps
+splu = BandedLU
+
 log = logging.getLogger(__name__)
 
 SCHEMES = ("full_implicit_midpoint", "split_semilagrangian")
@@ -123,14 +123,6 @@ class SchemeConfig:
             raise MembeamError(f"scheme must be one of {SCHEMES}")
 
 
-def _check_residual(num: float, den: float):
-    """Raise LinearSolveFailure unless the residual norm num <= tol times
-    the right-hand side's norm den; a non-finite norm never passes."""
-    if not (num <= _LINEAR_SOLVER_TOL * den and math.isfinite(den)):
-        raise LinearSolveFailure(
-            f"residual {num:.3e} exceeds {_LINEAR_SOLVER_TOL:.1e} x right-hand side {den:.3e}")
-
-
 def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
     """The larger of worst and the drift of running sums from fresh ones:
     the largest difference over the largest fresh sum (the difference
@@ -139,169 +131,6 @@ def _worst_drift(worst: float, running: np.ndarray, fresh: np.ndarray) -> float:
     scale = float(np.max(np.abs(fresh)))
     diff = float(np.max(np.abs(running - fresh)))
     return float(np.maximum(worst, diff / scale if scale > 0 else diff))
-
-
-class _BandedLU:
-    """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
-    with solve(b, trans) in the block order of the matrix: the one place a
-    mechanical block M is factorized.  The module binds it as splu, the
-    name of scipy's splu, which it replaced.
-
-    Taken node by node, (u_i, v_i, theta_i), the mechanical block is
-    banded: the biharmonic reaches two nodes, so kl = 7 rows below and
-    ku = 5 above the diagonal (read off the sparsity pattern).  A zero
-    pivot raises LinearSolveFailure.  order maps node order to block
-    order.  Both solves run dgbtrs in node order.
-    solve permutes b into node order and x back, and checks nothing (a
-    resolvent solve at tau = 1 is too ill-conditioned for a fixed residual
-    bound).  solve_checked, for a time step, stays in node order and
-    raises LinearSolveFailure unless the residual M x - b, formed with
-    dgbmv from a copy of the band taken before the factorization, is
-    within _LINEAR_SOLVER_TOL of b (a NaN fails); both norms come from
-    BLAS dnrm2, which scales and does not overflow.  scipy's dgbmv wrapper
-    asks for at least kl + ku + 1 rows, so the product runs over
-    max(3Nx, kl + ku + 1) rows: those past 3Nx read the zero corner of the
-    band and the zero tail of the work vector b is copied into.
-    """
-
-    def __init__(self, matrix: sp.spmatrix):
-        self.n = n = matrix.shape[0]
-        self.order = np.arange(n).reshape(3, -1).T.ravel()
-        nodes = matrix.tocsr()[self.order][:, self.order].tocoo()
-        offsets = nodes.col - nodes.row
-        self.kl = kl = int(max(0, -offsets.min(initial=0)))
-        self.ku = ku = int(max(0, offsets.max(initial=0)))
-        # dgbtrf's layout: M[i, j] at row kl + ku + i - j, with kl rows of
-        # fill above; dgbmv reads the last kl + ku + 1 rows
-        band = np.zeros((2 * kl + ku + 1, n), order="F")
-        band[kl + ku + nodes.row - nodes.col, nodes.col] = nodes.data
-        self._band = band[kl:].copy(order="F")
-        self._lu, self._piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise LinearSolveFailure("mechanical block of the implicit step: "
-                                     f"Factor is exactly singular: U({info}, {info}) = 0")
-        self._rows = max(n, kl + ku + 1)
-        self._work = np.zeros(self._rows)
-
-    def _solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """dgbtrs on b in node order, copied into the work vector; x has
-        the work vector's length, with its zero tail."""
-        self._work[:self.n] = b
-        x, info = dgbtrs(self._lu, self.kl, self.ku, self._work, self._piv,
-                         trans=int(trans == "T"))
-        if info != 0:
-            raise LinearSolveFailure(f"banded mechanical solve: LAPACK dgbtrs info = {info}")
-        return x
-
-    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        out = np.empty(self.n)
-        out[self.order] = self._solve(b[self.order], trans)[:self.n]
-        return out
-
-    def solve_checked(self, b: np.ndarray) -> np.ndarray:
-        x, rhs = self._solve(b), self._work
-        res = dgbmv(self._rows, self.n, self.kl, self.ku, 1.0, self._band, x, beta=-1.0, y=rhs)
-        # a norm whose square overflows reads inf: a right-hand side that
-        # large fails, as its state's energy is not a float
-        num, den = (math.inf if n * n == math.inf else n for n in (dnrm2(res), dnrm2(rhs)))
-        _check_residual(num, den)
-        return x[:self.n]
-
-
-splu = _BandedLU
-
-
-def _cayley_block(B: sp.spmatrix, lap: sp.spmatrix, tau: float, gain: float) -> sp.csc_matrix:
-    """M = I - tau B - tau^2 gain [theta theta] lap: the 3Nx block left of an
-    implicit step once the history is eliminated, for the history's gain
-    (the one expression for it: _CayleyRun and SchurSolver factorize it)."""
-    nx = lap.shape[0]
-    return (sp.identity(3 * nx, format="csc") - tau * B
-            - sp.block_diag([sp.csc_matrix((2 * nx, 2 * nx)), (tau * tau * gain) * lap],
-                            format="csc"))
-
-
-class SchurSolver:
-    """Solves (I - tau A_h) x = r and its transpose by eliminating the
-    history block exactly; only a 3Nx matrix is factorized.
-
-    A vector is split as (w, eta): w = (u, v, theta) of length 3Nx and the
-    history eta of shape (Nx, Ns).  With q = tau/ds and S the one-node
-    shift in s (eta_0 = 0), the history rows of I - tau A_h read
-
-        L eta_i = r_eta,i + tau theta_i 1,   L = (1 + q) I - q S,
-
-    at every x node i: a first-order recurrence.  L / (1 + q) is unit lower
-    bidiagonal, so one LAPACK banded triangular solve (dtbtrs) of the
-    C-ordered (Nx, Ns) right-hand side z / (1 + q), read as Nx columns of
-    length Ns, gives L^{-1} z in place: y_k = z_k / (1 + q) + q / (1 + q)
-    y_{k-1}.  With g = L^{-T} wmu the theta row sees the history only
-    through wmu . L^{-1} r_eta = g . r_eta and tau kappa theta with
-    kappa = g . 1, which leaves the Schur complement
-
-        I - tau B - tau^2 kappa [theta theta] lap,
-
-    nonsingular exactly when I - tau A_h is.  Once w is known, the history
-    is eta = L^{-1} (r_eta + tau theta 1^T).  The transposed solve uses
-    the same LU and L^T, a recurrence run from s_Ns down.  solve and
-    solve_transposed take inputs of any layout, leave them untouched and
-    return new arrays.  The Schur complement (_cayley_block) is factorized
-    at the first solve (lu).  resolvent_check solves through this class;
-    the midpoint run takes only its sizes, q, wmu, kappa (the gain of its
-    own Cayley block) and apply_eta, and solves nothing through it.
-    """
-
-    def __init__(self, assembly: GeneratorAssembly, tau: float):
-        mg = assembly.memory_grid
-        self.nx, self.ns = assembly.Nx, assembly.Ns
-        self.tau = tau
-        self.q = tau / mg.ds
-        self.c = 1.0 / (1.0 + self.q)
-        self.wmu = mg.wmu
-        self.lap = assembly.ops.lap
-        # L / (1 + q) in LAPACK's lower band storage: the unit diagonal
-        # (not read with diag="U") over the subdiagonal
-        self._band = np.asfortranarray([np.ones(self.ns),
-                                        np.full(self.ns, -self.q / (1.0 + self.q))])
-        self.g = self._recurrence(self.c * self.wmu[None, :], transposed=True)[0]
-        self.kappa = float(np.sum(self.g))
-        self._mechanical = assembly.mechanical_block
-
-    @cached_property
-    def lu(self) -> _BandedLU:
-        return splu(_cayley_block(self._mechanical, self.lap, self.tau, self.kappa))
-
-    def _recurrence(self, z: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """L^{-1} (1 + q) z along s, or L^{-T} (1 + q) z, written over the
-        (Nx, Ns) array z when it is C-ordered (LAPACK copies any other
-        layout, so callers use the returned array)."""
-        y, info = dtbtrs(self._band, z.T, uplo="L", trans="T" if transposed else "N",
-                         diag="U", overwrite_b=1)
-        if info != 0:
-            raise LinearSolveFailure(f"banded history solve: LAPACK dtbtrs info = {info}")
-        return y.T
-
-    def apply_eta(self, theta: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """The history rows L eta - tau theta 1 of (I - tau A_h)(w, eta)."""
-        out = (1.0 + self.q) * eta - self.tau * theta[:, None]
-        out[:, 1:] -= self.q * eta[:, :-1]
-        return out
-
-    def solve(self, r_w: np.ndarray, r_eta: np.ndarray):
-        th = slice(2 * self.nx, None)
-        rhs = r_w.copy()
-        rhs[th] += self.tau * (self.lap @ (r_eta @ self.g))
-        w = self.lu.solve(rhs)
-        return w, self._recurrence(self.c * (r_eta + self.tau * w[th, None]))
-
-    def solve_transposed(self, r_w: np.ndarray, r_eta: np.ndarray):
-        th = slice(2 * self.nx, None)
-        eta = self._recurrence(self.c * r_eta, transposed=True)
-        rhs = r_w.copy()
-        rhs[th] += self.tau * eta.sum(axis=1)
-        w = self.lu.solve(rhs, trans="T")
-        eta += self.tau * np.outer(self.lap.T @ w[th], self.g)
-        return w, eta
 
 
 # Relative size below which the history a midpoint run moves into the pad
@@ -349,13 +178,13 @@ def _fourier_grid(q: float, ns: int) -> tuple[int, int, int]:
     which also bounds what the periodic grid carries round from its end.
     The pad P - Ns is the least d that holds this below _PAD_TOL over the
     rho tried, and R nodes more: the nodes from which one step carries
-    more than _LINEAR_SOLVER_TOL round to s_1 (G decays as r^n,
+    more than LINEAR_SOLVER_TOL round to s_1 (G decays as r^n,
     r = q/(1 + q)), whose content is then held below _PAD_TOL.  K, below
     _HISTORY_BLOCK or a whole number of such blocks, minimizes the cost per
     step, P (1 + _REPROJECT_COST log2 P / K); P is then rounded up to an
     even 5-smooth length, and K raised to the most steps that length holds.
     """
-    reach = max(1, math.ceil(math.log(_LINEAR_SOLVER_TOL) / math.log(q / (1.0 + q))))
+    reach = max(1, math.ceil(math.log(LINEAR_SOLVER_TOL) / math.log(q / (1.0 + q))))
     rho = ((1.0 + q) / q) ** np.linspace(0.01, 0.99, 99)
     den = 1.0 + q - q * rho
     steps = np.concatenate([np.arange(1, _HISTORY_BLOCK),
@@ -387,7 +216,7 @@ class _CayleyRun:
 
     From the gain of its scheme's history (the midpoint run's kappa, the
     split run's sum of wmu) the run builds M = I - tau B - tau^2 gain
-    [theta theta] lap (_cayley_block), its one LU (splu) and R = [2I - M |
+    [theta theta] lap (cayley_block), its one LU (splu) and R = [2I - M |
     tau [theta] lap] in the LU's node order, which reads the (4, Nx) rows
     (u, v, theta, a) as one vector; a is the step's history sum, known
     before the solve.  _rhs(a) writes a and returns R (w, a); u, v, theta
@@ -405,7 +234,7 @@ class _CayleyRun:
         self.cfg, self.assembly, self.t = cfg, asm, state.t
         self.tau = tau = cfg.dt / 2.0
         nx, lap = asm.Nx, asm.ops.lap
-        M = _cayley_block(asm.mechanical_block, lap, tau, gain)
+        M = cayley_block(asm.mechanical_block, lap, tau, gain)
         self.lu = splu(M)
         flux = sp.vstack([sp.csr_matrix((2 * nx, nx)), tau * lap])
         self.R = sp.hstack([2.0 * sp.identity(3 * nx) - M, flux]).tocsr()[self.lu.order]
@@ -495,7 +324,7 @@ class _MidpointRun(_CayleyRun):
     K = period steps (a whole number of blocks), and once more after the
     last step, the run re-projects (finish): it forms the spectra after
     the last two steps, materializes them and checks, each against
-    _LINEAR_SOLVER_TOL, the history rows of the last step's residual in
+    LINEAR_SOLVER_TOL, the history rows of the last step's residual in
     s-space and that the pad's last reach nodes hold nothing of the
     history (else it would wrap round); it zeroes the pad, starts a new
     block and records in max_drift how far the next step's right-hand side
@@ -617,12 +446,12 @@ class _MidpointRun(_CayleyRun):
         rhs = dnrm2(res.ravel())
         new = np.fft.irfft(self._spectrum(self._i), n=self.size)
         tail, whole = dnrm2(new[:, -self.reach:].ravel()), dnrm2(new.ravel())
-        if not tail <= _LINEAR_SOLVER_TOL * whole:
+        if not tail <= LINEAR_SOLVER_TOL * whole:
             raise LinearSolveFailure(
                 f"history at the end of the padded s-grid: {tail:.3e} exceeds "
-                f"{_LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
+                f"{LINEAR_SOLVER_TOL:.1e} x history {whole:.3e}")
         res += s.apply_eta(self.w[2], new[:, :ns])
-        _check_residual(dnrm2(res.ravel()), rhs)
+        check_residual(dnrm2(res.ravel()), rhs)
         fresh = new[:, :ns] @ s.wmu
         new[:, ns:] = 0.0
         self._begin_block(np.fft.rfft(new, out=self._eta_0))
@@ -926,8 +755,8 @@ def _start(state: State, cfg: SchemeConfig):
 class SimulationResult:
     """The diagnostics table of a run (analysis.Trajectory) plus the final state.
 
-    For a split run final_state holds the run's ring itself, rotated to
-    s-order in place, not a copy of it.
+    final_state shares no array with the initial state; a split run's holds
+    the run's ring itself, rotated to s-order in place, not a copy of it.
 
     running_sum_drift is the largest relative difference between a run's
     running history sums and the history they sum, measured once after
@@ -1010,7 +839,7 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
         return analysis.Trajectory.concatenate(chunks)
 
     sampling = time.perf_counter() - start
-    final, drift, info = init, 0.0, ""
+    drift, info = 0.0, ""
     if n_steps > 0:
         run = _start(init, cfg)
         for k in range(1, n_steps + 1):
@@ -1028,9 +857,9 @@ def simulate(init: State, cfg: SchemeConfig, T: float, sample_every: int = 1,
             run.finish()
         except Exception as exc:
             raise SimulationAborted(n_steps, exc, complete()) from exc
-        drift = run.max_drift
-        final = run.final_state()
-        info = run.info()
+        drift, final, info = run.max_drift, run.final_state(), run.info()
+    else:   # a snapshot: the result shares no array with init
+        final = State.unflatten(init.flatten(), init.assembly, init.t)
     t0 = time.perf_counter()
     records = complete()
     sampling += time.perf_counter() - t0

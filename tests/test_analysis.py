@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 import membeam as mb
 import membeam.analysis as an
-from membeam import stepper
+from membeam import discretization, stepper
 from membeam.discretization import DENSE_MAX_DIM
 from membeam.errors import DimensionTooLarge, LinearSolveFailure, MembeamError
 
@@ -291,13 +291,13 @@ class TestSpectral:
         ref = spla.norm(M, 1) * an.norm1_inverse_estimate(
             lu.solve, lambda x: lu.solve(x, trans="T"), asm.dim)
         shapes = []
-        real = stepper.splu
+        real = discretization.BandedLU
 
         def counting(matrix):
             shapes.append(matrix.shape)
             return real(matrix)
 
-        monkeypatch.setattr(stepper, "splu", counting)
+        monkeypatch.setattr(discretization, "BandedLU", counting)
         cond = mb.resolvent_check(asm)
         exact = np.abs(M.toarray()).sum(axis=0).max() * np.abs(
             np.linalg.inv(M.toarray())).sum(axis=0).max()
@@ -329,15 +329,17 @@ class TestSpectral:
                             p=rng.uniform(0.5, 2.0, 7), g=rng.uniform(0.5, 2.0, 7))
         assert np.isfinite(mb.resolvent_check(asm))
         assert "_grid_system" not in vars(asm)
-        assembled = spla.norm(sp.identity(asm.dim, format="csc") - asm.generator_matrix, 1)
-        assert an._resolvent_norm1(asm) == assembled
+        for tau in (1.0, 0.25):
+            assembled = spla.norm(sp.identity(asm.dim, format="csc")
+                                  - tau * asm.generator_matrix, 1)
+            assert discretization.SchurSolver(asm, tau).norm1() == assembled
 
     def test_singular_schur_complement_is_singular_resolvent(self, small_assembly,
                                                              monkeypatch):
         def singular(matrix):
             raise LinearSolveFailure("Factor is exactly singular")
 
-        monkeypatch.setattr(stepper, "splu", singular)
+        monkeypatch.setattr(discretization, "BandedLU", singular)
         with pytest.raises(MembeamError, match=exactly("Factor is exactly singular")):
             mb.resolvent_check(small_assembly)
 

@@ -3,7 +3,8 @@
 The traced benchmark wraps functions by (module, attribute) and the probe
 of bench/child.py imports and reads named objects; a rename in src/ that
 misses one of them fails here rather than in a traced benchmark run.  The
-modules of membeam read no private name of one another, no function of
+modules of membeam import one another in one order and only at module
+level, they read no private name of one another, no function of
 theirs takes a parameter that it never reads, they keep no error class
 that no caller tells apart and no dataclass field that nothing reads,
 only cli._write opens a file for writing, and only
@@ -107,6 +108,61 @@ def test_no_module_reads_a_private_name_of_another():
     reads = [f"{path.name}:{line}: {name}" for path in sorted(SRC.glob("*.py"))
              for line, name in _private_reads(path.read_text())]
     assert reads == []
+
+
+# The order in which the modules of membeam import one another: each
+# imports only modules before it, so no import waits on a module that is
+# itself still importing.  __init__ and __main__, which gather the
+# package, are exempt.
+CHAIN = ("errors", "model", "discretization", "analysis", "stepper", "config", "cli")
+
+
+def _chain_breaks(name, source):
+    """(line, module) of every membeam module that source, the module
+    name's, imports inside a function body or that does not come before
+    name in CHAIN; the package itself counts as the module __init__."""
+    rank, breaks = CHAIN.index(name), []
+
+    def visit(node, nested):
+        nested = nested or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        targets = []
+        if isinstance(node, ast.Import):
+            targets = [(alias.name + ".__init__").split(".")[1] for alias in node.names
+                       if alias.name.split(".")[0] == "membeam"]
+        elif isinstance(node, ast.ImportFrom):
+            module = "membeam." * (node.level > 0) + (node.module or "")
+            parts = module.rstrip(".").split(".")
+            if parts[0] == "membeam":
+                targets = parts[1:2] or [alias.name for alias in node.names]
+        breaks.extend((node.lineno, target) for target in targets
+                      if nested or target not in CHAIN[:rank])
+        for child in ast.iter_child_nodes(node):
+            visit(child, nested)
+
+    visit(ast.parse(source), False)
+    return breaks
+
+
+def test_chain_breaks_are_found():
+    source = ("from . import model, errors\n"
+              "from .discretization import GeneratorAssembly\n"
+              "import membeam.stepper as st\n"
+              "from membeam import cli\n"
+              "from .analysis import energy\n"
+              "import numpy, membeam\n"
+              "from membeam.model import State\n"
+              "def f():\n"
+              "    from .model import State\n"
+              "    import os\n")
+    assert _chain_breaks("analysis", source) == [
+        (3, "stepper"), (4, "cli"), (5, "analysis"), (6, "__init__"), (9, "model")]
+
+
+def test_modules_import_in_one_chain():
+    assert {path.stem for path in SRC.glob("*.py")} - {"__init__", "__main__"} == set(CHAIN)
+    breaks = [f"{name}.py:{line}: {target}" for name in CHAIN
+              for line, target in _chain_breaks(name, (SRC / f"{name}.py").read_text())]
+    assert breaks == []
 
 
 # calls that write a file whatever their arguments, by attribute name

@@ -1233,7 +1233,7 @@ def _eigensolve_not_converged(monkeypatch):
 
 
 def _resolvent_lu_singular(monkeypatch):
-    monkeypatch.setattr(stepper, "dgbtrf", lambda band, kl, ku, overwrite_ab: (
+    monkeypatch.setattr(discretization, "dgbtrf", lambda band, kl, ku, overwrite_ab: (
         band, np.zeros(band.shape[1], np.int32), 3))
     analysis.resolvent_check(make_assembly())
 
