@@ -24,7 +24,8 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.linalg import eigvals as dense_eigvals
 
-from .discretization import CoupledSystem, GeneratorAssembly, SchurSolver, check_dense
+from .discretization import (LINEAR_SOLVER_TOL, CoupledSystem, GeneratorAssembly, SchurSolver,
+                             check_dense)
 from .errors import LinearSolveFailure, MembeamError
 from .model import (
     CoefficientField,
@@ -38,14 +39,17 @@ _ENERGY_FLOOR = 1e-300
 _MIN_FIT_SAMPLES = 10
 _MIN_PEAKS = 5
 
-# Tolerances of certify_trajectory: every check, and the relative energy
-# increase between samples.
+# Tolerances of the checks that judge a run (certify_run): every check of
+# certify_trajectory, the relative energy increase between samples, the
+# relative drift of the running history sums, and the least decay
+# gamma_fit (t2 - t1) across the fit window.  The drift errs in every
+# step's right-hand side, so it gets a step residual's bound, which rounding
+# of one unit (1.1e-16) a step meets over stepper.MAX_STEPS steps.  A
+# constant energy fits a rate of rounding size, which may come out positive.
 _CHECK_TOL = 1e-8
 _MONOTONE_TOL = 1e-10
-
-# Least decay gamma_fit (t2 - t1) across a fit window that certifies one: a
-# constant energy fits a rate of rounding size, which may come out positive.
-MIN_FIT_DECAY = _CHECK_TOL
+DRIFT_TOL = LINEAR_SOLVER_TOL
+_MIN_FIT_DECAY = _CHECK_TOL
 
 # Seeded random states of check_dissipativity.
 _DISSIPATIVITY_SAMPLES = 1000
@@ -583,16 +587,11 @@ class CheckResult:
 
 
 def certify_trajectory(traj: Trajectory) -> list[CheckResult]:
-    """Evaluate every trajectory invariant over the recorded samples.
-
-    Each line of the certification report maps to one invariant: energy
+    """The checks of the recorded samples, one report line each: energy
     nonnegativity, dissipation sign, monotone energy decay between
-    samples, the three lemma inequalities, and the Lyapunov sandwich.
-    Every check has the tolerance 1e-8 but the monotone decay, which
-    bounds the relative energy increase between samples by 1e-10.
-    Fewer than two samples certify nothing: a failing
-    trajectory_recorded check (worst = the sample count) is added.
-    """
+    samples, the three lemma inequalities and the Lyapunov sandwich.
+    Fewer than two samples certify nothing: a failing trajectory_recorded
+    check (worst = the sample count) replaces the monotone decay."""
     E, D = traj.E, traj.D
     results = [
         CheckResult("energy_nonnegative", float(-E.min()), _CHECK_TOL,
@@ -615,3 +614,20 @@ def certify_trajectory(traj: Trajectory) -> list[CheckResult]:
         worst = float(np.max(margin))
         results.append(CheckResult(name, worst, _CHECK_TOL, bool(worst <= _CHECK_TOL)))
     return results
+
+
+def certify_run(traj: Trajectory, drift: float, T: float) -> tuple[list, DecayFit | str]:
+    """The checks of a run of length T, in report order, and its decay fit
+    over [0.2 T, T] or the fit's failure message: certify_trajectory's, the
+    running-sum drift, then decay_fit_available (worst = fits made, tol =
+    fits needed) or, if the fit shows no decay, decay_rate_positive."""
+    checks = certify_trajectory(traj)
+    checks.append(CheckResult("running_sum_drift", drift, DRIFT_TOL, bool(drift <= DRIFT_TOL)))
+    try:
+        fit = fit_decay(traj, (0.2 * T, T))
+    except MembeamError as exc:
+        return checks + [CheckResult("decay_fit_available", 0.0, 1.0, False)], str(exc)
+    decay = fit.gamma_fit * (fit.window[1] - fit.window[0])   # worst = decay across the window
+    if not decay > _MIN_FIT_DECAY:
+        checks.append(CheckResult("decay_rate_positive", decay, _MIN_FIT_DECAY, False))
+    return checks, fit

@@ -184,23 +184,10 @@ def cmd_simulate(args) -> int:
         raise
     _write(csv_path, CSV_HEADER, _csv_rows(result.records))
 
-    checks = analysis.certify_trajectory(result.records)
-    drift = result.running_sum_drift
-    checks.append(analysis.CheckResult("running_sum_drift", drift, stepper.DRIFT_TOL,
-                                       bool(drift <= stepper.DRIFT_TOL)))
-    try:
-        fit = analysis.fit_decay(result.records, (0.2 * cfg.T, cfg.T))
-        fit_line = (f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} "
-                    f"r2={fit.r2:.6g} window=[{fit.window[0]:g},{fit.window[1]:g}] "
-                    "method=peak_envelope")
-        decay = fit.gamma_fit * (fit.window[1] - fit.window[0])
-        if not decay > analysis.MIN_FIT_DECAY:   # worst = decay across the window
-            checks.append(analysis.CheckResult("decay_rate_positive", decay,
-                                               analysis.MIN_FIT_DECAY, False))
-    except MembeamError as exc:
-        fit_line = f"decay fit: unavailable ({exc})"
-        # worst = fits made, tol = fits needed
-        checks.append(analysis.CheckResult("decay_fit_available", 0.0, 1.0, False))
+    checks, fit = analysis.certify_run(result.records, result.running_sum_drift, cfg.T)
+    fit_line = (f"decay fit: unavailable ({fit})" if isinstance(fit, str) else
+                f"decay fit: gamma={fit.gamma_fit:.6g} K={fit.K_fit:.6g} r2={fit.r2:.6g} "
+                f"window=[{fit.window[0]:g},{fit.window[1]:g}] method=peak_envelope")
     lines = [c.format_line() for c in checks] + [fit_line]
     if setup.kernel.form == "prony":   # a tabulated kernel has no modal system
         modal = setup.assembly.modal_system
@@ -294,7 +281,10 @@ def _sweep_row(swept, value) -> tuple:
     set to value, in column order."""
     setup = build_setup(swept)
     result = _run_simulation(setup)
-    fit = analysis.fit_decay(result.records, (0.2 * swept.T, swept.T))
+    checks, fit = analysis.certify_run(result.records, result.running_sum_drift, swept.T)
+    failed = [fit] if isinstance(fit, str) else [c.format_line() for c in checks if not c.passed]
+    if failed:   # the fit's message, else the first failed check's line
+        raise MembeamError(failed[0])
     try:
         absc = analysis.spectral_abscissa(setup.assembly)
     except DimensionTooLarge:

@@ -70,13 +70,6 @@ from .discretization import (LINEAR_SOLVER_TOL, SHIFT_BLOCK, BandedLU, Generator
 from .errors import LinearSolveFailure, MembeamError, SimulationAborted
 from .model import State
 
-# Largest relative drift accepted between a run's running history sums and
-# the history they sum (SimulationResult.running_sum_drift).  The drift is an
-# error in the right-hand side of every step, so it gets the bound of a
-# step's residual; rounding that grows by one unit (1.1e-16) per step stays
-# below it for the MAX_STEPS steps of the longest run.
-DRIFT_TOL = LINEAR_SOLVER_TOL
-
 # Most steps one simulate call takes; a longer run is refused before the
 # first step (100 times the 10,000 steps of the shipped default run).
 MAX_STEPS = 1_000_000

@@ -839,6 +839,46 @@ class TestSweepCommand:
         assert rows[2] == "0,nan,nan,nan,nan,nan"
         assert rows[1] == rows[3] and "nan" not in rows[1]
 
+    def test_value_failing_a_check_gets_a_nan_row(self, tmp_path, monkeypatch, capsys):
+        # small.cfg at amplitudes = 1e4 fits a decay at dt = 0.1, but its
+        # energy rises between samples, which fails simulate: so does the
+        # sweep value, with the failed check's line; dt = 0.025 passes and
+        # gets the row it gets alone
+        monkeypatch.chdir(tmp_path)
+        path = str(_small_cfg(tmp_path, "amplitudes = 1.0", "amplitudes = 1e4"))
+        assert main(["sweep", path, "--param", "dt", "--values", "0.025",
+                     "--csv", "alone.csv"]) == 0
+        capsys.readouterr()
+        assert main(["sweep", path, "--param", "dt", "--values", "0.1,0.025",
+                     "--csv", "sweep.csv"]) == 1
+        assert capsys.readouterr() == ("", "error: check energy_monotone_decay: "
+                                       "worst=5.519464e-02 tol=1.0e-10 FAIL\n")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert rows[1] == "0.10000000000000001,nan,nan,nan,nan,nan"
+        assert rows[2] == (tmp_path / "alone.csv").read_text().splitlines()[1]
+
+    @pytest.mark.parametrize("drift", [float("nan"), 2e-9])
+    def test_drifted_value_gets_a_nan_row(self, tmp_path, monkeypatch, capsys, drift):
+        # the running-sum drift that fails simulate fails the sweep value
+        monkeypatch.chdir(tmp_path)
+        run = cli._run_simulation
+
+        def drifted(setup):
+            result = run(setup)
+            if setup.params.beta == 1.0:
+                result.running_sum_drift = drift
+            return result
+
+        monkeypatch.setattr(cli, "_run_simulation", drifted)
+        path = write_cfg(tmp_path, TINY_CFG.replace("T = 2.0", "T = 4.0").replace(
+            "sample_every = 2", "sample_every = 1"))
+        assert main(["sweep", str(path), "--param", "beta", "--values", "0.5,1",
+                     "--csv", "sweep.csv"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: check running_sum_drift: worst={drift:.6e} tol=1.0e-09 FAIL\n")
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert rows[2] == "1,nan,nan,nan,nan,nan" and "nan" not in rows[1]
+
     def test_bad_value_refused_before_any_run(self, tmp_path, monkeypatch, capsys):
         def unreachable(cfg):
             raise AssertionError("a value ran before every value was checked")
