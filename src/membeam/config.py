@@ -26,7 +26,8 @@ and keys are rejected.  Value grammar:
 A <profile> is one of
     constant <c>
     poly <c0> <c1> ...        coefficients of powers of x, evaluated at nodes
-    table <path>              two columns (x, value), linearly interpolated
+    table <path>              two columns (x, value), x strictly increasing,
+                              linearly interpolated
     sine <amplitude> [mode]   amplitude * sin(mode pi x / L)
 
 Lists may be separated by spaces or commas.  Kernel tables are two or
@@ -212,7 +213,10 @@ def parse_profile(spec: str, L: float, base_dir: Path):
     if kind == "table":
         if len(parts) != 2:
             raise ConfigError(f"table profile takes a path: {spec!r}")
-        data = _load_table(base_dir / parts[1], 2)
+        path = base_dir / parts[1]
+        data = _load_table(path, 2)
+        if not np.all(np.diff(data[:, 0]) > 0):   # as np.interp needs; a nan x fails too
+            raise ConfigError(f"table {path} needs a strictly increasing x column")
         return (lambda x: np.interp(x, data[:, 0], data[:, 1])), None
     raise ConfigError(f"unknown profile kind {kind!r} (constant|poly|table|sine)")
 

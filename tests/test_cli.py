@@ -133,7 +133,9 @@ PARSE_ERRORS = [
 # Every error of the profile and list grammar (config.parse_profile,
 # _load_table, _floats) and of sweep's --values as (id, run file, command,
 # message); {dir} is the run file's directory, which holds ragged.txt (rows
-# of two and of one number) and one_column.txt.
+# of two and of one number), one_column.txt, and tables whose x column
+# falls (unordered.txt, which np.interp would read as p = 100 past x =
+# 0.75), repeats a value (repeated.txt) or holds a nan (nan_x.txt).
 VALUE_ERRORS = [(id_, edit_cfg(old, new), ["validate"], message) for id_, old, new, message in (
     ("unknown_profile", "u0 = poly 0 0 1 -2 1", "u0 = wave 1",
      "unknown profile kind 'wave' (constant|poly|table|sine)"),
@@ -155,6 +157,14 @@ VALUE_ERRORS = [(id_, edit_cfg(old, new), ["validate"], message) for id_, old, n
      "use `usecols` to select a subset and avoid this error"),
     ("one_column_table", "u0 = poly 0 0 1 -2 1", "u0 = table one_column.txt",
      "table {dir}/one_column.txt needs at least 2 columns"),
+    ("unordered_table", "p = constant 1.0", "p = table unordered.txt",
+     "table {dir}/unordered.txt needs a strictly increasing x column"),
+    ("unordered_theta0_table", "theta0 = sine 1.0 1", "theta0 = table unordered.txt",
+     "table {dir}/unordered.txt needs a strictly increasing x column"),
+    ("repeated_x_table", "u0 = poly 0 0 1 -2 1", "u0 = table repeated.txt",
+     "table {dir}/repeated.txt needs a strictly increasing x column"),
+    ("nan_x_table", "u0 = poly 0 0 1 -2 1", "u0 = table nan_x.txt",
+     "table {dir}/nan_x.txt needs a strictly increasing x column"),
     ("bad_constant", "p = constant 1.0", "p = constant abc", "bad numeric list 'abc'"),
     ("bad_list", "amplitudes = 1.0", "amplitudes = 1,,x", "bad numeric list '1,,x'"),
 )] + [("empty_sweep_values", TINY_CFG, ["sweep", "--param", "beta", "--values", ","],
@@ -200,6 +210,9 @@ class TestParseConfig:
     def test_every_value_error(self, tmp_path, capsys, text, command, message):
         (tmp_path / "ragged.txt").write_text("0 0\n0.5\n1 0\n")
         (tmp_path / "one_column.txt").write_text("0\n0.5\n1\n")
+        (tmp_path / "unordered.txt").write_text("0 1\n0.5 1\n1 1\n0.75 100\n")
+        (tmp_path / "repeated.txt").write_text("0 0\n0.5 0\n0.5 0\n1 0\n")
+        (tmp_path / "nan_x.txt").write_text("0 0\nnan 0\n1 0\n")
         path = write_cfg(tmp_path, text)
         assert main([command[0], str(path), *command[1:]]) == 2
         out, err = capsys.readouterr()
