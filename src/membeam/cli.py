@@ -7,16 +7,17 @@ Subcommands and the flags each takes:
     oracle-check <cfg> [--csv C] [--levels N]
                                            dt-halving error table against exp(t A_h)
     sweep <cfg> --param P --values V [--csv C] [--serial]
-                                           one simulate + fit per value, in turn;
-                                           a value that fails gets a nan row
+                                           one simulate per value, in turn, with its
+                                           checks; a value that fails one gets a nan row
 
 Exit codes: 0 pass, 1 validation/certification failure, aborted run, failed
 sweep value or internal error (a built-in, numpy or scipy exception; an
 exception class a caller defines passes through), 2 usage/parse error.
 MEMBEAM_LOG sets the log level (an unknown level exits 2).  CSV and report
-paths come from the config's [output] section; --csv/--report override.
-A path that names a directory, lies in no directory, or names the run file
-or the same file as another output is refused after setup, before the run.
+paths come from the config's [output] section; --csv/--report, when given,
+override.  A path that is empty, names a directory, lies in no directory, or
+names the run file or the same file as another output is refused after
+setup, before the run.
 """
 
 from __future__ import annotations
@@ -92,13 +93,15 @@ def _write(path, head: str, rows=(), first: str | None = None, last: str | None 
 
 
 def _check_writable(config, *paths):
-    """Refuse before a run, with _write's message, a path that names a
-    directory, lies in no directory, or names the same file as the run
-    file config or an earlier path (ConfigError).  Creates no file."""
+    """Refuse before a run, with _write's message, a path that is empty,
+    names a directory, lies in no directory, or names the same file as the
+    run file config or an earlier path (ConfigError).  Creates no file."""
     taken = {os.path.realpath(config): f"the run file {config}"}
     for path in paths:
         folder, key = os.path.dirname(path) or ".", os.path.realpath(path)
-        if os.path.isdir(path):
+        if not path:
+            reason = os.strerror(errno.ENOENT)
+        elif os.path.isdir(path):
             reason = os.strerror(errno.EISDIR)
         elif not os.path.isdir(folder):
             reason = os.strerror(errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
@@ -145,7 +148,7 @@ def cmd_validate(args) -> int:
                  "validation PASSED"]
         code = 0
     text = "\n".join(lines)
-    if args.report:
+    if args.report is not None:
         _check_writable(args.config, args.report)
         _write(args.report, text)
     print(text)
@@ -172,8 +175,8 @@ def _run_simulation(setup: ProblemSetup):
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
-    csv_path = args.csv or cfg.csv_path
-    report_path = args.report or cfg.report_path
+    csv_path = cfg.csv_path if args.csv is None else args.csv
+    report_path = cfg.report_path if args.report is None else args.report
     _check_writable(args.config, csv_path, report_path)
 
     try:
@@ -212,7 +215,7 @@ def cmd_simulate(args) -> int:
 def cmd_spectrum(args) -> int:
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
-    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv"
+    csv_path = os.path.splitext(cfg.csv_path)[0] + "_spectrum.csv" if args.csv is None else args.csv
     _check_writable(args.config, csv_path)
     w = analysis.eigenvalues(setup.assembly)
     absc = float(w[0].real)
@@ -227,7 +230,7 @@ def cmd_oracle_check(args) -> int:
         raise ConfigError(f"oracle-check needs --levels >= 2 to fit an order, got {args.levels}")
     cfg = parse_config(args.config)
     setup = build_setup(cfg)
-    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_oracle.csv"
+    csv_path = os.path.splitext(cfg.csv_path)[0] + "_oracle.csv" if args.csv is None else args.csv
     _check_writable(args.config, csv_path)
     # refused before the first level, the dense cap before anything of size dim
     # is built: what no level can measure, and a finest level past simulate's
@@ -301,7 +304,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep values must be numbers: {exc}") from exc
     if not values:
         raise ConfigError("sweep needs at least one value")
-    csv_path = args.csv or os.path.splitext(cfg.csv_path)[0] + "_sweep.csv"
+    csv_path = os.path.splitext(cfg.csv_path)[0] + "_sweep.csv" if args.csv is None else args.csv
     _check_writable(args.config, csv_path)
     runs = [with_parameter(cfg, args.param, v) for v in values]   # every value before any run
     rows, failed = [], False

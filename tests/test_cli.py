@@ -1086,6 +1086,32 @@ class TestExitCodes:
             f"the output {first}\n")
         assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sub"]
 
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate"], "csv_path"), (["simulate"], "report_path"),
+        (["validate", "--report", ""], None), (["simulate", "--csv", ""], None),
+        (["simulate", "--report", ""], None), (["spectrum", "--csv", ""], None),
+        (["oracle-check", "--csv", ""], None),
+        (["sweep", "--param", "beta", "--values", "1", "--csv", ""], None)],
+        ids=["csv_key", "report_key", "validate_report", "simulate_csv", "simulate_report",
+             "spectrum_csv", "oracle_csv", "sweep_csv"])
+    def test_empty_output_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                argv, key):
+        # an empty path, from the run file or a flag, is refused before the
+        # run with the message its write would give; an empty flag is not
+        # taken for an absent one
+        def unexpected(setup):
+            raise AssertionError("a run before the output paths were checked")
+
+        self._refuse_work(monkeypatch)
+        monkeypatch.setattr(cli, "_run_simulation", unexpected)
+        monkeypatch.chdir(tmp_path)
+        text = re.sub(rf"^{key} = .*$", f"{key} =", FIT_CFG, flags=re.M) if key else FIT_CFG
+        write_cfg(tmp_path, text)
+        assert main([argv[0], "run.cfg", *argv[1:]]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: cannot write : No such file or directory\n")
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--csv"], ["spectrum", "--report"], ["oracle-check", "--report"],
         ["sweep", "--param", "beta", "--values", "1", "--report"]])
