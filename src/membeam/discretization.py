@@ -427,8 +427,8 @@ def check_residual(num: float, den: float):
 class BandedLU:
     """One LAPACK banded LU (dgbtrf) of a 3Nx (u, v, theta) block matrix,
     with solve(b, trans) in the block order of the matrix: the one place a
-    mechanical block M is factorized.  stepper binds it as splu, the name
-    of scipy's splu, which it replaced.
+    mechanical block M is factorized.  stepper calls it by the name splu,
+    which the traced benchmark wraps.
 
     Taken node by node, (u_i, v_i, theta_i), the mechanical block is
     banded: the biharmonic reaches two nodes, so kl = 7 rows below and
