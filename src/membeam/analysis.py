@@ -42,9 +42,9 @@ _MIN_PEAKS = 5
 # Tolerances of the checks that judge a run (certify_run): every check of
 # certify_trajectory, the relative energy increase between samples, the
 # relative drift of the running history sums, and the least decay
-# gamma_fit (t2 - t1) across the fit window.  The drift errs in every
-# step's right-hand side, so it gets a step residual's bound, which rounding
-# of one unit (1.1e-16) a step meets over stepper.MAX_STEPS steps.  A
+# gamma_fit (t2 - t1) across the fit window.  The drift is an error in every
+# step's right-hand side, so it gets a step residual's bound: one unit of
+# rounding (1.1e-16) a step stays below it over stepper.MAX_STEPS steps.  A
 # constant energy fits a rate of rounding size, which may come out positive.
 _CHECK_TOL = 1e-8
 _MONOTONE_TOL = 1e-10

@@ -7,8 +7,9 @@ Subcommands and the flags each takes:
     oracle-check <cfg> [--csv C] [--levels N]
                                            dt-halving error table against exp(t A_h)
     sweep <cfg> --param P --values V [--csv C] [--serial]
-                                           one simulate per value, in turn, with its
-                                           checks; a value that fails one gets a nan row
+                                           one simulate per value, in turn, judged by
+                                           its report checks; a value that fails gets
+                                           a nan row
 
 Exit codes: 0 pass, 1 validation/certification failure, aborted run, failed
 sweep value or internal error (a built-in, numpy or scipy exception; an

@@ -1020,7 +1020,8 @@ class TestExitCodes:
         ["sweep", "--param", "beta", "--values", "1", "--csv", "nodir/r.txt"]])
     def test_unwritable_output_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
         # refused after setup, before any run, level or eigensolve, for a
-        # path in no directory and a path that names one; no file is left
+        # path in no directory, a path that names one and an empty path
+        # (never read as an absent flag); no file is left
         def unexpected(*args, **kwargs):
             raise AssertionError("work before the output paths were checked")
 
@@ -1031,7 +1032,7 @@ class TestExitCodes:
         (tmp_path / "adir").mkdir()
         cfg = str(write_cfg(tmp_path, FIT_CFG))
         for path, reason in (("nodir/r.txt", "No such file or directory"),
-                             ("adir", "Is a directory")):
+                             ("adir", "Is a directory"), ("", "No such file or directory")):
             assert main([argv[0], cfg, *(path if a == "nodir/r.txt" else a
                                          for a in argv[1:])]) == 2
             assert capsys.readouterr() == ("", f"config error: cannot write {path}: {reason}\n")
@@ -1086,28 +1087,17 @@ class TestExitCodes:
             f"the output {first}\n")
         assert sorted(os.listdir(tmp_path)) == ["run.cfg", "sub"]
 
-    @pytest.mark.parametrize("argv, key", [
-        (["simulate"], "csv_path"), (["simulate"], "report_path"),
-        (["validate", "--report", ""], None), (["simulate", "--csv", ""], None),
-        (["simulate", "--report", ""], None), (["spectrum", "--csv", ""], None),
-        (["oracle-check", "--csv", ""], None),
-        (["sweep", "--param", "beta", "--values", "1", "--csv", ""], None)],
-        ids=["csv_key", "report_key", "validate_report", "simulate_csv", "simulate_report",
-             "spectrum_csv", "oracle_csv", "sweep_csv"])
-    def test_empty_output_path_is_a_usage_error(self, tmp_path, monkeypatch, capsys,
-                                                argv, key):
-        # an empty path, from the run file or a flag, is refused before the
-        # run with the message its write would give; an empty flag is not
-        # taken for an absent one
+    @pytest.mark.parametrize("key", ["csv_path", "report_path"])
+    def test_empty_output_key_is_a_usage_error(self, tmp_path, monkeypatch, capsys, key):
+        # refused before the run, with the message of its write, which
+        # would otherwise come only after the run
         def unexpected(setup):
             raise AssertionError("a run before the output paths were checked")
 
-        self._refuse_work(monkeypatch)
         monkeypatch.setattr(cli, "_run_simulation", unexpected)
         monkeypatch.chdir(tmp_path)
-        text = re.sub(rf"^{key} = .*$", f"{key} =", FIT_CFG, flags=re.M) if key else FIT_CFG
-        write_cfg(tmp_path, text)
-        assert main([argv[0], "run.cfg", *argv[1:]]) == 2
+        write_cfg(tmp_path, re.sub(rf"^{key} = .*$", f"{key} =", FIT_CFG, flags=re.M))
+        assert main(["simulate", "run.cfg"]) == 2
         assert capsys.readouterr() == (
             "", "config error: cannot write : No such file or directory\n")
         assert os.listdir(tmp_path) == ["run.cfg"]
